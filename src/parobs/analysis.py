@@ -22,7 +22,7 @@ from .errors import (
     ReactionOutOfRange,
     TailTooShort,
 )
-from .grids import end_derivatives, trapezoid_weights, uniform_grid
+from .grids import end_derivatives, snapshot_norms, trapezoid_weights, uniform_grid
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import (
     ObserverDesign,
@@ -65,11 +65,7 @@ _FLOOR = 1e-13
 
 def error_norms(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid L2 norm and grid sup norm of w - u per snapshot."""
-    e = traj.error_fields()
-    w = traj.weights
-    l2 = np.sqrt(np.maximum((e**2) @ w, 0.0))
-    sup = np.max(np.abs(e), axis=1)
-    return l2, sup
+    return snapshot_norms(traj.error_fields(), traj.weights)
 
 
 @dataclass(frozen=True)

@@ -293,6 +293,12 @@ def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | 
     disturbances = disturbances_from_spec(dist_spec, design.m, grid)
 
     nl = nonlinearity_from_spec(cfg.get("nonlinearity"), grid)
+    if design.lipschitz_R < nl.lipschitz_R:
+        raise ConfigError(
+            "design.lipschitz_R",
+            f"certificate assumes R = {design.lipschitz_R:.6g}, below the "
+            f"nonlinearity's Lipschitz bound {nl.lipschitz_R:.6g}",
+        )
     time_cfg = cfg.get("time", {})
     initial = cfg.get("initial", {})
     u0 = pf.as_profile(initial.get("u0", 0.0), grid)

@@ -65,7 +65,9 @@ class InfeasibleAtZero(ParobsError):
 # -- simulation ---------------------------------------------------------------
 
 class StepRejected(ParobsError):
-    """Explicit corrector failed to contract; time step too large."""
+    """The trapezoidal corrector on the low-rank explicit part (nonlinearity,
+    injection) failed to contract: three non-decreasing iterate changes, or
+    no convergence within the iteration cap; the time step is too large."""
 
 
 class InvalidSpec(ParobsError):

@@ -16,6 +16,7 @@ __all__ = [
     "trapz_inner",
     "l2_norm",
     "sup_norm",
+    "snapshot_norms",
     "end_derivatives",
 ]
 
@@ -43,6 +44,12 @@ def l2_norm(f: np.ndarray, weights: np.ndarray) -> float:
 
 def sup_norm(f: np.ndarray) -> float:
     return float(np.max(np.abs(f)))
+
+
+def snapshot_norms(fields: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid L2 norm and grid sup norm of each row of ``fields``."""
+    l2 = np.sqrt(np.maximum((fields**2) @ weights, 0.0))
+    return l2, np.max(np.abs(fields), axis=1)
 
 
 def end_derivatives(f: np.ndarray, dx: float) -> tuple[float, float]:

@@ -27,13 +27,28 @@ __all__ = [
 
 
 class NonlinearTerm:
-    """Interface: apply(u) on a fixed grid plus declared Lipschitz bounds."""
+    """Interface: the low-rank form f(u) = phi(rows @ u) @ cols on a fixed
+    grid, plus declared Lipschitz bounds.
+
+    ``rows`` holds r quadrature functionals of u and ``cols`` the r spatial
+    profiles they drive; the base class is the rank-0 (zero) term and
+    ``phi`` the identity.
+    """
 
     lipschitz_R: float = 0.0  # L2 -> L2 bound
     lipschitz_sup: float = 0.0  # sup-norm bound
 
+    def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols), both of shape (r, nodes)."""
+        return np.zeros((0, nodes)), np.zeros((0, nodes))
+
+    @staticmethod
+    def phi(z: np.ndarray) -> np.ndarray:
+        return z
+
     def apply(self, u: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        rows, cols = self.factors(u.size)
+        return self.phi(rows @ u) @ cols
 
     def spec(self) -> dict:
         raise NotImplementedError
@@ -41,12 +56,6 @@ class NonlinearTerm:
 
 @dataclass(frozen=True)
 class ZeroTerm(NonlinearTerm):
-    lipschitz_R = 0.0
-    lipschitz_sup = 0.0
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return np.zeros_like(u)
-
     def spec(self) -> dict:
         return {"kind": "zero"}
 
@@ -62,17 +71,17 @@ class LinearNonlocalTerm(NonlinearTerm):
         self.b = pf.as_profile(b, self.grid)
         self.gain = float(gain)
         w = trapezoid_weights(self.grid)
-        self._row = self.gain * self.b.values(self.grid) * w  # quadrature in s
-        self._col = self.a.values(self.grid)
-        norm_a = float(np.sqrt(np.dot(w, self._col**2)))
+        self._rows = (self.gain * self.b.values(self.grid) * w)[None, :]  # quadrature in s
+        self._cols = self.a.values(self.grid)[None, :]
+        norm_a = float(np.sqrt(np.dot(w, self._cols[0] ** 2)))
         norm_b = pf.norm_l2(self.b, self.grid)
         self.lipschitz_R = abs(self.gain) * norm_a * norm_b
-        self.lipschitz_sup = abs(self.gain) * float(np.max(np.abs(self._col))) * float(
+        self.lipschitz_sup = abs(self.gain) * float(np.max(np.abs(self._cols))) * float(
             np.dot(w, np.abs(self.b.values(self.grid)))
         )
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self._col * float(np.dot(self._row, u))
+    def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._rows, self._cols
 
     def spec(self) -> dict:
         return {
@@ -106,9 +115,10 @@ class GainSaturatedTerm(NonlinearTerm):
             )
         )
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        z = np.tanh(self._rows @ u)
-        return z @ self._amps
+    phi = staticmethod(np.tanh)
+
+    def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._rows, self._amps
 
     def spec(self) -> dict:
         return {

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from parobs.cli import main
+from parobs.cli import EXIT_CONFIG, main
 from parobs.config import (
     apply_overrides,
     build_design,
@@ -153,6 +153,19 @@ class TestCli:
         assert header == "t,err_l2,err_sup,zeta_1,sample_flag"
         report = json.loads((out1 / "report.json").read_text())
         assert report["ios"]["violations"] == 0
+
+    def test_simulate_rejects_certificate_without_lipschitz_bound(self, tmp_path, capsys):
+        # a gain-saturated term with no design.lipschitz_R would be certified with R = 0
+        cfg = example31_config()
+        cfg["nonlinearity"] = {
+            "kind": "gain_saturated",
+            "weights": [{"kind": "cosine", "amplitude": 1.0, "omega": math.pi}],
+            "amplitudes": [{"kind": "constant", "value": 0.2}],
+        }
+        path = tmp_path / "nonlinear.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "design.lipschitz_R" in capsys.readouterr().err
 
     def test_simulate_zero_scenario_error_column(self, tmp_path):
         cfg = example31_config()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -7,8 +8,8 @@ import pytest
 from parobs import profiles as pf
 from parobs.errors import ScheduleHorizonMismatch, StepRejected
 from parobs.grids import trapezoid_weights, uniform_grid
-from parobs.nonlinear import LinearNonlocalTerm
-from parobs.observer_design import OutputChannel, make_design
+from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm
+from parobs.observer_design import OutputChannel, injection_kernels, make_design
 from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal
 from parobs.simulator import (
@@ -121,6 +122,47 @@ class TestPredictorPieces:
         w_next, zeta_next = step_observer_predictor(u.copy(), zeta, 0.0, 0.01, ex31_design, None, None)
         np.testing.assert_allclose(w_next, u_next, atol=1e-13)
         assert zeta_next[0] == pytest.approx(np.dot(0.5 * w, u_next), abs=1e-13)
+
+    def test_two_channel_step_matches_dense_trapezoid(self, nn_problem, nn_basis):
+        # the low-rank corrector converges to the trapezoidal rule of the full
+        # linear (w, zeta) system, solved here with dense matrices
+        channels = [
+            OutputChannel(kernel=pf.polynomial([0.0, 1.0]), approximant=pf.constant(0.5)),
+            OutputChannel(kernel=pf.polynomial([0.0, 0.0, 1.0]), approximant=pf.cosine(1.0, math.pi)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            design = make_design(nn_problem, nn_basis, channels, np.array([[-2.0, 0.0], [0.0, -1.0]]),
+                                 N=2, sigma_fraction=0.9)
+        nodes, t, dt = 41, 0.3, 0.01
+        grid = uniform_grid(nodes)
+        wts = trapezoid_weights(grid)
+        a_prof, b_prof, gain = pf.cosine_series(0.5, [0.3]), pf.polynomial([1.0, -0.5]), 0.4
+        nl = LinearNonlocalTerm(grid, a=a_prof, b=b_prof, gain=gain)
+        vt = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
+        w0 = 1.0 + 0.5 * np.cos(math.pi * grid) + 0.2 * grid**2
+        zeta0 = np.array([0.3, -0.2])
+        w1, zeta1 = step_observer_predictor(w0, zeta0, t, dt, design, nl, vt)
+
+        op = DiscreteSLOperator(nn_problem, nodes)
+        B = np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
+        c = np.vstack([ch.approximant.values(grid) for ch in channels])
+        C = c * wts
+        S = -(B @ c.T).T * wts
+        l = injection_kernels(design.L, design.basis.resample(nodes))[0].T
+        F = gain * np.outer(a_prof.values(grid), b_prof.values(grid) * wts)
+        J = np.block([[-B + F + l @ C, -l], [S + C @ F, np.zeros((2, 2))]])
+
+        def forcing(tt):
+            v = vt.field(tt, grid)
+            return np.concatenate([v, C @ v])
+
+        x0 = np.concatenate([w0, zeta0])
+        eye = np.eye(nodes + 2)
+        x1 = np.linalg.solve(eye - 0.5 * dt * J,
+                             (eye + 0.5 * dt * J) @ x0 + 0.5 * dt * (forcing(t) + forcing(t + dt)))
+        np.testing.assert_allclose(w1, x1[:nodes], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(zeta1, x1[nodes:], rtol=0, atol=1e-12)
 
 
 class TestZohStep:
@@ -257,6 +299,16 @@ class TestSimulate:
             finals[nodes] = quiet_simulate(sc).error_l2[-1]
         assert abs(finals[201] - finals[101]) <= 0.02 * abs(finals[201])
 
+    def test_missing_certificate_warns_but_runs(self, ex31_design):
+        # Q = 1 admits no certificate at all; the run still goes ahead
+        design = dataclasses.replace(ex31_design, Q=1.0)
+        sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 1.0})
+        sc = Scenario(design=design, variant="predictor", schedule=sch, nodes=101,
+                      u0=pf.constant(1.0), w0=pf.constant(0.0))
+        with pytest.warns(UserWarning, match="not certified"):
+            traj = simulate(sc)
+        assert traj.times[-1] == pytest.approx(1.0)
+
     def test_infeasible_design_warns_but_runs(self, ex31_design):
         sch = make_schedule({"kind": "uniform", "h": 5.0, "horizon": 10.0})
         sc = Scenario(design=ex31_design, variant="zoh", schedule=sch, nodes=101,
@@ -264,12 +316,24 @@ class TestSimulate:
         with pytest.warns(UserWarning, match="not certified"):
             simulate(sc)
 
-    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
-    def test_zero_error_invariance_with_nonlinearity(self, ex31_design, variant):
+    @pytest.mark.parametrize(
+        "variant, term",
+        [
+            pytest.param("predictor", LinearNonlocalTerm, id="predictor"),
+            pytest.param("zoh", LinearNonlocalTerm, id="zoh"),
+            pytest.param("predictor", GainSaturatedTerm, id="predictor-gain_saturated"),
+            pytest.param("zoh", GainSaturatedTerm, id="zoh-gain_saturated"),
+        ],
+    )
+    def test_zero_error_invariance_with_nonlinearity(self, ex31_design, variant, term):
         # f enters the plant, the observer field equation and the predictor
         # rate; a dropped term anywhere breaks the matched fixed point
         grid = uniform_grid(101)
-        nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.5, [0.3]), b=pf.constant(1.0), gain=0.4)
+        if term is LinearNonlocalTerm:
+            nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.5, [0.3]), b=pf.constant(1.0), gain=0.4)
+        else:
+            nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
+                                   amplitudes=[pf.cosine_series(0.3, [0.2])])
         sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 4.0})
         u0 = pf.cosine_series(1.0, [0.5])
         sc = Scenario(design=ex31_design, variant=variant, schedule=sch, nodes=101,
