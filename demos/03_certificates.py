@@ -10,6 +10,7 @@ import numpy as np
 
 from parobs import max_diameter, select_Q, small_gain_predictor, small_gain_zoh
 from parobs.analysis import example31_design, example32_design
+from parobs.errors import InfeasibleAtZero
 from parobs.observer_design import certificate_summary
 
 d31 = example31_design(p=1.0)
@@ -33,7 +34,10 @@ print("\n== decay-rate / diameter trade-off (predictor) ==")
 print("   omega      kappa       h*")
 for w in (0.1, 0.3, 0.5, 0.7, 0.9):
     k = w * d31.mu
-    print(f"   {w:4.1f}   {k:9.5f}  {max_diameter(d31, k, 'predictor'):9.5f}")
+    try:
+        print(f"   {w:4.1f}   {k:9.5f}  {max_diameter(d31, k, 'predictor'):9.5f}")
+    except InfeasibleAtZero as exc:  # Omega exceeds 1 even as h -> 0
+        print(f"   {w:4.1f}   {k:9.5f}  infeasible ({exc})")
 
 print("\n== tail-weight selection ==")
 q, om = select_Q(d31, [2.0, 4.0, 8.0], h=0.3, kappa=0.0, variant="predictor")

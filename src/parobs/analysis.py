@@ -1,5 +1,7 @@
 """Trajectory post-processing: decay-rate fits, IOS bound checking, the
-Lyapunov-functional oracle, and the two worked end-to-end designs.
+Lyapunov-functional oracle, and ``check_run``, which every run (CLI or
+worked example) goes through after simulating. The worked-example runners
+simulate the presets of ``parobs.config`` like any other config.
 
 The bound checkers evaluate the right-hand sides with exact running-supremum
 bookkeeping of the exponentially weighted signal histories, so a trajectory
@@ -10,33 +12,27 @@ discretization slack) or the violation count says where it fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import profiles as pf
-from .errors import (
-    DecayedToFloor,
-    InfeasibleReport,
-    ReactionOutOfRange,
-    TailTooShort,
+from .config import (
+    build_design,
+    build_scenario,
+    example31_config,
+    example31_design,
+    example32_config,
+    example32_design,
+    example32_sampling,
+    gain_report,
 )
-from .grids import end_derivatives, snapshot_norms, trapezoid_weights, uniform_grid
+from .errors import DecayedToFloor, InfeasibleReport, TailTooShort
+from .grids import end_derivatives, snapshot_norms
 from .nonlinear import NonlinearTerm, ZeroTerm
-from .observer_design import (
-    ObserverDesign,
-    OutputChannel,
-    SmallGainReport,
-    make_design,
-    max_diameter,
-    small_gain_predictor,
-    small_gain_zoh,
-)
-from .schedule import make_schedule
-from .signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal, noise_from_spec
+from .observer_design import ObserverDesign, SmallGainReport, injection_kernels, max_diameter
+from .signals import Disturbances
 from .simulator import Scenario, Trajectory, simulate
-from .sturm_liouville import SLProblem, analytic_eigensystem
 
 __all__ = [
     "error_norms",
@@ -49,9 +45,12 @@ __all__ = [
     "lyapunov_oracle",
     "divergence_verdict",
     "predictor_compatibility_residual",
+    "check_run",
     "Example31Report",
+    "example31_design",
     "run_example_31",
     "Example32Report",
+    "example32_design",
     "run_example_32",
     "DIVERGED_FACTOR",
     "CONVERGED_FACTOR",
@@ -178,12 +177,9 @@ def check_ios_bound(
     for k, t in enumerate(times):
         wt = math.exp(kappa * t)
         if m:
-            vals = np.array(
-                [
-                    abs(s.value(t)) if s.kind != "random" else 0.0
-                    for s in (dist.xi if dist.xi else [])
-                ]
-            ) if dist.xi else np.zeros(m)
+            vals = np.zeros(m)
+            if dist.xi:
+                vals = np.array([abs(s.value(t)) if s.kind != "random" else 0.0 for s in dist.xi])
             if t in event_noise:
                 vals = np.maximum(vals, event_noise[t])
             run_noise = np.maximum(run_noise, vals * wt)
@@ -278,14 +274,11 @@ def lyapunov_oracle(
     pieces_kc = (
         np.vstack([ch.kernel.values(traj.grid) for ch in design.channels]) * w - pieces_c
     )
-    from .observer_design import injection_kernels
-
     l_cols = injection_kernels(design.L, basis)[0].T  # (n, m)
     S = traj.times.size
     vbar_norms = np.zeros(S)
     has_mismatch = not (dist.v.is_zero and dist.v_tilde.is_zero)
     event_index = {ev.t: ev for ev in traj.events}
-    snap_index = {float(t): k for k, t in enumerate(traj.times)}
     eta_state: tuple | None = None
     for k, t in enumerate(traj.times):
         vb = nl.apply(traj.w[k]) - nl.apply(traj.u[k])
@@ -353,35 +346,70 @@ def divergence_verdict(traj: Trajectory) -> str:
     return "inconclusive"
 
 
+def _end_values(traj: Trajectory):
+    """(f, f'(0), f'(1), sup |f|) for the plant and observer field of every
+    snapshot."""
+    dx = traj.grid[1] - traj.grid[0]
+    for k in range(traj.times.size):
+        for f in (traj.u[k], traj.w[k]):
+            d0, d1 = end_derivatives(f, dx)
+            yield f, d0, d1, max(np.max(np.abs(f)), 1e-300)
+
+
 def predictor_compatibility_residual(traj: Trajectory, design: ObserverDesign) -> float:
     """Worst boundary term c_i(1) u_x(1) - c_i(0) u_x(0) - c_i'(1) u(1) +
     c_i'(0) u(0) along the trajectory; it vanishes (to discretization error)
     because the approximants share the plant's Robin conditions."""
-    dx = traj.grid[1] - traj.grid[0]
     ends = np.array([0.0, 1.0])
     worst = 0.0
     for ch in design.channels:
         c_end = ch.approximant.values(ends)
         dc_end = ch.approximant.derivative().values(ends)
-        for k in range(traj.times.size):
-            for f in (traj.u[k], traj.w[k]):
-                d0, d1 = end_derivatives(f, dx)
-                psi = c_end[1] * d1 - c_end[0] * d0 - dc_end[1] * f[-1] + dc_end[0] * f[0]
-                scale = max(np.max(np.abs(f)), 1e-300)
-                worst = max(worst, abs(psi) / scale)
+        for f, d0, d1, scale in _end_values(traj):
+            psi = c_end[1] * d1 - c_end[0] * d0 - dc_end[1] * f[-1] + dc_end[0] * f[0]
+            worst = max(worst, abs(psi) / scale)
     return worst
 
 
-# -- worked example runners -----------------------------------------------------
+# -- the shared check sequence and the worked-example runners --------------------
 
-def _noise_signal(noise, channel: int = 0) -> NoiseSignal:
-    if noise is None:
-        return NoiseSignal(channel=channel)
-    if isinstance(noise, NoiseSignal):
-        return noise
-    if isinstance(noise, (int, float)):
-        return NoiseSignal(kind="sinusoid", amplitude=float(noise), omega=2.0, channel=channel)
-    return noise_from_spec(noise, channel)
+def check_run(
+    traj: Trajectory, scenario: Scenario, report: SmallGainReport | None, *, fit: bool = True,
+    ios: bool = True, lyapunov: bool = False, lyapunov_tail: int = 20,
+) -> tuple[DecayFit | None, IOSBoundCheck | None, LyapunovTrace | None]:
+    """(fit, ios, lyapunov): decay fit, IOS check and Lyapunov oracle of one
+    simulated scenario, each None where it did not run.
+
+    The fit runs over ``default_fit_window`` at the schedule's diameter and
+    is None when the series reaches the numerical floor or the window holds
+    fewer than 3 points. The IOS check and the oracle run only under a
+    feasible report.
+    """
+    decay = None
+    if fit:
+        try:
+            window = default_fit_window(traj, scenario.schedule.diameter)
+            decay = fit_decay_rate(traj.times, traj.error_l2, window)
+        except (DecayedToFloor, ValueError):
+            pass
+    feasible = report is not None and report.feasible
+    bound = check_ios_bound(traj, report, scenario.disturbances) if ios and feasible else None
+    oracle = None
+    if lyapunov and feasible:
+        oracle = lyapunov_oracle(traj, scenario.design, lyapunov_tail,
+                                 nonlinearity=scenario.nonlinearity,
+                                 disturbances=scenario.disturbances)
+    return decay, bound, oracle
+
+
+def _run_preset(cfg: dict, design: ObserverDesign, **checks):
+    """Report, scenario, trajectory and checks of a worked-example preset."""
+    report = gain_report(cfg, design)
+    scenario = build_scenario(cfg, design=design)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        traj = simulate(scenario)
+    return report, scenario, traj, check_run(traj, scenario, report, **checks)
 
 
 @dataclass
@@ -435,18 +463,6 @@ class Example31Report:
         return out
 
 
-def example31_design(p: float = 1.0, nodes: int = 1001, modes: int = 201) -> ObserverDesign:
-    """N = 1 design for the Neumann heat plant with output kernel x:
-    c = 1/2, L = -p pi^2, P = [1]."""
-    problem = SLProblem(p=p, q=0.0, a0=0.0, b0=1.0, a1=0.0, b1=1.0)
-    basis = analytic_eigensystem(problem, modes, nodes)
-    channel = OutputChannel(
-        kernel=pf.polynomial([0.0, 1.0]), approximant=pf.constant(0.5), label="avg"
-    )
-    L = np.array([[-p * math.pi**2]])
-    return make_design(problem, basis, [channel], L, N=1, Q=2.0, sigma_fraction=1.0)
-
-
 def run_example_31(
     p: float = 1.0,
     h: float = 0.5,
@@ -466,68 +482,22 @@ def run_example_31(
     lyapunov: bool = False,
     lyapunov_tail: int = 20,
 ) -> Example31Report:
-    """End-to-end run of the Neumann-ends worked design.
+    """End-to-end run of ``example31_config`` with the same arguments.
 
     omega in [0, 1) selects kappa = omega * mu. The hold variant's verdict
     compares the final error with the initial one at the default horizon
     10 * 20 / (p pi^2).
     """
-    if not 0.0 <= omega < 1.0:
-        raise ValueError("omega must lie in [0, 1)")
-    design = example31_design(p)
-    kappa = omega * design.mu
-    gain = small_gain_predictor if variant == "predictor" else small_gain_zoh
-    report = gain(design, h, kappa)
-    h_star = max_diameter(design, kappa, variant)
-
-    if horizon is None:
-        horizon = 10.0 * 20.0 / (p * math.pi**2)
-    # whole number of periods: the uniform-sampling claims are about t_j = j h,
-    # and a clipped trailing gap can act as an accidental deadbeat step
-    horizon = max(1, math.ceil(horizon / h - 1e-9)) * h
-    schedule = make_schedule({"kind": "uniform", "h": h, "horizon": horizon})
-
-    grid = uniform_grid(nodes)
-    if u0 is None:
-        u0 = pf.cosine_series(1.0, [0.5])
-    if w0 is None:
-        w0 = pf.constant(0.0)
-    xi = (_noise_signal(noise),)
-    v = SpaceTimeSignal()
-    if mismatch:
-        v = SpaceTimeSignal(terms=((TimeSignal(offset=float(mismatch)), pf.constant(1.0)),))
-    dist = Disturbances(v=v, v_tilde=SpaceTimeSignal(), xi=xi)
-
-    scenario = Scenario(
-        design=design,
-        variant=variant,
-        schedule=schedule,
-        nodes=nodes,
-        u0=u0,
-        w0=w0,
-        disturbances=dist,
-        dt=dt,
-        snapshot_every=snapshot_every,
-        label=f"example31-{variant}",
+    cfg = example31_config(
+        p, h, omega, variant, noise, mismatch, horizon=horizon, nodes=nodes, dt=dt,
+        snapshot_every=snapshot_every, u0=u0, w0=w0,
     )
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        traj = simulate(scenario)
-
-    fit = None
-    if fit_rate:
-        try:
-            fit = fit_decay_rate(traj.times, traj.error_l2, default_fit_window(traj, h))
-        except DecayedToFloor:
-            fit = None
-    ios = None
-    if check_bounds and report.feasible:
-        ios = check_ios_bound(traj, report, dist)
-    lyap = None
-    if lyapunov and report.feasible:
-        lyap = lyapunov_oracle(traj, design, lyapunov_tail, disturbances=dist)
+    design = build_design(cfg)
+    h_star = max_diameter(design, omega * design.mu, variant)
+    report, _, traj, (fit, ios, lyap) = _run_preset(
+        cfg, design, fit=fit_rate, ios=check_bounds, lyapunov=lyapunov,
+        lyapunov_tail=lyapunov_tail,
+    )
     return Example31Report(
         p=p,
         h=h,
@@ -535,7 +505,7 @@ def run_example_31(
         variant=variant,
         design=design,
         report=report,
-        kappa=kappa,
+        kappa=report.kappa,
         trajectory=traj,
         fit=fit,
         ios=ios,
@@ -601,24 +571,6 @@ class Example32Report:
         return out
 
 
-def example32_design(p: float = 1.0, q: float = 0.0, nodes: int = 1001, modes: int = 201) -> ObserverDesign:
-    """N = 1 design for the transformed boundary-output plant:
-    c = (4/pi) cos(pi x / 2), L = pi (4q - 7 p pi^2) / (16 sqrt 2)."""
-    if not -9.0 * p * math.pi**2 < 4.0 * q < 7.0 * p * math.pi**2:
-        raise ReactionOutOfRange(
-            f"need -9 p pi^2 < 4q < 7 p pi^2, got q = {q} at p = {p}"
-        )
-    problem = SLProblem(p=p, q=q, a0=0.0, b0=1.0, a1=1.0, b1=0.0)
-    basis = analytic_eigensystem(problem, modes, nodes)
-    channel = OutputChannel(
-        kernel=pf.constant(1.0),
-        approximant=pf.cosine(4.0 / math.pi, math.pi / 2.0),
-        label="boundary",
-    )
-    L = np.array([[math.pi * (4.0 * q - 7.0 * p * math.pi**2) / (16.0 * math.sqrt(2.0))]])
-    return make_design(problem, basis, [channel], L, N=1, Q=2.0, sigma_fraction=1.0)
-
-
 def run_example_32(
     p: float = 1.0,
     q: float = 0.0,
@@ -634,7 +586,7 @@ def run_example_32(
     w0=None,
     lyapunov: bool = False,
 ) -> Example32Report:
-    """End-to-end run of the boundary-measurement design.
+    """End-to-end run of ``example32_config`` with the same arguments.
 
     h defaults to half the maximal feasible diameter at kappa = omega * mu.
     The report carries the sup-norm reconstruction-error series and the
@@ -645,41 +597,13 @@ def run_example_32(
     if not 0.0 <= omega < 1.0:
         raise ValueError("omega must lie in [0, 1)")
     design = example32_design(p, q)
-    kappa = omega * design.mu
-    h_star = max_diameter(design, kappa, "predictor")
-    if h is None:
-        h = 0.5 * h_star if math.isfinite(h_star) else 0.1
-    report = small_gain_predictor(design, h, kappa)
-
-    if horizon is None:
-        horizon = max(4.0 / design.mu, 30.0 * h)
-    schedule = make_schedule({"kind": "uniform", "h": h, "horizon": horizon})
-
-    if u0 is None:
-        u0 = pf.cosine(math.sqrt(2.0), math.pi / 2.0) + 0.5 * pf.cosine(
-            math.sqrt(2.0), 3.0 * math.pi / 2.0
-        )
-    if w0 is None:
-        w0 = pf.constant(0.0)
-    xi = (_noise_signal(noise),)
-    dist = Disturbances(xi=xi)
-    scenario = Scenario(
-        design=design,
-        variant="predictor",
-        schedule=schedule,
-        nodes=nodes,
-        u0=u0,
-        w0=w0,
-        disturbances=dist,
-        dt=dt,
-        snapshot_every=snapshot_every,
-        label="example32",
+    h_star, h, horizon = example32_sampling(design, omega, h, horizon)
+    cfg = example32_config(
+        p, q, h, omega, noise, horizon=horizon, nodes=nodes, dt=dt,
+        snapshot_every=snapshot_every, u0=u0, w0=w0,
     )
-    import warnings as _warnings
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        traj = simulate(scenario)
+    # the sup-norm series gets its own fit below, not the L2 one
+    report, scenario, traj, (_, ios, _) = _run_preset(cfg, design, fit=False)
 
     # reconstruction error: u_hat - u = int_0^x (w - u~) ds, sup over x
     from scipy.integrate import cumulative_trapezoid
@@ -699,24 +623,19 @@ def run_example_32(
             fit = fit_decay_rate(traj.times, np.maximum(sup_error, 1e-300), (3.0 * h, t_hi))
         except (DecayedToFloor, ValueError):
             fit = None
-    ios = check_ios_bound(traj, report, dist) if report.feasible else None
 
-    noise_bound = None
-    noise_bound_ok = None
-    xi0 = xi[0]
+    noise_bound = noise_bound_ok = None
+    xi0 = scenario.disturbances.xi[0]
     if xi0.bound > 0.0:
         noise_bound = theta * xi0.bound
         e0 = float(traj.error_l2[0])
-        allowed = theta * (np.exp(-kappa * traj.times) * e0 + xi0.bound)
+        allowed = theta * (np.exp(-report.kappa * traj.times) * e0 + xi0.bound)
         noise_bound_ok = bool(np.all(sup_error <= allowed * (1.0 + _SLACK) + 1e-12))
 
     dx = traj.grid[1] - traj.grid[0]
     bc_defect = 0.0
-    for k in range(traj.times.size):
-        for f in (traj.u[k], traj.w[k]):
-            d0, _ = end_derivatives(f, dx)
-            scale = max(np.max(np.abs(f)), 1e-300)
-            bc_defect = max(bc_defect, abs(f[-1]) / scale, abs(d0) * dx / scale)
+    for f, d0, _, scale in _end_values(traj):
+        bc_defect = max(bc_defect, abs(f[-1]) / scale, abs(d0) * dx / scale)
 
     return Example32Report(
         p=p,
@@ -725,7 +644,7 @@ def run_example_32(
         omega_fraction=omega,
         design=design,
         report=report,
-        kappa=kappa,
+        kappa=report.kappa,
         trajectory=traj,
         theta=theta,
         sup_error=sup_error,

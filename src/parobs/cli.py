@@ -1,10 +1,15 @@
 """Command-line entry point: design, check-gain, simulate, sweep, and the
-two worked-example runners.
+two worked examples.
 
 All commands are configuration-driven (JSON, versioned schema) with
 repeatable ``--set key.path=value`` overrides that are type-checked before
-any computation. Outputs are deterministic given the config and seed:
-floats print with 17 significant digits so reruns are byte-identical.
+any computation. ``example31``/``example32`` map their arguments onto the
+presets ``example31_config``/``example32_config`` and run them through the
+same build, simulate and ``check_run`` path; ``simulate``, ``example31`` and
+``example32`` share one writer for ``report.json``, ``trajectory.csv`` and
+``margins.csv`` and one ``--strict`` rule. Outputs are deterministic given
+the config and seed: floats print with 17 significant digits so reruns are
+byte-identical.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation under
 ``--strict``.
@@ -13,36 +18,26 @@ Exit codes: 0 success, 2 configuration error, 3 invariant violation under
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import warnings
 
 import numpy as np
 
-from .analysis import (
-    check_ios_bound,
-    default_fit_window,
-    fit_decay_rate,
-    lyapunov_oracle,
-    run_example_31,
-    run_example_32,
-)
+from .analysis import check_run, run_example_31, run_example_32
 from .config import (
     apply_overrides,
     build_design,
     build_scenario,
+    gain_report,
     load_config,
-    resolve_kappa,
     validate_config,
 )
-from .errors import ConfigError, DecayedToFloor, ParobsError
-from .observer_design import (
-    certificate_summary,
-    design_to_json,
-    small_gain_predictor,
-    small_gain_zoh,
-)
+from .errors import ConfigError, KappaOutOfRange, ParobsError, QInfeasible
+from .observer_design import certificate_summary, design_to_json
 from .simulator import Trajectory, simulate
 from .sturm_liouville import basis_to_csv
 
@@ -61,7 +56,16 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_run(outdir: str, doc: dict, traj: Trajectory, ios=None, lyap=None) -> None:
+    """report.json, trajectory.csv and margins.csv of one simulated run."""
+    os.makedirs(outdir, exist_ok=True)
+    _write_json(os.path.join(outdir, "report.json"), doc)
+
     m = traj.zeta.shape[1]
     header = ["t", "err_l2", "err_sup"] + [f"zeta_{i + 1}" for i in range(m)] + ["sample_flag"]
     lines = [",".join(header)]
@@ -70,11 +74,8 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
         row += [_fmt(traj.zeta[k, i]) for i in range(m)]
         row.append("1" if traj.sample_flag[k] else "0")
         lines.append(",".join(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(os.path.join(outdir, "trajectory.csv"), lines)
 
-
-def _write_margins_csv(path: str, traj: Trajectory, ios=None, lyap=None) -> None:
     header = ["t", "err_l2"]
     cols = [traj.times, traj.error_l2]
     if ios is not None:
@@ -84,10 +85,8 @@ def _write_margins_csv(path: str, traj: Trajectory, ios=None, lyap=None) -> None
         header += ["lyapunov_V", "lyapunov_rhs"]
         cols += [lyap.V, lyap.rhs]
     lines = [",".join(header)]
-    for k in range(traj.times.size):
-        lines.append(",".join(_fmt(c[k]) for c in cols))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines += [",".join(_fmt(c[k]) for c in cols) for k in range(traj.times.size)]
+    _write_lines(os.path.join(outdir, "margins.csv"), lines)
 
 
 def _write_fields(outdir: str, traj: Trajectory) -> None:
@@ -96,37 +95,31 @@ def _write_fields(outdir: str, traj: Trajectory) -> None:
         lines = ["x,u,w"]
         for i in range(traj.grid.size):
             lines.append(f"{_fmt(traj.grid[i])},{_fmt(traj.u[k, i])},{_fmt(traj.w[k, i])}")
-        with open(os.path.join(outdir, f"snapshot_{k:05d}.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(os.path.join(outdir, f"snapshot_{k:05d}.csv"), lines)
 
 
-def _gain_report(cfg: dict, design):
-    variant = cfg.get("observer", {}).get("variant", "predictor")
-    gain_cfg = cfg.get("gain", {})
-    h = float(gain_cfg.get("h", cfg.get("schedule", {}).get("h", 0.0)))
-    if h <= 0.0:
-        raise ConfigError("gain.h", "need a positive sampling diameter")
-    kappa = resolve_kappa(cfg, design)
-    fn = small_gain_predictor if variant == "predictor" else small_gain_zoh
-    return fn(design, h, kappa)
+def _exit_code(strict: bool, ios=None, lyap=None, noise_bound_ok=None) -> int:
+    """Under --strict, exit 3 when the IOS estimate or ||e||^2 <= V fails at
+    a snapshot, or the sup-norm noise bound fails. The oracle's integral
+    inequality is reported, not judged: it fails on the worked designs."""
+    violated = (
+        (ios is not None and ios.violations > 0)
+        or (lyap is not None and not lyap.e_le_V_ok)
+        or noise_bound_ok is False
+    )
+    return EXIT_VIOLATION if strict and violated else EXIT_OK
+
+
+def _simulate(scenario) -> Trajectory:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return simulate(scenario)
 
 
 def _report_to_dict(report) -> dict:
-    return {
-        "variant": report.variant,
-        "h": report.h,
-        "kappa": report.kappa,
-        "gamma": report.gamma,
-        "omega": report.omega,
-        "feasible": report.feasible,
-        "mu": report.mu,
-        "g_tilde": report.g_tilde,
-        "coefficients": {
-            "initial": report.coefficients.initial,
-            "noise": list(map(float, np.atleast_1d(report.coefficients.noise))),
-            "mismatch": report.coefficients.mismatch,
-        },
-    }
+    doc = dataclasses.asdict(report)
+    doc["coefficients"]["noise"] = list(map(float, np.atleast_1d(report.coefficients.noise)))
+    return doc
 
 
 def cmd_design(args) -> int:
@@ -135,7 +128,7 @@ def cmd_design(args) -> int:
     design = build_design(cfg)
     reports = []
     if "gain" in cfg:
-        reports.append(_gain_report(cfg, design))
+        reports.append(gain_report(cfg, design))
     summary = certificate_summary(design, reports)
     print(summary)
     if args.out:
@@ -152,7 +145,7 @@ def cmd_check_gain(args) -> int:
     cfg = apply_overrides(load_config(args.config), args.set or [])
     validate_config(cfg)
     design = build_design(cfg)
-    report = _gain_report(cfg, design)
+    report = gain_report(cfg, design)
     print(f"Omega = {_fmt(report.omega)}")
     print(f"feasible = {str(report.feasible).lower()}")
     print(f"gamma = {_fmt(report.gamma)}  mu = {_fmt(report.mu)}  kappa = {_fmt(report.kappa)}")
@@ -169,18 +162,18 @@ def cmd_simulate(args) -> int:
     validate_config(cfg, need_schedule=True)
     design = build_design(cfg)
     scenario = build_scenario(cfg, design=design, seed=args.seed)
-    report = None
     try:
-        report = _gain_report(
+        report = gain_report(
             {**cfg, "gain": cfg.get("gain", {"h": scenario.schedule.diameter})}, design
         )
-    except ParobsError:
-        pass
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        traj = simulate(scenario)
+    except (QInfeasible, KappaOutOfRange):
+        report = None  # no certificate: simulate, fit, but check no bound
+    traj = _simulate(scenario)
+    analysis = cfg.get("analysis", {})
+    fit, ios, lyap = check_run(
+        traj, scenario, report, lyapunov=bool(analysis.get("lyapunov", False)),
+        lyapunov_tail=int(analysis.get("lyapunov_tail", 20)),
+    )
 
     doc: dict = {
         "label": scenario.label,
@@ -190,63 +183,40 @@ def cmd_simulate(args) -> int:
         "snapshots": int(traj.times.size),
         "samples": len(traj.events),
     }
-    violated = False
-    ios = None
-    lyap = None
     if report is not None:
         doc["gain"] = _report_to_dict(report)
-        if report.feasible:
-            ios = check_ios_bound(traj, report, scenario.disturbances)
-            doc["ios"] = {
-                "violations": ios.violations,
-                "worst_relative_margin": ios.worst_relative_margin,
-            }
-            violated = violated or ios.violations > 0
-            if cfg.get("analysis", {}).get("lyapunov", False):
-                lyap = lyapunov_oracle(
-                    traj,
-                    design,
-                    int(cfg.get("analysis", {}).get("lyapunov_tail", 20)),
-                    nonlinearity=scenario.nonlinearity,
-                    disturbances=scenario.disturbances,
-                )
-                doc["lyapunov"] = {
-                    "violations": lyap.violations,
-                    "error_le_V": lyap.e_le_V_ok,
-                    "v0_bound": lyap.v0_bound_ok,
-                    "parseval_deficit": lyap.parseval_deficit,
-                }
-                violated = violated or lyap.violations > 0 or not lyap.e_le_V_ok
-    try:
-        fit = fit_decay_rate(
-            traj.times, traj.error_l2, default_fit_window(traj, scenario.schedule.diameter)
-        )
+    if ios is not None:
+        doc["ios"] = {
+            "violations": ios.violations,
+            "worst_relative_margin": ios.worst_relative_margin,
+        }
+    if lyap is not None:
+        doc["lyapunov"] = {
+            "violations": lyap.violations,
+            "error_le_V": lyap.e_le_V_ok,
+            "v0_bound": lyap.v0_bound_ok,
+            "parseval_deficit": lyap.parseval_deficit,
+        }
+    if fit is not None:
         doc["fitted_rate"] = fit.rate
         doc["fitted_rate_ci"] = fit.ci_halfwidth
-    except (DecayedToFloor, ValueError):
-        pass
 
     print(
         f"simulated {scenario.variant} observer: ||e(0)|| = {_fmt(traj.error_l2[0])}, "
         f"||e(T)|| = {_fmt(traj.error_l2[-1])}"
     )
-    if "ios" in doc:
-        print(f"ios violations = {doc['ios']['violations']}")
+    if ios is not None:
+        print(f"ios violations = {ios.violations}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), traj)
-        _write_json(os.path.join(args.out, "report.json"), doc)
-        _write_margins_csv(os.path.join(args.out, "margins.csv"), traj, ios, lyap)
+        _write_run(args.out, doc, traj, ios, lyap)
         if cfg.get("output", {}).get("fields", False):
             _write_fields(os.path.join(args.out, "fields"), traj)
-    if args.strict and violated:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _exit_code(args.strict, ios, lyap)
 
 
-def _sweep_row(packed) -> dict:
-    index, cfg, param, value, do_sim, seed = packed
-    cfg = json.loads(cfg)
+def _row_config(cfg: dict, param: str, value: float) -> dict:
+    """The config of one sweep row over h, kappa or the noise amplitude."""
+    cfg = copy.deepcopy(cfg)
     if param == "h":
         cfg.setdefault("gain", {})["h"] = value
         if "schedule" in cfg:
@@ -254,48 +224,19 @@ def _sweep_row(packed) -> dict:
     elif param == "kappa":
         cfg.setdefault("gain", {})["kappa"] = value
         cfg["gain"].pop("omega", None)
-    elif param == "Q":
-        cfg.setdefault("design", {})["Q"] = value
     elif param == "noise_amplitude":
         xi = cfg.setdefault("disturbances", {}).setdefault(
             "xi", {"kind": "sinusoid", "amplitude": 0.0, "omega": 2.0}
         )
-        if isinstance(xi, list):
-            for x in xi:
-                x["amplitude"] = value
-        else:
-            xi["amplitude"] = value
-    design = build_design(cfg)
-    row = {"index": index, "parameter": param, "value": value}
-    try:
-        report = _gain_report(cfg, design)
-        row["omega"] = report.omega
-        row["feasible"] = report.feasible
-    except ParobsError as exc:
-        row["omega"] = float("nan")
-        row["feasible"] = False
-        row["error"] = type(exc).__name__
-        report = None
-    if do_sim:
-        scenario = build_scenario(cfg, design=design, seed=seed)
-        import warnings
+        for x in xi if isinstance(xi, list) else [xi]:
+            x["amplitude"] = value
+    return cfg
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            traj = simulate(scenario)
-        row["final_error_l2"] = float(traj.error_l2[-1])
-        try:
-            fit = fit_decay_rate(
-                traj.times, traj.error_l2, default_fit_window(traj, scenario.schedule.diameter)
-            )
-            row["fitted_rate"] = fit.rate
-        except (DecayedToFloor, ValueError):
-            row["fitted_rate"] = float("nan")
-        if report is not None and report.feasible:
-            ios = check_ios_bound(traj, report, scenario.disturbances)
-            row["ios_violations"] = ios.violations
-            row["worst_relative_margin"] = ios.worst_relative_margin
-    return row
+
+def _csv_cell(v) -> str:
+    if isinstance(v, bool):
+        return str(v).lower()
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def cmd_sweep(args) -> int:
@@ -308,33 +249,38 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in sweep["values"]]
     do_sim = bool(sweep.get("simulate", False))
     seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
-    workers = int(sweep.get("workers", 1))
-    base = json.dumps(cfg)
-    tasks = [(i, base, param, v, do_sim, seed) for i, v in enumerate(values)]
-    if workers > 1 and do_sim:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, tasks))
-    else:
-        rows = [_sweep_row(t) for t in tasks]
-    rows.sort(key=lambda r: r["index"])  # ordering by grid index, not completion
+    # only Q changes the design, and with_Q recomputes exactly what depends on it
+    base = build_design(cfg)
+    traj = None
+    rows = []
+    for index, value in enumerate(values):
+        row_cfg = _row_config(cfg, param, value)
+        design = base.with_Q(value) if param == "Q" else base
+        row = {"index": index, "parameter": param, "value": value}
+        try:
+            report = gain_report(row_cfg, design)
+            row.update(omega=report.omega, feasible=report.feasible)
+        except ParobsError as exc:
+            report = None
+            row.update(omega=float("nan"), feasible=False, error=type(exc).__name__)
+        if do_sim:
+            scenario = build_scenario(row_cfg, design=design, seed=seed)
+            # Q and kappa change only the certificate: one trajectory serves every row
+            if traj is None or param in ("h", "noise_amplitude"):
+                traj = _simulate(scenario)
+            fit, ios, _ = check_run(traj, scenario, report)
+            row["final_error_l2"] = float(traj.error_l2[-1])
+            row["fitted_rate"] = fit.rate if fit is not None else float("nan")
+            if ios is not None:
+                row["ios_violations"] = ios.violations
+                row["worst_relative_margin"] = ios.worst_relative_margin
+        rows.append(row)
 
     columns = ["index", "parameter", "value", "omega", "feasible"]
     extras = ["final_error_l2", "fitted_rate", "ios_violations", "worst_relative_margin", "error"]
-    for c in extras:
-        if any(c in r for r in rows):
-            columns.append(c)
+    columns += [c for c in extras if any(c in r for r in rows)]
     lines = [",".join(columns)]
-    for r in rows:
-        cells = []
-        for c in columns:
-            v = r.get(c, "")
-            if isinstance(v, bool):
-                cells.append(str(v).lower())
-            elif isinstance(v, float):
-                cells.append(_fmt(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines += [",".join(_csv_cell(r.get(c, "")) for c in columns) for r in rows]
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:
@@ -344,62 +290,32 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _noise_spec(args):
-    if args.noise_amplitude <= 0.0:
-        return None
-    return {
-        "kind": args.noise_kind,
-        "amplitude": args.noise_amplitude,
-        "omega": args.noise_omega,
-        "seed": args.seed or 0,
-    }
+def _example_args(args, names: str) -> dict:
+    """The preset arguments of an example command: the named options plus
+    the noise spec."""
+    kwargs = {k: getattr(args, k) for k in names.split()}
+    if args.noise_amplitude > 0.0:
+        kwargs["noise"] = {"kind": args.noise_kind, "amplitude": args.noise_amplitude,
+                           "omega": args.noise_omega, "seed": args.seed or 0}
+    return kwargs
 
 
 def cmd_example31(args) -> int:
     rep = run_example_31(
-        p=args.p,
-        h=args.h,
-        omega=args.omega,
-        variant=args.variant,
-        noise=_noise_spec(args),
-        mismatch=args.mismatch,
-        horizon=args.horizon,
-        nodes=args.nodes,
-        dt=args.dt,
-        lyapunov=args.lyapunov,
+        **_example_args(args, "p h omega variant mismatch horizon nodes dt lyapunov")
     )
-    doc = rep.to_dict()
     print(f"Omega = {_fmt(rep.report.omega)} (feasible = {str(rep.report.feasible).lower()})")
     print(f"max diameter h* = {_fmt(rep.h_star)}")
     if rep.fit is not None:
         print(f"fitted decay rate = {_fmt(rep.fit.rate)} (certified kappa = {_fmt(rep.kappa)})")
     print(f"verdict = {rep.verdict}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "report.json"), doc)
-        _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), rep.trajectory)
-        _write_margins_csv(os.path.join(args.out, "margins.csv"), rep.trajectory, rep.ios, rep.lyapunov)
-    if args.strict:
-        bad = (rep.ios is not None and rep.ios.violations > 0) or (
-            rep.lyapunov is not None and not rep.lyapunov.e_le_V_ok
-        )
-        if bad:
-            return EXIT_VIOLATION
-    return EXIT_OK
+        _write_run(args.out, rep.to_dict(), rep.trajectory, rep.ios, rep.lyapunov)
+    return _exit_code(args.strict, rep.ios, rep.lyapunov)
 
 
 def cmd_example32(args) -> int:
-    rep = run_example_32(
-        p=args.p,
-        q=args.q,
-        h=args.h,
-        omega=args.omega,
-        noise=_noise_spec(args),
-        horizon=args.horizon,
-        nodes=args.nodes,
-        dt=args.dt,
-    )
-    doc = rep.to_dict()
+    rep = run_example_32(**_example_args(args, "p q h omega horizon nodes dt"))
     print(f"Omega = {_fmt(rep.report.omega)} (feasible = {str(rep.report.feasible).lower()})")
     print(f"max diameter h* = {_fmt(rep.h_star)}, using h = {_fmt(rep.h)}")
     print(f"theta = {_fmt(rep.theta)}")
@@ -411,17 +327,8 @@ def cmd_example32(args) -> int:
             f"{'holds' if rep.noise_bound_ok else 'violated'}"
         )
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "report.json"), doc)
-        _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), rep.trajectory)
-        _write_margins_csv(os.path.join(args.out, "margins.csv"), rep.trajectory, rep.ios)
-    if args.strict:
-        bad = (rep.ios is not None and rep.ios.violations > 0) or (
-            rep.noise_bound_ok is False
-        )
-        if bad:
-            return EXIT_VIOLATION
-    return EXIT_OK
+        _write_run(args.out, rep.to_dict(), rep.trajectory, rep.ios)
+    return _exit_code(args.strict, rep.ios, noise_bound_ok=rep.noise_bound_ok)
 
 
 def _add_common(sp, with_config=True):

@@ -1,8 +1,14 @@
-"""Run configuration: JSON schema validation, overrides, object builders.
+"""Run configuration: JSON schema validation, overrides, object builders,
+and the two worked examples as presets.
 
 Configs are plain JSON with a versioned schema field. Validation walks the
 expected structure and reports the dotted path of the offending field, so
 `--set` overrides are type-checked before any computation starts.
+
+``example31_config`` and ``example32_config`` return the paper's worked
+examples as such configs; ``build_design`` and ``build_scenario`` turn them
+into the same objects as any other config, so ``parobs simulate`` runs a
+dumped preset exactly as ``parobs example31`` runs its arguments.
 """
 
 from __future__ import annotations
@@ -10,14 +16,22 @@ from __future__ import annotations
 import copy
 import json
 import math
-from typing import Any
 
 import numpy as np
 
 from . import profiles as pf
-from .errors import ConfigError
+from .errors import ConfigError, ReactionOutOfRange, UnsupportedAnalyticCase
+from .grids import uniform_grid
 from .nonlinear import nonlinearity_from_spec
-from .observer_design import ObserverDesign, design_from_json, make_design, OutputChannel
+from .observer_design import (
+    ObserverDesign,
+    OutputChannel,
+    SmallGainReport,
+    design_from_json,
+    make_design,
+    max_diameter,
+    small_gain,
+)
 from .schedule import make_schedule
 from .signals import disturbances_from_spec
 from .simulator import Scenario
@@ -27,7 +41,6 @@ from .sturm_liouville import (
     analytic_eigensystem,
     numeric_eigensystem,
 )
-from .errors import UnsupportedAnalyticCase
 
 __all__ = [
     "load_config",
@@ -38,6 +51,12 @@ __all__ = [
     "build_design",
     "build_scenario",
     "resolve_kappa",
+    "gain_report",
+    "example31_config",
+    "example31_design",
+    "example32_config",
+    "example32_design",
+    "example32_sampling",
 ]
 
 SCHEMA_VERSION = 1
@@ -263,6 +282,16 @@ def resolve_kappa(cfg: dict, design: ObserverDesign) -> float:
     return 0.0
 
 
+def gain_report(cfg: dict, design: ObserverDesign) -> SmallGainReport:
+    """Small-gain report of the configured variant at gain.h (else
+    schedule.h) and the configured kappa."""
+    variant = cfg.get("observer", {}).get("variant", "predictor")
+    h = float(cfg.get("gain", {}).get("h", cfg.get("schedule", {}).get("h", 0.0)))
+    if h <= 0.0:
+        raise ConfigError("gain.h", "need a positive sampling diameter")
+    return small_gain(design, h, resolve_kappa(cfg, design), variant)
+
+
 def _seeded(spec, seed: int):
     """Fill missing seeds in schedule/noise specs from the global seed."""
     if isinstance(spec, dict) and spec.get("kind") == "random" and "seed" not in spec:
@@ -276,29 +305,17 @@ def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | 
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     design = design or build_design(cfg)
     nodes = int(cfg.get("grid", {}).get("nodes", 201))
-    from .grids import uniform_grid
-
     grid = uniform_grid(nodes)
 
     sched_spec = _seeded(dict(cfg["schedule"]), seed)
     schedule = make_schedule(sched_spec)
 
-    dist_spec = cfg.get("disturbances", {}) or {}
-    if isinstance(dist_spec.get("xi"), list):
-        dist_spec = dict(dist_spec)
-        dist_spec["xi"] = [_seeded(x, seed) for x in dist_spec["xi"]]
-    elif isinstance(dist_spec.get("xi"), dict):
-        dist_spec = dict(dist_spec)
-        dist_spec["xi"] = _seeded(dist_spec["xi"], seed)
+    dist_spec = dict(cfg.get("disturbances", {}) or {})
+    xi = dist_spec.get("xi")
+    dist_spec["xi"] = [_seeded(x, seed) for x in xi] if isinstance(xi, list) else _seeded(xi, seed)
     disturbances = disturbances_from_spec(dist_spec, design.m, grid)
 
     nl = nonlinearity_from_spec(cfg.get("nonlinearity"), grid)
-    if design.lipschitz_R < nl.lipschitz_R:
-        raise ConfigError(
-            "design.lipschitz_R",
-            f"certificate assumes R = {design.lipschitz_R:.6g}, below the "
-            f"nonlinearity's Lipschitz bound {nl.lipschitz_R:.6g}",
-        )
     time_cfg = cfg.get("time", {})
     initial = cfg.get("initial", {})
     u0 = pf.as_profile(initial.get("u0", 0.0), grid)
@@ -318,3 +335,131 @@ def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | 
         horizon=float(horizon) if horizon is not None else None,
         label=cfg.get("label", ""),
     )
+
+
+# -- worked-example presets ---------------------------------------------------
+
+
+def _spec(obj):
+    """Numbers and spec dicts as they are; profiles and noise signals as specs."""
+    return obj if isinstance(obj, (int, float, dict)) else obj.spec()
+
+
+def _preset(p, q, bc, L, channel, *, h, omega, variant, horizon, nodes, dt,
+            snapshot_every, u0, w0, noise, label, modes, basis_nodes) -> dict:
+    """An N = 1, Q = 2, sigma = |A11| design on a uniform schedule."""
+    if not 0.0 <= omega < 1.0:
+        raise ValueError("omega must lie in [0, 1)")
+    cfg = {
+        "schema_version": SCHEMA_VERSION,
+        "problem": {"p": p, "q": q, "bc": dict(zip(("a0", "b0", "a1", "b1"), bc))},
+        "basis": {"modes": modes, "nodes": basis_nodes, "method": "analytic"},
+        "design": {"N": 1, "L": [[L]], "Q": 2.0, "sigma_fraction": 1.0, "channels": [{
+            "label": channel.label,
+            "kernel": channel.kernel.spec(),
+            "approximant": channel.approximant.spec(),
+        }]},
+        "gain": {"h": h, "omega": omega},
+        "observer": {"variant": variant},
+        "schedule": {"kind": "uniform", "h": h, "horizon": horizon},
+        "grid": {"nodes": nodes},
+        "initial": {"u0": _spec(u0), "w0": _spec(pf.constant(0.0) if w0 is None else w0)},
+        "label": label,
+    }
+    time_cfg = {k: v for k, v in (("dt", dt), ("snapshot_every", snapshot_every)) if v is not None}
+    if time_cfg:
+        cfg["time"] = time_cfg
+    if isinstance(noise, (int, float)):
+        noise = {"kind": "sinusoid", "amplitude": float(noise), "omega": 2.0}
+    if noise is not None:
+        cfg["disturbances"] = {"xi": _spec(noise)}
+    return cfg
+
+
+def example31_config(p=1.0, h=0.5, omega=0.0, variant="predictor", noise=None, mismatch=0.0,
+                     *, horizon=None, nodes=201, dt=None, snapshot_every=None, u0=None,
+                     w0=None, modes=201, basis_nodes=1001) -> dict:
+    """Example 3.1: the Neumann heat plant with output kernel x, c = 1/2,
+    L = -p pi^2, P = [1], kappa = omega * mu.
+
+    The horizon defaults to 10 * 20 / (p pi^2), rounded up to whole periods.
+    ``noise`` is a noise spec, a NoiseSignal, or a number (the amplitude of
+    a sinusoid with omega = 2); ``mismatch`` is a constant plant input the
+    observer does not know.
+    """
+    if horizon is None:
+        horizon = 10.0 * 20.0 / (p * math.pi**2)
+    # whole number of periods: the uniform-sampling claims are about t_j = j h,
+    # and a clipped trailing gap can act as an accidental deadbeat step
+    horizon = max(1, math.ceil(horizon / h - 1e-9)) * h
+    channel = OutputChannel(pf.polynomial([0.0, 1.0]), pf.constant(0.5), label="avg")
+    cfg = _preset(
+        p, 0.0, (0.0, 1.0, 0.0, 1.0), -p * math.pi**2, channel, h=h, omega=omega,
+        variant=variant, horizon=horizon, nodes=nodes, dt=dt, snapshot_every=snapshot_every,
+        u0=pf.cosine_series(1.0, [0.5]) if u0 is None else u0, w0=w0, noise=noise,
+        label=f"example31-{variant}", modes=modes, basis_nodes=basis_nodes,
+    )
+    if mismatch:
+        cfg.setdefault("disturbances", {})["v"] = {
+            "kind": "separable",
+            "time": {"kind": "constant", "value": float(mismatch)},
+            "space": pf.constant(1.0).spec(),
+        }
+    return cfg
+
+
+def example31_design(p: float = 1.0, nodes: int = 1001, modes: int = 201) -> ObserverDesign:
+    """The design of ``example31_config(p)``: c = 1/2, L = -p pi^2, P = [1]."""
+    return build_design(example31_config(p, modes=modes, basis_nodes=nodes))
+
+
+def example32_config(p=1.0, q=0.0, h=None, omega=0.3, noise=None, *, horizon=None, nodes=201,
+                     dt=None, snapshot_every=None, u0=None, w0=None, modes=201,
+                     basis_nodes=1001) -> dict:
+    """Example 3.2: the boundary-measured plant in the derivative variable
+    (Neumann at 0, Dirichlet at 1), c = (4/pi) cos(pi x / 2), L = pi (4q -
+    7 p pi^2) / (16 sqrt 2), predictor observer.
+
+    When h or the horizon is not given, the design is built once to find
+    them (see ``example32_sampling``).
+    """
+    if not -9.0 * p * math.pi**2 < 4.0 * q < 7.0 * p * math.pi**2:
+        raise ReactionOutOfRange(f"need -9 p pi^2 < 4q < 7 p pi^2, got q = {q} at p = {p}")
+    channel = OutputChannel(
+        pf.constant(1.0), pf.cosine(4.0 / math.pi, math.pi / 2.0), label="boundary"
+    )
+    if u0 is None:
+        r2 = math.sqrt(2.0)
+        u0 = pf.cosine(r2, math.pi / 2.0) + 0.5 * pf.cosine(r2, 3.0 * math.pi / 2.0)
+    L = math.pi * (4.0 * q - 7.0 * p * math.pi**2) / (16.0 * math.sqrt(2.0))
+
+    def preset(h, horizon):
+        return _preset(
+            p, q, (0.0, 1.0, 1.0, 0.0), L, channel, h=h, omega=omega, variant="predictor",
+            horizon=horizon, nodes=nodes, dt=dt, snapshot_every=snapshot_every, u0=u0, w0=w0,
+            noise=noise, label="example32", modes=modes, basis_nodes=basis_nodes,
+        )
+
+    if h is None or horizon is None:  # the design does not depend on the sampling
+        _, h, horizon = example32_sampling(build_design(preset(1.0, 1.0)), omega, h, horizon)
+    return preset(h, horizon)
+
+
+def example32_design(
+    p: float = 1.0, q: float = 0.0, nodes: int = 1001, modes: int = 201
+) -> ObserverDesign:
+    """The design of ``example32_config(p, q)``; h and the horizon only fill
+    the schedule, which ``build_design`` does not read."""
+    return build_design(example32_config(p, q, 1.0, horizon=1.0, modes=modes, basis_nodes=nodes))
+
+
+def example32_sampling(design: ObserverDesign, omega: float, h=None, horizon=None):
+    """(h*, h, horizon) of example 3.2: h* is the largest predictor diameter
+    at kappa = omega * mu; h defaults to h*/2 (0.1 when h* is infinite) and
+    the horizon to max(4 / mu, 30 h)."""
+    h_star = max_diameter(design, omega * design.mu, "predictor")
+    if h is None:
+        h = 0.5 * h_star if math.isfinite(h_star) else 0.1
+    if horizon is None:
+        horizon = max(4.0 / design.mu, 30.0 * h)
+    return h_star, h, horizon

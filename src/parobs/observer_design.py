@@ -46,6 +46,7 @@ __all__ = [
     "make_design",
     "small_gain_predictor",
     "small_gain_zoh",
+    "small_gain",
     "max_diameter",
     "select_Q",
     "certificate_defects",
@@ -559,6 +560,13 @@ def small_gain_zoh(design: ObserverDesign, h: float, kappa: float) -> SmallGainR
     if h <= 0.0:
         raise ValueError("sampling diameter h must be positive")
     return _report(design, h, kappa, "zoh")
+
+
+def small_gain(design: ObserverDesign, h: float, kappa: float, variant: str) -> SmallGainReport:
+    """small_gain_predictor or small_gain_zoh, picked by the observer variant."""
+    if variant == "predictor":
+        return small_gain_predictor(design, h, kappa)
+    return small_gain_zoh(design, h, kappa)
 
 
 def recompute_omega(design: ObserverDesign, report: SmallGainReport) -> float:

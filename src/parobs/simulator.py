@@ -27,10 +27,10 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import profiles as pf
-from .errors import KappaOutOfRange, QInfeasible, ScheduleHorizonMismatch, StepRejected
+from .errors import ConfigError, KappaOutOfRange, QInfeasible, ScheduleHorizonMismatch, StepRejected
 from .grids import snapshot_norms, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
-from .observer_design import ObserverDesign, injection_kernels, small_gain_predictor, small_gain_zoh
+from .observer_design import ObserverDesign, injection_kernels, small_gain
 from .schedule import SamplingSchedule
 from .signals import Disturbances, SpaceTimeSignal
 from .sturm_liouville import DiscreteSLOperator, SLProblem
@@ -107,7 +107,8 @@ class IMEXStepper:
         stiff_rows: np.ndarray | None = None,  # (m, n): weights * (L_h c_i)
     ):
         n = op.grid.size
-        self.op, self.v, self.phi = op, v, nonlinearity.phi
+        self.op, self.phi = op, nonlinearity.phi
+        self.v_terms = tuple((ts, prof.values(op.grid)) for ts, prof in v.terms)
         nl_rows, nl_cols = nonlinearity.factors(n)
         l_cols = np.zeros((n, 0)) if l_cols is None else l_cols
         self.r, self.m = nl_rows.shape[0], l_cols.shape[1]
@@ -139,6 +140,11 @@ class IMEXStepper:
             out[self.op.free] = dgttrs(*self._lu, rhs_free)[0]
         return out
 
+    def _input(self, t: float) -> np.ndarray:
+        """v(t) on the grid, summed in SpaceTimeSignal.field's order from the
+        profiles sampled once at construction."""
+        return sum((ts.value(t) * b for ts, b in self.v_terms), np.zeros(self.op.grid.size))
+
     def _coef(self, s: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         e = s[self.r : self.r + self.m] - zeta if self.coupled else zeta
         return np.concatenate([self.phi(s[: self.r]), e])
@@ -154,8 +160,8 @@ class IMEXStepper:
         if dt != self.dt:
             self._factor(dt)
         zeta = np.zeros(self.m) if zeta is None else zeta
-        r, free, grid = self.r, self.op.free, self.op.grid
-        v0, v1 = self.v.field(t, grid), self.v.field(t + dt, grid)
+        r, free = self.r, self.op.free
+        v0, v1 = self._input(t), self._input(t + dt)
         s = self.rows @ w
         coef = self._coef(s, zeta)
 
@@ -293,6 +299,12 @@ class Scenario:
             raise ValueError(f"unknown observer variant {self.variant!r}")
         if len(self.disturbances.xi) not in (0, self.design.m):
             raise ValueError("need one noise channel per output channel")
+        if self.design.lipschitz_R < self.nonlinearity.lipschitz_R:
+            raise ConfigError(
+                "design.lipschitz_R",
+                f"certificate assumes R = {self.design.lipschitz_R:.6g}, below the "
+                f"nonlinearity's Lipschitz bound {self.nonlinearity.lipschitz_R:.6g}",
+            )
 
 
 @dataclass
@@ -353,9 +365,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     dist = scenario.disturbances
     xi = dist.xi if dist.xi else tuple(None for _ in range(design.m))
 
-    gain_fn = small_gain_predictor if scenario.variant == "predictor" else small_gain_zoh
     try:
-        report = gain_fn(design, sch.diameter, 0.0)
+        report = small_gain(design, sch.diameter, 0.0, scenario.variant)
     except (QInfeasible, KappaOutOfRange) as exc:
         warnings.warn(
             f"no small-gain certificate ({exc}); convergence is not certified", stacklevel=2

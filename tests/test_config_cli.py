@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -5,6 +6,10 @@ import os
 import numpy as np
 import pytest
 
+import parobs.cli
+from parobs import config as cf
+from parobs import profiles as pf
+from parobs.analysis import example31_design, example32_design
 from parobs.cli import EXIT_CONFIG, main
 from parobs.config import (
     apply_overrides,
@@ -13,7 +18,8 @@ from parobs.config import (
     validate_config,
 )
 from parobs.errors import ConfigError
-from parobs.observer_design import small_gain_predictor, small_gain_zoh
+from parobs.observer_design import OutputChannel, make_design, small_gain_predictor, small_gain_zoh
+from parobs.sturm_liouville import SLProblem, analytic_eigensystem
 
 
 def example31_config(**extra):
@@ -232,3 +238,117 @@ class TestCli:
         printed = float(out.splitlines()[0].split("=")[1])
         d = build_design(example31_config())
         assert abs(printed - small_gain_zoh(d, 0.05, 0.0).omega) <= 1e-15
+
+
+def _assert_designs_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "basis":
+            for g in dataclasses.fields(x):
+                gx, gy = getattr(x, g.name), getattr(y, g.name)
+                assert np.array_equal(gx, gy) if isinstance(gx, np.ndarray) else gx == gy, g.name
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+class TestPresets:
+    def test_example31_preset_matches_hand_built_design(self):
+        cfg = json.loads(json.dumps(cf.example31_config(p=0.1)))
+        problem = SLProblem(p=0.1, q=0.0, a0=0.0, b0=1.0, a1=0.0, b1=1.0)
+        channel = OutputChannel(kernel=pf.polynomial([0.0, 1.0]), approximant=pf.constant(0.5),
+                                label="avg")
+        ref = make_design(problem, analytic_eigensystem(problem, 201, 1001), [channel],
+                          np.array([[-0.1 * math.pi**2]]), N=1, Q=2.0, sigma_fraction=1.0)
+        _assert_designs_equal(cf.build_design(cfg), ref)
+        _assert_designs_equal(cf.build_design(cfg), example31_design(p=0.1))
+
+    def test_example32_preset_matches_hand_built_design(self):
+        cfg = json.loads(json.dumps(cf.example32_config(p=1.0, q=2.0, h=0.1, horizon=1.0)))
+        problem = SLProblem(p=1.0, q=2.0, a0=0.0, b0=1.0, a1=1.0, b1=0.0)
+        channel = OutputChannel(kernel=pf.constant(1.0),
+                                approximant=pf.cosine(4.0 / math.pi, math.pi / 2.0),
+                                label="boundary")
+        L = math.pi * (8.0 - 7.0 * math.pi**2) / (16.0 * math.sqrt(2.0))
+        ref = make_design(problem, analytic_eigensystem(problem, 201, 1001), [channel],
+                          np.array([[L]]), N=1, Q=2.0, sigma_fraction=1.0)
+        _assert_designs_equal(cf.build_design(cfg), ref)
+        _assert_designs_equal(cf.build_design(cfg), example32_design(p=1.0, q=2.0))
+
+    def test_example32_preset_resolves_default_sampling(self):
+        design = example32_design()
+        h_star, h, horizon = cf.example32_sampling(design, 0.3)
+        cfg = cf.example32_config(omega=0.3)
+        assert cfg["schedule"] == {"kind": "uniform", "h": h, "horizon": horizon}
+        assert h == 0.5 * h_star
+
+    @pytest.mark.parametrize(
+        "kwargs, argv",
+        [
+            (dict(h=0.3, variant="zoh", horizon=3.0, nodes=101),
+             ["--h", "0.3", "--variant", "zoh", "--horizon", "3", "--nodes", "101"]),
+            (dict(p=0.5, h=0.5, omega=0.1, noise=0.01, mismatch=0.01, horizon=2.0, nodes=101),
+             ["--p", "0.5", "--h", "0.5", "--omega", "0.1", "--noise-amplitude", "0.01",
+              "--mismatch", "0.01", "--horizon", "2", "--nodes", "101"]),
+        ],
+        ids=["zoh", "noise-mismatch"],
+    )
+    def test_dumped_preset_simulates_like_example31(self, tmp_path, kwargs, argv):
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(cf.example31_config(**kwargs)))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+        assert main(["example31", *argv, "--out", str(tmp_path / "ex")]) == 0
+        sim = (tmp_path / "sim" / "trajectory.csv").read_bytes()
+        assert sim == (tmp_path / "ex" / "trajectory.csv").read_bytes()
+
+
+class TestSimulateAndSweep:
+    def test_simulate_zero_gain_h_is_config_error(self, tmp_path, capsys):
+        cfg = example31_config()
+        cfg["gain"]["h"] = 0.0
+        path = tmp_path / "zero_h.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert "gain.h" in capsys.readouterr().err
+
+    def test_q_sweep_row_matches_check_gain(self, tmp_path, capsys):
+        cfg = example31_config()
+        cfg["sweep"] = {"parameter": "Q", "values": [2.0, 3.5, 8.0]}
+        path = tmp_path / "sweep_q.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        for row in rows:
+            q, omega = row.split(",")[2], row.split(",")[3]
+            assert main(["check-gain", "--config", str(path), "--set", f"design.Q={q}"]) == 0
+            assert capsys.readouterr().out.splitlines()[0] == f"Omega = {omega}"
+
+    def test_infeasible_q_row_aborts_the_sweep(self, tmp_path):
+        cfg = example31_config()
+        cfg["sweep"] = {"parameter": "Q", "values": [2.0, 1.0]}
+        path = tmp_path / "sweep_bad_q.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("param, values, runs", [("kappa", [0.0, 0.5, 1.0], 1),
+                                                      ("h", [0.25, 0.5], 2)])
+    def test_sweep_simulates_once_per_distinct_run(self, tmp_path, monkeypatch, capsys,
+                                                   param, values, runs):
+        calls = []
+        original = parobs.cli.simulate
+
+        def counting(scenario):
+            calls.append(scenario)
+            return original(scenario)
+
+        monkeypatch.setattr(parobs.cli, "simulate", counting)
+        cfg = example31_config()
+        cfg["schedule"]["horizon"] = 1.0
+        cfg["sweep"] = {"parameter": param, "values": values, "simulate": True}
+        path = tmp_path / "sweep_sim.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 1 + len(values) and "ios_violations" in rows[0]
+        assert len(calls) == runs

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from parobs import profiles as pf
-from parobs.errors import ScheduleHorizonMismatch, StepRejected
+from parobs.errors import ConfigError, ScheduleHorizonMismatch, StepRejected
 from parobs.grids import trapezoid_weights, uniform_grid
-from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm
+from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm, ZeroTerm
 from parobs.observer_design import OutputChannel, injection_kernels, make_design
 from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal
 from parobs.simulator import (
+    IMEXStepper,
     Scenario,
     bc_residual,
     measure,
@@ -79,6 +80,17 @@ class TestPlantStep:
     def test_zero_stays_zero(self):
         out = step_plant(np.zeros(101), 0.0, 0.01, NN, None, None)
         np.testing.assert_array_equal(out, np.zeros(101))
+
+    def test_input_sampled_once_equals_field(self):
+        # the stepper samples each b_k(x) once; v(t) must stay bitwise v.field(t)
+        op = DiscreteSLOperator(NN, 101)
+        v = SpaceTimeSignal(terms=(
+            (TimeSignal(offset=0.3, amplitude=0.2, omega=2.0), pf.cosine_series(0.5, [0.4])),
+            (TimeSignal(offset=-0.1), pf.polynomial([0.0, 1.0, -0.5])),
+        ))
+        stepper = IMEXStepper(op, ZeroTerm(), v)
+        for t in (0.0, 0.37, 2.5):
+            assert np.array_equal(stepper._input(t), v.field(t, op.grid))
 
     def test_step_rejected_for_stiff_nonlocal_term(self):
         grid = uniform_grid(101)
@@ -336,11 +348,22 @@ class TestSimulate:
                                    amplitudes=[pf.cosine_series(0.3, [0.2])])
         sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 4.0})
         u0 = pf.cosine_series(1.0, [0.5])
-        sc = Scenario(design=ex31_design, variant=variant, schedule=sch, nodes=101,
+        design = dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R)
+        sc = Scenario(design=design, variant=variant, schedule=sch, nodes=101,
                       u0=u0, w0=u0, nonlinearity=nl)
         traj = quiet_simulate(sc)
         u_norms = np.sqrt((traj.u**2) @ traj.weights)
         assert np.max(traj.error_l2 / np.maximum(u_norms, 1e-300)) <= 1e-9
+
+    def test_scenario_rejects_certificate_below_lipschitz_bound(self, ex31_design):
+        # the certificate of ex31_design assumes R = 0; a tanh term has R > 0
+        grid = uniform_grid(101)
+        nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
+                               amplitudes=[pf.constant(0.2)])
+        sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 1.0})
+        with pytest.raises(ConfigError, match="design.lipschitz_R"):
+            Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
+                     u0=1.0, w0=0.0, nonlinearity=nl)
 
     def test_ios_bound_with_lipschitz_term(self):
         # design declares the nonlinearity's certified Lipschitz constant and
