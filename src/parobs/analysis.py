@@ -584,7 +584,6 @@ def run_example_32(
     snapshot_every: float | None = None,
     u0=None,
     w0=None,
-    lyapunov: bool = False,
 ) -> Example32Report:
     """End-to-end run of ``example32_config`` with the same arguments.
 

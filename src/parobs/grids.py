@@ -13,9 +13,6 @@ import numpy as np
 __all__ = [
     "uniform_grid",
     "trapezoid_weights",
-    "trapz_inner",
-    "l2_norm",
-    "sup_norm",
     "snapshot_norms",
     "end_derivatives",
 ]
@@ -32,18 +29,6 @@ def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
     w = np.full(grid.shape, dx)
     w[0] = w[-1] = dx / 2.0
     return w
-
-
-def trapz_inner(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.dot(weights, f * g))
-
-
-def l2_norm(f: np.ndarray, weights: np.ndarray) -> float:
-    return float(np.sqrt(np.dot(weights, f * f)))
-
-
-def sup_norm(f: np.ndarray) -> float:
-    return float(np.max(np.abs(f)))
 
 
 def snapshot_norms(fields: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

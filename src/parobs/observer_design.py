@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
-from scipy.optimize import brentq
+from scipy.special import wrightomega
 
 from . import profiles as pf
 from .errors import (
@@ -493,19 +493,24 @@ def _gamma(design: ObserverDesign, kappa: float) -> float:
     return math.sqrt(design.g_tilde / (2.0 * (design.mu - kappa)))
 
 
-def _omega_value(design: ObserverDesign, h: float, kappa: float, variant: str) -> tuple[float, float]:
-    gamma = _gamma(design, kappa)
-    R = design.lipschitz_R
-    slope = design.norm_stiff + R * design.norm_c
+def _slope(design: ObserverDesign, variant: str) -> np.ndarray:
+    """Per-channel coefficient of h inside Omega's bracket."""
+    slope = design.norm_stiff + design.lipschitz_R * design.norm_c
     if variant == "zoh":
         slope = slope + np.abs(design.cl) @ design.norm_k
+    return slope
+
+
+def _omega_value(design: ObserverDesign, h: float, kappa: float, variant: str) -> tuple[float, float]:
+    gamma = _gamma(design, kappa)
     growth = math.exp(kappa * h)
-    omega = gamma * (R + growth * float(np.dot(design.norm_l, slope * h + design.norm_gap)))
-    return omega, gamma
+    bracket = float(np.dot(design.norm_l, _slope(design, variant) * h + design.norm_gap))
+    return gamma * (design.lipschitz_R + growth * bracket), gamma
 
 
-def _report(design: ObserverDesign, h: float, kappa: float, variant: str,
-            include_mismatch: bool = True) -> SmallGainReport:
+def _report(design: ObserverDesign, h: float, kappa: float, variant: str) -> SmallGainReport:
+    if h <= 0.0:
+        raise ValueError("sampling diameter h must be positive")
     _check_Q(design.Q, design.ltpl_norm, design.K, design.sigma, design.lam_next)
     omega, gamma = _omega_value(design, h, kappa, variant)
     feasible = omega < 1.0
@@ -521,8 +526,6 @@ def _report(design: ObserverDesign, h: float, kappa: float, variant: str,
         mismatch = inv * gamma * (
             1.0 + h * growth * float(np.dot(design.norm_l, design.norm_c))
         )
-        if not include_mismatch:
-            mismatch = 0.0
     else:
         initial = math.inf
         noise = np.full(design.m, math.inf)
@@ -540,25 +543,19 @@ def _report(design: ObserverDesign, h: float, kappa: float, variant: str,
     )
 
 
-def small_gain_predictor(
-    design: ObserverDesign, h: float, kappa: float, v_mismatch_supported: bool = True
-) -> SmallGainReport:
+def small_gain_predictor(design: ObserverDesign, h: float, kappa: float) -> SmallGainReport:
     """Small-gain value and IOS coefficients for the predictor observer.
 
     Omega = gamma (R + e^{kappa h} sum_i ||l_i|| ((||p c_i'' - q c_i|| +
     R ||c_i||) h + ||k_i - c_i||)); feasibility means Omega < 1.
     """
-    if h <= 0.0:
-        raise ValueError("sampling diameter h must be positive")
-    return _report(design, h, kappa, "predictor", include_mismatch=v_mismatch_supported)
+    return _report(design, h, kappa, "predictor")
 
 
 def small_gain_zoh(design: ObserverDesign, h: float, kappa: float) -> SmallGainReport:
     """Small-gain value for the zero-order-hold observer; the h-proportional
     bracket gains the extra nonnegative term sum_r |int c_i l_r| ||k_r||, so
     this value always dominates the predictor one."""
-    if h <= 0.0:
-        raise ValueError("sampling diameter h must be positive")
     return _report(design, h, kappa, "zoh")
 
 
@@ -576,7 +573,15 @@ def recompute_omega(design: ObserverDesign, report: SmallGainReport) -> float:
 
 
 def max_diameter(design: ObserverDesign, kappa: float, variant: str) -> float:
-    """Largest sampling diameter with Omega(h) = 1, by bisection to 1e-12.
+    """Largest sampling diameter h* with Omega(h*) = 1, in closed form.
+
+    Omega(h) = 1 reads e^{kappa h} (a h + b) = C with C = 1/gamma - R, where
+    a h + b = sum_i ||l_i|| (slope_i h + ||k_i - c_i||) is the bracket of
+    the variant's Omega. The root is (C - b) / a at kappa = 0,
+    ln(C / b) / kappa when a = 0, and otherwise u / kappa - b / a with
+    u = W0((C kappa / a) e^{kappa b / a}), taken as wrightomega of the log
+    so it cannot overflow. For kappa b / a > 1 the same root is written
+    ln(C kappa / (a u)) / kappa, which avoids cancelling u / kappa - b / a.
 
     Returns math.inf when Omega is h-independent and below one (possible only
     when the h-proportional bracket vanishes and, for kappa > 0, nothing
@@ -585,24 +590,20 @@ def max_diameter(design: ObserverDesign, kappa: float, variant: str) -> float:
     omega0, gamma = _omega_value(design, 0.0, kappa, variant)
     if omega0 >= 1.0:
         raise InfeasibleAtZero(f"Omega({0:+.0e}) = {omega0:.6g} already >= 1")
-    R = design.lipschitz_R
-    slope = design.norm_stiff + R * design.norm_c
-    if variant == "zoh":
-        slope = slope + np.abs(design.cl) @ design.norm_k
-    h_weight = float(np.dot(design.norm_l, slope))
-    exp_weight = float(np.dot(design.norm_l, design.norm_gap))
-    if h_weight == 0.0 and (kappa == 0.0 or exp_weight == 0.0):
+    a = float(np.dot(design.norm_l, _slope(design, variant)))
+    b = float(np.dot(design.norm_l, design.norm_gap))
+    if a == 0.0 and (kappa == 0.0 or b == 0.0):
         return math.inf
-
-    def gap(h: float) -> float:
-        return _omega_value(design, h, kappa, variant)[0] - 1.0
-
-    hi = 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 2.0**60:
-            return math.inf
-    return float(brentq(gap, 0.0, hi, xtol=1e-300, rtol=1e-12, maxiter=400))
+    C = 1.0 / gamma - design.lipschitz_R
+    if kappa == 0.0:
+        return (C - b) / a
+    if a == 0.0:
+        return math.log(C / b) / kappa
+    shift = kappa * b / a
+    u = float(wrightomega(math.log(C * kappa / a) + shift))
+    if shift > 1.0:
+        return math.log(C * kappa / (a * u)) / kappa
+    return u / kappa - b / a
 
 
 def select_Q(

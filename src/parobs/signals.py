@@ -86,13 +86,6 @@ class SpaceTimeSignal:
             out += ts.value(t) * prof.values(grid)
         return out
 
-    def value(self, t: float, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for ts, prof in self.terms:
-            out += ts.value(t) * prof.values(x)
-        return out
-
     def spec(self) -> dict:
         if self.is_zero:
             return {"kind": "zero"}
@@ -197,9 +190,6 @@ class Disturbances:
 
     def mismatch_field(self, t: float, grid: np.ndarray) -> np.ndarray:
         return self.v.field(t, grid) - self.v_tilde.field(t, grid)
-
-    def xi_values(self, t: float, sample_index: int | None = None) -> np.ndarray:
-        return np.array([n.value(t, sample_index) for n in self.xi])
 
 
 def disturbances_from_spec(spec: dict | None, m: int, grid: np.ndarray | None = None) -> Disturbances:

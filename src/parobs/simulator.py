@@ -187,10 +187,10 @@ class IMEXStepper:
             if self.coupled:
                 zeta_new = zeta_known + 0.5 * dt * (s[stiff] + self.c_nl @ coef[:r])
             if prev is not None:
-                diff = float(np.max(np.abs(self._p @ (coef - prev[0]))))
+                diff = np.abs(self._p @ (coef - prev[0])).max()
                 if self.coupled:
-                    diff = max(diff, float(np.max(np.abs(zeta_new - prev[1]))))
-                scale = max(float(np.max(np.abs(w_new))), 1.0)
+                    diff = max(diff, np.abs(zeta_new - prev[1]).max())
+                scale = max(np.abs(w_new).max(), 1.0)
                 if diff <= _CORRECTOR_RTOL * scale:
                     return w_new, zeta_new
                 if diff >= prev_diff:
@@ -259,8 +259,6 @@ def _observer_pieces(design: ObserverDesign, nodes: int) -> dict:
         "k_rows": k_samples * w,
         "gap_rows": (k_samples - c_samples) * w,
         "stiff_rows": (-np.vstack([op.apply(c) for c in c_samples])) * w,
-        "c_samples": c_samples,
-        "k_samples": k_samples,
     }
 
 

@@ -258,6 +258,12 @@ class TestExample32Runner:
         with pytest.raises(ReactionOutOfRange):
             run_example_32(p=1.0, q=20.0)
 
+    def test_has_no_lyapunov_option(self):
+        # the boundary-measurement runner has no decay-functional oracle,
+        # so asking for one must fail rather than be skipped without a word
+        with pytest.raises(TypeError):
+            run_example_32(lyapunov=True)
+
     def test_end_to_end_reconstruction(self):
         rep = run_example_32(p=1.0, q=0.0, omega=0.3, nodes=101)
         assert rep.report.feasible

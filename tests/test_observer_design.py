@@ -1,10 +1,17 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from parobs import profiles as pf
+from parobs.config import example31_design
 from parobs.errors import (
     DimensionMismatch,
     InfeasibleAtZero,
@@ -28,6 +35,7 @@ from parobs.observer_design import (
     place_gain,
     recompute_omega,
     select_Q,
+    small_gain,
     small_gain_predictor,
     small_gain_zoh,
 )
@@ -172,6 +180,56 @@ class TestMaxDiameter:
                         sigma_fraction=1.0)
         with pytest.raises(InfeasibleAtZero):
             max_diameter(d, 0.0, "predictor")
+
+    def test_unbounded_when_bracket_vanishes(self, ex31_design):
+        # no h-term and no k - c gap: Omega = gamma R for every h and kappa
+        d = dataclasses.replace(ex31_design, norm_gap=np.zeros(1))
+        for omega in (0.0, 0.5):
+            assert math.isinf(max_diameter(d, omega * d.mu, "predictor"))
+
+
+def _omega(design, h, kappa, variant):
+    return small_gain(design, h, kappa, variant).omega
+
+
+def _bracketing_root(design, kappa, variant):
+    """The root search max_diameter did before its closed form: double an
+    upper bracket until Omega reaches one (giving up at 2**60), then brentq."""
+    hi = 1.0
+    while _omega(design, hi, kappa, variant) < 1.0:
+        hi *= 2.0
+        if hi > 2.0**60:
+            return math.inf
+    # small_gain needs h > 0; the smallest subnormal stands in for h = 0
+    return brentq(lambda h: _omega(design, h, kappa, variant) - 1.0, 5e-324, hi,
+                  xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=400)
+
+
+@pytest.fixture(scope="module")
+def worked_designs(ex31_design, ex32_design):
+    return {"ex31-p0.1": example31_design(p=0.1), "ex31-p1": ex31_design, "ex32": ex32_design}
+
+
+@pytest.mark.parametrize("R", [0.0, 1e-10, 1e-4, 0.1])
+@pytest.mark.parametrize("omega", [0.0, 1e-9, 1e-6, 0.1, 0.5])
+@pytest.mark.parametrize("variant", ["predictor", "zoh"])
+@pytest.mark.parametrize("name", ["ex31-p0.1", "ex31-p1", "ex32"])
+def test_max_diameter_closed_form_root(worked_designs, name, variant, omega, R):
+    d = dataclasses.replace(worked_designs[name], lipschitz_R=R)
+    kappa = omega * d.mu
+    h_star = max_diameter(d, kappa, variant)
+    reference = _bracketing_root(d, kappa, variant)
+    if math.isinf(reference):
+        assert math.isinf(h_star)
+        return
+    assert abs(_omega(d, h_star, kappa, variant) - 1.0) <= 1e-13
+    assert h_star == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, parobs; assert 'scipy.optimize' not in sys.modules"
+    src = str(Path(pf.__file__).parents[1])  # the directory holding the parobs package
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestSelectQ:
