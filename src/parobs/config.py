@@ -121,11 +121,9 @@ def _expect(cfg: dict, path: str, types, required: bool = False, default=None):
             raise ConfigError(path, "missing required field")
         return default
     value = node[keys[-1]]
-    if types is not None and not isinstance(value, types):
-        # bools are ints in python; keep them out of numeric fields
+    # bools are ints in python, and no field read here is a flag
+    if isinstance(value, bool) or (types is not None and not isinstance(value, types)):
         raise ConfigError(path, f"expected {types}, got {type(value).__name__}")
-    if types in ((int, float), float) and isinstance(value, bool):
-        raise ConfigError(path, "expected a number, got a bool")
     return value
 
 
@@ -185,9 +183,11 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         kind = _expect(cfg, "schedule.kind", str, required=need_schedule, default=None)
         if kind is not None and kind not in ("uniform", "random", "explicit"):
             raise ConfigError("schedule.kind", f"unknown schedule kind {kind!r}")
-        if kind == "uniform":
-            _expect(cfg, "schedule.h", (int, float), required=True)
-            _expect(cfg, "schedule.horizon", (int, float), required=True)
+        if kind == "explicit":
+            _expect(cfg, "schedule.times", list, required=True)
+        numbers = {"uniform": ("h", "horizon"), "random": ("h_min", "h_max", "horizon")}
+        for key in numbers.get(kind, ()):
+            _expect(cfg, f"schedule.{key}", (int, float), required=True)
     if "time" in cfg:
         dt = _expect(cfg, "time.dt", (int, float), default=None)
         if dt is not None and dt <= 0:

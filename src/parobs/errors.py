@@ -65,9 +65,10 @@ class InfeasibleAtZero(ParobsError):
 # -- simulation ---------------------------------------------------------------
 
 class StepRejected(ParobsError):
-    """The trapezoidal corrector on the low-rank explicit part (nonlinearity,
-    injection) failed to contract: three non-decreasing iterate changes, or
-    no convergence within the iteration cap; the time step is too large."""
+    """The chord-Newton corrector on the low-rank explicit part did not
+    converge within its iteration cap. Linear terms are solved exactly, so
+    only a stiff saturated term (dt times its gain >> 1) ends here; the time
+    step is too large for it."""
 
 
 class InvalidSpec(ParobsError):

@@ -96,6 +96,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="gain.omega"):
             validate_config(bad)
 
+    @pytest.mark.parametrize("path", ["schema_version", "design.N"])
+    def test_bool_rejected_in_int_fields(self, tmp_path, capsys, path):
+        cfg = apply_overrides(example31_config(), [f"{path}=true"])
+        with pytest.raises(ConfigError, match=path):
+            validate_config(cfg)
+        bad = tmp_path / "bool.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["check-gain", "--config", str(bad)]) == EXIT_CONFIG
+        assert path in capsys.readouterr().err
+
     def test_unknown_profile_kind(self):
         cfg = example31_config()
         cfg["design"]["channels"][0]["kernel"] = {"kind": "mystery"}
@@ -304,6 +314,17 @@ class TestPresets:
 
 
 class TestSimulateAndSweep:
+    @pytest.mark.parametrize("kind, field", [("random", "h_min"), ("random", "h_max"),
+                                             ("random", "horizon"), ("explicit", "times")])
+    def test_simulate_schedule_missing_field_is_config_error(self, tmp_path, capsys, kind, field):
+        schedule = {"random": {"kind": "random", "h_min": 0.2, "h_max": 0.5, "horizon": 4.0},
+                    "explicit": {"kind": "explicit", "times": [0.0, 2.0, 4.0]}}[kind]
+        del schedule[field]
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(example31_config(schedule=schedule)))
+        assert main(["simulate", "--config", str(path)]) == EXIT_CONFIG
+        assert f"schedule.{field}" in capsys.readouterr().err
+
     def test_simulate_zero_gain_h_is_config_error(self, tmp_path, capsys):
         cfg = example31_config()
         cfg["gain"]["h"] = 0.0

@@ -92,9 +92,28 @@ class TestPlantStep:
         for t in (0.0, 0.37, 2.5):
             assert np.array_equal(stepper._input(t), v.field(t, op.grid))
 
-    def test_step_rejected_for_stiff_nonlocal_term(self):
+    @pytest.mark.parametrize("gain", [300.0, -300.0])
+    def test_stiff_nonlocal_step_is_exact_trapezoid(self, gain):
+        # u' = gain * <1, u> keeps u constant; the trapezoidal factor is (1 + h g) / (1 - h g)
         grid = uniform_grid(101)
-        stiff = LinearNonlocalTerm(grid, a=1.0, b=1.0, gain=300.0)
+        stiff = LinearNonlocalTerm(grid, a=1.0, b=1.0, gain=gain)
+        out = step_plant(np.ones(101), 0.0, 0.05, NN, stiff, None)
+        np.testing.assert_allclose(out, (1.0 + 0.025 * gain) / (1.0 - 0.025 * gain), rtol=1e-13)
+
+    def test_stiff_saturated_step_solves_trapezoid(self):
+        grid = uniform_grid(101)
+        op = DiscreteSLOperator(NN, 101)
+        B = np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
+        nl = GainSaturatedTerm(grid, weights=[1.0], amplitudes=[-300.0])
+        u0, h = np.ones(101), 0.025
+        u1 = step_plant(u0, 0.0, 0.05, NN, nl, None)
+        residual = u1 + h * (B @ u1 - nl.apply(u1)) - (u0 - h * (B @ u0 - nl.apply(u0)))
+        np.testing.assert_allclose(residual, 0.0, atol=1e-11)
+
+    def test_step_rejected_for_stiff_saturated_term(self):
+        # a destabilizing tanh with dt * amplitude >> 1: the chord iteration cannot settle
+        grid = uniform_grid(101)
+        stiff = GainSaturatedTerm(grid, weights=[1.0], amplitudes=[3000.0])
         with pytest.raises(StepRejected):
             step_plant(np.ones(101), 0.0, 0.05, NN, stiff, None)
 
@@ -135,9 +154,10 @@ class TestPredictorPieces:
         np.testing.assert_allclose(w_next, u_next, atol=1e-13)
         assert zeta_next[0] == pytest.approx(np.dot(0.5 * w, u_next), abs=1e-13)
 
-    def test_two_channel_step_matches_dense_trapezoid(self, nn_problem, nn_basis):
-        # the low-rank corrector converges to the trapezoidal rule of the full
-        # linear (w, zeta) system, solved here with dense matrices
+    @pytest.mark.parametrize("gain, dt", [(0.4, 0.01), (300.0, 0.05), (-300.0, 0.05)])
+    def test_two_channel_step_matches_dense_trapezoid(self, nn_problem, nn_basis, gain, dt):
+        # the low-rank corrector gives the trapezoidal step of the full linear
+        # (w, zeta) system, solved here with dense matrices, also for dt * gain >> 1
         channels = [
             OutputChannel(kernel=pf.polynomial([0.0, 1.0]), approximant=pf.constant(0.5)),
             OutputChannel(kernel=pf.polynomial([0.0, 0.0, 1.0]), approximant=pf.cosine(1.0, math.pi)),
@@ -146,10 +166,10 @@ class TestPredictorPieces:
             warnings.simplefilter("ignore")
             design = make_design(nn_problem, nn_basis, channels, np.array([[-2.0, 0.0], [0.0, -1.0]]),
                                  N=2, sigma_fraction=0.9)
-        nodes, t, dt = 41, 0.3, 0.01
+        nodes, t = 41, 0.3
         grid = uniform_grid(nodes)
         wts = trapezoid_weights(grid)
-        a_prof, b_prof, gain = pf.cosine_series(0.5, [0.3]), pf.polynomial([1.0, -0.5]), 0.4
+        a_prof, b_prof = pf.cosine_series(0.5, [0.3]), pf.polynomial([1.0, -0.5])
         nl = LinearNonlocalTerm(grid, a=a_prof, b=b_prof, gain=gain)
         vt = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
         w0 = 1.0 + 0.5 * np.cos(math.pi * grid) + 0.2 * grid**2
