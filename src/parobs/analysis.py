@@ -30,9 +30,9 @@ from .config import (
 from .errors import DecayedToFloor, InfeasibleReport, TailTooShort
 from .grids import end_derivatives, snapshot_norms
 from .nonlinear import NonlinearTerm, ZeroTerm
-from .observer_design import ObserverDesign, SmallGainReport, injection_kernels, max_diameter
+from .observer_design import ObserverDesign, SmallGainReport, max_diameter
 from .signals import Disturbances
-from .simulator import Scenario, Trajectory, simulate
+from .simulator import Scenario, Trajectory, _observer_pieces, simulate
 
 __all__ = [
     "error_norms",
@@ -270,11 +270,9 @@ def lyapunov_oracle(
     V = V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
 
     # effective-input reconstruction
-    pieces_c = np.vstack([ch.approximant.values(traj.grid) for ch in design.channels]) * w
-    pieces_kc = (
-        np.vstack([ch.kernel.values(traj.grid) for ch in design.channels]) * w - pieces_c
-    )
-    l_cols = injection_kernels(design.L, basis)[0].T  # (n, m)
+    pieces = _observer_pieces(design, traj.grid.size)
+    pieces_c, l_cols = pieces["c_rows"], pieces["l_cols"]
+    pieces_kc = pieces["k_rows"] - pieces_c
     S = traj.times.size
     vbar_norms = np.zeros(S)
     has_mismatch = not (dist.v.is_zero and dist.v_tilde.is_zero)

@@ -249,7 +249,7 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in sweep["values"]]
     do_sim = bool(sweep.get("simulate", False))
     seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
-    # only Q changes the design, and with_Q recomputes exactly what depends on it
+    # only Q changes the design, and with_Q re-derives its certificate
     base = build_design(cfg)
     traj = None
     rows = []

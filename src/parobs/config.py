@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_DEFAULT_MODES = 64  # basis.modes when the config leaves it out
 
 _PROFILE_KINDS = {
     "constant",
@@ -151,12 +152,17 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
     for coeff in ("a0", "b0", "a1", "b1"):
         _expect(cfg, f"problem.bc.{coeff}", (int, float), required=True)
 
+    modes = _expect(cfg, "basis.modes", int, default=_DEFAULT_MODES)
+    if modes < 2:
+        raise ConfigError("basis.modes", "need at least 2 modes (N + 1)")
     if "design" not in cfg and "design_ref" not in cfg:
         raise ConfigError("design", "need a 'design' section or a 'design_ref' path")
     if "design" in cfg:
         N = _expect(cfg, "design.N", int, required=True)
         if N < 1:
             raise ConfigError("design.N", "mode count must be at least 1")
+        if N >= modes:
+            raise ConfigError("design.N", f"mode count {N} must be below basis.modes = {modes}")
         L = _expect(cfg, "design.L", list, required=True)
         if not L or not all(isinstance(r, list) for r in L):
             raise ConfigError("design.L", "gain matrix must be a list of rows")
@@ -168,16 +174,18 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
                 raise ConfigError(f"design.channels[{i}]", "channel must be an object")
             _check_profile(ch.get("kernel"), f"design.channels[{i}].kernel")
             _check_profile(ch.get("approximant"), f"design.channels[{i}].approximant")
+        if sum(len(row) for row in L) != N * len(channels):
+            raise ConfigError("design.L", f"gain matrix needs N x m = {N} x {len(channels)} entries")
         q_val = _expect(cfg, "design.Q", (int, float), default=None)
         if q_val is not None and q_val < 2:
             raise ConfigError("design.Q", "Q must be at least 2")
+        fraction = _expect(cfg, "design.sigma_fraction", (int, float), default=None)
+        if fraction is not None and not 0.0 < fraction <= 1.0:
+            raise ConfigError("design.sigma_fraction", "sigma_fraction must lie in (0, 1]")
 
     nodes = _expect(cfg, "grid.nodes", int, default=201)
     if nodes < 8:
         raise ConfigError("grid.nodes", "need at least 8 grid nodes")
-    modes = _expect(cfg, "basis.modes", int, default=None)
-    if modes is not None and modes < 2:
-        raise ConfigError("basis.modes", "need at least 2 modes (N + 1)")
 
     if need_schedule or "schedule" in cfg:
         kind = _expect(cfg, "schedule.kind", str, required=need_schedule, default=None)
@@ -230,7 +238,7 @@ def build_problem(cfg: dict) -> SLProblem:
 
 def build_basis(cfg: dict, problem: SLProblem) -> SpectralBasis:
     spec = cfg.get("basis", {})
-    modes = int(spec.get("modes", 64))
+    modes = int(spec.get("modes", _DEFAULT_MODES))
     nodes = int(spec.get("nodes", 1001))
     method = spec.get("method", "auto")
     if method == "analytic":

@@ -38,6 +38,11 @@ class NotHurwitz(ParobsError):
     """Matrix has an eigenvalue with nonnegative real part."""
 
 
+class InvalidCertificate(ParobsError, ValueError):
+    """The Lyapunov pair (P, sigma) fails sigma > 0, P >= I or
+    P A + A'P <= -2 sigma P. Also a ValueError, for callers that catch that."""
+
+
 class NearSingular(ParobsError):
     """Lyapunov solve produced a numerically singular factor."""
 
@@ -65,10 +70,11 @@ class InfeasibleAtZero(ParobsError):
 # -- simulation ---------------------------------------------------------------
 
 class StepRejected(ParobsError):
-    """The chord-Newton corrector on the low-rank explicit part did not
-    converge within its iteration cap. Linear terms are solved exactly, so
-    only a stiff saturated term (dt times its gain >> 1) ends here; the time
-    step is too large for it."""
+    """A time step of size dt cannot be taken: its Crank-Nicolson matrix or
+    the Jacobian of its low-rank coupling is singular (dt sits on a pole of
+    the trapezoidal rule), or the chord-Newton corrector did not converge
+    within its iteration cap. Linear terms are solved exactly, so only a
+    stiff saturated term (dt times its gain >> 1) fails to converge."""
 
 
 class InvalidSpec(ParobsError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from . import profiles as pf
 from .errors import (
     DimensionMismatch,
     InfeasibleAtZero,
+    InvalidCertificate,
     KappaOutOfRange,
     NearSingular,
     NoFeasibleQ,
@@ -196,28 +197,18 @@ def place_gain(
     return ((t + lam) / c).reshape(-1, 1)
 
 
-def _q_lower_bound(ltpl_norm: float, K: float, sigma: float, lam_next: float) -> float:
-    return 2.0 * ltpl_norm * K**2 / (sigma * lam_next)
-
-
-def _derived_constants(
-    sigma: float, lam_next: float, P_norm: float, ltpl_norm: float, K: float, Q: float
-) -> tuple[float, float, float]:
-    """(H(Q), mu, g_tilde) for given certificate data."""
-    root = math.sqrt((2.0 * sigma - lam_next) ** 2 + 16.0 * ltpl_norm * K**2 / Q)
-    H = 2.0 * sigma - lam_next - root
-    mu = (H + 2.0 * lam_next) / 4.0
-    g_tilde = max(4.0 * P_norm / (4.0 * sigma + H), Q / (2.0 * lam_next))
-    return H, mu, g_tilde
-
-
 @dataclass(frozen=True)
 class ObserverDesign:
     """Everything the small-gain certificates consume.
 
-    Grid functions (injection kernels, channel samples) are derived from the
-    stored basis and channel profiles on demand; all certificate scalars are
-    precomputed here.
+    Fields down to ``norm_stiff`` are inputs (``make_design`` computes the
+    channel ones from the profiles); the rest are derived by __post_init__,
+    the one place that computes A and the certificate scalars and checks
+    them: (P, sigma) must certify A, and Q >= 2 must exceed the tail-coupling
+    bound (Q = None picks 2, or twice the bound when the bound is not below
+    2). ``dataclasses.replace`` re-runs it, so a replaced design is derived
+    afresh or raises a typed ParobsError, never stale. Grid functions
+    (injection kernels, channel samples) are derived on demand.
     """
 
     problem: SLProblem
@@ -226,28 +217,71 @@ class ObserverDesign:
     N: int
     L: np.ndarray
     c_coeffs: np.ndarray
-    A: np.ndarray
     P: np.ndarray
     sigma: float
-    K: float
-    Q: float
+    Q: float | None
     lipschitz_R: float
     lipschitz_sup: float
-    # derived certificate scalars
-    lam_next: float
-    P_norm: float
-    ltpl_norm: float
-    H_Q: float
-    mu: float
-    g_tilde: float
+    k_tail: CouplingReport
     # per-channel constants
-    norm_l: np.ndarray
     norm_c: np.ndarray
     norm_k: np.ndarray
     norm_gap: np.ndarray  # ||k_i - c_i||
     norm_stiff: np.ndarray  # ||p c_i'' - q c_i||
-    cl: np.ndarray  # cl[i, r] = int c_i l_r
-    k_tail: CouplingReport
+    # derived in __post_init__
+    A: np.ndarray = field(init=False)
+    K: float = field(init=False)
+    lam_next: float = field(init=False)
+    P_norm: float = field(init=False)
+    ltpl_norm: float = field(init=False)
+    H_Q: float = field(init=False)
+    mu: float = field(init=False)
+    g_tilde: float = field(init=False)
+    norm_l: np.ndarray = field(init=False)
+    cl: np.ndarray = field(init=False)  # cl[i, r] = int c_i l_r
+
+    def __post_init__(self):
+        N, basis = self.N, self.basis
+        if not 1 <= N < basis.size:
+            raise ValueError(f"need 1 <= N < basis.size = {basis.size}, got N = {N}")
+        lam_next = float(basis.eigenvalues[N])
+        if lam_next <= 0.0:
+            raise ValueError(f"lambda_(N+1) must be positive, got {lam_next}")
+        channels = tuple(self.channels)
+        L = np.asarray(self.L, dtype=float).reshape(N, len(channels))
+        P = np.atleast_2d(np.asarray(self.P, dtype=float))
+        sigma = float(self.sigma)
+        A = build_A(basis.eigenvalues[:N], L, self.c_coeffs)
+        P_norm = _validate_certificate(A, P, sigma)["p_norm"]
+
+        K = self.k_tail.value
+        ltpl = float(np.linalg.norm(L.T @ P @ L, 2))
+        bound = 2.0 * ltpl * K**2 / (sigma * lam_next)
+        Q = self.Q
+        if Q is None:
+            Q = 2.0 if bound < 2.0 else 2.0 * bound
+        if Q < 2.0:
+            raise QInfeasible(f"Q must be at least 2, got {Q}")
+        if Q <= bound:
+            raise QInfeasible(f"Q = {Q} does not exceed the tail-coupling bound {bound:.6g}")
+        root = math.sqrt((2.0 * sigma - lam_next) ** 2 + 16.0 * ltpl * K**2 / Q)
+        H = 2.0 * sigma - lam_next - root
+        mu = (H + 2.0 * lam_next) / 4.0
+        if mu <= 0.0:
+            raise QInfeasible(f"Q = {Q} exceeds the tail-coupling bound {bound:.6g} "
+                              f"only by roundoff (mu = {mu:.3g})")
+        g_tilde = max(4.0 * P_norm / (4.0 * sigma + H), Q / (2.0 * lam_next))
+        _, norm_l = injection_kernels(L, basis)
+        cl = self.c_coeffs[:, :N] @ L  # exact given the coefficients
+
+        derived = dict(
+            channels=channels, L=L, P=P, sigma=sigma, Q=float(Q),
+            lipschitz_R=float(self.lipschitz_R), lipschitz_sup=float(self.lipschitz_sup),
+            A=A, K=K, lam_next=lam_next, P_norm=P_norm, ltpl_norm=ltpl,
+            H_Q=H, mu=mu, g_tilde=g_tilde, norm_l=norm_l, cl=cl,
+        )
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -258,42 +292,31 @@ class ObserverDesign:
         return self.basis.eigenvalues[: self.N]
 
     def with_Q(self, Q: float) -> "ObserverDesign":
-        _check_Q(Q, self.ltpl_norm, self.K, self.sigma, self.lam_next)
-        H, mu, g = _derived_constants(
-            self.sigma, self.lam_next, self.P_norm, self.ltpl_norm, self.K, Q
-        )
-        return replace(self, Q=Q, H_Q=H, mu=mu, g_tilde=g)
+        """``replace(self, Q=Q)``: the same design re-derived for another Q."""
+        return replace(self, Q=Q)
 
     def with_certificate(self, P: np.ndarray, sigma: float) -> "ObserverDesign":
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        _validate_certificate(self.A, P, sigma)
-        P_norm = float(np.linalg.norm(P, 2))
-        ltpl = float(np.linalg.norm(self.L.T @ P @ self.L, 2))
-        _check_Q(self.Q, ltpl, self.K, sigma, self.lam_next)
-        H, mu, g = _derived_constants(sigma, self.lam_next, P_norm, ltpl, self.K, self.Q)
-        return replace(
-            self, P=P, sigma=sigma, P_norm=P_norm, ltpl_norm=ltpl, H_Q=H, mu=mu, g_tilde=g
-        )
+        """``replace(self, P=P, sigma=sigma)``: the same design re-derived and
+        re-validated for another Lyapunov pair."""
+        return replace(self, P=P, sigma=sigma)
 
 
-def _check_Q(Q: float, ltpl_norm: float, K: float, sigma: float, lam_next: float) -> None:
-    if Q < 2.0:
-        raise QInfeasible(f"Q must be at least 2, got {Q}")
-    bound = _q_lower_bound(ltpl_norm, K, sigma, lam_next)
-    if Q <= bound:
-        raise QInfeasible(f"Q = {Q} does not exceed the tail-coupling bound {bound:.6g}")
-
-
-def _validate_certificate(A: np.ndarray, P: np.ndarray, sigma: float, tol: float = 1e-9) -> None:
+def _validate_certificate(A: np.ndarray, P: np.ndarray, sigma: float, tol: float = 1e-9) -> dict:
+    """Raise unless (P, sigma) certifies A; return certificate_defects(A, P, sigma)."""
+    if not sigma > 0.0:
+        raise InvalidCertificate(f"decay rate sigma must be positive, got {sigma}")
     defects = certificate_defects(A, P, sigma)
     if defects["abscissa"] >= 0.0:
         raise NotHurwitz(f"spectral abscissa {defects['abscissa']:.3g} is nonnegative")
     if defects["p_min"] < 1.0 - tol:
-        raise ValueError(f"P is not bounded below by the identity: min eig {defects['p_min']}")
+        raise InvalidCertificate(
+            f"P is not bounded below by the identity: min eig {defects['p_min']}"
+        )
     if defects["decay_slack"] > tol * max(1.0, defects["p_norm"]):
-        raise ValueError(
+        raise InvalidCertificate(
             f"P A + A'P + 2 sigma P has positive part {defects['decay_slack']:.3g}"
         )
+    return defects
 
 
 def certificate_defects(A: np.ndarray, P: np.ndarray, sigma: float) -> dict:
@@ -380,22 +403,16 @@ def make_design(
     j_max: int = 200,
     bc_tol: float = 1e-6,
 ) -> ObserverDesign:
-    """Assemble and validate the full observer design.
+    """Collect the inputs of an ObserverDesign from the channel profiles.
 
-    The Lyapunov pair is synthesized from A unless (P, sigma) are supplied;
-    either way the certificate inequalities are re-checked by eigenvalue
-    computation before the design is emitted.
+    Checks that each approximant meets the Robin conditions, projects it on
+    the basis and, unless (P, sigma) are supplied, synthesizes the Lyapunov
+    pair from A. ObserverDesign.__post_init__ then derives the certificate
+    and re-checks (P, sigma) by eigenvalue computation.
     """
     channels = tuple(channels)
     if not channels:
         raise ValueError("need at least one output channel")
-    if not 1 <= N < basis.size:
-        raise ValueError(f"need 1 <= N < basis.size = {basis.size}, got N = {N}")
-    lam_next = float(basis.eigenvalues[N])
-    if lam_next <= 0.0:
-        raise ValueError(f"lambda_(N+1) must be positive, got {lam_next}")
-    L = np.asarray(L, dtype=float).reshape(N, len(channels))
-
     for ch in channels:
         res = ch.boundary_residual(problem, basis.grid)
         if res > bc_tol:
@@ -407,12 +424,9 @@ def make_design(
     from .sturm_liouville import project
 
     c_coeffs = np.vstack([project(ch.approximant, basis) for ch in channels])
-    A = build_A(basis.eigenvalues[:N], L, c_coeffs)
     if P is None or sigma is None:
-        P, sigma = lyapunov_certificate(A, sigma_fraction)
-    else:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-    _validate_certificate(A, P, sigma)
+        L = np.asarray(L, dtype=float).reshape(N, len(channels))
+        P, sigma = lyapunov_certificate(build_A(basis.eigenvalues[:N], L, c_coeffs), sigma_fraction)
 
     k_tail = coupling_constant_K(c_coeffs, N, j_max)
     if k_tail.last_block_fraction > 0.01:
@@ -421,19 +435,7 @@ def make_design(
             f"last 50 carry {100 * k_tail.last_block_fraction:.1f}% of K^2",
             stacklevel=2,
         )
-    K = k_tail.value
-    P_norm = float(np.linalg.norm(P, 2))
-    ltpl = float(np.linalg.norm(L.T @ P @ L, 2))
-    if Q is None:
-        bound = _q_lower_bound(ltpl, K, sigma, lam_next)
-        Q = 2.0 if bound < 2.0 else 2.0 * bound
-    _check_Q(Q, ltpl, K, sigma, lam_next)
-    H, mu, g_tilde = _derived_constants(sigma, lam_next, P_norm, ltpl, K, Q)
-
     norm_c, norm_k, norm_gap, norm_stiff = _channel_constants(problem, channels, basis.grid)
-    _, norm_l = injection_kernels(L, basis)
-    cl = c_coeffs[:, :N] @ L  # cl[i, r] = int c_i l_r, exact given the coefficients
-
     return ObserverDesign(
         problem=problem,
         basis=basis,
@@ -441,26 +443,16 @@ def make_design(
         N=N,
         L=L,
         c_coeffs=c_coeffs,
-        A=A,
         P=P,
-        sigma=float(sigma),
-        K=K,
-        Q=float(Q),
-        lipschitz_R=float(lipschitz_R),
-        lipschitz_sup=float(lipschitz_sup),
-        lam_next=lam_next,
-        P_norm=P_norm,
-        ltpl_norm=ltpl,
-        H_Q=H,
-        mu=mu,
-        g_tilde=g_tilde,
-        norm_l=norm_l,
+        sigma=sigma,
+        Q=Q,
+        lipschitz_R=lipschitz_R,
+        lipschitz_sup=lipschitz_sup,
+        k_tail=k_tail,
         norm_c=norm_c,
         norm_k=norm_k,
         norm_gap=norm_gap,
         norm_stiff=norm_stiff,
-        cl=cl,
-        k_tail=k_tail,
     )
 
 
@@ -511,7 +503,6 @@ def _omega_value(design: ObserverDesign, h: float, kappa: float, variant: str) -
 def _report(design: ObserverDesign, h: float, kappa: float, variant: str) -> SmallGainReport:
     if h <= 0.0:
         raise ValueError("sampling diameter h must be positive")
-    _check_Q(design.Q, design.ltpl_norm, design.K, design.sigma, design.lam_next)
     omega, gamma = _omega_value(design, h, kappa, variant)
     feasible = omega < 1.0
     growth = math.exp(kappa * h)

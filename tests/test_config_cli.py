@@ -145,6 +145,29 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert main(["check-gain", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            (["design.N=64"], "design.N"),  # basis.modes defaults to 64
+            (["basis.modes=2", "design.N=2"], "design.N"),
+            (["basis.modes=8", "design.N=3"], "design.L"),  # L holds one entry
+            (["design.sigma_fraction=1.5"], "design.sigma_fraction"),
+            (["design.sigma_fraction=0"], "design.sigma_fraction"),
+        ],
+        ids=["N_at_default_modes", "N_at_modes", "L_size", "sigma_fraction_above_1", "sigma_fraction_0"],
+    )
+    def test_design_override_is_a_config_error(self, tmp_path, capsys, overrides, path):
+        # each of these used to reach make_design and die with a bare ValueError
+        cfg = example31_config()
+        del cfg["basis"]["modes"]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        argv = ["check-gain", "--config", str(config)]
+        for override in overrides:
+            argv += ["--set", override]
+        assert main(argv) == 2
+        assert f"config error: {path}:" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self):
         assert main(["check-gain", "--config", "/nonexistent.json"]) == 2
 

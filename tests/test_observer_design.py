@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from parobs import profiles as pf
@@ -15,6 +17,7 @@ from parobs.config import example31_design
 from parobs.errors import (
     DimensionMismatch,
     InfeasibleAtZero,
+    InvalidCertificate,
     KappaOutOfRange,
     NoFeasibleQ,
     NotHurwitz,
@@ -273,11 +276,12 @@ class TestPlaceGain:
             place_gain([1.0, 2.0], [0.5, 0.0], [-1.0, -2.0])
 
 
-def _random_design(rng, with_tail=True):
-    """Small random design on the Neumann basis with verified certificate."""
+def _random_design(rng, with_tail=True, N=None):
+    """Small random design on the Neumann basis with verified certificate;
+    N (1 or 2 modes) is drawn unless given."""
     problem = SLProblem(p=float(rng.uniform(0.5, 2.0)), q=0.0, a0=0, b0=1, a1=0, b1=1)
     basis = analytic_eigensystem(problem, 30, 601)
-    N = int(rng.integers(1, 3))
+    N = int(rng.integers(1, 3)) if N is None else N
     coeffs = rng.uniform(0.3, 1.0, size=N)
     tail = [0.0, float(rng.uniform(0.05, 0.3))] if with_tail else [0.0, 0.0]
     c = coeffs[0] * pf.constant(1.0)
@@ -345,6 +349,87 @@ class TestCertificateProperties:
                 omegas.append(small_gain_predictor(scaled, 0.2, 0.0).omega)
             assert omegas[0] <= omegas[1] + 1e-13
             assert omegas[1] <= omegas[2] + 1e-13
+
+
+def _assert_designs_equal(a, b):
+    """Field-for-field equality, exact for every array and scalar."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+        else:
+            assert x == y, f.name
+
+
+def _omegas(design):
+    return [small_gain(design, h, 0.5 * design.mu, v).omega
+            for h in (0.05, 0.3) for v in ("predictor", "zoh")]
+
+
+class TestReplaceRederives:
+    """dataclasses.replace re-runs ObserverDesign.__post_init__, so a replaced
+    design carries the certificate of its own inputs or raises."""
+
+    @pytest.mark.parametrize("with_tail", [False, True], ids=["tail_free", "tail"])
+    @settings(derandomize=True, deadline=None, max_examples=4)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        q_factor=st.floats(1.01, 20.0),
+        alpha=st.floats(1.0, 5.0),
+    )
+    def test_replace_matches_rebuilt_design(self, with_tail, seed, q_factor, alpha):
+        d = _random_design(np.random.default_rng(seed), with_tail, N=2)
+        bound = 2.0 * d.ltpl_norm * d.K**2 / (d.sigma * d.lam_next)
+        Q = max(2.0, bound) * q_factor
+        replaced = dataclasses.replace(d, Q=Q)
+        _assert_designs_equal(replaced, d.with_Q(Q))
+        rebuilt = make_design(d.problem, d.basis, d.channels, d.L, d.N, Q=Q, P=d.P,
+                              sigma=d.sigma, lipschitz_R=d.lipschitz_R)
+        _assert_designs_equal(replaced, rebuilt)
+        assert _omegas(replaced) == _omegas(rebuilt)
+
+        P = alpha * d.P
+        replaced = dataclasses.replace(d, P=P, sigma=d.sigma)
+        _assert_designs_equal(replaced, d.with_certificate(P, d.sigma))
+        assert replaced.P_norm == pytest.approx(alpha * d.P_norm, rel=1e-12)
+        assert _omegas(replaced) == _omegas(d.with_certificate(P, d.sigma))
+
+        with pytest.raises(InvalidCertificate):
+            dataclasses.replace(d, sigma=2.0 * d.sigma)
+
+    def test_replace_matches_with_Q(self, ex31_design):
+        # a stale certificate gave Omega = 0.408 here: feasible where the
+        # design with Q = 50 is not
+        omegas = {
+            small_gain_predictor(d, 0.3, 0.0).omega
+            for d in (dataclasses.replace(ex31_design, Q=50.0), ex31_design.with_Q(50.0))
+        }
+        assert omegas == {1.4433756729740645}
+
+    def test_replace_below_two_raises(self, ex31_design):
+        with pytest.raises(QInfeasible):
+            dataclasses.replace(ex31_design, Q=1.0)
+
+    def test_q_above_the_bound_by_roundoff_raises(self, rng):
+        # a Q one ulp above the tail bound can leave mu = 0, where no kappa
+        # and no Omega exist; every design that exists must have mu > 0
+        d = _random_design(rng, with_tail=True, N=2)
+        bound = 2.0 * d.ltpl_norm * d.K**2 / (d.sigma * d.lam_next)
+        d = dataclasses.replace(d, P=10.0 / bound * d.P, Q=None)  # bound 10, Q 20
+        Q, raised = 2.0 * d.ltpl_norm * d.K**2 / (d.sigma * d.lam_next), 0
+        for _ in range(3):
+            Q = math.nextafter(Q, math.inf)
+            try:
+                assert dataclasses.replace(d, Q=Q).mu > 0.0
+            except QInfeasible:
+                raised += 1
+        assert raised > 0
+
+    def test_invalid_certificate_is_typed_value_error(self, ex31_design):
+        for bad in ({"sigma": 2.0 * ex31_design.sigma}, {"sigma": 0.0}, {"P": 0.5 * ex31_design.P}):
+            with pytest.raises(InvalidCertificate) as info:
+                dataclasses.replace(ex31_design, **bad)
+            assert isinstance(info.value, ValueError)
 
 
 class TestDesignValidation:

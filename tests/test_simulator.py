@@ -110,6 +110,27 @@ class TestPlantStep:
         residual = u1 + h * (B @ u1 - nl.apply(u1)) - (u0 - h * (B @ u0 - nl.apply(u0)))
         np.testing.assert_allclose(residual, 0.0, atol=1e-11)
 
+    def test_singular_coupling_jacobian_rejects_step(self):
+        # h * gain = 1 is the pole of the trapezoidal factor; the 1x1 Jacobian
+        # is -1e-15, whose condition number is 1
+        stiff = LinearNonlocalTerm(uniform_grid(101), a=1.0, b=1.0, gain=40.0)
+        with pytest.raises(StepRejected, match="dt=0.05"):
+            step_plant(np.ones(101), 0.0, 0.05, NN, stiff, None)
+
+    def test_step_next_to_the_pole_is_taken(self):
+        # a Jacobian of 2.5e-8 is ill conditioned but not singular: the step is
+        # the trapezoidal one to ~1e-8
+        gain = 39.999999
+        stiff = LinearNonlocalTerm(uniform_grid(101), a=1.0, b=1.0, gain=gain)
+        out = step_plant(np.ones(101), 0.0, 0.05, NN, stiff, None)
+        np.testing.assert_allclose(out, (1.0 + 0.025 * gain) / (1.0 - 0.025 * gain), rtol=1e-6)
+
+    def test_singular_crank_nicolson_matrix_rejects_step(self):
+        # 1 + (dt/2) q = 0 with Neumann ends: the constant mode makes M1 singular
+        growth = SLProblem(p=1.0, q=-2.0, a0=0, b0=1, a1=0, b1=1)
+        with pytest.raises(StepRejected, match="dt=1"):
+            step_plant(np.ones(11), 0.0, 1.0, growth, None, None)
+
     def test_step_rejected_for_stiff_saturated_term(self):
         # a destabilizing tanh with dt * amplitude >> 1: the chord iteration cannot settle
         grid = uniform_grid(101)
@@ -330,16 +351,6 @@ class TestSimulate:
                           dt=dt, u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0))
             finals[nodes] = quiet_simulate(sc).error_l2[-1]
         assert abs(finals[201] - finals[101]) <= 0.02 * abs(finals[201])
-
-    def test_missing_certificate_warns_but_runs(self, ex31_design):
-        # Q = 1 admits no certificate at all; the run still goes ahead
-        design = dataclasses.replace(ex31_design, Q=1.0)
-        sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 1.0})
-        sc = Scenario(design=design, variant="predictor", schedule=sch, nodes=101,
-                      u0=pf.constant(1.0), w0=pf.constant(0.0))
-        with pytest.warns(UserWarning, match="not certified"):
-            traj = simulate(sc)
-        assert traj.times[-1] == pytest.approx(1.0)
 
     def test_infeasible_design_warns_but_runs(self, ex31_design):
         sch = make_schedule({"kind": "uniform", "h": 5.0, "horizon": 10.0})
