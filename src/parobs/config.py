@@ -277,7 +277,6 @@ def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBas
         sigma_fraction=float(d.get("sigma_fraction", 0.9)),
         lipschitz_R=float(d.get("lipschitz_R", 0.0)),
         lipschitz_sup=float(d.get("lipschitz_sup", 0.0)),
-        j_max=int(d.get("j_max", 200)),
     )
 
 

@@ -43,6 +43,11 @@ class InvalidCertificate(ParobsError, ValueError):
     P A + A'P <= -2 sigma P. Also a ValueError, for callers that catch that."""
 
 
+class ApproximantOutsideDomain(ParobsError, ValueError):
+    """A channel approximant c_i violates the Robin end conditions, so it is
+    not in the operator domain. Also a ValueError, for callers that catch that."""
+
+
 class NearSingular(ParobsError):
     """Lyapunov solve produced a numerically singular factor."""
 

@@ -20,6 +20,7 @@ from scipy.special import wrightomega
 
 from . import profiles as pf
 from .errors import (
+    ApproximantOutsideDomain,
     DimensionMismatch,
     InfeasibleAtZero,
     InvalidCertificate,
@@ -31,7 +32,7 @@ from .errors import (
     QInfeasible,
 )
 from .grids import trapezoid_weights
-from .sturm_liouville import SLProblem, SpectralBasis
+from .sturm_liouville import SLProblem, SpectralBasis, project
 
 __all__ = [
     "OutputChannel",
@@ -197,18 +198,39 @@ def place_gain(
     return ((t + lam) / c).reshape(-1, 1)
 
 
+_J_MAX = 200  # modes summed into the tail-coupling constant K
+_BC_TOL = 1e-6  # largest relative Robin residual an approximant may leave
+
+
+def _channel_coefficients(problem: SLProblem, basis: SpectralBasis, channels) -> np.ndarray:
+    """Check each approximant against the Robin conditions and project it on
+    the basis; row i holds <c_i, phi_j> for every basis mode j."""
+    if not channels:
+        raise ValueError("need at least one output channel")
+    for ch in channels:
+        res = ch.boundary_residual(problem, basis.grid)
+        if res > _BC_TOL:
+            raise ApproximantOutsideDomain(
+                f"channel {ch.label or '?'}: approximant violates the Robin "
+                f"conditions (relative residual {res:.3g})"
+            )
+    return np.vstack([project(ch.approximant, basis) for ch in channels])
+
+
 @dataclass(frozen=True)
 class ObserverDesign:
     """Everything the small-gain certificates consume.
 
-    Fields down to ``norm_stiff`` are inputs (``make_design`` computes the
-    channel ones from the profiles); the rest are derived by __post_init__,
-    the one place that computes A and the certificate scalars and checks
-    them: (P, sigma) must certify A, and Q >= 2 must exceed the tail-coupling
-    bound (Q = None picks 2, or twice the bound when the bound is not below
-    2). ``dataclasses.replace`` re-runs it, so a replaced design is derived
-    afresh or raises a typed ParobsError, never stale. Grid functions
-    (injection kernels, channel samples) are derived on demand.
+    The fields down to ``lipschitz_sup`` are the inputs; every other field is
+    derived by __post_init__, the one place that checks the approximants
+    against the Robin conditions, projects them on the basis, computes the
+    tail constant K, the channel norms, A and the certificate scalars, and
+    checks them: (P, sigma) must certify A, and Q >= 2 must exceed the
+    tail-coupling bound (Q = None picks 2, or twice the bound when the bound
+    is not below 2). ``dataclasses.replace`` re-runs it, so a design whose
+    problem, basis, channels or certificate is replaced is derived afresh or
+    raises a typed ParobsError, never stale. Grid functions (injection
+    kernels, channel samples) are derived on demand.
     """
 
     problem: SLProblem
@@ -216,19 +238,18 @@ class ObserverDesign:
     channels: tuple[OutputChannel, ...]
     N: int
     L: np.ndarray
-    c_coeffs: np.ndarray
     P: np.ndarray
     sigma: float
     Q: float | None
     lipschitz_R: float
     lipschitz_sup: float
-    k_tail: CouplingReport
-    # per-channel constants
-    norm_c: np.ndarray
-    norm_k: np.ndarray
-    norm_gap: np.ndarray  # ||k_i - c_i||
-    norm_stiff: np.ndarray  # ||p c_i'' - q c_i||
     # derived in __post_init__
+    c_coeffs: np.ndarray = field(init=False)  # c_coeffs[i, j] = <c_i, phi_j>
+    k_tail: CouplingReport = field(init=False)
+    norm_c: np.ndarray = field(init=False)
+    norm_k: np.ndarray = field(init=False)
+    norm_gap: np.ndarray = field(init=False)  # ||k_i - c_i||
+    norm_stiff: np.ndarray = field(init=False)  # ||p c_i'' - q c_i||
     A: np.ndarray = field(init=False)
     K: float = field(init=False)
     lam_next: float = field(init=False)
@@ -241,20 +262,22 @@ class ObserverDesign:
     cl: np.ndarray = field(init=False)  # cl[i, r] = int c_i l_r
 
     def __post_init__(self):
-        N, basis = self.N, self.basis
+        problem, basis, N = self.problem, self.basis, self.N
+        channels = tuple(self.channels)
+        c_coeffs = _channel_coefficients(problem, basis, channels)
         if not 1 <= N < basis.size:
             raise ValueError(f"need 1 <= N < basis.size = {basis.size}, got N = {N}")
         lam_next = float(basis.eigenvalues[N])
         if lam_next <= 0.0:
             raise ValueError(f"lambda_(N+1) must be positive, got {lam_next}")
-        channels = tuple(self.channels)
         L = np.asarray(self.L, dtype=float).reshape(N, len(channels))
         P = np.atleast_2d(np.asarray(self.P, dtype=float))
         sigma = float(self.sigma)
-        A = build_A(basis.eigenvalues[:N], L, self.c_coeffs)
+        A = build_A(basis.eigenvalues[:N], L, c_coeffs)
         P_norm = _validate_certificate(A, P, sigma)["p_norm"]
 
-        K = self.k_tail.value
+        k_tail = coupling_constant_K(c_coeffs, N, _J_MAX)
+        K = k_tail.value
         ltpl = float(np.linalg.norm(L.T @ P @ L, 2))
         bound = 2.0 * ltpl * K**2 / (sigma * lam_next)
         Q = self.Q
@@ -271,12 +294,15 @@ class ObserverDesign:
             raise QInfeasible(f"Q = {Q} exceeds the tail-coupling bound {bound:.6g} "
                               f"only by roundoff (mu = {mu:.3g})")
         g_tilde = max(4.0 * P_norm / (4.0 * sigma + H), Q / (2.0 * lam_next))
+        norm_c, norm_k, norm_gap, norm_stiff = _channel_constants(problem, channels, basis.grid)
         _, norm_l = injection_kernels(L, basis)
-        cl = self.c_coeffs[:, :N] @ L  # exact given the coefficients
+        cl = c_coeffs[:, :N] @ L  # exact given the coefficients
 
         derived = dict(
             channels=channels, L=L, P=P, sigma=sigma, Q=float(Q),
             lipschitz_R=float(self.lipschitz_R), lipschitz_sup=float(self.lipschitz_sup),
+            c_coeffs=c_coeffs, k_tail=k_tail, norm_c=norm_c, norm_k=norm_k,
+            norm_gap=norm_gap, norm_stiff=norm_stiff,
             A=A, K=K, lam_next=lam_next, P_norm=P_norm, ltpl_norm=ltpl,
             H_Q=H, mu=mu, g_tilde=g_tilde, norm_l=norm_l, cl=cl,
         )
@@ -400,60 +426,30 @@ def make_design(
     sigma: float | None = None,
     lipschitz_R: float = 0.0,
     lipschitz_sup: float = 0.0,
-    j_max: int = 200,
-    bc_tol: float = 1e-6,
 ) -> ObserverDesign:
-    """Collect the inputs of an ObserverDesign from the channel profiles.
+    """An ObserverDesign whose Lyapunov pair, unless (P, sigma) are both
+    given, is synthesized from A with ``lyapunov_certificate``.
 
-    Checks that each approximant meets the Robin conditions, projects it on
-    the basis and, unless (P, sigma) are supplied, synthesizes the Lyapunov
-    pair from A. ObserverDesign.__post_init__ then derives the certificate
-    and re-checks (P, sigma) by eigenvalue computation.
+    Warns when the tail-coupling constant K is truncated while its last 50
+    modes still carry more than 1% of K^2.
     """
     channels = tuple(channels)
-    if not channels:
-        raise ValueError("need at least one output channel")
-    for ch in channels:
-        res = ch.boundary_residual(problem, basis.grid)
-        if res > bc_tol:
-            raise ValueError(
-                f"channel {ch.label or '?'}: approximant violates the Robin "
-                f"conditions (relative residual {res:.3g})"
-            )
-
-    from .sturm_liouville import project
-
-    c_coeffs = np.vstack([project(ch.approximant, basis) for ch in channels])
     if P is None or sigma is None:
+        c_coeffs = _channel_coefficients(problem, basis, channels)
         L = np.asarray(L, dtype=float).reshape(N, len(channels))
         P, sigma = lyapunov_certificate(build_A(basis.eigenvalues[:N], L, c_coeffs), sigma_fraction)
-
-    k_tail = coupling_constant_K(c_coeffs, N, j_max)
+    design = ObserverDesign(
+        problem=problem, basis=basis, channels=channels, N=N, L=L, P=P, sigma=sigma, Q=Q,
+        lipschitz_R=lipschitz_R, lipschitz_sup=lipschitz_sup,
+    )
+    k_tail = design.k_tail
     if k_tail.last_block_fraction > 0.01:
         warnings.warn(
             f"tail-coupling constant truncated at {k_tail.modes_used} modes; the "
             f"last 50 carry {100 * k_tail.last_block_fraction:.1f}% of K^2",
             stacklevel=2,
         )
-    norm_c, norm_k, norm_gap, norm_stiff = _channel_constants(problem, channels, basis.grid)
-    return ObserverDesign(
-        problem=problem,
-        basis=basis,
-        channels=channels,
-        N=N,
-        L=L,
-        c_coeffs=c_coeffs,
-        P=P,
-        sigma=sigma,
-        Q=Q,
-        lipschitz_R=lipschitz_R,
-        lipschitz_sup=lipschitz_sup,
-        k_tail=k_tail,
-        norm_c=norm_c,
-        norm_k=norm_k,
-        norm_gap=norm_gap,
-        norm_stiff=norm_stiff,
-    )
+    return design
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from parobs.config import (
 from parobs.errors import ConfigError
 from parobs.observer_design import OutputChannel, make_design, small_gain_predictor, small_gain_zoh
 from parobs.sturm_liouville import SLProblem, analytic_eigensystem
+
+
+DESIGN_SWEEP = Path(__file__).parents[1] / "benchmarks" / "configs" / "design_sweep.json"
 
 
 def example31_config(**extra):
@@ -167,6 +171,35 @@ class TestCli:
             argv += ["--set", override]
         assert main(argv) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
+
+    def test_approximant_outside_domain_exit_code(self, tmp_path, capsys):
+        # x has x'(0) = 1, against the Neumann end of the Robin problem
+        cfg = json.loads(DESIGN_SWEEP.read_text())
+        cfg["design"]["channels"][0]["approximant"] = {"kind": "polynomial", "coeffs": [0.0, 1.0]}
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check-gain", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "ApproximantOutsideDomain" in err and "Robin" in err
+
+    def test_design_ref_reproduces_the_config_design(self, tmp_path, capsys):
+        def omega(config):
+            capsys.readouterr()
+            assert main(["check-gain", "--config", str(config)]) == 0
+            return float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+
+        out = tmp_path / "design"
+        assert main(["design", "--config", str(DESIGN_SWEEP), "--out", str(out)]) == 0
+        cfg = json.loads(DESIGN_SWEEP.read_text())
+        direct = build_design(cfg)
+        del cfg["design"]
+        cfg["design_ref"] = str(out / "design.json")
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(cfg))
+        assert omega(path) == pytest.approx(omega(DESIGN_SWEEP), rel=1e-12, abs=0.0)
+        # the basis comes back from basis.csv, written with 17 significant digits
+        loaded = build_design(cfg)
+        assert np.max(np.abs(loaded.c_coeffs - direct.c_coeffs)) <= 8e-16
 
     def test_missing_file_exit_code(self):
         assert main(["check-gain", "--config", "/nonexistent.json"]) == 2

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.optimize import brentq
 from parobs import profiles as pf
 from parobs.config import example31_design
 from parobs.errors import (
+    ApproximantOutsideDomain,
     DimensionMismatch,
     InfeasibleAtZero,
     InvalidCertificate,
@@ -184,9 +186,13 @@ class TestMaxDiameter:
         with pytest.raises(InfeasibleAtZero):
             max_diameter(d, 0.0, "predictor")
 
-    def test_unbounded_when_bracket_vanishes(self, ex31_design):
-        # no h-term and no k - c gap: Omega = gamma R for every h and kappa
-        d = dataclasses.replace(ex31_design, norm_gap=np.zeros(1))
+    def test_unbounded_when_bracket_vanishes(self, nn_problem, nn_basis):
+        # k = c = 1/2: no k - c gap, and p c'' - q c = 0 gives no h-term, so
+        # Omega = gamma R for every h and kappa
+        half = pf.constant(0.5)
+        d = make_design(nn_problem, nn_basis, [OutputChannel(kernel=half, approximant=half)],
+                        np.array([[-math.pi**2]]), N=1, Q=2.0, sigma_fraction=1.0)
+        assert d.norm_gap[0] == 0.0 and d.norm_stiff[0] == 0.0
         for omega in (0.0, 0.5):
             assert math.isinf(max_diameter(d, omega * d.mu, "predictor"))
 
@@ -397,6 +403,50 @@ class TestReplaceRederives:
         with pytest.raises(InvalidCertificate):
             dataclasses.replace(d, sigma=2.0 * d.sigma)
 
+    @pytest.mark.parametrize("with_tail", [False, True], ids=["tail_free", "tail"])
+    @settings(derandomize=True, deadline=None, max_examples=4)
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.05, 0.2))
+    def test_replaced_channels_rederive_their_constants(self, with_tail, seed, scale):
+        d = _random_design(np.random.default_rng(seed), with_tail, N=2)
+        ch = d.channels[0]
+        new = (OutputChannel(kernel=scale * ch.kernel, approximant=scale * ch.approximant),)
+        A = build_A(d.eigenvalues, d.L, project(new[0].approximant, d.basis)[None, :])
+        # the scaled gain leaves an eigenvalue of A above -sigma, where the old
+        # (P, sigma) cannot certify it
+        assert certificate_defects(A, d.P, d.sigma)["abscissa"] > -d.sigma
+        with pytest.raises(InvalidCertificate):
+            dataclasses.replace(d, channels=new)
+
+        P, sigma = lyapunov_certificate(A, 0.9)
+        replaced = dataclasses.replace(d, channels=new, P=P, sigma=sigma, Q=None)
+        rebuilt = make_design(d.problem, d.basis, new, d.L, d.N, P=P, sigma=sigma,
+                              lipschitz_R=d.lipschitz_R)
+        _assert_designs_equal(replaced, rebuilt)
+        assert _omegas(replaced) == _omegas(rebuilt)
+
+    def test_replaced_channel_is_not_certified_with_stale_constants(self, ex31_design):
+        # c = 1/4 halves A to -pi^2/4, which P = [1], sigma = pi^2/2 does not
+        # certify; a stale design certified Omega(h=0.3) = 0.408 here
+        new = (OutputChannel(kernel=pf.polynomial([0.0, 1.0]), approximant=pf.constant(0.25)),)
+        with pytest.raises(InvalidCertificate):
+            dataclasses.replace(ex31_design, channels=new)
+        # with L = -2 pi^2, A = -pi^2/2 again and the same pair certifies it;
+        # ||k - c|| = sqrt(7/48) then gives Omega = sqrt(7/6) at kappa = 0
+        d = dataclasses.replace(ex31_design, channels=new, L=np.array([[-2.0 * math.pi**2]]))
+        assert d.c_coeffs[0, 0] == pytest.approx(0.25, rel=1e-15)
+        assert d.norm_gap[0] == pytest.approx(math.sqrt(7.0 / 48.0), rel=1e-12)
+        for h in (0.05, 0.3, 1.0):
+            assert small_gain_predictor(d, h, 0.0).omega == pytest.approx(math.sqrt(7.0 / 6.0),
+                                                                          rel=1e-12)
+
+    def test_only_the_chosen_quantities_are_inputs(self, ex31_design):
+        inputs = [f.name for f in dataclasses.fields(ex31_design) if f.init]
+        assert inputs == ["problem", "basis", "channels", "N", "L", "P", "sigma", "Q",
+                          "lipschitz_R", "lipschitz_sup"]
+        for derived in ("c_coeffs", "k_tail", "norm_c", "norm_k", "norm_gap", "norm_stiff"):
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(ex31_design, **{derived: getattr(ex31_design, derived)})
+
     def test_replace_matches_with_Q(self, ex31_design):
         # a stale certificate gave Omega = 0.408 here: feasible where the
         # design with Q = 50 is not
@@ -433,11 +483,31 @@ class TestReplaceRederives:
 
 
 class TestDesignValidation:
-    def test_rejects_approximant_outside_domain(self, nn_problem, nn_basis):
+    def test_rejects_approximant_outside_domain(self, nn_problem, nn_basis, ex31_design):
         # x does not satisfy the Neumann conditions
         ch = OutputChannel(kernel=pf.constant(0.5), approximant=pf.polynomial([0.0, 1.0]))
-        with pytest.raises(ValueError, match="Robin"):
+        with pytest.raises(ApproximantOutsideDomain, match="Robin") as info:
             make_design(nn_problem, nn_basis, [ch], np.array([[-1.0]]), N=1)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(ApproximantOutsideDomain, match="Robin"):
+            dataclasses.replace(ex31_design, channels=(ch,))
+
+    def test_rejects_no_channels(self, ex31_design):
+        with pytest.raises(ValueError, match="at least one output channel"):
+            dataclasses.replace(ex31_design, channels=())
+
+    def test_tail_truncation_warns_in_make_design_only(self, nn_problem):
+        # all of K sits in mode 30 of a 60-mode basis: the last 50 modes carry it
+        basis = analytic_eigensystem(nn_problem, 60, 1001)
+        c = pf.constant(0.5) + pf.cosine(0.1 * math.sqrt(2.0), 30.0 * math.pi)
+        with pytest.warns(UserWarning, match=r"last 50 carry 100\.0% of K\^2") as record:
+            d = make_design(nn_problem, basis, [OutputChannel(kernel=c, approximant=c)],
+                            np.array([[-math.pi**2]]), N=1, sigma_fraction=1.0)
+        assert len(record) == 1
+        assert d.k_tail.last_block_fraction == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d.with_Q(5.0)
 
     def test_q_constraint(self, ex31_design):
         with pytest.raises(QInfeasible):
