@@ -23,7 +23,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -110,12 +109,6 @@ def _exit_code(strict: bool, ios=None, lyap=None, noise_bound_ok=None) -> int:
     return EXIT_VIOLATION if strict and violated else EXIT_OK
 
 
-def _simulate(scenario) -> Trajectory:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return simulate(scenario)
-
-
 def _report_to_dict(report) -> dict:
     doc = dataclasses.asdict(report)
     doc["coefficients"]["noise"] = list(map(float, np.atleast_1d(report.coefficients.noise)))
@@ -168,7 +161,7 @@ def cmd_simulate(args) -> int:
         )
     except (QInfeasible, KappaOutOfRange):
         report = None  # no certificate: simulate, fit, but check no bound
-    traj = _simulate(scenario)
+    traj = simulate(scenario)
     analysis = cfg.get("analysis", {})
     fit, ios, lyap = check_run(
         traj, scenario, report, lyapunov=bool(analysis.get("lyapunov", False)),
@@ -267,7 +260,7 @@ def cmd_sweep(args) -> int:
             scenario = build_scenario(row_cfg, design=design, seed=seed)
             # Q and kappa change only the certificate: one trajectory serves every row
             if traj is None or param in ("h", "noise_amplitude"):
-                traj = _simulate(scenario)
+                traj = simulate(scenario)
             fit, ios, _ = check_run(traj, scenario, report)
             row["final_error_l2"] = float(traj.error_l2[-1])
             row["fitted_rate"] = fit.rate if fit is not None else float("nan")

@@ -62,6 +62,29 @@ __all__ = [
 SCHEMA_VERSION = 1
 _DEFAULT_MODES = 64  # basis.modes when the config leaves it out
 
+# every key a config section may hold; spec-valued entries (profiles, the
+# nonlinearity, disturbances.v / v_tilde / xi) are checked by their parsers
+_SECTION_KEYS = {
+    "": {"schema_version", "label", "seed", "problem", "basis", "design", "design_ref", "gain",
+         "observer", "schedule", "grid", "time", "initial", "disturbances", "nonlinearity",
+         "analysis", "output", "sweep"},
+    "problem": {"p", "q", "bc"},
+    "problem.bc": {"a0", "b0", "a1", "b1"},
+    "basis": {"modes", "nodes", "method"},
+    "design": {"N", "L", "Q", "sigma_fraction", "lipschitz_R", "lipschitz_sup", "channels"},
+    "gain": {"h", "kappa", "omega"},
+    "observer": {"variant"},
+    "schedule": {"kind", "h", "horizon", "h_min", "h_max", "seed", "times"},
+    "grid": {"nodes"},
+    "time": {"dt", "snapshot_every", "horizon"},
+    "initial": {"u0", "w0"},
+    "disturbances": {"v", "v_tilde", "xi"},
+    "analysis": {"lyapunov", "lyapunov_tail"},
+    "output": {"fields"},
+    "sweep": {"parameter", "values", "simulate"},
+}
+_CHANNEL_KEYS = {"label", "kernel", "approximant"}
+
 _PROFILE_KINDS = {
     "constant",
     "polynomial",
@@ -122,10 +145,18 @@ def _expect(cfg: dict, path: str, types, required: bool = False, default=None):
             raise ConfigError(path, "missing required field")
         return default
     value = node[keys[-1]]
-    # bools are ints in python, and no field read here is a flag
-    if isinstance(value, bool) or (types is not None and not isinstance(value, types)):
+    # bools are ints in python: a bool passes only where a flag is asked for
+    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
         raise ConfigError(path, f"expected {types}, got {type(value).__name__}")
     return value
+
+
+def _check_keys(node, path: str, allowed: set) -> None:
+    if not isinstance(node, dict):
+        raise ConfigError(path, "expected an object")
+    for key in node:
+        if key not in allowed:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
 def _check_profile(spec, path: str):
@@ -141,10 +172,20 @@ def _check_profile(spec, path: str):
 
 
 def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
-    """Structural validation with dotted-path diagnostics."""
+    """Structural validation with dotted-path diagnostics: unknown keys, and
+    the type of every scalar a builder casts, fail before any computation."""
+    for path, allowed in _SECTION_KEYS.items():
+        node = cfg
+        for key in filter(None, path.split(".")):
+            node = node.get(key) if isinstance(node, dict) else None
+        if node is not None:
+            _check_keys(node, path, allowed)
     version = _expect(cfg, "schema_version", int, required=True)
     if version != SCHEMA_VERSION:
         raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
+    for path in ("seed", "schedule.seed"):
+        if _expect(cfg, path, int, default=0) < 0:
+            raise ConfigError(path, "seed must be non-negative")
     p = _expect(cfg, "problem.p", (int, float), required=True)
     if p <= 0:
         raise ConfigError("problem.p", "diffusion constant must be positive")
@@ -155,7 +196,12 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
     modes = _expect(cfg, "basis.modes", int, default=_DEFAULT_MODES)
     if modes < 2:
         raise ConfigError("basis.modes", "need at least 2 modes (N + 1)")
-    if "design" not in cfg and "design_ref" not in cfg:
+    _expect(cfg, "basis.nodes", int)
+    method = _expect(cfg, "basis.method", str, default="auto")
+    if method not in ("auto", "analytic", "numeric"):
+        raise ConfigError("basis.method", f"unknown basis method {method!r}")
+    design_ref = _expect(cfg, "design_ref", str)
+    if "design" not in cfg and design_ref is None:
         raise ConfigError("design", "need a 'design' section or a 'design_ref' path")
     if "design" in cfg:
         N = _expect(cfg, "design.N", int, required=True)
@@ -170,8 +216,7 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         if not channels:
             raise ConfigError("design.channels", "need at least one output channel")
         for i, ch in enumerate(channels):
-            if not isinstance(ch, dict):
-                raise ConfigError(f"design.channels[{i}]", "channel must be an object")
+            _check_keys(ch, f"design.channels[{i}]", _CHANNEL_KEYS)
             _check_profile(ch.get("kernel"), f"design.channels[{i}].kernel")
             _check_profile(ch.get("approximant"), f"design.channels[{i}].approximant")
         if sum(len(row) for row in L) != N * len(channels):
@@ -182,6 +227,8 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         fraction = _expect(cfg, "design.sigma_fraction", (int, float), default=None)
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise ConfigError("design.sigma_fraction", "sigma_fraction must lie in (0, 1]")
+        _expect(cfg, "design.lipschitz_R", (int, float))
+        _expect(cfg, "design.lipschitz_sup", (int, float))
 
     nodes = _expect(cfg, "grid.nodes", int, default=201)
     if nodes < 8:
@@ -194,14 +241,14 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         if kind == "explicit":
             _expect(cfg, "schedule.times", list, required=True)
         numbers = {"uniform": ("h", "horizon"), "random": ("h_min", "h_max", "horizon")}
-        for key in numbers.get(kind, ()):
-            _expect(cfg, f"schedule.{key}", (int, float), required=True)
-    if "time" in cfg:
-        dt = _expect(cfg, "time.dt", (int, float), default=None)
-        if dt is not None and dt <= 0:
-            raise ConfigError("time.dt", "dt must be positive")
+        for key in ("h", "h_min", "h_max", "horizon"):
+            _expect(cfg, f"schedule.{key}", (int, float), required=key in numbers.get(kind, ()))
+    for key in ("dt", "horizon", "snapshot_every"):
+        if _expect(cfg, f"time.{key}", (int, float), default=1.0) <= 0:
+            raise ConfigError(f"time.{key}", f"{key} must be positive")
     if "gain" in cfg:
         _expect(cfg, "gain.h", (int, float), required=True)
+        _expect(cfg, "gain.kappa", (int, float))
         has_kappa = isinstance(cfg["gain"], dict) and "kappa" in cfg["gain"]
         has_omega = isinstance(cfg["gain"], dict) and "omega" in cfg["gain"]
         if not (has_kappa or has_omega):
@@ -214,6 +261,9 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         variant = _expect(cfg, "observer.variant", str, default="predictor")
         if variant not in ("predictor", "zoh"):
             raise ConfigError("observer.variant", f"unknown variant {variant!r}")
+    _expect(cfg, "analysis.lyapunov", bool)
+    _expect(cfg, "analysis.lyapunov_tail", int)
+    _expect(cfg, "output.fields", bool)
     if "sweep" in cfg:
         param = _expect(cfg, "sweep.parameter", str, required=True)
         if param not in ("h", "kappa", "Q", "noise_amplitude"):
@@ -221,6 +271,9 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         values = _expect(cfg, "sweep.values", list, required=True)
         if not values:
             raise ConfigError("sweep.values", "need at least one value")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+            raise ConfigError("sweep.values", "every value must be a number")
+        _expect(cfg, "sweep.simulate", bool)
 
 
 def build_problem(cfg: dict) -> SLProblem:

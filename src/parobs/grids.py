@@ -37,8 +37,9 @@ def snapshot_norms(fields: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     return l2, np.max(np.abs(fields), axis=1)
 
 
-def end_derivatives(f: np.ndarray, dx: float) -> tuple[float, float]:
-    """Second-order one-sided derivatives at x = 0 and x = 1."""
-    left = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    right = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
-    return float(left), float(right)
+def end_derivatives(f: np.ndarray, dx: float):
+    """Second-order one-sided derivatives at x = 0 and x = 1 along the last
+    axis: two numbers for one field, two arrays for a stack of fields."""
+    left = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dx)
+    right = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dx)
+    return left, right

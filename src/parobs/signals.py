@@ -80,8 +80,9 @@ class SpaceTimeSignal:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def field(self, t: float, grid: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(grid)
+    def field(self, t, grid: np.ndarray) -> np.ndarray:
+        """The input on the grid at time t; a column of times gives one row each."""
+        out = np.zeros(np.broadcast_shapes(np.shape(t), grid.shape))
         for ts, prof in self.terms:
             out += ts.value(t) * prof.values(grid)
         return out
@@ -188,7 +189,7 @@ class Disturbances:
     v_tilde: SpaceTimeSignal = field(default_factory=SpaceTimeSignal)
     xi: tuple[NoiseSignal, ...] = ()
 
-    def mismatch_field(self, t: float, grid: np.ndarray) -> np.ndarray:
+    def mismatch_field(self, t, grid: np.ndarray) -> np.ndarray:
         return self.v.field(t, grid) - self.v_tilde.field(t, grid)
 
 

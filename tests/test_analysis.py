@@ -1,10 +1,13 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from parobs import profiles as pf
+from parobs import config as cf
 from parobs.analysis import (
     CONVERGED_FACTOR,
     DIVERGED_FACTOR,
@@ -14,6 +17,7 @@ from parobs.analysis import (
     error_norms,
     fit_decay_rate,
     lyapunov_oracle,
+    predictor_compatibility_residual,
     run_example_31,
     run_example_32,
 )
@@ -23,12 +27,14 @@ from parobs.errors import (
     ReactionOutOfRange,
     TailTooShort,
 )
-from parobs.grids import trapezoid_weights, uniform_grid
+from parobs.grids import end_derivatives, trapezoid_weights, uniform_grid
 from parobs.observer_design import OutputChannel, make_design, small_gain_predictor, small_gain_zoh
 from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal
-from parobs.simulator import Scenario, Trajectory, simulate
+from parobs.simulator import Scenario, Trajectory, _observer_pieces, simulate
 from parobs.sturm_liouville import SLProblem, analytic_eigensystem
+
+NONLINEAR_ZOH = Path(__file__).parents[1] / "benchmarks" / "configs" / "nonlinear_zoh.json"
 
 
 def quiet_simulate(sc):
@@ -193,6 +199,109 @@ class TestLyapunovOracle:
         assert np.all(trace.vbar_norms[sample_idx] < 1e-8)
 
 
+def replayed_oracle(traj, design, nl, dist, J_tail=20, slack=0.02):
+    """Reference for ``lyapunov_oracle``: one snapshot at a time, with the
+    hold observer's innovation rebuilt by replaying the sample events."""
+    w = traj.weights
+    J = min(design.N + J_tail, design.basis.size)
+    modes = design.basis.resample(traj.grid.size).functions[:J] * w
+    e = traj.error_fields()
+    r = e @ modes.T
+    e_sq = traj.error_l2**2
+    mask = e_sq > 1e-8 * np.max(e_sq)
+    deficit = float(np.max((e_sq[mask] - np.sum(r[mask] ** 2, axis=1)) / e_sq[mask]))
+    V = np.einsum("si,ij,sj->s", r[:, :design.N], design.P, r[:, :design.N])
+    V = V + 0.5 * design.Q * np.sum(r[:, design.N:] ** 2, axis=1)
+
+    pieces = _observer_pieces(design, traj.grid.size)
+    c_rows, l_cols = pieces["c_rows"], pieces["l_cols"]
+    events = {ev.t: ev for ev in traj.events}
+    held = np.zeros(design.m)
+    vbar_norms = np.zeros(traj.times.size)
+    for k, t in enumerate(traj.times):
+        vb = nl.apply(traj.w[k]) - nl.apply(traj.u[k])
+        vb = vb + dist.v_tilde.field(t, traj.grid) - dist.v.field(t, traj.grid)
+        if traj.metadata["variant"] == "predictor":
+            vb = vb - l_cols @ (traj.zeta[k] - c_rows @ traj.u[k])
+        else:
+            if traj.sample_flag[k] and t in events:
+                xi = np.asarray(events[t].xi) if events[t].xi is not None else 0.0
+                held = (pieces["k_rows"] - c_rows) @ e[k] + c_rows @ e[k] - xi
+            vb = vb + l_cols @ (held - c_rows @ e[k])
+        vbar_norms[k] = math.sqrt(max(np.dot(w, vb * vb), 0.0))
+
+    rhs = np.zeros_like(V)
+    rhs[0], integral = V[0], 0.0
+    for k in range(1, V.size):
+        dt = traj.times[k] - traj.times[k - 1]
+        decay = math.exp(-2.0 * design.mu * dt)
+        integral = decay * integral + 0.5 * dt * (decay * vbar_norms[k - 1] ** 2 + vbar_norms[k] ** 2)
+        rhs[k] = math.exp(-2.0 * design.mu * traj.times[k]) * V[0] + design.g_tilde * integral
+    violations = int(np.sum(V > rhs * (1.0 + slack) + 1e-12 * max(V[0], 1.0)))
+    return {"V": V, "modal": r, "parseval_deficit": deficit, "vbar_norms": vbar_norms,
+            "violations": violations}
+
+
+def _hold_run():
+    noise = {"kind": "random", "amplitude": 0.01, "seed": 1}
+    return cf.example31_config(1.0, 0.1, 0.0, "zoh", noise, mismatch=0.01, horizon=2.0,
+                               nodes=101, modes=64)
+
+
+def _predictor_nonlocal_run():
+    cfg = cf.example31_config(1.0, 0.5, 0.0, "predictor", 0.01, mismatch=0.01, horizon=4.0,
+                              nodes=101, modes=64)
+    cfg["design"]["lipschitz_R"] = 0.4
+    cfg["nonlinearity"] = {"kind": "linear_nonlocal", "gain": 0.5, "b": 1.0,
+                           "a": {"kind": "cosine", "amplitude": 1.0, "omega": math.pi}}
+    return cfg
+
+
+def _nonlinear_zoh_run():
+    cfg = json.loads(NONLINEAR_ZOH.read_text())
+    cfg["schedule"]["horizon"] = 4.0
+    return cfg
+
+
+@pytest.mark.parametrize("make_cfg", [_hold_run, _predictor_nonlocal_run, _nonlinear_zoh_run],
+                         ids=["example31-hold", "predictor-nonlocal", "nonlinear-zoh"])
+def test_oracle_matches_event_replay(make_cfg):
+    cfg = make_cfg()
+    scenario = cf.build_scenario(cfg, seed=0)
+    assert scenario.disturbances.v != scenario.disturbances.v_tilde
+    traj = quiet_simulate(scenario)
+    trace = lyapunov_oracle(traj, scenario.design, 20, nonlinearity=scenario.nonlinearity,
+                            disturbances=scenario.disturbances)
+    ref = replayed_oracle(traj, scenario.design, scenario.nonlinearity, scenario.disturbances)
+    assert np.max(np.abs(trace.vbar_norms - ref["vbar_norms"])) <= 1e-13 * np.max(ref["vbar_norms"])
+    np.testing.assert_array_equal(trace.V, ref["V"])
+    np.testing.assert_array_equal(trace.modal, ref["modal"])
+    assert trace.parseval_deficit == ref["parseval_deficit"]
+    assert trace.violations == ref["violations"]
+
+
+def _looped_ends(traj):
+    """(f, f'(0), f'(1), sup |f|) of every snapshot field, one at a time."""
+    dx = traj.grid[1] - traj.grid[0]
+    for k in range(traj.times.size):
+        for f in (traj.u[k], traj.w[k]):
+            d0, d1 = end_derivatives(f, dx)
+            yield f, float(d0), float(d1), max(np.max(np.abs(f)), 1e-300)
+
+
+def test_compatibility_residual_matches_snapshot_loop():
+    scenario = cf.build_scenario(_predictor_nonlocal_run())
+    traj = quiet_simulate(scenario)
+    worst = 0.0
+    ends = np.array([0.0, 1.0])
+    for ch in scenario.design.channels:
+        c, dc = ch.approximant.values(ends), ch.approximant.derivative().values(ends)
+        for f, d0, d1, scale in _looped_ends(traj):
+            psi = c[1] * d1 - c[0] * d0 - dc[1] * f[-1] + dc[0] * f[0]
+            worst = max(worst, abs(psi) / scale)
+    assert predictor_compatibility_residual(traj, scenario.design) == worst
+
+
 class TestVerdicts:
     def test_thresholds(self):
         grid = uniform_grid(11)
@@ -271,6 +380,10 @@ class TestExample32Runner:
         assert rep.sup_error[-1] < 1e-6 * rep.sup_error[0]
         assert rep.fit is not None and rep.fit.rate >= rep.kappa
         assert rep.bc_defect < 1e-6
+        dx = rep.trajectory.grid[1] - rep.trajectory.grid[0]
+        looped = max(max(abs(f[-1]) / scale, abs(d0) * dx / scale)
+                     for f, d0, _, scale in _looped_ends(rep.trajectory))
+        assert rep.bc_defect == looped
         # sup-norm error never exceeds the L2 bound carried through the
         # cumulative-integration map (unit operator norm)
         assert np.all(rep.sup_error <= rep.trajectory.error_l2 * (1.0 + 1e-9) + 1e-15)

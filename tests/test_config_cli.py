@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,75 @@ class TestValidation:
         cfg["design"]["channels"][0]["kernel"] = {"kind": "mystery"}
         with pytest.raises(ConfigError, match="kernel.kind"):
             validate_config(cfg)
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_config() -> dict:
+    text = README.read_text()
+    start = text.index("```json", text.index("A minimal configuration")) + len("```json")
+    return json.loads(text[start:text.index("```", start)])
+
+
+class TestKeysAndScalars:
+    @pytest.mark.parametrize("cfg", [
+        *[json.loads(p.read_text()) for p in sorted(DESIGN_SWEEP.parent.glob("*.json"))],
+        _readme_config(),
+        json.loads(json.dumps(cf.example31_config(variant="zoh", noise=0.01, mismatch=0.01))),
+        json.loads(json.dumps(cf.example32_config(q=2.0, h=0.1, horizon=3.0,
+                                                  noise={"kind": "random", "amplitude": 0.01}))),
+    ], ids=["design_sweep", "nonlinear_zoh", "readme", "example31", "example32"])
+    def test_shipped_configs_validate(self, cfg):
+        validate_config(cfg, need_schedule="schedule" in cfg)
+
+    @pytest.mark.parametrize("override, path", [
+        ("design.sigma_fracton=0.5", "design.sigma_fracton"),
+        ("design.j_max=abc", "design.j_max"),
+        ("problem.bc.c0=1", "problem.bc.c0"),
+        ("schedule.step=0.1", "schedule.step"),
+        ("analysis.lyapunov_tial=5", "analysis.lyapunov_tial"),
+        ("sead=1", "sead"),
+    ])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, override, path):
+        path_json = tmp_path / "run.json"
+        path_json.write_text(json.dumps(example31_config()))
+        assert main(["check-gain", "--config", str(path_json), "--set", override]) == EXIT_CONFIG
+        assert f"config error: {path}: unknown key" in capsys.readouterr().err
+
+    def test_unknown_channel_key(self):
+        cfg = example31_config()
+        cfg["design"]["channels"][0]["kernal"] = cfg["design"]["channels"][0].pop("kernel")
+        with pytest.raises(ConfigError, match=r"design\.channels\[0\]\.kernal: unknown key"):
+            validate_config(cfg)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="time: expected an object"):
+            validate_config(example31_config(time=0.25))
+
+    def test_unknown_basis_method(self):
+        cfg = apply_overrides(example31_config(), ["basis.method=anlytic"])
+        with pytest.raises(ConfigError, match="basis.method"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("override", [
+        "basis.nodes=abc", "gain.kappa=abc", "design.lipschitz_R=abc", "design.lipschitz_sup=abc",
+        "seed=abc", "schedule.seed=abc", "time.horizon=abc", "time.snapshot_every=abc",
+        "analysis.lyapunov_tail=abc", "analysis.lyapunov=1", "output.fields=yes",
+        "sweep.simulate=1", "design_ref=3", "seed=-1", "time.horizon=0", "time.snapshot_every=-1",
+        'sweep.values=[0.1,"a"]',
+    ])
+    def test_bad_scalar_fails_before_any_computation(self, tmp_path, capsys, monkeypatch, override):
+        def no_simulation(scenario):
+            raise AssertionError("simulated a config that should have been rejected")
+
+        monkeypatch.setattr(parobs.cli, "simulate", no_simulation)
+        cfg = example31_config(analysis={"lyapunov": True})
+        cfg["sweep"] = {"parameter": "h", "values": [0.5], "simulate": False}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--set", override]) == EXIT_CONFIG
+        assert f"config error: {override.split('=')[0]}:" in capsys.readouterr().err
 
 
 class TestBuilders:
@@ -296,6 +367,18 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["feasible"] is True
         assert report["c11"] == pytest.approx(2 * math.sqrt(2) / math.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("h, warns", [(1.0, True), (0.1, False)],
+                             ids=["infeasible", "feasible"])
+    def test_uncertified_run_warns_on_stderr(self, tmp_path, h, warns):
+        env = dict(os.environ, PYTHONPATH=str(Path(parobs.cli.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "parobs.cli", "example31", "--variant", "zoh", "--h", str(h),
+             "--horizon", "2", "--nodes", "51"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+        )
+        assert ("convergence is not certified" in run.stderr) == warns
+        assert warns or run.stderr == ""
 
     def test_set_override_round_trip(self, config_path, capsys):
         assert main(["check-gain", "--config", config_path, "--set", "gain.h=0.05",
