@@ -230,6 +230,9 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         _expect(cfg, "design.lipschitz_R", (int, float))
         _expect(cfg, "design.lipschitz_sup", (int, float))
 
+    for path in ("initial.u0", "initial.w0"):
+        _check_profile(_expect(cfg, path, (dict, int, float)), path)
+
     nodes = _expect(cfg, "grid.nodes", int, default=201)
     if nodes < 8:
         raise ConfigError("grid.nodes", "need at least 8 grid nodes")

@@ -131,13 +131,25 @@ class GainSaturatedTerm(NonlinearTerm):
 def nonlinearity_from_spec(spec: dict | None, grid: np.ndarray) -> NonlinearTerm:
     if spec is None:
         return ZeroTerm()
-    kind = spec.get("kind", "zero")
+    kind = pf.spec_kind(spec, "zero")
     if kind == "zero":
         return ZeroTerm()
+
+    def profile(s):
+        return pf.as_profile(s, grid)
+
+    def profiles(s):
+        return [profile(p) for p in s]
+
     if kind == "linear_nonlocal":
         return LinearNonlocalTerm(
-            grid, spec["a"], spec["b"], gain=float(spec.get("gain", 1.0))
+            grid, pf.spec_field(spec, "a", profile), pf.spec_field(spec, "b", profile),
+            gain=pf.spec_field(spec, "gain", default=1.0),
         )
     if kind == "gain_saturated":
-        return GainSaturatedTerm(grid, spec["weights"], spec["amplitudes"])
+        return GainSaturatedTerm(
+            grid,
+            pf.spec_field(spec, "weights", profiles),
+            pf.spec_field(spec, "amplitudes", profiles),
+        )
     raise InvalidSpec(f"unknown nonlinearity kind {kind!r}")

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, InvalidSpec
 
 __all__ = [
     "Profile",
@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _OMEGA_TINY = 1e-14
+_REQUIRED = object()
 
 
 def _cos_moment(n: int, omega: float, phase: float) -> float:
@@ -241,30 +242,63 @@ def as_profile(obj, grid: np.ndarray | None = None):
     raise TypeError(f"cannot interpret {obj!r} as a spatial profile")
 
 
+def spec_kind(spec, default=None):
+    """``spec["kind"]``, or ``default`` when absent; a spec that is not an
+    object raises InvalidSpec."""
+    if not isinstance(spec, dict):
+        raise InvalidSpec(f"expected a spec object, got {spec!r}")
+    return spec.get("kind", default)
+
+
+def spec_field(spec: dict, key: str, cast=float, default=_REQUIRED):
+    """``cast(spec[key])``, or ``default`` when the key is absent; a missing
+    required field or a value ``cast`` rejects raises InvalidSpec naming it."""
+    kind = spec_kind(spec)
+    if key not in spec:
+        if default is _REQUIRED:
+            raise InvalidSpec(f"{kind!r} spec: missing field {key!r}")
+        return default
+    try:
+        return cast(spec[key])
+    except (TypeError, ValueError, InvalidSpec) as exc:
+        raise InvalidSpec(f"{kind!r} spec: field {key!r}: {exc}") from exc
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _trig(terms) -> tuple[tuple[float, float, float], ...]:
+    out = tuple(_floats(term) for term in terms)
+    if any(len(term) != 3 for term in out):
+        raise ValueError("each trig term is [amplitude, omega, phase]")
+    return out
+
+
 def profile_from_spec(spec: dict, grid: np.ndarray | None = None):
     """Build a profile from its JSON-friendly description."""
-    kind = spec.get("kind")
+    kind = spec_kind(spec)
     if kind == "constant":
-        return constant(spec["value"])
+        return constant(spec_field(spec, "value"))
     if kind == "polynomial":
-        return polynomial(spec["coeffs"])
-    if kind == "cosine":
-        return cosine(spec["amplitude"], spec["omega"], spec.get("phase", 0.0))
-    if kind == "sine":
-        return sine(spec["amplitude"], spec["omega"], spec.get("phase", 0.0))
+        return polynomial(spec_field(spec, "coeffs", _floats))
+    if kind in ("cosine", "sine"):
+        make = cosine if kind == "cosine" else sine
+        return make(spec_field(spec, "amplitude"), spec_field(spec, "omega"),
+                    spec_field(spec, "phase", default=0.0))
     if kind == "cosine_series":
-        return cosine_series(spec.get("mean", 0.0), spec.get("coeffs", ()))
+        return cosine_series(spec_field(spec, "mean", default=0.0),
+                             spec_field(spec, "coeffs", _floats, ()))
     if kind == "closed_form":
-        return Profile(
-            tuple(spec.get("poly", ())),
-            tuple(tuple(t) for t in spec.get("trig", ())),
-        )
+        return Profile(spec_field(spec, "poly", _floats, ()), spec_field(spec, "trig", _trig, ()))
     if kind == "samples":
         if grid is None:
             raise GridMismatch("'samples' profile needs a grid")
-        return SampledProfile(grid, spec["values"])
+        return SampledProfile(grid, spec_field(spec, "values", _floats))
     if kind == "sum":
-        parts = [profile_from_spec(p, grid) for p in spec["parts"]]
+        parts = [profile_from_spec(p, grid) for p in spec_field(spec, "parts", list)]
+        if not parts:
+            raise InvalidSpec("'sum' spec: field 'parts' is empty")
         total = parts[0]
         for p in parts[1:]:
             total = total + p

@@ -55,17 +55,17 @@ def time_signal_from_spec(spec) -> TimeSignal:
         return spec
     if isinstance(spec, (int, float)):
         return TimeSignal(offset=float(spec))
-    kind = spec.get("kind", "time")
+    kind = pf.spec_kind(spec, "time")
     if kind == "zero":
         return TimeSignal()
     if kind == "constant":
-        return TimeSignal(offset=float(spec["value"]))
+        return TimeSignal(offset=pf.spec_field(spec, "value"))
     if kind in ("sinusoid", "time"):
         return TimeSignal(
-            offset=float(spec.get("offset", 0.0)),
-            amplitude=float(spec.get("amplitude", 0.0)),
-            omega=float(spec.get("omega", 1.0)),
-            phase=float(spec.get("phase", 0.0)),
+            offset=pf.spec_field(spec, "offset", default=0.0),
+            amplitude=pf.spec_field(spec, "amplitude", default=0.0),
+            omega=pf.spec_field(spec, "omega", default=1.0),
+            phase=pf.spec_field(spec, "phase", default=0.0),
         )
     raise InvalidSpec(f"unknown time-signal kind {kind!r}")
 
@@ -103,25 +103,25 @@ def field_signal_from_spec(spec, grid: np.ndarray | None = None) -> SpaceTimeSig
         return spec
     if spec is None:
         return SpaceTimeSignal()
-    kind = spec.get("kind")
+    kind = pf.spec_kind(spec)
     if kind == "zero":
         return SpaceTimeSignal()
+
+    def term(t: dict) -> tuple[TimeSignal, object]:
+        return (
+            pf.spec_field(t, "time", time_signal_from_spec),
+            pf.spec_field(t, "space", lambda s: pf.as_profile(s, grid)),
+        )
+
     if kind == "separable":
-        return SpaceTimeSignal(
-            terms=(
-                (time_signal_from_spec(spec["time"]), pf.as_profile(spec["space"], grid)),
-            )
-        )
+        return SpaceTimeSignal(terms=(term(spec),))
     if kind == "sum":
-        terms = tuple(
-            (time_signal_from_spec(t["time"]), pf.as_profile(t["space"], grid))
-            for t in spec["terms"]
-        )
-        return SpaceTimeSignal(terms=terms)
+        return SpaceTimeSignal(terms=tuple(term(t) for t in pf.spec_field(spec, "terms", list)))
     if kind == "cosine_series":
         # sum_k coeffs[k-1] cos(k pi x), all modulated by one time signal
-        prof = pf.cosine_series(spec.get("mean", 0.0), spec.get("coeffs", ()))
-        return SpaceTimeSignal(terms=((time_signal_from_spec(spec.get("time", 1.0)), prof),))
+        # (the profile parser reads "mean" and "coeffs" of this same spec)
+        ts = pf.spec_field(spec, "time", time_signal_from_spec, TimeSignal(offset=1.0))
+        return SpaceTimeSignal(terms=((ts, pf.profile_from_spec(spec, grid)),))
     raise InvalidSpec(f"unknown field-signal kind {kind!r}")
 
 
@@ -168,15 +168,17 @@ def noise_from_spec(spec, channel: int = 0) -> NoiseSignal:
         return spec
     if spec is None:
         return NoiseSignal(channel=channel)
-    kind = spec.get("kind", "zero")
+    kind = pf.spec_kind(spec, "zero")
     if kind not in ("zero", "constant", "sinusoid", "random"):
         raise InvalidSpec(f"unknown noise kind {kind!r}")
     return NoiseSignal(
         kind=kind,
-        amplitude=float(spec.get("amplitude", spec.get("value", 0.0))),
-        omega=float(spec.get("omega", 1.0)),
-        phase=float(spec.get("phase", 0.0)),
-        seed=int(spec.get("seed", 0)),
+        amplitude=pf.spec_field(
+            spec, "amplitude", default=pf.spec_field(spec, "value", default=0.0)
+        ),
+        omega=pf.spec_field(spec, "omega", default=1.0),
+        phase=pf.spec_field(spec, "phase", default=0.0),
+        seed=pf.spec_field(spec, "seed", int, 0),
         channel=channel,
     )
 

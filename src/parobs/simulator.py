@@ -15,6 +15,12 @@ The inter-sample predictor integrates the coupled (w, zeta) system; the
 rate of zeta uses the discrete operator applied to the approximant, which
 makes the discrete integration-by-parts identity exact. The zero-order-hold
 variant freezes the innovation between samples instead.
+
+With linear terms a step of fixed dt is one linear map of the state and
+the exosystem of the inputs, so a run jumps from record to record with
+cached binary powers of that map, built from the same factorization and
+coupling; the observer then runs in error coordinates (w - u, zeta - C u),
+whose dynamics are the observer's own driven by v~ - v.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .grids import snapshot_norms, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, injection_kernels, small_gain
 from .schedule import SamplingSchedule
-from .signals import Disturbances, SpaceTimeSignal
+from .signals import Disturbances, SpaceTimeSignal, TimeSignal
 from .sturm_liouville import DiscreteSLOperator, SLProblem
 
 __all__ = [
@@ -51,6 +57,7 @@ __all__ = [
 _CORRECTOR_RTOL = 1e-13
 _CORRECTOR_MAXITER = 40
 _SINGULAR_RTOL = 1e-12  # smallest singular value of the coupling Jacobian, relative
+_PROPAGATOR_BYTES = 64 * 2**20  # cached powers of one system's one-step matrix
 
 
 def measure(u: np.ndarray, kernel_rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -98,6 +105,12 @@ class IMEXStepper:
     fixed point coef = Phi(coef) of the r + m coefficients [phi(R w_new); e],
     affine in coef except for phi; its Jacobian with phi' = 1 is inverted
     alongside P, once per dt.
+
+    ``advance`` takes k steps at once when phi is linear: the same algebra
+    applied to the identity gives the one-step matrix of (w, zeta) and the
+    inputs' exosystem, and k steps are popcount(k) products with its cached
+    binary powers. ``steps``, ``propagators_built`` and
+    ``propagator_products`` count the work done.
     """
 
     def __init__(
@@ -122,7 +135,9 @@ class IMEXStepper:
         self.c_nl = c_rows @ nl_cols.T  # <c_i, cols_k>
         self.cols = np.vstack([nl_cols, l_cols.T])  # explicit part = coef @ cols
         self.rows = np.vstack([nl_rows, c_rows, stiff_rows])  # s = rows @ w
-        self.dt = None
+        self.dt = self._powers_dt = None
+        self._powers: list[np.ndarray] = []  # T^(2^i) for dt = _powers_dt
+        self.steps = self.propagators_built = self.propagator_products = 0
 
     def _factor(self, dt: float) -> None:
         sub, diag, sup = self.op.free_tridiagonals()
@@ -165,6 +180,11 @@ class IMEXStepper:
         e = s[self.r : self.r + self.m] - zeta if self.coupled else zeta
         return np.concatenate([self.phi(s[: self.r]), e])
 
+    @property
+    def linear(self) -> bool:
+        """True when phi is the identity (zero and linear non-local terms)."""
+        return self.phi is NonlinearTerm.phi
+
     def step(self, w: np.ndarray, t: float, dt: float, zeta: np.ndarray | None = None):
         """Advance (w, zeta) from t to t + dt and return the new pair.
 
@@ -177,17 +197,28 @@ class IMEXStepper:
         if dt != self.dt:
             self._factor(dt)
         zeta = np.zeros(self.m) if zeta is None else zeta
-        r, free, h = self.r, self.op.free, 0.5 * dt
-        v0, v1 = self._input(t), self._input(t + dt)
+        self.steps += 1
+        return self._trapezoid(w, zeta, self._input(t), self._input(t + dt), t, self._m0)
+
+    def _trapezoid(self, w, zeta, v0, v1, t: float, m0):
+        """One step of the current dt with the inputs v0 = v(t), v1 = v(t + dt)
+        and m0, the three diagonals of M0.
+
+        The arrays are single states, or blocks whose columns are states
+        (w (n, K), zeta (m, K), v0 and v1 (n, K), the diagonals as columns):
+        the block form is how ``_propagator`` applies this same algebra to the
+        identity.
+        """
+        r, free, h = self.r, self.op.free, 0.5 * self.dt
         s = self.rows @ w
         coef = self._coef(s, zeta)
 
-        sub0, diag0, sup0 = self._m0
+        sub0, diag0, sup0 = m0
         wf = w[free]
         rhs = diag0 * wf
         rhs[:-1] += sup0 * wf[1:]
         rhs[1:] += sub0 * wf[:-1]
-        rhs += h * (coef @ self.cols + v0 + v1)[free]
+        rhs += h * (self.cols.T @ coef + v0 + v1)[free]
         a = self._solve(rhs)
         s_a = self.rows @ a
         if self.coupled:
@@ -210,7 +241,69 @@ class IMEXStepper:
             if diff <= _CORRECTOR_RTOL * max(np.abs(w_new).max(), 1.0):
                 return w_new, zeta_new
         raise StepRejected(f"corrector failed to converge within {_CORRECTOR_MAXITER} updates "
-                           f"at t={t:.6g} (dt={dt:.3g}); the explicit part is too stiff")
+                           f"at t={t:.6g} (dt={self.dt:.3g}); the explicit part is too stiff")
+
+    def advance(self, w: np.ndarray, t: float, dt: float, k: int, zeta: np.ndarray | None = None):
+        """Advance (w, zeta) by k steps of size dt from t; equal to k calls of
+        ``step`` up to roundoff.
+
+        With a linear phi a step is one linear map T of the augmented state
+        x = (w, zeta, z), where z holds three exosystem coordinates per input
+        term: (offset, amplitude sin(omega t + phase), amplitude cos(...)),
+        rotated exactly by omega dt per step and set from t here, so no
+        rotation error carries over from one call to the next. The binary
+        powers T^(2^i) are kept for the current dt, and k steps take
+        popcount(k) matrix-vector products. Saturated terms, and systems whose
+        powers would pass _PROPAGATOR_BYTES, call ``step`` k times instead.
+        """
+        zeta = np.zeros(self.m) if zeta is None else zeta
+        n, k = self.op.grid.size, int(k)
+        size = n + self.m + 3 * len(self.v_terms)
+        if k == 0 or not self.linear or 8 * size**2 * k.bit_length() > _PROPAGATOR_BYTES:
+            for i in range(k):
+                w, zeta = self.step(w, t + i * dt, dt, zeta)
+            return w, zeta
+        if dt != self._powers_dt:
+            self._powers = [self._propagator(dt)]
+            self._powers_dt = dt
+        while len(self._powers) < k.bit_length():
+            self._powers.append(self._powers[-1] @ self._powers[-1])
+        x = np.concatenate([w, zeta, self._exo(t)])
+        for i, power in enumerate(self._powers[: k.bit_length()]):
+            if k >> i & 1:
+                x = power @ x
+                self.propagator_products += 1
+        return x[:n], x[n : n + self.m]
+
+    def _exo(self, t: float) -> np.ndarray:
+        """The exosystem coordinates of the inputs at t; value(t) = z[0] + z[1]."""
+        z = [(ts.offset, ts.amplitude * np.sin(ts.omega * t + ts.phase),
+              ts.amplitude * np.cos(ts.omega * t + ts.phase)) for ts, _ in self.v_terms]
+        return np.array(z, dtype=float).reshape(-1)
+
+    def _propagator(self, dt: float) -> np.ndarray:
+        """The one-step matrix of (w, zeta, z): ``_trapezoid`` of dt on the
+        identity, as one block of right-hand sides, over the exact rotation
+        of the exosystem."""
+        if dt != self.dt:
+            self._factor(dt)
+        n, m, q = self.op.grid.size, self.m, len(self.v_terms)
+        size = n + m + 3 * q
+        eye = np.eye(n + m, size)
+        v0, v1 = np.zeros((n, size)), np.zeros((n, size))
+        T = np.zeros((size, size))
+        for j, (ts, b) in enumerate(self.v_terms):
+            c, s = math.cos(ts.omega * dt), math.sin(ts.omega * dt)
+            col = n + m + 3 * j
+            # v(t) = z0 + z1 and v(t + dt) = z0 + c z1 + s z2, times b
+            v0[:, col], v1[:, col] = b, b
+            v0[:, col + 1], v1[:, col + 1] = b, c * b
+            v1[:, col + 2] = s * b
+            T[col : col + 3, col : col + 3] = [[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]]
+        m0 = [d[:, None] for d in self._m0]
+        T[:n], T[n : n + m] = self._trapezoid(eye[:n], eye[n:], v0, v1, 0.0, m0)
+        self.propagators_built += 1
+        return T
 
 
 # -- spec-level single-step entry points ---------------------------------------
@@ -354,6 +447,16 @@ def simulate(scenario: Scenario) -> Trajectory:
     predictor resets. Every design holds a valid certificate, so Omega at
     kappa = 0 always exists; designs whose Omega exceeds one still run
     (divergence studies are legitimate) but emit a warning.
+
+    A linear run (phi the identity) carries the observer in error
+    coordinates (w - u, zeta - C u; the held innovation for the hold
+    observer) and rebuilds w = u + e at records, so the error is never the
+    difference of two propagated fields. An interval whose dt equals the
+    previous interval's (up to the rounding of the sample times) jumps from
+    record to record with ``IMEXStepper.advance``; every other interval, and
+    every step of a nonlinear run, calls ``step``. ``metadata["integrator"]``
+    counts the steps taken, the one-step matrices built and the products
+    with their powers.
     """
     design = scenario.design
     sch = scenario.schedule
@@ -382,13 +485,23 @@ def simulate(scenario: Scenario) -> Trajectory:
     w = _initial_field(scenario.w0, op)
 
     plant = IMEXStepper(op, nl, dist.v)
-    if scenario.variant == "predictor":
-        obs = IMEXStepper(
-            op, nl, dist.v_tilde, pieces["l_cols"], pieces["c_rows"], pieces["stiff_rows"]
-        )
+    predictor = scenario.variant == "predictor"
+    if predictor:
+        channels = (pieces["l_cols"], pieces["c_rows"], pieces["stiff_rows"])
     else:
-        obs = IMEXStepper(op, nl, dist.v_tilde, pieces["l_cols"])
-    zeta = np.zeros(design.m)  # predictor state, or held innovation
+        channels = (pieces["l_cols"],)
+    # a linear run integrates the observer error (w - u, zeta - C u), driven
+    # by v~ - v and measuring only the noise; a nonlinear one (w, zeta) itself
+    linear = plant.linear
+    v_obs = _difference(dist.v_tilde, dist.v) if linear else dist.v_tilde
+    obs = IMEXStepper(op, nl, v_obs, *channels)
+    c_rows = pieces["c_rows"] if predictor else np.zeros((design.m, op.grid.size))
+    x = w - u if linear else w  # the observer's field in its own coordinates
+    z = np.zeros(design.m)  # its predictor state, or held innovation
+
+    def observer_state():
+        """(w, zeta) in the plant's coordinates."""
+        return (u + x, z + c_rows @ u) if linear else (x.copy(), z.copy())
 
     dx = grid[1] - grid[0]
     dt_target = scenario.dt if scenario.dt is not None else min(dx, sch.diameter / 20.0)
@@ -403,31 +516,33 @@ def simulate(scenario: Scenario) -> Trajectory:
         if times and t <= times[-1] + 1e-14:
             if is_sample:
                 flags[-1] = True
-                z_snap[-1] = zeta.copy()
+                z_snap[-1] = observer_state()[1]
             return
+        w_t, zeta_t = observer_state()
         times.append(t)
         u_snap.append(u.copy())
-        w_snap.append(w.copy())
-        z_snap.append(zeta.copy())
+        w_snap.append(w_t)
+        z_snap.append(zeta_t)
         flags.append(is_sample)
 
     sample_times = sch.times[sch.times <= horizon + 1e-12]
-    next_snap = 0.0
+    next_snap, prev_dt = 0.0, None
     for j, t_j in enumerate(sample_times):
         xi_vals = np.array([0.0 if s is None else s.value(t_j, j) for s in xi])
         y = measure(u, pieces["k_rows"], xi_vals)
-        if scenario.variant == "predictor":
-            before = zeta.copy()
-            zeta = reset_predictor(y, w, pieces["gap_rows"])
+        seen = xi_vals if linear else y  # y - <k, u> in error coordinates
+        if predictor:
+            before = observer_state()[1]
+            z = reset_predictor(seen, x, pieces["gap_rows"])
             events.append(
                 SampleEvent(
                     index=j, t=float(t_j), y=y, xi=xi_vals,
-                    zeta_before=before, zeta_after=zeta.copy(),
+                    zeta_before=before, zeta_after=observer_state()[1],
                 )
             )
         else:
-            zeta = pieces["k_rows"] @ w - y
-            events.append(SampleEvent(index=j, t=float(t_j), y=y, xi=xi_vals, held=zeta.copy()))
+            z = pieces["k_rows"] @ x - seen
+            events.append(SampleEvent(index=j, t=float(t_j), y=y, xi=xi_vals, held=z.copy()))
         record(float(t_j), True)
         next_snap = max(next_snap, float(t_j)) + snap_every
 
@@ -437,17 +552,33 @@ def simulate(scenario: Scenario) -> Trajectory:
             continue
         n_sub = max(1, math.ceil(gap / dt_target - 1e-9))
         dt = gap / n_sub
-        for step in range(n_sub):
-            t = float(t_j) + step * dt
-            u, _ = plant.step(u, t, dt)
-            w, zeta = obs.step(w, t, dt, zeta)
-            t_new = float(t_j) + (step + 1) * dt
-            is_last = step == n_sub - 1
-            if is_last and (j + 1 >= len(sample_times)):
-                record(horizon, False)
-            elif not is_last and t_new >= next_snap - 1e-12:
-                record(t_new, False)
+        # a linear run propagates a dt it stepped on the previous interval (up
+        # to the rounding of the sample times); a dt seen first is stepped
+        propagate = (
+            linear and prev_dt is not None
+            and abs(dt - prev_dt) * n_sub <= 4.0 * math.ulp(float(t_next))
+        )
+        if propagate:
+            dt = prev_dt
+        prev_dt = dt
+        done = 0
+        while done < n_sub:
+            stop = _next_record(float(t_j), dt, done, n_sub, next_snap - 1e-12)
+            if propagate:
+                t = float(t_j) + done * dt
+                u = plant.advance(u, t, dt, stop - done)[0]
+                x, z = obs.advance(x, t, dt, stop - done, z)
+            else:
+                for step in range(done, stop):
+                    t = float(t_j) + step * dt
+                    u, _ = plant.step(u, t, dt)
+                    x, z = obs.step(x, t, dt, z)
+            done = stop
+            if done < n_sub:
+                record(float(t_j) + done * dt, False)
                 next_snap += snap_every
+        if j + 1 >= len(sample_times):
+            record(horizon, False)
 
     times_arr = np.asarray(times)
     u_arr = np.asarray(u_snap)
@@ -471,10 +602,32 @@ def simulate(scenario: Scenario) -> Trajectory:
             "diameter": sch.diameter,
             "horizon": horizon,
             "label": scenario.label,
+            "integrator": {
+                key: getattr(plant, key) + getattr(obs, key)
+                for key in ("steps", "propagators_built", "propagator_products")
+            },
         },
     )
     traj.validate()
     return traj
+
+
+def _next_record(t0: float, dt: float, done: int, n_sub: int, due: float) -> int:
+    """The first step s in (done, n_sub) with t0 + s dt >= due, else n_sub."""
+    s = max(done + 1, math.ceil((due - t0) / dt))
+    while s > done + 1 and t0 + (s - 1) * dt >= due:
+        s -= 1
+    while s < n_sub and t0 + s * dt < due:
+        s += 1
+    return min(s, n_sub)
+
+
+def _difference(a: SpaceTimeSignal, b: SpaceTimeSignal) -> SpaceTimeSignal:
+    """a - b, as a's terms followed by b's with negated time signals."""
+    negated = tuple(
+        (TimeSignal(-ts.offset, -ts.amplitude, ts.omega, ts.phase), prof) for ts, prof in b.terms
+    )
+    return SpaceTimeSignal(terms=a.terms + negated)
 
 
 def _initial_field(profile_like, op: DiscreteSLOperator) -> np.ndarray:

@@ -243,6 +243,41 @@ class TestCli:
         assert main(argv) == 2
         assert f"config error: {path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ('disturbances.xi={"kind":"random","amplitude":0.01,"seed":"abc"}', "'random' spec: field 'seed'"),
+            ('nonlinearity={"kind":"linear_nonlocal","a":1.0}', "'linear_nonlocal' spec: missing field 'b'"),
+            ('initial.u0={"kind":"polynomial"}', "'polynomial' spec: missing field 'coeffs'"),
+            ('disturbances.v={"kind":"sum","terms":[1.0]}', "expected a spec object, got 1.0"),
+            ('disturbances.v={"kind":"separable","time":"abc","space":1.0}',
+             "'separable' spec: field 'time': expected a spec object, got 'abc'"),
+            ('nonlinearity="tanh"', "expected a spec object, got 'tanh'"),
+            ('disturbances.v={"kind":"cosine_series","coeffs":"ab"}', "'cosine_series' spec: field 'coeffs'"),
+            ('disturbances.v={"kind":"cosine_series","coeffs":[1.0],"time":"abc"}',
+             "'cosine_series' spec: field 'time': expected a spec object, got 'abc'"),
+            ('initial.u0={"kind":"closed_form","poly":"ab"}', "'closed_form' spec: field 'poly'"),
+            ('initial.u0={"kind":"closed_form","trig":[[1.0,2.0]]}',
+             "'closed_form' spec: field 'trig': each trig term is [amplitude, omega, phase]"),
+            ('initial.u0={"kind":"sum","parts":[]}', "'sum' spec: field 'parts' is empty"),
+        ],
+        ids=["noise_seed", "nonlocal_b", "profile_coeffs", "input_term", "input_time", "nonlinearity",
+             "input_series_coeffs", "input_series_time", "closed_form_poly", "closed_form_trig",
+             "empty_sum"],
+    )
+    def test_malformed_spec_field_exit_code(self, tmp_path, capsys, override, message):
+        # each of these used to end in a bare ValueError or KeyError (exit 1)
+        config = Path(__file__).parents[1] / "benchmarks" / "configs" / "nonlinear_zoh.json"
+        argv = ["simulate", "--config", str(config), "--set", override, "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"InvalidSpec: {message}" in capsys.readouterr().err
+
+    def test_initial_profile_of_wrong_type_is_a_config_error(self, tmp_path, capsys):
+        config = Path(__file__).parents[1] / "benchmarks" / "configs" / "nonlinear_zoh.json"
+        argv = ["simulate", "--config", str(config), "--set", 'initial.u0="abc"', "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: initial.u0:" in capsys.readouterr().err
+
     def test_approximant_outside_domain_exit_code(self, tmp_path, capsys):
         # x has x'(0) = 1, against the Neumann end of the Robin problem
         cfg = json.loads(DESIGN_SWEEP.read_text())

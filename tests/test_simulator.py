@@ -12,9 +12,11 @@ from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm, ZeroTerm
 from parobs.observer_design import OutputChannel, injection_kernels, make_design
 from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal
+from parobs import simulator
 from parobs.simulator import (
     IMEXStepper,
     Scenario,
+    _observer_pieces,
     bc_residual,
     measure,
     reset_predictor,
@@ -434,3 +436,165 @@ class TestSimulate:
             runs.append(quiet_simulate(sc))
         np.testing.assert_array_equal(runs[0].error_l2, runs[1].error_l2)
         np.testing.assert_array_equal(runs[0].times, runs[1].times)
+
+
+def _stepper(design, nodes, nl, v, variant):
+    """The plant (variant None) or an observer stepper of ``design``."""
+    pieces = _observer_pieces(design, nodes)
+    if variant is None:
+        return IMEXStepper(pieces["op"], nl, v)
+    channels = (pieces["l_cols"], pieces["c_rows"], pieces["stiff_rows"])
+    return IMEXStepper(pieces["op"], nl, v, *channels[: 3 if variant == "predictor" else 1])
+
+
+SINE_INPUT = SpaceTimeSignal(terms=(
+    (TimeSignal(offset=0.2, amplitude=0.5, omega=3.0, phase=0.4), pf.cosine_series(0.1, [0.4])),
+    (TimeSignal(offset=-0.3), pf.polynomial([1.0, -0.5])),
+))
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
+    @pytest.mark.parametrize("nonlocal_term", [False, True], ids=["zero", "nonlocal"])
+    @pytest.mark.parametrize(
+        "v", [SpaceTimeSignal(), SpaceTimeSignal(terms=((TimeSignal(offset=0.7), pf.constant(1.0)),)),
+              SINE_INPUT], ids=["no_input", "constant_input", "sine_input"])
+    def test_advance_equals_steps(self, ex31_design, variant, nonlocal_term, v):
+        nodes, dt, t0, k = 101, 0.01, 0.3, 37
+        grid = uniform_grid(nodes)
+        nl = (LinearNonlocalTerm(grid, a=pf.cosine_series(0.5, [0.3]), b=pf.polynomial([1.0, -0.5]), gain=0.8)
+              if nonlocal_term else ZeroTerm())
+        w0 = 1.0 + 0.5 * np.cos(math.pi * grid) + 0.2 * grid**2
+        zeta0 = np.array([0.3]) if variant else None
+        stepper = _stepper(ex31_design, nodes, nl, v, variant)
+        w, zeta = w0, zeta0
+        for i in range(k):
+            w, zeta = stepper.step(w, t0 + i * dt, dt, zeta)
+        w_adv, zeta_adv = _stepper(ex31_design, nodes, nl, v, variant).advance(w0, t0, dt, k, zeta0)
+        scale = max(np.abs(w).max(), np.abs(zeta).max(initial=0.0))
+        assert np.abs(w_adv - w).max() <= 1e-12 * scale
+        assert np.abs(zeta_adv - zeta).max(initial=0.0) <= 1e-12 * scale
+
+    def test_dirichlet_plant_advance_equals_steps(self, ex32_design):
+        nodes, dt, k = 201, 0.002, 45
+        u0 = pf.cosine(math.sqrt(2.0), math.pi / 2.0).values(uniform_grid(nodes))
+        u0[-1] = 0.0
+        stepper = _stepper(ex32_design, nodes, ZeroTerm(), SINE_INPUT, None)
+        u = u0
+        for i in range(k):
+            u = stepper.step(u, i * dt, dt)[0]
+        u_adv = _stepper(ex32_design, nodes, ZeroTerm(), SINE_INPUT, None).advance(u0, 0.0, dt, k)[0]
+        assert np.abs(u_adv - u).max() <= 1e-12 * np.abs(u).max()
+        assert u_adv[-1] == 0.0
+
+    @pytest.mark.parametrize("design_name", ["ex31_design", "ex32_design"])
+    @pytest.mark.parametrize("nonlocal_term", [False, True], ids=["zero", "nonlocal"])
+    def test_predictor_matches_plant_on_matched_states(self, request, design_name, nonlocal_term):
+        # T_o [u; C u] = [T_p u; C T_p u]: the error coordinates are the scheme's own
+        design = request.getfixturevalue(design_name)
+        nodes, dt = 101, 0.01
+        grid = uniform_grid(nodes)
+        nl = (LinearNonlocalTerm(grid, a=pf.cosine_series(0.5, [0.3]), b=1.0, gain=0.8)
+              if nonlocal_term else ZeroTerm())
+        plant = _stepper(design, nodes, nl, SpaceTimeSignal(), None)
+        obs = _stepper(design, nodes, nl, SpaceTimeSignal(), "predictor")
+        u = plant.op.pin(np.random.default_rng(3).standard_normal(nodes))
+        t_p = plant.advance(u, 0.0, dt, 1)[0]
+        w, zeta = obs.advance(u, 0.0, dt, 1, obs.c_rows @ u)
+        assert np.abs(w - t_p).max() <= 1e-14 * np.abs(u).max()
+        assert np.abs(zeta - obs.c_rows @ t_p).max() <= 1e-14 * np.abs(u).max()
+
+    def test_saturated_term_steps(self, ex31_design):
+        grid = uniform_grid(101)
+        nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])], amplitudes=[pf.constant(0.3)])
+        stepper = _stepper(ex31_design, 101, nl, SINE_INPUT, "zoh")
+        w, zeta = np.cos(math.pi * grid), np.array([0.2])
+        w_adv, _ = stepper.advance(w, 0.1, 0.01, 12, zeta)
+        reference = _stepper(ex31_design, 101, nl, SINE_INPUT, "zoh")
+        for i in range(12):
+            w, zeta = reference.step(w, 0.1 + i * 0.01, 0.01, zeta)
+        np.testing.assert_array_equal(w_adv, w)
+        assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (12, 0, 0)
+
+    def test_powers_past_the_memory_cap_step(self, ex31_design, monkeypatch):
+        monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 0)
+        stepper = _stepper(ex31_design, 101, ZeroTerm(), SpaceTimeSignal(), "predictor")
+        stepper.advance(np.ones(101), 0.0, 0.01, 5, np.zeros(1))
+        assert (stepper.steps, stepper.propagators_built) == (5, 0)
+
+    def test_powers_are_kept_per_dt(self, ex31_design):
+        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, None)
+        u = np.ones(101)
+        for k in (3, 20, 7):
+            stepper.advance(u, 0.0, 0.01, k)
+        assert stepper.propagators_built == 1
+        assert stepper.propagator_products == 2 + 2 + 3  # popcount of 3, 20 and 7
+        stepper.advance(u, 0.0, 0.02, 1)
+        assert stepper.propagators_built == 2
+
+
+def _step_loop_errors(scenario) -> np.ndarray:
+    """||w - u|| at every sample, from the plain step loop over (u, w, zeta)."""
+    design, nodes = scenario.design, scenario.nodes
+    pieces = _observer_pieces(design, nodes)
+    op, dist = pieces["op"], scenario.disturbances
+    plant = _stepper(design, nodes, scenario.nonlinearity, dist.v, None)
+    obs = _stepper(design, nodes, scenario.nonlinearity, dist.v_tilde, scenario.variant)
+    u = op.pin(pf.as_profile(scenario.u0, op.grid).values(op.grid))
+    w = op.pin(pf.as_profile(scenario.w0, op.grid).values(op.grid))
+    zeta, errors = np.zeros(design.m), []
+    times = scenario.schedule.times
+    for j, t_j in enumerate(times):
+        y = measure(u, pieces["k_rows"], np.array([s.value(t_j, j) for s in dist.xi]))
+        if scenario.variant == "predictor":
+            zeta = reset_predictor(y, w, pieces["gap_rows"])
+        else:
+            zeta = pieces["k_rows"] @ w - y
+        errors.append(math.sqrt(op.weights @ (w - u) ** 2))
+        if j + 1 == len(times):
+            return np.array(errors)
+        n_sub = math.ceil((times[j + 1] - t_j) / scenario.dt - 1e-9)
+        dt = (times[j + 1] - t_j) / n_sub
+        for s in range(n_sub):
+            u = plant.step(u, t_j + s * dt, dt)[0]
+            w, zeta = obs.step(w, t_j + s * dt, dt, zeta)
+
+
+class TestSimulatePropagation:
+    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
+    @pytest.mark.parametrize("h", [0.25, 0.3])
+    def test_error_coordinates_match_step_loop(self, ex31_design, variant, h):
+        # at h = 0.3 the gaps of arange(n) * h differ in their last bits; only
+        # the first interval is stepped either way
+        grid = uniform_grid(101)
+        nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.3, [0.2]), b=pf.constant(1.0), gain=0.3)
+        design = dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R)
+        v_tilde = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
+        dist = Disturbances(v=SINE_INPUT, v_tilde=v_tilde,
+                            xi=(NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),))
+        sc = Scenario(design=design, variant=variant, nodes=101, dt=0.01, snapshot_every=0.05,
+                      schedule=make_schedule({"kind": "uniform", "h": h, "horizon": 4.0}),
+                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), nonlinearity=nl,
+                      disturbances=dist)
+        traj = quiet_simulate(sc)
+        counts = traj.metadata["integrator"]
+        assert counts["propagators_built"] == 2 and counts["propagator_products"] > 0
+        assert counts["steps"] == 2 * round(h / 0.01)
+        reference = _step_loop_errors(sc)
+        assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
+
+    def test_saturated_and_random_runs_build_no_propagator(self, ex31_design):
+        grid = uniform_grid(101)
+        nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])], amplitudes=[pf.constant(0.2)])
+        uniform = make_schedule({"kind": "uniform", "h": 0.25, "horizon": 1.0})
+        random = make_schedule({"kind": "random", "h_min": 0.1, "h_max": 0.3, "horizon": 1.0, "seed": 5})
+        runs = [
+            Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R), variant="zoh",
+                     schedule=uniform, nodes=101, dt=0.01, u0=1.0, w0=0.0, nonlinearity=nl),
+            Scenario(design=ex31_design, variant="predictor", schedule=random, nodes=101, dt=0.01,
+                     u0=1.0, w0=0.0),
+        ]
+        for sc in runs:
+            counts = quiet_simulate(sc).metadata["integrator"]
+            assert counts["propagators_built"] == counts["propagator_products"] == 0
+            assert counts["steps"] >= 2 * 100
