@@ -126,9 +126,9 @@ def cmd_design(args) -> int:
     print(summary)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        basis_ref = os.path.join(args.out, "basis.csv")
-        basis_to_csv(design.basis, basis_ref)
-        _write_json(os.path.join(args.out, "design.json"), design_to_json(design, basis_ref))
+        # the ref is relative to design.json, so the directory can move
+        basis_to_csv(design.basis, os.path.join(args.out, "basis.csv"))
+        _write_json(os.path.join(args.out, "design.json"), design_to_json(design, "basis.csv"))
         with open(os.path.join(args.out, "certificate.txt"), "w") as fh:
             fh.write(summary + "\n")
     return EXIT_OK

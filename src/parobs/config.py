@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 
 import numpy as np
 
@@ -98,6 +99,8 @@ _PROFILE_KINDS = {
 
 
 def load_config(path) -> dict:
+    """The config at ``path``, with a relative ``design_ref`` resolved
+    against the directory of that file."""
     with open(path) as fh:
         try:
             cfg = json.load(fh)
@@ -105,6 +108,8 @@ def load_config(path) -> dict:
             raise ConfigError(str(path), f"not valid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(str(path), "top-level config must be an object")
+    if isinstance(cfg.get("design_ref"), str):
+        cfg["design_ref"] = os.path.join(os.path.dirname(path), cfg["design_ref"])
     return cfg
 
 
@@ -159,10 +164,12 @@ def _check_keys(node, path: str, allowed: set) -> None:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_profile(spec, path: str):
-    if spec is None:
-        return
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+    if spec is None or _is_number(spec):
         return
     if not isinstance(spec, dict):
         raise ConfigError(path, "profile must be a number or an object with 'kind'")
@@ -190,8 +197,10 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
     if p <= 0:
         raise ConfigError("problem.p", "diffusion constant must be positive")
     _check_profile(_expect(cfg, "problem.q", (dict, int, float), default=0.0), "problem.q")
-    for coeff in ("a0", "b0", "a1", "b1"):
-        _expect(cfg, f"problem.bc.{coeff}", (int, float), required=True)
+    for a, b in (("a0", "b0"), ("a1", "b1")):
+        pair = [_expect(cfg, f"problem.bc.{c}", (int, float), required=True) for c in (a, b)]
+        if not any(pair):
+            raise ConfigError("problem.bc", f"{a} and {b} must not both be zero")
 
     modes = _expect(cfg, "basis.modes", int, default=_DEFAULT_MODES)
     if modes < 2:
@@ -212,6 +221,8 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         L = _expect(cfg, "design.L", list, required=True)
         if not L or not all(isinstance(r, list) for r in L):
             raise ConfigError("design.L", "gain matrix must be a list of rows")
+        if not all(_is_number(v) for row in L for v in row):
+            raise ConfigError("design.L", "every gain entry must be a number")
         channels = _expect(cfg, "design.channels", list, required=True)
         if not channels:
             raise ConfigError("design.channels", "need at least one output channel")
@@ -242,7 +253,8 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         if kind is not None and kind not in ("uniform", "random", "explicit"):
             raise ConfigError("schedule.kind", f"unknown schedule kind {kind!r}")
         if kind == "explicit":
-            _expect(cfg, "schedule.times", list, required=True)
+            if not all(map(_is_number, _expect(cfg, "schedule.times", list, required=True))):
+                raise ConfigError("schedule.times", "every sample time must be a number")
         numbers = {"uniform": ("h", "horizon"), "random": ("h_min", "h_max", "horizon")}
         for key in ("h", "h_min", "h_max", "horizon"):
             _expect(cfg, f"schedule.{key}", (int, float), required=key in numbers.get(kind, ()))
@@ -274,7 +286,7 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         values = _expect(cfg, "sweep.values", list, required=True)
         if not values:
             raise ConfigError("sweep.values", "need at least one value")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        if not all(map(_is_number, values)):
             raise ConfigError("sweep.values", "every value must be a number")
         _expect(cfg, "sweep.simulate", bool)
 
@@ -309,8 +321,13 @@ def build_basis(cfg: dict, problem: SLProblem) -> SpectralBasis:
 
 def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBasis | None = None) -> ObserverDesign:
     if "design_ref" in cfg and "design" not in cfg:
-        with open(cfg["design_ref"]) as fh:
-            return design_from_json(json.load(fh))
+        path = cfg["design_ref"]
+        with open(path) as fh:
+            doc = json.load(fh)
+        ref = doc["basis"].get("ref")
+        if ref:  # a relative basis ref names a file beside design.json
+            doc["basis"]["ref"] = os.path.join(os.path.dirname(path), ref)
+        return design_from_json(doc)
     problem = problem or build_problem(cfg)
     basis = basis or build_basis(cfg, problem)
     d = cfg["design"]

@@ -12,8 +12,9 @@ class UnsupportedAnalyticCase(ParobsError):
     profiles with pure Neumann/Dirichlet ends."""
 
 
-class ResolutionTooCoarse(ParobsError):
-    """Requested modes are not resolved by the finite-difference grid."""
+class ResolutionTooCoarse(ParobsError, ValueError):
+    """Requested modes are not resolved by the finite-difference grid. Also a
+    ValueError, for callers that catch that."""
 
 
 class InvalidM(ParobsError):
@@ -82,8 +83,9 @@ class StepRejected(ParobsError):
     stiff saturated term (dt times its gain >> 1) fails to converge."""
 
 
-class InvalidSpec(ParobsError):
-    """Malformed schedule or signal specification."""
+class InvalidSpec(ParobsError, ValueError):
+    """Malformed schedule, signal or initial-field specification. Also a
+    ValueError, for callers that catch that."""
 
 
 class ScheduleHorizonMismatch(ParobsError):

@@ -75,19 +75,11 @@ class OutputChannel:
         object.__setattr__(self, "kernel", pf.as_profile(self.kernel))
         object.__setattr__(self, "approximant", pf.as_profile(self.approximant))
 
-    def boundary_residual(self, problem: SLProblem, grid: np.ndarray) -> float:
-        c = self.approximant
-        if getattr(c, "closed_form", False):
-            vals = c.values(np.array([0.0, 1.0]))
-            dvals = c.derivative().values(np.array([0.0, 1.0]))
-            u = np.array([vals[0], vals[1]])
-            d0, d1 = float(dvals[0]), float(dvals[1])
-        else:
-            samples = c.values(grid)
-            d = c.derivative().values(grid)
-            u = np.array([samples[0], samples[-1]])
-            d0, d1 = float(d[0]), float(d[-1])
-        return problem.boundary_residual(u, d0, d1)
+    def boundary_residual(self, problem: SLProblem) -> float:
+        """The approximant's relative defect in the Robin end conditions."""
+        ends = np.array([0.0, 1.0])
+        d0, d1 = self.approximant.derivative().values(ends)
+        return problem.boundary_residual(self.approximant.values(ends), float(d0), float(d1))
 
 
 def build_A(eigenvalues: Sequence[float], L: np.ndarray, c_coeffs: np.ndarray) -> np.ndarray:
@@ -208,7 +200,7 @@ def _channel_coefficients(problem: SLProblem, basis: SpectralBasis, channels) ->
     if not channels:
         raise ValueError("need at least one output channel")
     for ch in channels:
-        res = ch.boundary_residual(problem, basis.grid)
+        res = ch.boundary_residual(problem)
         if res > _BC_TOL:
             raise ApproximantOutsideDomain(
                 f"channel {ch.label or '?'}: approximant violates the Robin "
@@ -358,7 +350,6 @@ def certificate_defects(A: np.ndarray, P: np.ndarray, sigma: float) -> dict:
     }
 
 
-_FD4_INTERIOR = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _FD4_EDGE0 = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / 12.0
 _FD4_EDGE1 = np.array([10.0, -15.0, -4.0, 14.0, -6.0, 1.0]) / 12.0
 
@@ -622,7 +613,9 @@ def select_Q(
 
 def design_to_json(design: ObserverDesign, basis_ref: str | None = None) -> dict:
     """JSON document with all scalars and row-major matrices; grid functions
-    are carried by profile specs plus an optional basis CSV reference."""
+    are carried by profile specs plus an optional basis CSV reference, which
+    ``config.build_design`` resolves against the directory of design.json
+    when it is relative."""
     d = design
     return {
         "schema_version": 1,

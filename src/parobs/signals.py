@@ -136,19 +136,19 @@ class NoiseSignal:
     seed: int = 0
     channel: int = 0
 
-    def value(self, t: float, sample_index: int | None = None) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.amplitude
-        if self.kind == "sinusoid":
-            return self.amplitude * float(np.sin(self.omega * t + self.phase))
-        if self.kind == "random":
-            if sample_index is None:
-                return 0.0  # random noise is defined only at sample instants
+    def value(self, t, sample_index: int | None = None):
+        """xi(t) at a time t, or elementwise at an array of times. Random
+        noise is drawn per sample index and reads 0 without one."""
+        if self.kind == "random" and sample_index is not None:
             rng = np.random.default_rng([self.seed, self.channel, int(sample_index)])
             return float(rng.uniform(-self.amplitude, self.amplitude))
-        raise InvalidSpec(f"unknown noise kind {self.kind!r}")
+        if self.kind == "sinusoid":
+            out = self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase)
+        elif self.kind in ("zero", "constant", "random"):
+            out = np.full(np.shape(t), self.amplitude if self.kind == "constant" else 0.0)
+        else:
+            raise InvalidSpec(f"unknown noise kind {self.kind!r}")
+        return out if np.ndim(t) else float(out)
 
     @property
     def bound(self) -> float:

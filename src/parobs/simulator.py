@@ -33,12 +33,12 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import profiles as pf
-from .errors import ConfigError, ScheduleHorizonMismatch, StepRejected
+from .errors import ConfigError, InvalidSpec, ScheduleHorizonMismatch, StepRejected
 from .grids import snapshot_norms, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, injection_kernels, small_gain
 from .schedule import SamplingSchedule
-from .signals import Disturbances, SpaceTimeSignal, TimeSignal
+from .signals import Disturbances, SpaceTimeSignal, TimeSignal, field_signal_from_spec
 from .sturm_liouville import DiscreteSLOperator, SLProblem
 
 __all__ = [
@@ -311,7 +311,7 @@ class IMEXStepper:
 def step_plant(u, t, dt, problem: SLProblem, nonlinearity: NonlinearTerm | None, v) -> np.ndarray:
     """Single IMEX plant step on the grid implied by len(u)."""
     op = DiscreteSLOperator(problem, len(u))
-    stepper = IMEXStepper(op, nonlinearity or ZeroTerm(), _as_field_signal(v))
+    stepper = IMEXStepper(op, nonlinearity or ZeroTerm(), field_signal_from_spec(v))
     return stepper.step(np.asarray(u, dtype=float), t, dt)[0]
 
 
@@ -319,7 +319,7 @@ def step_observer_predictor(w, zeta, t, dt, design: ObserverDesign, nonlinearity
     """Single coupled (w, zeta) step for the predictor observer."""
     pieces = _observer_pieces(design, len(w))
     stepper = IMEXStepper(
-        pieces["op"], nonlinearity or ZeroTerm(), _as_field_signal(v_tilde),
+        pieces["op"], nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde),
         pieces["l_cols"], pieces["c_rows"], pieces["stiff_rows"],
     )
     return stepper.step(np.asarray(w, dtype=float), t, dt, np.asarray(zeta, dtype=float))
@@ -329,19 +329,9 @@ def step_observer_zoh(w, held, t, dt, design: ObserverDesign, nonlinearity, v_ti
     """Single observer step with held innovation."""
     pieces = _observer_pieces(design, len(w))
     stepper = IMEXStepper(
-        pieces["op"], nonlinearity or ZeroTerm(), _as_field_signal(v_tilde), pieces["l_cols"]
+        pieces["op"], nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde), pieces["l_cols"]
     )
     return stepper.step(np.asarray(w, dtype=float), t, dt, np.asarray(held, dtype=float))[0]
-
-
-def _as_field_signal(v) -> SpaceTimeSignal:
-    if v is None:
-        return SpaceTimeSignal()
-    if isinstance(v, SpaceTimeSignal):
-        return v
-    from .signals import field_signal_from_spec
-
-    return field_signal_from_spec(v)
 
 
 def _observer_pieces(design: ObserverDesign, nodes: int) -> dict:
@@ -365,13 +355,11 @@ def _observer_pieces(design: ObserverDesign, nodes: int) -> dict:
 
 @dataclass(frozen=True)
 class SampleEvent:
+    """The j-th sample: its time and the measurement noise xi(t_j) it read."""
+
     index: int
     t: float
-    y: np.ndarray
-    xi: np.ndarray | None = None
-    zeta_before: np.ndarray | None = None
-    zeta_after: np.ndarray | None = None
-    held: np.ndarray | None = None
+    xi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -496,6 +484,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     v_obs = _difference(dist.v_tilde, dist.v) if linear else dist.v_tilde
     obs = IMEXStepper(op, nl, v_obs, *channels)
     c_rows = pieces["c_rows"] if predictor else np.zeros((design.m, op.grid.size))
+    k_rows = pieces["k_rows"]
     x = w - u if linear else w  # the observer's field in its own coordinates
     z = np.zeros(design.m)  # its predictor state, or held innovation
 
@@ -529,20 +518,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     next_snap, prev_dt = 0.0, None
     for j, t_j in enumerate(sample_times):
         xi_vals = np.array([0.0 if s is None else s.value(t_j, j) for s in xi])
-        y = measure(u, pieces["k_rows"], xi_vals)
-        seen = xi_vals if linear else y  # y - <k, u> in error coordinates
-        if predictor:
-            before = observer_state()[1]
-            z = reset_predictor(seen, x, pieces["gap_rows"])
-            events.append(
-                SampleEvent(
-                    index=j, t=float(t_j), y=y, xi=xi_vals,
-                    zeta_before=before, zeta_after=observer_state()[1],
-                )
-            )
-        else:
-            z = pieces["k_rows"] @ x - seen
-            events.append(SampleEvent(index=j, t=float(t_j), y=y, xi=xi_vals, held=z.copy()))
+        # y - <k, u> is the noise alone in error coordinates
+        seen = xi_vals if linear else measure(u, k_rows, xi_vals)
+        z = reset_predictor(seen, x, pieces["gap_rows"]) if predictor else k_rows @ x - seen
+        events.append(SampleEvent(index=j, t=float(t_j), xi=xi_vals))
         record(float(t_j), True)
         next_snap = max(next_snap, float(t_j)) + snap_every
 
@@ -635,7 +614,7 @@ def _initial_field(profile_like, op: DiscreteSLOperator) -> np.ndarray:
     vals = np.array(vals, dtype=float)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     if op.problem.dirichlet_left and abs(vals[0]) > 1e-8 * scale:
-        raise ValueError("initial field violates the Dirichlet condition at x = 0")
+        raise InvalidSpec("initial field violates the Dirichlet condition at x = 0")
     if op.problem.dirichlet_right and abs(vals[-1]) > 1e-8 * scale:
-        raise ValueError("initial field violates the Dirichlet condition at x = 1")
+        raise InvalidSpec("initial field violates the Dirichlet condition at x = 1")
     return op.pin(vals)

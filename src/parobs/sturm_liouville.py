@@ -290,13 +290,14 @@ def numeric_eigensystem(problem: SLProblem, J: int, nodes: int) -> SpectralBasis
 
     Eigenfunctions are orthonormal in the trapezoid inner product and carry
     the deterministic sign convention (first nonzero value or derivative at
-    x = 0 is positive). Raises ResolutionTooCoarse when the estimated
-    discretization error is too large to separate adjacent modes.
+    x = 0 is positive). Raises ResolutionTooCoarse when the grid has fewer
+    than 8 nodes per mode, or when the estimated discretization error is too
+    large to separate adjacent modes.
     """
     if J < 1:
         raise ValueError("need at least one mode")
     if nodes < 8 * J:
-        raise ValueError(f"need nodes >= 8*J = {8 * J}, got {nodes}")
+        raise ResolutionTooCoarse(f"need nodes >= 8*J = {8 * J}, got {nodes}")
     op = DiscreteSLOperator(problem, nodes)
     sub, diag, sup = op.free_tridiagonals()
     w = op.weights[op.free]

@@ -280,6 +280,85 @@ def test_oracle_matches_event_replay(make_cfg):
     assert trace.violations == ref["violations"]
 
 
+def looped_ios_bound(traj, report, dist, slack=0.02):
+    """Reference for ``check_ios_bound``: the running suprema one snapshot
+    at a time with explicit weights exp(kappa t), and the sample noise found
+    by its time."""
+    kappa, coeff = report.kappa, report.coefficients
+    times, m = traj.times, traj.zeta.shape[1]
+    event_noise = {e.t: np.abs(np.asarray(e.xi)) for e in traj.events}
+    noise_hist, mism_hist = np.zeros((times.size, m)), np.zeros(times.size)
+    run_noise, run_mism = np.zeros(m), 0.0
+    for k, t in enumerate(times):
+        wt = math.exp(kappa * t)
+        vals = np.array([abs(s.value(t)) for s in dist.xi]) if dist.xi else np.zeros(m)
+        if t in event_noise:
+            vals = np.maximum(vals, event_noise[t])
+        run_noise = np.maximum(run_noise, vals * wt)
+        noise_hist[k] = run_noise / wt
+        diff = dist.mismatch_field(t, traj.grid)
+        run_mism = max(run_mism, math.sqrt(max(np.dot(traj.weights, diff * diff), 0.0)) * wt)
+        mism_hist[k] = run_mism / wt
+    e0 = float(traj.error_l2[0])
+    rhs = coeff.initial * np.exp(-kappa * times) * e0 + noise_hist @ coeff.noise
+    rhs = rhs + coeff.mismatch * mism_hist
+    violations = int(np.sum(traj.error_l2 > rhs * (1.0 + slack) + 1e-12 * max(e0, 1.0)))
+    return {"rhs": rhs, "margins": rhs - traj.error_l2, "noise_history": noise_hist,
+            "mismatch_history": mism_hist, "violations": violations}
+
+
+def _predictor_noise_mismatch_run():
+    return cf.example31_config(1.0, 0.3, 0.3, "predictor", 0.01, mismatch=0.02, horizon=4.0,
+                               nodes=101, modes=64)
+
+
+def _hold_constant_noise_run():
+    return cf.example31_config(1.0, 0.1, 0.1, "zoh", {"kind": "constant", "amplitude": 0.01},
+                               horizon=2.0, nodes=101, modes=64)
+
+
+def _checked_run(cfg):
+    scenario = cf.build_scenario(cfg, seed=0)
+    report = cf.gain_report(cfg, scenario.design)
+    assert report.feasible
+    return quiet_simulate(scenario), report, scenario.disturbances
+
+
+@pytest.mark.parametrize("make_cfg", [_predictor_noise_mismatch_run, _nonlinear_zoh_run,
+                                      _hold_constant_noise_run],
+                         ids=["example31-predictor", "nonlinear-zoh", "example31-hold"])
+def test_ios_bound_matches_snapshot_loop(make_cfg):
+    traj, report, dist = _checked_run(make_cfg())
+    chk = check_ios_bound(traj, report, dist)
+    ref = looped_ios_bound(traj, report, dist)
+    assert np.max(ref["noise_history"]) > 0.0
+    for key in ("rhs", "noise_history", "mismatch_history"):
+        np.testing.assert_allclose(getattr(chk, key), ref[key], rtol=1e-13, atol=0.0)
+    assert np.all(np.abs(chk.margins - ref["margins"]) <= 1e-13 * ref["rhs"])
+    assert chk.violations == ref["violations"]
+
+
+def test_ios_bound_without_noise_or_mismatch_is_the_initial_term_bit_for_bit():
+    traj, report, dist = _checked_run(cf.example31_config(1.0, 0.3, 0.3, horizon=2.0, nodes=101,
+                                                          modes=64))
+    chk = check_ios_bound(traj, report, dist)
+    np.testing.assert_array_equal(chk.rhs, looped_ios_bound(traj, report, dist)["rhs"])
+    assert not chk.noise_history.any() and not chk.mismatch_history.any()
+
+
+def test_ios_bound_does_not_overflow_past_kappa_t_710():
+    cfg = cf.example31_config(1.0, 0.2, 0.5, "predictor", 0.01, horizon=300.0, nodes=51,
+                              modes=64)
+    traj, report, dist = _checked_run(cfg)
+    assert report.kappa * traj.times[-1] > 710.0
+    with pytest.raises(OverflowError):
+        looped_ios_bound(traj, report, dist)  # exp(kappa t) leaves the float range
+    chk = check_ios_bound(traj, report, dist)
+    assert np.all(np.isfinite(chk.rhs)) and np.all(np.isfinite(chk.noise_history))
+    assert chk.violations == 0
+    assert 0.0 < np.max(chk.noise_history) <= 0.01
+
+
 def _looped_ends(traj):
     """(f, f'(0), f'(1), sup |f|) of every snapshot field, one at a time."""
     dx = traj.grid[1] - traj.grid[0]

@@ -65,6 +65,13 @@ def example31_config(**extra):
     return cfg
 
 
+def printed_omega(capsys, config) -> float:
+    """The Omega that ``parobs check-gain`` prints for a config file."""
+    capsys.readouterr()
+    assert main(["check-gain", "--config", str(config)]) == 0
+    return float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "run.json"
@@ -228,11 +235,15 @@ class TestCli:
             (["basis.modes=8", "design.N=3"], "design.L"),  # L holds one entry
             (["design.sigma_fraction=1.5"], "design.sigma_fraction"),
             (["design.sigma_fraction=0"], "design.sigma_fraction"),
+            (['design.L=[["a"]]'], "design.L"),
+            (['schedule={"kind":"explicit","times":[0,"a",1]}'], "schedule.times"),
+            (["problem.bc.b0=0"], "problem.bc"),  # a0 is 0 too
         ],
-        ids=["N_at_default_modes", "N_at_modes", "L_size", "sigma_fraction_above_1", "sigma_fraction_0"],
+        ids=["N_at_default_modes", "N_at_modes", "L_size", "sigma_fraction_above_1", "sigma_fraction_0",
+             "L_entry", "schedule_time", "bc_pair"],
     )
     def test_design_override_is_a_config_error(self, tmp_path, capsys, overrides, path):
-        # each of these used to reach make_design and die with a bare ValueError
+        # each of these used to reach a builder and die with a bare ValueError
         cfg = example31_config()
         del cfg["basis"]["modes"]
         config = tmp_path / "cfg.json"
@@ -272,6 +283,27 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         assert f"InvalidSpec: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, override, message",
+        [
+            ("check-gain", "design_sweep", "basis.nodes=10",
+             "ResolutionTooCoarse: need nodes >= 8*J = 512, got 10"),
+            ("simulate", "example32", "initial.u0=1.0",
+             "InvalidSpec: initial field violates the Dirichlet condition at x = 1"),
+        ],
+        ids=["basis_nodes", "dirichlet_u0"],
+    )
+    def test_typed_input_error_exit_code(self, tmp_path, capsys, command, config, override, message):
+        # each of these used to end in a bare ValueError traceback (exit 1); the
+        # config errors among those inputs are in test_design_override_is_a_config_error
+        path = DESIGN_SWEEP.parent / f"{config}.json"
+        if config == "example32":
+            path = tmp_path / "example32.json"
+            path.write_text(json.dumps(cf.example32_config(h=0.1, horizon=1.0)))
+        argv = [command, "--config", str(path), "--set", override, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_initial_profile_of_wrong_type_is_a_config_error(self, tmp_path, capsys):
         config = Path(__file__).parents[1] / "benchmarks" / "configs" / "nonlinear_zoh.json"
         argv = ["simulate", "--config", str(config), "--set", 'initial.u0="abc"', "--out", str(tmp_path)]
@@ -289,11 +321,6 @@ class TestCli:
         assert "ApproximantOutsideDomain" in err and "Robin" in err
 
     def test_design_ref_reproduces_the_config_design(self, tmp_path, capsys):
-        def omega(config):
-            capsys.readouterr()
-            assert main(["check-gain", "--config", str(config)]) == 0
-            return float(capsys.readouterr().out.splitlines()[0].split("=")[1])
-
         out = tmp_path / "design"
         assert main(["design", "--config", str(DESIGN_SWEEP), "--out", str(out)]) == 0
         cfg = json.loads(DESIGN_SWEEP.read_text())
@@ -302,10 +329,30 @@ class TestCli:
         cfg["design_ref"] = str(out / "design.json")
         path = tmp_path / "ref.json"
         path.write_text(json.dumps(cfg))
-        assert omega(path) == pytest.approx(omega(DESIGN_SWEEP), rel=1e-12, abs=0.0)
+        assert printed_omega(capsys, path) == pytest.approx(printed_omega(capsys, DESIGN_SWEEP),
+                                                            rel=1e-12, abs=0.0)
         # the basis comes back from basis.csv, written with 17 significant digits
         loaded = build_design(cfg)
         assert np.max(np.abs(loaded.c_coeffs - direct.c_coeffs)) <= 8e-16
+
+    def test_relocated_design_gives_the_same_omega(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["design", "--config", str(DESIGN_SWEEP), "--out", "ds/design"]) == 0
+        doc = json.loads((tmp_path / "ds" / "design" / "design.json").read_text())
+        assert doc["basis"]["ref"] == "basis.csv"
+        cfg = json.loads(DESIGN_SWEEP.read_text())
+        del cfg["design"]
+        cfg["design_ref"] = "design/design.json"  # relative to the config file
+        (tmp_path / "ds" / "ref.json").write_text(json.dumps(cfg))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert printed_omega(capsys, tmp_path / "ds" / "ref.json") == pytest.approx(
+            printed_omega(capsys, DESIGN_SWEEP), rel=1e-12, abs=0.0)
+        # --set design_ref stays relative to the working directory
+        argv = ["check-gain", "--config", str(tmp_path / "ds" / "ref.json"),
+                "--set", "design_ref=../ds/design/design.json"]
+        assert main(argv) == 0
 
     def test_missing_file_exit_code(self):
         assert main(["check-gain", "--config", "/nonexistent.json"]) == 2

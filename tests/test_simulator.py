@@ -286,13 +286,21 @@ class TestSimulate:
         assert np.all(np.diff(traj.times) > 0)
 
     def test_predictor_zeta_is_right_continuous_at_samples(self, ex31_design):
+        # the sample row records zeta after the reset y - <k - c, w>, y = <k, u> + xi
         sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 1.0})
+        noise = Disturbances(xi=(NoiseSignal("sinusoid", 0.01, omega=2.0, phase=0.3),))
         sc = Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
-                      u0=pf.cosine_series(1.0, [0.4]), w0=pf.constant(0.0))
+                      u0=pf.cosine_series(1.0, [0.4]), w0=pf.constant(0.0), disturbances=noise)
         traj = quiet_simulate(sc)
+        pieces = _observer_pieces(ex31_design, 101)
+        assert len(traj.events) == 3
         for ev in traj.events:
             k = int(np.searchsorted(traj.times, ev.t))
-            assert traj.zeta[k, 0] == pytest.approx(ev.zeta_after[0], abs=1e-15)
+            assert traj.times[k] == ev.t and traj.sample_flag[k]
+            assert ev.xi[0] != 0.0
+            y = measure(traj.u[k], pieces["k_rows"], ev.xi)
+            reset = reset_predictor(y, traj.w[k], pieces["gap_rows"])
+            assert traj.zeta[k, 0] == pytest.approx(reset[0], abs=1e-15)
 
     def test_divergence_above_uniform_threshold(self):
         # hold-variant observer diverges for uniform periods above 4/(p pi^2)
