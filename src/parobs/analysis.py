@@ -27,7 +27,7 @@ from .config import (
     gain_report,
 )
 from .errors import DecayedToFloor, InfeasibleReport, TailTooShort
-from .grids import end_derivatives, snapshot_norms
+from .grids import cumulative_trapezoid, end_derivatives, snapshot_norms
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, SmallGainReport, max_diameter
 from .signals import Disturbances
@@ -583,10 +583,8 @@ def run_example_32(
     report, scenario, traj, (_, ios, _) = _run_preset(cfg, design, fit=False)
 
     # reconstruction error: u_hat - u = int_0^x (w - u~) ds, sup over x
-    from scipy.integrate import cumulative_trapezoid
-
     e = traj.error_fields()
-    cum = cumulative_trapezoid(e, traj.grid, axis=1, initial=0.0)
+    cum = cumulative_trapezoid(e, traj.grid)
     sup_error = np.max(np.abs(cum), axis=1)
 
     coeff = report.coefficients

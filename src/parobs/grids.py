@@ -14,6 +14,7 @@ __all__ = [
     "uniform_grid",
     "trapezoid_weights",
     "snapshot_norms",
+    "cumulative_trapezoid",
     "end_derivatives",
 ]
 
@@ -35,6 +36,14 @@ def snapshot_norms(fields: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     """Trapezoid L2 norm and grid sup norm of each row of ``fields``."""
     l2 = np.sqrt(np.maximum((fields**2) @ weights, 0.0))
     return l2, np.max(np.abs(fields), axis=1)
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over the grid x along the last axis,
+    starting at 0; scipy.integrate.cumulative_trapezoid(y, x, axis=-1,
+    initial=0) bit for bit."""
+    cum = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate([np.zeros((*cum.shape[:-1], 1), dtype=cum.dtype), cum], axis=-1)
 
 
 def end_derivatives(f: np.ndarray, dx: float):

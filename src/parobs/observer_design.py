@@ -10,13 +10,12 @@ corresponding input-to-output stability bounds.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
-from scipy.special import wrightomega
 
 from . import profiles as pf
 from .errors import (
@@ -160,6 +159,8 @@ def lyapunov_certificate(A: np.ndarray, sigma_fraction: float = 0.9) -> tuple[np
     N = A.shape[0]
     if N == 1:
         return np.array([[1.0]]), sigma
+    from scipy.linalg import solve_continuous_lyapunov
+
     shifted = A + sigma * np.eye(N)
     P0 = solve_continuous_lyapunov(shifted.T, -np.eye(N))
     P0 = 0.5 * (P0 + P0.T)
@@ -550,6 +551,33 @@ def recompute_omega(design: ObserverDesign, report: SmallGainReport) -> float:
     return omega
 
 
+def _wrightomega(x: float) -> float:
+    """Wright omega of a real x, the w with w + ln(w) = x, bit for bit as
+    scipy.special.wrightomega: a starting guess on (-inf, -2), [-2, 1) or
+    [1, inf), one Fritsch-Shafer-Crowley (FSC) update and a second one when
+    the condition-number test asks for it."""
+    if x < -50.0:
+        return math.exp(x)  # omega = e^x (1 - e^x + ...) rounds to e^x
+    if x > 1e20:
+        return x  # omega = x - ln(x) + ... rounds to x
+    if x < -2.0:
+        w = math.exp(x)
+    elif x < 1.0:
+        w = math.exp(2.0 * (x - 1.0) / 3.0)
+    else:
+        w = math.log(x)
+        w = x - w + w / x
+    for _ in range(2):
+        r = x - w - math.log(w)
+        wp1 = w + 1.0
+        t = 2.0 * wp1 * (wp1 + 2.0 / 3.0 * r)
+        w *= 1.0 + (r / wp1) * (t - r) / (t - 2.0 * r)
+        cond = abs((2.0 * w * w - 8.0 * w - 1.0) * abs(r) ** 4.0)
+        if cond < sys.float_info.epsilon * 72.0 * abs(wp1) ** 6.0:
+            break
+    return w
+
+
 def max_diameter(design: ObserverDesign, kappa: float, variant: str) -> float:
     """Largest sampling diameter h* with Omega(h*) = 1, in closed form.
 
@@ -557,9 +585,11 @@ def max_diameter(design: ObserverDesign, kappa: float, variant: str) -> float:
     a h + b = sum_i ||l_i|| (slope_i h + ||k_i - c_i||) is the bracket of
     the variant's Omega. The root is (C - b) / a at kappa = 0,
     ln(C / b) / kappa when a = 0, and otherwise u / kappa - b / a with
-    u = W0((C kappa / a) e^{kappa b / a}), taken as wrightomega of the log
-    so it cannot overflow. For kappa b / a > 1 the same root is written
+    u = W0((C kappa / a) e^{kappa b / a}), taken as the Wright omega of the
+    log so it cannot overflow. For kappa b / a > 1 the same root is written
     ln(C kappa / (a u)) / kappa, which avoids cancelling u / kappa - b / a.
+    The Wright omega is scipy's real-argument port of Lawrence, Corless &
+    Jeffrey, Algorithm 917 (ACM TOMS 38(3), 2012), in plain math.
 
     Returns math.inf when Omega is h-independent and below one (possible only
     when the h-proportional bracket vanishes and, for kappa > 0, nothing
@@ -578,7 +608,7 @@ def max_diameter(design: ObserverDesign, kappa: float, variant: str) -> float:
     if a == 0.0:
         return math.log(C / b) / kappa
     shift = kappa * b / a
-    u = float(wrightomega(math.log(C * kappa / a) + shift))
+    u = _wrightomega(math.log(C * kappa / a) + shift)
     if shift > 1.0:
         return math.log(C * kappa / (a * u)) / kappa
     return u / kappa - b / a

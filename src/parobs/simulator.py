@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from . import profiles as pf
 from .errors import ConfigError, InvalidSpec, ScheduleHorizonMismatch, StepRejected
@@ -140,10 +139,13 @@ class IMEXStepper:
         self.steps = self.propagators_built = self.propagator_products = 0
 
     def _factor(self, dt: float) -> None:
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         sub, diag, sup = self.op.free_tridiagonals()
         h = 0.5 * dt
         # M1 = I + dt/2 B_h (implicit), M0 = I - dt/2 B_h (explicit)
         *self._lu, info = dgttrf(h * sub, 1.0 + h * diag, h * sup)
+        self._gttrs = dgttrs  # bound here so the per-step _solve imports nothing
         if info:
             raise StepRejected(f"Crank-Nicolson matrix is singular at dt={dt:.6g}")
         self._m0 = (-h * sub, 1.0 - h * diag, -h * sup)
@@ -168,7 +170,7 @@ class IMEXStepper:
         """M1^-1 on the free nodes, zero at pinned ones."""
         out = np.zeros((self.op.grid.size, *rhs_free.shape[1:]))
         if rhs_free.size:  # dgttrs corrupts the heap when given no right-hand side
-            out[self.op.free] = dgttrs(*self._lu, rhs_free)[0]
+            out[self.op.free] = self._gttrs(*self._lu, rhs_free)[0]
         return out
 
     def _input(self, t: float) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import profiles as pf
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     ResolutionTooCoarse,
     UnsupportedAnalyticCase,
 )
-from .grids import end_derivatives, trapezoid_weights, uniform_grid
+from .grids import cumulative_trapezoid, end_derivatives, trapezoid_weights, uniform_grid
 
 __all__ = [
     "SLProblem",
@@ -298,6 +297,8 @@ def numeric_eigensystem(problem: SLProblem, J: int, nodes: int) -> SpectralBasis
         raise ValueError("need at least one mode")
     if nodes < 8 * J:
         raise ResolutionTooCoarse(f"need nodes >= 8*J = {8 * J}, got {nodes}")
+    from scipy.linalg import eigh_tridiagonal
+
     op = DiscreteSLOperator(problem, nodes)
     sub, diag, sup = op.free_tridiagonals()
     w = op.weights[op.free]
@@ -426,9 +427,7 @@ def liouville_transform(
         raise NonPositiveCoefficient("p and r must be strictly positive on the grid")
 
     s = np.sqrt(rv / pv)
-    from scipy.integrate import cumulative_trapezoid
-
-    integral = cumulative_trapezoid(s, x, initial=0.0)
+    integral = cumulative_trapezoid(s, x)
     total = integral[-1]
     eps = total**-2
     xi = integral / total

@@ -27,7 +27,7 @@ from parobs.errors import (
     ReactionOutOfRange,
     TailTooShort,
 )
-from parobs.grids import end_derivatives, trapezoid_weights, uniform_grid
+from parobs.grids import cumulative_trapezoid, end_derivatives, trapezoid_weights, uniform_grid
 from parobs.observer_design import OutputChannel, make_design, small_gain_predictor, small_gain_zoh
 from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal
@@ -379,6 +379,17 @@ def test_compatibility_residual_matches_snapshot_loop():
             psi = c[1] * d1 - c[0] * d0 - dc[1] * f[-1] + dc[0] * f[0]
             worst = max(worst, abs(psi) / scale)
     assert predictor_compatibility_residual(traj, scenario.design) == worst
+
+
+@pytest.mark.parametrize("shape", [(41,), (7, 41)])
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit(shape):
+    from scipy.integrate import cumulative_trapezoid as scipy_cumulative_trapezoid
+
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal(shape)
+    for x in (uniform_grid(41), np.sort(rng.uniform(0.0, 1.0, 41))):
+        reference = scipy_cumulative_trapezoid(y, x, axis=len(shape) - 1, initial=0.0)
+        assert np.array_equal(cumulative_trapezoid(y, x), reference)
 
 
 class TestVerdicts:

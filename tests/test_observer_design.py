@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import wrightomega
 
+from parobs import observer_design
 from parobs import profiles as pf
 from parobs.config import example31_design
 from parobs.errors import (
@@ -223,10 +225,14 @@ def worked_designs(ex31_design, ex32_design):
 @pytest.mark.parametrize("omega", [0.0, 1e-9, 1e-6, 0.1, 0.5])
 @pytest.mark.parametrize("variant", ["predictor", "zoh"])
 @pytest.mark.parametrize("name", ["ex31-p0.1", "ex31-p1", "ex32"])
-def test_max_diameter_closed_form_root(worked_designs, name, variant, omega, R):
+def test_max_diameter_closed_form_root(worked_designs, name, variant, omega, R, monkeypatch):
     d = dataclasses.replace(worked_designs[name], lipschitz_R=R)
     kappa = omega * d.mu
     h_star = max_diameter(d, kappa, variant)
+    # the closed form through scipy's Wright omega gives the same float
+    with monkeypatch.context() as m:
+        m.setattr(observer_design, "_wrightomega", lambda x: float(wrightomega(x)))
+        assert max_diameter(d, kappa, variant) == h_star
     reference = _bracketing_root(d, kappa, variant)
     if math.isinf(reference):
         assert math.isinf(h_star)
@@ -239,6 +245,37 @@ def test_import_leaves_scipy_optimize_out():
     code = "import sys, parobs; assert 'scipy.optimize' not in sys.modules"
     src = str(Path(pf.__file__).parents[1])  # the directory holding the parobs package
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_analytic_design_and_max_diameter_leave_scipy_out():
+    code = (
+        "import sys, parobs\n"
+        "from parobs.config import example31_design\n"
+        "d = example31_design(p=0.1)\n"
+        "parobs.max_diameter(d, 0.1 * d.mu, 'predictor')\n"
+        "parobs.small_gain_zoh(d, 0.3, 0.0)\n"
+        "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(pf.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_wrightomega_matches_scipy_bit_for_bit():
+    # the port's branch cut-offs (-50, -2, 1, 1e20), the grid's lower end and
+    # the floats on either side of each
+    cutoffs = np.array([-60.0, -50.0, -2.0, 1.0, 1e20])
+    xs = np.concatenate([
+        np.linspace(-60.0, 60.0, 2401),
+        np.geomspace(1e-3, 1e25, 561),
+        -np.geomspace(1e-3, 1e3, 241),
+        cutoffs,
+        np.nextafter(cutoffs, -np.inf),
+        np.nextafter(cutoffs, np.inf),
+    ])
+    ours = np.array([observer_design._wrightomega(float(x)) for x in xs])
+    differs = xs[ours != wrightomega(xs)]
+    assert differs.size == 0, differs[:5]
 
 
 class TestSelectQ:
