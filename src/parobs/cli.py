@@ -9,7 +9,8 @@ same build, simulate and ``check_run`` path; ``simulate``, ``example31`` and
 ``example32`` share one writer for ``report.json``, ``trajectory.csv`` and
 ``margins.csv`` and one ``--strict`` rule. Outputs are deterministic given
 the config and seed: floats print with 17 significant digits so reruns are
-byte-identical.
+byte-identical, and every CSV table but the mixed-type ``sweep.csv`` is
+written by ``grids.write_csv``.
 
 Exit codes: 0 success, 2 configuration error, 3 invariant violation under
 ``--strict``.
@@ -36,6 +37,7 @@ from .config import (
     validate_config,
 )
 from .errors import ConfigError, KappaOutOfRange, ParobsError, QInfeasible
+from .grids import write_csv
 from .observer_design import certificate_summary, design_to_json
 from .simulator import Trajectory, simulate
 from .sturm_liouville import basis_to_csv
@@ -55,11 +57,6 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _write_run(outdir: str, doc: dict, traj: Trajectory, ios=None, lyap=None) -> None:
     """report.json, trajectory.csv and margins.csv of one simulated run."""
     os.makedirs(outdir, exist_ok=True)
@@ -67,13 +64,8 @@ def _write_run(outdir: str, doc: dict, traj: Trajectory, ios=None, lyap=None) ->
 
     m = traj.zeta.shape[1]
     header = ["t", "err_l2", "err_sup"] + [f"zeta_{i + 1}" for i in range(m)] + ["sample_flag"]
-    lines = [",".join(header)]
-    for k in range(traj.times.size):
-        row = [_fmt(traj.times[k]), _fmt(traj.error_l2[k]), _fmt(traj.error_sup[k])]
-        row += [_fmt(traj.zeta[k, i]) for i in range(m)]
-        row.append("1" if traj.sample_flag[k] else "0")
-        lines.append(",".join(row))
-    _write_lines(os.path.join(outdir, "trajectory.csv"), lines)
+    cols = [traj.times, traj.error_l2, traj.error_sup, traj.zeta, traj.sample_flag]
+    write_csv(os.path.join(outdir, "trajectory.csv"), [",".join(header)], cols)
 
     header = ["t", "err_l2"]
     cols = [traj.times, traj.error_l2]
@@ -83,18 +75,14 @@ def _write_run(outdir: str, doc: dict, traj: Trajectory, ios=None, lyap=None) ->
     if lyap is not None:
         header += ["lyapunov_V", "lyapunov_rhs"]
         cols += [lyap.V, lyap.rhs]
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(c[k]) for c in cols) for k in range(traj.times.size)]
-    _write_lines(os.path.join(outdir, "margins.csv"), lines)
+    write_csv(os.path.join(outdir, "margins.csv"), [",".join(header)], cols)
 
 
 def _write_fields(outdir: str, traj: Trajectory) -> None:
     os.makedirs(outdir, exist_ok=True)
     for k in range(traj.times.size):
-        lines = ["x,u,w"]
-        for i in range(traj.grid.size):
-            lines.append(f"{_fmt(traj.grid[i])},{_fmt(traj.u[k, i])},{_fmt(traj.w[k, i])}")
-        _write_lines(os.path.join(outdir, f"snapshot_{k:05d}.csv"), lines)
+        write_csv(os.path.join(outdir, f"snapshot_{k:05d}.csv"), ["x,u,w"],
+                  [traj.grid, traj.u[k], traj.w[k]])
 
 
 def _exit_code(strict: bool, ios=None, lyap=None, noise_bound_ok=None) -> int:

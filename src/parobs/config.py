@@ -324,7 +324,7 @@ def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBas
         path = cfg["design_ref"]
         with open(path) as fh:
             doc = json.load(fh)
-        ref = doc["basis"].get("ref")
+        ref = doc.get("basis", {}).get("ref")
         if ref:  # a relative basis ref names a file beside design.json
             doc["basis"]["ref"] = os.path.join(os.path.dirname(path), ref)
         return design_from_json(doc)

@@ -17,8 +17,9 @@ class ResolutionTooCoarse(ParobsError, ValueError):
     ValueError, for callers that catch that."""
 
 
-class InvalidM(ParobsError):
-    """Tail index M must satisfy lambda_M > 0."""
+class InvalidM(ParobsError, ValueError):
+    """Tail index M must satisfy lambda_M > 0. Also a ValueError, for callers
+    that catch that."""
 
 
 class NonPositiveCoefficient(ParobsError):

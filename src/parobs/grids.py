@@ -1,4 +1,4 @@
-"""Uniform grids on [0, 1] and trapezoid-rule inner products.
+"""Uniform grids on [0, 1], trapezoid-rule inner products and the CSV writer.
 
 The trapezoid weights here define the discrete L2 pairing used everywhere:
 measured outputs, modal projections and the predictor dynamics all share it,
@@ -16,7 +16,14 @@ __all__ = [
     "snapshot_norms",
     "cumulative_trapezoid",
     "end_derivatives",
+    "format_row",
+    "write_csv",
 ]
+
+# 17 significant digits read back bit for bit, so reruns are byte-identical
+_CSV_CELL = "%.17g"
+# rows rendered per write: bounds the Python copy of the table held at once
+_CSV_BLOCK_ROWS = 256
 
 
 def uniform_grid(nodes: int) -> np.ndarray:
@@ -52,3 +59,23 @@ def end_derivatives(f: np.ndarray, dx: float):
     left = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * dx)
     right = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * dx)
     return left, right
+
+
+def format_row(values) -> str:
+    """The values on one comma-separated line, 17 significant digits each."""
+    values = np.ravel(values).tolist()
+    return ",".join([_CSV_CELL] * len(values)) % tuple(values)
+
+
+def write_csv(path, header, columns) -> None:
+    """Write the ``header`` lines as given, then one row per index of the
+    equal-length ``columns`` (1-D arrays, or 2-D arrays taken column by
+    column), every value with 17 significant digits; a bool column prints
+    as 1/0."""
+    table = np.column_stack(columns)
+    row = ",".join([_CSV_CELL] * table.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for line in header))
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start : start + _CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -23,6 +23,8 @@ from .errors import (
     DimensionMismatch,
     InfeasibleAtZero,
     InvalidCertificate,
+    InvalidM,
+    InvalidSpec,
     KappaOutOfRange,
     NearSingular,
     NoFeasibleQ,
@@ -262,7 +264,7 @@ class ObserverDesign:
             raise ValueError(f"need 1 <= N < basis.size = {basis.size}, got N = {N}")
         lam_next = float(basis.eigenvalues[N])
         if lam_next <= 0.0:
-            raise ValueError(f"lambda_(N+1) must be positive, got {lam_next}")
+            raise InvalidM(f"lambda_(N+1) must be positive, got {lam_next}")
         L = np.asarray(self.L, dtype=float).reshape(N, len(channels))
         P = np.atleast_2d(np.asarray(self.P, dtype=float))
         sigma = float(self.sigma)
@@ -699,14 +701,44 @@ def design_to_json(design: ObserverDesign, basis_ref: str | None = None) -> dict
     }
 
 
+_DESIGN_KEYS = (
+    "N", "L", "P", "sigma", "Q", "channels", "problem.p", "problem.q",
+    "problem.bc.a0", "problem.bc.b0", "problem.bc.a1", "problem.bc.b1",
+)
+
+
+def _first_missing(doc: dict, paths) -> str | None:
+    """The first dotted key path of ``paths`` that ``doc`` lacks; a numeric
+    key indexes a list."""
+    for path in paths:
+        node = doc
+        for key in path.split("."):
+            try:
+                node = node[int(key) if key.isdigit() else key]
+            except (KeyError, IndexError, TypeError):
+                return path
+    return None
+
+
 def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverDesign:
     """Rebuild a design from its JSON document.
 
-    The basis is re-created analytically when possible, loaded from the CSV
-    reference otherwise, or taken from the caller.
+    The basis is taken from the caller, loaded from the CSV reference
+    (``sturm_liouville.basis_from_csv``), or re-created analytically. Raises
+    ``InvalidSpec`` when the document lacks a required key, naming the first
+    one, or when the loaded basis's mode or node count differs from
+    ``doc["basis"]``.
     """
     from .sturm_liouville import analytic_eigensystem, basis_from_csv
 
+    paths = list(_DESIGN_KEYS)
+    if basis is None:
+        paths += ["basis.modes", "basis.nodes"]
+    paths += [f"channels.{i}.{key}" for i in range(len(doc.get("channels", [])))
+              for key in ("kernel", "approximant")]
+    missing = _first_missing(doc, paths)
+    if missing is not None:
+        raise InvalidSpec(f"design JSON: missing key '{missing}'")
     bc = doc["problem"]["bc"]
     problem = SLProblem(
         p=doc["problem"]["p"],
@@ -720,6 +752,12 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
         ref = doc["basis"].get("ref")
         if ref:
             basis = basis_from_csv(ref, problem)
+            counts = (doc["basis"]["modes"], doc["basis"]["nodes"])
+            if (basis.size, basis.grid.size) != counts:
+                raise InvalidSpec(
+                    f"{ref}: {basis.size} modes on {basis.grid.size} nodes, the design "
+                    f"JSON says {counts[0]} on {counts[1]}"
+                )
         else:
             basis = analytic_eigensystem(problem, doc["basis"]["modes"], doc["basis"]["nodes"])
     grid = basis.grid

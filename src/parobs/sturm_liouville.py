@@ -20,11 +20,13 @@ from . import profiles as pf
 from .errors import (
     GridMismatch,
     InvalidM,
+    InvalidSpec,
     NonPositiveCoefficient,
     ResolutionTooCoarse,
     UnsupportedAnalyticCase,
 )
-from .grids import cumulative_trapezoid, end_derivatives, trapezoid_weights, uniform_grid
+from .grids import cumulative_trapezoid, end_derivatives, format_row, trapezoid_weights
+from .grids import uniform_grid, write_csv
 
 __all__ = [
     "SLProblem",
@@ -475,45 +477,61 @@ def project(f, basis: SpectralBasis, J: int | None = None) -> np.ndarray:
 
 def basis_to_csv(basis: SpectralBasis, path) -> None:
     """One row per node, columns x, phi_1..phi_J; eigenvalues and endpoint
-    derivatives in the leading comment block."""
-    fmt = lambda v: format(float(v), ".17g")  # noqa: E731
-    lines = [
+    derivatives in the leading comment block. Written by
+    ``grids.write_csv``, so ``basis_from_csv`` reads every number back bit
+    for bit."""
+    header = [
         "# parobs-basis-version: 1",
-        "# eigenvalues: " + ",".join(fmt(v) for v in basis.eigenvalues),
-        "# end_derivatives_left: " + ",".join(fmt(v) for v in basis.end_derivs[:, 0]),
-        "# end_derivatives_right: " + ",".join(fmt(v) for v in basis.end_derivs[:, 1]),
+        "# eigenvalues: " + format_row(basis.eigenvalues),
+        "# end_derivatives_left: " + format_row(basis.end_derivs[:, 0]),
+        "# end_derivatives_right: " + format_row(basis.end_derivs[:, 1]),
         "x," + ",".join(f"phi_{k + 1}" for k in range(basis.size)),
     ]
-    for i, xv in enumerate(basis.grid):
-        lines.append(fmt(xv) + "," + ",".join(fmt(v) for v in basis.functions[:, i]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, header, [basis.grid, basis.functions.T])
+
+
+_BASIS_VECTORS = ("eigenvalues", "end_derivatives_left", "end_derivatives_right")
 
 
 def basis_from_csv(path, problem: SLProblem | None = None) -> SpectralBasis:
-    meta: dict[str, np.ndarray] = {}
-    rows = []
+    """The basis a ``basis_to_csv`` file holds. Raises ``InvalidSpec``
+    naming the file when a ``#`` vector line or the ``x,phi_*`` header is
+    missing, a row is ragged or not numeric, the eigenvalue, end-derivative
+    and mode-column counts disagree, or the x column is not the uniform grid
+    of its row count within 1e-12 (as in a truncated file)."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, payload = line[1:].partition(":")
-                meta[key.strip()] = np.array(
-                    [float(v) for v in payload.split(",")] if "," in payload or payload.strip() else []
-                )
-            elif line.startswith("x,"):
-                continue
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    data = np.asarray(rows)
-    lams = meta["eigenvalues"]
-    ders = np.column_stack([meta["end_derivatives_left"], meta["end_derivatives_right"]])
+        lines = fh.read().splitlines()
+    meta: dict[str, str] = {}
+    for n, line in enumerate(lines):
+        if line.startswith("x,"):
+            break
+        if line.startswith("#"):
+            key, _, payload = line[1:].partition(":")
+            meta[key.strip()] = payload
+    else:
+        raise InvalidSpec(f"{path}: no 'x,phi_*' header line")
+    missing = [key for key in _BASIS_VECTORS if key not in meta]
+    if missing:
+        raise InvalidSpec(f"{path}: no '# {missing[0]}:' line")
+    try:
+        lams, left, right = (
+            np.array([float(v) for v in meta[key].split(",")]) for key in _BASIS_VECTORS
+        )
+        data = np.loadtxt(lines[n + 1 :], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InvalidSpec(f"{path}: {exc}") from None
+    rows, modes = data.shape[0], data.shape[1] - 1
+    if not lams.size == left.size == right.size == modes:
+        raise InvalidSpec(
+            f"{path}: {lams.size} eigenvalues, {left.size} and {right.size} end "
+            f"derivatives, {modes} mode columns"
+        )
+    if rows < 3 or not np.allclose(data[:, 0], uniform_grid(rows), rtol=0.0, atol=1e-12):
+        raise InvalidSpec(f"{path}: the x column is not the uniform grid of its {rows} rows")
     return SpectralBasis(
         grid=data[:, 0],
         eigenvalues=lams,
         functions=data[:, 1:].T,
-        end_derivs=ders,
+        end_derivs=np.column_stack([left, right]),
         problem=problem,
     )

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from parobs.config import (
 )
 from parobs.errors import ConfigError
 from parobs.observer_design import OutputChannel, make_design, small_gain_predictor, small_gain_zoh
+from parobs.simulator import simulate
 from parobs.sturm_liouville import SLProblem, analytic_eigensystem
 
 
@@ -63,6 +65,21 @@ def example31_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def _edit_json(text: str, edit) -> str:
+    """A JSON document after ``edit`` changed it in place."""
+    doc = json.loads(text)
+    edit(doc)
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def written_design(tmp_path_factory):
+    """The directory ``parobs design --out`` writes for design_sweep.json."""
+    out = tmp_path_factory.mktemp("written") / "design"
+    assert main(["design", "--config", str(DESIGN_SWEEP), "--out", str(out)]) == 0
+    return out
 
 
 def printed_omega(capsys, config) -> float:
@@ -284,25 +301,67 @@ class TestCli:
         assert f"InvalidSpec: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, config, override, message",
+        "command, config, overrides, message",
         [
-            ("check-gain", "design_sweep", "basis.nodes=10",
+            ("check-gain", "design_sweep", ["basis.nodes=10"],
              "ResolutionTooCoarse: need nodes >= 8*J = 512, got 10"),
-            ("simulate", "example32", "initial.u0=1.0",
+            ("simulate", "example32", ["initial.u0=1.0"],
              "InvalidSpec: initial field violates the Dirichlet condition at x = 1"),
+            ("check-gain", "example31", ["problem.q=-20", "design.L=[[-100]]"],
+             "InvalidM: lambda_(N+1) must be positive, got -10.13"),
         ],
-        ids=["basis_nodes", "dirichlet_u0"],
+        ids=["basis_nodes", "dirichlet_u0", "lambda_next"],
     )
-    def test_typed_input_error_exit_code(self, tmp_path, capsys, command, config, override, message):
+    def test_typed_input_error_exit_code(self, tmp_path, capsys, command, config, overrides, message):
         # each of these used to end in a bare ValueError traceback (exit 1); the
         # config errors among those inputs are in test_design_override_is_a_config_error
         path = DESIGN_SWEEP.parent / f"{config}.json"
-        if config == "example32":
-            path = tmp_path / "example32.json"
-            path.write_text(json.dumps(cf.example32_config(h=0.1, horizon=1.0)))
-        argv = [command, "--config", str(path), "--set", override, "--out", str(tmp_path / "out")]
+        presets = {"example31": lambda: cf.example31_config(h=0.3, horizon=3.0),
+                   "example32": lambda: cf.example32_config(h=0.1, horizon=1.0)}
+        if config in presets:
+            path = tmp_path / f"{config}.json"
+            path.write_text(json.dumps(presets[config]()))
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        for override in overrides:
+            argv += ["--set", override]
         assert main(argv) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("basis.csv", lambda text: text[:100_000], "basis.csv: the number of columns changed"),
+            ("basis.csv", lambda text: text.replace("\n0,", "\nzero,", 1),  # the first row's x
+             "basis.csv: could not convert string"),
+            ("basis.csv", lambda text: "".join(line for line in text.splitlines(True)
+                                               if not line.startswith("# end_derivatives_right")),
+             "basis.csv: no '# end_derivatives_right:' line"),
+            ("basis.csv", lambda text: text.replace(",", ",1,", 1),  # one more eigenvalue
+             "basis.csv: 65 eigenvalues, 64 and 64 end derivatives, 64 mode columns"),
+            ("basis.csv", lambda text: "".join(text.splitlines(True)[:1000]),
+             "basis.csv: the x column is not the uniform grid of its 995 rows"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc.pop("N")),
+             "design JSON: missing key 'N'"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc["basis"].update(modes=63)),
+             "basis.csv: 64 modes on 2001 nodes, the design JSON says 63 on 2001"),
+        ],
+        ids=["basis_cut_bytes", "basis_not_numeric", "basis_vector_line", "basis_counts",
+             "basis_first_1000_lines", "design_key", "design_modes"],
+    )
+    def test_corrupt_design_ref_exit_code(self, written_design, tmp_path, capsys, name, edit, message):
+        # before basis.csv and design.json were checked, these ended in a bare
+        # ValueError or KeyError (exit 1), or loaded a 995-node basis on [0, 0.497]
+        design = tmp_path / "design"
+        shutil.copytree(written_design, design)
+        (design / name).write_text(edit((design / name).read_text()))
+        cfg = json.loads(DESIGN_SWEEP.read_text())
+        del cfg["design"]
+        cfg["design_ref"] = str(design / "design.json")
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check-gain", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "InvalidSpec: " in err and message in err
 
     def test_initial_profile_of_wrong_type_is_a_config_error(self, tmp_path, capsys):
         config = Path(__file__).parents[1] / "benchmarks" / "configs" / "nonlinear_zoh.json"
@@ -378,6 +437,27 @@ class TestCli:
         assert header == "t,err_l2,err_sup,zeta_1,sample_flag"
         report = json.loads((out1 / "report.json").read_text())
         assert report["ios"]["violations"] == 0
+
+    def test_simulate_writes_field_snapshots(self, tmp_path, monkeypatch):
+        runs = []
+
+        def recording(scenario):
+            runs.append(simulate(scenario))
+            return runs[-1]
+
+        monkeypatch.setattr(parobs.cli, "simulate", recording)
+        config = DESIGN_SWEEP.parent / "nonlinear_zoh.json"
+        argv = ["simulate", "--config", str(config), "--set", "schedule.horizon=2",
+                "--set", "output.fields=true", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        traj, = runs
+        files = sorted((tmp_path / "fields").glob("snapshot_*.csv"))
+        assert len(files) == traj.times.size
+        for k, path in enumerate(files):
+            assert path.name == f"snapshot_{k:05d}.csv"
+            assert path.read_text().startswith("x,u,w\n")
+            table = np.loadtxt(path, delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(table, np.column_stack([traj.grid, traj.u[k], traj.w[k]]))
 
     def test_simulate_rejects_certificate_without_lipschitz_bound(self, tmp_path, capsys):
         # a gain-saturated term with no design.lipschitz_R would be certified with R = 0

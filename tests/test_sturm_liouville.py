@@ -1,9 +1,12 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from parobs import profiles as pf
+from parobs.config import build_problem
 from parobs.errors import (
     GridMismatch,
     InvalidM,
@@ -25,6 +28,7 @@ from parobs.sturm_liouville import (
 )
 
 ND = SLProblem(p=1.0, q=0.0, a0=0.0, b0=1.0, a1=1.0, b1=0.0)
+DESIGN_SWEEP = Path(__file__).parents[1] / "benchmarks" / "configs" / "design_sweep.json"
 
 
 class TestProblemInvariants:
@@ -247,14 +251,19 @@ class TestProjection:
 
 
 def test_basis_csv_roundtrip(tmp_path, nn_problem):
-    basis = analytic_eigensystem(nn_problem, 5, 101)
-    path = tmp_path / "basis.csv"
-    basis_to_csv(basis, path)
-    loaded = basis_from_csv(path, nn_problem)
-    np.testing.assert_allclose(loaded.eigenvalues, basis.eigenvalues, rtol=0, atol=0)
-    np.testing.assert_allclose(loaded.functions, basis.functions, rtol=0, atol=0)
-    np.testing.assert_allclose(loaded.end_derivs, basis.end_derivs, rtol=0, atol=0)
-    np.testing.assert_allclose(loaded.grid, basis.grid, rtol=0, atol=0)
+    # the 64 x 2001 finite-difference basis of design_sweep.json, whose
+    # 2001 rows span several of the writer's row blocks
+    cfg = json.loads(DESIGN_SWEEP.read_text())
+    robin = build_problem(cfg)
+    for problem, basis in [(nn_problem, analytic_eigensystem(nn_problem, 5, 101)),
+                           (robin, numeric_eigensystem(robin, 64, 2001))]:
+        path = tmp_path / "basis.csv"
+        basis_to_csv(basis, path)
+        loaded = basis_from_csv(path, problem)
+        np.testing.assert_array_equal(loaded.eigenvalues, basis.eigenvalues)
+        np.testing.assert_array_equal(loaded.functions, basis.functions)
+        np.testing.assert_array_equal(loaded.end_derivs, basis.end_derivs)
+        np.testing.assert_array_equal(loaded.grid, basis.grid)
 
 
 def test_resample_closed_form_is_exact(nn_problem):
