@@ -28,6 +28,7 @@ from .observer_design import (
     ObserverDesign,
     OutputChannel,
     SmallGainReport,
+    channel_from_spec,
     design_from_json,
     make_design,
     max_diameter,
@@ -41,6 +42,7 @@ from .sturm_liouville import (
     SpectralBasis,
     analytic_eigensystem,
     numeric_eigensystem,
+    problem_from_spec,
 )
 
 __all__ = [
@@ -62,6 +64,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 _DEFAULT_MODES = 64  # basis.modes when the config leaves it out
+_DEFAULT_NODES = 1001  # basis.nodes when the config leaves it out
 
 # every key a config section may hold; spec-valued entries (profiles, the
 # nonlinearity, disturbances.v / v_tilde / xi) are checked by their parsers
@@ -205,7 +208,8 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
     modes = _expect(cfg, "basis.modes", int, default=_DEFAULT_MODES)
     if modes < 2:
         raise ConfigError("basis.modes", "need at least 2 modes (N + 1)")
-    _expect(cfg, "basis.nodes", int)
+    if _expect(cfg, "basis.nodes", int, default=_DEFAULT_NODES) < 3:
+        raise ConfigError("basis.nodes", "need at least 3 grid nodes")
     method = _expect(cfg, "basis.method", str, default="auto")
     if method not in ("auto", "analytic", "numeric"):
         raise ConfigError("basis.method", f"unknown basis method {method!r}")
@@ -238,8 +242,9 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         fraction = _expect(cfg, "design.sigma_fraction", (int, float), default=None)
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise ConfigError("design.sigma_fraction", "sigma_fraction must lie in (0, 1]")
-        _expect(cfg, "design.lipschitz_R", (int, float))
-        _expect(cfg, "design.lipschitz_sup", (int, float))
+        for path in ("design.lipschitz_R", "design.lipschitz_sup"):
+            if not 0.0 <= _expect(cfg, path, (int, float), default=0.0) < math.inf:
+                raise ConfigError(path, "Lipschitz bound must be finite and non-negative")
 
     for path in ("initial.u0", "initial.w0"):
         _check_profile(_expect(cfg, path, (dict, int, float)), path)
@@ -292,22 +297,14 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
 
 
 def build_problem(cfg: dict) -> SLProblem:
-    bc = cfg["problem"]["bc"]
-    q_spec = cfg["problem"].get("q", 0.0)
-    return SLProblem(
-        p=float(cfg["problem"]["p"]),
-        q=pf.as_profile(q_spec),
-        a0=float(bc["a0"]),
-        b0=float(bc["b0"]),
-        a1=float(bc["a1"]),
-        b1=float(bc["b1"]),
-    )
+    """The plant of the config's ``problem`` section."""
+    return problem_from_spec(cfg["problem"])
 
 
 def build_basis(cfg: dict, problem: SLProblem) -> SpectralBasis:
     spec = cfg.get("basis", {})
     modes = int(spec.get("modes", _DEFAULT_MODES))
-    nodes = int(spec.get("nodes", 1001))
+    nodes = int(spec.get("nodes", _DEFAULT_NODES))
     method = spec.get("method", "auto")
     if method == "analytic":
         return analytic_eigensystem(problem, modes, nodes)
@@ -331,15 +328,7 @@ def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBas
     problem = problem or build_problem(cfg)
     basis = basis or build_basis(cfg, problem)
     d = cfg["design"]
-    nodes_grid = basis.grid
-    channels = [
-        OutputChannel(
-            kernel=pf.as_profile(ch["kernel"], nodes_grid),
-            approximant=pf.as_profile(ch["approximant"], nodes_grid),
-            label=ch.get("label", f"y{i + 1}"),
-        )
-        for i, ch in enumerate(d["channels"])
-    ]
+    channels = [channel_from_spec(ch, basis.grid, i) for i, ch in enumerate(d["channels"])]
     return make_design(
         problem,
         basis,
@@ -432,13 +421,10 @@ def _preset(p, q, bc, L, channel, *, h, omega, variant, horizon, nodes, dt,
         raise ValueError("omega must lie in [0, 1)")
     cfg = {
         "schema_version": SCHEMA_VERSION,
-        "problem": {"p": p, "q": q, "bc": dict(zip(("a0", "b0", "a1", "b1"), bc))},
+        "problem": SLProblem(p, q, *bc).spec(),
         "basis": {"modes": modes, "nodes": basis_nodes, "method": "analytic"},
-        "design": {"N": 1, "L": [[L]], "Q": 2.0, "sigma_fraction": 1.0, "channels": [{
-            "label": channel.label,
-            "kernel": channel.kernel.spec(),
-            "approximant": channel.approximant.spec(),
-        }]},
+        "design": {"N": 1, "L": [[L]], "Q": 2.0, "sigma_fraction": 1.0,
+                   "channels": [channel.spec()]},
         "gain": {"h": h, "omega": omega},
         "observer": {"variant": variant},
         "schedule": {"kind": "uniform", "h": h, "horizon": horizon},

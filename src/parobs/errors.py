@@ -50,6 +50,11 @@ class ApproximantOutsideDomain(ParobsError, ValueError):
     not in the operator domain. Also a ValueError, for callers that catch that."""
 
 
+class InvalidLipschitzBound(ParobsError, ValueError):
+    """A design's Lipschitz bounds R and sup must be finite and non-negative.
+    Also a ValueError, for callers that catch that."""
+
+
 class NearSingular(ParobsError):
     """Lyapunov solve produced a numerically singular factor."""
 

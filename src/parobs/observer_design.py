@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     InfeasibleAtZero,
     InvalidCertificate,
+    InvalidLipschitzBound,
     InvalidM,
     InvalidSpec,
     KappaOutOfRange,
@@ -33,10 +34,11 @@ from .errors import (
     QInfeasible,
 )
 from .grids import trapezoid_weights
-from .sturm_liouville import SLProblem, SpectralBasis, project
+from .sturm_liouville import SLProblem, SpectralBasis, problem_from_spec, project
 
 __all__ = [
     "OutputChannel",
+    "channel_from_spec",
     "ObserverDesign",
     "SmallGainReport",
     "BoundCoefficients",
@@ -81,6 +83,22 @@ class OutputChannel:
         ends = np.array([0.0, 1.0])
         d0, d1 = self.approximant.derivative().values(ends)
         return problem.boundary_residual(self.approximant.values(ends), float(d0), float(d1))
+
+    def spec(self) -> dict:
+        """The channel as an entry of a config's ``design.channels`` list."""
+        return {"label": self.label, "kernel": self.kernel.spec(),
+                "approximant": self.approximant.spec()}
+
+
+def channel_from_spec(spec: dict, grid: np.ndarray, index: int) -> OutputChannel:
+    """Channel ``index`` of a ``design.channels`` list, as ``OutputChannel.spec``
+    writes it: kernel and approximant are profile specs or numbers, sampled
+    ones on ``grid``, and an unlabelled channel is called ``y{index + 1}``."""
+    return OutputChannel(
+        kernel=pf.as_profile(spec["kernel"], grid),
+        approximant=pf.as_profile(spec["approximant"], grid),
+        label=spec.get("label", f"y{index + 1}"),
+    )
 
 
 def build_A(eigenvalues: Sequence[float], L: np.ndarray, c_coeffs: np.ndarray) -> np.ndarray:
@@ -222,7 +240,8 @@ class ObserverDesign:
     tail constant K, the channel norms, A and the certificate scalars, and
     checks them: (P, sigma) must certify A, and Q >= 2 must exceed the
     tail-coupling bound (Q = None picks 2, or twice the bound when the bound
-    is not below 2). ``dataclasses.replace`` re-runs it, so a design whose
+    is not below 2), and both Lipschitz bounds must be finite and
+    non-negative. ``dataclasses.replace`` re-runs it, so a design whose
     problem, basis, channels or certificate is replaced is derived afresh or
     raises a typed ParobsError, never stale. Grid functions (injection
     kernels, channel samples) are derived on demand.
@@ -258,6 +277,12 @@ class ObserverDesign:
 
     def __post_init__(self):
         problem, basis, N = self.problem, self.basis, self.N
+        lipschitz_R, lipschitz_sup = float(self.lipschitz_R), float(self.lipschitz_sup)
+        if not (0.0 <= lipschitz_R < math.inf and 0.0 <= lipschitz_sup < math.inf):
+            raise InvalidLipschitzBound(
+                f"Lipschitz bounds must be finite and non-negative, got R = {lipschitz_R}, "
+                f"sup = {lipschitz_sup}"
+            )
         channels = tuple(self.channels)
         c_coeffs = _channel_coefficients(problem, basis, channels)
         if not 1 <= N < basis.size:
@@ -295,7 +320,7 @@ class ObserverDesign:
 
         derived = dict(
             channels=channels, L=L, P=P, sigma=sigma, Q=float(Q),
-            lipschitz_R=float(self.lipschitz_R), lipschitz_sup=float(self.lipschitz_sup),
+            lipschitz_R=lipschitz_R, lipschitz_sup=lipschitz_sup,
             c_coeffs=c_coeffs, k_tail=k_tail, norm_c=norm_c, norm_k=norm_k,
             norm_gap=norm_gap, norm_stiff=norm_stiff,
             A=A, K=K, lam_next=lam_next, P_norm=P_norm, ltpl_norm=ltpl,
@@ -475,8 +500,19 @@ def _gamma(design: ObserverDesign, kappa: float) -> float:
     return math.sqrt(design.g_tilde / (2.0 * (design.mu - kappa)))
 
 
+_VARIANTS = ("predictor", "zoh")
+
+
+def check_variant(variant: str) -> None:
+    """Raise ValueError unless ``variant`` names an observer variant."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown observer variant {variant!r}")
+
+
 def _slope(design: ObserverDesign, variant: str) -> np.ndarray:
-    """Per-channel coefficient of h inside Omega's bracket."""
+    """Per-channel coefficient of h inside Omega's bracket; every value
+    that depends on the variant goes through here, so it checks the name."""
+    check_variant(variant)
     slope = design.norm_stiff + design.lipschitz_R * design.norm_c
     if variant == "zoh":
         slope = slope + np.abs(design.cl) @ design.norm_k
@@ -541,7 +577,9 @@ def small_gain_zoh(design: ObserverDesign, h: float, kappa: float) -> SmallGainR
 
 
 def small_gain(design: ObserverDesign, h: float, kappa: float, variant: str) -> SmallGainReport:
-    """small_gain_predictor or small_gain_zoh, picked by the observer variant."""
+    """small_gain_predictor or small_gain_zoh, picked by the observer variant;
+    any other variant raises ValueError."""
+    check_variant(variant)
     if variant == "predictor":
         return small_gain_predictor(design, h, kappa)
     return small_gain_zoh(design, h, kappa)
@@ -595,7 +633,7 @@ def max_diameter(design: ObserverDesign, kappa: float, variant: str) -> float:
 
     Returns math.inf when Omega is h-independent and below one (possible only
     when the h-proportional bracket vanishes and, for kappa > 0, nothing
-    multiplies the exponential growth).
+    multiplies the exponential growth). An unknown variant raises ValueError.
     """
     omega0, gamma = _omega_value(design, 0.0, kappa, variant)
     if omega0 >= 1.0:
@@ -675,24 +713,8 @@ def design_to_json(design: ObserverDesign, basis_ref: str | None = None) -> dict
             "norm_stiffness": d.norm_stiff.tolist(),
             "cl": d.cl.tolist(),
         },
-        "channels": [
-            {
-                "label": ch.label,
-                "kernel": ch.kernel.spec(),
-                "approximant": ch.approximant.spec(),
-            }
-            for ch in d.channels
-        ],
-        "problem": {
-            "p": d.problem.p,
-            "q": d.problem.q.spec(),
-            "bc": {
-                "a0": d.problem.a0,
-                "b0": d.problem.b0,
-                "a1": d.problem.a1,
-                "b1": d.problem.b1,
-            },
-        },
+        "channels": [ch.spec() for ch in d.channels],
+        "problem": d.problem.spec(),
         "basis": {
             "modes": d.basis.size,
             "nodes": int(d.basis.grid.size),
@@ -720,34 +742,47 @@ def _first_missing(doc: dict, paths) -> str | None:
     return None
 
 
+def _check_eigenvalues(loaded: np.ndarray, recorded, source: str) -> None:
+    """Raise InvalidSpec naming ``source`` unless the eigenvalues of the basis
+    it gave match the ones a design JSON records, to 1e-12 relative (both
+    are written with 17 significant digits)."""
+    try:
+        recorded = np.asarray(recorded, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"design JSON: eigenvalues: {exc}") from exc
+    if recorded.shape != loaded.shape:
+        raise InvalidSpec(f"{source}: {loaded.size} eigenvalues, the design JSON "
+                          f"records {recorded.size}")
+    off = np.flatnonzero(np.abs(loaded - recorded) > 1e-12 * np.abs(recorded))
+    if off.size:
+        j = off[0]
+        raise InvalidSpec(
+            f"{source}: lambda_{j + 1} = {loaded[j]:.17g}, the design JSON records "
+            f"{recorded[j]:.17g}; the basis is not the one the design was made with"
+        )
+
+
 def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverDesign:
     """Rebuild a design from its JSON document.
 
     The basis is taken from the caller, loaded from the CSV reference
     (``sturm_liouville.basis_from_csv``), or re-created analytically. Raises
     ``InvalidSpec`` when the document lacks a required key, naming the first
-    one, or when the loaded basis's mode or node count differs from
-    ``doc["basis"]``.
+    one, or when a basis loaded or re-created here differs from the one the
+    document records: another mode or node count than ``doc["basis"]``, or
+    eigenvalues more than 1e-12 relative from ``doc["eigenvalues"]``.
     """
     from .sturm_liouville import analytic_eigensystem, basis_from_csv
 
     paths = list(_DESIGN_KEYS)
     if basis is None:
-        paths += ["basis.modes", "basis.nodes"]
+        paths += ["basis.modes", "basis.nodes", "eigenvalues"]
     paths += [f"channels.{i}.{key}" for i in range(len(doc.get("channels", [])))
               for key in ("kernel", "approximant")]
     missing = _first_missing(doc, paths)
     if missing is not None:
         raise InvalidSpec(f"design JSON: missing key '{missing}'")
-    bc = doc["problem"]["bc"]
-    problem = SLProblem(
-        p=doc["problem"]["p"],
-        q=pf.profile_from_spec(doc["problem"]["q"]),
-        a0=bc["a0"],
-        b0=bc["b0"],
-        a1=bc["a1"],
-        b1=bc["b1"],
-    )
+    problem = problem_from_spec(doc["problem"])
     if basis is None:
         ref = doc["basis"].get("ref")
         if ref:
@@ -760,15 +795,8 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
                 )
         else:
             basis = analytic_eigensystem(problem, doc["basis"]["modes"], doc["basis"]["nodes"])
-    grid = basis.grid
-    channels = [
-        OutputChannel(
-            kernel=pf.profile_from_spec(c["kernel"], grid),
-            approximant=pf.profile_from_spec(c["approximant"], grid),
-            label=c.get("label", ""),
-        )
-        for c in doc["channels"]
-    ]
+        _check_eigenvalues(basis.eigenvalues, doc["eigenvalues"], ref or "analytic basis")
+    channels = [channel_from_spec(c, basis.grid, i) for i, c in enumerate(doc["channels"])]
     return make_design(
         problem,
         basis,

@@ -35,7 +35,7 @@ from . import profiles as pf
 from .errors import ConfigError, InvalidSpec, ScheduleHorizonMismatch, StepRejected
 from .grids import snapshot_norms, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
-from .observer_design import ObserverDesign, injection_kernels, small_gain
+from .observer_design import ObserverDesign, check_variant, injection_kernels, small_gain
 from .schedule import SamplingSchedule
 from .signals import Disturbances, SpaceTimeSignal, TimeSignal, field_signal_from_spec
 from .sturm_liouville import DiscreteSLOperator, SLProblem
@@ -382,8 +382,7 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
-        if self.variant not in ("predictor", "zoh"):
-            raise ValueError(f"unknown observer variant {self.variant!r}")
+        check_variant(self.variant)
         if len(self.disturbances.xi) not in (0, self.design.m):
             raise ValueError("need one noise channel per output channel")
         if self.design.lipschitz_R < self.nonlinearity.lipschitz_R:

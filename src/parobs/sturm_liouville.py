@@ -35,6 +35,7 @@ __all__ = [
     "DiscreteSLOperator",
     "CoordinateMap",
     "H1Report",
+    "problem_from_spec",
     "analytic_eigensystem",
     "numeric_eigensystem",
     "check_h1",
@@ -84,6 +85,25 @@ class SLProblem:
         r0 = abs(self.a0 * u[0] + self.b0 * du0) / (abs(self.a0) + abs(self.b0)) / scale
         r1 = abs(self.a1 * u[-1] + self.b1 * du1) / (abs(self.a1) + abs(self.b1)) / scale
         return max(r0, r1)
+
+    def spec(self) -> dict:
+        """The plant as a config's ``problem`` section."""
+        bc = {"a0": self.a0, "b0": self.b0, "a1": self.a1, "b1": self.b1}
+        return {"p": self.p, "q": self.q.spec(), "bc": bc}
+
+
+def problem_from_spec(spec: dict) -> SLProblem:
+    """The plant of a ``problem`` section, as ``SLProblem.spec`` writes it;
+    q is any profile spec or number and defaults to 0."""
+    bc = spec["bc"]
+    return SLProblem(
+        p=float(spec["p"]),
+        q=pf.as_profile(spec.get("q", 0.0)),
+        a0=float(bc["a0"]),
+        b0=float(bc["b0"]),
+        a1=float(bc["a1"]),
+        b1=float(bc["b1"]),
+    )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,27 @@ from parobs.cli import EXIT_CONFIG, main
 from parobs.config import (
     apply_overrides,
     build_design,
+    build_problem,
     build_scenario,
     validate_config,
 )
 from parobs.errors import ConfigError
-from parobs.observer_design import OutputChannel, make_design, small_gain_predictor, small_gain_zoh
+from parobs.grids import uniform_grid
+from parobs.observer_design import (
+    OutputChannel,
+    channel_from_spec,
+    make_design,
+    small_gain_predictor,
+    small_gain_zoh,
+)
 from parobs.simulator import simulate
-from parobs.sturm_liouville import SLProblem, analytic_eigensystem
+from parobs.sturm_liouville import (
+    SLProblem,
+    analytic_eigensystem,
+    basis_to_csv,
+    numeric_eigensystem,
+    problem_from_spec,
+)
 
 
 DESIGN_SWEEP = Path(__file__).parents[1] / "benchmarks" / "configs" / "design_sweep.json"
@@ -65,6 +80,18 @@ def example31_config(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def _other_plant_basis(text: str) -> str:
+    """In place of a basis.csv of design_sweep.json, the one of its plant
+    with q = 0.6 + x instead of 0.5 + x: same mode and node counts."""
+    cfg = apply_overrides(json.loads(DESIGN_SWEEP.read_text()),
+                          ['problem.q={"kind":"polynomial","coeffs":[0.6,1.0]}'])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "basis.csv")
+        basis_to_csv(numeric_eigensystem(build_problem(cfg), 64, 2001), path)
+        with open(path) as fh:
+            return fh.read()
 
 
 def _edit_json(text: str, edit) -> str:
@@ -152,16 +179,37 @@ def _readme_config() -> dict:
     return json.loads(text[start:text.index("```", start)])
 
 
+SHIPPED_CONFIGS = pytest.mark.parametrize("cfg", [
+    *[json.loads(p.read_text()) for p in sorted(DESIGN_SWEEP.parent.glob("*.json"))],
+    _readme_config(),
+    json.loads(json.dumps(cf.example31_config(variant="zoh", noise=0.01, mismatch=0.01))),
+    json.loads(json.dumps(cf.example32_config(q=2.0, h=0.1, horizon=3.0,
+                                              noise={"kind": "random", "amplitude": 0.01}))),
+], ids=["design_sweep", "nonlinear_zoh", "readme", "example31", "example32"])
+
+
 class TestKeysAndScalars:
-    @pytest.mark.parametrize("cfg", [
-        *[json.loads(p.read_text()) for p in sorted(DESIGN_SWEEP.parent.glob("*.json"))],
-        _readme_config(),
-        json.loads(json.dumps(cf.example31_config(variant="zoh", noise=0.01, mismatch=0.01))),
-        json.loads(json.dumps(cf.example32_config(q=2.0, h=0.1, horizon=3.0,
-                                                  noise={"kind": "random", "amplitude": 0.01}))),
-    ], ids=["design_sweep", "nonlinear_zoh", "readme", "example31", "example32"])
+    @SHIPPED_CONFIGS
     def test_shipped_configs_validate(self, cfg):
         validate_config(cfg, need_schedule="schedule" in cfg)
+
+    @SHIPPED_CONFIGS
+    def test_problem_and_channel_specs_round_trip(self, cfg):
+        problem = build_problem(cfg)
+        again = problem_from_spec(json.loads(json.dumps(problem.spec())))
+        for name in ("p", "a0", "b0", "a1", "b1"):
+            assert getattr(again, name) == getattr(problem, name)
+        assert again.q.spec() == problem.q.spec()
+        assert problem.q.spec() == pf.as_profile(cfg["problem"]["q"]).spec()
+        grid = uniform_grid(cfg["basis"]["nodes"])
+        for i, entry in enumerate(cfg["design"]["channels"]):
+            channel = channel_from_spec(entry, grid, i)
+            again = channel_from_spec(json.loads(json.dumps(channel.spec())), grid, i)
+            assert again.label == channel.label == entry.get("label", f"y{i + 1}")
+            for name in ("kernel", "approximant"):
+                spec = getattr(channel, name).spec()
+                assert getattr(again, name).spec() == spec
+                assert spec == pf.as_profile(entry[name], grid).spec()
 
     @pytest.mark.parametrize("override, path", [
         ("design.sigma_fracton=0.5", "design.sigma_fracton"),
@@ -197,7 +245,8 @@ class TestKeysAndScalars:
         "seed=abc", "schedule.seed=abc", "time.horizon=abc", "time.snapshot_every=abc",
         "analysis.lyapunov_tail=abc", "analysis.lyapunov=1", "output.fields=yes",
         "sweep.simulate=1", "design_ref=3", "seed=-1", "time.horizon=0", "time.snapshot_every=-1",
-        'sweep.values=[0.1,"a"]',
+        'sweep.values=[0.1,"a"]', "design.lipschitz_R=-1", "design.lipschitz_sup=-Infinity",
+        "basis.nodes=2",
     ])
     def test_bad_scalar_fails_before_any_computation(self, tmp_path, capsys, monkeypatch, override):
         def no_simulation(scenario):
@@ -344,9 +393,11 @@ class TestCli:
              "design JSON: missing key 'N'"),
             ("design.json", lambda text: _edit_json(text, lambda doc: doc["basis"].update(modes=63)),
              "basis.csv: 64 modes on 2001 nodes, the design JSON says 63 on 2001"),
+            ("basis.csv", _other_plant_basis,
+             "basis.csv: lambda_1 = 1.7693653452212259, the design JSON records 1.669365345459068"),
         ],
         ids=["basis_cut_bytes", "basis_not_numeric", "basis_vector_line", "basis_counts",
-             "basis_first_1000_lines", "design_key", "design_modes"],
+             "basis_first_1000_lines", "design_key", "design_modes", "basis_other_plant"],
     )
     def test_corrupt_design_ref_exit_code(self, written_design, tmp_path, capsys, name, edit, message):
         # before basis.csv and design.json were checked, these ended in a bare

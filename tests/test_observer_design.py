@@ -22,9 +22,12 @@ from parobs.errors import (
     DimensionMismatch,
     InfeasibleAtZero,
     InvalidCertificate,
+    InvalidLipschitzBound,
+    InvalidSpec,
     KappaOutOfRange,
     NoFeasibleQ,
     NotHurwitz,
+    ParobsError,
     PlacementImpossible,
     QInfeasible,
 )
@@ -46,6 +49,8 @@ from parobs.observer_design import (
     small_gain_predictor,
     small_gain_zoh,
 )
+from parobs.schedule import make_schedule
+from parobs.simulator import Scenario
 from parobs.sturm_liouville import SLProblem, analytic_eigensystem, project
 
 
@@ -163,6 +168,19 @@ class TestSmallGain:
         rep = small_gain_zoh(ex31_design, 10.0, 0.0)
         assert not rep.feasible
         assert math.isinf(rep.coefficients.initial)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: small_gain(d, 0.3, 0.0, "Predictor"),
+        lambda d: max_diameter(d, 0.0, "Predictor"),
+        lambda d: select_Q(d, [2.0], 0.3, 0.0, "Predictor"),
+        lambda d: Scenario(design=d, variant="Predictor", nodes=101, u0=0.0, w0=0.0,
+                           schedule=make_schedule({"kind": "uniform", "h": 0.3, "horizon": 0.6})),
+    ], ids=["small_gain", "max_diameter", "select_Q", "Scenario"])
+    def test_unknown_variant_is_rejected(self, ex31_design, call):
+        # small_gain used to return the hold report and max_diameter the
+        # predictor's h* for a variant that is neither
+        with pytest.raises(ValueError, match="unknown observer variant 'Predictor'"):
+            call(ex31_design)
 
 
 class TestMaxDiameter:
@@ -512,6 +530,16 @@ class TestReplaceRederives:
                 raised += 1
         assert raised > 0
 
+    @pytest.mark.parametrize("bounds", [
+        {"lipschitz_R": -1.0}, {"lipschitz_R": math.inf}, {"lipschitz_R": math.nan},
+        {"lipschitz_sup": -1e-300}, {"lipschitz_sup": -math.inf},
+    ], ids=["R_negative", "R_inf", "R_nan", "sup_negative", "sup_minus_inf"])
+    def test_lipschitz_bounds_must_be_finite_and_non_negative(self, ex31_design, bounds):
+        # R = -1 used to certify a smaller Omega, and R = -inf Omega = -inf
+        with pytest.raises(InvalidLipschitzBound) as info:
+            dataclasses.replace(ex31_design, **bounds)
+        assert isinstance(info.value, ParobsError) and isinstance(info.value, ValueError)
+
     def test_invalid_certificate_is_typed_value_error(self, ex31_design):
         for bad in ({"sigma": 2.0 * ex31_design.sigma}, {"sigma": 0.0}, {"P": 0.5 * ex31_design.P}):
             with pytest.raises(InvalidCertificate) as info:
@@ -560,3 +588,22 @@ def test_design_json_roundtrip(tmp_path, ex31_design):
     o1 = small_gain_predictor(ex31_design, 0.4, 0.1).omega
     o2 = small_gain_predictor(rebuilt, 0.4, 0.1).omega
     assert o1 == pytest.approx(o2, rel=1e-13)
+
+
+def test_design_json_takes_numeric_profiles_and_names_unlabelled_channels(ex31_design):
+    doc = json.loads(json.dumps(design_to_json(ex31_design)))
+    del doc["channels"][0]["label"]
+    doc["channels"][0]["approximant"] = 0.5  # a number, as configs allow
+    rebuilt = design_from_json(doc)
+    assert rebuilt.channels[0].label == "y1"
+    assert rebuilt.channels[0].approximant.spec() == ex31_design.channels[0].approximant.spec()
+    assert rebuilt.mu == ex31_design.mu
+
+
+def test_design_json_rejects_a_basis_of_another_plant(ex31_design):
+    # the analytic basis is re-created from doc["problem"], which no longer
+    # has the eigenvalues the design was made with
+    doc = json.loads(json.dumps(design_to_json(ex31_design)))
+    doc["problem"]["p"] = 2.0
+    with pytest.raises(InvalidSpec, match=r"analytic basis: lambda_2 = 19\.739.*records 9\.869"):
+        design_from_json(doc)
