@@ -24,7 +24,6 @@ from .config import (
     example32_config,
     example32_design,
     example32_sampling,
-    gain_report,
 )
 from .errors import DecayedToFloor, InfeasibleReport, TailTooShort
 from .grids import cumulative_trapezoid, end_derivatives, snapshot_norms
@@ -354,16 +353,17 @@ def predictor_compatibility_residual(traj: Trajectory, design: ObserverDesign) -
 # -- the shared check sequence and the worked-example runners --------------------
 
 def check_run(
-    traj: Trajectory, scenario: Scenario, report: SmallGainReport | None, *, fit: bool = True,
-    ios: bool = True, lyapunov: bool = False, lyapunov_tail: int = 20,
+    traj: Trajectory, scenario: Scenario, *, fit: bool = True, ios: bool = True,
+    lyapunov: bool = False, lyapunov_tail: int = 20,
 ) -> tuple[DecayFit | None, IOSBoundCheck | None, LyapunovTrace | None]:
     """(fit, ios, lyapunov): decay fit, IOS check and Lyapunov oracle of one
     simulated scenario, each None where it did not run.
 
     The fit runs over ``default_fit_window`` at the schedule's diameter and
     is None when the series reaches the numerical floor or the window holds
-    fewer than 3 points. The IOS check and the oracle run only under a
-    feasible report.
+    fewer than 3 points. The IOS check and the oracle run only when the
+    scenario's own certificate, ``scenario.report`` (at the schedule's
+    diameter and the scenario's kappa), is feasible.
     """
     decay = None
     if fit:
@@ -372,7 +372,7 @@ def check_run(
             decay = fit_decay_rate(traj.times, traj.error_l2, window)
         except (DecayedToFloor, ValueError):
             pass
-    feasible = report is not None and report.feasible
+    report, feasible = scenario.report, scenario.report.feasible
     bound = check_ios_bound(traj, report, scenario.disturbances) if ios and feasible else None
     oracle = None
     if lyapunov and feasible:
@@ -383,11 +383,10 @@ def check_run(
 
 
 def _run_preset(cfg: dict, design: ObserverDesign, **checks):
-    """Report, scenario, trajectory and checks of a worked-example preset."""
-    report = gain_report(cfg, design)
+    """Scenario, trajectory and checks of a worked-example preset."""
     scenario = build_scenario(cfg, design=design)
     traj = simulate(scenario)
-    return report, scenario, traj, check_run(traj, scenario, report, **checks)
+    return scenario, traj, check_run(traj, scenario, **checks)
 
 
 @dataclass
@@ -472,7 +471,7 @@ def run_example_31(
     )
     design = build_design(cfg)
     h_star = max_diameter(design, omega * design.mu, variant)
-    report, _, traj, (fit, ios, lyap) = _run_preset(
+    scenario, traj, (fit, ios, lyap) = _run_preset(
         cfg, design, fit=fit_rate, ios=check_bounds, lyapunov=lyapunov,
         lyapunov_tail=lyapunov_tail,
     )
@@ -482,8 +481,8 @@ def run_example_31(
         omega_fraction=omega,
         variant=variant,
         design=design,
-        report=report,
-        kappa=report.kappa,
+        report=scenario.report,
+        kappa=scenario.kappa,
         trajectory=traj,
         fit=fit,
         ios=ios,
@@ -580,7 +579,8 @@ def run_example_32(
         snapshot_every=snapshot_every, u0=u0, w0=w0,
     )
     # the sup-norm series gets its own fit below, not the L2 one
-    report, scenario, traj, (_, ios, _) = _run_preset(cfg, design, fit=False)
+    scenario, traj, (_, ios, _) = _run_preset(cfg, design, fit=False)
+    report = scenario.report
 
     # reconstruction error: u_hat - u = int_0^x (w - u~) ds, sup over x
     e = traj.error_fields()

@@ -36,7 +36,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .errors import ConfigError, KappaOutOfRange, ParobsError, QInfeasible
+from .errors import ConfigError, ParobsError
 from .grids import write_csv
 from .observer_design import certificate_summary, design_to_json
 from .simulator import Trajectory, simulate
@@ -143,29 +143,22 @@ def cmd_simulate(args) -> int:
     validate_config(cfg, need_schedule=True)
     design = build_design(cfg)
     scenario = build_scenario(cfg, design=design, seed=args.seed)
-    try:
-        report = gain_report(
-            {**cfg, "gain": cfg.get("gain", {"h": scenario.schedule.diameter})}, design
-        )
-    except (QInfeasible, KappaOutOfRange):
-        report = None  # no certificate: simulate, fit, but check no bound
     traj = simulate(scenario)
     analysis = cfg.get("analysis", {})
     fit, ios, lyap = check_run(
-        traj, scenario, report, lyapunov=bool(analysis.get("lyapunov", False)),
+        traj, scenario, lyapunov=bool(analysis.get("lyapunov", False)),
         lyapunov_tail=int(analysis.get("lyapunov_tail", 20)),
     )
 
     doc: dict = {
         "label": scenario.label,
         "variant": scenario.variant,
+        "gain": _report_to_dict(scenario.report),
         "final_error_l2": float(traj.error_l2[-1]),
         "initial_error_l2": float(traj.error_l2[0]),
         "snapshots": int(traj.times.size),
         "samples": len(traj.events),
     }
-    if report is not None:
-        doc["gain"] = _report_to_dict(report)
     if ios is not None:
         doc["ios"] = {
             "violations": ios.violations,
@@ -221,6 +214,16 @@ def _csv_cell(v) -> str:
 
 
 def cmd_sweep(args) -> int:
+    """One sweep.csv row per value of h, kappa, Q or the noise amplitude.
+
+    A row that does not simulate takes omega and feasible from
+    ``gain_report`` at its gain.h; a simulated row takes them from its
+    scenario's certificate, at the schedule's diameter, so a simulated h
+    sweep needs a uniform schedule (a ConfigError before any work). A row
+    whose report or scenario raises a ParobsError names it in the error
+    column and leaves the trajectory columns empty; a Q the design rejects
+    aborts the sweep.
+    """
     cfg = apply_overrides(load_config(args.config), args.set or [])
     validate_config(cfg, need_schedule=cfg.get("sweep", {}).get("simulate", False))
     sweep = cfg.get("sweep")
@@ -239,17 +242,17 @@ def cmd_sweep(args) -> int:
         design = base.with_Q(value) if param == "Q" else base
         row = {"index": index, "parameter": param, "value": value}
         try:
-            report = gain_report(row_cfg, design)
+            scenario = build_scenario(row_cfg, design=design, seed=seed) if do_sim else None
+            report = gain_report(row_cfg, design) if scenario is None else scenario.report
             row.update(omega=report.omega, feasible=report.feasible)
         except ParobsError as exc:
-            report = None
+            scenario = None
             row.update(omega=float("nan"), feasible=False, error=type(exc).__name__)
-        if do_sim:
-            scenario = build_scenario(row_cfg, design=design, seed=seed)
+        if scenario is not None:
             # Q and kappa change only the certificate: one trajectory serves every row
             if traj is None or param in ("h", "noise_amplitude"):
                 traj = simulate(scenario)
-            fit, ios, _ = check_run(traj, scenario, report)
+            fit, ios, _ = check_run(traj, scenario)
             row["final_error_l2"] = float(traj.error_l2[-1])
             row["fitted_rate"] = fit.rate if fit is not None else float("nan")
             if ios is not None:

@@ -89,17 +89,6 @@ _SECTION_KEYS = {
 }
 _CHANNEL_KEYS = {"label", "kernel", "approximant"}
 
-_PROFILE_KINDS = {
-    "constant",
-    "polynomial",
-    "cosine",
-    "sine",
-    "cosine_series",
-    "closed_form",
-    "samples",
-    "sum",
-}
-
 
 def load_config(path) -> dict:
     """The config at ``path``, with a relative ``design_ref`` resolved
@@ -177,8 +166,11 @@ def _check_profile(spec, path: str):
     if not isinstance(spec, dict):
         raise ConfigError(path, "profile must be a number or an object with 'kind'")
     kind = spec.get("kind")
-    if kind not in _PROFILE_KINDS:
+    if kind not in pf.PROFILE_KINDS:
         raise ConfigError(f"{path}.kind", f"unknown profile kind {kind!r}")
+    if kind == "sum" and isinstance(spec.get("parts"), list):
+        for i, part in enumerate(spec["parts"]):
+            _check_profile(part, f"{path}.parts[{i}]")
 
 
 def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
@@ -267,7 +259,8 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         if _expect(cfg, f"time.{key}", (int, float), default=1.0) <= 0:
             raise ConfigError(f"time.{key}", f"{key} must be positive")
     if "gain" in cfg:
-        _expect(cfg, "gain.h", (int, float), required=True)
+        if _expect(cfg, "gain.h", (int, float), required=True) <= 0:
+            raise ConfigError("gain.h", "need a positive sampling diameter")
         _expect(cfg, "gain.kappa", (int, float))
         has_kappa = isinstance(cfg["gain"], dict) and "kappa" in cfg["gain"]
         has_omega = isinstance(cfg["gain"], dict) and "omega" in cfg["gain"]
@@ -293,7 +286,11 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
             raise ConfigError("sweep.values", "need at least one value")
         if not all(map(_is_number, values)):
             raise ConfigError("sweep.values", "every value must be a number")
-        _expect(cfg, "sweep.simulate", bool)
+        simulated = _expect(cfg, "sweep.simulate", bool, default=False)
+        kind = _expect(cfg, "schedule.kind", str)
+        if param == "h" and simulated and kind != "uniform":
+            raise ConfigError("sweep.parameter", f"a simulated sweep over h sets schedule.h, "
+                              f"which a {kind} schedule does not read; use a uniform one")
 
 
 def build_problem(cfg: dict) -> SLProblem:
@@ -353,7 +350,9 @@ def resolve_kappa(cfg: dict, design: ObserverDesign) -> float:
 
 def gain_report(cfg: dict, design: ObserverDesign) -> SmallGainReport:
     """Small-gain report of the configured variant at gain.h (else
-    schedule.h) and the configured kappa."""
+    schedule.h) and the configured kappa: the Omega that ``check-gain``,
+    ``design`` and a sweep that does not simulate evaluate. A simulated run
+    is certified by its ``Scenario.report`` instead."""
     variant = cfg.get("observer", {}).get("variant", "predictor")
     h = float(cfg.get("gain", {}).get("h", cfg.get("schedule", {}).get("h", 0.0)))
     if h <= 0.0:
@@ -403,6 +402,7 @@ def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | 
         snapshot_every=time_cfg.get("snapshot_every"),
         horizon=float(horizon) if horizon is not None else None,
         label=cfg.get("label", ""),
+        kappa=resolve_kappa(cfg, design),
     )
 
 

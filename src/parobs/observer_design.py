@@ -10,6 +10,7 @@ corresponding input-to-output stability bounds.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -768,8 +769,11 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
     The basis is taken from the caller, loaded from the CSV reference
     (``sturm_liouville.basis_from_csv``), or re-created analytically. Raises
     ``InvalidSpec`` when the document lacks a required key, naming the first
-    one, or when a basis loaded or re-created here differs from the one the
-    document records: another mode or node count than ``doc["basis"]``, or
+    one; when a value is not of its type (N and the basis counts integers;
+    L and P lists of rows of numbers, N x m and N x N; sigma, Q and the
+    Lipschitz bounds numbers; the plant and channels valid specs), naming
+    its key; or when a basis loaded or re-created here differs from the one
+    the document records: another mode or node count than ``doc["basis"]``, or
     eigenvalues more than 1e-12 relative from ``doc["eigenvalues"]``.
     """
     from .sturm_liouville import analytic_eigensystem, basis_from_csv
@@ -782,33 +786,44 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
     missing = _first_missing(doc, paths)
     if missing is not None:
         raise InvalidSpec(f"design JSON: missing key '{missing}'")
+
+    def read(key, cast, value):
+        return pf.cast_field(f"design JSON: {key}", cast, value)
+
     problem = problem_from_spec(doc["problem"])
+    N = read("N", operator.index, doc["N"])
+    L, P = read("L", _matrix, doc["L"]), read("P", _matrix, doc["P"])
+    for key, value, shape in (("L", L, (N, len(doc["channels"]))), ("P", P, (N, N))):
+        if value.shape != shape:
+            raise InvalidSpec(f"design JSON: {key} is {value.shape[0]} x {value.shape[-1]}, "
+                              f"need {shape[0]} x {shape[1]}")
+    # Q and sigma are required; the Lipschitz bounds default to 0
+    scalars = {key: read(key, pf.as_number, doc.get(key, 0.0))
+               for key in ("Q", "sigma", "lipschitz_R", "lipschitz_sup")}
     if basis is None:
         ref = doc["basis"].get("ref")
+        counts = tuple(read(f"basis.{key}", operator.index, doc["basis"][key])
+                       for key in ("modes", "nodes"))
         if ref:
             basis = basis_from_csv(ref, problem)
-            counts = (doc["basis"]["modes"], doc["basis"]["nodes"])
             if (basis.size, basis.grid.size) != counts:
                 raise InvalidSpec(
                     f"{ref}: {basis.size} modes on {basis.grid.size} nodes, the design "
                     f"JSON says {counts[0]} on {counts[1]}"
                 )
         else:
-            basis = analytic_eigensystem(problem, doc["basis"]["modes"], doc["basis"]["nodes"])
+            basis = analytic_eigensystem(problem, *counts)
         _check_eigenvalues(basis.eigenvalues, doc["eigenvalues"], ref or "analytic basis")
-    channels = [channel_from_spec(c, basis.grid, i) for i, c in enumerate(doc["channels"])]
-    return make_design(
-        problem,
-        basis,
-        channels,
-        np.asarray(doc["L"], dtype=float),
-        doc["N"],
-        Q=doc["Q"],
-        P=np.asarray(doc["P"], dtype=float),
-        sigma=doc["sigma"],
-        lipschitz_R=doc.get("lipschitz_R", 0.0),
-        lipschitz_sup=doc.get("lipschitz_sup", 0.0),
-    )
+    channels = [read(f"channels.{i}", lambda c: channel_from_spec(c, basis.grid, i), c)
+                for i, c in enumerate(doc["channels"])]
+    return make_design(problem, basis, channels, L, N, P=P, **scalars)
+
+
+def _matrix(rows) -> np.ndarray:
+    """A list of rows of numbers as a 2-D array; ragged rows raise ValueError."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TypeError(f"expected a list of rows, got {rows!r}")
+    return np.array([[pf.as_number(v) for v in row] for row in rows])
 
 
 def certificate_summary(design: ObserverDesign, reports: Sequence[SmallGainReport] = ()) -> str:

@@ -12,6 +12,7 @@ limited by quadrature error.  Grid data without a closed form goes through
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,6 +31,7 @@ __all__ = [
     "cosine_series",
     "as_profile",
     "profile_from_spec",
+    "PROFILE_KINDS",
     "inner_l2",
     "norm_l2",
 ]
@@ -258,10 +260,24 @@ def spec_field(spec: dict, key: str, cast=float, default=_REQUIRED):
         if default is _REQUIRED:
             raise InvalidSpec(f"{kind!r} spec: missing field {key!r}")
         return default
+    return cast_field(f"{kind!r} spec: field {key!r}", cast, spec[key])
+
+
+def cast_field(name: str, cast, value):
+    """``cast(value)``; a TypeError or ValueError it raises (InvalidSpec
+    included) becomes InvalidSpec naming ``name``."""
     try:
-        return cast(spec[key])
-    except (TypeError, ValueError, InvalidSpec) as exc:
-        raise InvalidSpec(f"{kind!r} spec: field {key!r}: {exc}") from exc
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{name}: {exc}") from exc
+
+
+def as_number(value) -> float:
+    """A JSON number as a float; a bool, a string or anything else raises
+    TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _floats(values) -> tuple[float, ...]:
@@ -275,35 +291,50 @@ def _trig(terms) -> tuple[tuple[float, float, float], ...]:
     return out
 
 
+def _wave(spec: dict) -> tuple[float, float, float]:
+    return (spec_field(spec, "amplitude"), spec_field(spec, "omega"),
+            spec_field(spec, "phase", default=0.0))
+
+
+def _samples(spec: dict, grid: np.ndarray | None):
+    if grid is None:
+        raise GridMismatch("'samples' profile needs a grid")
+    return SampledProfile(grid, spec_field(spec, "values", _floats))
+
+
+def _sum(spec: dict, grid: np.ndarray | None):
+    parts = [profile_from_spec(p, grid) for p in spec_field(spec, "parts", list)]
+    if not parts:
+        raise InvalidSpec("'sum' spec: field 'parts' is empty")
+    total = parts[0]
+    for p in parts[1:]:
+        total = total + p
+    return total
+
+
+# kind -> reader of (spec, grid); its keys are the profile kinds a spec may name
+_READERS = {
+    "constant": lambda spec, grid: constant(spec_field(spec, "value")),
+    "polynomial": lambda spec, grid: polynomial(spec_field(spec, "coeffs", _floats)),
+    "cosine": lambda spec, grid: cosine(*_wave(spec)),
+    "sine": lambda spec, grid: sine(*_wave(spec)),
+    "cosine_series": lambda spec, grid: cosine_series(
+        spec_field(spec, "mean", default=0.0), spec_field(spec, "coeffs", _floats, ())),
+    "closed_form": lambda spec, grid: Profile(
+        spec_field(spec, "poly", _floats, ()), spec_field(spec, "trig", _trig, ())),
+    "samples": _samples,
+    "sum": _sum,
+}
+PROFILE_KINDS = frozenset(_READERS)
+
+
 def profile_from_spec(spec: dict, grid: np.ndarray | None = None):
-    """Build a profile from its JSON-friendly description."""
+    """Build a profile from its JSON-friendly description; a kind outside
+    ``PROFILE_KINDS`` raises InvalidSpec."""
     kind = spec_kind(spec)
-    if kind == "constant":
-        return constant(spec_field(spec, "value"))
-    if kind == "polynomial":
-        return polynomial(spec_field(spec, "coeffs", _floats))
-    if kind in ("cosine", "sine"):
-        make = cosine if kind == "cosine" else sine
-        return make(spec_field(spec, "amplitude"), spec_field(spec, "omega"),
-                    spec_field(spec, "phase", default=0.0))
-    if kind == "cosine_series":
-        return cosine_series(spec_field(spec, "mean", default=0.0),
-                             spec_field(spec, "coeffs", _floats, ()))
-    if kind == "closed_form":
-        return Profile(spec_field(spec, "poly", _floats, ()), spec_field(spec, "trig", _trig, ()))
-    if kind == "samples":
-        if grid is None:
-            raise GridMismatch("'samples' profile needs a grid")
-        return SampledProfile(grid, spec_field(spec, "values", _floats))
-    if kind == "sum":
-        parts = [profile_from_spec(p, grid) for p in spec_field(spec, "parts", list)]
-        if not parts:
-            raise InvalidSpec("'sum' spec: field 'parts' is empty")
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total
-    raise ValueError(f"unknown profile kind {kind!r}")
+    if kind not in _READERS:
+        raise InvalidSpec(f"unknown profile kind {kind!r}")
+    return _READERS[kind](spec, grid)
 
 
 def inner_l2(f, g, grid: np.ndarray | None = None) -> float:

@@ -35,7 +35,7 @@ from . import profiles as pf
 from .errors import ConfigError, InvalidSpec, ScheduleHorizonMismatch, StepRejected
 from .grids import snapshot_norms, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
-from .observer_design import ObserverDesign, check_variant, injection_kernels, small_gain
+from .observer_design import ObserverDesign, SmallGainReport, injection_kernels, small_gain
 from .schedule import SamplingSchedule
 from .signals import Disturbances, SpaceTimeSignal, TimeSignal, field_signal_from_spec
 from .sturm_liouville import DiscreteSLOperator, SLProblem
@@ -366,7 +366,15 @@ class SampleEvent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one co-simulation run needs, bound to one grid size."""
+    """Everything one co-simulation run needs, bound to one grid size, and
+    the run's certificate.
+
+    ``report`` is derived in ``__post_init__``: the small-gain report of the
+    design and variant at the schedule's diameter and ``kappa``, so it
+    describes the run that is simulated. ``dataclasses.replace`` re-derives
+    it; a kappa outside [0, mu) raises ``KappaOutOfRange`` and an unknown
+    variant ValueError.
+    """
 
     design: ObserverDesign
     variant: str  # "predictor" or "zoh"
@@ -380,9 +388,10 @@ class Scenario:
     snapshot_every: float | None = None
     horizon: float | None = None  # None -> schedule horizon
     label: str = ""
+    kappa: float = 0.0
+    report: SmallGainReport = field(init=False)
 
     def __post_init__(self):
-        check_variant(self.variant)
         if len(self.disturbances.xi) not in (0, self.design.m):
             raise ValueError("need one noise channel per output channel")
         if self.design.lipschitz_R < self.nonlinearity.lipschitz_R:
@@ -391,6 +400,8 @@ class Scenario:
                 f"certificate assumes R = {self.design.lipschitz_R:.6g}, below the "
                 f"nonlinearity's Lipschitz bound {self.nonlinearity.lipschitz_R:.6g}",
             )
+        report = small_gain(self.design, self.schedule.diameter, self.kappa, self.variant)
+        object.__setattr__(self, "report", report)
 
 
 @dataclass
@@ -433,9 +444,10 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     Sub-steps subdivide each sampling interval exactly, so every sampling
     time is an integrator step boundary and no interpolation happens at
-    predictor resets. Every design holds a valid certificate, so Omega at
-    kappa = 0 always exists; designs whose Omega exceeds one still run
-    (divergence studies are legitimate) but emit a warning.
+    predictor resets. A scenario whose certificate ``scenario.report`` is
+    infeasible (Omega >= 1) still runs, since divergence studies are
+    legitimate, but emits a warning; ``analysis.check_run`` then checks no
+    bound.
 
     A linear run (phi the identity) carries the observer in error
     coordinates (w - u, zeta - C u; the held innovation for the hold
@@ -462,13 +474,10 @@ def simulate(scenario: Scenario) -> Trajectory:
     dist = scenario.disturbances
     xi = dist.xi if dist.xi else tuple(None for _ in range(design.m))
 
-    report = small_gain(design, sch.diameter, 0.0, scenario.variant)
+    report = scenario.report
     if not report.feasible:
-        warnings.warn(
-            f"small-gain value {report.omega:.4g} >= 1 at diameter "
-            f"{sch.diameter:.4g}; convergence is not certified",
-            stacklevel=2,
-        )
+        warnings.warn(f"small-gain value {report.omega:.4g} >= 1 at diameter {report.h:.4g} and "
+                      f"kappa {report.kappa:.4g}; convergence is not certified", stacklevel=2)
 
     u = _initial_field(scenario.u0, op)
     w = _initial_field(scenario.w0, op)

@@ -61,9 +61,9 @@ class SLProblem:
     def __post_init__(self):
         object.__setattr__(self, "q", pf.as_profile(self.q))
         if not self.p > 0:
-            raise ValueError(f"diffusion constant must be positive, got {self.p}")
+            raise InvalidSpec(f"diffusion constant must be positive, got {self.p}")
         if self.a0**2 + self.b0**2 <= 0 or self.a1**2 + self.b1**2 <= 0:
-            raise ValueError("each boundary condition needs a nonzero coefficient pair")
+            raise InvalidSpec("each boundary condition needs a nonzero coefficient pair")
 
     @property
     def dirichlet_left(self) -> bool:
@@ -94,15 +94,15 @@ class SLProblem:
 
 def problem_from_spec(spec: dict) -> SLProblem:
     """The plant of a ``problem`` section, as ``SLProblem.spec`` writes it;
-    q is any profile spec or number and defaults to 0."""
+    q is any profile spec or number and defaults to 0. A p or bc entry that
+    is not a number, or a q that is not a profile, raises InvalidSpec naming
+    its key."""
     bc = spec["bc"]
     return SLProblem(
-        p=float(spec["p"]),
-        q=pf.as_profile(spec.get("q", 0.0)),
-        a0=float(bc["a0"]),
-        b0=float(bc["b0"]),
-        a1=float(bc["a1"]),
-        b1=float(bc["b1"]),
+        p=pf.cast_field("problem.p", pf.as_number, spec["p"]),
+        q=pf.cast_field("problem.q", pf.as_profile, spec.get("q", 0.0)),
+        **{key: pf.cast_field(f"problem.bc.{key}", pf.as_number, bc[key])
+           for key in ("a0", "b0", "a1", "b1")},
     )
 
 
@@ -123,7 +123,7 @@ class GeneralSLProblem:
         object.__setattr__(self, "r", pf.as_profile(self.r))
         object.__setattr__(self, "q", pf.as_profile(self.q))
         if self.a0**2 + self.b0**2 <= 0 or self.a1**2 + self.b1**2 <= 0:
-            raise ValueError("each boundary condition needs a nonzero coefficient pair")
+            raise InvalidSpec("each boundary condition needs a nonzero coefficient pair")
 
 
 class DiscreteSLOperator:

@@ -169,6 +169,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="kernel.kind"):
             validate_config(cfg)
 
+    def test_unknown_nested_profile_kind_exit_code(self, capsys):
+        # a part of a sum used to reach the parser and end in a bare ValueError (exit 1)
+        override = 'problem.q={"kind":"sum","parts":[{"kind":"mystery"}]}'
+        assert main(["check-gain", "--config", str(DESIGN_SWEEP), "--set", override]) == EXIT_CONFIG
+        assert "problem.q.parts[0].kind: unknown profile kind 'mystery'" in capsys.readouterr().err
+
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -395,9 +401,32 @@ class TestCli:
              "basis.csv: 64 modes on 2001 nodes, the design JSON says 63 on 2001"),
             ("basis.csv", _other_plant_basis,
              "basis.csv: lambda_1 = 1.7693653452212259, the design JSON records 1.669365345459068"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc["problem"].update(p="abc")),
+             "problem.p: expected a number, got 'abc'"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc.update(sigma="abc")),
+             "design JSON: sigma: expected a number, got 'abc'"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc.update(N="2")),
+             "design JSON: N: "),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc.update(L=[["a"]])),
+             "design JSON: L: expected a number, got 'a'"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc["problem"].update(p=-1)),
+             "diffusion constant must be positive, got -1.0"),
+            ("design.json", lambda text: _edit_json(
+                text, lambda doc: doc["channels"][0].update(kernel={"kind": "mystery"})),
+             "design JSON: channels.0: unknown profile kind 'mystery'"),
+            ("design.json", lambda text: _edit_json(
+                text, lambda doc: doc["problem"].update(q={"kind": "mystery"})),
+             "problem.q: unknown profile kind 'mystery'"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc.update(L=[[1.0, 2.0]])),
+             "design JSON: L is 1 x 2, need 2 x 2"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc["basis"].update(modes="64")),
+             "design JSON: basis.modes: "),
         ],
         ids=["basis_cut_bytes", "basis_not_numeric", "basis_vector_line", "basis_counts",
-             "basis_first_1000_lines", "design_key", "design_modes", "basis_other_plant"],
+             "basis_first_1000_lines", "design_key", "design_modes", "basis_other_plant",
+             "design_p_type", "design_sigma_type", "design_N_type", "design_L_entry",
+             "design_p_negative", "design_kernel_kind", "design_q_kind", "design_L_shape",
+             "design_modes_type"],
     )
     def test_corrupt_design_ref_exit_code(self, written_design, tmp_path, capsys, name, edit, message):
         # before basis.csv and design.json were checked, these ended in a bare
@@ -725,3 +754,49 @@ class TestSimulateAndSweep:
         rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 1 + len(values) and "ios_violations" in rows[0]
         assert len(calls) == runs
+
+
+NONLINEAR_ZOH = DESIGN_SWEEP.parent / "nonlinear_zoh.json"
+
+
+class TestRunCertificate:
+    """A simulated run is certified at its schedule's diameter and kappa."""
+
+    def test_report_is_at_the_schedule_diameter(self, tmp_path):
+        # gain.h = 0.1 used to certify this run (Omega 0.821, 0 IOS violations)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(NONLINEAR_ZOH), "--set", "schedule.horizon=6",
+                "--set", "schedule.h_max=0.6", "--strict", "--out", str(out)]
+        with pytest.warns(UserWarning, match="at diameter 0.6 and kappa"):
+            assert main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["gain"]["h"] == 0.6 and report["gain"]["feasible"] is False
+        assert "ios" not in report and "lyapunov" not in report
+
+    def test_kappa_out_of_range_exit_code(self, capsys):
+        argv = ["simulate", "--config", str(NONLINEAR_ZOH), "--set", "schedule.horizon=2",
+                "--set", "gain.kappa=100", "--strict"]
+        assert main(argv) == EXIT_CONFIG
+        assert "KappaOutOfRange" in capsys.readouterr().err
+
+    def test_simulated_h_sweep_needs_a_uniform_schedule(self, monkeypatch, capsys):
+        monkeypatch.setattr(parobs.cli, "build_design", lambda cfg: pytest.fail("computed"))
+        sweep = '{"parameter":"h","values":[0.02,0.1,0.3],"simulate":true}'
+        argv = ["sweep", "--config", str(NONLINEAR_ZOH), "--set", "schedule.horizon=2",
+                "--set", f"sweep={sweep}"]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: sweep.parameter:" in capsys.readouterr().err
+
+    def test_simulated_row_without_scenario(self, tmp_path, capsys):
+        cfg = example31_config()
+        cfg["schedule"]["horizon"] = 1.0
+        mu = build_design(cfg).mu
+        cfg["sweep"] = {"parameter": "kappa", "values": [0.0, mu], "simulate": True}
+        path = tmp_path / "sweep_kappa.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path)]) == 0
+        header, first, second = capsys.readouterr().out.splitlines()
+        row = dict(zip(header.split(","), second.split(",")))
+        assert row["error"] == "KappaOutOfRange" and row["feasible"] == "false"
+        assert row["final_error_l2"] == row["fitted_rate"] == row["ios_violations"] == ""
+        assert dict(zip(header.split(","), first.split(",")))["ios_violations"] == "0"

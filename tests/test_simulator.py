@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from parobs import profiles as pf
-from parobs.errors import ConfigError, ScheduleHorizonMismatch, StepRejected
+from parobs.errors import ConfigError, KappaOutOfRange, ScheduleHorizonMismatch, StepRejected
 from parobs.grids import trapezoid_weights, uniform_grid
 from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm, ZeroTerm
-from parobs.observer_design import OutputChannel, injection_kernels, make_design
+from parobs.observer_design import OutputChannel, injection_kernels, make_design, small_gain
 from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal
 from parobs import simulator
@@ -405,6 +405,25 @@ class TestSimulate:
         with pytest.raises(ConfigError, match="design.lipschitz_R"):
             Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
                      u0=1.0, w0=0.0, nonlinearity=nl)
+
+    def test_replace_recertifies_at_the_new_schedule(self, ex31_design):
+        kappa = 0.1 * ex31_design.mu
+        sc = Scenario(design=ex31_design, variant="zoh", nodes=101, u0=1.0, w0=0.0, kappa=kappa,
+                      schedule=make_schedule({"kind": "random", "h_min": 0.1, "h_max": 0.2,
+                                              "horizon": 1.0, "seed": 3}))
+        uniform = make_schedule({"kind": "uniform", "h": 0.3, "horizon": 1.0})
+        report = dataclasses.replace(sc, schedule=uniform).report
+        expected = small_gain(ex31_design, 0.3, kappa, "zoh")
+        for f in dataclasses.fields(expected):
+            got, want = getattr(report, f.name), getattr(expected, f.name)
+            if f.name == "coefficients":
+                assert got.initial == want.initial and got.mismatch == want.mismatch
+                np.testing.assert_array_equal(got.noise, want.noise)
+            else:
+                assert got == want, f.name
+        assert sc.report.h == 0.2
+        with pytest.raises(KappaOutOfRange):
+            dataclasses.replace(sc, kappa=ex31_design.mu)
 
     def test_ios_bound_with_lipschitz_term(self):
         # design declares the nonlinearity's certified Lipschitz constant and
