@@ -16,7 +16,7 @@ print(f"  design: A11 = {rep.design.A[0, 0]:.6f}, ||k - c|| = {rep.design.norm_g
 print(f"  maximal diameter h* = {rep.h_star:.6f}; using h = {rep.h:.6f}")
 print(f"  Omega = {rep.report.omega:.4f} (feasible: {rep.report.feasible})")
 print(f"  sup-norm reconstruction error: {rep.sup_error[0]:.4f} -> {rep.sup_error[-1]:.2e}")
-print(f"  fitted sup-norm rate {rep.fit.rate:.2f} vs certified kappa {rep.kappa:.2f}")
+print(f"  fitted sup-norm rate {rep.sup_fit.rate:.2f} vs certified kappa {rep.kappa:.2f}")
 print(f"  transformed-state boundary defect: {rep.bc_defect:.2e}")
 
 print("\n== constant measurement bias ==")

@@ -1,7 +1,9 @@
 """Trajectory post-processing: decay-rate fits, IOS bound checking, the
 Lyapunov-functional oracle, and ``check_run``, which every run (CLI or
-worked example) goes through after simulating. The worked-example runners
-simulate the presets of ``parobs.config`` like any other config.
+worked example) goes through after simulating and which returns the run's
+one result record, ``RunResult``. The worked-example runners simulate the
+presets of ``parobs.config`` like any other config, and their reports are
+``RunResult`` subclasses that add only what the scenario does not hold.
 
 The bound checkers evaluate the right-hand sides with exact running-supremum
 bookkeeping of the exponentially weighted signal histories, so a trajectory
@@ -11,6 +13,7 @@ discretization slack) or the violation count says where it fails.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -43,6 +46,7 @@ __all__ = [
     "lyapunov_oracle",
     "divergence_verdict",
     "predictor_compatibility_residual",
+    "RunResult",
     "check_run",
     "Example31Report",
     "example31_design",
@@ -352,12 +356,86 @@ def predictor_compatibility_residual(traj: Trajectory, design: ObserverDesign) -
 
 # -- the shared check sequence and the worked-example runners --------------------
 
+def _report_to_dict(report: SmallGainReport) -> dict:
+    doc = dataclasses.asdict(report)
+    doc["coefficients"]["noise"] = list(map(float, np.atleast_1d(report.coefficients.noise)))
+    return doc
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """One simulated scenario and its checks: the decay fit, the IOS check
+    and the Lyapunov oracle, each None where it did not run. The
+    certificate, design, kappa and variant are the scenario's own, and
+    ``to_dict`` is the run's report.json."""
+
+    scenario: Scenario
+    trajectory: Trajectory
+    fit: DecayFit | None
+    ios: IOSBoundCheck | None
+    lyapunov: LyapunovTrace | None
+
+    @property
+    def report(self) -> SmallGainReport:
+        return self.scenario.report
+
+    @property
+    def design(self) -> ObserverDesign:
+        return self.scenario.design
+
+    @property
+    def kappa(self) -> float:
+        return self.scenario.kappa
+
+    @property
+    def variant(self) -> str:
+        return self.scenario.variant
+
+    @property
+    def h(self) -> float:
+        """The schedule's diameter, at which ``report`` certifies the run."""
+        return self.scenario.schedule.diameter
+
+    @property
+    def violated(self) -> bool:
+        """True when the certificate is infeasible, or the IOS estimate or
+        ||e||^2 <= V fails at a snapshot. The oracle's integral inequality
+        is reported, not judged: it fails on the worked designs."""
+        return (
+            not self.report.feasible
+            or (self.ios is not None and self.ios.violations > 0)
+            or (self.lyapunov is not None and not self.lyapunov.e_le_V_ok)
+        )
+
+    def to_dict(self) -> dict:
+        traj, ios, ly = self.trajectory, self.ios, self.lyapunov
+        doc: dict = {
+            "label": self.scenario.label,
+            "variant": self.variant,
+            "gain": _report_to_dict(self.report),
+            "final_error_l2": float(traj.error_l2[-1]),
+            "initial_error_l2": float(traj.error_l2[0]),
+            "snapshots": int(traj.times.size),
+            "samples": len(traj.events),
+        }
+        if ios is not None:
+            doc["ios"] = {"violations": ios.violations,
+                          "worst_relative_margin": ios.worst_relative_margin}
+        if ly is not None:
+            doc["lyapunov"] = {"violations": ly.violations, "error_le_V": ly.e_le_V_ok,
+                               "v0_bound": ly.v0_bound_ok, "parseval_deficit": ly.parseval_deficit}
+        if self.fit is not None:
+            doc["fitted_rate"] = self.fit.rate
+            doc["fitted_rate_ci"] = self.fit.ci_halfwidth
+        return doc
+
+
 def check_run(
     traj: Trajectory, scenario: Scenario, *, fit: bool = True, ios: bool = True,
     lyapunov: bool = False, lyapunov_tail: int = 20,
-) -> tuple[DecayFit | None, IOSBoundCheck | None, LyapunovTrace | None]:
-    """(fit, ios, lyapunov): decay fit, IOS check and Lyapunov oracle of one
-    simulated scenario, each None where it did not run.
+) -> RunResult:
+    """The decay fit, IOS check and Lyapunov oracle of one simulated
+    scenario, as one ``RunResult``.
 
     The fit runs over ``default_fit_window`` at the schedule's diameter and
     is None when the series reaches the numerical floor or the window holds
@@ -379,65 +457,34 @@ def check_run(
         oracle = lyapunov_oracle(traj, scenario.design, lyapunov_tail,
                                  nonlinearity=scenario.nonlinearity,
                                  disturbances=scenario.disturbances)
-    return decay, bound, oracle
+    return RunResult(scenario, traj, decay, bound, oracle)
 
 
-def _run_preset(cfg: dict, design: ObserverDesign, **checks):
-    """Scenario, trajectory and checks of a worked-example preset."""
-    scenario = build_scenario(cfg, design=design)
-    traj = simulate(scenario)
-    return scenario, traj, check_run(traj, scenario, **checks)
+@dataclass(frozen=True)
+class Example31Report(RunResult):
+    """Heat plant with Neumann ends and the weighted-average output: the
+    run of ``example31_config`` plus what its scenario does not hold."""
 
-
-@dataclass
-class Example31Report:
-    """Heat plant with Neumann ends and the weighted-average output."""
-
-    p: float
-    h: float
     omega_fraction: float
-    variant: str
-    design: ObserverDesign
-    report: SmallGainReport
-    kappa: float
-    trajectory: Trajectory
-    fit: DecayFit | None
-    ios: IOSBoundCheck | None
-    lyapunov: LyapunovTrace | None
-    verdict: str
     h_star: float
+    verdict: str
+
+    @property
+    def p(self) -> float:
+        return self.design.problem.p
 
     def to_dict(self) -> dict:
-        out = {
+        d = self.design
+        return {**super().to_dict(), "example": {
             "p": self.p,
-            "h": self.h,
             "omega_fraction": self.omega_fraction,
-            "variant": self.variant,
-            "kappa": self.kappa,
-            "omega": self.report.omega,
-            "feasible": self.report.feasible,
-            "gamma": self.report.gamma,
-            "mu": self.design.mu,
-            "A11": float(self.design.A[0, 0]),
-            "K": self.design.K,
-            "norm_k_minus_c": float(self.design.norm_gap[0]),
-            "norm_l": float(self.design.norm_l[0]),
+            "A11": float(d.A[0, 0]),
+            "K": d.K,
+            "norm_k_minus_c": float(d.norm_gap[0]),
+            "norm_l": float(d.norm_l[0]),
             "h_star": self.h_star,
             "verdict": self.verdict,
-            "final_error_l2": float(self.trajectory.error_l2[-1]),
-            "initial_error_l2": float(self.trajectory.error_l2[0]),
-        }
-        if self.fit is not None:
-            out["fitted_rate"] = self.fit.rate
-            out["fitted_rate_ci"] = self.fit.ci_halfwidth
-        if self.ios is not None:
-            out["ios_violations"] = self.ios.violations
-            out["ios_worst_relative_margin"] = self.ios.worst_relative_margin
-        if self.lyapunov is not None:
-            out["lyapunov_violations"] = self.lyapunov.violations
-            out["lyapunov_e_le_V"] = self.lyapunov.e_le_V_ok
-            out["lyapunov_v0_bound"] = self.lyapunov.v0_bound_ok
-        return out
+        }}
 
 
 def run_example_31(
@@ -471,81 +518,69 @@ def run_example_31(
     )
     design = build_design(cfg)
     h_star = max_diameter(design, omega * design.mu, variant)
-    scenario, traj, (fit, ios, lyap) = _run_preset(
-        cfg, design, fit=fit_rate, ios=check_bounds, lyapunov=lyapunov,
-        lyapunov_tail=lyapunov_tail,
-    )
-    return Example31Report(
-        p=p,
-        h=h,
-        omega_fraction=omega,
-        variant=variant,
-        design=design,
-        report=scenario.report,
-        kappa=scenario.kappa,
-        trajectory=traj,
-        fit=fit,
-        ios=ios,
-        lyapunov=lyap,
-        verdict=divergence_verdict(traj),
-        h_star=h_star,
-    )
+    scenario = build_scenario(cfg, design=design)
+    traj = simulate(scenario)
+    run = check_run(traj, scenario, fit=fit_rate, ios=check_bounds, lyapunov=lyapunov,
+                    lyapunov_tail=lyapunov_tail)
+    return Example31Report(**vars(run), omega_fraction=omega, h_star=h_star,
+                           verdict=divergence_verdict(traj))
 
 
-@dataclass
-class Example32Report:
+@dataclass(frozen=True)
+class Example32Report(RunResult):
     """Boundary-measured plant handled through the derivative variable.
 
     The simulated field is the transformed state (Neumann at 0, Dirichlet
     at 1); the original state and its estimate come back through cumulative
     integration, which maps L2 error bounds into sup-norm ones with unit
-    operator norm."""
+    operator norm. ``fit`` is the L2 fit of every run; ``sup_fit`` fits the
+    sup-norm reconstruction error ``sup_error``."""
 
-    p: float
-    q: float
-    h: float
     omega_fraction: float
-    design: ObserverDesign
-    report: SmallGainReport
-    kappa: float
-    trajectory: Trajectory
+    h_star: float
     theta: float
     sup_error: np.ndarray
-    fit: DecayFit | None
-    ios: IOSBoundCheck | None
+    sup_fit: DecayFit | None
     noise_bound: float | None  # theta * sup |xi|
     noise_bound_ok: bool | None
     bc_defect: float
-    h_star: float
+
+    @property
+    def p(self) -> float:
+        return self.design.problem.p
+
+    @property
+    def q(self) -> float:
+        return self.design.problem.constant_q()
+
+    @property
+    def violated(self) -> bool:
+        """``RunResult.violated``, or the sup-norm noise bound fails."""
+        return super().violated or self.noise_bound_ok is False
 
     def to_dict(self) -> dict:
-        out = {
+        d = self.design
+        example = {
             "p": self.p,
             "q": self.q,
-            "h": self.h,
             "omega_fraction": self.omega_fraction,
-            "kappa": self.kappa,
-            "omega": self.report.omega,
-            "feasible": self.report.feasible,
-            "A11": float(self.design.A[0, 0]),
-            "c11": float(self.design.c_coeffs[0, 0]),
-            "K": self.design.K,
-            "norm_k_minus_c": float(self.design.norm_gap[0]),
+            "A11": float(d.A[0, 0]),
+            "c11": float(d.c_coeffs[0, 0]),
+            "K": d.K,
+            "norm_k_minus_c": float(d.norm_gap[0]),
             "theta": self.theta,
             "h_star": self.h_star,
             "final_sup_error": float(self.sup_error[-1]),
             "initial_sup_error": float(self.sup_error[0]),
             "bc_defect": self.bc_defect,
         }
-        if self.fit is not None:
-            out["fitted_sup_rate"] = self.fit.rate
-            out["fitted_sup_rate_ci"] = self.fit.ci_halfwidth
-        if self.ios is not None:
-            out["ios_violations"] = self.ios.violations
+        if self.sup_fit is not None:
+            example["fitted_sup_rate"] = self.sup_fit.rate
+            example["fitted_sup_rate_ci"] = self.sup_fit.ci_halfwidth
         if self.noise_bound is not None:
-            out["noise_bound"] = self.noise_bound
-            out["noise_bound_ok"] = self.noise_bound_ok
-        return out
+            example["noise_bound"] = self.noise_bound
+            example["noise_bound_ok"] = self.noise_bound_ok
+        return {**super().to_dict(), "example": example}
 
 
 def run_example_32(
@@ -565,10 +600,10 @@ def run_example_32(
     """End-to-end run of ``example32_config`` with the same arguments.
 
     h defaults to half the maximal feasible diameter at kappa = omega * mu.
-    The report carries the sup-norm reconstruction-error series and the
-    composed constant theta = max of the three bound coefficients, which
-    dominates the sup-norm error because cumulative integration maps L2
-    into sup with unit norm.
+    The report carries the sup-norm reconstruction-error series, its decay
+    fit, and the composed constant theta = max of the three bound
+    coefficients, which dominates the sup-norm error because cumulative
+    integration maps L2 into sup with unit norm.
     """
     if not 0.0 <= omega < 1.0:
         raise ValueError("omega must lie in [0, 1)")
@@ -578,8 +613,9 @@ def run_example_32(
         p, q, h, omega, noise, horizon=horizon, nodes=nodes, dt=dt,
         snapshot_every=snapshot_every, u0=u0, w0=w0,
     )
-    # the sup-norm series gets its own fit below, not the L2 one
-    scenario, traj, (_, ios, _) = _run_preset(cfg, design, fit=False)
+    scenario = build_scenario(cfg, design=design)
+    traj = simulate(scenario)
+    run = check_run(traj, scenario)
     report = scenario.report
 
     # reconstruction error: u_hat - u = int_0^x (w - u~) ds, sup over x
@@ -590,14 +626,14 @@ def run_example_32(
     coeff = report.coefficients
     theta = max(coeff.initial, float(np.max(coeff.noise)), coeff.mismatch)
 
-    fit = None
+    sup_fit = None
     positive = sup_error > 1e-10 * max(sup_error[0], 1e-300)
     if sup_error[0] > 0 and np.count_nonzero(positive) > 3:
         t_hi = float(traj.times[np.nonzero(positive)[0][-1]])
         try:
-            fit = fit_decay_rate(traj.times, np.maximum(sup_error, 1e-300), (3.0 * h, t_hi))
+            sup_fit = fit_decay_rate(traj.times, np.maximum(sup_error, 1e-300), (3.0 * h, t_hi))
         except (DecayedToFloor, ValueError):
-            fit = None
+            pass
 
     noise_bound = noise_bound_ok = None
     xi0 = scenario.disturbances.xi[0]
@@ -612,20 +648,13 @@ def run_example_32(
     bc_defect = float(np.max(np.maximum(np.abs(f[:, -1]), np.abs(d0) * dx) / scale))
 
     return Example32Report(
-        p=p,
-        q=q,
-        h=h,
+        **vars(run),
         omega_fraction=omega,
-        design=design,
-        report=report,
-        kappa=report.kappa,
-        trajectory=traj,
+        h_star=h_star,
         theta=theta,
         sup_error=sup_error,
-        fit=fit,
-        ios=ios,
+        sup_fit=sup_fit,
         noise_bound=noise_bound,
         noise_bound_ok=noise_bound_ok,
         bc_defect=bc_defect,
-        h_star=h_star,
     )

@@ -5,29 +5,28 @@ All commands are configuration-driven (JSON, versioned schema) with
 repeatable ``--set key.path=value`` overrides that are type-checked before
 any computation. ``example31``/``example32`` map their arguments onto the
 presets ``example31_config``/``example32_config`` and run them through the
-same build, simulate and ``check_run`` path; ``simulate``, ``example31`` and
-``example32`` share one writer for ``report.json``, ``trajectory.csv`` and
-``margins.csv`` and one ``--strict`` rule. Outputs are deterministic given
-the config and seed: floats print with 17 significant digits so reruns are
-byte-identical, and every CSV table but the mixed-type ``sweep.csv`` is
-written by ``grids.write_csv``.
+same build, simulate and ``check_run`` path. Each of ``simulate``,
+``example31`` and ``example32`` holds one ``analysis.RunResult``: its
+``to_dict`` is ``report.json`` (the examples add an ``example`` section),
+one writer turns it into ``report.json``, ``trajectory.csv`` and
+``margins.csv``, and one ``--strict`` rule judges it. Outputs are
+deterministic given the config and seed: floats print with 17 significant
+digits so reruns are byte-identical, and every CSV table but the mixed-type
+``sweep.csv`` is written by ``grids.write_csv``.
 
-Exit codes: 0 success, 2 configuration error, 3 invariant violation under
-``--strict``.
+Exit codes: 0 success, 2 configuration error, 3 under ``--strict`` when a
+run is not certified (Omega >= 1) or a checked bound fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import json
 import os
 import sys
 
-import numpy as np
-
-from .analysis import check_run, run_example_31, run_example_32
+from .analysis import RunResult, _report_to_dict, check_run, run_example_31, run_example_32
 from .config import (
     apply_overrides,
     build_design,
@@ -57,11 +56,12 @@ def _write_json(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-def _write_run(outdir: str, doc: dict, traj: Trajectory, ios=None, lyap=None) -> None:
+def _write_run(outdir: str, run: RunResult) -> None:
     """report.json, trajectory.csv and margins.csv of one simulated run."""
     os.makedirs(outdir, exist_ok=True)
-    _write_json(os.path.join(outdir, "report.json"), doc)
+    _write_json(os.path.join(outdir, "report.json"), run.to_dict())
 
+    traj, ios, lyap = run.trajectory, run.ios, run.lyapunov
     m = traj.zeta.shape[1]
     header = ["t", "err_l2", "err_sup"] + [f"zeta_{i + 1}" for i in range(m)] + ["sample_flag"]
     cols = [traj.times, traj.error_l2, traj.error_sup, traj.zeta, traj.sample_flag]
@@ -85,22 +85,10 @@ def _write_fields(outdir: str, traj: Trajectory) -> None:
                   [traj.grid, traj.u[k], traj.w[k]])
 
 
-def _exit_code(strict: bool, ios=None, lyap=None, noise_bound_ok=None) -> int:
-    """Under --strict, exit 3 when the IOS estimate or ||e||^2 <= V fails at
-    a snapshot, or the sup-norm noise bound fails. The oracle's integral
-    inequality is reported, not judged: it fails on the worked designs."""
-    violated = (
-        (ios is not None and ios.violations > 0)
-        or (lyap is not None and not lyap.e_le_V_ok)
-        or noise_bound_ok is False
-    )
-    return EXIT_VIOLATION if strict and violated else EXIT_OK
-
-
-def _report_to_dict(report) -> dict:
-    doc = dataclasses.asdict(report)
-    doc["coefficients"]["noise"] = list(map(float, np.atleast_1d(report.coefficients.noise)))
-    return doc
+def _exit_code(strict: bool, run: RunResult) -> int:
+    """Under --strict, exit 3 when the run's certificate is infeasible or a
+    bound it checks fails (``RunResult.violated``)."""
+    return EXIT_VIOLATION if strict and run.violated else EXIT_OK
 
 
 def cmd_design(args) -> int:
@@ -145,47 +133,21 @@ def cmd_simulate(args) -> int:
     scenario = build_scenario(cfg, design=design, seed=args.seed)
     traj = simulate(scenario)
     analysis = cfg.get("analysis", {})
-    fit, ios, lyap = check_run(
+    run = check_run(
         traj, scenario, lyapunov=bool(analysis.get("lyapunov", False)),
         lyapunov_tail=int(analysis.get("lyapunov_tail", 20)),
     )
-
-    doc: dict = {
-        "label": scenario.label,
-        "variant": scenario.variant,
-        "gain": _report_to_dict(scenario.report),
-        "final_error_l2": float(traj.error_l2[-1]),
-        "initial_error_l2": float(traj.error_l2[0]),
-        "snapshots": int(traj.times.size),
-        "samples": len(traj.events),
-    }
-    if ios is not None:
-        doc["ios"] = {
-            "violations": ios.violations,
-            "worst_relative_margin": ios.worst_relative_margin,
-        }
-    if lyap is not None:
-        doc["lyapunov"] = {
-            "violations": lyap.violations,
-            "error_le_V": lyap.e_le_V_ok,
-            "v0_bound": lyap.v0_bound_ok,
-            "parseval_deficit": lyap.parseval_deficit,
-        }
-    if fit is not None:
-        doc["fitted_rate"] = fit.rate
-        doc["fitted_rate_ci"] = fit.ci_halfwidth
-
     print(
         f"simulated {scenario.variant} observer: ||e(0)|| = {_fmt(traj.error_l2[0])}, "
         f"||e(T)|| = {_fmt(traj.error_l2[-1])}"
     )
-    if ios is not None:
-        print(f"ios violations = {ios.violations}")
+    if run.ios is not None:
+        print(f"ios violations = {run.ios.violations}")
     if args.out:
-        _write_run(args.out, doc, traj, ios, lyap)
+        _write_run(args.out, run)
         if cfg.get("output", {}).get("fields", False):
             _write_fields(os.path.join(args.out, "fields"), traj)
-    return _exit_code(args.strict, ios, lyap)
+    return _exit_code(args.strict, run)
 
 
 def _row_config(cfg: dict, param: str, value: float) -> dict:
@@ -220,9 +182,9 @@ def cmd_sweep(args) -> int:
     ``gain_report`` at its gain.h; a simulated row takes them from its
     scenario's certificate, at the schedule's diameter, so a simulated h
     sweep needs a uniform schedule (a ConfigError before any work). A row
-    whose report or scenario raises a ParobsError names it in the error
-    column and leaves the trajectory columns empty; a Q the design rejects
-    aborts the sweep.
+    whose design, report or scenario raises a ParobsError (a Q the design
+    rejects, a kappa outside [0, mu)) names it in the error column, with
+    omega nan and feasible false, and leaves the trajectory columns empty.
     """
     cfg = apply_overrides(load_config(args.config), args.set or [])
     validate_config(cfg, need_schedule=cfg.get("sweep", {}).get("simulate", False))
@@ -239,9 +201,9 @@ def cmd_sweep(args) -> int:
     rows = []
     for index, value in enumerate(values):
         row_cfg = _row_config(cfg, param, value)
-        design = base.with_Q(value) if param == "Q" else base
         row = {"index": index, "parameter": param, "value": value}
         try:
+            design = base.with_Q(value) if param == "Q" else base
             scenario = build_scenario(row_cfg, design=design, seed=seed) if do_sim else None
             report = gain_report(row_cfg, design) if scenario is None else scenario.report
             row.update(omega=report.omega, feasible=report.feasible)
@@ -252,12 +214,12 @@ def cmd_sweep(args) -> int:
             # Q and kappa change only the certificate: one trajectory serves every row
             if traj is None or param in ("h", "noise_amplitude"):
                 traj = simulate(scenario)
-            fit, ios, _ = check_run(traj, scenario)
+            run = check_run(traj, scenario)
             row["final_error_l2"] = float(traj.error_l2[-1])
-            row["fitted_rate"] = fit.rate if fit is not None else float("nan")
-            if ios is not None:
-                row["ios_violations"] = ios.violations
-                row["worst_relative_margin"] = ios.worst_relative_margin
+            row["fitted_rate"] = run.fit.rate if run.fit is not None else float("nan")
+            if run.ios is not None:
+                row["ios_violations"] = run.ios.violations
+                row["worst_relative_margin"] = run.ios.worst_relative_margin
         rows.append(row)
 
     columns = ["index", "parameter", "value", "omega", "feasible"]
@@ -294,8 +256,8 @@ def cmd_example31(args) -> int:
         print(f"fitted decay rate = {_fmt(rep.fit.rate)} (certified kappa = {_fmt(rep.kappa)})")
     print(f"verdict = {rep.verdict}")
     if args.out:
-        _write_run(args.out, rep.to_dict(), rep.trajectory, rep.ios, rep.lyapunov)
-    return _exit_code(args.strict, rep.ios, rep.lyapunov)
+        _write_run(args.out, rep)
+    return _exit_code(args.strict, rep)
 
 
 def cmd_example32(args) -> int:
@@ -303,16 +265,16 @@ def cmd_example32(args) -> int:
     print(f"Omega = {_fmt(rep.report.omega)} (feasible = {str(rep.report.feasible).lower()})")
     print(f"max diameter h* = {_fmt(rep.h_star)}, using h = {_fmt(rep.h)}")
     print(f"theta = {_fmt(rep.theta)}")
-    if rep.fit is not None:
-        print(f"fitted sup-norm decay rate = {_fmt(rep.fit.rate)} (kappa = {_fmt(rep.kappa)})")
+    if rep.sup_fit is not None:
+        print(f"fitted sup-norm decay rate = {_fmt(rep.sup_fit.rate)} (kappa = {_fmt(rep.kappa)})")
     if rep.noise_bound is not None:
         print(
             f"sup error <= theta * sup|xi| = {_fmt(rep.noise_bound)}: "
             f"{'holds' if rep.noise_bound_ok else 'violated'}"
         )
     if args.out:
-        _write_run(args.out, rep.to_dict(), rep.trajectory, rep.ios)
-    return _exit_code(args.strict, rep.ios, noise_bound_ok=rep.noise_bound_ok)
+        _write_run(args.out, rep)
+    return _exit_code(args.strict, rep)
 
 
 def _add_common(sp, with_config=True):

@@ -468,7 +468,7 @@ class TestExample32Runner:
         assert rep.report.feasible
         assert rep.sup_error[0] > 0.0
         assert rep.sup_error[-1] < 1e-6 * rep.sup_error[0]
-        assert rep.fit is not None and rep.fit.rate >= rep.kappa
+        assert rep.sup_fit is not None and rep.sup_fit.rate >= rep.kappa
         assert rep.bc_defect < 1e-6
         dx = rep.trajectory.grid[1] - rep.trajectory.grid[0]
         looped = max(max(abs(f[-1]) / scale, abs(d0) * dx / scale)

@@ -14,7 +14,7 @@ import pytest
 import parobs.cli
 from parobs import config as cf
 from parobs import profiles as pf
-from parobs.analysis import example31_design, example32_design
+from parobs.analysis import check_run, example31_design, example32_design
 from parobs.cli import EXIT_CONFIG, main
 from parobs.config import (
     apply_overrides,
@@ -539,6 +539,18 @@ class TestCli:
             table = np.loadtxt(path, delimiter=",", skiprows=1)
             np.testing.assert_array_equal(table, np.column_stack([traj.grid, traj.u[k], traj.w[k]]))
 
+    def test_simulate_writes_the_check_run_record(self, tmp_path):
+        config = DESIGN_SWEEP.parent / "nonlinear_zoh.json"
+        overrides = ["schedule.horizon=2"]
+        argv = ["simulate", "--config", str(config), "--set", *overrides, "--out", str(tmp_path)]
+        assert main(argv) == 0
+        cfg = apply_overrides(json.loads(config.read_text()), overrides)
+        scenario = build_scenario(cfg)
+        run = check_run(simulate(scenario), scenario, lyapunov=cfg["analysis"]["lyapunov"])
+        doc = json.loads(json.dumps(run.to_dict()))
+        assert doc == json.loads((tmp_path / "report.json").read_text())
+        assert {"gain", "ios", "lyapunov", "fitted_rate"} <= set(doc)
+
     def test_simulate_rejects_certificate_without_lipschitz_bound(self, tmp_path, capsys):
         # a gain-saturated term with no design.lipschitz_R would be certified with R = 0
         cfg = example31_config()
@@ -593,11 +605,12 @@ class TestCli:
             "--variant", "zoh", "--horizon", "3.0", "--nodes", "101",
             "--out", str(out), "--strict",
         ])
-        assert rc == 0
+        assert rc == 3
         text = capsys.readouterr().out
         assert "Omega" in text and "verdict" in text
         report = json.loads((out / "report.json").read_text())
-        assert report["omega"] == pytest.approx((0.3 * math.pi**2 + 1) / math.sqrt(6.0), rel=1e-12)
+        omega = (0.3 * math.pi**2 + 1) / math.sqrt(6.0)
+        assert report["gain"]["omega"] == pytest.approx(omega, rel=1e-12)
 
     def test_example32_subcommand(self, tmp_path, capsys):
         out = tmp_path / "e32"
@@ -607,8 +620,8 @@ class TestCli:
         ])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["feasible"] is True
-        assert report["c11"] == pytest.approx(2 * math.sqrt(2) / math.pi, abs=1e-12)
+        assert report["gain"]["feasible"] is True
+        assert report["example"]["c11"] == pytest.approx(2 * math.sqrt(2) / math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("h, warns", [(1.0, True), (0.1, False)],
                              ids=["infeasible", "feasible"])
@@ -693,6 +706,33 @@ class TestPresets:
         sim = (tmp_path / "sim" / "trajectory.csv").read_bytes()
         assert sim == (tmp_path / "ex" / "trajectory.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "preset, kwargs, argv",
+        [
+            (cf.example31_config, dict(omega=0.1, horizon=2.0), ["example31", "--omega", "0.1",
+                                                                 "--horizon", "2"]),
+            (cf.example31_config,
+             dict(h=0.3, variant="zoh", horizon=3.0, mismatch=0.01,
+                  noise={"kind": "sinusoid", "amplitude": 0.01, "omega": 2.0, "seed": 0}),
+             ["example31", "--h", "0.3", "--variant", "zoh", "--horizon", "3",
+              "--noise-amplitude", "0.01", "--mismatch", "0.01"]),
+            (cf.example32_config,
+             dict(omega=0.3, nodes=101,
+                  noise={"kind": "constant", "amplitude": 0.01, "omega": 2.0, "seed": 0}),
+             ["example32", "--omega", "0.3", "--noise-kind", "constant",
+              "--noise-amplitude", "0.01", "--nodes", "101"]),
+        ],
+        ids=["example31", "example31-zoh-noise-mismatch", "example32-constant-noise"],
+    )
+    def test_example_report_is_the_simulate_report(self, tmp_path, preset, kwargs, argv):
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(preset(**kwargs)))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "ex")]) == 0
+        example = json.loads((tmp_path / "ex" / "report.json").read_text())
+        assert set(example.pop("example")) >= {"p", "omega_fraction", "h_star"}
+        assert example == json.loads((tmp_path / "sim" / "report.json").read_text())
+
 
 class TestSimulateAndSweep:
     @pytest.mark.parametrize("kind, field", [("random", "h_min"), ("random", "h_max"),
@@ -726,12 +766,18 @@ class TestSimulateAndSweep:
             assert main(["check-gain", "--config", str(path), "--set", f"design.Q={q}"]) == 0
             assert capsys.readouterr().out.splitlines()[0] == f"Omega = {omega}"
 
-    def test_infeasible_q_row_aborts_the_sweep(self, tmp_path):
+    def test_infeasible_q_row_is_an_error_row(self, tmp_path, capsys):
         cfg = example31_config()
-        cfg["sweep"] = {"parameter": "Q", "values": [2.0, 1.0]}
-        path = tmp_path / "sweep_bad_q.json"
+        cfg["sweep"] = {"parameter": "Q", "values": [2.0]}
+        path = tmp_path / "sweep_q.json"
         path.write_text(json.dumps(cfg))
-        assert main(["sweep", "--config", str(path)]) == EXIT_CONFIG
+        assert main(["sweep", "--config", str(path)]) == 0
+        _, alone = capsys.readouterr().out.splitlines()
+        assert main(["sweep", "--config", str(path), "--set", "sweep.values=[2.0,1.0]"]) == 0
+        header, first, second = capsys.readouterr().out.splitlines()
+        assert header == "index,parameter,value,omega,feasible,error"
+        assert first == alone + ","
+        assert second == "1,Q,1,nan,false,QInfeasible"
 
     @pytest.mark.parametrize("param, values, runs", [("kappa", [0.0, 0.5, 1.0], 1),
                                                       ("h", [0.25, 0.5], 2)])
@@ -768,7 +814,7 @@ class TestRunCertificate:
         argv = ["simulate", "--config", str(NONLINEAR_ZOH), "--set", "schedule.horizon=6",
                 "--set", "schedule.h_max=0.6", "--strict", "--out", str(out)]
         with pytest.warns(UserWarning, match="at diameter 0.6 and kappa"):
-            assert main(argv) == 0
+            assert main(argv) == 3
         report = json.loads((out / "report.json").read_text())
         assert report["gain"]["h"] == 0.6 and report["gain"]["feasible"] is False
         assert "ios" not in report and "lyapunov" not in report

@@ -84,9 +84,9 @@ def test_run_files_match_the_per_cell_writer(tmp_path, monkeypatch, argv, zeta_c
     runs = []
     write_run = parobs.cli._write_run
 
-    def recording(outdir, doc, traj, ios=None, lyap=None):
-        runs.append((traj, ios, lyap))
-        write_run(outdir, doc, traj, ios, lyap)
+    def recording(outdir, run):
+        runs.append((run.trajectory, run.ios, run.lyapunov))
+        write_run(outdir, run)
 
     monkeypatch.setattr(parobs.cli, "_write_run", recording)
     assert main(argv + ["--out", str(tmp_path)]) == 0
