@@ -28,12 +28,12 @@ from .config import (
     example32_design,
     example32_sampling,
 )
-from .errors import DecayedToFloor, InfeasibleReport, TailTooShort
+from .errors import ConfigError, DecayedToFloor, InfeasibleReport, TailTooShort
 from .grids import cumulative_trapezoid, end_derivatives, snapshot_norms
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, SmallGainReport, max_diameter
 from .signals import Disturbances
-from .simulator import Scenario, Trajectory, _observer_pieces, simulate
+from .simulator import DiscreteObserver, Scenario, Trajectory, simulate
 
 __all__ = [
     "error_norms",
@@ -245,8 +245,11 @@ def lyapunov_oracle(
     read off the recorded trajectory for all snapshots at once: the
     predictor injects d_i = <c_i, u> - zeta_i, the hold observer d_i =
     zeta_i - <c_i, e>, where ``traj.zeta`` holds the innovation
-    <k_i, e(t_j)> - xi_i frozen at the last sample. Raises TailTooShort
-    when the first N + J_tail modes miss more than 5% of the error energy.
+    <k_i, e(t_j)> - xi_i frozen at the last sample. The rows c_i and the
+    columns l_i are those of the ``simulator.DiscreteObserver`` of the
+    variant in ``traj.metadata``, which raises ValueError for a missing or
+    unknown variant. Raises TailTooShort when the first N + J_tail modes
+    miss more than 5% of the error energy.
     """
     nl = nonlinearity or ZeroTerm()
     dist = disturbances or Disturbances()
@@ -254,11 +257,11 @@ def lyapunov_oracle(
     basis = design.basis.resample(traj.grid.size)
     J = min(N + J_tail, basis.size)
     w = traj.weights
-    pieces = _observer_pieces(design, traj.grid.size)
-    c_rows = pieces["c_rows"]
+    discrete = DiscreteObserver(design, traj.metadata.get("variant"), traj.grid.size)
+    c_rows = discrete.c_rows
     e = traj.error_fields()
     r = e @ (basis.functions[:J] * w).T  # (S, J) modal coordinates
-    if traj.metadata.get("variant") == "predictor":
+    if discrete.variant == "predictor":
         injected = traj.u @ c_rows.T - traj.zeta
     else:
         injected = traj.zeta - e @ c_rows.T
@@ -282,7 +285,7 @@ def lyapunov_oracle(
     # f(w) - f(u) and the injection are low rank: one product builds both
     rows, cols = nl.factors(traj.grid.size)
     coef = np.hstack([nl.phi(traj.w @ rows.T) - nl.phi(traj.u @ rows.T), injected])
-    vbar = coef @ np.vstack([cols, pieces["l_cols"].T])
+    vbar = coef @ np.vstack([cols, discrete.l_cols.T])
     if not (dist.v.is_zero and dist.v_tilde.is_zero):
         vbar -= dist.mismatch_field(traj.times[:, None], traj.grid)
     vbar_norms = np.sqrt(np.maximum(np.square(vbar, out=vbar) @ w, 0.0))  # squared in place
@@ -606,7 +609,7 @@ def run_example_32(
     integration maps L2 into sup with unit norm.
     """
     if not 0.0 <= omega < 1.0:
-        raise ValueError("omega must lie in [0, 1)")
+        raise ConfigError("gain.omega", "omega must lie in [0, 1)")
     design = example32_design(p, q)
     h_star, h, horizon = example32_sampling(design, omega, h, horizon)
     cfg = example32_config(

@@ -418,7 +418,7 @@ def _preset(p, q, bc, L, channel, *, h, omega, variant, horizon, nodes, dt,
             snapshot_every, u0, w0, noise, label, modes, basis_nodes) -> dict:
     """An N = 1, Q = 2, sigma = |A11| design on a uniform schedule."""
     if not 0.0 <= omega < 1.0:
-        raise ValueError("omega must lie in [0, 1)")
+        raise ConfigError("gain.omega", "omega must lie in [0, 1)")
     cfg = {
         "schema_version": SCHEMA_VERSION,
         "problem": SLProblem(p, q, *bc).spec(),

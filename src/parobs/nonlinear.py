@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import profiles as pf
-from .errors import InvalidSpec
+from .errors import GridMismatch, InvalidSpec
 from .grids import trapezoid_weights
 
 __all__ = [
@@ -60,6 +60,13 @@ class ZeroTerm(NonlinearTerm):
         return {"kind": "zero"}
 
 
+def _sampled_factors(term: NonlinearTerm, nodes: int, rows: np.ndarray, cols: np.ndarray):
+    """``term``'s factors, sampled on its own grid, which must have ``nodes`` points."""
+    if nodes != term.grid.size:
+        raise GridMismatch(f"{type(term).__name__} is sampled on {term.grid.size} nodes, not {nodes}")
+    return rows, cols
+
+
 class LinearNonlocalTerm(NonlinearTerm):
     """f(u)(x) = int_0^1 G(x, s) u(s) ds with a smooth separable kernel
     G(x, s) = gain * a(x) b(s); the declared R is the Hilbert-Schmidt norm,
@@ -81,7 +88,7 @@ class LinearNonlocalTerm(NonlinearTerm):
         )
 
     def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._rows, self._cols
+        return _sampled_factors(self, nodes, self._rows, self._cols)
 
     def spec(self) -> dict:
         return {
@@ -118,7 +125,7 @@ class GainSaturatedTerm(NonlinearTerm):
     phi = staticmethod(np.tanh)
 
     def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._rows, self._amps
+        return _sampled_factors(self, nodes, self._rows, self._amps)
 
     def spec(self) -> dict:
         return {

@@ -35,7 +35,8 @@ from . import profiles as pf
 from .errors import ConfigError, InvalidSpec, ScheduleHorizonMismatch, StepRejected
 from .grids import snapshot_norms, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
-from .observer_design import ObserverDesign, SmallGainReport, injection_kernels, small_gain
+from .observer_design import (ObserverDesign, SmallGainReport, check_variant, injection_kernels,
+                              small_gain)
 from .schedule import SamplingSchedule
 from .signals import Disturbances, SpaceTimeSignal, TimeSignal, field_signal_from_spec
 from .sturm_liouville import DiscreteSLOperator, SLProblem
@@ -45,6 +46,7 @@ __all__ = [
     "Trajectory",
     "SampleEvent",
     "simulate",
+    "DiscreteObserver",
     "measure",
     "reset_predictor",
     "step_plant",
@@ -319,38 +321,48 @@ def step_plant(u, t, dt, problem: SLProblem, nonlinearity: NonlinearTerm | None,
 
 def step_observer_predictor(w, zeta, t, dt, design: ObserverDesign, nonlinearity, v_tilde):
     """Single coupled (w, zeta) step for the predictor observer."""
-    pieces = _observer_pieces(design, len(w))
-    stepper = IMEXStepper(
-        pieces["op"], nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde),
-        pieces["l_cols"], pieces["c_rows"], pieces["stiff_rows"],
-    )
-    return stepper.step(np.asarray(w, dtype=float), t, dt, np.asarray(zeta, dtype=float))
+    return DiscreteObserver(design, "predictor", len(w)).observer(
+        nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde)
+    ).step(np.asarray(w, dtype=float), t, dt, np.asarray(zeta, dtype=float))
 
 
 def step_observer_zoh(w, held, t, dt, design: ObserverDesign, nonlinearity, v_tilde):
     """Single observer step with held innovation."""
-    pieces = _observer_pieces(design, len(w))
-    stepper = IMEXStepper(
-        pieces["op"], nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde), pieces["l_cols"]
-    )
-    return stepper.step(np.asarray(w, dtype=float), t, dt, np.asarray(held, dtype=float))[0]
+    return DiscreteObserver(design, "zoh", len(w)).observer(
+        nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde)
+    ).step(np.asarray(w, dtype=float), t, dt, np.asarray(held, dtype=float))[0]
 
 
-def _observer_pieces(design: ObserverDesign, nodes: int) -> dict:
-    op = DiscreteSLOperator(design.problem, nodes)
-    basis = design.basis.resample(nodes)
-    w = op.weights
-    l_samples, _ = injection_kernels(design.L, basis)
-    c_samples = np.vstack([ch.approximant.values(op.grid) for ch in design.channels])
-    k_samples = np.vstack([ch.kernel.values(op.grid) for ch in design.channels])
-    return {
-        "op": op,
-        "l_cols": l_samples.T,
-        "c_rows": c_samples * w,
-        "k_rows": k_samples * w,
-        "gap_rows": (k_samples - c_samples) * w,
-        "stiff_rows": (-np.vstack([op.apply(c) for c in c_samples])) * w,
-    }
+class DiscreteObserver:
+    """The observer of ``design`` in ``variant`` on ``nodes`` grid points: the
+    injection columns ``l_cols`` (n, m), and rows (m, n) of c_i, k_i, k_i - c_i
+    and -L_h c_i times the trapezoid weights. It builds the plant and observer
+    steppers on one ``op`` and owns the reset law at a sample."""
+
+    def __init__(self, design: ObserverDesign, variant: str, nodes: int):
+        check_variant(variant)
+        self.variant = variant
+        self.op = op = DiscreteSLOperator(design.problem, nodes)
+        c = np.vstack([ch.approximant.values(op.grid) for ch in design.channels])
+        k = np.vstack([ch.kernel.values(op.grid) for ch in design.channels])
+        self.l_cols = injection_kernels(design.L, design.basis.resample(nodes))[0].T
+        self.c_rows, self.k_rows, self.gap_rows = c * op.weights, k * op.weights, (k - c) * op.weights
+        self.stiff_rows = (-np.vstack([op.apply(ci) for ci in c])) * op.weights
+
+    def plant(self, nonlinearity: NonlinearTerm, v: SpaceTimeSignal) -> IMEXStepper:
+        return IMEXStepper(self.op, nonlinearity, v)
+
+    def observer(self, nonlinearity: NonlinearTerm, v: SpaceTimeSignal) -> IMEXStepper:
+        if self.variant == "predictor":
+            return IMEXStepper(self.op, nonlinearity, v, self.l_cols, self.c_rows, self.stiff_rows)
+        return IMEXStepper(self.op, nonlinearity, v, self.l_cols)
+
+    def reset(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The observer's second state after sampling y with field w: the
+        predictor state y - <k - c, w>, or the held innovation <k, w> - y."""
+        if self.variant == "predictor":
+            return reset_predictor(y, w, self.gap_rows)
+        return self.k_rows @ w - y
 
 
 # -- scenario and trajectory ----------------------------------------------------
@@ -373,7 +385,9 @@ class Scenario:
     design and variant at the schedule's diameter and ``kappa``, so it
     describes the run that is simulated. ``dataclasses.replace`` re-derives
     it; a kappa outside [0, mu) raises ``KappaOutOfRange`` and an unknown
-    variant ValueError.
+    variant ValueError. A ``dt``, ``snapshot_every`` or ``horizon`` that is
+    set and not positive, or a noise channel count other than 0 or m,
+    raises ``InvalidSpec``.
     """
 
     design: ObserverDesign
@@ -392,8 +406,12 @@ class Scenario:
     report: SmallGainReport = field(init=False)
 
     def __post_init__(self):
+        for name in ("dt", "snapshot_every", "horizon"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise InvalidSpec(f"{name} must be positive, got {value!r}")
         if len(self.disturbances.xi) not in (0, self.design.m):
-            raise ValueError("need one noise channel per output channel")
+            raise InvalidSpec("need one noise channel per output channel")
         if self.design.lipschitz_R < self.nonlinearity.lipschitz_R:
             raise ConfigError(
                 "design.lipschitz_R",
@@ -449,10 +467,15 @@ def simulate(scenario: Scenario) -> Trajectory:
     legitimate, but emits a warning; ``analysis.check_run`` then checks no
     bound.
 
+    One ``DiscreteObserver`` of the scenario's variant builds both steppers
+    and resets the observer at every sample; only what it is handed differs
+    between coordinates.
+
     A linear run (phi the identity) carries the observer in error
     coordinates (w - u, zeta - C u; the held innovation for the hold
-    observer) and rebuilds w = u + e at records, so the error is never the
-    difference of two propagated fields. An interval whose dt equals the
+    observer), resets it from the noise alone (y - <k, u> = xi), and
+    rebuilds w = u + e at records, so the error is never the difference of
+    two propagated fields. An interval whose dt equals the
     previous interval's (up to the rounding of the sample times) jumps from
     record to record with ``IMEXStepper.advance``; every other interval, and
     every step of a nonlinear run, calls ``step``. ``metadata["integrator"]``
@@ -467,9 +490,8 @@ def simulate(scenario: Scenario) -> Trajectory:
             f"schedule covers {sch.horizon:.6g}, simulation wants {horizon:.6g}"
         )
 
-    pieces = _observer_pieces(design, scenario.nodes)
-    op: DiscreteSLOperator = pieces["op"]
-    grid, weights = op.grid, op.weights
+    discrete = DiscreteObserver(design, scenario.variant, scenario.nodes)
+    grid, weights = discrete.op.grid, discrete.op.weights
     nl = scenario.nonlinearity
     dist = scenario.disturbances
     xi = dist.xi if dist.xi else tuple(None for _ in range(design.m))
@@ -479,22 +501,16 @@ def simulate(scenario: Scenario) -> Trajectory:
         warnings.warn(f"small-gain value {report.omega:.4g} >= 1 at diameter {report.h:.4g} and "
                       f"kappa {report.kappa:.4g}; convergence is not certified", stacklevel=2)
 
-    u = _initial_field(scenario.u0, op)
-    w = _initial_field(scenario.w0, op)
+    u = _initial_field(scenario.u0, discrete.op)
+    w = _initial_field(scenario.w0, discrete.op)
 
-    plant = IMEXStepper(op, nl, dist.v)
-    predictor = scenario.variant == "predictor"
-    if predictor:
-        channels = (pieces["l_cols"], pieces["c_rows"], pieces["stiff_rows"])
-    else:
-        channels = (pieces["l_cols"],)
+    plant = discrete.plant(nl, dist.v)
     # a linear run integrates the observer error (w - u, zeta - C u), driven
     # by v~ - v and measuring only the noise; a nonlinear one (w, zeta) itself
     linear = plant.linear
-    v_obs = _difference(dist.v_tilde, dist.v) if linear else dist.v_tilde
-    obs = IMEXStepper(op, nl, v_obs, *channels)
-    c_rows = pieces["c_rows"] if predictor else np.zeros((design.m, op.grid.size))
-    k_rows = pieces["k_rows"]
+    obs = discrete.observer(nl, _difference(dist.v_tilde, dist.v) if linear else dist.v_tilde)
+    # the held innovation reads the same in both coordinates
+    c_rows = discrete.c_rows if obs.coupled else np.zeros_like(discrete.c_rows)
     x = w - u if linear else w  # the observer's field in its own coordinates
     z = np.zeros(design.m)  # its predictor state, or held innovation
 
@@ -529,8 +545,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     for j, t_j in enumerate(sample_times):
         xi_vals = np.array([0.0 if s is None else s.value(t_j, j) for s in xi])
         # y - <k, u> is the noise alone in error coordinates
-        seen = xi_vals if linear else measure(u, k_rows, xi_vals)
-        z = reset_predictor(seen, x, pieces["gap_rows"]) if predictor else k_rows @ x - seen
+        z = discrete.reset(xi_vals if linear else measure(u, discrete.k_rows, xi_vals), x)
         events.append(SampleEvent(index=j, t=float(t_j), xi=xi_vals))
         record(float(t_j), True)
         next_snap = max(next_snap, float(t_j)) + snap_every

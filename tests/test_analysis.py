@@ -22,6 +22,7 @@ from parobs.analysis import (
     run_example_32,
 )
 from parobs.errors import (
+    ConfigError,
     DecayedToFloor,
     InfeasibleReport,
     ReactionOutOfRange,
@@ -31,7 +32,7 @@ from parobs.grids import cumulative_trapezoid, end_derivatives, trapezoid_weight
 from parobs.observer_design import OutputChannel, make_design, small_gain_predictor, small_gain_zoh
 from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal
-from parobs.simulator import Scenario, Trajectory, _observer_pieces, simulate
+from parobs.simulator import DiscreteObserver, Scenario, Trajectory, simulate
 from parobs.sturm_liouville import SLProblem, analytic_eigensystem
 
 NONLINEAR_ZOH = Path(__file__).parents[1] / "benchmarks" / "configs" / "nonlinear_zoh.json"
@@ -213,8 +214,8 @@ def replayed_oracle(traj, design, nl, dist, J_tail=20, slack=0.02):
     V = np.einsum("si,ij,sj->s", r[:, :design.N], design.P, r[:, :design.N])
     V = V + 0.5 * design.Q * np.sum(r[:, design.N:] ** 2, axis=1)
 
-    pieces = _observer_pieces(design, traj.grid.size)
-    c_rows, l_cols = pieces["c_rows"], pieces["l_cols"]
+    discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
+    c_rows, l_cols = discrete.c_rows, discrete.l_cols
     events = {ev.t: ev for ev in traj.events}
     held = np.zeros(design.m)
     vbar_norms = np.zeros(traj.times.size)
@@ -226,7 +227,7 @@ def replayed_oracle(traj, design, nl, dist, J_tail=20, slack=0.02):
         else:
             if traj.sample_flag[k] and t in events:
                 xi = np.asarray(events[t].xi) if events[t].xi is not None else 0.0
-                held = (pieces["k_rows"] - c_rows) @ e[k] + c_rows @ e[k] - xi
+                held = (discrete.k_rows - c_rows) @ e[k] + c_rows @ e[k] - xi
             vb = vb + l_cols @ (held - c_rows @ e[k])
         vbar_norms[k] = math.sqrt(max(np.dot(w, vb * vb), 0.0))
 
@@ -430,7 +431,7 @@ class TestExample31Runner:
         assert rep.report.omega == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_bad_omega(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="gain.omega"):
             run_example_31(omega=1.0)
 
 

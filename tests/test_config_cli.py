@@ -292,6 +292,12 @@ class TestCli:
         d = build_design(example31_config())
         assert abs(printed - small_gain_predictor(d, 0.5, 0.0).omega) <= 1e-15
 
+    @pytest.mark.parametrize("argv", [["example31", "--omega", "1.2", "--horizon", "1"],
+                                      ["example32", "--omega", "1.2"]], ids=["example31", "example32"])
+    def test_example_omega_out_of_range_exit_code(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "config error: gain.omega: omega must lie in [0, 1)" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         cfg = example31_config()

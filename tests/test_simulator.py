@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from parobs import profiles as pf
-from parobs.errors import ConfigError, KappaOutOfRange, ScheduleHorizonMismatch, StepRejected
+from parobs.errors import (
+    ConfigError, GridMismatch, InvalidSpec, KappaOutOfRange, ScheduleHorizonMismatch, StepRejected,
+)
 from parobs.grids import trapezoid_weights, uniform_grid
 from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm, ZeroTerm
 from parobs.observer_design import OutputChannel, injection_kernels, make_design, small_gain
@@ -14,9 +16,9 @@ from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal
 from parobs import simulator
 from parobs.simulator import (
+    DiscreteObserver,
     IMEXStepper,
     Scenario,
-    _observer_pieces,
     bc_residual,
     measure,
     reset_predictor,
@@ -292,14 +294,14 @@ class TestSimulate:
         sc = Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
                       u0=pf.cosine_series(1.0, [0.4]), w0=pf.constant(0.0), disturbances=noise)
         traj = quiet_simulate(sc)
-        pieces = _observer_pieces(ex31_design, 101)
+        discrete = DiscreteObserver(ex31_design, "predictor", 101)
         assert len(traj.events) == 3
         for ev in traj.events:
             k = int(np.searchsorted(traj.times, ev.t))
             assert traj.times[k] == ev.t and traj.sample_flag[k]
             assert ev.xi[0] != 0.0
-            y = measure(traj.u[k], pieces["k_rows"], ev.xi)
-            reset = reset_predictor(y, traj.w[k], pieces["gap_rows"])
+            y = measure(traj.u[k], discrete.k_rows, ev.xi)
+            reset = reset_predictor(y, traj.w[k], discrete.gap_rows)
             assert traj.zeta[k, 0] == pytest.approx(reset[0], abs=1e-15)
 
     def test_divergence_above_uniform_threshold(self):
@@ -425,6 +427,38 @@ class TestSimulate:
         with pytest.raises(KappaOutOfRange):
             dataclasses.replace(sc, kappa=ex31_design.mu)
 
+    @pytest.mark.parametrize("override, message", [
+        ({"dt": -0.01}, "dt must be positive"),
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"snapshot_every": 0.0}, "snapshot_every must be positive"),
+        ({"snapshot_every": -1.0}, "snapshot_every must be positive"),
+        ({"horizon": -1.0}, "horizon must be positive"),
+        ({"disturbances": Disturbances(xi=(NoiseSignal("constant", 0.01),) * 2)},
+         "one noise channel per output channel"),
+    ], ids=["dt_negative", "dt_zero", "snapshot_zero", "snapshot_negative", "horizon_negative",
+            "noise_channels"])
+    def test_rejects_inputs_simulate_would_misread(self, ex31_design, override, message):
+        # unchecked, simulate would take a negative dt as one step per interval,
+        # record every step for snapshot_every <= 0 and fail inside numpy for a
+        # negative horizon
+        sch = make_schedule({"kind": "uniform", "h": 0.25, "horizon": 1.0})
+        with pytest.raises(InvalidSpec, match=message):
+            Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
+                     u0=1.0, w0=0.0, **override)
+
+    @pytest.mark.parametrize("saturated", [False, True], ids=["linear_nonlocal", "gain_saturated"])
+    def test_nonlinearity_on_another_grid_is_a_grid_mismatch(self, ex31_design, saturated):
+        grid = uniform_grid(51)
+        nl = (GainSaturatedTerm(grid, weights=[pf.constant(1.0)], amplitudes=[pf.constant(0.2)])
+              if saturated else LinearNonlocalTerm(grid, a=pf.constant(1.0), b=pf.constant(1.0), gain=0.2))
+        sc = Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R),
+                      variant="zoh", nodes=101, u0=1.0, w0=0.0, nonlinearity=nl,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.25, "horizon": 1.0}))
+        with pytest.raises(GridMismatch, match="sampled on 51 nodes, not 101"):
+            quiet_simulate(sc)
+        with pytest.raises(GridMismatch):
+            step_observer_zoh(np.ones(101), np.zeros(1), 0.0, 0.01, ex31_design, nl, None)
+
     def test_ios_bound_with_lipschitz_term(self):
         # design declares the nonlinearity's certified Lipschitz constant and
         # the estimate still covers the simulated error
@@ -467,11 +501,9 @@ class TestSimulate:
 
 def _stepper(design, nodes, nl, v, variant):
     """The plant (variant None) or an observer stepper of ``design``."""
-    pieces = _observer_pieces(design, nodes)
     if variant is None:
-        return IMEXStepper(pieces["op"], nl, v)
-    channels = (pieces["l_cols"], pieces["c_rows"], pieces["stiff_rows"])
-    return IMEXStepper(pieces["op"], nl, v, *channels[: 3 if variant == "predictor" else 1])
+        return DiscreteObserver(design, "zoh", nodes).plant(nl, v)
+    return DiscreteObserver(design, variant, nodes).observer(nl, v)
 
 
 SINE_INPUT = SpaceTimeSignal(terms=(
@@ -563,20 +595,16 @@ class TestAdvance:
 def _step_loop_errors(scenario) -> np.ndarray:
     """||w - u|| at every sample, from the plain step loop over (u, w, zeta)."""
     design, nodes = scenario.design, scenario.nodes
-    pieces = _observer_pieces(design, nodes)
-    op, dist = pieces["op"], scenario.disturbances
-    plant = _stepper(design, nodes, scenario.nonlinearity, dist.v, None)
-    obs = _stepper(design, nodes, scenario.nonlinearity, dist.v_tilde, scenario.variant)
+    discrete = DiscreteObserver(design, scenario.variant, nodes)
+    op, dist = discrete.op, scenario.disturbances
+    plant = discrete.plant(scenario.nonlinearity, dist.v)
+    obs = discrete.observer(scenario.nonlinearity, dist.v_tilde)
     u = op.pin(pf.as_profile(scenario.u0, op.grid).values(op.grid))
     w = op.pin(pf.as_profile(scenario.w0, op.grid).values(op.grid))
     zeta, errors = np.zeros(design.m), []
     times = scenario.schedule.times
     for j, t_j in enumerate(times):
-        y = measure(u, pieces["k_rows"], np.array([s.value(t_j, j) for s in dist.xi]))
-        if scenario.variant == "predictor":
-            zeta = reset_predictor(y, w, pieces["gap_rows"])
-        else:
-            zeta = pieces["k_rows"] @ w - y
+        zeta = discrete.reset(measure(u, discrete.k_rows, np.array([s.value(t_j, j) for s in dist.xi])), w)
         errors.append(math.sqrt(op.weights @ (w - u) ** 2))
         if j + 1 == len(times):
             return np.array(errors)
@@ -609,6 +637,34 @@ class TestSimulatePropagation:
         assert counts["steps"] == 2 * round(h / 0.01)
         reference = _step_loop_errors(sc)
         assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
+    def test_two_channel_saturated_run_matches_step_loop(self, nn_problem, variant):
+        # m = 2: the example 3.1 channel and a weighted average, each kernel
+        # offset from its approximant by a small polynomial; the stepped run
+        # resets in plant coordinates
+        grid = uniform_grid(101)
+        nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])], amplitudes=[pf.constant(0.2)])
+        average = pf.cosine_series(0.5, [0.0, 0.1 * math.sqrt(2.0)])
+        channels = [OutputChannel(kernel=pf.polynomial([0.0, 1.0, 0.05]), approximant=pf.constant(0.5)),
+                    OutputChannel(kernel=average + pf.polynomial([0.02, -0.04]), approximant=average)]
+        design = make_design(nn_problem, analytic_eigensystem(nn_problem, 60, 1001), channels,
+                             np.array([[-0.6 * math.pi**2, -0.4 * math.pi**2]]), N=1, Q=2.0,
+                             lipschitz_R=nl.lipschitz_R, lipschitz_sup=nl.lipschitz_sup)
+        noise = (NoiseSignal("sinusoid", 0.01, omega=2.0), NoiseSignal("constant", -0.02))
+        sc = Scenario(design=design, variant=variant, nodes=101, dt=0.01, nonlinearity=nl,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.05, "horizon": 1.0}),
+                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
+                      disturbances=Disturbances(xi=noise))
+        assert design.L.shape == (1, 2) and sc.report.feasible
+        traj = quiet_simulate(sc)
+        assert traj.metadata["integrator"]["propagators_built"] == 0
+        reference = _step_loop_errors(sc)
+        assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
+
+    def test_discrete_observer_checks_the_variant(self, ex31_design):
+        with pytest.raises(ValueError, match="unknown observer variant 'Predictor'"):
+            DiscreteObserver(ex31_design, "Predictor", 101)
 
     def test_saturated_and_random_runs_build_no_propagator(self, ex31_design):
         grid = uniform_grid(101)
