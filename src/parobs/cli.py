@@ -151,8 +151,12 @@ def cmd_simulate(args) -> int:
 
 
 def _row_config(cfg: dict, param: str, value: float) -> dict:
-    """The config of one sweep row over h, kappa or the noise amplitude."""
-    cfg = copy.deepcopy(cfg)
+    """The config of one sweep row over h, kappa or the noise amplitude; it
+    copies only the sections a row edits and shares the rest with ``cfg``."""
+    cfg = dict(cfg)
+    for section in ("gain", "schedule", "disturbances"):
+        if section in cfg:
+            cfg[section] = copy.deepcopy(cfg[section])
     if param == "h":
         cfg.setdefault("gain", {})["h"] = value
         if "schedule" in cfg:

@@ -17,14 +17,16 @@ makes the discrete integration-by-parts identity exact. The zero-order-hold
 variant freezes the innovation between samples instead.
 
 With linear terms a step of fixed dt is one linear map of the state and
-the exosystem of the inputs, so a run jumps from record to record with
-cached binary powers of that map, built from the same factorization and
-coupling; the observer then runs in error coordinates (w - u, zeta - C u),
-whose dynamics are the observer's own driven by v~ - v.
+the exosystem of the inputs, built from the same factorization and
+coupling, so a run jumps from record to record with one product with a
+kept k-step power of that map (or a few with its binary powers); the
+observer then runs in error coordinates (w - u, zeta - C u), whose
+dynamics are the observer's own driven by v~ - v.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -108,10 +110,11 @@ class IMEXStepper:
     alongside P, once per dt.
 
     ``advance`` takes k steps at once when phi is linear: the same algebra
-    applied to the identity gives the one-step matrix of (w, zeta) and the
-    inputs' exosystem, and k steps are popcount(k) products with its cached
-    binary powers. ``steps``, ``propagators_built`` and
-    ``propagator_products`` count the work done.
+    applied to the identity gives the one-step matrix T of (w, zeta) and the
+    inputs' exosystem, and k steps are one product with T^k for the k a run
+    jumps by, popcount(k) products with cached binary powers of T for any
+    other k. ``steps``, ``propagators_built`` and ``propagator_products``
+    count the work done.
     """
 
     def __init__(
@@ -138,6 +141,7 @@ class IMEXStepper:
         self.rows = np.vstack([nl_rows, c_rows, stiff_rows])  # s = rows @ w
         self.dt = self._powers_dt = None
         self._powers: list[np.ndarray] = []  # T^(2^i) for dt = _powers_dt
+        self._kept: tuple[int, np.ndarray] | None = None  # (k, T^k) for dt = _powers_dt
         self.steps = self.propagators_built = self.propagator_products = 0
 
     def _factor(self, dt: float) -> None:
@@ -256,27 +260,40 @@ class IMEXStepper:
         term: (offset, amplitude sin(omega t + phase), amplitude cos(...)),
         rotated exactly by omega dt per step and set from t here, so no
         rotation error carries over from one call to the next. The binary
-        powers T^(2^i) are kept for the current dt, and k steps take
-        popcount(k) matrix-vector products. Saturated terms, and systems whose
-        powers would pass _PROPAGATOR_BYTES, call ``step`` k times instead.
+        powers T^(2^i) are kept for the current dt, and so is T^k for the
+        first k with two or more set bits, multiplied from its powers: every
+        call with that k takes one matrix-vector product, any other k
+        popcount(k) products with the powers. A run jumps mostly by one k,
+        its record spacing in steps; keeping every k asked would also build
+        a matrix for each shorter jump next to a sample, which costs more
+        matrix products than it saves. T^k is not kept, or is dropped, when it
+        would take the kept matrices past _PROPAGATOR_BYTES. Saturated terms,
+        and systems whose powers alone would pass the cap, call ``step`` k
+        times instead.
         """
         zeta = np.zeros(self.m) if zeta is None else zeta
         n, k = self.op.grid.size, int(k)
-        size = n + self.m + 3 * len(self.v_terms)
-        if k == 0 or not self.linear or 8 * size**2 * k.bit_length() > _PROPAGATOR_BYTES:
+        matrix_bytes = 8 * (n + self.m + 3 * len(self.v_terms)) ** 2
+        if k == 0 or not self.linear or matrix_bytes * k.bit_length() > _PROPAGATOR_BYTES:
             for i in range(k):
                 w, zeta = self.step(w, t + i * dt, dt, zeta)
             return w, zeta
         if dt != self._powers_dt:
-            self._powers = [self._propagator(dt)]
+            self._powers, self._kept = [self._propagator(dt)], None
             self._powers_dt = dt
+        if matrix_bytes * (k.bit_length() + 1) > _PROPAGATOR_BYTES:
+            self._kept = None  # the powers come first
         while len(self._powers) < k.bit_length():
             self._powers.append(self._powers[-1] @ self._powers[-1])
+        bits = [power for i, power in enumerate(self._powers) if k >> i & 1]
+        if self._kept is None and len(bits) > 1 and (
+            matrix_bytes * (len(self._powers) + 1) <= _PROPAGATOR_BYTES
+        ):
+            self._kept = k, functools.reduce(np.matmul, bits)
         x = np.concatenate([w, zeta, self._exo(t)])
-        for i, power in enumerate(self._powers[: k.bit_length()]):
-            if k >> i & 1:
-                x = power @ x
-                self.propagator_products += 1
+        for power in [self._kept[1]] if self._kept and self._kept[0] == k else bits:
+            x = power @ x
+            self.propagator_products += 1
         return x[:n], x[n : n + self.m]
 
     def _exo(self, t: float) -> np.ndarray:
@@ -313,21 +330,36 @@ class IMEXStepper:
 # -- spec-level single-step entry points ---------------------------------------
 
 def step_plant(u, t, dt, problem: SLProblem, nonlinearity: NonlinearTerm | None, v) -> np.ndarray:
-    """Single IMEX plant step on the grid implied by len(u)."""
+    """Single IMEX plant step on the grid implied by len(u).
+
+    Each call rebuilds the grid operator, the stepper and its factorization,
+    which cost far more than the step; a loop of steps builds one stepper,
+    ``DiscreteObserver(...).plant(...)``, and calls its ``step``.
+    """
     op = DiscreteSLOperator(problem, len(u))
     stepper = IMEXStepper(op, nonlinearity or ZeroTerm(), field_signal_from_spec(v))
     return stepper.step(np.asarray(u, dtype=float), t, dt)[0]
 
 
 def step_observer_predictor(w, zeta, t, dt, design: ObserverDesign, nonlinearity, v_tilde):
-    """Single coupled (w, zeta) step for the predictor observer."""
+    """Single coupled (w, zeta) step for the predictor observer.
+
+    Each call rebuilds the ``DiscreteObserver``, the stepper and its
+    factorization, which cost far more than the step; a loop of steps builds
+    one stepper, ``DiscreteObserver(...).observer(...)``, and calls its ``step``.
+    """
     return DiscreteObserver(design, "predictor", len(w)).observer(
         nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde)
     ).step(np.asarray(w, dtype=float), t, dt, np.asarray(zeta, dtype=float))
 
 
 def step_observer_zoh(w, held, t, dt, design: ObserverDesign, nonlinearity, v_tilde):
-    """Single observer step with held innovation."""
+    """Single observer step with held innovation.
+
+    Each call rebuilds the ``DiscreteObserver``, the stepper and its
+    factorization, which cost far more than the step; a loop of steps builds
+    one stepper, ``DiscreteObserver(...).observer(...)``, and calls its ``step``.
+    """
     return DiscreteObserver(design, "zoh", len(w)).observer(
         nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde)
     ).step(np.asarray(w, dtype=float), t, dt, np.asarray(held, dtype=float))[0]
@@ -475,12 +507,15 @@ def simulate(scenario: Scenario) -> Trajectory:
     coordinates (w - u, zeta - C u; the held innovation for the hold
     observer), resets it from the noise alone (y - <k, u> = xi), and
     rebuilds w = u + e at records, so the error is never the difference of
-    two propagated fields. An interval whose dt equals the
-    previous interval's (up to the rounding of the sample times) jumps from
-    record to record with ``IMEXStepper.advance``; every other interval, and
-    every step of a nonlinear run, calls ``step``. ``metadata["integrator"]``
+    two propagated fields. Each interval's step count and dt are fixed from
+    the sample times before the loop. An interval whose dt equals the
+    previous interval's or the next one's (up to the rounding of the sample
+    times) jumps from record to record with ``IMEXStepper.advance``, so a
+    uniform schedule of two or more intervals steps at most a shorter last
+    one; a one-interval run, an interval whose dt no neighbour shares, and
+    every step of a nonlinear run call ``step``. ``metadata["integrator"]``
     counts the steps taken, the one-step matrices built and the products
-    with their powers.
+    with them.
     """
     design = scenario.design
     sch = scenario.schedule
@@ -541,6 +576,8 @@ def simulate(scenario: Scenario) -> Trajectory:
         flags.append(is_sample)
 
     sample_times = sch.times[sch.times <= horizon + 1e-12]
+    ends = [float(t) for t in sample_times[1:]] + [horizon]
+    intervals = [_subdivide(t1 - float(t0), dt_target) for t0, t1 in zip(sample_times, ends)]
     next_snap, prev_dt = 0.0, None
     for j, t_j in enumerate(sample_times):
         xi_vals = np.array([0.0 if s is None else s.value(t_j, j) for s in xi])
@@ -550,20 +587,18 @@ def simulate(scenario: Scenario) -> Trajectory:
         record(float(t_j), True)
         next_snap = max(next_snap, float(t_j)) + snap_every
 
-        t_next = sample_times[j + 1] if j + 1 < len(sample_times) else horizon
-        gap = float(t_next - t_j)
-        if gap <= 1e-14:
+        if intervals[j] is None:
             continue
-        n_sub = max(1, math.ceil(gap / dt_target - 1e-9))
-        dt = gap / n_sub
-        # a linear run propagates a dt it stepped on the previous interval (up
-        # to the rounding of the sample times); a dt seen first is stepped
-        propagate = (
-            linear and prev_dt is not None
-            and abs(dt - prev_dt) * n_sub <= 4.0 * math.ulp(float(t_next))
-        )
-        if propagate:
-            dt = prev_dt
+        n_sub, dt = intervals[j]
+        # a linear run propagates an interval that shares its dt with the
+        # previous interval, whose dt it takes, or with the next one, which
+        # takes this one's; a dt no neighbour shares is stepped
+        following = intervals[j + 1] if j + 1 < len(intervals) else None
+        if linear and prev_dt is not None and _same_dt(dt, prev_dt, n_sub, ends[j]):
+            dt, propagate = prev_dt, True
+        else:
+            propagate = (linear and following is not None
+                         and _same_dt(following[1], dt, following[0], ends[j + 1]))
         prev_dt = dt
         done = 0
         while done < n_sub:
@@ -614,6 +649,22 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
     traj.validate()
     return traj
+
+
+def _subdivide(gap: float, dt_target: float) -> tuple[int, float] | None:
+    """(n_sub, dt): the fewest steps of at most dt_target (up to rounding)
+    that subdivide a sampling interval of length gap exactly; None for an
+    empty interval."""
+    if gap <= 1e-14:
+        return None
+    n_sub = max(1, math.ceil(gap / dt_target - 1e-9))
+    return n_sub, gap / n_sub
+
+
+def _same_dt(dt: float, other: float, n_sub: int, t_end: float) -> bool:
+    """True when an interval of n_sub steps of dt ending at t_end may take
+    other instead: the two differ only by the rounding of the sample times."""
+    return abs(dt - other) * n_sub <= 4.0 * math.ulp(t_end)
 
 
 def _next_record(t0: float, dt: float, done: int, n_sub: int, due: float) -> int:

@@ -807,6 +807,18 @@ class TestSimulateAndSweep:
         assert len(rows) == 1 + len(values) and "ios_violations" in rows[0]
         assert len(calls) == runs
 
+    @pytest.mark.parametrize("param, edited", [("h", ("gain", "h")), ("kappa", ("gain", "kappa")),
+                                                ("noise_amplitude", ("disturbances", "xi", 1, "amplitude"))])
+    def test_row_config_leaves_its_input_unchanged(self, param, edited):
+        cfg = example31_config(disturbances={"xi": [{"kind": "sinusoid", "amplitude": 0.01, "omega": 2.0},
+                                                    {"kind": "constant", "amplitude": 0.02}]})
+        before = json.loads(json.dumps(cfg))
+        row = parobs.cli._row_config(cfg, param, 0.125)
+        assert cfg == before
+        for key in edited:
+            row = row[key]
+        assert row == 0.125
+
 
 NONLINEAR_ZOH = DESIGN_SWEEP.parent / "nonlinear_zoh.json"
 

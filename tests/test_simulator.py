@@ -587,9 +587,43 @@ class TestAdvance:
         for k in (3, 20, 7):
             stepper.advance(u, 0.0, 0.01, k)
         assert stepper.propagators_built == 1
-        assert stepper.propagator_products == 2 + 2 + 3  # popcount of 3, 20 and 7
+        assert stepper.propagator_products == 1 + 2 + 3  # T^3 is kept; 20 and 7 take popcount(k)
         stepper.advance(u, 0.0, 0.02, 1)
         assert stepper.propagators_built == 2
+
+    def test_repeated_k_takes_one_product_with_the_kept_matrix(self, ex31_design):
+        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
+        w, zeta = np.cos(math.pi * uniform_grid(101)), np.array([0.2])
+        first = stepper.advance(w, 0.3, 0.01, 37, zeta)
+        for calls in (2, 3):
+            again = stepper.advance(w, 0.3, 0.01, 37, zeta)
+            np.testing.assert_array_equal(again[0], first[0])
+            np.testing.assert_array_equal(again[1], first[1])
+            assert stepper.propagator_products == calls
+        # the T^37 kept for dt = 0.01 is not reused at dt = 0.02
+        fresh = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
+        np.testing.assert_array_equal(stepper.advance(w, 0.3, 0.02, 37, zeta)[0],
+                                      fresh.advance(w, 0.3, 0.02, 37, zeta)[0])
+
+    def test_kept_matrix_past_the_memory_cap_uses_the_powers(self, ex31_design, monkeypatch):
+        # room for the 6 powers of k = 37 = 0b100101, not for a seventh matrix:
+        # the T^7 kept next to 3 powers is dropped, and T^37 is not kept
+        size = 101 + 1 + 3 * len(SINE_INPUT.terms)
+        monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 8 * size**2 * 6)
+        grid = uniform_grid(101)
+        w0, zeta0, k = 1.0 + 0.5 * np.cos(math.pi * grid), np.array([0.3]), 37
+        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
+        stepper.advance(w0, 0.3, 0.01, 7, zeta0)
+        assert stepper._kept[0] == 7
+        w_adv, zeta_adv = stepper.advance(w0, 0.3, 0.01, k, zeta0)
+        assert stepper._kept is None
+        assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (0, 1, 1 + 3)
+        w, zeta = w0, zeta0
+        for i in range(k):
+            w, zeta = stepper.step(w, 0.3 + i * 0.01, 0.01, zeta)
+        scale = max(np.abs(w).max(), np.abs(zeta).max())
+        assert np.abs(w_adv - w).max() <= 1e-12 * scale
+        assert np.abs(zeta_adv - zeta).max() <= 1e-12 * scale
 
 
 def _step_loop_errors(scenario) -> np.ndarray:
@@ -619,8 +653,8 @@ class TestSimulatePropagation:
     @pytest.mark.parametrize("variant", ["predictor", "zoh"])
     @pytest.mark.parametrize("h", [0.25, 0.3])
     def test_error_coordinates_match_step_loop(self, ex31_design, variant, h):
-        # at h = 0.3 the gaps of arange(n) * h differ in their last bits; only
-        # the first interval is stepped either way
+        # at h = 0.3 the gaps of arange(n) * h differ in their last bits; every
+        # interval is propagated either way, the first one too
         grid = uniform_grid(101)
         nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.3, [0.2]), b=pf.constant(1.0), gain=0.3)
         design = dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R)
@@ -634,7 +668,7 @@ class TestSimulatePropagation:
         traj = quiet_simulate(sc)
         counts = traj.metadata["integrator"]
         assert counts["propagators_built"] == 2 and counts["propagator_products"] > 0
-        assert counts["steps"] == 2 * round(h / 0.01)
+        assert counts["steps"] == 0
         reference = _step_loop_errors(sc)
         assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
 
@@ -659,6 +693,20 @@ class TestSimulatePropagation:
         assert design.L.shape == (1, 2) and sc.report.feasible
         traj = quiet_simulate(sc)
         assert traj.metadata["integrator"]["propagators_built"] == 0
+        reference = _step_loop_errors(sc)
+        assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("horizon, counts", [(0.5, (0, 2)), (0.25, (2 * 25, 0))],
+                             ids=["two_intervals", "one_interval"])
+    def test_first_interval_is_propagated_when_the_next_shares_its_dt(self, ex31_design, horizon, counts):
+        noise = NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0)
+        sc = Scenario(design=ex31_design, variant="predictor", nodes=101, dt=0.01,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.25, "horizon": horizon}),
+                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
+                      disturbances=Disturbances(xi=(noise,)))
+        traj = quiet_simulate(sc)
+        integrator = traj.metadata["integrator"]
+        assert (integrator["steps"], integrator["propagators_built"]) == counts
         reference = _step_loop_errors(sc)
         assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
 
