@@ -38,7 +38,7 @@ print("\n== hold variant around its uniform-sampling threshold ==")
 h_crit = 4.0 / math.pi**2
 for fac in (0.9, 1.1):
     rep = run_example_31(p=1.0, h=fac * h_crit, omega=0.0, variant="zoh",
-                         nodes=201, fit_rate=False, check_bounds=False)
+                         nodes=201)
     tr = rep.trajectory
     print(f"  h = {fac:.1f} x threshold: verdict = {rep.verdict:12s} "
           f"(||e(T)||/||e(0)|| = {tr.error_l2[-1] / tr.error_l2[0]:.2e})")

@@ -7,8 +7,8 @@ presets of ``parobs.config`` like any other config, and their reports are
 
 The bound checkers evaluate the right-hand sides with exact running-supremum
 bookkeeping of the exponentially weighted signal histories, so a trajectory
-either satisfies the certified estimate at every snapshot (within a small
-discretization slack) or the violation count says where it fails.
+either satisfies the certified estimate at every snapshot (within a fixed
+2% discretization slack) or the violation count says where it fails.
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ def check_ios_bound(
     traj: Trajectory,
     report: SmallGainReport,
     disturbances: Disturbances | None = None,
-    slack: float = _SLACK,
 ) -> IOSBoundCheck:
     """Evaluate the certified error estimate along the trajectory.
 
@@ -157,8 +156,8 @@ def check_ios_bound(
     is the channel's signal at the snapshot time and, on sample rows, the
     noise recorded by the sample event; the mismatch history is the same
     supremum of ||v(s) - v~(s)||. Both are built for all snapshots at once.
-    Violations are counted beyond the relative slack plus a tiny absolute
-    floor.
+    Violations are counted beyond the fixed 2% relative slack ``_SLACK``
+    plus a tiny absolute floor.
     """
     if not report.feasible:
         raise InfeasibleReport(f"Omega = {report.omega:.6g} is not < 1")
@@ -190,7 +189,7 @@ def check_ios_bound(
     atol = 1e-12 * max(e0, 1.0)
     margins = rhs - traj.error_l2
     rel = np.where(rhs > atol, margins / np.maximum(rhs, atol), 0.0)
-    violations = int(np.sum(traj.error_l2 > rhs * (1.0 + slack) + atol))
+    violations = int(np.sum(traj.error_l2 > rhs * (1.0 + _SLACK) + atol))
     return IOSBoundCheck(
         variant=report.variant,
         kappa=kappa,
@@ -200,7 +199,7 @@ def check_ios_bound(
         worst_relative_margin=float(np.min(rel)),
         noise_history=noise_hist,
         mismatch_history=mism_hist,
-        slack=slack,
+        slack=_SLACK,
     )
 
 
@@ -237,7 +236,6 @@ def lyapunov_oracle(
     J_tail: int = 20,
     nonlinearity: NonlinearTerm | None = None,
     disturbances: Disturbances | None = None,
-    slack: float = _SLACK,
 ) -> LyapunovTrace:
     """Check the decay functional's integral inequality along a trajectory.
 
@@ -249,7 +247,8 @@ def lyapunov_oracle(
     columns l_i are those of the ``simulator.DiscreteObserver`` of the
     variant in ``traj.metadata``, which raises ValueError for a missing or
     unknown variant. Raises TailTooShort when the first N + J_tail modes
-    miss more than 5% of the error energy.
+    miss more than 5% of the error energy. Every inequality is checked
+    within the fixed 2% relative slack ``_SLACK``.
     """
     nl = nonlinearity or ZeroTerm()
     dist = disturbances or Disturbances()
@@ -304,10 +303,10 @@ def lyapunov_oracle(
         rhs[k] = math.exp(-2.0 * mu * traj.times[k]) * V[0] + g * integral
 
     atol = 1e-12 * max(V[0], 1.0)
-    violations = int(np.sum(V > rhs * (1.0 + slack) + atol))
+    violations = int(np.sum(V > rhs * (1.0 + _SLACK) + atol))
     rel = np.where(rhs > atol, (rhs - V) / np.maximum(rhs, atol), 0.0)
-    e_le_V_ok = bool(np.all(e_sq <= V * (1.0 + slack) + atol))
-    v0_bound_ok = bool(V[0] <= max(design.P_norm, design.Q / 2.0) * e_sq[0] * (1.0 + slack) + atol)
+    e_le_V_ok = bool(np.all(e_sq <= V * (1.0 + _SLACK) + atol))
+    v0_bound_ok = bool(V[0] <= max(design.P_norm, design.Q / 2.0) * e_sq[0] * (1.0 + _SLACK) + atol)
     return LyapunovTrace(
         times=traj.times,
         V=V,
@@ -319,7 +318,7 @@ def lyapunov_oracle(
         parseval_deficit=deficit,
         e_le_V_ok=e_le_V_ok,
         v0_bound_ok=v0_bound_ok,
-        slack=slack,
+        slack=_SLACK,
     )
 
 
@@ -434,27 +433,26 @@ class RunResult:
 
 
 def check_run(
-    traj: Trajectory, scenario: Scenario, *, fit: bool = True, ios: bool = True,
-    lyapunov: bool = False, lyapunov_tail: int = 20,
+    traj: Trajectory, scenario: Scenario, *, lyapunov: bool = False, lyapunov_tail: int = 20,
 ) -> RunResult:
     """The decay fit, IOS check and Lyapunov oracle of one simulated
     scenario, as one ``RunResult``.
 
-    The fit runs over ``default_fit_window`` at the schedule's diameter and
-    is None when the series reaches the numerical floor or the window holds
-    fewer than 3 points. The IOS check and the oracle run only when the
-    scenario's own certificate, ``scenario.report`` (at the schedule's
-    diameter and the scenario's kappa), is feasible.
+    Every run is fitted over ``default_fit_window`` at the schedule's
+    diameter; the fit is None when the series reaches the numerical floor or
+    the window holds fewer than 3 points. Every run whose own certificate,
+    ``scenario.report`` (at the schedule's diameter and the scenario's
+    kappa), is feasible gets the IOS check, and the oracle when ``lyapunov``
+    asks for it; both use the fixed 2% slack.
     """
     decay = None
-    if fit:
-        try:
-            window = default_fit_window(traj, scenario.schedule.diameter)
-            decay = fit_decay_rate(traj.times, traj.error_l2, window)
-        except (DecayedToFloor, ValueError):
-            pass
+    try:
+        window = default_fit_window(traj, scenario.schedule.diameter)
+        decay = fit_decay_rate(traj.times, traj.error_l2, window)
+    except (DecayedToFloor, ValueError):
+        pass
     report, feasible = scenario.report, scenario.report.feasible
-    bound = check_ios_bound(traj, report, scenario.disturbances) if ios and feasible else None
+    bound = check_ios_bound(traj, report, scenario.disturbances) if feasible else None
     oracle = None
     if lyapunov and feasible:
         oracle = lyapunov_oracle(traj, scenario.design, lyapunov_tail,
@@ -504,8 +502,6 @@ def run_example_31(
     snapshot_every: float | None = None,
     u0=None,
     w0=None,
-    fit_rate: bool = True,
-    check_bounds: bool = True,
     lyapunov: bool = False,
     lyapunov_tail: int = 20,
 ) -> Example31Report:
@@ -513,7 +509,8 @@ def run_example_31(
 
     omega in [0, 1) selects kappa = omega * mu. The hold variant's verdict
     compares the final error with the initial one at the default horizon
-    10 * 20 / (p pi^2).
+    10 * 20 / (p pi^2). Like every run, it is fitted and, when certified,
+    IOS-checked with the fixed 2% slack (``check_run``).
     """
     cfg = example31_config(
         p, h, omega, variant, noise, mismatch, horizon=horizon, nodes=nodes, dt=dt,
@@ -523,8 +520,7 @@ def run_example_31(
     h_star = max_diameter(design, omega * design.mu, variant)
     scenario = build_scenario(cfg, design=design)
     traj = simulate(scenario)
-    run = check_run(traj, scenario, fit=fit_rate, ios=check_bounds, lyapunov=lyapunov,
-                    lyapunov_tail=lyapunov_tail)
+    run = check_run(traj, scenario, lyapunov=lyapunov, lyapunov_tail=lyapunov_tail)
     return Example31Report(**vars(run), omega_fraction=omega, h_star=h_star,
                            verdict=divergence_verdict(traj))
 

@@ -14,6 +14,9 @@ deterministic given the config and seed: floats print with 17 significant
 digits so reruns are byte-identical, and every CSV table but the mixed-type
 ``sweep.csv`` is written by ``grids.write_csv``.
 
+Each command takes only the flags it reads (``_FLAGS``); argparse rejects
+any other with exit 2.
+
 Exit codes: 0 success, 2 configuration error, 3 under ``--strict`` when a
 run is not certified (Omega >= 1) or a checked bound fails.
 """
@@ -85,15 +88,21 @@ def _write_fields(outdir: str, traj: Trajectory) -> None:
                   [traj.grid, traj.u[k], traj.w[k]])
 
 
-def _exit_code(strict: bool, run: RunResult) -> int:
-    """Under --strict, exit 3 when the run's certificate is infeasible or a
-    bound it checks fails (``RunResult.violated``)."""
-    return EXIT_VIOLATION if strict and run.violated else EXIT_OK
+def _exit_code(strict: bool, failed: bool) -> int:
+    """Under --strict, exit 3 when the certificate or the run failed."""
+    return EXIT_VIOLATION if strict and failed else EXIT_OK
+
+
+def _config(args, need_schedule=lambda cfg: False) -> dict:
+    """The --config file with its --set overrides applied, validated before
+    any work; ``need_schedule(cfg)`` says whether the command simulates it."""
+    cfg = apply_overrides(load_config(args.config), args.set or [])
+    validate_config(cfg, need_schedule=need_schedule(cfg))
+    return cfg
 
 
 def cmd_design(args) -> int:
-    cfg = apply_overrides(load_config(args.config), args.set or [])
-    validate_config(cfg)
+    cfg = _config(args)
     design = build_design(cfg)
     reports = []
     if "gain" in cfg:
@@ -111,8 +120,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_check_gain(args) -> int:
-    cfg = apply_overrides(load_config(args.config), args.set or [])
-    validate_config(cfg)
+    cfg = _config(args)
     design = build_design(cfg)
     report = gain_report(cfg, design)
     print(f"Omega = {_fmt(report.omega)}")
@@ -121,14 +129,11 @@ def cmd_check_gain(args) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "gain.json"), _report_to_dict(report))
-    if args.strict and not report.feasible:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _exit_code(args.strict, not report.feasible)
 
 
 def cmd_simulate(args) -> int:
-    cfg = apply_overrides(load_config(args.config), args.set or [])
-    validate_config(cfg, need_schedule=True)
+    cfg = _config(args, lambda cfg: True)
     design = build_design(cfg)
     scenario = build_scenario(cfg, design=design, seed=args.seed)
     traj = simulate(scenario)
@@ -147,7 +152,7 @@ def cmd_simulate(args) -> int:
         _write_run(args.out, run)
         if cfg.get("output", {}).get("fields", False):
             _write_fields(os.path.join(args.out, "fields"), traj)
-    return _exit_code(args.strict, run)
+    return _exit_code(args.strict, run.violated)
 
 
 def _row_config(cfg: dict, param: str, value: float) -> dict:
@@ -190,15 +195,15 @@ def cmd_sweep(args) -> int:
     rejects, a kappa outside [0, mu)) names it in the error column, with
     omega nan and feasible false, and leaves the trajectory columns empty.
     """
-    cfg = apply_overrides(load_config(args.config), args.set or [])
-    validate_config(cfg, need_schedule=cfg.get("sweep", {}).get("simulate", False))
+    # a sweep section that is not an object is left to validate_config
+    cfg = _config(args, lambda cfg: isinstance(cfg.get("sweep"), dict)
+                  and cfg["sweep"].get("simulate", False))
     sweep = cfg.get("sweep")
     if not sweep:
         raise ConfigError("sweep", "missing sweep section")
     param = sweep["parameter"]
     values = [float(v) for v in sweep["values"]]
     do_sim = bool(sweep.get("simulate", False))
-    seed = int(cfg.get("seed", 0)) if args.seed is None else args.seed
     # only Q changes the design, and with_Q re-derives its certificate
     base = build_design(cfg)
     traj = None
@@ -208,7 +213,7 @@ def cmd_sweep(args) -> int:
         row = {"index": index, "parameter": param, "value": value}
         try:
             design = base.with_Q(value) if param == "Q" else base
-            scenario = build_scenario(row_cfg, design=design, seed=seed) if do_sim else None
+            scenario = build_scenario(row_cfg, design=design, seed=args.seed) if do_sim else None
             report = gain_report(row_cfg, design) if scenario is None else scenario.report
             row.update(omega=report.omega, feasible=report.feasible)
         except ParobsError as exc:
@@ -261,7 +266,7 @@ def cmd_example31(args) -> int:
     print(f"verdict = {rep.verdict}")
     if args.out:
         _write_run(args.out, rep)
-    return _exit_code(args.strict, rep)
+    return _exit_code(args.strict, rep.violated)
 
 
 def cmd_example32(args) -> int:
@@ -278,21 +283,20 @@ def cmd_example32(args) -> int:
         )
     if args.out:
         _write_run(args.out, rep)
-    return _exit_code(args.strict, rep)
+    return _exit_code(args.strict, rep.violated)
 
 
-def _add_common(sp, with_config=True):
-    if with_config:
-        sp.add_argument("--config", required=True, help="path to the JSON run configuration")
-        sp.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config field (dotted path, JSON value); repeatable",
-        )
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    sp.add_argument("--strict", action="store_true", help="exit 3 on invariant violations")
+# the flags shared between commands; each command takes only those it reads
+_FLAGS = {
+    "--config": dict(required=True, help="path to the JSON run configuration"),
+    "--set": dict(action="append", metavar="KEY=VALUE",
+                  help="override a config field (dotted path, JSON value); repeatable"),
+    "--out": dict(default=None, help="output directory"),
+    "--seed": dict(type=int, default=None,
+                   help="seed of random schedules and noise (default: the config's)"),
+    "--strict": dict(action="store_true",
+                     help="exit 3 on an infeasible certificate or a failed checked bound"),
+}
 
 
 def _add_example_common(sp):
@@ -312,38 +316,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="sampled-data observer design and verification for 1-D parabolic plants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, fn, flags, summary in (
+        ("design", cmd_design, "--config --set --out",
+         "synthesize a design and emit its certificate"),
+        ("check-gain", cmd_check_gain, "--config --set --out --strict",
+         "evaluate the small-gain value only (no simulation)"),
+        ("simulate", cmd_simulate, "--config --set --out --seed --strict",
+         "co-simulate plant and observer, check bounds"),
+        ("sweep", cmd_sweep, "--config --set --out --seed",
+         "evaluate a parameter grid into a long-format CSV"),
+        ("example31", cmd_example31, "--out --seed --strict",
+         "run the Neumann-ends worked design end to end"),
+        ("example32", cmd_example32, "--out --seed --strict",
+         "run the boundary-measurement worked design end to end"),
+    ):
+        sp = commands[name] = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("design", help="synthesize a design and emit its certificate")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_design)
-
-    sp = sub.add_parser("check-gain", help="evaluate the small-gain value only (no simulation)")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_check_gain)
-
-    sp = sub.add_parser("simulate", help="co-simulate plant and observer, check bounds")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_simulate)
-
-    sp = sub.add_parser("sweep", help="evaluate a parameter grid into a long-format CSV")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_sweep)
-
-    sp = sub.add_parser("example31", help="run the Neumann-ends worked design end to end")
-    _add_common(sp, with_config=False)
+    sp = commands["example31"]
     _add_example_common(sp)
     sp.add_argument("--h", type=float, default=0.5, help="sampling diameter")
     sp.add_argument("--variant", default="predictor", choices=["predictor", "zoh"])
     sp.add_argument("--mismatch", type=float, default=0.0, help="||v - v~|| of a constant input mismatch")
     sp.add_argument("--lyapunov", action="store_true", help="also run the decay-functional oracle")
-    sp.set_defaults(fn=cmd_example31)
 
-    sp = sub.add_parser("example32", help="run the boundary-measurement worked design end to end")
-    _add_common(sp, with_config=False)
+    sp = commands["example32"]
     _add_example_common(sp)
     sp.add_argument("--q", type=float, default=0.0, help="reaction constant")
     sp.add_argument("--h", type=float, default=None, help="sampling diameter (default: h*/2)")
-    sp.set_defaults(fn=cmd_example32)
 
     return parser
 
@@ -353,10 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ParobsError as exc:

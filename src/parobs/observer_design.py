@@ -586,12 +586,6 @@ def small_gain(design: ObserverDesign, h: float, kappa: float, variant: str) -> 
     return small_gain_zoh(design, h, kappa)
 
 
-def recompute_omega(design: ObserverDesign, report: SmallGainReport) -> float:
-    """Re-evaluate Omega from a report's stored inputs (determinism check)."""
-    omega, _ = _omega_value(design, report.h, report.kappa, report.variant)
-    return omega
-
-
 def _wrightomega(x: float) -> float:
     """Wright omega of a real x, the w with w + ln(w) = x, bit for bit as
     scipy.special.wrightomega: a starting guess on (-inf, -2), [-2, 1) or

@@ -280,6 +280,14 @@ def as_number(value) -> float:
     return float(value)
 
 
+def as_seed(value) -> int:
+    """A random-number seed: ``int(value)``, which must not be negative."""
+    seed = int(value)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 

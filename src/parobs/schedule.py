@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import profiles as pf
 from .errors import InvalidSpec
 
 __all__ = ["SamplingSchedule", "make_schedule"]
@@ -55,9 +56,9 @@ def make_schedule(spec: dict) -> SamplingSchedule:
     explicit {times}. Uniform and random schedules end exactly at the
     horizon (the final gap may be shorter).
     """
-    kind = spec.get("kind")
+    kind = pf.spec_kind(spec)
     if kind == "uniform":
-        h, horizon = float(spec["h"]), float(spec["horizon"])
+        h, horizon = pf.spec_field(spec, "h"), pf.spec_field(spec, "horizon")
         if h <= 0.0 or horizon <= 0.0:
             raise InvalidSpec("uniform schedules need h > 0 and horizon > 0")
         n = int(np.floor(horizon / h + _EPS))
@@ -68,10 +69,8 @@ def make_schedule(spec: dict) -> SamplingSchedule:
             times[-1] = horizon
         return SamplingSchedule(times=times, diameter=h, horizon=horizon, kind="uniform")
     if kind == "random":
-        h_min = float(spec["h_min"])
-        h_max = float(spec["h_max"])
-        horizon = float(spec["horizon"])
-        seed = int(spec.get("seed", 0))
+        h_min, h_max, horizon = (pf.spec_field(spec, key) for key in ("h_min", "h_max", "horizon"))
+        seed = pf.spec_field(spec, "seed", pf.as_seed, 0)
         if not 0.0 < h_min <= h_max:
             raise InvalidSpec("random schedules need 0 < h_min <= h_max")
         if horizon <= 0.0:
@@ -85,10 +84,10 @@ def make_schedule(spec: dict) -> SamplingSchedule:
             times=np.asarray(times), diameter=h_max, horizon=horizon, kind="random"
         )
     if kind == "explicit":
-        times = np.asarray([float(t) for t in spec["times"]])
+        times = pf.spec_field(spec, "times", lambda ts: np.asarray([float(t) for t in ts]))
         if times.size < 2 or np.any(np.diff(times) <= 0.0) or times[0] != 0.0:
             raise InvalidSpec("explicit schedules must be strictly increasing from 0")
-        horizon = float(spec.get("horizon", times[-1]))
-        diameter = float(spec.get("h", np.max(np.diff(times))))
+        horizon = pf.spec_field(spec, "horizon", default=float(times[-1]))
+        diameter = pf.spec_field(spec, "h", default=float(np.max(np.diff(times))))
         return SamplingSchedule(times=times, diameter=diameter, horizon=horizon, kind="explicit")
     raise InvalidSpec(f"unknown schedule kind {kind!r}")

@@ -178,7 +178,7 @@ def noise_from_spec(spec, channel: int = 0) -> NoiseSignal:
         ),
         omega=pf.spec_field(spec, "omega", default=1.0),
         phase=pf.spec_field(spec, "phase", default=0.0),
-        seed=pf.spec_field(spec, "seed", int, 0),
+        seed=pf.spec_field(spec, "seed", pf.as_seed, 0),
         channel=channel,
     )
 
@@ -196,16 +196,17 @@ class Disturbances:
 
 
 def disturbances_from_spec(spec: dict | None, m: int, grid: np.ndarray | None = None) -> Disturbances:
+    """The disturbances of a config section; ``xi`` is absent (no noise),
+    one noise spec shared by the m channels, or a list of m specs."""
     spec = spec or {}
     xi_spec = spec.get("xi")
-    if xi_spec is None:
-        xi = tuple(NoiseSignal(channel=i) for i in range(m))
-    elif isinstance(xi_spec, dict):
-        xi = tuple(noise_from_spec(xi_spec, channel=i) for i in range(m))
-    else:
-        if len(xi_spec) != m:
-            raise InvalidSpec(f"need {m} noise channels, got {len(xi_spec)}")
-        xi = tuple(noise_from_spec(s, channel=i) for i, s in enumerate(xi_spec))
+    if xi_spec is None or isinstance(xi_spec, dict):
+        xi_spec = [xi_spec] * m
+    if not isinstance(xi_spec, list):
+        raise InvalidSpec(f"xi must be a noise spec or a list of them, got {xi_spec!r}")
+    if len(xi_spec) != m:
+        raise InvalidSpec(f"need {m} noise channels, got {len(xi_spec)}")
+    xi = tuple(noise_from_spec(s, channel=i) for i, s in enumerate(xi_spec))
     return Disturbances(
         v=field_signal_from_spec(spec.get("v"), grid),
         v_tilde=field_signal_from_spec(spec.get("v_tilde"), grid),

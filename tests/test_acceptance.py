@@ -172,7 +172,6 @@ def test_criterion_5_zoh_threshold_bracketing():
         for fac in (0.9, 1.1):
             rep = run_example_31(
                 p=p, h=fac * h_crit, omega=0.0, variant="zoh", nodes=201,
-                fit_rate=False, check_bounds=False,
             )
             verdicts[(p, fac)] = rep.verdict
     ok = all(verdicts[(p, 0.9)] == "convergent" for p in (0.5, 1.0, 2.0)) and all(
@@ -201,7 +200,6 @@ def test_criterion_6_ios_under_noise_and_mismatch():
             p=1.0, h=0.5, omega=0.2, variant="predictor",
             noise={"kind": "sinusoid", "amplitude": amp, "omega": 2.0},
             horizon=30.0, nodes=201, u0=pf.constant(1.0), w0=pf.constant(1.0),
-            fit_rate=False, check_bounds=False,
         )
         mask = r.trajectory.times >= 20.0
         steady[amp] = float(np.max(r.trajectory.error_l2[mask]))

@@ -424,8 +424,7 @@ class TestExample31Runner:
         assert rep.ios is not None and rep.ios.violations == 0
 
     def test_omega_matches_formula(self):
-        rep = run_example_31(p=1.0, h=0.3, omega=0.4, variant="zoh", horizon=3.0,
-                             nodes=101, fit_rate=False, check_bounds=False)
+        rep = run_example_31(p=1.0, h=0.3, omega=0.4, variant="zoh", horizon=3.0, nodes=101)
         kappa = 0.4 * math.pi**2 / 2.0
         ref = math.exp(kappa * 0.3) * (0.3 * math.pi**2 + 1.0) / math.sqrt(6.0 * 0.6)
         assert rep.report.omega == pytest.approx(ref, rel=1e-12)

@@ -14,7 +14,7 @@ import pytest
 import parobs.cli
 from parobs import config as cf
 from parobs import profiles as pf
-from parobs.analysis import check_run, example31_design, example32_design
+from parobs.analysis import _report_to_dict, check_run, example31_design, example32_design
 from parobs.cli import EXIT_CONFIG, main
 from parobs.config import (
     apply_overrides,
@@ -284,6 +284,23 @@ class TestBuilders:
         assert not np.array_equal(s1.schedule.times, s3.schedule.times)
 
 
+    def test_auto_basis_is_analytic_where_a_closed_form_exists(self):
+        cfg = example31_config()
+        del cfg["basis"]["method"]
+        problem = build_problem(cfg)
+        auto = cf.build_basis(cfg, problem)
+        analytic = analytic_eigensystem(problem, 48, 1001)
+        np.testing.assert_array_equal(auto.eigenvalues, analytic.eigenvalues)
+        np.testing.assert_array_equal(auto.functions, analytic.functions)
+
+    def test_auto_basis_falls_back_to_numeric(self):
+        cfg = cf.load_config(DESIGN_SWEEP)
+        del cfg["basis"]["method"]
+        problem = build_problem(cfg)
+        numeric = numeric_eigensystem(problem, 64, 2001)
+        np.testing.assert_array_equal(cf.build_basis(cfg, problem).eigenvalues, numeric.eigenvalues)
+
+
 class TestCli:
     def test_check_gain_prints_library_value(self, config_path, capsys):
         assert main(["check-gain", "--config", config_path]) == 0
@@ -349,10 +366,14 @@ class TestCli:
             ('initial.u0={"kind":"closed_form","trig":[[1.0,2.0]]}',
              "'closed_form' spec: field 'trig': each trig term is [amplitude, omega, phase]"),
             ('initial.u0={"kind":"sum","parts":[]}', "'sum' spec: field 'parts' is empty"),
+            ("disturbances.xi=0.01", "xi must be a noise spec or a list of them, got 0.01"),
+            ('disturbances.xi="abc"', "xi must be a noise spec or a list of them, got 'abc'"),
+            ('disturbances.xi={"kind":"random","amplitude":0.01,"seed":-1}',
+             "'random' spec: field 'seed': seed must be non-negative, got -1"),
         ],
         ids=["noise_seed", "nonlocal_b", "profile_coeffs", "input_term", "input_time", "nonlinearity",
              "input_series_coeffs", "input_series_time", "closed_form_poly", "closed_form_trig",
-             "empty_sum"],
+             "empty_sum", "xi_scalar", "xi_string", "noise_negative_seed"],
     )
     def test_malformed_spec_field_exit_code(self, tmp_path, capsys, override, message):
         # each of these used to end in a bare ValueError or KeyError (exit 1)
@@ -498,6 +519,30 @@ class TestCli:
         argv = ["check-gain", "--config", str(tmp_path / "ds" / "ref.json"),
                 "--set", "design_ref=../ds/design/design.json"]
         assert main(argv) == 0
+
+    def test_check_gain_writes_the_printed_report(self, config_path, tmp_path, capsys):
+        out = tmp_path / "gain"
+        assert main(["check-gain", "--config", config_path, "--out", str(out)]) == 0
+        printed = float(capsys.readouterr().out.splitlines()[0].split("=")[1])
+        cfg = cf.load_config(config_path)
+        report = cf.gain_report(cfg, build_design(cfg))
+        written = json.loads((out / "gain.json").read_text())
+        assert written == json.loads(json.dumps(_report_to_dict(report)))
+        assert written["omega"] == printed == report.omega
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--seed", "1"], ["design", "--strict"], ["check-gain", "--seed", "1"],
+        ["sweep", "--strict"],
+    ], ids=["design_seed", "design_strict", "check_gain_seed", "sweep_strict"])
+    def test_flag_the_command_does_not_read_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", str(DESIGN_SWEEP), *argv[1:]])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_sweep_section_must_be_an_object(self, capsys):
+        assert main(["sweep", "--config", str(DESIGN_SWEEP), "--set", "sweep=5"]) == EXIT_CONFIG
+        assert "config error: sweep: expected an object" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self):
         assert main(["check-gain", "--config", "/nonexistent.json"]) == 2

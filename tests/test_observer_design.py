@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import wrightomega
 
+from parobs import config as cf
 from parobs import observer_design
 from parobs import profiles as pf
 from parobs.config import example31_design
@@ -43,7 +44,6 @@ from parobs.observer_design import (
     make_design,
     max_diameter,
     place_gain,
-    recompute_omega,
     select_Q,
     small_gain,
     small_gain_predictor,
@@ -318,6 +318,24 @@ class TestSelectQ:
         with pytest.raises(NoFeasibleQ):
             select_Q(d, [2.0, 4.0], h=0.5, kappa=0.0, variant="predictor")
 
+    def test_q_at_or_below_a_tail_bound_above_two(self, nn_problem, nn_basis):
+        # a strong gain and a large tail put the bound at 2.88 > 2, so Q = 2
+        # is no longer the default and 2 <= Q <= bound is rejected
+        c = pf.constant(0.5) + 0.4 * pf.cosine(math.sqrt(2.0), math.pi)
+        d = make_design(nn_problem, nn_basis, [OutputChannel(kernel=c, approximant=c)],
+                        np.array([[-40.0]]), N=1, sigma_fraction=0.9)
+        bound = 2.0 * d.ltpl_norm * d.K**2 / (d.sigma * d.lam_next)
+        assert 2.0 < bound < 3.0 and d.Q == 2.0 * bound
+        for Q in (2.0, 2.5, bound):
+            with pytest.raises(QInfeasible, match="does not exceed the tail-coupling bound"):
+                d.with_Q(Q)
+        # Q = 3 and Q = 100 give Omega >= 1 at h = 0.01 and are skipped
+        omegas = {Q: small_gain_predictor(d.with_Q(Q), 0.01, 0.0).omega for Q in (3.0, 6.0, 100.0)}
+        assert omegas[3.0] >= 1.0 and omegas[100.0] >= 1.0 and omegas[6.0] < 1.0
+        assert select_Q(d, [2.0, 3.0, 6.0, 100.0], 0.01, 0.0, "predictor") == (6.0, omegas[6.0])
+        with pytest.raises(NoFeasibleQ):
+            select_Q(d, [2.0, 3.0, 100.0], 0.01, 0.0, "predictor")
+
 
 class TestPlaceGain:
     def test_exact_for_single_mode(self):
@@ -395,7 +413,7 @@ class TestCertificateProperties:
         d = _random_design(rng)
         for variant, fn in (("predictor", small_gain_predictor), ("zoh", small_gain_zoh)):
             rep = fn(d, 0.21, 0.4 * d.mu)
-            assert abs(recompute_omega(d, rep) - rep.omega) <= 1e-12
+            assert abs(small_gain(d, rep.h, rep.kappa, rep.variant).omega - rep.omega) <= 1e-12
 
     def test_omega_monotone_under_p_scaling(self, rng):
         # tail-free designs: the head branch of g~ stays active, so growing P
@@ -577,6 +595,20 @@ class TestDesignValidation:
     def test_q_constraint(self, ex31_design):
         with pytest.raises(QInfeasible):
             ex31_design.with_Q(1.5)
+
+
+def test_sampled_approximant_takes_the_fd4_stiffness_path(ex32_design):
+    # c of example 3.2 given as its samples on the 1001-node basis grid: the
+    # stiffness norm comes from the fourth-order stencil, not the closed form
+    cfg = cf.example32_config(1.0, 0.0, 1.0, horizon=1.0)
+    grid = ex32_design.basis.grid
+    values = (4.0 / math.pi * np.cos(0.5 * math.pi * grid)).tolist()
+    cfg["design"]["channels"][0]["approximant"] = {"kind": "samples", "values": values}
+    d = cf.build_design(cfg)
+    assert isinstance(d.channels[0].approximant, pf.SampledProfile)
+    for name in ("norm_stiff", "norm_gap", "mu"):
+        np.testing.assert_allclose(getattr(d, name), getattr(ex32_design, name), rtol=1e-5,
+                                   err_msg=name)
 
 
 def test_design_json_roundtrip(tmp_path, ex31_design):

@@ -57,6 +57,29 @@ class TestSchedules:
         with pytest.raises(InvalidSpec):
             make_schedule({"kind": "uniform", "h": 0.1, "horizon": -1.0})
 
+    def test_explicit_defaults_and_declared_diameter(self):
+        times = [0.0, 0.1, 0.4, 0.6]
+        sch = make_schedule({"kind": "explicit", "times": times})
+        assert sch.horizon == 0.6 and sch.diameter == sch.max_gap == 0.4 - 0.1
+        declared = make_schedule({"kind": "explicit", "times": times, "h": 0.5, "horizon": 0.5})
+        assert declared.diameter == 0.5 and declared.horizon == 0.5
+        with pytest.raises(InvalidSpec, match="exceeds the declared diameter"):
+            make_schedule({"kind": "explicit", "times": times, "h": 0.2})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "uniform", "h": 0.1}, "'uniform' spec: missing field 'horizon'"),
+        ({"kind": "uniform", "h": "abc", "horizon": 1.0}, "'uniform' spec: field 'h'"),
+        ({"kind": "random", "h_min": 0.1, "horizon": 1.0}, "'random' spec: missing field 'h_max'"),
+        ({"kind": "random", "h_min": 0.1, "h_max": 0.2, "horizon": 1.0, "seed": -1},
+         "'random' spec: field 'seed': seed must be non-negative, got -1"),
+        ({"kind": "explicit"}, "'explicit' spec: missing field 'times'"),
+        ("uniform", "expected a spec object"),
+    ], ids=["missing_horizon", "bad_h", "missing_h_max", "negative_seed", "missing_times",
+            "not_an_object"])
+    def test_missing_or_bad_field_is_invalid_spec(self, spec, message):
+        with pytest.raises(InvalidSpec, match=message):
+            make_schedule(spec)
+
     def test_last_sample_before(self):
         sch = make_schedule({"kind": "uniform", "h": 0.25, "horizon": 1.0})
         assert sch.last_sample_before(0.6) == pytest.approx(0.5)
@@ -84,6 +107,15 @@ class TestNoise:
     def test_xi_channel_count_enforced(self):
         with pytest.raises(InvalidSpec):
             disturbances_from_spec({"xi": [{"kind": "zero"}]}, m=2)
+
+    @pytest.mark.parametrize("xi", [0.01, "abc"], ids=["scalar", "string"])
+    def test_xi_must_be_a_spec_or_a_list(self, xi):
+        with pytest.raises(InvalidSpec, match="xi must be a noise spec or a list of them"):
+            disturbances_from_spec({"xi": xi}, m=2)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidSpec, match="seed must be non-negative"):
+            noise_from_spec({"kind": "random", "amplitude": 0.1, "seed": -1})
 
 
 class TestFieldSignals:
