@@ -253,10 +253,10 @@ def lyapunov_oracle(
     nl = nonlinearity or ZeroTerm()
     dist = disturbances or Disturbances()
     N = design.N
-    basis = design.basis.resample(traj.grid.size)
+    discrete = DiscreteObserver(design, traj.metadata.get("variant"), traj.grid.size)
+    basis = discrete.basis
     J = min(N + J_tail, basis.size)
     w = traj.weights
-    discrete = DiscreteObserver(design, traj.metadata.get("variant"), traj.grid.size)
     c_rows = discrete.c_rows
     e = traj.error_fields()
     r = e @ (basis.functions[:J] * w).T  # (S, J) modal coordinates

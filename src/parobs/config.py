@@ -75,12 +75,12 @@ _SECTION_KEYS = {
     "problem": {"p", "q", "bc"},
     "problem.bc": {"a0", "b0", "a1", "b1"},
     "basis": {"modes", "nodes", "method"},
-    "design": {"N", "L", "Q", "sigma_fraction", "lipschitz_R", "lipschitz_sup", "channels"},
+    "design": {"N", "L", "Q", "sigma_fraction", "lipschitz_R", "channels"},
     "gain": {"h", "kappa", "omega"},
     "observer": {"variant"},
     "schedule": {"kind", "h", "horizon", "h_min", "h_max", "seed", "times"},
     "grid": {"nodes"},
-    "time": {"dt", "snapshot_every", "horizon"},
+    "time": {"dt", "snapshot_every"},
     "initial": {"u0", "w0"},
     "disturbances": {"v", "v_tilde", "xi"},
     "analysis": {"lyapunov", "lyapunov_tail"},
@@ -234,9 +234,8 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         fraction = _expect(cfg, "design.sigma_fraction", (int, float), default=None)
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise ConfigError("design.sigma_fraction", "sigma_fraction must lie in (0, 1]")
-        for path in ("design.lipschitz_R", "design.lipschitz_sup"):
-            if not 0.0 <= _expect(cfg, path, (int, float), default=0.0) < math.inf:
-                raise ConfigError(path, "Lipschitz bound must be finite and non-negative")
+        if not 0.0 <= _expect(cfg, "design.lipschitz_R", (int, float), default=0.0) < math.inf:
+            raise ConfigError("design.lipschitz_R", "Lipschitz bound must be finite and non-negative")
 
     for path in ("initial.u0", "initial.w0"):
         _check_profile(_expect(cfg, path, (dict, int, float)), path)
@@ -255,7 +254,7 @@ def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
         numbers = {"uniform": ("h", "horizon"), "random": ("h_min", "h_max", "horizon")}
         for key in ("h", "h_min", "h_max", "horizon"):
             _expect(cfg, f"schedule.{key}", (int, float), required=key in numbers.get(kind, ()))
-    for key in ("dt", "horizon", "snapshot_every"):
+    for key in ("dt", "snapshot_every"):
         if _expect(cfg, f"time.{key}", (int, float), default=1.0) <= 0:
             raise ConfigError(f"time.{key}", f"{key} must be positive")
     if "gain" in cfg:
@@ -335,7 +334,6 @@ def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBas
         Q=d.get("Q"),
         sigma_fraction=float(d.get("sigma_fraction", 0.9)),
         lipschitz_R=float(d.get("lipschitz_R", 0.0)),
-        lipschitz_sup=float(d.get("lipschitz_sup", 0.0)),
     )
 
 
@@ -388,7 +386,6 @@ def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | 
     initial = cfg.get("initial", {})
     u0 = pf.as_profile(initial.get("u0", 0.0), grid)
     w0 = pf.as_profile(initial.get("w0", 0.0), grid)
-    horizon = time_cfg.get("horizon")
     return Scenario(
         design=design,
         variant=cfg.get("observer", {}).get("variant", "predictor"),
@@ -400,7 +397,6 @@ def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | 
         disturbances=disturbances,
         dt=time_cfg.get("dt"),
         snapshot_every=time_cfg.get("snapshot_every"),
-        horizon=float(horizon) if horizon is not None else None,
         label=cfg.get("label", ""),
         kappa=resolve_kappa(cfg, design),
     )

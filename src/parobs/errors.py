@@ -51,7 +51,7 @@ class ApproximantOutsideDomain(ParobsError, ValueError):
 
 
 class InvalidLipschitzBound(ParobsError, ValueError):
-    """A design's Lipschitz bounds R and sup must be finite and non-negative.
+    """A design's L2 Lipschitz bound R must be finite and non-negative.
     Also a ValueError, for callers that catch that."""
 
 
@@ -92,10 +92,6 @@ class StepRejected(ParobsError):
 class InvalidSpec(ParobsError, ValueError):
     """Malformed schedule, signal or initial-field specification. Also a
     ValueError, for callers that catch that."""
-
-
-class ScheduleHorizonMismatch(ParobsError):
-    """Sampling schedule does not cover the simulation horizon."""
 
 
 # -- analysis -----------------------------------------------------------------

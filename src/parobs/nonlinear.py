@@ -28,7 +28,7 @@ __all__ = [
 
 class NonlinearTerm:
     """Interface: the low-rank form f(u) = phi(rows @ u) @ cols on a fixed
-    grid, plus declared Lipschitz bounds.
+    grid, plus its declared L2 Lipschitz bound.
 
     ``rows`` holds r quadrature functionals of u and ``cols`` the r spatial
     profiles they drive; the base class is the rank-0 (zero) term and
@@ -36,7 +36,6 @@ class NonlinearTerm:
     """
 
     lipschitz_R: float = 0.0  # L2 -> L2 bound
-    lipschitz_sup: float = 0.0  # sup-norm bound
 
     def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         """(rows, cols), both of shape (r, nodes)."""
@@ -83,9 +82,6 @@ class LinearNonlocalTerm(NonlinearTerm):
         norm_a = float(np.sqrt(np.dot(w, self._cols[0] ** 2)))
         norm_b = pf.norm_l2(self.b, self.grid)
         self.lipschitz_R = abs(self.gain) * norm_a * norm_b
-        self.lipschitz_sup = abs(self.gain) * float(np.max(np.abs(self._cols))) * float(
-            np.dot(w, np.abs(self.b.values(self.grid)))
-        )
 
     def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         return _sampled_factors(self, nodes, self._rows, self._cols)
@@ -115,12 +111,6 @@ class GainSaturatedTerm(NonlinearTerm):
         amp_l2 = np.sqrt(np.sum(w * self._amps**2, axis=1))
         wgt_l2 = np.array([pf.norm_l2(p, self.grid) for p in self.weight_profiles])
         self.lipschitz_R = float(np.dot(amp_l2, wgt_l2))
-        self.lipschitz_sup = float(
-            np.dot(
-                np.max(np.abs(self._amps), axis=1),
-                [np.dot(w, np.abs(p.values(self.grid))) for p in self.weight_profiles],
-            )
-        )
 
     phi = staticmethod(np.tanh)
 

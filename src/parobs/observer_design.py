@@ -235,13 +235,13 @@ def _channel_coefficients(problem: SLProblem, basis: SpectralBasis, channels) ->
 class ObserverDesign:
     """Everything the small-gain certificates consume.
 
-    The fields down to ``lipschitz_sup`` are the inputs; every other field is
+    The fields down to ``lipschitz_R`` are the inputs; every other field is
     derived by __post_init__, the one place that checks the approximants
     against the Robin conditions, projects them on the basis, computes the
     tail constant K, the channel norms, A and the certificate scalars, and
     checks them: (P, sigma) must certify A, and Q >= 2 must exceed the
     tail-coupling bound (Q = None picks 2, or twice the bound when the bound
-    is not below 2), and both Lipschitz bounds must be finite and
+    is not below 2), and the L2 Lipschitz bound R must be finite and
     non-negative. ``dataclasses.replace`` re-runs it, so a design whose
     problem, basis, channels or certificate is replaced is derived afresh or
     raises a typed ParobsError, never stale. Grid functions (injection
@@ -257,7 +257,6 @@ class ObserverDesign:
     sigma: float
     Q: float | None
     lipschitz_R: float
-    lipschitz_sup: float
     # derived in __post_init__
     c_coeffs: np.ndarray = field(init=False)  # c_coeffs[i, j] = <c_i, phi_j>
     k_tail: CouplingReport = field(init=False)
@@ -278,11 +277,10 @@ class ObserverDesign:
 
     def __post_init__(self):
         problem, basis, N = self.problem, self.basis, self.N
-        lipschitz_R, lipschitz_sup = float(self.lipschitz_R), float(self.lipschitz_sup)
-        if not (0.0 <= lipschitz_R < math.inf and 0.0 <= lipschitz_sup < math.inf):
+        lipschitz_R = float(self.lipschitz_R)
+        if not 0.0 <= lipschitz_R < math.inf:
             raise InvalidLipschitzBound(
-                f"Lipschitz bounds must be finite and non-negative, got R = {lipschitz_R}, "
-                f"sup = {lipschitz_sup}"
+                f"the Lipschitz bound must be finite and non-negative, got R = {lipschitz_R}"
             )
         channels = tuple(self.channels)
         c_coeffs = _channel_coefficients(problem, basis, channels)
@@ -320,8 +318,7 @@ class ObserverDesign:
         cl = c_coeffs[:, :N] @ L  # exact given the coefficients
 
         derived = dict(
-            channels=channels, L=L, P=P, sigma=sigma, Q=float(Q),
-            lipschitz_R=lipschitz_R, lipschitz_sup=lipschitz_sup,
+            channels=channels, L=L, P=P, sigma=sigma, Q=float(Q), lipschitz_R=lipschitz_R,
             c_coeffs=c_coeffs, k_tail=k_tail, norm_c=norm_c, norm_k=norm_k,
             norm_gap=norm_gap, norm_stiff=norm_stiff,
             A=A, K=K, lam_next=lam_next, P_norm=P_norm, ltpl_norm=ltpl,
@@ -445,7 +442,6 @@ def make_design(
     P: np.ndarray | None = None,
     sigma: float | None = None,
     lipschitz_R: float = 0.0,
-    lipschitz_sup: float = 0.0,
 ) -> ObserverDesign:
     """An ObserverDesign whose Lyapunov pair, unless (P, sigma) are both
     given, is synthesized from A with ``lyapunov_certificate``.
@@ -460,7 +456,7 @@ def make_design(
         P, sigma = lyapunov_certificate(build_A(basis.eigenvalues[:N], L, c_coeffs), sigma_fraction)
     design = ObserverDesign(
         problem=problem, basis=basis, channels=channels, N=N, L=L, P=P, sigma=sigma, Q=Q,
-        lipschitz_R=lipschitz_R, lipschitz_sup=lipschitz_sup,
+        lipschitz_R=lipschitz_R,
     )
     k_tail = design.k_tail
     if k_tail.last_block_fraction > 0.01:
@@ -505,9 +501,10 @@ _VARIANTS = ("predictor", "zoh")
 
 
 def check_variant(variant: str) -> None:
-    """Raise ValueError unless ``variant`` names an observer variant."""
+    """Raise InvalidSpec (a ValueError) unless ``variant`` names an observer
+    variant."""
     if variant not in _VARIANTS:
-        raise ValueError(f"unknown observer variant {variant!r}")
+        raise InvalidSpec(f"unknown observer variant {variant!r}")
 
 
 def _slope(design: ObserverDesign, variant: str) -> np.ndarray:
@@ -693,7 +690,6 @@ def design_to_json(design: ObserverDesign, basis_ref: str | None = None) -> dict
         "K": d.K,
         "Q": d.Q,
         "lipschitz_R": d.lipschitz_R,
-        "lipschitz_sup": d.lipschitz_sup,
         "lambda_next": d.lam_next,
         "H_Q": d.H_Q,
         "mu": d.mu,
@@ -765,7 +761,7 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
     ``InvalidSpec`` when the document lacks a required key, naming the first
     one; when a value is not of its type (N and the basis counts integers;
     L and P lists of rows of numbers, N x m and N x N; sigma, Q and the
-    Lipschitz bounds numbers; the plant and channels valid specs), naming
+    Lipschitz bound numbers; the plant and channels valid specs), naming
     its key; or when a basis loaded or re-created here differs from the one
     the document records: another mode or node count than ``doc["basis"]``, or
     eigenvalues more than 1e-12 relative from ``doc["eigenvalues"]``.
@@ -791,9 +787,9 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
         if value.shape != shape:
             raise InvalidSpec(f"design JSON: {key} is {value.shape[0]} x {value.shape[-1]}, "
                               f"need {shape[0]} x {shape[1]}")
-    # Q and sigma are required; the Lipschitz bounds default to 0
+    # Q and sigma are required; the Lipschitz bound defaults to 0
     scalars = {key: read(key, pf.as_number, doc.get(key, 0.0))
-               for key in ("Q", "sigma", "lipschitz_R", "lipschitz_sup")}
+               for key in ("Q", "sigma", "lipschitz_R")}
     if basis is None:
         ref = doc["basis"].get("ref")
         counts = tuple(read(f"basis.{key}", operator.index, doc["basis"][key])

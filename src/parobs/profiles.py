@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import GridMismatch, InvalidSpec
 __all__ = [
     "Profile",
     "SampledProfile",
-    "FunctionProfile",
     "constant",
     "polynomial",
     "cosine",
@@ -178,27 +177,6 @@ class SampledProfile:
         return {"kind": "samples", "values": self.samples.tolist()}
 
 
-class FunctionProfile:
-    """Profile backed by an arbitrary callable; quadrature-only pairings."""
-
-    closed_form = False
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray]):
-        self.fn = fn
-
-    def values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.asarray(self.fn(x), dtype=float), x.shape).copy()
-
-    __call__ = values
-
-    def derivative(self, order: int = 1):
-        raise NotImplementedError("sample a FunctionProfile before differentiating")
-
-    def spec(self) -> dict:
-        raise NotImplementedError("FunctionProfile is not serializable")
-
-
 def constant(value: float) -> Profile:
     return Profile((float(value),), ())
 
@@ -226,8 +204,9 @@ def cosine_series(mean: float = 0.0, coeffs: Sequence[float] = ()) -> Profile:
 
 
 def as_profile(obj, grid: np.ndarray | None = None):
-    """Coerce numbers, callables, arrays or specs into a profile object."""
-    if isinstance(obj, (Profile, SampledProfile, FunctionProfile)):
+    """Coerce a number, a sample array on ``grid`` or a spec into a profile
+    object; anything else, a callable included, raises TypeError."""
+    if isinstance(obj, (Profile, SampledProfile)):
         return obj
     if isinstance(obj, (int, float)):
         return constant(obj)
@@ -239,8 +218,6 @@ def as_profile(obj, grid: np.ndarray | None = None):
         if grid is None:
             raise GridMismatch("sample arrays need an explicit grid")
         return SampledProfile(grid, np.asarray(obj, dtype=float))
-    if callable(obj):
-        return FunctionProfile(obj)
     raise TypeError(f"cannot interpret {obj!r} as a spatial profile")
 
 
@@ -281,11 +258,13 @@ def as_number(value) -> float:
 
 
 def as_seed(value) -> int:
-    """A random-number seed: ``int(value)``, which must not be negative."""
-    seed = int(value)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
+    """A random-number seed: a non-negative integer; a bool or a float
+    raises TypeError, a negative integer ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"seed must be non-negative, got {value}")
+    return int(value)
 
 
 def _floats(values) -> tuple[float, ...]:

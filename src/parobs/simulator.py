@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import profiles as pf
-from .errors import ConfigError, InvalidSpec, ScheduleHorizonMismatch, StepRejected
+from .errors import ConfigError, InvalidSpec, StepRejected
 from .grids import snapshot_norms, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import (ObserverDesign, SmallGainReport, check_variant, injection_kernels,
@@ -367,9 +367,10 @@ def step_observer_zoh(w, held, t, dt, design: ObserverDesign, nonlinearity, v_ti
 
 class DiscreteObserver:
     """The observer of ``design`` in ``variant`` on ``nodes`` grid points: the
-    injection columns ``l_cols`` (n, m), and rows (m, n) of c_i, k_i, k_i - c_i
-    and -L_h c_i times the trapezoid weights. It builds the plant and observer
-    steppers on one ``op`` and owns the reset law at a sample."""
+    design's ``basis`` resampled on the grid, the injection columns ``l_cols``
+    (n, m) built from it, and rows (m, n) of c_i, k_i, k_i - c_i and -L_h c_i
+    times the trapezoid weights. It builds the plant and observer steppers on
+    one ``op`` and owns the reset law at a sample."""
 
     def __init__(self, design: ObserverDesign, variant: str, nodes: int):
         check_variant(variant)
@@ -377,7 +378,8 @@ class DiscreteObserver:
         self.op = op = DiscreteSLOperator(design.problem, nodes)
         c = np.vstack([ch.approximant.values(op.grid) for ch in design.channels])
         k = np.vstack([ch.kernel.values(op.grid) for ch in design.channels])
-        self.l_cols = injection_kernels(design.L, design.basis.resample(nodes))[0].T
+        self.basis = design.basis.resample(nodes)
+        self.l_cols = injection_kernels(design.L, self.basis)[0].T
         self.c_rows, self.k_rows, self.gap_rows = c * op.weights, k * op.weights, (k - c) * op.weights
         self.stiff_rows = (-np.vstack([op.apply(ci) for ci in c])) * op.weights
 
@@ -411,14 +413,14 @@ class SampleEvent:
 @dataclass(frozen=True)
 class Scenario:
     """Everything one co-simulation run needs, bound to one grid size, and
-    the run's certificate.
+    the run's certificate. The run ends at its schedule's horizon.
 
     ``report`` is derived in ``__post_init__``: the small-gain report of the
     design and variant at the schedule's diameter and ``kappa``, so it
     describes the run that is simulated. ``dataclasses.replace`` re-derives
     it; a kappa outside [0, mu) raises ``KappaOutOfRange`` and an unknown
-    variant ValueError. A ``dt``, ``snapshot_every`` or ``horizon`` that is
-    set and not positive, or a noise channel count other than 0 or m,
+    variant ``InvalidSpec``. A ``dt`` or ``snapshot_every`` that is set and
+    not positive, or a noise channel count other than 0 or m,
     raises ``InvalidSpec``.
     """
 
@@ -432,13 +434,12 @@ class Scenario:
     disturbances: Disturbances = field(default_factory=Disturbances)
     dt: float | None = None  # None -> min(dx, h/20)
     snapshot_every: float | None = None
-    horizon: float | None = None  # None -> schedule horizon
     label: str = ""
     kappa: float = 0.0
     report: SmallGainReport = field(init=False)
 
     def __post_init__(self):
-        for name in ("dt", "snapshot_every", "horizon"):
+        for name in ("dt", "snapshot_every"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:
                 raise InvalidSpec(f"{name} must be positive, got {value!r}")
@@ -490,7 +491,8 @@ class Trajectory:
 
 
 def simulate(scenario: Scenario) -> Trajectory:
-    """Run the co-simulation; deterministic given the scenario seeds.
+    """Run the co-simulation from t = 0 to the schedule's horizon, sampling
+    at the schedule's times up to it; deterministic given the scenario seeds.
 
     Sub-steps subdivide each sampling interval exactly, so every sampling
     time is an integrator step boundary and no interpolation happens at
@@ -519,11 +521,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     """
     design = scenario.design
     sch = scenario.schedule
-    horizon = scenario.horizon if scenario.horizon is not None else sch.horizon
-    if horizon > sch.horizon + 1e-12:
-        raise ScheduleHorizonMismatch(
-            f"schedule covers {sch.horizon:.6g}, simulation wants {horizon:.6g}"
-        )
 
     discrete = DiscreteObserver(design, scenario.variant, scenario.nodes)
     grid, weights = discrete.op.grid, discrete.op.weights
@@ -556,7 +553,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     dx = grid[1] - grid[0]
     dt_target = scenario.dt if scenario.dt is not None else min(dx, sch.diameter / 20.0)
     snap_every = (
-        scenario.snapshot_every if scenario.snapshot_every is not None else horizon / 512.0
+        scenario.snapshot_every if scenario.snapshot_every is not None else sch.horizon / 512.0
     )
 
     times, u_snap, w_snap, z_snap, flags = [], [], [], [], []
@@ -575,8 +572,9 @@ def simulate(scenario: Scenario) -> Trajectory:
         z_snap.append(zeta_t)
         flags.append(is_sample)
 
-    sample_times = sch.times[sch.times <= horizon + 1e-12]
-    ends = [float(t) for t in sample_times[1:]] + [horizon]
+    # an explicit schedule may declare a horizon before its last sample
+    sample_times = sch.times[sch.times <= sch.horizon + 1e-12]
+    ends = [float(t) for t in sample_times[1:]] + [sch.horizon]
     intervals = [_subdivide(t1 - float(t0), dt_target) for t0, t1 in zip(sample_times, ends)]
     next_snap, prev_dt = 0.0, None
     for j, t_j in enumerate(sample_times):
@@ -617,7 +615,7 @@ def simulate(scenario: Scenario) -> Trajectory:
                 record(float(t_j) + done * dt, False)
                 next_snap += snap_every
         if j + 1 >= len(sample_times):
-            record(horizon, False)
+            record(sch.horizon, False)
 
     times_arr = np.asarray(times)
     u_arr = np.asarray(u_snap)
@@ -639,7 +637,7 @@ def simulate(scenario: Scenario) -> Trajectory:
             "dt_target": dt_target,
             "scheme": "imex-crank-nicolson",
             "diameter": sch.diameter,
-            "horizon": horizon,
+            "horizon": sch.horizon,
             "label": scenario.label,
             "integrator": {
                 key: getattr(plant, key) + getattr(obs, key)

@@ -94,15 +94,20 @@ class SLProblem:
 
 def problem_from_spec(spec: dict) -> SLProblem:
     """The plant of a ``problem`` section, as ``SLProblem.spec`` writes it;
-    q is any profile spec or number and defaults to 0. A p or bc entry that
-    is not a number, or a q that is not a profile, raises InvalidSpec naming
-    its key."""
-    bc = spec["bc"]
+    q is any profile spec or number and defaults to 0. A missing p, bc or bc
+    entry, a p or bc entry that is not a number, or a q that is not a
+    profile raises InvalidSpec naming its key."""
+    def entry(node, path, cast=pf.as_number):
+        key = path.rpartition(".")[2]
+        if not isinstance(node, dict) or key not in node:
+            raise InvalidSpec(f"{path}: missing field")
+        return pf.cast_field(path, cast, node[key])
+
+    bc = entry(spec, "problem.bc", lambda value: value)
     return SLProblem(
-        p=pf.cast_field("problem.p", pf.as_number, spec["p"]),
+        p=entry(spec, "problem.p"),
         q=pf.cast_field("problem.q", pf.as_profile, spec.get("q", 0.0)),
-        **{key: pf.cast_field(f"problem.bc.{key}", pf.as_number, bc[key])
-           for key in ("a0", "b0", "a1", "b1")},
+        **{key: entry(bc, f"problem.bc.{key}") for key in ("a0", "b0", "a1", "b1")},
     )
 
 

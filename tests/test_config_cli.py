@@ -23,7 +23,7 @@ from parobs.config import (
     build_scenario,
     validate_config,
 )
-from parobs.errors import ConfigError
+from parobs.errors import ConfigError, InvalidSpec
 from parobs.grids import uniform_grid
 from parobs.observer_design import (
     OutputChannel,
@@ -199,6 +199,19 @@ class TestKeysAndScalars:
     def test_shipped_configs_validate(self, cfg):
         validate_config(cfg, need_schedule="schedule" in cfg)
 
+    @pytest.mark.parametrize("keys, path", [
+        (["p"], "problem.p"), (["bc"], "problem.bc"), (["bc", "b1"], "problem.bc.b1"),
+    ], ids=["p", "bc", "bc_entry"])
+    def test_problem_spec_without_an_entry_is_invalid_spec(self, keys, path):
+        # these used to raise a bare KeyError
+        spec = json.loads(json.dumps(example31_config()["problem"]))
+        node = spec
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        with pytest.raises(InvalidSpec, match=f"^{path}: missing field$"):
+            problem_from_spec(spec)
+
     @SHIPPED_CONFIGS
     def test_problem_and_channel_specs_round_trip(self, cfg):
         problem = build_problem(cfg)
@@ -370,10 +383,12 @@ class TestCli:
             ('disturbances.xi="abc"', "xi must be a noise spec or a list of them, got 'abc'"),
             ('disturbances.xi={"kind":"random","amplitude":0.01,"seed":-1}',
              "'random' spec: field 'seed': seed must be non-negative, got -1"),
+            ('disturbances.xi={"kind":"random","amplitude":0.01,"seed":1.5}',
+             "'random' spec: field 'seed': seed must be an integer, got 1.5"),
         ],
         ids=["noise_seed", "nonlocal_b", "profile_coeffs", "input_term", "input_time", "nonlinearity",
              "input_series_coeffs", "input_series_time", "closed_form_poly", "closed_form_trig",
-             "empty_sum", "xi_scalar", "xi_string", "noise_negative_seed"],
+             "empty_sum", "xi_scalar", "xi_string", "noise_negative_seed", "noise_fractional_seed"],
     )
     def test_malformed_spec_field_exit_code(self, tmp_path, capsys, override, message):
         # each of these used to end in a bare ValueError or KeyError (exit 1)
@@ -500,6 +515,22 @@ class TestCli:
         # the basis comes back from basis.csv, written with 17 significant digits
         loaded = build_design(cfg)
         assert np.max(np.abs(loaded.c_coeffs - direct.c_coeffs)) <= 8e-16
+
+    def test_design_json_with_a_sup_norm_bound_still_loads(self, written_design, tmp_path, capsys):
+        # design.json used to carry "lipschitz_sup", which no certificate read
+        design = tmp_path / "design"
+        shutil.copytree(written_design, design)
+        cfg = json.loads(DESIGN_SWEEP.read_text())
+        del cfg["design"]
+        cfg["design_ref"] = str(design / "design.json")
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(cfg))
+        omega = printed_omega(capsys, path)
+        doc = json.loads((design / "design.json").read_text())
+        assert "lipschitz_sup" not in doc
+        doc["lipschitz_sup"] = 0.25
+        (design / "design.json").write_text(json.dumps(doc, indent=2))
+        assert printed_omega(capsys, path) == omega
 
     def test_relocated_design_gives_the_same_omega(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

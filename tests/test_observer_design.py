@@ -182,6 +182,11 @@ class TestSmallGain:
         with pytest.raises(ValueError, match="unknown observer variant 'Predictor'"):
             call(ex31_design)
 
+    def test_unknown_variant_is_a_typed_error(self, ex31_design):
+        with pytest.raises(ValueError) as info:
+            small_gain(ex31_design, 0.3, 0.0, "Predictor")
+        assert isinstance(info.value, ParobsError)
+
 
 class TestMaxDiameter:
     def test_zoh_closed_form_root(self, ex31_design):
@@ -515,7 +520,7 @@ class TestReplaceRederives:
     def test_only_the_chosen_quantities_are_inputs(self, ex31_design):
         inputs = [f.name for f in dataclasses.fields(ex31_design) if f.init]
         assert inputs == ["problem", "basis", "channels", "N", "L", "P", "sigma", "Q",
-                          "lipschitz_R", "lipschitz_sup"]
+                          "lipschitz_R"]
         for derived in ("c_coeffs", "k_tail", "norm_c", "norm_k", "norm_gap", "norm_stiff"):
             with pytest.raises(ValueError, match="init=False"):
                 dataclasses.replace(ex31_design, **{derived: getattr(ex31_design, derived)})
@@ -550,8 +555,7 @@ class TestReplaceRederives:
 
     @pytest.mark.parametrize("bounds", [
         {"lipschitz_R": -1.0}, {"lipschitz_R": math.inf}, {"lipschitz_R": math.nan},
-        {"lipschitz_sup": -1e-300}, {"lipschitz_sup": -math.inf},
-    ], ids=["R_negative", "R_inf", "R_nan", "sup_negative", "sup_minus_inf"])
+    ], ids=["R_negative", "R_inf", "R_nan"])
     def test_lipschitz_bounds_must_be_finite_and_non_negative(self, ex31_design, bounds):
         # R = -1 used to certify a smaller Omega, and R = -inf Omega = -inf
         with pytest.raises(InvalidLipschitzBound) as info:

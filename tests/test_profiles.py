@@ -93,7 +93,8 @@ def test_inner_l2_quadrature_fallback():
 def test_as_profile_coercions():
     grid = np.linspace(0.0, 1.0, 11)
     assert isinstance(pf.as_profile(2.5), pf.Profile)
-    assert isinstance(pf.as_profile(lambda x: x + 1), pf.FunctionProfile)
+    with pytest.raises(TypeError, match="cannot interpret"):
+        pf.as_profile(lambda x: x + 1)
     assert isinstance(pf.as_profile(np.ones(11), grid), pf.SampledProfile)
     with pytest.raises(GridMismatch):
         pf.as_profile([1.0, 2.0, 3.0])

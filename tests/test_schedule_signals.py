@@ -72,10 +72,14 @@ class TestSchedules:
         ({"kind": "random", "h_min": 0.1, "horizon": 1.0}, "'random' spec: missing field 'h_max'"),
         ({"kind": "random", "h_min": 0.1, "h_max": 0.2, "horizon": 1.0, "seed": -1},
          "'random' spec: field 'seed': seed must be non-negative, got -1"),
+        ({"kind": "random", "h_min": 0.1, "h_max": 0.2, "horizon": 1.0, "seed": 1.5},
+         r"'random' spec: field 'seed': seed must be an integer, got 1\.5"),
+        ({"kind": "random", "h_min": 0.1, "h_max": 0.2, "horizon": 1.0, "seed": True},
+         "'random' spec: field 'seed': seed must be an integer, got True"),
         ({"kind": "explicit"}, "'explicit' spec: missing field 'times'"),
         ("uniform", "expected a spec object"),
-    ], ids=["missing_horizon", "bad_h", "missing_h_max", "negative_seed", "missing_times",
-            "not_an_object"])
+    ], ids=["missing_horizon", "bad_h", "missing_h_max", "negative_seed", "fractional_seed",
+            "bool_seed", "missing_times", "not_an_object"])
     def test_missing_or_bad_field_is_invalid_spec(self, spec, message):
         with pytest.raises(InvalidSpec, match=message):
             make_schedule(spec)

@@ -7,7 +7,7 @@ import pytest
 
 from parobs import profiles as pf
 from parobs.errors import (
-    ConfigError, GridMismatch, InvalidSpec, KappaOutOfRange, ScheduleHorizonMismatch, StepRejected,
+    ConfigError, GridMismatch, InvalidSpec, KappaOutOfRange, StepRejected,
 )
 from parobs.grids import trapezoid_weights, uniform_grid
 from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm, ZeroTerm
@@ -314,19 +314,15 @@ class TestSimulate:
         traj = quiet_simulate(sc)
         assert traj.error_l2[-1] > 10.0 * traj.error_l2[0]
 
-    def test_horizon_longer_than_schedule_rejected(self, ex31_design):
-        sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 2.0})
+    def test_run_ends_at_the_schedule_horizon(self, ex31_design):
+        # an explicit schedule may declare a horizon before its last sample:
+        # the run samples up to that horizon and ends there
+        sch = make_schedule({"kind": "explicit", "times": [0.0, 0.5, 1.0, 1.5], "horizon": 1.2})
         sc = Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
-                      u0=pf.constant(1.0), w0=pf.constant(0.0), horizon=3.0)
-        with pytest.raises(ScheduleHorizonMismatch):
-            quiet_simulate(sc)
-
-    def test_shorter_horizon_allowed(self, ex31_design):
-        sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 2.0})
-        sc = Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
-                      u0=pf.constant(1.0), w0=pf.constant(0.0), horizon=1.2)
+                      u0=pf.constant(1.0), w0=pf.constant(0.0))
         traj = quiet_simulate(sc)
-        assert traj.times[-1] == pytest.approx(1.2)
+        assert traj.times[-1] == traj.metadata["horizon"] == 1.2
+        assert [e.t for e in traj.events] == [0.0, 0.5, 1.0]
 
     def test_dirichlet_initial_field_enforced(self, ex32_design):
         sch = make_schedule({"kind": "uniform", "h": 0.1, "horizon": 0.5})
@@ -432,15 +428,13 @@ class TestSimulate:
         ({"dt": 0.0}, "dt must be positive"),
         ({"snapshot_every": 0.0}, "snapshot_every must be positive"),
         ({"snapshot_every": -1.0}, "snapshot_every must be positive"),
-        ({"horizon": -1.0}, "horizon must be positive"),
         ({"disturbances": Disturbances(xi=(NoiseSignal("constant", 0.01),) * 2)},
          "one noise channel per output channel"),
-    ], ids=["dt_negative", "dt_zero", "snapshot_zero", "snapshot_negative", "horizon_negative",
+    ], ids=["dt_negative", "dt_zero", "snapshot_zero", "snapshot_negative",
             "noise_channels"])
     def test_rejects_inputs_simulate_would_misread(self, ex31_design, override, message):
-        # unchecked, simulate would take a negative dt as one step per interval,
-        # record every step for snapshot_every <= 0 and fail inside numpy for a
-        # negative horizon
+        # unchecked, simulate would take a negative dt as one step per interval
+        # and record every step for snapshot_every <= 0
         sch = make_schedule({"kind": "uniform", "h": 0.25, "horizon": 1.0})
         with pytest.raises(InvalidSpec, match=message):
             Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
@@ -468,8 +462,7 @@ class TestSimulate:
         nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.3, [0.2]), b=pf.constant(1.0), gain=0.3)
         ch = OutputChannel(kernel=pf.polynomial([0.0, 1.0]), approximant=pf.constant(0.5))
         design = make_design(problem, basis, [ch], np.array([[-math.pi**2]]), N=1, Q=2.0,
-                             sigma_fraction=1.0, lipschitz_R=nl.lipschitz_R,
-                             lipschitz_sup=nl.lipschitz_sup)
+                             sigma_fraction=1.0, lipschitz_R=nl.lipschitz_R)
         from parobs.observer_design import small_gain_predictor
         from parobs.analysis import check_ios_bound
 
@@ -684,7 +677,7 @@ class TestSimulatePropagation:
                     OutputChannel(kernel=average + pf.polynomial([0.02, -0.04]), approximant=average)]
         design = make_design(nn_problem, analytic_eigensystem(nn_problem, 60, 1001), channels,
                              np.array([[-0.6 * math.pi**2, -0.4 * math.pi**2]]), N=1, Q=2.0,
-                             lipschitz_R=nl.lipschitz_R, lipschitz_sup=nl.lipschitz_sup)
+                             lipschitz_R=nl.lipschitz_R)
         noise = (NoiseSignal("sinusoid", 0.01, omega=2.0), NoiseSignal("constant", -0.02))
         sc = Scenario(design=design, variant=variant, nodes=101, dt=0.01, nonlinearity=nl,
                       schedule=make_schedule({"kind": "uniform", "h": 0.05, "horizon": 1.0}),
