@@ -254,8 +254,8 @@ def lyapunov_oracle(
     dist = disturbances or Disturbances()
     N = design.N
     discrete = DiscreteObserver(design, traj.metadata.get("variant"), traj.grid.size)
-    basis = discrete.basis
-    J = min(N + J_tail, basis.size)
+    J = min(N + J_tail, design.basis.size)
+    basis = design.basis.resample(traj.grid.size, J)
     w = traj.weights
     c_rows = discrete.c_rows
     e = traj.error_fields()

@@ -22,6 +22,11 @@ coupling, so a run jumps from record to record with one product with a
 kept k-step power of that map (or a few with its binary powers); the
 observer then runs in error coordinates (w - u, zeta - C u), whose
 dynamics are the observer's own driven by v~ - v.
+
+A run plans its records before it steps: every record time and sample
+flag, and each sampling interval's jumps from record to record. The
+trajectory arrays are allocated once, and each stepper takes a whole
+interval in one call that writes the state after every jump into its row.
 """
 
 from __future__ import annotations
@@ -109,12 +114,12 @@ class IMEXStepper:
     affine in coef except for phi; its Jacobian with phi' = 1 is inverted
     alongside P, once per dt.
 
-    ``advance`` takes k steps at once when phi is linear: the same algebra
-    applied to the identity gives the one-step matrix T of (w, zeta) and the
-    inputs' exosystem, and k steps are one product with T^k for the k a run
-    jumps by, popcount(k) products with cached binary powers of T for any
-    other k. ``steps``, ``propagators_built`` and ``propagator_products``
-    count the work done.
+    ``advance`` takes a list of jumps of k steps each, and k steps at once
+    when phi is linear: the same algebra applied to the identity gives the
+    one-step matrix T of (w, zeta) and the inputs' exosystem, and k steps
+    are one product with T^k for the k a run jumps by, popcount(k) products
+    with cached binary powers of T for any other k. ``steps``,
+    ``propagators_built`` and ``propagator_products`` count the work done.
     """
 
     def __init__(
@@ -251,33 +256,71 @@ class IMEXStepper:
         raise StepRejected(f"corrector failed to converge within {_CORRECTOR_MAXITER} updates "
                            f"at t={t:.6g} (dt={self.dt:.3g}); the explicit part is too stiff")
 
-    def advance(self, w: np.ndarray, t: float, dt: float, k: int, zeta: np.ndarray | None = None):
-        """Advance (w, zeta) by k steps of size dt from t; equal to k calls of
-        ``step`` up to roundoff.
+    def advance(self, w: np.ndarray, t: float, dt: float, jumps, zeta: np.ndarray | None = None,
+                out_w: np.ndarray | None = None, out_zeta: np.ndarray | None = None,
+                stepwise: bool = False):
+        """Advance (w, zeta) from t by steps of size dt, ``jumps[i]`` steps at
+        a time, and write the state after jump i into row i of ``out_w``
+        (len(jumps), n) and ``out_zeta`` (len(jumps), m); both are allocated
+        when not given, and returned. Equal to calls of ``step`` up to
+        roundoff, and bit for bit to one call per jump.
 
         With a linear phi a step is one linear map T of the augmented state
         x = (w, zeta, z), where z holds three exosystem coordinates per input
         term: (offset, amplitude sin(omega t + phase), amplitude cos(...)),
-        rotated exactly by omega dt per step and set from t here, so no
-        rotation error carries over from one call to the next. The binary
-        powers T^(2^i) are kept for the current dt, and so is T^k for the
-        first k with two or more set bits, multiplied from its powers: every
-        call with that k takes one matrix-vector product, any other k
-        popcount(k) products with the powers. A run jumps mostly by one k,
-        its record spacing in steps; keeping every k asked would also build
-        a matrix for each shorter jump next to a sample, which costs more
-        matrix products than it saves. T^k is not kept, or is dropped, when it
-        would take the kept matrices past _PROPAGATOR_BYTES. Saturated terms,
-        and systems whose powers alone would pass the cap, call ``step`` k
-        times instead.
+        rotated exactly by omega dt per step and set from each jump's start
+        time, so no rotation error carries over from one jump to the next.
+        The binary powers T^(2^i) are kept for the current dt, and so is T^k
+        for the first k with two or more set bits, multiplied from its
+        powers: every jump by that k takes one matrix-vector product, any
+        other k popcount(k) products with the powers. A run jumps mostly by
+        one k, its record spacing in steps; keeping every k asked would also
+        build a matrix for each shorter jump next to a sample, which costs
+        more matrix products than it saves. T^k is not kept, or is dropped,
+        when it would take the kept matrices past _PROPAGATOR_BYTES.
+        Saturated terms, jumps whose powers alone would pass the cap, and
+        every jump when ``stepwise`` is set call ``step`` at t + s dt for
+        each step s from t instead.
         """
-        zeta = np.zeros(self.m) if zeta is None else zeta
-        n, k = self.op.grid.size, int(k)
-        matrix_bytes = 8 * (n + self.m + 3 * len(self.v_terms)) ** 2
-        if k == 0 or not self.linear or matrix_bytes * k.bit_length() > _PROPAGATOR_BYTES:
-            for i in range(k):
-                w, zeta = self.step(w, t + i * dt, dt, zeta)
-            return w, zeta
+        n, m = self.op.grid.size, self.m
+        x = np.zeros(n + m + 3 * len(self.v_terms))  # (w, zeta, z) before the first jump
+        x[:n] = w
+        if zeta is not None:
+            x[n : n + m] = zeta
+        rows = np.empty((len(jumps), x.size))  # x after each jump
+        matrix_bytes = 8 * x.size**2
+        stepwise = stepwise or not self.linear
+        done, products, last_k = 0, 0, None
+        for k, row in zip(jumps, rows):
+            if k != last_k:  # the same k asks for the same matrices
+                last_k, matrices = k, None
+                if not (stepwise or k == 0 or matrix_bytes * k.bit_length() > _PROPAGATOR_BYTES):
+                    matrices = self._matrices(dt, k, matrix_bytes)
+                    first, final = matrices[:-1], matrices[-1]
+            if matrices is None:
+                w, zeta = x[:n], x[n : n + m]
+                for s in range(done, done + k):
+                    w, zeta = self.step(w, t + s * dt, dt, zeta)
+                x = row
+                x[:n], x[n : n + m] = w, zeta
+            else:
+                if self.v_terms:
+                    x[n + m :] = self._exo(t + done * dt)
+                for power in first:
+                    x = power @ x
+                x = np.matmul(final, x, out=row)
+                products += len(matrices)
+            done += k
+        self.propagator_products += products
+        out_w = np.empty((len(jumps), n)) if out_w is None else out_w
+        out_zeta = np.empty((len(jumps), m)) if out_zeta is None else out_zeta
+        out_w[...], out_zeta[...] = rows[:, :n], rows[:, n : n + m]
+        return out_w, out_zeta
+
+    def _matrices(self, dt: float, k: int, matrix_bytes: int) -> list[np.ndarray]:
+        """The matrices whose product with x takes k steps of dt: [T^k] when
+        T^k is kept, else the powers of k's set bits. Builds what is missing
+        and updates what is kept (see ``advance``)."""
         if dt != self._powers_dt:
             self._powers, self._kept = [self._propagator(dt)], None
             self._powers_dt = dt
@@ -290,11 +333,7 @@ class IMEXStepper:
             matrix_bytes * (len(self._powers) + 1) <= _PROPAGATOR_BYTES
         ):
             self._kept = k, functools.reduce(np.matmul, bits)
-        x = np.concatenate([w, zeta, self._exo(t)])
-        for power in [self._kept[1]] if self._kept and self._kept[0] == k else bits:
-            x = power @ x
-            self.propagator_products += 1
-        return x[:n], x[n : n + self.m]
+        return [self._kept[1]] if self._kept and self._kept[0] == k else bits
 
     def _exo(self, t: float) -> np.ndarray:
         """The exosystem coordinates of the inputs at t; value(t) = z[0] + z[1]."""
@@ -367,10 +406,10 @@ def step_observer_zoh(w, held, t, dt, design: ObserverDesign, nonlinearity, v_ti
 
 class DiscreteObserver:
     """The observer of ``design`` in ``variant`` on ``nodes`` grid points: the
-    design's ``basis`` resampled on the grid, the injection columns ``l_cols``
-    (n, m) built from it, and rows (m, n) of c_i, k_i, k_i - c_i and -L_h c_i
-    times the trapezoid weights. It builds the plant and observer steppers on
-    one ``op`` and owns the reset law at a sample."""
+    injection columns ``l_cols`` (n, m), built from the design's first N
+    modes resampled on the grid, and rows (m, n) of c_i, k_i, k_i - c_i and
+    -L_h c_i times the trapezoid weights. It builds the plant and observer
+    steppers on one ``op`` and owns the reset law at a sample."""
 
     def __init__(self, design: ObserverDesign, variant: str, nodes: int):
         check_variant(variant)
@@ -378,8 +417,7 @@ class DiscreteObserver:
         self.op = op = DiscreteSLOperator(design.problem, nodes)
         c = np.vstack([ch.approximant.values(op.grid) for ch in design.channels])
         k = np.vstack([ch.kernel.values(op.grid) for ch in design.channels])
-        self.basis = design.basis.resample(nodes)
-        self.l_cols = injection_kernels(design.L, self.basis)[0].T
+        self.l_cols = injection_kernels(design.L, design.basis.resample(nodes, design.N))[0].T
         self.c_rows, self.k_rows, self.gap_rows = c * op.weights, k * op.weights, (k - c) * op.weights
         self.stiff_rows = (-np.vstack([op.apply(ci) for ci in c])) * op.weights
 
@@ -501,6 +539,13 @@ def simulate(scenario: Scenario) -> Trajectory:
     legitimate, but emits a warning; ``analysis.check_run`` then checks no
     bound.
 
+    The record plan (``_record_plan``) fixes before the loop every
+    interval's step count and dt, the steps at which a record falls, and so
+    every record time and sample flag; the trajectory arrays are allocated
+    once from it. Each interval is then one ``IMEXStepper.advance`` call
+    per stepper, which writes the state after every jump from record to
+    record straight into the interval's rows.
+
     One ``DiscreteObserver`` of the scenario's variant builds both steppers
     and resets the observer at every sample; only what it is handed differs
     between coordinates.
@@ -508,16 +553,15 @@ def simulate(scenario: Scenario) -> Trajectory:
     A linear run (phi the identity) carries the observer in error
     coordinates (w - u, zeta - C u; the held innovation for the hold
     observer), resets it from the noise alone (y - <k, u> = xi), and
-    rebuilds w = u + e at records, so the error is never the difference of
-    two propagated fields. Each interval's step count and dt are fixed from
-    the sample times before the loop. An interval whose dt equals the
-    previous interval's or the next one's (up to the rounding of the sample
-    times) jumps from record to record with ``IMEXStepper.advance``, so a
-    uniform schedule of two or more intervals steps at most a shorter last
-    one; a one-interval run, an interval whose dt no neighbour shares, and
-    every step of a nonlinear run call ``step``. ``metadata["integrator"]``
-    counts the steps taken, the one-step matrices built and the products
-    with them.
+    rebuilds w = u + e and zeta = z + C u row by row, so the error is never
+    the difference of two propagated fields. An interval whose dt equals
+    the previous interval's or the next one's (up to the rounding of the
+    sample times) jumps from record to record with products with the
+    powers of the one-step matrix, so a uniform schedule of two or more
+    intervals steps at most a shorter last one; a one-interval run, an
+    interval whose dt no neighbour shares, and every step of a nonlinear
+    run call ``step``. ``metadata["integrator"]`` counts the steps taken,
+    the one-step matrices built and the products with them.
     """
     design = scenario.design
     sch = scenario.schedule
@@ -544,89 +588,54 @@ def simulate(scenario: Scenario) -> Trajectory:
     # the held innovation reads the same in both coordinates
     c_rows = discrete.c_rows if obs.coupled else np.zeros_like(discrete.c_rows)
     x = w - u if linear else w  # the observer's field in its own coordinates
-    z = np.zeros(design.m)  # its predictor state, or held innovation
-
-    def observer_state():
-        """(w, zeta) in the plant's coordinates."""
-        return (u + x, z + c_rows @ u) if linear else (x.copy(), z.copy())
 
     dx = grid[1] - grid[0]
     dt_target = scenario.dt if scenario.dt is not None else min(dx, sch.diameter / 20.0)
     snap_every = (
         scenario.snapshot_every if scenario.snapshot_every is not None else sch.horizon / 512.0
     )
-
-    times, u_snap, w_snap, z_snap, flags = [], [], [], [], []
-    events: list[SampleEvent] = []
-
-    def record(t: float, is_sample: bool):
-        if times and t <= times[-1] + 1e-14:
-            if is_sample:
-                flags[-1] = True
-                z_snap[-1] = observer_state()[1]
-            return
-        w_t, zeta_t = observer_state()
-        times.append(t)
-        u_snap.append(u.copy())
-        w_snap.append(w_t)
-        z_snap.append(zeta_t)
-        flags.append(is_sample)
-
     # an explicit schedule may declare a horizon before its last sample
     sample_times = sch.times[sch.times <= sch.horizon + 1e-12]
-    ends = [float(t) for t in sample_times[1:]] + [sch.horizon]
-    intervals = [_subdivide(t1 - float(t0), dt_target) for t0, t1 in zip(sample_times, ends)]
-    next_snap, prev_dt = 0.0, None
-    for j, t_j in enumerate(sample_times):
+    times, flags, plan = _record_plan(sample_times, sch.horizon, dt_target, snap_every, linear)
+    # a jump whose record is a duplicate writes the row after the last one,
+    # which the next record overwrites, or one spare row past the end
+    n_rows = max([len(times)] + [iv.row + len(iv.jumps) + 1 for iv in plan])
+    u_arr, w_arr = np.empty((n_rows, u.size)), np.empty((n_rows, u.size))
+    z_arr = np.empty((n_rows, design.m))
+    events: list[SampleEvent] = []
+
+    for j, (t_j, iv) in enumerate(zip(sample_times, plan)):
+        t_j = float(t_j)
         xi_vals = np.array([0.0 if s is None else s.value(t_j, j) for s in xi])
         # y - <k, u> is the noise alone in error coordinates
         z = discrete.reset(xi_vals if linear else measure(u, discrete.k_rows, xi_vals), x)
-        events.append(SampleEvent(index=j, t=float(t_j), xi=xi_vals))
-        record(float(t_j), True)
-        next_snap = max(next_snap, float(t_j)) + snap_every
-
-        if intervals[j] is None:
+        events.append(SampleEvent(index=j, t=t_j, xi=xi_vals))
+        if iv.fresh:  # a sample within 1e-14 of the last record only updates its zeta
+            u_arr[iv.row] = u
+            w_arr[iv.row] = u + x if linear else x
+        z_arr[iv.row] = z + c_rows @ u if linear else z
+        if not iv.jumps:
             continue
-        n_sub, dt = intervals[j]
-        # a linear run propagates an interval that shares its dt with the
-        # previous interval, whose dt it takes, or with the next one, which
-        # takes this one's; a dt no neighbour shares is stepped
-        following = intervals[j + 1] if j + 1 < len(intervals) else None
-        if linear and prev_dt is not None and _same_dt(dt, prev_dt, n_sub, ends[j]):
-            dt, propagate = prev_dt, True
-        else:
-            propagate = (linear and following is not None
-                         and _same_dt(following[1], dt, following[0], ends[j + 1]))
-        prev_dt = dt
-        done = 0
-        while done < n_sub:
-            stop = _next_record(float(t_j), dt, done, n_sub, next_snap - 1e-12)
-            if propagate:
-                t = float(t_j) + done * dt
-                u = plant.advance(u, t, dt, stop - done)[0]
-                x, z = obs.advance(x, t, dt, stop - done, z)
-            else:
-                for step in range(done, stop):
-                    t = float(t_j) + step * dt
-                    u, _ = plant.step(u, t, dt)
-                    x, z = obs.step(x, t, dt, z)
-            done = stop
-            if done < n_sub:
-                record(float(t_j) + done * dt, False)
-                next_snap += snap_every
-        if j + 1 >= len(sample_times):
-            record(sch.horizon, False)
+        span = slice(iv.row + 1, iv.row + 1 + len(iv.jumps))
+        stepwise = not iv.propagate
+        plant.advance(u, t_j, iv.dt, iv.jumps, out_w=u_arr[span], stepwise=stepwise)
+        obs.advance(x, t_j, iv.dt, iv.jumps, z, w_arr[span], z_arr[span], stepwise)
+        last = span.stop - 1
+        u, x = u_arr[last].copy(), w_arr[last].copy()
+        if linear:
+            w_arr[span] += u_arr[span]
+            # c_rows @ u of each row, as a stack of products: the same bits
+            # as one product per row, which one (rows, n) @ (n, m) is not
+            z_arr[span] += (c_rows @ u_arr[span, :, None])[..., 0]
 
-    times_arr = np.asarray(times)
-    u_arr = np.asarray(u_snap)
-    w_arr = np.asarray(w_snap)
+    u_arr, w_arr = u_arr[: len(times)], w_arr[: len(times)]
     err_l2, err_sup = snapshot_norms(w_arr - u_arr, weights)
     traj = Trajectory(
-        times=times_arr,
+        times=times,
         u=u_arr,
         w=w_arr,
-        zeta=np.asarray(z_snap),
-        sample_flag=np.asarray(flags, dtype=bool),
+        zeta=z_arr[: len(times)],
+        sample_flag=flags,
         events=events,
         grid=grid,
         error_l2=err_l2,
@@ -647,6 +656,83 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
     traj.validate()
     return traj
+
+
+@dataclass(frozen=True)
+class _Interval:
+    """One sampling interval of a record plan: the sample's record ``row``
+    (``fresh`` False when the sample shares the record before it), and the
+    steps of size ``dt`` from record to record up to the interval's end,
+    ``jumps[i]`` ending in row ``row + 1 + i``; ``propagate`` selects the
+    powers of the one-step matrix over ``step``."""
+
+    row: int
+    fresh: bool
+    dt: float = 0.0
+    jumps: tuple[int, ...] = ()
+    propagate: bool = False
+
+
+def _record_plan(sample_times: np.ndarray, horizon: float, dt_target: float, snap_every: float,
+                 linear: bool) -> tuple[np.ndarray, np.ndarray, list[_Interval]]:
+    """The record times, sample flags and per-interval plan of a run.
+
+    Every sample is a record, and so is the horizon after the last one;
+    inside an interval a record falls at the first step at or past the due
+    time (``_next_record``), which starts one ``snap_every`` after the
+    sample and advances by one ``snap_every`` per record. A record within
+    1e-14 of the one before is not added: a sample there flags that record,
+    and a jump ending there is merged into the next one, or, when it ends
+    the interval, writes the row after the last. Each interval's step count
+    and dt come from ``_subdivide``. A linear run propagates an interval
+    that shares its dt with the previous interval, whose dt it takes, or
+    with the next one, which takes this one's; a dt no neighbour shares is
+    stepped.
+    """
+    ends = [float(t) for t in sample_times[1:]] + [horizon]
+    intervals = [_subdivide(t1 - float(t0), dt_target) for t0, t1 in zip(sample_times, ends)]
+    times: list[float] = []
+    flags: list[bool] = []
+    plan: list[_Interval] = []
+    next_snap, prev_dt = 0.0, None
+    for j, t_j in enumerate(sample_times):
+        t_j = float(t_j)
+        fresh = not times or t_j > times[-1] + 1e-14
+        if fresh:
+            times.append(t_j)
+            flags.append(True)
+        else:
+            flags[-1] = True
+        row = len(times) - 1
+        next_snap = max(next_snap, t_j) + snap_every
+        if intervals[j] is None:
+            plan.append(_Interval(row, fresh))
+            continue
+        n_sub, dt = intervals[j]
+        following = intervals[j + 1] if j + 1 < len(intervals) else None
+        if linear and prev_dt is not None and _same_dt(dt, prev_dt, n_sub, ends[j]):
+            dt, propagate = prev_dt, True
+        else:
+            propagate = (linear and following is not None
+                         and _same_dt(following[1], dt, following[0], ends[j + 1]))
+        prev_dt = dt
+        jumps, done, recorded = [], 0, 0
+        while done < n_sub:
+            done = _next_record(t_j, dt, done, n_sub, next_snap - 1e-12)
+            if done < n_sub:
+                t = t_j + done * dt
+                if t > times[-1] + 1e-14:
+                    times.append(t)
+                    flags.append(False)
+                    jumps.append(done - recorded)
+                    recorded = done
+                next_snap += snap_every
+        jumps.append(n_sub - recorded)
+        if j + 1 == len(sample_times) and horizon > times[-1] + 1e-14:
+            times.append(horizon)
+            flags.append(False)
+        plan.append(_Interval(row, fresh, dt, tuple(jumps), propagate))
+    return np.asarray(times), np.asarray(flags, dtype=bool), plan
 
 
 def _subdivide(gap: float, dt_target: float) -> tuple[int, float] | None:

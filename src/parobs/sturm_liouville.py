@@ -235,25 +235,28 @@ class SpectralBasis:
             )
         return worst
 
-    def resample(self, nodes: int) -> "SpectralBasis":
-        """Same modes on a different uniform grid; closed forms re-evaluate
-        exactly, numeric modes interpolate."""
+    def resample(self, nodes: int, modes: int | None = None) -> "SpectralBasis":
+        """Same modes on a different uniform grid, only the first ``modes``
+        of them when given; closed forms re-evaluate exactly, numeric modes
+        interpolate, one mode at a time, so a mode's samples do not depend
+        on ``modes``. A basis already on ``nodes`` points is returned whole."""
         if nodes == self.grid.size:
             return self
+        J = slice(modes)
         grid = uniform_grid(nodes)
         if self.mode_profiles is not None:
-            funcs = np.array([p.values(grid) for p in self.mode_profiles])
+            funcs = np.array([p.values(grid) for p in self.mode_profiles[J]])
         else:
-            funcs = np.array([np.interp(grid, self.grid, f) for f in self.functions])
+            funcs = np.array([np.interp(grid, self.grid, f) for f in self.functions[J]])
             w = trapezoid_weights(grid)
             funcs /= np.sqrt(np.sum(w * funcs**2, axis=1))[:, None]
         return SpectralBasis(
             grid=grid,
-            eigenvalues=self.eigenvalues.copy(),
+            eigenvalues=self.eigenvalues[J].copy(),
             functions=funcs,
-            end_derivs=self.end_derivs.copy(),
+            end_derivs=self.end_derivs[J].copy(),
             problem=self.problem,
-            mode_profiles=self.mode_profiles,
+            mode_profiles=None if self.mode_profiles is None else self.mode_profiles[J],
         )
 
 

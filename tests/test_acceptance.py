@@ -165,6 +165,14 @@ def test_criterion_4_predictor_convergence(crit4_report):
     assert bound_ok
 
 
+def test_criterion_4_run_is_propagated(crit4_report):
+    # each of 200 intervals is 10 jumps of 20 steps, one product with the
+    # kept T^20 of each of the two steppers per jump
+    assert crit4_report.trajectory.metadata["integrator"] == {
+        "steps": 0, "propagators_built": 2, "propagator_products": 4000,
+    }
+
+
 def test_criterion_5_zoh_threshold_bracketing():
     verdicts = {}
     for p in (0.5, 1.0, 2.0):

@@ -499,6 +499,12 @@ def _stepper(design, nodes, nl, v, variant):
     return DiscreteObserver(design, variant, nodes).observer(nl, v)
 
 
+def _advance(stepper, w, t, dt, k, zeta=None):
+    """``stepper.advance`` by one jump of k steps: the state after it."""
+    w_rows, zeta_rows = stepper.advance(w, t, dt, [k], zeta)
+    return w_rows[0], zeta_rows[0]
+
+
 SINE_INPUT = SpaceTimeSignal(terms=(
     (TimeSignal(offset=0.2, amplitude=0.5, omega=3.0, phase=0.4), pf.cosine_series(0.1, [0.4])),
     (TimeSignal(offset=-0.3), pf.polynomial([1.0, -0.5])),
@@ -522,10 +528,44 @@ class TestAdvance:
         w, zeta = w0, zeta0
         for i in range(k):
             w, zeta = stepper.step(w, t0 + i * dt, dt, zeta)
-        w_adv, zeta_adv = _stepper(ex31_design, nodes, nl, v, variant).advance(w0, t0, dt, k, zeta0)
+        w_adv, zeta_adv = _advance(_stepper(ex31_design, nodes, nl, v, variant), w0, t0, dt, k, zeta0)
         scale = max(np.abs(w).max(), np.abs(zeta).max(initial=0.0))
         assert np.abs(w_adv - w).max() <= 1e-12 * scale
         assert np.abs(zeta_adv - zeta).max(initial=0.0) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
+    def test_jumps_equal_one_call_per_jump(self, ex31_design, variant):
+        # T^20 is kept; 7, 3 and 37 take the binary powers
+        jumps, t0, dt = [20, 20, 7, 20, 3, 37, 37, 20], 0.3, 0.01
+        w0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101))
+        zeta0 = np.array([0.3]) if variant else None
+        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
+        w_rows, zeta_rows = stepper.advance(w0, t0, dt, jumps, zeta0)
+        reference = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
+        w, zeta, done = w0, zeta0, 0
+        for i, k in enumerate(jumps):
+            w, zeta = _advance(reference, w, t0 + done * dt, dt, k, zeta)
+            np.testing.assert_array_equal(w_rows[i], w)
+            np.testing.assert_array_equal(zeta_rows[i], zeta)
+            done += k
+        assert stepper.propagator_products == reference.propagator_products == 4 * 1 + 3 + 2 + 2 * 3
+        assert (stepper.steps, stepper.propagators_built) == (reference.steps, reference.propagators_built) == (0, 1)
+
+    def test_stepwise_jumps_step_from_the_call_time(self, ex31_design):
+        grid = uniform_grid(101)
+        w0, zeta0, t0, dt = np.cos(math.pi * grid), np.array([0.2]), 0.3, 0.01
+        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
+        w_rows, zeta_rows = stepper.advance(w0, t0, dt, [3, 5], zeta0, stepwise=True)
+        assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (8, 0, 0)
+        reference = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
+        w, zeta = w0, zeta0
+        for s in range(8):
+            w, zeta = reference.step(w, t0 + s * dt, dt, zeta)
+            if s == 2:
+                np.testing.assert_array_equal(w_rows[0], w)
+                np.testing.assert_array_equal(zeta_rows[0], zeta)
+        np.testing.assert_array_equal(w_rows[1], w)
+        np.testing.assert_array_equal(zeta_rows[1], zeta)
 
     def test_dirichlet_plant_advance_equals_steps(self, ex32_design):
         nodes, dt, k = 201, 0.002, 45
@@ -535,7 +575,7 @@ class TestAdvance:
         u = u0
         for i in range(k):
             u = stepper.step(u, i * dt, dt)[0]
-        u_adv = _stepper(ex32_design, nodes, ZeroTerm(), SINE_INPUT, None).advance(u0, 0.0, dt, k)[0]
+        u_adv = _advance(_stepper(ex32_design, nodes, ZeroTerm(), SINE_INPUT, None), u0, 0.0, dt, k)[0]
         assert np.abs(u_adv - u).max() <= 1e-12 * np.abs(u).max()
         assert u_adv[-1] == 0.0
 
@@ -551,8 +591,8 @@ class TestAdvance:
         plant = _stepper(design, nodes, nl, SpaceTimeSignal(), None)
         obs = _stepper(design, nodes, nl, SpaceTimeSignal(), "predictor")
         u = plant.op.pin(np.random.default_rng(3).standard_normal(nodes))
-        t_p = plant.advance(u, 0.0, dt, 1)[0]
-        w, zeta = obs.advance(u, 0.0, dt, 1, obs.c_rows @ u)
+        t_p = _advance(plant, u, 0.0, dt, 1)[0]
+        w, zeta = _advance(obs, u, 0.0, dt, 1, obs.c_rows @ u)
         assert np.abs(w - t_p).max() <= 1e-14 * np.abs(u).max()
         assert np.abs(zeta - obs.c_rows @ t_p).max() <= 1e-14 * np.abs(u).max()
 
@@ -561,7 +601,7 @@ class TestAdvance:
         nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])], amplitudes=[pf.constant(0.3)])
         stepper = _stepper(ex31_design, 101, nl, SINE_INPUT, "zoh")
         w, zeta = np.cos(math.pi * grid), np.array([0.2])
-        w_adv, _ = stepper.advance(w, 0.1, 0.01, 12, zeta)
+        w_adv, _ = _advance(stepper, w, 0.1, 0.01, 12, zeta)
         reference = _stepper(ex31_design, 101, nl, SINE_INPUT, "zoh")
         for i in range(12):
             w, zeta = reference.step(w, 0.1 + i * 0.01, 0.01, zeta)
@@ -571,32 +611,32 @@ class TestAdvance:
     def test_powers_past_the_memory_cap_step(self, ex31_design, monkeypatch):
         monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 0)
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SpaceTimeSignal(), "predictor")
-        stepper.advance(np.ones(101), 0.0, 0.01, 5, np.zeros(1))
+        _advance(stepper, np.ones(101), 0.0, 0.01, 5, np.zeros(1))
         assert (stepper.steps, stepper.propagators_built) == (5, 0)
 
     def test_powers_are_kept_per_dt(self, ex31_design):
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, None)
         u = np.ones(101)
         for k in (3, 20, 7):
-            stepper.advance(u, 0.0, 0.01, k)
+            _advance(stepper, u, 0.0, 0.01, k)
         assert stepper.propagators_built == 1
         assert stepper.propagator_products == 1 + 2 + 3  # T^3 is kept; 20 and 7 take popcount(k)
-        stepper.advance(u, 0.0, 0.02, 1)
+        _advance(stepper, u, 0.0, 0.02, 1)
         assert stepper.propagators_built == 2
 
     def test_repeated_k_takes_one_product_with_the_kept_matrix(self, ex31_design):
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
         w, zeta = np.cos(math.pi * uniform_grid(101)), np.array([0.2])
-        first = stepper.advance(w, 0.3, 0.01, 37, zeta)
+        first = _advance(stepper, w, 0.3, 0.01, 37, zeta)
         for calls in (2, 3):
-            again = stepper.advance(w, 0.3, 0.01, 37, zeta)
+            again = _advance(stepper, w, 0.3, 0.01, 37, zeta)
             np.testing.assert_array_equal(again[0], first[0])
             np.testing.assert_array_equal(again[1], first[1])
             assert stepper.propagator_products == calls
         # the T^37 kept for dt = 0.01 is not reused at dt = 0.02
         fresh = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        np.testing.assert_array_equal(stepper.advance(w, 0.3, 0.02, 37, zeta)[0],
-                                      fresh.advance(w, 0.3, 0.02, 37, zeta)[0])
+        np.testing.assert_array_equal(_advance(stepper, w, 0.3, 0.02, 37, zeta)[0],
+                                      _advance(fresh, w, 0.3, 0.02, 37, zeta)[0])
 
     def test_kept_matrix_past_the_memory_cap_uses_the_powers(self, ex31_design, monkeypatch):
         # room for the 6 powers of k = 37 = 0b100101, not for a seventh matrix:
@@ -606,9 +646,9 @@ class TestAdvance:
         grid = uniform_grid(101)
         w0, zeta0, k = 1.0 + 0.5 * np.cos(math.pi * grid), np.array([0.3]), 37
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        stepper.advance(w0, 0.3, 0.01, 7, zeta0)
+        _advance(stepper, w0, 0.3, 0.01, 7, zeta0)
         assert stepper._kept[0] == 7
-        w_adv, zeta_adv = stepper.advance(w0, 0.3, 0.01, k, zeta0)
+        w_adv, zeta_adv = _advance(stepper, w0, 0.3, 0.01, k, zeta0)
         assert stepper._kept is None
         assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (0, 1, 1 + 3)
         w, zeta = w0, zeta0
@@ -619,8 +659,12 @@ class TestAdvance:
         assert np.abs(zeta_adv - zeta).max() <= 1e-12 * scale
 
 
-def _step_loop_errors(scenario) -> np.ndarray:
-    """||w - u|| at every sample, from the plain step loop over (u, w, zeta)."""
+def _step_loop_records(scenario):
+    """(times, sample flags, u, w, zeta) at every record of the plain step
+    loop over (u, w, zeta), found by walking every step: each sample is a
+    record, and so is the first step at or past each due time, which starts
+    one snapshot spacing after the sample and moves on by one spacing per
+    record. The schedule must end at its horizon."""
     design, nodes = scenario.design, scenario.nodes
     discrete = DiscreteObserver(design, scenario.variant, nodes)
     op, dist = discrete.op, scenario.disturbances
@@ -628,18 +672,31 @@ def _step_loop_errors(scenario) -> np.ndarray:
     obs = discrete.observer(scenario.nonlinearity, dist.v_tilde)
     u = op.pin(pf.as_profile(scenario.u0, op.grid).values(op.grid))
     w = op.pin(pf.as_profile(scenario.w0, op.grid).values(op.grid))
-    zeta, errors = np.zeros(design.m), []
     times = scenario.schedule.times
+    every = scenario.snapshot_every or scenario.schedule.horizon / 512.0
+    records, due = [], 0.0
     for j, t_j in enumerate(times):
-        zeta = discrete.reset(measure(u, discrete.k_rows, np.array([s.value(t_j, j) for s in dist.xi])), w)
-        errors.append(math.sqrt(op.weights @ (w - u) ** 2))
+        xi = np.array([s.value(t_j, j) for s in dist.xi]) if dist.xi else np.zeros(design.m)
+        zeta = discrete.reset(measure(u, discrete.k_rows, xi), w)
+        records.append((t_j, True, u, w, zeta))
+        due = max(due, t_j) + every
         if j + 1 == len(times):
-            return np.array(errors)
+            break
         n_sub = math.ceil((times[j + 1] - t_j) / scenario.dt - 1e-9)
         dt = (times[j + 1] - t_j) / n_sub
-        for s in range(n_sub):
-            u = plant.step(u, t_j + s * dt, dt)[0]
-            w, zeta = obs.step(w, t_j + s * dt, dt, zeta)
+        for s in range(1, n_sub + 1):
+            u = plant.step(u, t_j + (s - 1) * dt, dt)[0]
+            w, zeta = obs.step(w, t_j + (s - 1) * dt, dt, zeta)
+            if s < n_sub and t_j + s * dt >= due - 1e-12:
+                records.append((t_j + s * dt, False, u, w, zeta))
+                due += every
+    return tuple(np.array(column) for column in zip(*records))
+
+
+def _step_loop_errors(scenario) -> np.ndarray:
+    """||w - u|| at every sample, from the plain step loop over (u, w, zeta)."""
+    _, flags, u, w, _ = _step_loop_records(scenario)
+    return np.sqrt(((w - u)[flags] ** 2) @ trapezoid_weights(uniform_grid(scenario.nodes)))
 
 
 class TestSimulatePropagation:
@@ -703,6 +760,25 @@ class TestSimulatePropagation:
         reference = _step_loop_errors(sc)
         assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
 
+    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
+    def test_every_record_matches_step_loop(self, ex31_design, variant):
+        # records 0.037 apart fall between steps of 0.01; every interval is
+        # propagated, so a row left unfilled or shifted by one shows here
+        v_tilde = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
+        dist = Disturbances(v=SINE_INPUT, v_tilde=v_tilde,
+                            xi=(NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),))
+        sc = Scenario(design=ex31_design, variant=variant, nodes=101, dt=0.01, snapshot_every=0.037,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.3, "horizon": 2.1}),
+                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), disturbances=dist)
+        traj = quiet_simulate(sc)
+        assert traj.metadata["integrator"]["steps"] == 0
+        times, flags, u, w, zeta = _step_loop_records(sc)
+        assert traj.times.size == times.size > 7 * 7  # about eight records per interval
+        assert np.abs(traj.times - times).max() <= 1e-12
+        np.testing.assert_array_equal(traj.sample_flag, flags)
+        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
+            assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
+
     def test_discrete_observer_checks_the_variant(self, ex31_design):
         with pytest.raises(ValueError, match="unknown observer variant 'Predictor'"):
             DiscreteObserver(ex31_design, "Predictor", 101)
@@ -722,3 +798,82 @@ class TestSimulatePropagation:
             counts = quiet_simulate(sc).metadata["integrator"]
             assert counts["propagators_built"] == counts["propagator_products"] == 0
             assert counts["steps"] >= 2 * 100
+
+
+def _walk_records(sample_times, horizon, dt_target, every):
+    """Record times and sample flags found by walking every step of every
+    interval, with the step count and dt of ``simulate``'s subdivision."""
+    times, flags, due = [], [], 0.0
+    for t0, t1 in zip(sample_times, [*sample_times[1:], horizon]):
+        times.append(t0)
+        flags.append(True)
+        due = max(due, t0) + every
+        if t1 - t0 <= 1e-14:
+            continue
+        n_sub = max(1, math.ceil((t1 - t0) / dt_target - 1e-9))
+        dt = (t1 - t0) / n_sub
+        for s in range(1, n_sub):
+            if t0 + s * dt >= due - 1e-12:
+                times.append(t0 + s * dt)
+                flags.append(False)
+                due += every
+    if horizon - sample_times[-1] > 1e-14:
+        times.append(horizon)
+        flags.append(False)
+    return np.array(times), np.array(flags)
+
+
+class TestRecordPlan:
+    @pytest.mark.parametrize("spec", [
+        {"kind": "uniform", "h": 0.3, "horizon": 4.0},
+        {"kind": "random", "h_min": 0.05, "h_max": 0.3, "horizon": 3.0, "seed": 5},
+        {"kind": "explicit", "times": [0.0, 0.1, 0.35, 0.6, 0.85, 1.0, 1.25], "horizon": 1.1},
+    ], ids=["uniform", "random", "explicit_cut_before_its_last_time"])
+    @pytest.mark.parametrize("every", [0.037, 0.1, 0.004])
+    @pytest.mark.parametrize("linear", [False, True], ids=["stepped", "linear"])
+    def test_records_match_a_step_walk(self, spec, every, linear):
+        sch = make_schedule(spec)
+        sample_times = sch.times[sch.times <= sch.horizon + 1e-12]
+        times, flags, plan = simulator._record_plan(sample_times, sch.horizon, 0.01, every, linear)
+        walk_times, walk_flags = _walk_records([float(t) for t in sample_times], sch.horizon, 0.01, every)
+        # a linear run may take the previous interval's dt, which moves its
+        # step times by the rounding of the sample times
+        assert times.size == walk_times.size
+        assert np.abs(times - walk_times).max() <= (1e-12 if linear else 0.0)
+        np.testing.assert_array_equal(flags, walk_flags)
+        assert len(plan) == sample_times.size and all(iv.fresh for iv in plan)
+        for iv, t0, t1 in zip(plan, sample_times, [*sample_times[1:], sch.horizon]):
+            # the jumps cover the interval and end at its records
+            assert sum(iv.jumps) * iv.dt == pytest.approx(t1 - t0, abs=1e-12)
+            inner = times[iv.row + 1 : iv.row + len(iv.jumps)]
+            np.testing.assert_array_equal(inner, t0 + np.cumsum(iv.jumps[:-1]) * iv.dt)
+        assert times[-1] == sch.horizon
+
+    def test_a_sample_within_1e14_of_a_record_shares_its_row(self):
+        # the horizon is the last sample: one final row, the sample's
+        sample_times = np.array([0.0, 0.5, 0.5 + 4e-15, 1.0])
+        times, flags, plan = simulator._record_plan(sample_times, 1.0, 0.1, 0.25, linear=False)
+        walk_times, _ = _walk_records(list(sample_times), 1.0, 0.1, 0.25)
+        np.testing.assert_array_equal(times, walk_times[walk_times != sample_times[2]])
+        assert np.count_nonzero(np.abs(times - 0.5) <= 1e-14) == 1
+        assert plan[2].row == plan[1].row and plan[1].fresh and not plan[2].fresh
+        assert flags[plan[1].row] and flags.sum() == 3
+        assert (times[-1], flags[-1], np.count_nonzero(times == 1.0)) == (1.0, True, 1)
+        assert plan[-1].jumps == ()
+
+    def test_a_final_jump_onto_a_duplicate_record_keeps_the_sample_row(self, ex31_design):
+        # the horizon is one ulp past the last sample, so the last interval
+        # takes one step whose record would duplicate the sample's
+        horizon = math.nextafter(100.0, math.inf)
+        sch = make_schedule({"kind": "explicit", "times": [0.0, 100.0, 101.0], "horizon": horizon})
+        sc = Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=51, dt=1.0,
+                      snapshot_every=25.0, u0=pf.cosine_series(1.0, [0.5]), w0=0.0)
+        traj = quiet_simulate(sc)
+        assert traj.times.tolist() == [0.0, 25.0, 50.0, 75.0, 100.0]
+        assert traj.sample_flag.tolist() == [True, False, False, False, True]
+        assert traj.metadata["integrator"]["steps"] == 2 * (100 + 1)
+        # the extra step is taken but not recorded: the run ending at 100 reads the same
+        ends_at_100 = quiet_simulate(dataclasses.replace(
+            sc, schedule=make_schedule({"kind": "explicit", "times": [0.0, 100.0]})))
+        for name in ("times", "sample_flag", "u", "w", "zeta"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(ends_at_100, name))
