@@ -15,14 +15,16 @@ rep = run_example_32(p=1.0, q=0.0, omega=0.3, nodes=201)
 print(f"  design: A11 = {rep.design.A[0, 0]:.6f}, ||k - c|| = {rep.design.norm_gap[0]:.6f}")
 print(f"  maximal diameter h* = {rep.h_star:.6f}; using h = {rep.h:.6f}")
 print(f"  Omega = {rep.report.omega:.4f} (feasible: {rep.report.feasible})")
-print(f"  sup-norm reconstruction error: {rep.sup_error[0]:.4f} -> {rep.sup_error[-1]:.2e}")
-print(f"  fitted sup-norm rate {rep.sup_fit.rate:.2f} vs certified kappa {rep.kappa:.2f}")
-print(f"  transformed-state boundary defect: {rep.bc_defect:.2e}")
+rec = rep.reconstruction
+print(f"  sup-norm reconstruction error: {rec.sup_error[0]:.4f} -> {rec.sup_error[-1]:.2e}")
+print(f"  fitted sup-norm rate {rec.sup_fit.rate:.2f} vs certified kappa {rep.kappa:.2f}")
+print(f"  transformed-state boundary defect: {rec.bc_defect:.2e}")
 
 print("\n== constant measurement bias ==")
 rep = run_example_32(p=1.0, q=0.0, omega=0.3,
                      noise={"kind": "constant", "amplitude": 0.01}, nodes=201)
-tail = rep.sup_error[rep.trajectory.times > 0.5 * rep.trajectory.times[-1]]
-print(f"  composed constant theta = {rep.theta:.4f}")
-print(f"  sup error settles near {np.max(tail):.5f} <= theta * |xi| = {rep.noise_bound:.5f} "
-      f"({'holds' if rep.noise_bound_ok else 'violated'})")
+rec = rep.reconstruction
+tail = rec.sup_error[rep.trajectory.times > 0.5 * rep.trajectory.times[-1]]
+print(f"  composed constant theta = {rec.theta:.4f}")
+print(f"  sup error settles near {np.max(tail):.5f} <= theta * |xi| = {rec.noise_bound:.5f} "
+      f"({'holds' if rec.noise_bound_ok else 'violated'})")

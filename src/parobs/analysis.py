@@ -2,8 +2,8 @@
 Lyapunov-functional oracle, and ``check_run``, which every run (CLI or
 worked example) goes through after simulating and which returns the run's
 one result record, ``RunResult``. The worked-example runners simulate the
-presets of ``parobs.config`` like any other config, and their reports are
-``RunResult`` subclasses that add only what the scenario does not hold.
+presets of ``parobs.config`` like any other config and return that record;
+example 3.2's adds its sup-norm ``boundary_reconstruction``.
 
 The bound checkers evaluate the right-hand sides with exact running-supremum
 bookkeeping of the exponentially weighted signal histories, so a trajectory
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
-    build_design,
     build_scenario,
     example31_config,
     example31_design,
@@ -28,10 +27,10 @@ from .config import (
     example32_design,
     example32_sampling,
 )
-from .errors import ConfigError, DecayedToFloor, InfeasibleReport, TailTooShort
+from .errors import ConfigError, DecayedToFloor, InfeasibleAtZero, InfeasibleReport, TailTooShort
 from .grids import cumulative_trapezoid, end_derivatives, snapshot_norms
 from .nonlinear import NonlinearTerm, ZeroTerm
-from .observer_design import ObserverDesign, SmallGainReport, max_diameter
+from .observer_design import ObserverDesign, SmallGainReport, design_to_json, max_diameter
 from .signals import Disturbances
 from .simulator import DiscreteObserver, Scenario, Trajectory, simulate
 
@@ -48,10 +47,10 @@ __all__ = [
     "predictor_compatibility_residual",
     "RunResult",
     "check_run",
-    "Example31Report",
+    "Reconstruction",
+    "boundary_reconstruction",
     "example31_design",
     "run_example_31",
-    "Example32Report",
     "example32_design",
     "run_example_32",
     "DIVERGED_FACTOR",
@@ -290,17 +289,15 @@ def lyapunov_oracle(
     vbar_norms = np.sqrt(np.maximum(np.square(vbar, out=vbar) @ w, 0.0))  # squared in place
 
     mu, g = design.mu, design.g_tilde
-    S = traj.times.size
-    rhs = np.zeros(S)
-    rhs[0] = V[0]
+    times, norms, V0 = traj.times.tolist(), vbar_norms.tolist(), float(V[0])
+    rhs = np.zeros(len(times))
+    rhs[0] = V0
     integral = 0.0
-    for k in range(1, S):
-        dt = traj.times[k] - traj.times[k - 1]
+    for k in range(1, len(times)):
+        dt = times[k] - times[k - 1]
         decay = math.exp(-2.0 * mu * dt)
-        integral = decay * integral + 0.5 * dt * (
-            decay * vbar_norms[k - 1] ** 2 + vbar_norms[k] ** 2
-        )
-        rhs[k] = math.exp(-2.0 * mu * traj.times[k]) * V[0] + g * integral
+        integral = decay * integral + 0.5 * dt * (decay * norms[k - 1] ** 2 + norms[k] ** 2)
+        rhs[k] = math.exp(-2.0 * mu * times[k]) * V0 + g * integral
 
     atol = 1e-12 * max(V[0], 1.0)
     violations = int(np.sum(V > rhs * (1.0 + _SLACK) + atol))
@@ -365,17 +362,57 @@ def _report_to_dict(report: SmallGainReport) -> dict:
 
 
 @dataclass(frozen=True)
+class Reconstruction:
+    """Example 3.2's original state, read back from the simulated derivative
+    variable (Neumann at 0, Dirichlet at 1) by cumulative integration, which
+    maps L2 error bounds into sup-norm ones with unit operator norm.
+    ``sup_error`` is the sup-norm reconstruction error per snapshot and
+    ``sup_fit`` its decay fit; theta is the largest of the three bound
+    coefficients, so the error stays below theta (e^{-kappa t} ||e(0)|| +
+    sup |xi|); ``bc_defect`` is the worst boundary-condition residual of
+    the transformed state."""
+
+    theta: float
+    sup_error: np.ndarray
+    sup_fit: DecayFit | None
+    noise_bound: float | None  # theta * sup |xi|
+    noise_bound_ok: bool | None
+    bc_defect: float
+
+    def to_dict(self) -> dict:
+        doc = {
+            "theta": self.theta,
+            "final_sup_error": float(self.sup_error[-1]),
+            "initial_sup_error": float(self.sup_error[0]),
+            "bc_defect": self.bc_defect,
+        }
+        if self.sup_fit is not None:
+            doc["fitted_sup_rate"] = self.sup_fit.rate
+            doc["fitted_sup_rate_ci"] = self.sup_fit.ci_halfwidth
+        if self.noise_bound is not None:
+            doc["noise_bound"] = self.noise_bound
+            doc["noise_bound_ok"] = self.noise_bound_ok
+        return doc
+
+
+@dataclass(frozen=True)
 class RunResult:
     """One simulated scenario and its checks: the decay fit, the IOS check
-    and the Lyapunov oracle, each None where it did not run. The
-    certificate, design, kappa and variant are the scenario's own, and
-    ``to_dict`` is the run's report.json."""
+    and the Lyapunov oracle, each None where it did not run; the largest
+    certified diameter ``h_star`` at the run's kappa and variant (0.0 when
+    Omega >= 1 already as h -> 0, inf when Omega does not grow with h); the
+    ``divergence_verdict``; and example 3.2's ``reconstruction``, None on
+    every other run. The certificate, design, kappa and variant are the
+    scenario's own, and ``to_dict`` is the run's report.json."""
 
     scenario: Scenario
     trajectory: Trajectory
     fit: DecayFit | None
     ios: IOSBoundCheck | None
     lyapunov: LyapunovTrace | None
+    h_star: float
+    verdict: str
+    reconstruction: Reconstruction | None = None
 
     @property
     def report(self) -> SmallGainReport:
@@ -400,13 +437,15 @@ class RunResult:
 
     @property
     def violated(self) -> bool:
-        """True when the certificate is infeasible, or the IOS estimate or
-        ||e||^2 <= V fails at a snapshot. The oracle's integral inequality
-        is reported, not judged: it fails on the worked designs."""
+        """True when the certificate is infeasible, or the IOS estimate,
+        ||e||^2 <= V or the reconstruction's sup-norm noise bound fails. The
+        oracle's integral inequality is reported, not judged: it fails on
+        the worked designs."""
         return (
             not self.report.feasible
             or (self.ios is not None and self.ios.violations > 0)
             or (self.lyapunov is not None and not self.lyapunov.e_le_V_ok)
+            or (self.reconstruction is not None and self.reconstruction.noise_bound_ok is False)
         )
 
     def to_dict(self) -> dict:
@@ -415,6 +454,9 @@ class RunResult:
             "label": self.scenario.label,
             "variant": self.variant,
             "gain": _report_to_dict(self.report),
+            "design": design_to_json(self.design),
+            "h_star": self.h_star,
+            "verdict": self.verdict,
             "final_error_l2": float(traj.error_l2[-1]),
             "initial_error_l2": float(traj.error_l2[0]),
             "snapshots": int(traj.times.size),
@@ -429,14 +471,16 @@ class RunResult:
         if self.fit is not None:
             doc["fitted_rate"] = self.fit.rate
             doc["fitted_rate_ci"] = self.fit.ci_halfwidth
+        if self.reconstruction is not None:
+            doc["reconstruction"] = self.reconstruction.to_dict()
         return doc
 
 
 def check_run(
     traj: Trajectory, scenario: Scenario, *, lyapunov: bool = False, lyapunov_tail: int = 20,
 ) -> RunResult:
-    """The decay fit, IOS check and Lyapunov oracle of one simulated
-    scenario, as one ``RunResult``.
+    """The decay fit, IOS check, Lyapunov oracle, h* and verdict of one
+    simulated scenario, as one ``RunResult``.
 
     Every run is fitted over ``default_fit_window`` at the schedule's
     diameter; the fit is None when the series reaches the numerical floor or
@@ -458,34 +502,43 @@ def check_run(
         oracle = lyapunov_oracle(traj, scenario.design, lyapunov_tail,
                                  nonlinearity=scenario.nonlinearity,
                                  disturbances=scenario.disturbances)
-    return RunResult(scenario, traj, decay, bound, oracle)
+    try:
+        h_star = max_diameter(scenario.design, scenario.kappa, scenario.variant)
+    except InfeasibleAtZero:
+        h_star = 0.0
+    return RunResult(scenario, traj, decay, bound, oracle, h_star, divergence_verdict(traj))
 
 
-@dataclass(frozen=True)
-class Example31Report(RunResult):
-    """Heat plant with Neumann ends and the weighted-average output: the
-    run of ``example31_config`` plus what its scenario does not hold."""
+def boundary_reconstruction(run: RunResult) -> Reconstruction:
+    """Example 3.2's sup-norm reconstruction of a run of ``example32_config``:
+    u_hat - u = int_0^x (w - u~) ds, its sup over x fitted from 3h on, and,
+    under a bounded noise, the bound theta (e^{-kappa t} ||e(0)|| + sup |xi|)
+    checked at every snapshot with the fixed 2% slack."""
+    traj, coeff = run.trajectory, run.report.coefficients
+    sup_error = np.max(np.abs(cumulative_trapezoid(traj.error_fields(), traj.grid)), axis=1)
+    theta = max(coeff.initial, float(np.max(coeff.noise)), coeff.mismatch)
 
-    omega_fraction: float
-    h_star: float
-    verdict: str
+    sup_fit = None
+    positive = sup_error > 1e-10 * max(sup_error[0], 1e-300)
+    if sup_error[0] > 0 and np.count_nonzero(positive) > 3:
+        t_hi = float(traj.times[np.nonzero(positive)[0][-1]])
+        try:
+            sup_fit = fit_decay_rate(traj.times, np.maximum(sup_error, 1e-300), (3.0 * run.h, t_hi))
+        except (DecayedToFloor, ValueError):
+            pass
 
-    @property
-    def p(self) -> float:
-        return self.design.problem.p
+    noise_bound = noise_bound_ok = None
+    xi0 = run.scenario.disturbances.xi[0]
+    if xi0.bound > 0.0:
+        noise_bound = theta * xi0.bound
+        e0 = float(traj.error_l2[0])
+        allowed = theta * (np.exp(-run.kappa * traj.times) * e0 + xi0.bound)
+        noise_bound_ok = bool(np.all(sup_error <= allowed * (1.0 + _SLACK) + 1e-12))
 
-    def to_dict(self) -> dict:
-        d = self.design
-        return {**super().to_dict(), "example": {
-            "p": self.p,
-            "omega_fraction": self.omega_fraction,
-            "A11": float(d.A[0, 0]),
-            "K": d.K,
-            "norm_k_minus_c": float(d.norm_gap[0]),
-            "norm_l": float(d.norm_l[0]),
-            "h_star": self.h_star,
-            "verdict": self.verdict,
-        }}
+    f, d0, _, scale = _boundary_fields(traj)
+    dx = traj.grid[1] - traj.grid[0]
+    bc_defect = float(np.max(np.maximum(np.abs(f[:, -1]), np.abs(d0) * dx) / scale))
+    return Reconstruction(theta, sup_error, sup_fit, noise_bound, noise_bound_ok, bc_defect)
 
 
 def run_example_31(
@@ -504,82 +557,20 @@ def run_example_31(
     w0=None,
     lyapunov: bool = False,
     lyapunov_tail: int = 20,
-) -> Example31Report:
-    """End-to-end run of ``example31_config`` with the same arguments.
+) -> RunResult:
+    """End-to-end run of ``example31_config`` with the same arguments: the
+    ``check_run`` result of its scenario, as ``parobs simulate`` reports it.
 
     omega in [0, 1) selects kappa = omega * mu. The hold variant's verdict
     compares the final error with the initial one at the default horizon
-    10 * 20 / (p pi^2). Like every run, it is fitted and, when certified,
-    IOS-checked with the fixed 2% slack (``check_run``).
+    10 * 20 / (p pi^2).
     """
     cfg = example31_config(
         p, h, omega, variant, noise, mismatch, horizon=horizon, nodes=nodes, dt=dt,
         snapshot_every=snapshot_every, u0=u0, w0=w0,
     )
-    design = build_design(cfg)
-    h_star = max_diameter(design, omega * design.mu, variant)
-    scenario = build_scenario(cfg, design=design)
-    traj = simulate(scenario)
-    run = check_run(traj, scenario, lyapunov=lyapunov, lyapunov_tail=lyapunov_tail)
-    return Example31Report(**vars(run), omega_fraction=omega, h_star=h_star,
-                           verdict=divergence_verdict(traj))
-
-
-@dataclass(frozen=True)
-class Example32Report(RunResult):
-    """Boundary-measured plant handled through the derivative variable.
-
-    The simulated field is the transformed state (Neumann at 0, Dirichlet
-    at 1); the original state and its estimate come back through cumulative
-    integration, which maps L2 error bounds into sup-norm ones with unit
-    operator norm. ``fit`` is the L2 fit of every run; ``sup_fit`` fits the
-    sup-norm reconstruction error ``sup_error``."""
-
-    omega_fraction: float
-    h_star: float
-    theta: float
-    sup_error: np.ndarray
-    sup_fit: DecayFit | None
-    noise_bound: float | None  # theta * sup |xi|
-    noise_bound_ok: bool | None
-    bc_defect: float
-
-    @property
-    def p(self) -> float:
-        return self.design.problem.p
-
-    @property
-    def q(self) -> float:
-        return self.design.problem.constant_q()
-
-    @property
-    def violated(self) -> bool:
-        """``RunResult.violated``, or the sup-norm noise bound fails."""
-        return super().violated or self.noise_bound_ok is False
-
-    def to_dict(self) -> dict:
-        d = self.design
-        example = {
-            "p": self.p,
-            "q": self.q,
-            "omega_fraction": self.omega_fraction,
-            "A11": float(d.A[0, 0]),
-            "c11": float(d.c_coeffs[0, 0]),
-            "K": d.K,
-            "norm_k_minus_c": float(d.norm_gap[0]),
-            "theta": self.theta,
-            "h_star": self.h_star,
-            "final_sup_error": float(self.sup_error[-1]),
-            "initial_sup_error": float(self.sup_error[0]),
-            "bc_defect": self.bc_defect,
-        }
-        if self.sup_fit is not None:
-            example["fitted_sup_rate"] = self.sup_fit.rate
-            example["fitted_sup_rate_ci"] = self.sup_fit.ci_halfwidth
-        if self.noise_bound is not None:
-            example["noise_bound"] = self.noise_bound
-            example["noise_bound_ok"] = self.noise_bound_ok
-        return {**super().to_dict(), "example": example}
+    scenario = build_scenario(cfg)
+    return check_run(simulate(scenario), scenario, lyapunov=lyapunov, lyapunov_tail=lyapunov_tail)
 
 
 def run_example_32(
@@ -595,65 +586,20 @@ def run_example_32(
     snapshot_every: float | None = None,
     u0=None,
     w0=None,
-) -> Example32Report:
-    """End-to-end run of ``example32_config`` with the same arguments.
+) -> RunResult:
+    """End-to-end run of ``example32_config`` with the same arguments: the
+    ``check_run`` result of its scenario with its ``boundary_reconstruction``.
 
     h defaults to half the maximal feasible diameter at kappa = omega * mu.
-    The report carries the sup-norm reconstruction-error series, its decay
-    fit, and the composed constant theta = max of the three bound
-    coefficients, which dominates the sup-norm error because cumulative
-    integration maps L2 into sup with unit norm.
     """
     if not 0.0 <= omega < 1.0:
         raise ConfigError("gain.omega", "omega must lie in [0, 1)")
     design = example32_design(p, q)
-    h_star, h, horizon = example32_sampling(design, omega, h, horizon)
+    _, h, horizon = example32_sampling(design, omega, h, horizon)
     cfg = example32_config(
         p, q, h, omega, noise, horizon=horizon, nodes=nodes, dt=dt,
         snapshot_every=snapshot_every, u0=u0, w0=w0,
     )
     scenario = build_scenario(cfg, design=design)
-    traj = simulate(scenario)
-    run = check_run(traj, scenario)
-    report = scenario.report
-
-    # reconstruction error: u_hat - u = int_0^x (w - u~) ds, sup over x
-    e = traj.error_fields()
-    cum = cumulative_trapezoid(e, traj.grid)
-    sup_error = np.max(np.abs(cum), axis=1)
-
-    coeff = report.coefficients
-    theta = max(coeff.initial, float(np.max(coeff.noise)), coeff.mismatch)
-
-    sup_fit = None
-    positive = sup_error > 1e-10 * max(sup_error[0], 1e-300)
-    if sup_error[0] > 0 and np.count_nonzero(positive) > 3:
-        t_hi = float(traj.times[np.nonzero(positive)[0][-1]])
-        try:
-            sup_fit = fit_decay_rate(traj.times, np.maximum(sup_error, 1e-300), (3.0 * h, t_hi))
-        except (DecayedToFloor, ValueError):
-            pass
-
-    noise_bound = noise_bound_ok = None
-    xi0 = scenario.disturbances.xi[0]
-    if xi0.bound > 0.0:
-        noise_bound = theta * xi0.bound
-        e0 = float(traj.error_l2[0])
-        allowed = theta * (np.exp(-report.kappa * traj.times) * e0 + xi0.bound)
-        noise_bound_ok = bool(np.all(sup_error <= allowed * (1.0 + _SLACK) + 1e-12))
-
-    f, d0, _, scale = _boundary_fields(traj)
-    dx = traj.grid[1] - traj.grid[0]
-    bc_defect = float(np.max(np.maximum(np.abs(f[:, -1]), np.abs(d0) * dx) / scale))
-
-    return Example32Report(
-        **vars(run),
-        omega_fraction=omega,
-        h_star=h_star,
-        theta=theta,
-        sup_error=sup_error,
-        sup_fit=sup_fit,
-        noise_bound=noise_bound,
-        noise_bound_ok=noise_bound_ok,
-        bc_defect=bc_defect,
-    )
+    run = check_run(simulate(scenario), scenario)
+    return dataclasses.replace(run, reconstruction=boundary_reconstruction(run))

@@ -7,8 +7,8 @@ any computation. ``example31``/``example32`` map their arguments onto the
 presets ``example31_config``/``example32_config`` and run them through the
 same build, simulate and ``check_run`` path. Each of ``simulate``,
 ``example31`` and ``example32`` holds one ``analysis.RunResult``: its
-``to_dict`` is ``report.json`` (the examples add an ``example`` section),
-one writer turns it into ``report.json``, ``trajectory.csv`` and
+``to_dict`` is ``report.json`` (example 3.2's adds a ``reconstruction``
+section), one writer turns it into ``report.json``, ``trajectory.csv`` and
 ``margins.csv``, and one ``--strict`` rule judges it. Outputs are
 deterministic given the config and seed: floats print with 17 significant
 digits so reruns are byte-identical, and every CSV table but the mixed-type
@@ -271,15 +271,16 @@ def cmd_example31(args) -> int:
 
 def cmd_example32(args) -> int:
     rep = run_example_32(**_example_args(args, "p q h omega horizon nodes dt"))
+    rec = rep.reconstruction
     print(f"Omega = {_fmt(rep.report.omega)} (feasible = {str(rep.report.feasible).lower()})")
     print(f"max diameter h* = {_fmt(rep.h_star)}, using h = {_fmt(rep.h)}")
-    print(f"theta = {_fmt(rep.theta)}")
-    if rep.sup_fit is not None:
-        print(f"fitted sup-norm decay rate = {_fmt(rep.sup_fit.rate)} (kappa = {_fmt(rep.kappa)})")
-    if rep.noise_bound is not None:
+    print(f"theta = {_fmt(rec.theta)}")
+    if rec.sup_fit is not None:
+        print(f"fitted sup-norm decay rate = {_fmt(rec.sup_fit.rate)} (kappa = {_fmt(rep.kappa)})")
+    if rec.noise_bound is not None:
         print(
-            f"sup error <= theta * sup|xi| = {_fmt(rep.noise_bound)}: "
-            f"{'holds' if rep.noise_bound_ok else 'violated'}"
+            f"sup error <= theta * sup|xi| = {_fmt(rec.noise_bound)}: "
+            f"{'holds' if rec.noise_bound_ok else 'violated'}"
         )
     if args.out:
         _write_run(args.out, rep)

@@ -1,7 +1,8 @@
 """Sampling schedules: increasing measurement times with a bounded diameter.
 
 A schedule starts at t0 = 0, covers the horizon, and its largest gap never
-exceeds the declared diameter. Random schedules are seed-deterministic.
+exceeds the declared diameter; no gap is 1e-14 or shorter. Random
+schedules are seed-deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import InvalidSpec
 __all__ = ["SamplingSchedule", "make_schedule"]
 
 _EPS = 1e-12
+_MIN_GAP = 1e-14
 
 
 @dataclass(frozen=True)
@@ -29,9 +31,11 @@ class SamplingSchedule:
         t = self.times
         if t[0] != 0.0:
             raise InvalidSpec("schedules must start at t = 0")
+        # simulate records a sample within 1e-14 of the one before in that
+        # sample's row, so such a sample would have no time of its own
+        if t.size < 2 or np.any(t[1:] <= t[:-1] + _MIN_GAP):
+            raise InvalidSpec(f"sampling times must increase by more than {_MIN_GAP:g}")
         gaps = np.diff(t)
-        if t.size < 2 or np.any(gaps <= 0.0):
-            raise InvalidSpec("sampling times must be strictly increasing")
         if np.max(gaps) > self.diameter * (1.0 + 1e-9):
             raise InvalidSpec(
                 f"gap {np.max(gaps):.6g} exceeds the declared diameter {self.diameter:.6g}"

@@ -553,14 +553,14 @@ def simulate(scenario: Scenario) -> Trajectory:
     A linear run (phi the identity) carries the observer in error
     coordinates (w - u, zeta - C u; the held innovation for the hold
     observer), resets it from the noise alone (y - <k, u> = xi), and
-    rebuilds w = u + e and zeta = z + C u row by row, so the error is never
-    the difference of two propagated fields. An interval whose dt equals
-    the previous interval's or the next one's (up to the rounding of the
-    sample times) jumps from record to record with products with the
-    powers of the one-step matrix, so a uniform schedule of two or more
-    intervals steps at most a shorter last one; a one-interval run, an
-    interval whose dt no neighbour shares, and every step of a nonlinear
-    run call ``step``. ``metadata["integrator"]`` counts the steps taken,
+    rebuilds every row's w = u + e and zeta = z + C u once, after the
+    loop, so the error is never the difference of two propagated fields.
+    An interval whose dt equals the previous interval's or the next one's
+    (up to the rounding of the sample times) jumps from record to record
+    with products with the powers of the one-step matrix, so a uniform
+    schedule of two or more intervals steps at most a shorter last one; a
+    one-interval run, an interval whose dt no neighbour shares, and every
+    step of a nonlinear run call ``step``. ``metadata["integrator"]`` counts the steps taken,
     the one-step matrices built and the products with them.
     """
     design = scenario.design
@@ -612,8 +612,8 @@ def simulate(scenario: Scenario) -> Trajectory:
         events.append(SampleEvent(index=j, t=t_j, xi=xi_vals))
         if iv.fresh:  # a sample within 1e-14 of the last record only updates its zeta
             u_arr[iv.row] = u
-            w_arr[iv.row] = u + x if linear else x
-        z_arr[iv.row] = z + c_rows @ u if linear else z
+            w_arr[iv.row] = x
+        z_arr[iv.row] = z
         if not iv.jumps:
             continue
         span = slice(iv.row + 1, iv.row + 1 + len(iv.jumps))
@@ -622,19 +622,20 @@ def simulate(scenario: Scenario) -> Trajectory:
         obs.advance(x, t_j, iv.dt, iv.jumps, z, w_arr[span], z_arr[span], stepwise)
         last = span.stop - 1
         u, x = u_arr[last].copy(), w_arr[last].copy()
-        if linear:
-            w_arr[span] += u_arr[span]
-            # c_rows @ u of each row, as a stack of products: the same bits
-            # as one product per row, which one (rows, n) @ (n, m) is not
-            z_arr[span] += (c_rows @ u_arr[span, :, None])[..., 0]
 
-    u_arr, w_arr = u_arr[: len(times)], w_arr[: len(times)]
+    # the rows hold the observer in its own coordinates
+    u_arr, w_arr, z_arr = u_arr[: len(times)], w_arr[: len(times)], z_arr[: len(times)]
+    if linear:
+        w_arr += u_arr
+        # c_rows @ u of each row, as a stack of products: the same bits as
+        # one product per row, which one (rows, n) @ (n, m) is not
+        z_arr += (c_rows @ u_arr[:, :, None])[..., 0]
     err_l2, err_sup = snapshot_norms(w_arr - u_arr, weights)
     traj = Trajectory(
         times=times,
         u=u_arr,
         w=w_arr,
-        zeta=z_arr[: len(times)],
+        zeta=z_arr,
         sample_flag=flags,
         events=events,
         grid=grid,

@@ -259,18 +259,19 @@ def test_criterion_8_boundary_measurement_end_to_end():
     rep = run_example_32(p=1.0, q=0.0, omega=0.3, nodes=201)
     assert math.isfinite(rep.h_star) and rep.h_star > 0
     assert rep.report.feasible
-    assert rep.sup_fit is not None
-    rate_ok = rep.sup_fit.rate >= rep.kappa
-    noise_rep = run_example_32(
+    sup_fit = rep.reconstruction.sup_fit
+    assert sup_fit is not None
+    rate_ok = sup_fit.rate >= rep.kappa
+    noise_rec = run_example_32(
         p=1.0, q=0.0, omega=0.3, noise={"kind": "constant", "amplitude": 0.01}, nodes=201
-    )
-    noise_ok = bool(noise_rep.noise_bound_ok)
+    ).reconstruction
+    noise_ok = bool(noise_rec.noise_bound_ok)
     ok = rate_ok and noise_ok
     report_line(
         "8", ok,
         f"feasible pair (h = {rep.h:.4f}, omega = 0.3); sup-norm reconstruction error "
-        f"decays at {rep.sup_fit.rate:.2f} >= kappa {rep.kappa:.2f}; "
-        f"constant-noise sup error within theta * sup|xi| = {noise_rep.noise_bound:.4f}",
+        f"decays at {sup_fit.rate:.2f} >= kappa {rep.kappa:.2f}; "
+        f"constant-noise sup error within theta * sup|xi| = {noise_rec.noise_bound:.4f}",
     )
     assert rate_ok
     assert noise_ok

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -12,6 +13,7 @@ from parobs.analysis import (
     CONVERGED_FACTOR,
     DIVERGED_FACTOR,
     check_ios_bound,
+    check_run,
     default_fit_window,
     divergence_verdict,
     error_norms,
@@ -29,7 +31,14 @@ from parobs.errors import (
     TailTooShort,
 )
 from parobs.grids import cumulative_trapezoid, end_derivatives, trapezoid_weights, uniform_grid
-from parobs.observer_design import OutputChannel, make_design, small_gain_predictor, small_gain_zoh
+from parobs.observer_design import (
+    OutputChannel,
+    design_to_json,
+    make_design,
+    max_diameter,
+    small_gain_predictor,
+    small_gain_zoh,
+)
 from parobs.schedule import make_schedule
 from parobs.signals import Disturbances, NoiseSignal
 from parobs.simulator import DiscreteObserver, Scenario, Trajectory, simulate
@@ -465,24 +474,50 @@ class TestExample32Runner:
 
     def test_end_to_end_reconstruction(self):
         rep = run_example_32(p=1.0, q=0.0, omega=0.3, nodes=101)
+        rec = rep.reconstruction
         assert rep.report.feasible
-        assert rep.sup_error[0] > 0.0
-        assert rep.sup_error[-1] < 1e-6 * rep.sup_error[0]
-        assert rep.sup_fit is not None and rep.sup_fit.rate >= rep.kappa
-        assert rep.bc_defect < 1e-6
+        assert rec.sup_error[0] > 0.0
+        assert rec.sup_error[-1] < 1e-6 * rec.sup_error[0]
+        assert rec.sup_fit is not None and rec.sup_fit.rate >= rep.kappa
+        assert rec.bc_defect < 1e-6
         dx = rep.trajectory.grid[1] - rep.trajectory.grid[0]
         looped = max(max(abs(f[-1]) / scale, abs(d0) * dx / scale)
                      for f, d0, _, scale in _looped_ends(rep.trajectory))
-        assert rep.bc_defect == looped
+        assert rec.bc_defect == looped
         # sup-norm error never exceeds the L2 bound carried through the
         # cumulative-integration map (unit operator norm)
-        assert np.all(rep.sup_error <= rep.trajectory.error_l2 * (1.0 + 1e-9) + 1e-15)
+        assert np.all(rec.sup_error <= rep.trajectory.error_l2 * (1.0 + 1e-9) + 1e-15)
 
     def test_constant_noise_bound(self):
         rep = run_example_32(p=1.0, q=0.0, omega=0.3,
                              noise={"kind": "constant", "amplitude": 0.01}, nodes=101)
-        assert rep.noise_bound is not None
-        assert rep.noise_bound_ok
+        assert rep.reconstruction.noise_bound is not None
+        assert rep.reconstruction.noise_bound_ok
+
+
+def test_run_records_h_star_and_verdict_beyond_the_worked_designs():
+    # two channels, a numeric Robin / variable-q basis, a random schedule, a tanh term
+    cfg = json.loads(NONLINEAR_ZOH.read_text())
+    cfg["schedule"]["horizon"] = 2.0
+    scenario = cf.build_scenario(cfg, seed=0)
+    traj = quiet_simulate(scenario)
+    run = check_run(traj, scenario)
+    assert run.h_star == max_diameter(scenario.design, scenario.kappa, "zoh")
+    assert 0.0 < run.h_star < math.inf
+    assert run.verdict == divergence_verdict(traj)
+    doc = run.to_dict()
+    assert (doc["h_star"], doc["verdict"]) == (run.h_star, run.verdict)
+    assert doc["design"] == design_to_json(scenario.design)
+    assert run.reconstruction is None and "reconstruction" not in doc
+
+
+def test_failed_reconstruction_bound_is_a_violation():
+    rep = run_example_32(p=1.0, q=0.0, omega=0.3,
+                         noise={"kind": "constant", "amplitude": 0.01}, nodes=101)
+    assert not rep.violated
+    failed = dataclasses.replace(rep.reconstruction, noise_bound_ok=False)
+    assert dataclasses.replace(rep, reconstruction=failed).violated
+    assert rep.to_dict()["reconstruction"] == rep.reconstruction.to_dict()
 
 
 def test_default_fit_window_skips_transient(ex31_design):

@@ -385,10 +385,13 @@ class TestCli:
              "'random' spec: field 'seed': seed must be non-negative, got -1"),
             ('disturbances.xi={"kind":"random","amplitude":0.01,"seed":1.5}',
              "'random' spec: field 'seed': seed must be an integer, got 1.5"),
+            ('schedule={"kind":"explicit","times":[0,0.5,0.500000000000004,1.0]}',
+             "sampling times must increase by more than 1e-14"),
         ],
         ids=["noise_seed", "nonlocal_b", "profile_coeffs", "input_term", "input_time", "nonlinearity",
              "input_series_coeffs", "input_series_time", "closed_form_poly", "closed_form_trig",
-             "empty_sum", "xi_scalar", "xi_string", "noise_negative_seed", "noise_fractional_seed"],
+             "empty_sum", "xi_scalar", "xi_string", "noise_negative_seed", "noise_fractional_seed",
+             "near_duplicate_samples"],
     )
     def test_malformed_spec_field_exit_code(self, tmp_path, capsys, override, message):
         # each of these used to end in a bare ValueError or KeyError (exit 1)
@@ -694,6 +697,20 @@ class TestCli:
         omega = (0.3 * math.pi**2 + 1) / math.sqrt(6.0)
         assert report["gain"]["omega"] == pytest.approx(omega, rel=1e-12)
 
+    def test_example31_uncertified_at_every_h_runs(self, tmp_path):
+        # Omega >= 1 already as h -> 0: the run is simulated like any other,
+        # with h* = 0, and --strict judges it as simulate judges its preset
+        argv = ["example31", "--omega", "0.9", "--horizon", "1", "--nodes", "51"]
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(cf.example31_config(omega=0.9, horizon=1.0, nodes=51)))
+        with pytest.warns(UserWarning, match="convergence is not certified"):
+            assert main([*argv, "--out", str(tmp_path / "ex")]) == 0
+            assert main([*argv, "--strict"]) == 3
+            assert main(["simulate", "--config", str(preset), "--strict"]) == 3
+        report = json.loads((tmp_path / "ex" / "report.json").read_text())
+        assert report["h_star"] == 0.0
+        assert report["gain"]["feasible"] is False and "ios" not in report
+
     def test_example32_subcommand(self, tmp_path, capsys):
         out = tmp_path / "e32"
         rc = main([
@@ -703,7 +720,8 @@ class TestCli:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["gain"]["feasible"] is True
-        assert report["example"]["c11"] == pytest.approx(2 * math.sqrt(2) / math.pi, abs=1e-12)
+        assert report["design"]["c_coeffs"][0][0] == pytest.approx(2 * math.sqrt(2) / math.pi,
+                                                                   abs=1e-12)
 
     @pytest.mark.parametrize("h, warns", [(1.0, True), (0.1, False)],
                              ids=["infeasible", "feasible"])
@@ -811,9 +829,14 @@ class TestPresets:
         path.write_text(json.dumps(preset(**kwargs)))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
         assert main([*argv, "--out", str(tmp_path / "ex")]) == 0
-        example = json.loads((tmp_path / "ex" / "report.json").read_text())
-        assert set(example.pop("example")) >= {"p", "omega_fraction", "h_star"}
-        assert example == json.loads((tmp_path / "sim" / "report.json").read_text())
+        example = (tmp_path / "ex" / "report.json").read_bytes()
+        sim = (tmp_path / "sim" / "report.json").read_bytes()
+        if preset is cf.example31_config:
+            assert example == sim
+        else:
+            example = json.loads(example)
+            assert set(example.pop("reconstruction")) >= {"theta", "noise_bound_ok"}
+            assert example == json.loads(sim)
 
 
 class TestSimulateAndSweep:

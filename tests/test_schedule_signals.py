@@ -77,9 +77,12 @@ class TestSchedules:
         ({"kind": "random", "h_min": 0.1, "h_max": 0.2, "horizon": 1.0, "seed": True},
          "'random' spec: field 'seed': seed must be an integer, got True"),
         ({"kind": "explicit"}, "'explicit' spec: missing field 'times'"),
+        # simulate would record the second sample in the first one's row
+        ({"kind": "explicit", "times": [0.0, 0.5, 0.500000000000004, 1.0]},
+         "sampling times must increase by more than 1e-14"),
         ("uniform", "expected a spec object"),
     ], ids=["missing_horizon", "bad_h", "missing_h_max", "negative_seed", "fractional_seed",
-            "bool_seed", "missing_times", "not_an_object"])
+            "bool_seed", "missing_times", "near_duplicate_times", "not_an_object"])
     def test_missing_or_bad_field_is_invalid_spec(self, spec, message):
         with pytest.raises(InvalidSpec, match=message):
             make_schedule(spec)
