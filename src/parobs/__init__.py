@@ -11,7 +11,6 @@ from . import profiles
 from .analysis import (
     check_ios_bound,
     divergence_verdict,
-    error_norms,
     fit_decay_rate,
     lyapunov_oracle,
     run_example_31,
@@ -86,7 +85,6 @@ __all__ = [
     "Scenario",
     "Trajectory",
     "simulate",
-    "error_norms",
     "fit_decay_rate",
     "check_ios_bound",
     "lyapunov_oracle",

@@ -35,7 +35,6 @@ from .signals import Disturbances
 from .simulator import DiscreteObserver, Scenario, Trajectory, simulate
 
 __all__ = [
-    "error_norms",
     "DecayFit",
     "fit_decay_rate",
     "default_fit_window",
@@ -44,7 +43,6 @@ __all__ = [
     "LyapunovTrace",
     "lyapunov_oracle",
     "divergence_verdict",
-    "predictor_compatibility_residual",
     "RunResult",
     "check_run",
     "Reconstruction",
@@ -61,11 +59,6 @@ DIVERGED_FACTOR = 10.0
 CONVERGED_FACTOR = 0.1
 _SLACK = 0.02  # relative slack absorbing discretization error in bound checks
 _FLOOR = 1e-13
-
-
-def error_norms(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid L2 norm and grid sup norm of w - u per snapshot."""
-    return snapshot_norms(traj.error_fields(), traj.weights)
 
 
 @dataclass(frozen=True)
@@ -333,26 +326,6 @@ def divergence_verdict(traj: Trajectory) -> str:
     return "inconclusive"
 
 
-def _boundary_fields(traj: Trajectory):
-    """Every plant and observer snapshot as one row, with its one-sided end
-    derivatives and its sup norm."""
-    f = np.concatenate([traj.u, traj.w])
-    d0, d1 = end_derivatives(f, traj.grid[1] - traj.grid[0])
-    return f, d0, d1, np.maximum(np.max(np.abs(f), axis=1), 1e-300)
-
-
-def predictor_compatibility_residual(traj: Trajectory, design: ObserverDesign) -> float:
-    """Worst boundary term c_i(1) u_x(1) - c_i(0) u_x(0) - c_i'(1) u(1) +
-    c_i'(0) u(0) along the trajectory; it vanishes (to discretization error)
-    because the approximants share the plant's Robin conditions."""
-    ends = np.array([0.0, 1.0])
-    c = np.array([ch.approximant.values(ends) for ch in design.channels])[:, :, None]
-    dc = np.array([ch.approximant.derivative().values(ends) for ch in design.channels])[:, :, None]
-    f, d0, d1, scale = _boundary_fields(traj)
-    psi = c[:, 1] * d1 - c[:, 0] * d0 - dc[:, 1] * f[:, -1] + dc[:, 0] * f[:, 0]
-    return float(np.max(np.abs(psi) / scale))
-
-
 # -- the shared check sequence and the worked-example runners --------------------
 
 def _report_to_dict(report: SmallGainReport) -> dict:
@@ -535,8 +508,11 @@ def boundary_reconstruction(run: RunResult) -> Reconstruction:
         allowed = theta * (np.exp(-run.kappa * traj.times) * e0 + xi0.bound)
         noise_bound_ok = bool(np.all(sup_error <= allowed * (1.0 + _SLACK) + 1e-12))
 
-    f, d0, _, scale = _boundary_fields(traj)
+    # every plant and observer snapshot as one row
+    f = np.concatenate([traj.u, traj.w])
     dx = traj.grid[1] - traj.grid[0]
+    d0, _ = end_derivatives(f, dx)
+    scale = np.maximum(np.max(np.abs(f), axis=1), 1e-300)
     bc_defect = float(np.max(np.maximum(np.abs(f[:, -1]), np.abs(d0) * dx) / scale))
     return Reconstruction(theta, sup_error, sup_fit, noise_bound, noise_bound_ok, bc_defect)
 
@@ -595,7 +571,7 @@ def run_example_32(
     if not 0.0 <= omega < 1.0:
         raise ConfigError("gain.omega", "omega must lie in [0, 1)")
     design = example32_design(p, q)
-    _, h, horizon = example32_sampling(design, omega, h, horizon)
+    h, horizon = example32_sampling(design, omega, h, horizon)
     cfg = example32_config(
         p, q, h, omega, noise, horizon=horizon, nodes=nodes, dt=dt,
         snapshot_every=snapshot_every, u0=u0, w0=w0,

@@ -503,7 +503,7 @@ def example32_config(p=1.0, q=0.0, h=None, omega=0.3, noise=None, *, horizon=Non
         )
 
     if h is None or horizon is None:  # the design does not depend on the sampling
-        _, h, horizon = example32_sampling(build_design(preset(1.0, 1.0)), omega, h, horizon)
+        h, horizon = example32_sampling(build_design(preset(1.0, 1.0)), omega, h, horizon)
     return preset(h, horizon)
 
 
@@ -516,12 +516,13 @@ def example32_design(
 
 
 def example32_sampling(design: ObserverDesign, omega: float, h=None, horizon=None):
-    """(h*, h, horizon) of example 3.2: h* is the largest predictor diameter
-    at kappa = omega * mu; h defaults to h*/2 (0.1 when h* is infinite) and
-    the horizon to max(4 / mu, 30 h)."""
-    h_star = max_diameter(design, omega * design.mu, "predictor")
+    """(h, horizon) of example 3.2: h defaults to half of h*, the largest
+    predictor diameter at kappa = omega * mu (0.1 when h* is infinite), and
+    the horizon to max(4 / mu, 30 h). h* is computed only when h is not
+    given; the run records it as ``RunResult.h_star``."""
     if h is None:
+        h_star = max_diameter(design, omega * design.mu, "predictor")
         h = 0.5 * h_star if math.isfinite(h_star) else 0.1
     if horizon is None:
         horizon = max(4.0 / design.mu, 30.0 * h)
-    return h_star, h, horizon
+    return h, horizon

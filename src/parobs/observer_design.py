@@ -243,9 +243,11 @@ class ObserverDesign:
     tail-coupling bound (Q = None picks 2, or twice the bound when the bound
     is not below 2), and the L2 Lipschitz bound R must be finite and
     non-negative. ``dataclasses.replace`` re-runs it, so a design whose
-    problem, basis, channels or certificate is replaced is derived afresh or
-    raises a typed ParobsError, never stale. Grid functions (injection
-    kernels, channel samples) are derived on demand.
+    problem, basis, channels or certificate is replaced (for another
+    Lyapunov pair, ``replace(design, P=P, sigma=sigma)``) is derived afresh
+    or raises a typed ParobsError, never stale; ``with_Q`` is that replace
+    for Q. Grid functions (injection kernels, channel samples) are derived
+    on demand.
     """
 
     problem: SLProblem
@@ -338,11 +340,6 @@ class ObserverDesign:
     def with_Q(self, Q: float) -> "ObserverDesign":
         """``replace(self, Q=Q)``: the same design re-derived for another Q."""
         return replace(self, Q=Q)
-
-    def with_certificate(self, P: np.ndarray, sigma: float) -> "ObserverDesign":
-        """``replace(self, P=P, sigma=sigma)``: the same design re-derived and
-        re-validated for another Lyapunov pair."""
-        return replace(self, P=P, sigma=sigma)
 
 
 def _validate_certificate(A: np.ndarray, P: np.ndarray, sigma: float, tol: float = 1e-9) -> dict:

@@ -75,8 +75,6 @@ class Profile:
             out += amp * np.cos(omega * x + phase)
         return out
 
-    __call__ = values
-
     def derivative(self, order: int = 1) -> "Profile":
         poly = np.asarray(self.poly, dtype=float)
         for _ in range(order):
@@ -164,8 +162,6 @@ class SampledProfile:
         if x.shape == self.grid.shape and np.allclose(x, self.grid, atol=1e-12):
             return self.samples.copy()
         return np.interp(x, self.grid, self.samples)
-
-    __call__ = values
 
     def derivative(self, order: int = 1) -> "SampledProfile":
         vals = self.samples

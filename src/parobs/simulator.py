@@ -54,43 +54,15 @@ __all__ = [
     "SampleEvent",
     "simulate",
     "DiscreteObserver",
-    "measure",
-    "reset_predictor",
     "step_plant",
     "step_observer_predictor",
     "step_observer_zoh",
-    "bc_residual",
 ]
 
 _CORRECTOR_RTOL = 1e-13
 _CORRECTOR_MAXITER = 40
 _SINGULAR_RTOL = 1e-12  # smallest singular value of the coupling Jacobian, relative
 _PROPAGATOR_BYTES = 64 * 2**20  # cached powers of one system's one-step matrix
-
-
-def measure(u: np.ndarray, kernel_rows: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """y_i = xi_i + <k_i, u> with trapezoid quadrature rows."""
-    return kernel_rows @ u + xi
-
-
-def reset_predictor(y: np.ndarray, w: np.ndarray, gap_rows: np.ndarray) -> np.ndarray:
-    """zeta_i(t_j) = y_i(t_j) - <k_i - c_i, w(t_j)>."""
-    return y - gap_rows @ w
-
-
-def bc_residual(u: np.ndarray, problem: SLProblem) -> float:
-    """Scheme-consistent boundary residual, relative to the state scale.
-
-    Dirichlet ends must be pinned exactly; Robin ends are built into the
-    ghost-node stencil, so their scheme residual vanishes by construction.
-    """
-    scale = max(float(np.max(np.abs(u))), 1e-300)
-    res = 0.0
-    if problem.dirichlet_left:
-        res = max(res, abs(u[0]) / scale)
-    if problem.dirichlet_right:
-        res = max(res, abs(u[-1]) / scale)
-    return res
 
 
 class IMEXStepper:
@@ -409,7 +381,9 @@ class DiscreteObserver:
     injection columns ``l_cols`` (n, m), built from the design's first N
     modes resampled on the grid, and rows (m, n) of c_i, k_i, k_i - c_i and
     -L_h c_i times the trapezoid weights. It builds the plant and observer
-    steppers on one ``op`` and owns the reset law at a sample."""
+    steppers on one ``op`` and owns the sample law: a sample reads
+    y = <k, u> + xi with ``k_rows``, and ``reset`` turns y into the
+    observer's second state."""
 
     def __init__(self, design: ObserverDesign, variant: str, nodes: int):
         check_variant(variant)
@@ -433,7 +407,7 @@ class DiscreteObserver:
         """The observer's second state after sampling y with field w: the
         predictor state y - <k - c, w>, or the held innovation <k, w> - y."""
         if self.variant == "predictor":
-            return reset_predictor(y, w, self.gap_rows)
+            return y - self.gap_rows @ w
         return self.k_rows @ w - y
 
 
@@ -607,8 +581,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     for j, (t_j, iv) in enumerate(zip(sample_times, plan)):
         t_j = float(t_j)
         xi_vals = np.array([0.0 if s is None else s.value(t_j, j) for s in xi])
-        # y - <k, u> is the noise alone in error coordinates
-        z = discrete.reset(xi_vals if linear else measure(u, discrete.k_rows, xi_vals), x)
+        # the sample reads y = <k, u> + xi; y - <k, u> is the noise alone in
+        # error coordinates
+        z = discrete.reset(xi_vals if linear else discrete.k_rows @ u + xi_vals, x)
         events.append(SampleEvent(index=j, t=t_j, xi=xi_vals))
         if iv.fresh:  # a sample within 1e-14 of the last record only updates its zeta
             u_arr[iv.row] = u

@@ -16,10 +16,8 @@ from parobs.analysis import (
     check_run,
     default_fit_window,
     divergence_verdict,
-    error_norms,
     fit_decay_rate,
     lyapunov_oracle,
-    predictor_compatibility_residual,
     run_example_31,
     run_example_32,
 )
@@ -30,7 +28,13 @@ from parobs.errors import (
     ReactionOutOfRange,
     TailTooShort,
 )
-from parobs.grids import cumulative_trapezoid, end_derivatives, trapezoid_weights, uniform_grid
+from parobs.grids import (
+    cumulative_trapezoid,
+    end_derivatives,
+    snapshot_norms,
+    trapezoid_weights,
+    uniform_grid,
+)
 from parobs.observer_design import (
     OutputChannel,
     design_to_json,
@@ -75,20 +79,20 @@ class TestErrorNorms:
     def test_zero(self):
         grid = uniform_grid(101)
         traj = synthetic_trajectory(grid, [0.0, 1.0], np.zeros((2, 101)))
-        l2, sup = error_norms(traj)
+        l2, sup = snapshot_norms(traj.error_fields(), traj.weights)
         assert np.all(l2 == 0.0) and np.all(sup == 0.0)
 
     def test_unit_mode(self):
         grid = uniform_grid(1001)
         phi2 = math.sqrt(2.0) * np.cos(math.pi * grid)
         traj = synthetic_trajectory(grid, [0.0], [phi2])
-        l2, _ = error_norms(traj)
+        l2, _ = snapshot_norms(traj.error_fields(), traj.weights)
         assert l2[0] == pytest.approx(1.0, rel=1e-10)
 
     def test_linear_profile(self):
         grid = uniform_grid(2001)
         traj = synthetic_trajectory(grid, [0.0], [grid])
-        l2, sup = error_norms(traj)
+        l2, sup = snapshot_norms(traj.error_fields(), traj.weights)
         assert l2[0] == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-6)
         assert sup[0] == 1.0
 
@@ -376,19 +380,6 @@ def _looped_ends(traj):
         for f in (traj.u[k], traj.w[k]):
             d0, d1 = end_derivatives(f, dx)
             yield f, float(d0), float(d1), max(np.max(np.abs(f)), 1e-300)
-
-
-def test_compatibility_residual_matches_snapshot_loop():
-    scenario = cf.build_scenario(_predictor_nonlocal_run())
-    traj = quiet_simulate(scenario)
-    worst = 0.0
-    ends = np.array([0.0, 1.0])
-    for ch in scenario.design.channels:
-        c, dc = ch.approximant.values(ends), ch.approximant.derivative().values(ends)
-        for f, d0, d1, scale in _looped_ends(traj):
-            psi = c[1] * d1 - c[0] * d0 - dc[1] * f[-1] + dc[0] * f[0]
-            worst = max(worst, abs(psi) / scale)
-    assert predictor_compatibility_residual(traj, scenario.design) == worst
 
 
 @pytest.mark.parametrize("shape", [(41,), (7, 41)])

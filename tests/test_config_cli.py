@@ -29,6 +29,7 @@ from parobs.observer_design import (
     OutputChannel,
     channel_from_spec,
     make_design,
+    max_diameter,
     small_gain_predictor,
     small_gain_zoh,
 )
@@ -697,12 +698,18 @@ class TestCli:
         omega = (0.3 * math.pi**2 + 1) / math.sqrt(6.0)
         assert report["gain"]["omega"] == pytest.approx(omega, rel=1e-12)
 
-    def test_example31_uncertified_at_every_h_runs(self, tmp_path):
+    @pytest.mark.parametrize("argv, config", [
+        (["example31", "--omega", "0.9", "--horizon", "1", "--nodes", "51"],
+         lambda: cf.example31_config(omega=0.9, horizon=1.0, nodes=51)),
+        # a given h needs no h*, so none is computed before the run
+        (["example32", "--omega", "0.99", "--h", "0.1", "--horizon", "1", "--nodes", "51"],
+         lambda: cf.example32_config(h=0.1, omega=0.99, horizon=1.0, nodes=51)),
+    ], ids=["example31", "example32"])
+    def test_example_uncertified_at_every_h_runs(self, tmp_path, argv, config):
         # Omega >= 1 already as h -> 0: the run is simulated like any other,
         # with h* = 0, and --strict judges it as simulate judges its preset
-        argv = ["example31", "--omega", "0.9", "--horizon", "1", "--nodes", "51"]
         preset = tmp_path / "preset.json"
-        preset.write_text(json.dumps(cf.example31_config(omega=0.9, horizon=1.0, nodes=51)))
+        preset.write_text(json.dumps(config()))
         with pytest.warns(UserWarning, match="convergence is not certified"):
             assert main([*argv, "--out", str(tmp_path / "ex")]) == 0
             assert main([*argv, "--strict"]) == 3
@@ -782,10 +789,10 @@ class TestPresets:
 
     def test_example32_preset_resolves_default_sampling(self):
         design = example32_design()
-        h_star, h, horizon = cf.example32_sampling(design, 0.3)
+        h, horizon = cf.example32_sampling(design, 0.3)
         cfg = cf.example32_config(omega=0.3)
         assert cfg["schedule"] == {"kind": "uniform", "h": h, "horizon": horizon}
-        assert h == 0.5 * h_star
+        assert h == 0.5 * max_diameter(design, 0.3 * design.mu, "predictor")
 
     @pytest.mark.parametrize(
         "kwargs, argv",

@@ -427,7 +427,7 @@ class TestCertificateProperties:
             d = _random_design(rng, with_tail=False)
             omegas = []
             for alpha in (1.0, 2.0, 5.0):
-                scaled = d.with_certificate(alpha * d.P, d.sigma)
+                scaled = dataclasses.replace(d, P=alpha * d.P, sigma=d.sigma)
                 defects = certificate_defects(scaled.A, scaled.P, scaled.sigma)
                 assert defects["decay_slack"] <= 1e-9 * max(1.0, defects["p_norm"])
                 omegas.append(small_gain_predictor(scaled, 0.2, 0.0).omega)
@@ -474,9 +474,7 @@ class TestReplaceRederives:
 
         P = alpha * d.P
         replaced = dataclasses.replace(d, P=P, sigma=d.sigma)
-        _assert_designs_equal(replaced, d.with_certificate(P, d.sigma))
         assert replaced.P_norm == pytest.approx(alpha * d.P_norm, rel=1e-12)
-        assert _omegas(replaced) == _omegas(d.with_certificate(P, d.sigma))
 
         with pytest.raises(InvalidCertificate):
             dataclasses.replace(d, sigma=2.0 * d.sigma)

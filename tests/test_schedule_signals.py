@@ -24,12 +24,12 @@ class TestSchedules:
     def test_uniform_exact_division(self):
         sch = make_schedule({"kind": "uniform", "h": 0.1, "horizon": 1.0})
         np.testing.assert_allclose(sch.times, np.arange(11) * 0.1, atol=1e-12)
-        assert sch.max_gap <= sch.diameter * (1 + 1e-12)
+        assert np.max(np.diff(sch.times)) <= sch.diameter * (1 + 1e-12)
 
     def test_uniform_clips_final_gap(self):
         sch = make_schedule({"kind": "uniform", "h": 0.3, "horizon": 1.0})
         assert sch.times[-1] == pytest.approx(1.0)
-        assert sch.max_gap <= 0.3 + 1e-12
+        assert np.max(np.diff(sch.times)) <= 0.3 + 1e-12
 
     def test_random_bounded_and_reproducible(self):
         spec = {"kind": "random", "h_min": 0.05, "h_max": 0.1, "horizon": 2.0, "seed": 42}
@@ -43,14 +43,6 @@ class TestSchedules:
         c = make_schedule({**spec, "seed": 43})
         assert not np.array_equal(a.times, c.times)
 
-    def test_explicit_decreasing_rejected(self):
-        with pytest.raises(InvalidSpec):
-            make_schedule({"kind": "explicit", "times": [0.0, 0.5, 0.3]})
-
-    def test_explicit_must_start_at_zero(self):
-        with pytest.raises(InvalidSpec):
-            make_schedule({"kind": "explicit", "times": [0.1, 0.5]})
-
     def test_invalid_random_bounds(self):
         with pytest.raises(InvalidSpec):
             make_schedule({"kind": "random", "h_min": 0.2, "h_max": 0.1, "horizon": 1.0})
@@ -60,7 +52,7 @@ class TestSchedules:
     def test_explicit_defaults_and_declared_diameter(self):
         times = [0.0, 0.1, 0.4, 0.6]
         sch = make_schedule({"kind": "explicit", "times": times})
-        assert sch.horizon == 0.6 and sch.diameter == sch.max_gap == 0.4 - 0.1
+        assert sch.horizon == 0.6 and sch.diameter == np.max(np.diff(sch.times)) == 0.4 - 0.1
         declared = make_schedule({"kind": "explicit", "times": times, "h": 0.5, "horizon": 0.5})
         assert declared.diameter == 0.5 and declared.horizon == 0.5
         with pytest.raises(InvalidSpec, match="exceeds the declared diameter"):
@@ -80,18 +72,17 @@ class TestSchedules:
         # simulate would record the second sample in the first one's row
         ({"kind": "explicit", "times": [0.0, 0.5, 0.500000000000004, 1.0]},
          "sampling times must increase by more than 1e-14"),
+        # SamplingSchedule's own checks judge every explicit schedule
+        ({"kind": "explicit", "times": [0.1, 0.5]}, "schedules must start at t = 0"),
+        ({"kind": "explicit", "times": [0.0, 0.5, 0.3]},
+         "sampling times must increase by more than 1e-14"),
         ("uniform", "expected a spec object"),
     ], ids=["missing_horizon", "bad_h", "missing_h_max", "negative_seed", "fractional_seed",
-            "bool_seed", "missing_times", "near_duplicate_times", "not_an_object"])
+            "bool_seed", "missing_times", "near_duplicate_times", "explicit_late_start",
+            "explicit_decreasing", "not_an_object"])
     def test_missing_or_bad_field_is_invalid_spec(self, spec, message):
         with pytest.raises(InvalidSpec, match=message):
             make_schedule(spec)
-
-    def test_last_sample_before(self):
-        sch = make_schedule({"kind": "uniform", "h": 0.25, "horizon": 1.0})
-        assert sch.last_sample_before(0.6) == pytest.approx(0.5)
-        assert sch.last_sample_before(0.25) == pytest.approx(0.25)
-        assert sch.last_sample_before(0.0) == 0.0
 
 
 class TestNoise:
