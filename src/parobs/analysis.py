@@ -14,12 +14,14 @@ either satisfies the certified estimate at every snapshot (within a fixed
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import (
+    build_design,
     build_scenario,
     example31_config,
     example31_design,
@@ -27,7 +29,7 @@ from .config import (
     example32_design,
     example32_sampling,
 )
-from .errors import ConfigError, DecayedToFloor, InfeasibleAtZero, InfeasibleReport, TailTooShort
+from .errors import DecayedToFloor, InfeasibleAtZero, InfeasibleReport, TailTooShort
 from .grids import cumulative_trapezoid, end_derivatives, snapshot_norms
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, SmallGainReport, design_to_json, max_diameter
@@ -517,65 +519,30 @@ def boundary_reconstruction(run: RunResult) -> Reconstruction:
     return Reconstruction(theta, sup_error, sup_fit, noise_bound, noise_bound_ok, bc_defect)
 
 
-def run_example_31(
-    p: float = 1.0,
-    h: float = 0.5,
-    omega: float = 0.0,
-    variant: str = "predictor",
-    noise=None,
-    mismatch: float = 0.0,
-    *,
-    horizon: float | None = None,
-    nodes: int = 201,
-    dt: float | None = None,
-    snapshot_every: float | None = None,
-    u0=None,
-    w0=None,
-    lyapunov: bool = False,
-    lyapunov_tail: int = 20,
-) -> RunResult:
-    """End-to-end run of ``example31_config`` with the same arguments: the
-    ``check_run`` result of its scenario, as ``parobs simulate`` reports it.
-
-    omega in [0, 1) selects kappa = omega * mu. The hold variant's verdict
-    compares the final error with the initial one at the default horizon
-    10 * 20 / (p pi^2).
-    """
-    cfg = example31_config(
-        p, h, omega, variant, noise, mismatch, horizon=horizon, nodes=nodes, dt=dt,
-        snapshot_every=snapshot_every, u0=u0, w0=w0,
-    )
-    scenario = build_scenario(cfg)
+def run_example_31(*args, lyapunov: bool = False, lyapunov_tail: int = 20, **preset) -> RunResult:
+    """End-to-end run of ``example31_config(*args, **preset)``, which names
+    the parameters and their defaults: the ``check_run`` result of its
+    scenario, as ``parobs simulate`` reports it, with the Lyapunov oracle
+    when ``lyapunov`` asks for it."""
+    scenario = build_scenario(example31_config(*args, **preset))
     return check_run(simulate(scenario), scenario, lyapunov=lyapunov, lyapunov_tail=lyapunov_tail)
 
 
-def run_example_32(
-    p: float = 1.0,
-    q: float = 0.0,
-    h: float | None = None,
-    omega: float = 0.3,
-    noise=None,
-    *,
-    horizon: float | None = None,
-    nodes: int = 201,
-    dt: float | None = None,
-    snapshot_every: float | None = None,
-    u0=None,
-    w0=None,
-) -> RunResult:
-    """End-to-end run of ``example32_config`` with the same arguments: the
-    ``check_run`` result of its scenario with its ``boundary_reconstruction``.
+def run_example_32(*args, **preset) -> RunResult:
+    """End-to-end run of ``example32_config(*args, **preset)``, which names
+    the parameters and their defaults: the ``check_run`` result of its
+    scenario with its ``boundary_reconstruction``.
 
-    h defaults to half the maximal feasible diameter at kappa = omega * mu.
+    The design does not depend on the sampling, so it is built once, from
+    the preset at a placeholder h and horizon; ``example32_sampling`` then
+    fills the h and horizon the arguments leave out.
     """
-    if not 0.0 <= omega < 1.0:
-        raise ConfigError("gain.omega", "omega must lie in [0, 1)")
-    design = example32_design(p, q)
-    h, horizon = example32_sampling(design, omega, h, horizon)
-    cfg = example32_config(
-        p, q, h, omega, noise, horizon=horizon, nodes=nodes, dt=dt,
-        snapshot_every=snapshot_every, u0=u0, w0=w0,
-    )
+    bound = inspect.signature(example32_config).bind(*args, **preset)
+    bound.apply_defaults()
+    kwargs = bound.arguments
+    design = build_design(example32_config(**{**kwargs, "h": 1.0, "horizon": 1.0}))
+    h, horizon = example32_sampling(design, kwargs["omega"], kwargs["h"], kwargs["horizon"])
+    cfg = example32_config(**{**kwargs, "h": h, "horizon": horizon})
     scenario = build_scenario(cfg, design=design)
     run = check_run(simulate(scenario), scenario)
     return dataclasses.replace(run, reconstruction=boundary_reconstruction(run))

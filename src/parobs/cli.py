@@ -3,19 +3,20 @@ two worked examples.
 
 All commands are configuration-driven (JSON, versioned schema) with
 repeatable ``--set key.path=value`` overrides that are type-checked before
-any computation. ``example31``/``example32`` map their arguments onto the
-presets ``example31_config``/``example32_config`` and run them through the
-same build, simulate and ``check_run`` path. Each of ``simulate``,
-``example31`` and ``example32`` holds one ``analysis.RunResult``: its
-``to_dict`` is ``report.json`` (example 3.2's adds a ``reconstruction``
-section), one writer turns it into ``report.json``, ``trajectory.csv`` and
-``margins.csv``, and one ``--strict`` rule judges it. Outputs are
-deterministic given the config and seed: floats print with 17 significant
-digits so reruns are byte-identical, and every CSV table but the mixed-type
-``sweep.csv`` is written by ``grids.write_csv``.
+any computation. ``example31``/``example32`` pass the preset flags they are
+given on to ``example31_config``/``example32_config``, which hold every
+default, and run the presets through the same build, simulate and
+``check_run`` path. Each of ``simulate``, ``example31`` and ``example32``
+holds one ``analysis.RunResult``: its ``to_dict`` is ``report.json``
+(example 3.2's adds a ``reconstruction`` section), one writer turns it into
+``report.json``, ``trajectory.csv`` and ``margins.csv``, and one
+``--strict`` rule judges it. Outputs are deterministic given the config
+and seed: floats print with 17 significant digits so reruns are
+byte-identical, and every CSV table but the mixed-type ``sweep.csv`` is
+written by ``grids.write_csv``.
 
-Each command takes only the flags it reads (``_FLAGS``); argparse rejects
-any other with exit 2.
+Each command takes only the flags it reads (``_FLAGS``, and the preset
+parameters ``_PRESET_FLAGS``); argparse rejects any other with exit 2.
 
 Exit codes: 0 success, 2 configuration error, 3 under ``--strict`` when a
 run is not certified (Omega >= 1) or a checked bound fails.
@@ -245,10 +246,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _example_args(args, names: str) -> dict:
-    """The preset arguments of an example command: the named options plus
-    the noise spec."""
-    kwargs = {k: getattr(args, k) for k in names.split()}
+def _example_args(args) -> dict:
+    """The preset arguments of an example command: the preset flags that
+    were given (the others keep the preset's defaults) plus the noise spec."""
+    kwargs = {k: v for k, v in vars(args).items() if f"--{k}" in _PRESET_FLAGS}
     if args.noise_amplitude > 0.0:
         kwargs["noise"] = {"kind": args.noise_kind, "amplitude": args.noise_amplitude,
                            "omega": args.noise_omega, "seed": args.seed or 0}
@@ -256,9 +257,7 @@ def _example_args(args, names: str) -> dict:
 
 
 def cmd_example31(args) -> int:
-    rep = run_example_31(
-        **_example_args(args, "p h omega variant mismatch horizon nodes dt lyapunov")
-    )
+    rep = run_example_31(lyapunov=args.lyapunov, **_example_args(args))
     print(f"Omega = {_fmt(rep.report.omega)} (feasible = {str(rep.report.feasible).lower()})")
     print(f"max diameter h* = {_fmt(rep.h_star)}")
     if rep.fit is not None:
@@ -270,7 +269,7 @@ def cmd_example31(args) -> int:
 
 
 def cmd_example32(args) -> int:
-    rep = run_example_32(**_example_args(args, "p q h omega horizon nodes dt"))
+    rep = run_example_32(**_example_args(args))
     rec = rep.reconstruction
     print(f"Omega = {_fmt(rep.report.omega)} (feasible = {str(rep.report.feasible).lower()})")
     print(f"max diameter h* = {_fmt(rep.h_star)}, using h = {_fmt(rep.h)}")
@@ -297,18 +296,25 @@ _FLAGS = {
                    help="seed of random schedules and noise (default: the config's)"),
     "--strict": dict(action="store_true",
                      help="exit 3 on an infeasible certificate or a failed checked bound"),
+    "--noise-kind": dict(default="sinusoid", choices=["constant", "sinusoid", "random"]),
+    "--noise-amplitude": dict(type=float, default=0.0),
+    "--noise-omega": dict(type=float, default=2.0),
+    "--lyapunov": dict(action="store_true", help="also run the decay-functional oracle"),
 }
 
-
-def _add_example_common(sp):
-    sp.add_argument("--p", type=float, default=1.0, help="diffusion constant")
-    sp.add_argument("--omega", type=float, default=0.0, help="decay fraction kappa/mu in [0,1)")
-    sp.add_argument("--noise-kind", default="sinusoid", choices=["constant", "sinusoid", "random"])
-    sp.add_argument("--noise-amplitude", type=float, default=0.0)
-    sp.add_argument("--noise-omega", type=float, default=2.0)
-    sp.add_argument("--horizon", type=float, default=None)
-    sp.add_argument("--nodes", type=int, default=201)
-    sp.add_argument("--dt", type=float, default=None)
+# the preset parameters of the example commands: a flag that is not given is
+# not passed on, so its default is the preset's own
+_PRESET_FLAGS = {
+    "--p": dict(type=float, help="diffusion constant"),
+    "--q": dict(type=float, help="reaction constant"),
+    "--h": dict(type=float, help="sampling diameter"),
+    "--omega": dict(type=float, help="decay fraction kappa/mu in [0,1)"),
+    "--variant": dict(choices=["predictor", "zoh"]),
+    "--mismatch": dict(type=float, help="||v - v~|| of a constant input mismatch"),
+    "--horizon": dict(type=float),
+    "--nodes": dict(type=int),
+    "--dt": dict(type=float),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="sampled-data observer design and verification for 1-D parabolic plants",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, fn, flags, summary in (
         ("design", cmd_design, "--config --set --out",
          "synthesize a design and emit its certificate"),
@@ -327,27 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
          "co-simulate plant and observer, check bounds"),
         ("sweep", cmd_sweep, "--config --set --out --seed",
          "evaluate a parameter grid into a long-format CSV"),
-        ("example31", cmd_example31, "--out --seed --strict",
+        ("example31", cmd_example31, "--out --seed --strict --p --h --omega --variant --mismatch "
+         "--horizon --nodes --dt --noise-kind --noise-amplitude --noise-omega --lyapunov",
          "run the Neumann-ends worked design end to end"),
-        ("example32", cmd_example32, "--out --seed --strict",
+        ("example32", cmd_example32, "--out --seed --strict --p --q --h --omega --horizon --nodes "
+         "--dt --noise-kind --noise-amplitude --noise-omega",
          "run the boundary-measurement worked design end to end"),
     ):
-        sp = commands[name] = sub.add_parser(name, help=summary)
+        sp = sub.add_parser(name, help=summary)
         for flag in flags.split():
-            sp.add_argument(flag, **_FLAGS[flag])
+            if flag in _PRESET_FLAGS:
+                sp.add_argument(flag, default=argparse.SUPPRESS, **_PRESET_FLAGS[flag])
+            else:
+                sp.add_argument(flag, **_FLAGS[flag])
         sp.set_defaults(fn=fn)
-
-    sp = commands["example31"]
-    _add_example_common(sp)
-    sp.add_argument("--h", type=float, default=0.5, help="sampling diameter")
-    sp.add_argument("--variant", default="predictor", choices=["predictor", "zoh"])
-    sp.add_argument("--mismatch", type=float, default=0.0, help="||v - v~|| of a constant input mismatch")
-    sp.add_argument("--lyapunov", action="store_true", help="also run the decay-functional oracle")
-
-    sp = commands["example32"]
-    _add_example_common(sp)
-    sp.add_argument("--q", type=float, default=0.0, help="reaction constant")
-    sp.add_argument("--h", type=float, default=None, help="sampling diameter (default: h*/2)")
 
     return parser
 

@@ -6,9 +6,11 @@ expected structure and reports the dotted path of the offending field, so
 `--set` overrides are type-checked before any computation starts.
 
 ``example31_config`` and ``example32_config`` return the paper's worked
-examples as such configs; ``build_design`` and ``build_scenario`` turn them
-into the same objects as any other config, so ``parobs simulate`` runs a
-dumped preset exactly as ``parobs example31`` runs its arguments.
+examples as such configs and are the one place their parameters and
+defaults are declared: the runners and the example commands pass their
+arguments on. ``build_design`` and ``build_scenario`` turn a preset into
+the same objects as any other config, so ``parobs simulate`` runs a dumped
+preset exactly as ``parobs example31`` runs its arguments.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .observer_design import (
     max_diameter,
     small_gain,
 )
-from .schedule import make_schedule
+from .schedule import SamplingSchedule, make_schedule
 from .signals import disturbances_from_spec
 from .simulator import Scenario
 from .sturm_liouville import (
@@ -347,12 +349,17 @@ def resolve_kappa(cfg: dict, design: ObserverDesign) -> float:
 
 
 def gain_report(cfg: dict, design: ObserverDesign) -> SmallGainReport:
-    """Small-gain report of the configured variant at gain.h (else
-    schedule.h) and the configured kappa: the Omega that ``check-gain``,
-    ``design`` and a sweep that does not simulate evaluate. A simulated run
-    is certified by its ``Scenario.report`` instead."""
+    """Small-gain report of the configured variant at gain.h and the
+    configured kappa: the Omega that ``check-gain``, ``design`` and a sweep
+    that does not simulate evaluate. Without a gain.h it is the diameter of
+    the config's schedule, built and seeded as ``build_scenario`` builds it,
+    so the Omega is the one a simulated run is certified at (its
+    ``Scenario.report``)."""
     variant = cfg.get("observer", {}).get("variant", "predictor")
-    h = float(cfg.get("gain", {}).get("h", cfg.get("schedule", {}).get("h", 0.0)))
+    if "h" in cfg.get("gain", {}):
+        h = float(cfg["gain"]["h"])
+    else:
+        h = _build_schedule(cfg, int(cfg.get("seed", 0))).diameter if "schedule" in cfg else 0.0
     if h <= 0.0:
         raise ConfigError("gain.h", "need a positive sampling diameter")
     return small_gain(design, h, resolve_kappa(cfg, design), variant)
@@ -366,6 +373,10 @@ def _seeded(spec, seed: int):
     return spec
 
 
+def _build_schedule(cfg: dict, seed: int) -> SamplingSchedule:
+    return make_schedule(_seeded(dict(cfg["schedule"]), seed))
+
+
 def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | None = None) -> Scenario:
     validate_config(cfg, need_schedule=True)
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
@@ -373,8 +384,7 @@ def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | 
     nodes = int(cfg.get("grid", {}).get("nodes", 201))
     grid = uniform_grid(nodes)
 
-    sched_spec = _seeded(dict(cfg["schedule"]), seed)
-    schedule = make_schedule(sched_spec)
+    schedule = _build_schedule(cfg, seed)
 
     dist_spec = dict(cfg.get("disturbances", {}) or {})
     xi = dist_spec.get("xi")

@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import (ObserverDesign, SmallGainReport, check_variant, injection_kernels,
                               small_gain)
 from .schedule import SamplingSchedule
-from .signals import Disturbances, SpaceTimeSignal, TimeSignal, field_signal_from_spec
+from .signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal, field_signal_from_spec
 from .sturm_liouville import DiscreteSLOperator, SLProblem
 
 __all__ = [
@@ -431,9 +431,10 @@ class Scenario:
     design and variant at the schedule's diameter and ``kappa``, so it
     describes the run that is simulated. ``dataclasses.replace`` re-derives
     it; a kappa outside [0, mu) raises ``KappaOutOfRange`` and an unknown
-    variant ``InvalidSpec``. A ``dt`` or ``snapshot_every`` that is set and
-    not positive, or a noise channel count other than 0 or m,
-    raises ``InvalidSpec``.
+    variant ``InvalidSpec``. No noise has one form: an empty
+    ``disturbances.xi`` becomes m zero ``NoiseSignal``s. A ``dt`` or
+    ``snapshot_every`` that is set and not positive, or a noise channel
+    count other than 0 or m, raises ``InvalidSpec``.
     """
 
     design: ObserverDesign
@@ -455,7 +456,10 @@ class Scenario:
             value = getattr(self, name)
             if value is not None and not value > 0.0:
                 raise InvalidSpec(f"{name} must be positive, got {value!r}")
-        if len(self.disturbances.xi) not in (0, self.design.m):
+        if not self.disturbances.xi:
+            zero = tuple(NoiseSignal(channel=i) for i in range(self.design.m))
+            object.__setattr__(self, "disturbances", replace(self.disturbances, xi=zero))
+        if len(self.disturbances.xi) != self.design.m:
             raise InvalidSpec("need one noise channel per output channel")
         if self.design.lipschitz_R < self.nonlinearity.lipschitz_R:
             raise ConfigError(
@@ -544,7 +548,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     grid, weights = discrete.op.grid, discrete.op.weights
     nl = scenario.nonlinearity
     dist = scenario.disturbances
-    xi = dist.xi if dist.xi else tuple(None for _ in range(design.m))
 
     report = scenario.report
     if not report.feasible:
@@ -580,7 +583,7 @@ def simulate(scenario: Scenario) -> Trajectory:
 
     for j, (t_j, iv) in enumerate(zip(sample_times, plan)):
         t_j = float(t_j)
-        xi_vals = np.array([0.0 if s is None else s.value(t_j, j) for s in xi])
+        xi_vals = np.array([s.value(t_j, j) for s in dist.xi])
         # the sample reads y = <k, u> + xi; y - <k, u> is the noise alone in
         # error coordinates
         z = discrete.reset(xi_vals if linear else discrete.k_rows @ u + xi_vals, x)

@@ -423,21 +423,8 @@ class CoordinateMap:
     def forward(self, x) -> np.ndarray:
         return np.interp(x, self.x_nodes, self.xi_nodes)
 
-    def inverse(self, xi) -> np.ndarray:
-        return np.interp(xi, self.xi_nodes, self.x_nodes)
-
     def amplitude(self, x) -> np.ndarray:
         return np.interp(x, self.x_nodes, self.amplitude_samples)
-
-    def push_profile(self, u_samples: np.ndarray, xi_grid: np.ndarray) -> np.ndarray:
-        """U(xi) = amplitude(x) u(x) resampled on xi_grid."""
-        if u_samples.shape != self.x_nodes.shape:
-            raise GridMismatch("profile must be sampled on the map's x grid")
-        return np.interp(xi_grid, self.xi_nodes, self.amplitude_samples * u_samples)
-
-    def pull_profile(self, U_samples: np.ndarray, xi_grid: np.ndarray) -> np.ndarray:
-        """u(x) = U(xi(x)) / amplitude(x) on the map's x grid."""
-        return np.interp(self.xi_nodes, xi_grid, U_samples) / self.amplitude_samples
 
 
 def liouville_transform(

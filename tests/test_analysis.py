@@ -12,6 +12,7 @@ from parobs import config as cf
 from parobs.analysis import (
     CONVERGED_FACTOR,
     DIVERGED_FACTOR,
+    boundary_reconstruction,
     check_ios_bound,
     check_run,
     default_fit_window,
@@ -484,6 +485,33 @@ class TestExample32Runner:
                              noise={"kind": "constant", "amplitude": 0.01}, nodes=101)
         assert rep.reconstruction.noise_bound is not None
         assert rep.reconstruction.noise_bound_ok
+
+
+    def test_builds_the_design_once(self, monkeypatch):
+        calls = []
+        build = cf.build_design
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        # the runner and the preset each reach build_design through their own module
+        monkeypatch.setattr(cf, "build_design", counted)
+        monkeypatch.setattr("parobs.analysis.build_design", counted)
+        run_example_32(nodes=51, horizon=1.0)
+        assert len(calls) == 1
+
+
+def test_reconstruction_of_a_scenario_without_noise(ex32_design):
+    # a Scenario left with the default Disturbances() has no noise: m zero signals
+    sch = make_schedule({"kind": "uniform", "h": 0.05, "horizon": 1.0})
+    sc = Scenario(design=ex32_design, variant="predictor", schedule=sch, nodes=51,
+                  u0=pf.cosine(math.sqrt(2.0), math.pi / 2.0), w0=pf.constant(0.0))
+    assert sc.disturbances.xi == (NoiseSignal(channel=0),)
+    run = check_run(quiet_simulate(sc), sc)
+    rec = boundary_reconstruction(run)
+    assert rec.noise_bound is None and rec.noise_bound_ok is None
+    assert rec.sup_error[0] > 0.0
 
 
 def test_run_records_h_star_and_verdict_beyond_the_worked_designs():

@@ -565,6 +565,19 @@ class TestCli:
         assert written == json.loads(json.dumps(_report_to_dict(report)))
         assert written["omega"] == printed == report.omega
 
+    def test_check_gain_without_gain_section_uses_the_schedule_diameter(self, tmp_path, capsys):
+        # a random schedule declares diameter h_max; simulate certifies the run there
+        cfg = json.loads((DESIGN_SWEEP.parent / "nonlinear_zoh.json").read_text())
+        del cfg["gain"]
+        cfg["schedule"]["horizon"] = 1.0
+        path = tmp_path / "no_gain.json"
+        path.write_text(json.dumps(cfg))
+        omega = printed_omega(capsys, path)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+        report = json.loads((tmp_path / "sim" / "report.json").read_text())
+        assert report["gain"]["h"] == cfg["schedule"]["h_max"]
+        assert report["gain"]["omega"] == omega
+
     @pytest.mark.parametrize("argv", [
         ["design", "--seed", "1"], ["design", "--strict"], ["check-gain", "--seed", "1"],
         ["sweep", "--strict"],
@@ -844,6 +857,19 @@ class TestPresets:
             example = json.loads(example)
             assert set(example.pop("reconstruction")) >= {"theta", "noise_bound_ok"}
             assert example == json.loads(sim)
+
+    @pytest.mark.parametrize("command, preset", [("example31", cf.example31_config),
+                                                 ("example32", cf.example32_config)])
+    def test_example_defaults_are_the_preset_defaults(self, tmp_path, command, preset):
+        # a command given only --horizon and --nodes runs its preset's defaults
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(preset(horizon=1.0, nodes=51)))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")]) == 0
+        assert main([command, "--horizon", "1", "--nodes", "51", "--out", str(tmp_path / "ex")]) == 0
+        example = json.loads((tmp_path / "ex" / "report.json").read_text())
+        assert ("reconstruction" in example) == (command == "example32")
+        example.pop("reconstruction", None)
+        assert example == json.loads((tmp_path / "sim" / "report.json").read_text())
 
 
 class TestSimulateAndSweep:
