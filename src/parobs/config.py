@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from . import profiles as pf
-from .errors import ConfigError, ReactionOutOfRange, UnsupportedAnalyticCase
+from .errors import ConfigError, InvalidSpec, ReactionOutOfRange, UnsupportedAnalyticCase
 from .grids import uniform_grid
 from .nonlinear import nonlinearity_from_spec
 from .observer_design import (
@@ -459,8 +459,14 @@ def example31_config(p=1.0, h=0.5, omega=0.0, variant="predictor", noise=None, m
     a sinusoid with omega = 2); ``mismatch`` is a constant plant input the
     observer does not know.
     """
+    # checked before the rounding below divides by h and lifts a horizon <= 0
+    # to one period; the same errors as example32_config's
+    if not h > 0.0:
+        raise ConfigError("gain.h", "need a positive sampling diameter")
     if horizon is None:
         horizon = 10.0 * 20.0 / (p * math.pi**2)
+    elif not horizon > 0.0:
+        raise InvalidSpec("uniform schedules need h > 0 and horizon > 0")
     # whole number of periods: the uniform-sampling claims are about t_j = j h,
     # and a clipped trailing gap can act as an accidental deadbeat step
     horizon = max(1, math.ceil(horizon / h - 1e-9)) * h

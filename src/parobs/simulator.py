@@ -17,11 +17,17 @@ makes the discrete integration-by-parts identity exact. The zero-order-hold
 variant freezes the innovation between samples instead.
 
 With linear terms a step of fixed dt is one linear map of the state and
-the exosystem of the inputs, built from the same factorization and
-coupling, so a run jumps from record to record with one product with a
-kept k-step power of that map (or a few with its binary powers); the
-observer then runs in error coordinates (w - u, zeta - C u), whose
-dynamics are the observer's own driven by v~ - v.
+the exosystem of the inputs, built from the same algebra and coupling, so
+a run jumps from record to record with one product with a kept k-step
+power of that map (or a few with its binary powers); the observer then
+runs in error coordinates (w - u, zeta - C u), whose dynamics are the
+observer's own driven by v~ - v.
+
+The two paths solve with M1 = I + dt/2 B_h in two ways. A step solves one
+state in O(n) with LAPACK's tridiagonal LU (scipy's ``dgttrf``/``dgttrs``,
+imported on the first step). The one-step map is dense, so building it
+and its powers costs O(n^3) anyway; its solve takes a dense numpy inverse
+of M1, and a propagated run loads no scipy.
 
 A run plans its records before it steps: every record time and sample
 flag, and each sampling interval's jumps from record to record. The
@@ -80,7 +86,7 @@ class IMEXStepper:
       makes (w, zeta) track (u, <c_i, u>) exactly on matched runs.
 
     Every explicit term is low rank (f(w) = phi(R w) @ cols), so a step is
-    w_new = a + P coef: ``a`` takes one tridiagonal solve and P = dt/2 M1^-1
+    w_new = a + P coef: ``a`` takes one solve with M1 and P = dt/2 M1^-1
     [cols, l] is kept for the current dt. The trapezoidal rule is then the
     fixed point coef = Phi(coef) of the r + m coefficients [phi(R w_new); e],
     affine in coef except for phi; its Jacobian with phi' = 1 is inverted
@@ -92,6 +98,14 @@ class IMEXStepper:
     are one product with T^k for the k a run jumps by, popcount(k) products
     with cached binary powers of T for any other k. ``steps``,
     ``propagators_built`` and ``propagator_products`` count the work done.
+
+    The stepper holds one factorization of M1 for its dt (``_factor``):
+    ``step`` solves with LAPACK's tridiagonal LU, O(n) per state, and T is
+    built with a dense numpy inverse of M1, since T is a dense matrix
+    anyway and its powers cost O(n^3) each; that keeps scipy out of a
+    propagated run. Asking for the other one at the same dt refactors, so
+    a result never depends on which call came first; a singular M1 raises
+    the same ``StepRejected`` in both.
     """
 
     def __init__(
@@ -117,20 +131,35 @@ class IMEXStepper:
         self.cols = np.vstack([nl_cols, l_cols.T])  # explicit part = coef @ cols
         self.rows = np.vstack([nl_rows, c_rows, stiff_rows])  # s = rows @ w
         self.dt = self._powers_dt = None
+        self._dense = False  # which factorization of M1 is held for dt (see _factor)
         self._powers: list[np.ndarray] = []  # T^(2^i) for dt = _powers_dt
         self._kept: tuple[int, np.ndarray] | None = None  # (k, T^k) for dt = _powers_dt
         self.steps = self.propagators_built = self.propagator_products = 0
 
-    def _factor(self, dt: float) -> None:
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
+    def _factor(self, dt: float, dense: bool) -> None:
+        """Factor M1 = I + dt/2 B_h for ``_solve``, as a dense numpy inverse
+        (``dense``, for ``_propagator``) or as LAPACK's tridiagonal LU (for
+        ``step``), and build what a step of dt reuses: M0, P, R P and the
+        coupling Jacobian's inverse."""
+        self.dt = None  # a factorization that raises leaves none held
         sub, diag, sup = self.op.free_tridiagonals()
         h = 0.5 * dt
         # M1 = I + dt/2 B_h (implicit), M0 = I - dt/2 B_h (explicit)
-        *self._lu, info = dgttrf(h * sub, 1.0 + h * diag, h * sup)
-        self._gttrs = dgttrs  # bound here so the per-step _solve imports nothing
-        if info:
-            raise StepRejected(f"Crank-Nicolson matrix is singular at dt={dt:.6g}")
+        singular = StepRejected(f"Crank-Nicolson matrix is singular at dt={dt:.6g}")
+        if dense:
+            m1 = np.diag(1.0 + h * diag) + np.diag(h * sub, -1) + np.diag(h * sup, 1)
+            try:
+                self._m1_inv = np.linalg.inv(m1)
+            except np.linalg.LinAlgError:
+                raise singular from None
+        else:
+            from scipy.linalg.lapack import dgttrf, dgttrs
+
+            *self._lu, info = dgttrf(h * sub, 1.0 + h * diag, h * sup)
+            self._gttrs = dgttrs  # bound here so the per-step _solve imports nothing
+            if info:
+                raise singular
+        self._dense = dense
         self._m0 = (-h * sub, 1.0 - h * diag, -h * sup)
         self._p = self._solve(h * self.cols.T[self.op.free])  # (n, r + m)
         self._rp = self.rows @ self._p
@@ -150,9 +179,14 @@ class IMEXStepper:
         self.dt = dt
 
     def _solve(self, rhs_free: np.ndarray) -> np.ndarray:
-        """M1^-1 on the free nodes, zero at pinned ones."""
+        """M1^-1 on the free nodes, zero at pinned ones, by the factorization
+        held for ``self.dt``."""
         out = np.zeros((self.op.grid.size, *rhs_free.shape[1:]))
-        if rhs_free.size:  # dgttrs corrupts the heap when given no right-hand side
+        if not rhs_free.size:  # dgttrs corrupts the heap when given no right-hand side
+            return out
+        if self._dense:
+            out[self.op.free] = self._m1_inv @ rhs_free
+        else:
             out[self.op.free] = self._gttrs(*self._lu, rhs_free)[0]
         return out
 
@@ -179,8 +213,8 @@ class IMEXStepper:
         _CORRECTOR_MAXITER updates. Linear terms stop after the second update,
         which confirms the exact first one.
         """
-        if dt != self.dt:
-            self._factor(dt)
+        if dt != self.dt or self._dense:
+            self._factor(dt, dense=False)
         zeta = np.zeros(self.m) if zeta is None else zeta
         self.steps += 1
         return self._trapezoid(w, zeta, self._input(t), self._input(t + dt), t, self._m0)
@@ -317,8 +351,8 @@ class IMEXStepper:
         """The one-step matrix of (w, zeta, z): ``_trapezoid`` of dt on the
         identity, as one block of right-hand sides, over the exact rotation
         of the exosystem."""
-        if dt != self.dt:
-            self._factor(dt)
+        if dt != self.dt or not self._dense:
+            self._factor(dt, dense=True)
         n, m, q = self.op.grid.size, self.m, len(self.v_terms)
         size = n + m + 3 * q
         eye = np.eye(n + m, size)

@@ -329,6 +329,17 @@ class TestCli:
         assert main(argv) == EXIT_CONFIG
         assert "config error: gain.omega: omega must lie in [0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["example31", "example32"])
+    def test_example_zero_h_is_a_config_error(self, command, capsys):
+        assert main([command, "--h", "0", "--horizon", "1", "--nodes", "51"]) == EXIT_CONFIG
+        assert "config error: gain.h: need a positive sampling diameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["example31", "example32"])
+    def test_example_negative_horizon_is_invalid(self, command, capsys):
+        assert main([command, "--h", "0.5", "--horizon", "-1", "--nodes", "51"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "error: InvalidSpec: uniform schedules need h > 0 and horizon > 0" in err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         cfg = example31_config()

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +122,18 @@ class TestPlantStep:
         with pytest.raises(StepRejected, match="dt=0.05"):
             step_plant(np.ones(101), 0.0, 0.05, NN, stiff, None)
 
+    def test_rejected_dt_leaves_no_factorization_held(self):
+        # the rejected dt = 0.05 factors M1 before its Jacobian fails; a step at
+        # the earlier dt must not reuse that half-built state
+        stiff = LinearNonlocalTerm(uniform_grid(101), a=1.0, b=1.0, gain=40.0)
+        stepper, fresh = (IMEXStepper(DiscreteSLOperator(NN, 101), stiff, SpaceTimeSignal())
+                          for _ in range(2))
+        stepper.step(np.ones(101), 0.0, 0.01)
+        with pytest.raises(StepRejected, match="dt=0.05"):
+            stepper.step(np.ones(101), 0.0, 0.05)
+        np.testing.assert_array_equal(stepper.step(np.ones(101), 0.0, 0.01)[0],
+                                      fresh.step(np.ones(101), 0.0, 0.01)[0])
+
     def test_step_next_to_the_pole_is_taken(self):
         # a Jacobian of 2.5e-8 is ill conditioned but not singular: the step is
         # the trapezoidal one to ~1e-8
@@ -131,6 +147,14 @@ class TestPlantStep:
         growth = SLProblem(p=1.0, q=-2.0, a0=0, b0=1, a1=0, b1=1)
         with pytest.raises(StepRejected, match="dt=1"):
             step_plant(np.ones(11), 0.0, 1.0, growth, None, None)
+
+    def test_singular_crank_nicolson_matrix_rejects_propagated_advance(self):
+        # the dense inverse that builds the one-step matrix rejects the same dt
+        growth = SLProblem(p=1.0, q=-2.0, a0=0, b0=1, a1=0, b1=1)
+        stepper = IMEXStepper(DiscreteSLOperator(growth, 11), ZeroTerm(), SpaceTimeSignal())
+        with pytest.raises(StepRejected, match="dt=1"):
+            stepper.advance(np.ones(11), 0.0, 1.0, [2])
+        assert (stepper.steps, stepper.propagators_built) == (0, 0)
 
     def test_step_rejected_for_stiff_saturated_term(self):
         # a destabilizing tanh with dt * amplitude >> 1: the chord iteration cannot settle
@@ -658,6 +682,38 @@ class TestAdvance:
         scale = max(np.abs(w).max(), np.abs(zeta).max())
         assert np.abs(w_adv - w).max() <= 1e-12 * scale
         assert np.abs(zeta_adv - zeta).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
+    def test_switching_factorization_matches_a_fresh_stepper(self, ex31_design, variant):
+        # advance builds T from a dense M1^-1 and step solves with the tridiagonal
+        # LU: each refactors at the same dt when the other one is held
+        w0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101))
+        zeta0, t0, dt, k = (np.array([0.3]) if variant else None), 0.3, 0.01, 20
+
+        def fresh():
+            return _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
+
+        one_step, jump = fresh().step(w0, t0, dt, zeta0), _advance(fresh(), w0, t0, dt, k, zeta0)
+        stepper = fresh()
+        results = [_advance(stepper, w0, t0, dt, k, zeta0), stepper.step(w0, t0, dt, zeta0)]
+        stepper = fresh()
+        results += [stepper.step(w0, t0, dt, zeta0), _advance(stepper, w0, t0, dt, k, zeta0)]
+        for (w, zeta), (w_ref, zeta_ref) in zip(results, [jump, one_step, one_step, jump]):
+            np.testing.assert_array_equal(w, w_ref)
+            np.testing.assert_array_equal(zeta, zeta_ref)
+
+    def test_propagated_run_leaves_scipy_out(self):
+        # every interval of example 3.1 is propagated, so no step solves with LAPACK
+        code = (
+            "import sys\n"
+            "from parobs.analysis import run_example_31\n"
+            "run = run_example_31(horizon=2.0)\n"
+            "assert run.trajectory.metadata['integrator']['steps'] == 0\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(simulator.__file__).parents[1])  # the directory holding the parobs package
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def _compatibility_residual(traj, design) -> float:
