@@ -459,8 +459,11 @@ def example31_config(p=1.0, h=0.5, omega=0.0, variant="predictor", noise=None, m
     a sinusoid with omega = 2); ``mismatch`` is a constant plant input the
     observer does not know.
     """
-    # checked before the rounding below divides by h and lifts a horizon <= 0
-    # to one period; the same errors as example32_config's
+    # checked before the default horizon divides by p, and before the rounding
+    # below divides by h and lifts a horizon <= 0 to one period; the same
+    # errors as SLProblem's and example32_config's
+    if not p > 0.0:
+        raise InvalidSpec(f"diffusion constant must be positive, got {p}")
     if not h > 0.0:
         raise ConfigError("gain.h", "need a positive sampling diameter")
     if horizon is None:

@@ -18,10 +18,10 @@ variant freezes the innovation between samples instead.
 
 With linear terms a step of fixed dt is one linear map of the state and
 the exosystem of the inputs, built from the same algebra and coupling, so
-a run jumps from record to record with one product with a kept k-step
-power of that map (or a few with its binary powers); the observer then
-runs in error coordinates (w - u, zeta - C u), whose dynamics are the
-observer's own driven by v~ - v.
+a run jumps with one product with a kept k-step power of that map (or a
+few with its binary powers); the observer then runs in error coordinates
+(w - u, zeta - C u), whose dynamics are the observer's own driven by
+v~ - v.
 
 The two paths solve with M1 = I + dt/2 B_h in two ways. A step solves one
 state in O(n) with LAPACK's tridiagonal LU (scipy's ``dgttrf``/``dgttrs``,
@@ -31,8 +31,12 @@ of M1, and a propagated run loads no scipy.
 
 A run plans its records before it steps: every record time and sample
 flag, and each sampling interval's jumps from record to record. The
-trajectory arrays are allocated once, and each stepper takes a whole
-interval in one call that writes the state after every jump into its row.
+trajectory arrays are allocated once. A stepped interval is one call per
+stepper that writes the state after every jump into its row. A linear run
+fills its rows in two passes: the samples in order, each propagated
+interval in one jump from its sample to its end, and then the interior
+records of all intervals that share dt and jumps at once, their sample
+states the columns of one block that each jump multiplies.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,12 +97,14 @@ class IMEXStepper:
     affine in coef except for phi; its Jacobian with phi' = 1 is inverted
     alongside P, once per dt.
 
-    ``advance`` takes a list of jumps of k steps each, and k steps at once
-    when phi is linear: the same algebra applied to the identity gives the
+    ``advance`` takes one state or a block of states with their own start
+    times through a list of jumps of k steps each, and k steps at once when
+    phi is linear: the same algebra applied to the identity gives the
     one-step matrix T of (w, zeta) and the inputs' exosystem, and k steps
-    are one product with T^k for the k a run jumps by, popcount(k) products
-    with cached binary powers of T for any other k. ``steps``,
-    ``propagators_built`` and ``propagator_products`` count the work done.
+    are one product with T^k for the k its caller keeps, popcount(k)
+    products with cached binary powers of T for any other k. ``steps``,
+    ``propagators_built`` and ``propagator_products`` (one per matrix and
+    state) count the work done.
 
     The stepper holds one factorization of M1 for its dt (``_factor``):
     ``step`` solves with LAPACK's tridiagonal LU, O(n) per state, and T is
@@ -133,7 +140,7 @@ class IMEXStepper:
         self.dt = self._powers_dt = None
         self._dense = False  # which factorization of M1 is held for dt (see _factor)
         self._powers: list[np.ndarray] = []  # T^(2^i) for dt = _powers_dt
-        self._kept: tuple[int, np.ndarray] | None = None  # (k, T^k) for dt = _powers_dt
+        self._kept: dict[int, np.ndarray] = {}  # k -> T^k for dt = _powers_dt
         self.steps = self.propagators_built = self.propagator_products = 0
 
     def _factor(self, dt: float, dense: bool) -> None:
@@ -262,90 +269,115 @@ class IMEXStepper:
         raise StepRejected(f"corrector failed to converge within {_CORRECTOR_MAXITER} updates "
                            f"at t={t:.6g} (dt={self.dt:.3g}); the explicit part is too stiff")
 
-    def advance(self, w: np.ndarray, t: float, dt: float, jumps, zeta: np.ndarray | None = None,
+    def advance(self, w: np.ndarray, t, dt: float, jumps, zeta: np.ndarray | None = None,
                 out_w: np.ndarray | None = None, out_zeta: np.ndarray | None = None,
-                stepwise: bool = False):
+                stepwise: bool = False, keep=(), rows=None):
         """Advance (w, zeta) from t by steps of size dt, ``jumps[i]`` steps at
-        a time, and write the state after jump i into row i of ``out_w``
-        (len(jumps), n) and ``out_zeta`` (len(jumps), m); both are allocated
-        when not given, and returned. Equal to calls of ``step`` up to
-        roundoff, and bit for bit to one call per jump.
+        a time, and write the state after jump i into row ``rows[i]`` of
+        ``out_w`` and ``out_zeta`` (row i by default); ``out_w`` is
+        allocated with one row per jump when not given, ``out_zeta`` with
+        out_w's rows, and both are returned. Equal to calls of ``step`` up
+        to roundoff, and bit for bit to one call per jump.
+
+        ``w`` is one state (n,) with ``zeta`` (m,) and a start time t, or a
+        block of K states (K, n) with ``zeta`` (K, m) and K start times, all
+        taking the same jumps; each ``rows[i]`` then holds K row indices.
 
         With a linear phi a step is one linear map T of the augmented state
         x = (w, zeta, z), where z holds three exosystem coordinates per input
         term: (offset, amplitude sin(omega t + phase), amplitude cos(...)),
-        rotated exactly by omega dt per step and set from each jump's start
-        time, so no rotation error carries over from one jump to the next.
-        The binary powers T^(2^i) are kept for the current dt, and so is T^k
-        for the first k with two or more set bits, multiplied from its
-        powers: every jump by that k takes one matrix-vector product, any
-        other k popcount(k) products with the powers. A run jumps mostly by
-        one k, its record spacing in steps; keeping every k asked would also
-        build a matrix for each shorter jump next to a sample, which costs
-        more matrix products than it saves. T^k is not kept, or is dropped,
-        when it would take the kept matrices past _PROPAGATOR_BYTES.
-        Saturated terms, jumps whose powers alone would pass the cap, and
-        every jump when ``stepwise`` is set call ``step`` at t + s dt for
-        each step s from t instead.
+        rotated exactly by omega dt per step. The states are the columns of
+        one block X, whose z is set from each column's own jump start time,
+        so no rotation error carries over from one jump to the next; a jump
+        by k is one product T^k X when T^k is kept, else popcount(k)
+        products with the binary powers T^(2^i), which are kept for the
+        current dt. T^k is kept for the k in ``keep``, the jumps a run
+        makes most (see ``_matrices``). Saturated terms, jumps whose powers
+        alone would pass _PROPAGATOR_BYTES, and every jump when ``stepwise``
+        is set call ``step`` at t + s dt for each step s from t and each
+        state instead.
         """
         n, m = self.op.grid.size, self.m
-        x = np.zeros(n + m + 3 * len(self.v_terms))  # (w, zeta, z) before the first jump
-        x[:n] = w
+        w = np.asarray(w, dtype=float)
+        states = w.reshape(-1, n)
+        count = states.shape[0]
+        t0 = np.asarray(t, dtype=float)  # one start time, or one per state
+        x = np.zeros((n + m + 3 * len(self.v_terms), count))  # (w, zeta, z) in columns
+        x[:n] = states.T
         if zeta is not None:
-            x[n : n + m] = zeta
-        rows = np.empty((len(jumps), x.size))  # x after each jump
-        matrix_bytes = 8 * x.size**2
+            x[n : n + m] = np.asarray(zeta, dtype=float).reshape(count, m).T
+        zeta_shape = (*w.shape[:-1], m)
+        out_w = np.empty((len(jumps), *w.shape)) if out_w is None else out_w
+        out_zeta = np.empty((*out_w.shape[:-1], m)) if out_zeta is None else out_zeta
+        rows = range(len(jumps)) if rows is None else rows
+        matrix_bytes = 8 * x.shape[0] ** 2
         stepwise = stepwise or not self.linear
         done, products, last_k = 0, 0, None
         for k, row in zip(jumps, rows):
             if k != last_k:  # the same k asks for the same matrices
                 last_k, matrices = k, None
                 if not (stepwise or k == 0 or matrix_bytes * k.bit_length() > _PROPAGATOR_BYTES):
-                    matrices = self._matrices(dt, k, matrix_bytes)
-                    first, final = matrices[:-1], matrices[-1]
+                    matrices = self._matrices(dt, k, keep, matrix_bytes)
             if matrices is None:
-                w, zeta = x[:n], x[n : n + m]
-                for s in range(done, done + k):
-                    w, zeta = self.step(w, t + s * dt, dt, zeta)
-                x = row
-                x[:n], x[n : n + m] = w, zeta
+                for c, start in enumerate(np.broadcast_to(t0, count)):
+                    w_c, zeta_c = x[:n, c].copy(), x[n : n + m, c].copy()
+                    for s in range(done, done + k):
+                        w_c, zeta_c = self.step(w_c, start + s * dt, dt, zeta_c)
+                    x[:n, c], x[n : n + m, c] = w_c, zeta_c
             else:
                 if self.v_terms:
-                    x[n + m :] = self._exo(t + done * dt)
-                for power in first:
+                    x[n + m :] = self._exo(t0 + done * dt)
+                for power in matrices:
                     x = power @ x
-                x = np.matmul(final, x, out=row)
-                products += len(matrices)
+                products += len(matrices) * count
+            out_w[row] = x[:n].T.reshape(w.shape)
+            out_zeta[row] = x[n : n + m].T.reshape(zeta_shape)
             done += k
         self.propagator_products += products
-        out_w = np.empty((len(jumps), n)) if out_w is None else out_w
-        out_zeta = np.empty((len(jumps), m)) if out_zeta is None else out_zeta
-        out_w[...], out_zeta[...] = rows[:, :n], rows[:, n : n + m]
         return out_w, out_zeta
 
-    def _matrices(self, dt: float, k: int, matrix_bytes: int) -> list[np.ndarray]:
-        """The matrices whose product with x takes k steps of dt: [T^k] when
-        T^k is kept, else the powers of k's set bits. Builds what is missing
-        and updates what is kept (see ``advance``)."""
+    def _matrices(self, dt: float, k: int, keep, matrix_bytes: int) -> list[np.ndarray]:
+        """The matrices whose product with X takes k steps of dt: [T^k] when
+        T^k is kept, else the binary powers of k's set bits, built when
+        missing and kept for dt.
+
+        T^k is kept for a k > 1 in ``keep`` while the cap leaves room for it
+        next to the powers it needs, and built once: the kept T^s of the
+        largest other s in ``keep`` that divides k, raised to k / s by
+        squaring, else the product of k's binary powers. Keeping one matrix
+        per distinct k would cost more matrix products than it saves when a
+        run's records fall at many spacings. The powers come first: kept
+        matrices are dropped when the powers of a k need their room.
+        """
         if dt != self._powers_dt:
-            self._powers, self._kept = [self._propagator(dt)], None
+            self._powers, self._kept = [self._propagator(dt)], {}
             self._powers_dt = dt
-        if matrix_bytes * (k.bit_length() + 1) > _PROPAGATOR_BYTES:
-            self._kept = None  # the powers come first
+        if k > 1 and k in keep and k not in self._kept:
+            s = max((s for s in keep if s < k and k % s == 0), default=1)
+            base = self._matrices(dt, s, keep, matrix_bytes) if s > 1 else []
+            # T^s is one matrix when it is kept or a binary power
+            powers = len(self._powers) if len(base) == 1 else max(len(self._powers), k.bit_length())
+            if matrix_bytes * (powers + len(self._kept) + 1) <= _PROPAGATOR_BYTES:
+                self._kept[k] = (np.linalg.matrix_power(base[0], k // s) if len(base) == 1 else
+                                 functools.reduce(np.matmul, self._matrices(dt, k, (), matrix_bytes)))
+        if k in self._kept:
+            return [self._kept[k]]
+        if matrix_bytes * (k.bit_length() + len(self._kept)) > _PROPAGATOR_BYTES:
+            self._kept = {}  # the powers come first
         while len(self._powers) < k.bit_length():
             self._powers.append(self._powers[-1] @ self._powers[-1])
-        bits = [power for i, power in enumerate(self._powers) if k >> i & 1]
-        if self._kept is None and len(bits) > 1 and (
-            matrix_bytes * (len(self._powers) + 1) <= _PROPAGATOR_BYTES
-        ):
-            self._kept = k, functools.reduce(np.matmul, bits)
-        return [self._kept[1]] if self._kept and self._kept[0] == k else bits
+        return [power for i, power in enumerate(self._powers) if k >> i & 1]
 
-    def _exo(self, t: float) -> np.ndarray:
-        """The exosystem coordinates of the inputs at t; value(t) = z[0] + z[1]."""
-        z = [(ts.offset, ts.amplitude * np.sin(ts.omega * t + ts.phase),
-              ts.amplitude * np.cos(ts.omega * t + ts.phase)) for ts, _ in self.v_terms]
-        return np.array(z, dtype=float).reshape(-1)
+    def _exo(self, t: np.ndarray) -> np.ndarray:
+        """The exosystem coordinates of the inputs at each of the times t,
+        one column per time; value(t) = z[0] + z[1]."""
+        z = np.empty((3 * len(self.v_terms), t.size))
+        for j, (ts, _) in enumerate(self.v_terms):
+            angle = ts.omega * t + ts.phase
+            z[3 * j] = ts.offset
+            z[3 * j + 1] = ts.amplitude * np.sin(angle)
+            z[3 * j + 2] = ts.amplitude * np.cos(angle)
+        return z
 
     def _propagator(self, dt: float) -> np.ndarray:
         """The one-step matrix of (w, zeta, z): ``_trapezoid`` of dt on the
@@ -554,9 +586,15 @@ def simulate(scenario: Scenario) -> Trajectory:
     The record plan (``_record_plan``) fixes before the loop every
     interval's step count and dt, the steps at which a record falls, and so
     every record time and sample flag; the trajectory arrays are allocated
-    once from it. Each interval is then one ``IMEXStepper.advance`` call
-    per stepper, which writes the state after every jump from record to
-    record straight into the interval's rows.
+    once from it. The sample pass then takes the samples in order, with one
+    ``IMEXStepper.advance`` call per stepper and interval, which writes
+    straight into the interval's rows: every row from record to record for
+    a stepped interval, only the last one for a propagated interval, which
+    jumps from its sample to its end at once. The record pass fills the
+    interior rows of the propagated intervals afterwards: the intervals
+    that share dt and jumps form one group, whose sample states are the
+    columns of one block, and each jump is one product of a power of the
+    one-step matrix with that block.
 
     One ``DiscreteObserver`` of the scenario's variant builds both steppers
     and resets the observer at every sample; only what it is handed differs
@@ -568,12 +606,14 @@ def simulate(scenario: Scenario) -> Trajectory:
     rebuilds every row's w = u + e and zeta = z + C u once, after the
     loop, so the error is never the difference of two propagated fields.
     An interval whose dt equals the previous interval's or the next one's
-    (up to the rounding of the sample times) jumps from record to record
-    with products with the powers of the one-step matrix, so a uniform
+    (up to the rounding of the sample times) is propagated, so a uniform
     schedule of two or more intervals steps at most a shorter last one; a
     one-interval run, an interval whose dt no neighbour shares, and every
-    step of a nonlinear run call ``step``. ``metadata["integrator"]`` counts the steps taken,
-    the one-step matrices built and the products with them.
+    step of a nonlinear run call ``step``. Each stepper keeps, per dt, the
+    powers for the plan's most frequent interval step count and interior
+    jump (``_kept_jumps``). ``metadata["integrator"]`` counts the steps
+    taken, the one-step matrices built and the products with them, one per
+    matrix and state.
     """
     design = scenario.design
     sch = scenario.schedule
@@ -615,6 +655,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     z_arr = np.empty((n_rows, design.m))
     events: list[SampleEvent] = []
 
+    keep = _kept_jumps(plan)
+    groups: dict[tuple, list[tuple[float, int]]] = {}  # (dt, interior jumps) -> (t_j, row)
     for j, (t_j, iv) in enumerate(zip(sample_times, plan)):
         t_j = float(t_j)
         xi_vals = np.array([s.value(t_j, j) for s in dist.xi])
@@ -628,12 +670,26 @@ def simulate(scenario: Scenario) -> Trajectory:
         z_arr[iv.row] = z
         if not iv.jumps:
             continue
-        span = slice(iv.row + 1, iv.row + 1 + len(iv.jumps))
-        stepwise = not iv.propagate
-        plant.advance(u, t_j, iv.dt, iv.jumps, out_w=u_arr[span], stepwise=stepwise)
-        obs.advance(x, t_j, iv.dt, iv.jumps, z, w_arr[span], z_arr[span], stepwise)
-        last = span.stop - 1
-        u, x = u_arr[last].copy(), w_arr[last].copy()
+        # a propagated interval jumps straight to its end, and its interior
+        # records wait for the record pass below
+        jumps = (sum(iv.jumps),) if iv.propagate else iv.jumps
+        if iv.propagate and len(iv.jumps) > 1:
+            groups.setdefault((iv.dt, iv.jumps[:-1]), []).append((t_j, iv.row))
+        end = iv.row + len(iv.jumps) + 1
+        rows = range(end - len(jumps), end)
+        stepwise, kept = not iv.propagate, keep.get(iv.dt, ())
+        plant.advance(u, t_j, iv.dt, jumps, out_w=u_arr, stepwise=stepwise, keep=kept, rows=rows)
+        obs.advance(x, t_j, iv.dt, jumps, z, w_arr, z_arr, stepwise, kept, rows)
+        u, x = u_arr[end - 1].copy(), w_arr[end - 1].copy()
+
+    # the record pass: every interior record of the intervals that share dt
+    # and jumps, from their sample rows as the columns of one block
+    for (dt, jumps), group in groups.items():
+        t0, starts = (np.array(column) for column in zip(*group))
+        rows = starts + np.arange(1, len(jumps) + 1)[:, None]  # (jumps, intervals)
+        plant.advance(u_arr[starts], t0, dt, jumps, out_w=u_arr, keep=keep[dt], rows=rows)
+        obs.advance(w_arr[starts], t0, dt, jumps, z_arr[starts], w_arr, z_arr, keep=keep[dt],
+                    rows=rows)
 
     # the rows hold the observer in its own coordinates
     u_arr, w_arr, z_arr = u_arr[: len(times)], w_arr[: len(times)], z_arr[: len(times)]
@@ -746,6 +802,20 @@ def _record_plan(sample_times: np.ndarray, horizon: float, dt_target: float, sna
             flags.append(False)
         plan.append(_Interval(row, fresh, dt, tuple(jumps), propagate))
     return np.asarray(times), np.asarray(flags, dtype=bool), plan
+
+
+def _kept_jumps(plan: list[_Interval]) -> dict[float, tuple[int, ...]]:
+    """For each dt of the propagated intervals, the jumps whose matrices a
+    stepper keeps: the most frequent interval step count and the most
+    frequent interior jump, which is the record spacing in steps."""
+    counts: dict[float, tuple[Counter, Counter]] = {}
+    patterns = Counter((iv.dt, iv.jumps) for iv in plan if iv.propagate)
+    for (dt, jumps), count in patterns.items():
+        totals, inner = counts.setdefault(dt, (Counter(), Counter()))
+        totals[sum(jumps)] += count
+        for k in jumps[:-1]:
+            inner[k] += count
+    return {dt: tuple(c.most_common(1)[0][0] for c in pair if c) for dt, pair in counts.items()}
 
 
 def _subdivide(gap: float, dt_target: float) -> tuple[int, float] | None:

@@ -261,8 +261,8 @@ class SpectralBasis:
 
 
 def _standard_modes(problem: SLProblem, qc: float, J: int):
-    """Closed-form (eigenvalue, profile, d/dx at ends) for the four
-    Neumann/Dirichlet corner cases."""
+    """Closed-form (eigenvalue, profile) for the four Neumann/Dirichlet
+    corner cases."""
     p = problem.p
     left_n, right_n = not problem.dirichlet_left, not problem.dirichlet_right
     modes = []
@@ -279,17 +279,18 @@ def _standard_modes(problem: SLProblem, qc: float, J: int):
         else:  # Dirichlet-Dirichlet
             k = n * math.pi
             prof = pf.sine(math.sqrt(2.0), k)
-        lam = p * k**2 + qc
-        dprof = prof.derivative()
-        modes.append((lam, prof, float(dprof.values(0.0)), float(dprof.values(1.0))))
+        modes.append((p * k**2 + qc, prof))
     return modes
 
 
 def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> SpectralBasis:
     """Exact eigenpairs for constant q and pure Neumann/Dirichlet ends.
 
-    Raises UnsupportedAnalyticCase when q is non-constant or an end is
-    genuinely Robin; callers fall back to :func:`numeric_eigensystem`.
+    The sampled modes and their end derivatives are each one ``cos`` over
+    the (J, points) block, with the formulas of ``Profile.values`` and
+    ``Profile.derivative``, so they equal the per-mode profiles' values bit
+    for bit. Raises UnsupportedAnalyticCase when q is non-constant or an end
+    is genuinely Robin; callers fall back to :func:`numeric_eigensystem`.
     """
     if J < 1:
         raise ValueError("need at least one mode")
@@ -300,17 +301,20 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
         if a != 0.0 and b != 0.0:
             raise UnsupportedAnalyticCase("genuinely Robin ends have no standard closed form")
     grid = uniform_grid(nodes)
-    modes = _standard_modes(problem, qc, J)
-    lams = np.array([m[0] for m in modes])
-    funcs = np.array([m[1].values(grid) for m in modes])
-    ders = np.array([[m[2], m[3]] for m in modes])
+    lams, profiles = zip(*_standard_modes(problem, qc, J))
+    # every mode is one term amp cos(k x + phase), the constant one cos(0 x)
+    trig = [prof.trig[0] if prof.trig else (1.0, 0.0, 0.0) for prof in profiles]
+    amp, k, phase = np.array(trig).T[:, :, None]
+    funcs = amp * np.cos(k * grid + phase)
+    # d/dx (a cos(k x + phase)) = a k cos(k x + phase + pi/2)
+    ders = amp * k * np.cos(k * np.array([0.0, 1.0]) + (phase + math.pi / 2.0))
     return SpectralBasis(
         grid=grid,
-        eigenvalues=lams,
+        eigenvalues=np.array(lams),
         functions=funcs,
         end_derivs=ders,
         problem=problem,
-        mode_profiles=tuple(m[1] for m in modes),
+        mode_profiles=profiles,
     )
 
 

@@ -340,6 +340,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: InvalidSpec: uniform schedules need h > 0 and horizon > 0" in err
 
+    @pytest.mark.parametrize("horizon", [[], ["--horizon", "1"]], ids=["default_horizon", "given_horizon"])
+    def test_example31_zero_p_is_invalid(self, horizon, capsys):
+        # the default horizon 10 * 20 / (p pi^2) is not computed before p is checked
+        assert main(["example31", "--p", "0", "--nodes", "51", *horizon]) == EXIT_CONFIG
+        assert "error: InvalidSpec: diffusion constant must be positive, got 0.0" in capsys.readouterr().err
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         cfg = example31_config()

@@ -29,7 +29,7 @@ from parobs.simulator import (
     step_plant,
 )
 from parobs.sturm_liouville import DiscreteSLOperator, SLProblem, analytic_eigensystem
-from parobs.analysis import example31_design
+from parobs.analysis import example31_design, run_example_31
 
 
 def quiet_simulate(scenario):
@@ -524,9 +524,9 @@ def _stepper(design, nodes, nl, v, variant):
     return DiscreteObserver(design, variant, nodes).observer(nl, v)
 
 
-def _advance(stepper, w, t, dt, k, zeta=None):
+def _advance(stepper, w, t, dt, k, zeta=None, keep=()):
     """``stepper.advance`` by one jump of k steps: the state after it."""
-    w_rows, zeta_rows = stepper.advance(w, t, dt, [k], zeta)
+    w_rows, zeta_rows = stepper.advance(w, t, dt, [k], zeta, keep=keep)
     return w_rows[0], zeta_rows[0]
 
 
@@ -565,16 +565,54 @@ class TestAdvance:
         w0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101))
         zeta0 = np.array([0.3]) if variant else None
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
-        w_rows, zeta_rows = stepper.advance(w0, t0, dt, jumps, zeta0)
+        w_rows, zeta_rows = stepper.advance(w0, t0, dt, jumps, zeta0, keep=(20,))
         reference = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
         w, zeta, done = w0, zeta0, 0
         for i, k in enumerate(jumps):
-            w, zeta = _advance(reference, w, t0 + done * dt, dt, k, zeta)
+            w, zeta = _advance(reference, w, t0 + done * dt, dt, k, zeta, keep=(20,))
             np.testing.assert_array_equal(w_rows[i], w)
             np.testing.assert_array_equal(zeta_rows[i], zeta)
             done += k
         assert stepper.propagator_products == reference.propagator_products == 4 * 1 + 3 + 2 + 2 * 3
         assert (stepper.steps, stepper.propagators_built) == (reference.steps, reference.propagators_built) == (0, 1)
+
+    @pytest.mark.parametrize("stepwise", [False, True], ids=["propagated", "stepwise"])
+    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
+    def test_block_of_states_matches_each_state_alone(self, ex31_design, variant, stepwise):
+        # each column takes the inputs from its own start time, and jump i of
+        # column c lands in out row rows[i][c]
+        jumps, dt, m = [20, 7, 20], 0.01, 1 if variant else 0
+        grid = uniform_grid(101)
+        starts = np.array([0.3, 1.1, 2.05])
+        w0 = np.array([1.0 + a * np.cos(math.pi * grid) for a in (0.5, -0.2, 0.9)])
+        zeta0 = np.array([[0.3], [-0.1], [0.7]])[:, :m]
+        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
+        rows = np.array([[0, 3, 6], [1, 4, 7], [2, 5, 8]])
+        out_w, out_zeta = stepper.advance(w0, starts, dt, jumps, zeta0, np.zeros((9, 101)),
+                                          np.zeros((9, m)), stepwise, (20,), rows)
+        reference = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
+        for c, t0 in enumerate(starts):
+            w_ref, zeta_ref = reference.advance(w0[c], t0, dt, jumps, zeta0[c], stepwise=stepwise,
+                                                keep=(20,))
+            scale = np.abs(w_ref).max()
+            assert np.abs(out_w[rows[:, c]] - w_ref).max() <= 1e-13 * scale
+            assert np.abs(out_zeta[rows[:, c]] - zeta_ref).max(initial=0.0) <= 1e-13 * scale
+        assert stepper.propagator_products == reference.propagator_products == (0 if stepwise else 3 * 5)
+        assert stepper.steps == reference.steps == (3 * 47 if stepwise else 0)
+
+    def test_kept_step_count_is_a_power_of_the_kept_spacing(self, ex31_design):
+        # T^200 is (T^20)^10, and T^20 the product of the binary powers T^4 T^16
+        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
+        w0, zeta0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101)), np.array([0.3])
+        w_adv, zeta_adv = _advance(stepper, w0, 0.3, 0.002, 200, zeta0, keep=(200, 20))
+        assert (len(stepper._powers), sorted(stepper._kept)) == (5, [20, 200])
+        assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (0, 1, 1)
+        w, zeta = w0, zeta0
+        for i in range(200):
+            w, zeta = stepper.step(w, 0.3 + i * 0.002, 0.002, zeta)
+        scale = max(np.abs(w).max(), np.abs(zeta).max())
+        assert np.abs(w_adv - w).max() <= 1e-12 * scale
+        assert np.abs(zeta_adv - zeta).max() <= 1e-12 * scale
 
     def test_stepwise_jumps_step_from_the_call_time(self, ex31_design):
         grid = uniform_grid(101)
@@ -645,23 +683,23 @@ class TestAdvance:
         for k in (3, 20, 7):
             _advance(stepper, u, 0.0, 0.01, k)
         assert stepper.propagators_built == 1
-        assert stepper.propagator_products == 1 + 2 + 3  # T^3 is kept; 20 and 7 take popcount(k)
+        assert stepper.propagator_products == 2 + 2 + 3  # none is kept: each k takes popcount(k)
         _advance(stepper, u, 0.0, 0.02, 1)
         assert stepper.propagators_built == 2
 
     def test_repeated_k_takes_one_product_with_the_kept_matrix(self, ex31_design):
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
         w, zeta = np.cos(math.pi * uniform_grid(101)), np.array([0.2])
-        first = _advance(stepper, w, 0.3, 0.01, 37, zeta)
+        first = _advance(stepper, w, 0.3, 0.01, 37, zeta, keep=(37,))
         for calls in (2, 3):
-            again = _advance(stepper, w, 0.3, 0.01, 37, zeta)
+            again = _advance(stepper, w, 0.3, 0.01, 37, zeta, keep=(37,))
             np.testing.assert_array_equal(again[0], first[0])
             np.testing.assert_array_equal(again[1], first[1])
             assert stepper.propagator_products == calls
         # the T^37 kept for dt = 0.01 is not reused at dt = 0.02
         fresh = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        np.testing.assert_array_equal(_advance(stepper, w, 0.3, 0.02, 37, zeta)[0],
-                                      _advance(fresh, w, 0.3, 0.02, 37, zeta)[0])
+        np.testing.assert_array_equal(_advance(stepper, w, 0.3, 0.02, 37, zeta, keep=(37,))[0],
+                                      _advance(fresh, w, 0.3, 0.02, 37, zeta, keep=(37,))[0])
 
     def test_kept_matrix_past_the_memory_cap_uses_the_powers(self, ex31_design, monkeypatch):
         # room for the 6 powers of k = 37 = 0b100101, not for a seventh matrix:
@@ -671,10 +709,10 @@ class TestAdvance:
         grid = uniform_grid(101)
         w0, zeta0, k = 1.0 + 0.5 * np.cos(math.pi * grid), np.array([0.3]), 37
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        _advance(stepper, w0, 0.3, 0.01, 7, zeta0)
-        assert stepper._kept[0] == 7
+        _advance(stepper, w0, 0.3, 0.01, 7, zeta0, keep=(7,))
+        assert list(stepper._kept) == [7]
         w_adv, zeta_adv = _advance(stepper, w0, 0.3, 0.01, k, zeta0)
-        assert stepper._kept is None
+        assert stepper._kept == {}
         assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (0, 1, 1 + 3)
         w, zeta = w0, zeta0
         for i in range(k):
@@ -852,6 +890,46 @@ class TestSimulatePropagation:
         np.testing.assert_array_equal(traj.sample_flag, flags)
         for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
             assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
+    def test_spacing_that_does_not_divide_the_interval_matches_step_loop(self, ex31_design, variant):
+        # records 0.07 apart in intervals of 0.25 fall at different steps of
+        # each interval: the record pass runs one block per jump pattern
+        v_tilde = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
+        dist = Disturbances(v=SINE_INPUT, v_tilde=v_tilde,
+                            xi=(NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),))
+        sc = Scenario(design=ex31_design, variant=variant, nodes=101, dt=0.01, snapshot_every=0.07,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.25, "horizon": 3.0}),
+                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), disturbances=dist)
+        plan = simulator._record_plan(sc.schedule.times, 3.0, 0.01, 0.07, linear=True)[2]
+        patterns = {iv.jumps[:-1] for iv in plan if iv.propagate and len(iv.jumps) > 1}
+        assert len(patterns) >= 3
+        traj = quiet_simulate(sc)
+        assert traj.metadata["integrator"]["steps"] == 0
+        times, flags, u, w, zeta = _step_loop_records(sc)
+        assert np.abs(traj.times - times).max() <= 1e-12
+        np.testing.assert_array_equal(traj.sample_flag, flags)
+        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
+            assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
+        assert np.abs(traj.error_l2[traj.sample_flag] - _step_loop_errors(sc)).max() <= 1e-12
+
+    def test_default_spacing_criterion_4_run_keeps_ten_matrices_per_stepper(self, monkeypatch):
+        # records every 200/512 time units are 78 or 79 steps of 0.005 apart,
+        # so T^200 and T^78 are kept next to the binary powers T .. T^128 that
+        # every other jump takes
+        steppers = []
+        init = simulator.IMEXStepper.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            steppers.append(self)
+
+        monkeypatch.setattr(simulator.IMEXStepper, "__init__", recording_init)
+        run = run_example_31(p=0.1, h=1.0, omega=0.1, horizon=200.0, nodes=201)
+        assert run.trajectory.metadata["integrator"]["steps"] == 0
+        assert len(steppers) == 2
+        for stepper in steppers:
+            assert (len(stepper._powers), sorted(stepper._kept)) == (8, [78, 200])
 
     def test_discrete_observer_checks_the_variant(self, ex31_design):
         with pytest.raises(ValueError, match="unknown observer variant 'Predictor'"):

@@ -85,6 +85,17 @@ class TestAnalyticEigensystem:
         with pytest.raises(UnsupportedAnalyticCase):
             analytic_eigensystem(varying, 2, 101)
 
+    @pytest.mark.parametrize("ends", [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)],
+                             ids=["NN", "ND", "DN", "DD"])
+    def test_block_matches_each_mode_profile_bit_for_bit(self, ends):
+        basis = analytic_eigensystem(SLProblem(0.7, 0.3, *ends), 201, 1001)
+        assert len(basis.mode_profiles) == 201
+        for i, prof in enumerate(basis.mode_profiles):
+            assert basis.functions[i].tobytes() == prof.values(basis.grid).tobytes()
+            dprof = prof.derivative()
+            ends_ref = np.array([float(dprof.values(0.0)), float(dprof.values(1.0))])
+            assert basis.end_derivs[i].tobytes() == ends_ref.tobytes()
+
     def test_orthonormal_within_quadrature_tolerance(self, nn_basis):
         assert nn_basis.orthonormality_defect() < 1e-6
         assert nn_basis.boundary_defect() < 1e-10
