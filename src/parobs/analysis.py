@@ -70,14 +70,6 @@ class DecayFit:
     window: tuple[float, float]
     n_points: int
 
-    @property
-    def lower(self) -> float:
-        return self.rate - self.ci_halfwidth
-
-    @property
-    def upper(self) -> float:
-        return self.rate + self.ci_halfwidth
-
 
 def fit_decay_rate(
     times: np.ndarray, norms: np.ndarray, window: tuple[float, float] | None = None

@@ -29,6 +29,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .analysis import RunResult, _report_to_dict, check_run, run_example_31, run_example_32
 from .config import (
@@ -205,7 +206,7 @@ def cmd_sweep(args) -> int:
     param = sweep["parameter"]
     values = [float(v) for v in sweep["values"]]
     do_sim = bool(sweep.get("simulate", False))
-    # only Q changes the design, and with_Q re-derives its certificate
+    # only Q changes the design, and replace re-derives its certificate
     base = build_design(cfg)
     traj = None
     rows = []
@@ -213,7 +214,7 @@ def cmd_sweep(args) -> int:
         row_cfg = _row_config(cfg, param, value)
         row = {"index": index, "parameter": param, "value": value}
         try:
-            design = base.with_Q(value) if param == "Q" else base
+            design = replace(base, Q=value) if param == "Q" else base
             scenario = build_scenario(row_cfg, design=design, seed=args.seed) if do_sim else None
             report = gain_report(row_cfg, design) if scenario is None else scenario.report
             row.update(omega=report.omega, feasible=report.feasible)

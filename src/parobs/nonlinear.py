@@ -49,14 +49,10 @@ class NonlinearTerm:
         rows, cols = self.factors(u.size)
         return self.phi(rows @ u) @ cols
 
-    def spec(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class ZeroTerm(NonlinearTerm):
-    def spec(self) -> dict:
-        return {"kind": "zero"}
+    """The zero term f(u) = 0, with R = 0: the base class's rank-0 form."""
 
 
 def _sampled_factors(term: NonlinearTerm, nodes: int, rows: np.ndarray, cols: np.ndarray):
@@ -86,14 +82,6 @@ class LinearNonlocalTerm(NonlinearTerm):
     def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         return _sampled_factors(self, nodes, self._rows, self._cols)
 
-    def spec(self) -> dict:
-        return {
-            "kind": "linear_nonlocal",
-            "gain": self.gain,
-            "a": self.a.spec(),
-            "b": self.b.spec(),
-        }
-
 
 class GainSaturatedTerm(NonlinearTerm):
     """f(u)(x) = sum_r amp_r(x) tanh(<w_r, u>); globally Lipschitz by
@@ -116,13 +104,6 @@ class GainSaturatedTerm(NonlinearTerm):
 
     def factors(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         return _sampled_factors(self, nodes, self._rows, self._amps)
-
-    def spec(self) -> dict:
-        return {
-            "kind": "gain_saturated",
-            "weights": [p.spec() for p in self.weight_profiles],
-            "amplitudes": [p.spec() for p in self.amp_profiles],
-        }
 
 
 def nonlinearity_from_spec(spec: dict | None, grid: np.ndarray) -> NonlinearTerm:

@@ -243,11 +243,10 @@ class ObserverDesign:
     tail-coupling bound (Q = None picks 2, or twice the bound when the bound
     is not below 2), and the L2 Lipschitz bound R must be finite and
     non-negative. ``dataclasses.replace`` re-runs it, so a design whose
-    problem, basis, channels or certificate is replaced (for another
+    problem, basis, channels, certificate or Q is replaced (for another
     Lyapunov pair, ``replace(design, P=P, sigma=sigma)``) is derived afresh
-    or raises a typed ParobsError, never stale; ``with_Q`` is that replace
-    for Q. Grid functions (injection kernels, channel samples) are derived
-    on demand.
+    or raises a typed ParobsError, never stale. Grid functions (injection
+    kernels, channel samples) are derived on demand.
     """
 
     problem: SLProblem
@@ -332,14 +331,6 @@ class ObserverDesign:
     @property
     def m(self) -> int:
         return len(self.channels)
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.basis.eigenvalues[: self.N]
-
-    def with_Q(self, Q: float) -> "ObserverDesign":
-        """``replace(self, Q=Q)``: the same design re-derived for another Q."""
-        return replace(self, Q=Q)
 
 
 def _validate_certificate(A: np.ndarray, P: np.ndarray, sigma: float, tol: float = 1e-9) -> dict:
@@ -654,7 +645,7 @@ def select_Q(
     best: tuple[float, float] | None = None
     for Q in sorted(float(q) for q in q_candidates):
         try:
-            trial = design.with_Q(Q)
+            trial = replace(design, Q=Q)
             omega, _ = _omega_value(trial, h, kappa, variant)
         except (QInfeasible, KappaOutOfRange):
             continue

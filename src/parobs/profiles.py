@@ -286,9 +286,13 @@ def _samples(spec: dict, grid: np.ndarray | None):
 
 
 def _sum(spec: dict, grid: np.ndarray | None):
-    parts = [profile_from_spec(p, grid) for p in spec_field(spec, "parts", list)]
+    """The sum of the parts, a number part being a constant: exact when all
+    are closed-form, else the sum of their values on the grid."""
+    parts = [as_profile(p, grid) for p in spec_field(spec, "parts", list)]
     if not parts:
         raise InvalidSpec("'sum' spec: field 'parts' is empty")
+    if not all(p.closed_form for p in parts):
+        return SampledProfile(grid, sum(p.values(grid) for p in parts))
     total = parts[0]
     for p in parts[1:]:
         total = total + p

@@ -40,15 +40,6 @@ class TimeSignal:
     def value(self, t: float) -> float:
         return self.offset + self.amplitude * np.sin(self.omega * t + self.phase)
 
-    def spec(self) -> dict:
-        return {
-            "kind": "time",
-            "offset": self.offset,
-            "amplitude": self.amplitude,
-            "omega": self.omega,
-            "phase": self.phase,
-        }
-
 
 def time_signal_from_spec(spec) -> TimeSignal:
     if isinstance(spec, TimeSignal):
@@ -86,16 +77,6 @@ class SpaceTimeSignal:
         for ts, prof in self.terms:
             out += ts.value(t) * prof.values(grid)
         return out
-
-    def spec(self) -> dict:
-        if self.is_zero:
-            return {"kind": "zero"}
-        return {
-            "kind": "sum",
-            "terms": [
-                {"time": ts.spec(), "space": prof.spec()} for ts, prof in self.terms
-            ],
-        }
 
 
 def field_signal_from_spec(spec, grid: np.ndarray | None = None) -> SpaceTimeSignal:

@@ -36,7 +36,9 @@ stepper that writes the state after every jump into its row. A linear run
 fills its rows in two passes: the samples in order, each propagated
 interval in one jump from its sample to its end, and then the interior
 records of all intervals that share dt and jumps at once, their sample
-states the columns of one block that each jump multiplies.
+states the columns of one block that each jump multiplies. An interval
+whose powers for that one jump would not fit takes its record-to-record
+jumps in the first pass instead.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ class IMEXStepper:
     anyway and its powers cost O(n^3) each; that keeps scipy out of a
     propagated run. Asking for the other one at the same dt refactors, so
     a result never depends on which call came first; a singular M1 raises
-    the same ``StepRejected`` in both.
+    the same ``StepRejected`` in both. Steppers on one operator may share
+    ``inverses``, which holds the dense inverse of the last dt any of
+    them asked for.
     """
 
     def __init__(
@@ -123,6 +127,7 @@ class IMEXStepper:
         l_cols: np.ndarray | None = None,  # (n, m)
         c_rows: np.ndarray | None = None,  # (m, n): weights * c_i
         stiff_rows: np.ndarray | None = None,  # (m, n): weights * (L_h c_i)
+        inverses: dict | None = None,  # dt -> dense M1^-1 on op's free nodes
     ):
         n = op.grid.size
         self.op, self.phi = op, nonlinearity.phi
@@ -139,6 +144,7 @@ class IMEXStepper:
         self.rows = np.vstack([nl_rows, c_rows, stiff_rows])  # s = rows @ w
         self.dt = self._powers_dt = None
         self._dense = False  # which factorization of M1 is held for dt (see _factor)
+        self._inverses = {} if inverses is None else inverses
         self._powers: list[np.ndarray] = []  # T^(2^i) for dt = _powers_dt
         self._kept: dict[int, np.ndarray] = {}  # k -> T^k for dt = _powers_dt
         self.steps = self.propagators_built = self.propagator_products = 0
@@ -154,11 +160,15 @@ class IMEXStepper:
         # M1 = I + dt/2 B_h (implicit), M0 = I - dt/2 B_h (explicit)
         singular = StepRejected(f"Crank-Nicolson matrix is singular at dt={dt:.6g}")
         if dense:
-            m1 = np.diag(1.0 + h * diag) + np.diag(h * sub, -1) + np.diag(h * sup, 1)
-            try:
-                self._m1_inv = np.linalg.inv(m1)
-            except np.linalg.LinAlgError:
-                raise singular from None
+            if dt not in self._inverses:
+                m1 = np.diag(1.0 + h * diag) + np.diag(h * sub, -1) + np.diag(h * sup, 1)
+                try:
+                    inverse = np.linalg.inv(m1)
+                except np.linalg.LinAlgError:
+                    raise singular from None
+                self._inverses.clear()  # one dt at a time
+                self._inverses[dt] = inverse
+            self._m1_inv = self._inverses[dt]
         else:
             from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -210,6 +220,12 @@ class IMEXStepper:
     def linear(self) -> bool:
         """True when phi is the identity (zero and linear non-local terms)."""
         return self.phi is NonlinearTerm.phi
+
+    def fits(self, k: int) -> bool:
+        """True when the binary powers of the one-step matrix that take k
+        steps at once fit in _PROPAGATOR_BYTES."""
+        size = self.op.grid.size + self.m + 3 * len(self.v_terms)
+        return 8 * size**2 * k.bit_length() <= _PROPAGATOR_BYTES
 
     def step(self, w: np.ndarray, t: float, dt: float, zeta: np.ndarray | None = None):
         """Advance (w, zeta) from t to t + dt and return the new pair.
@@ -293,9 +309,8 @@ class IMEXStepper:
         products with the binary powers T^(2^i), which are kept for the
         current dt. T^k is kept for the k in ``keep``, the jumps a run
         makes most (see ``_matrices``). Saturated terms, jumps whose powers
-        alone would pass _PROPAGATOR_BYTES, and every jump when ``stepwise``
-        is set call ``step`` at t + s dt for each step s from t and each
-        state instead.
+        do not fit (``fits``), and every jump when ``stepwise`` is set call
+        ``step`` at t + s dt for each step s from t and each state instead.
         """
         n, m = self.op.grid.size, self.m
         w = np.asarray(w, dtype=float)
@@ -316,7 +331,7 @@ class IMEXStepper:
         for k, row in zip(jumps, rows):
             if k != last_k:  # the same k asks for the same matrices
                 last_k, matrices = k, None
-                if not (stepwise or k == 0 or matrix_bytes * k.bit_length() > _PROPAGATOR_BYTES):
+                if k and not stepwise and self.fits(k):
                     matrices = self._matrices(dt, k, keep, matrix_bytes)
             if matrices is None:
                 for c, start in enumerate(np.broadcast_to(t0, count)):
@@ -447,9 +462,9 @@ class DiscreteObserver:
     injection columns ``l_cols`` (n, m), built from the design's first N
     modes resampled on the grid, and rows (m, n) of c_i, k_i, k_i - c_i and
     -L_h c_i times the trapezoid weights. It builds the plant and observer
-    steppers on one ``op`` and owns the sample law: a sample reads
-    y = <k, u> + xi with ``k_rows``, and ``reset`` turns y into the
-    observer's second state."""
+    steppers on one ``op``, sharing one dense inverse of M1, and owns the
+    sample law: a sample reads y = <k, u> + xi with ``k_rows``, and
+    ``reset`` turns y into the observer's second state."""
 
     def __init__(self, design: ObserverDesign, variant: str, nodes: int):
         check_variant(variant)
@@ -460,14 +475,16 @@ class DiscreteObserver:
         self.l_cols = injection_kernels(design.L, design.basis.resample(nodes, design.N))[0].T
         self.c_rows, self.k_rows, self.gap_rows = c * op.weights, k * op.weights, (k - c) * op.weights
         self.stiff_rows = (-np.vstack([op.apply(ci) for ci in c])) * op.weights
+        self._inverses: dict = {}
 
     def plant(self, nonlinearity: NonlinearTerm, v: SpaceTimeSignal) -> IMEXStepper:
-        return IMEXStepper(self.op, nonlinearity, v)
+        return IMEXStepper(self.op, nonlinearity, v, inverses=self._inverses)
 
     def observer(self, nonlinearity: NonlinearTerm, v: SpaceTimeSignal) -> IMEXStepper:
         if self.variant == "predictor":
-            return IMEXStepper(self.op, nonlinearity, v, self.l_cols, self.c_rows, self.stiff_rows)
-        return IMEXStepper(self.op, nonlinearity, v, self.l_cols)
+            return IMEXStepper(self.op, nonlinearity, v, self.l_cols, self.c_rows, self.stiff_rows,
+                               self._inverses)
+        return IMEXStepper(self.op, nonlinearity, v, self.l_cols, inverses=self._inverses)
 
     def reset(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The observer's second state after sampling y with field w: the
@@ -588,13 +605,14 @@ def simulate(scenario: Scenario) -> Trajectory:
     every record time and sample flag; the trajectory arrays are allocated
     once from it. The sample pass then takes the samples in order, with one
     ``IMEXStepper.advance`` call per stepper and interval, which writes
-    straight into the interval's rows: every row from record to record for
-    a stepped interval, only the last one for a propagated interval, which
-    jumps from its sample to its end at once. The record pass fills the
-    interior rows of the propagated intervals afterwards: the intervals
-    that share dt and jumps form one group, whose sample states are the
-    columns of one block, and each jump is one product of a power of the
-    one-step matrix with that block.
+    straight into the interval's rows: only the last one for a propagated
+    interval whose powers for its whole step count fit in both steppers
+    (``IMEXStepper.fits``), which jumps from its sample to its end at once,
+    and every row from record to record for any other interval. The record
+    pass fills the interior rows of those whole-interval jumps afterwards:
+    the intervals that share dt and jumps form one group, whose sample
+    states are the columns of one block, and each jump is one product of a
+    power of the one-step matrix with that block.
 
     One ``DiscreteObserver`` of the scenario's variant builds both steppers
     and resets the observer at every sample; only what it is handed differs
@@ -670,10 +688,12 @@ def simulate(scenario: Scenario) -> Trajectory:
         z_arr[iv.row] = z
         if not iv.jumps:
             continue
-        # a propagated interval jumps straight to its end, and its interior
-        # records wait for the record pass below
-        jumps = (sum(iv.jumps),) if iv.propagate else iv.jumps
-        if iv.propagate and len(iv.jumps) > 1:
+        # a propagated interval jumps straight to its end when both steppers'
+        # powers for that fit, and its interior records wait for the record pass
+        total = sum(iv.jumps)
+        at_once = iv.propagate and len(iv.jumps) > 1 and plant.fits(total) and obs.fits(total)
+        jumps = (total,) if at_once else iv.jumps
+        if at_once:
             groups.setdefault((iv.dt, iv.jumps[:-1]), []).append((t_j, iv.row))
         end = iv.row + len(iv.jumps) + 1
         rows = range(end - len(jumps), end)

@@ -340,6 +340,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error: InvalidSpec: uniform schedules need h > 0 and horizon > 0" in err
 
+    @pytest.mark.parametrize("parts", [[1.0, 1.0], [{"kind": "constant", "value": 1.0},
+                                                    {"kind": "samples", "values": [1.0] * 51}]],
+                             ids=["number_part", "sampled_part"])
+    def test_sum_initial_field_equals_its_total(self, tmp_path, parts):
+        # a number part used to be an InvalidSpec (exit 2), a sampled one a bare TypeError (exit 1)
+        path = tmp_path / "p31.json"
+        path.write_text(json.dumps(cf.example31_config(horizon=1.0, nodes=51)))
+        override = "initial.u0=" + json.dumps({"kind": "sum", "parts": parts})
+        for name, setting in (("sum", override), ("total", "initial.u0=2.0")):
+            assert main(["simulate", "--config", str(path), "--set", setting,
+                         "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "sum" / "trajectory.csv").read_bytes() == \
+            (tmp_path / "total" / "trajectory.csv").read_bytes()
+
     @pytest.mark.parametrize("horizon", [[], ["--horizon", "1"]], ids=["default_horizon", "given_horizon"])
     def test_example31_zero_p_is_invalid(self, horizon, capsys):
         # the default horizon 10 * 20 / (p pi^2) is not computed before p is checked
@@ -364,12 +378,26 @@ class TestCli:
             (['design.L=[["a"]]'], "design.L"),
             (['schedule={"kind":"explicit","times":[0,"a",1]}'], "schedule.times"),
             (["problem.bc.b0=0"], "problem.bc"),  # a0 is 0 too
+            (["problem.p=0"], "problem.p"),
+            (["basis.modes=1"], "basis.modes"),
+            (["design.N=0"], "design.N"),
+            (["design.L=[-9.8]"], "design.L"),
+            (["design.channels=[]"], "design.channels"),
+            (["design.Q=1.5"], "design.Q"),
+            (["grid.nodes=4"], "grid.nodes"),
+            (["schedule.kind=weekly"], "schedule.kind"),
+            (['gain={"h":0.5}'], "gain"),
+            (["observer.variant=hold"], "observer.variant"),
+            (['sweep={"parameter":"p","values":[1.0]}'], "sweep.parameter"),
+            (['sweep={"parameter":"h","values":[]}'], "sweep.values"),
         ],
         ids=["N_at_default_modes", "N_at_modes", "L_size", "sigma_fraction_above_1", "sigma_fraction_0",
-             "L_entry", "schedule_time", "bc_pair"],
+             "L_entry", "schedule_time", "bc_pair", "p_zero", "modes_below_2", "N_zero", "L_not_rows",
+             "no_channels", "Q_below_2", "nodes_below_8", "schedule_kind", "gain_without_kappa_or_omega",
+             "observer_variant", "sweep_parameter", "sweep_values_empty"],
     )
     def test_design_override_is_a_config_error(self, tmp_path, capsys, overrides, path):
-        # each of these used to reach a builder and die with a bare ValueError
+        # the first eight used to reach a builder and die with a bare ValueError
         cfg = example31_config()
         del cfg["basis"]["modes"]
         config = tmp_path / "cfg.json"
@@ -536,6 +564,23 @@ class TestCli:
         # the basis comes back from basis.csv, written with 17 significant digits
         loaded = build_design(cfg)
         assert np.max(np.abs(loaded.c_coeffs - direct.c_coeffs)) <= 8e-16
+
+    def test_sampled_kernel_round_trips_through_design_json(self, tmp_path, capsys):
+        # the kernel x as samples on the basis grid: design.json writes them back as a samples spec
+        cfg = example31_config()
+        grid = uniform_grid(cfg["basis"]["nodes"])
+        cfg["design"]["channels"][0]["kernel"] = {"kind": "samples", "values": grid.tolist()}
+        path, out = tmp_path / "sampled.json", tmp_path / "design"
+        path.write_text(json.dumps(cfg))
+        direct = printed_omega(capsys, path)
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        doc = json.loads((out / "design.json").read_text())
+        assert doc["channels"][0]["kernel"]["kind"] == "samples"
+        del cfg["design"]
+        cfg["design_ref"] = str(out / "design.json")
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps(cfg))
+        assert printed_omega(capsys, ref) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_design_json_with_a_sup_norm_bound_still_loads(self, written_design, tmp_path, capsys):
         # design.json used to carry "lipschitz_sup", which no certificate read

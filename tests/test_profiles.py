@@ -98,3 +98,19 @@ def test_as_profile_coercions():
     assert isinstance(pf.as_profile(np.ones(11), grid), pf.SampledProfile)
     with pytest.raises(GridMismatch):
         pf.as_profile([1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("first", [{"kind": "constant", "value": 1.0}, 1.0], ids=["spec", "number"])
+def test_sum_of_closed_form_parts_is_exact(first):
+    # a number part is a constant, as validate_config allows
+    f = pf.profile_from_spec({"kind": "sum", "parts": [first, {"kind": "cosine_series", "coeffs": [0.5]}]})
+    assert f == pf.cosine_series(1.0, [0.5])
+
+
+def test_sum_with_a_sampled_part_adds_on_the_grid():
+    grid = np.linspace(0.0, 1.0, 11)
+    spec = {"kind": "sum", "parts": [{"kind": "constant", "value": 1.0},
+                                     {"kind": "samples", "values": (grid**2).tolist()}]}
+    f = pf.profile_from_spec(spec, grid)
+    assert not f.closed_form
+    np.testing.assert_array_equal(f.values(grid), 1.0 + grid**2)

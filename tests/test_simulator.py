@@ -366,6 +366,33 @@ class TestSimulate:
             scale = np.maximum(np.max(np.abs(fields), axis=1), 1e-300)
             assert np.all(np.abs(fields[:, -1]) <= 1e-8 * scale)
 
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("mismatch", [0.0, 1.0], ids=["no_input", "constant_input"])
+    def test_plant_pinned_at_zero(self, kind, mismatch):
+        # Dirichlet at 0, Neumann at 1: lambda_1 = pi^2/4, phi_1 = sqrt(2) sin(pi x/2);
+        # k = 1 and c = (4/pi) sin(pi x/2) with L placing A at -pi^2/2. A uniform
+        # schedule is propagated, a random one stepped; a constant input would
+        # move x = 0 if the pin missed it
+        problem = SLProblem(p=1.0, q=0.0, a0=1.0, b0=0.0, a1=0.0, b1=1.0)
+        basis = analytic_eigensystem(problem, 40, 1001)
+        channel = OutputChannel(kernel=pf.constant(1.0), approximant=pf.sine(4.0 / math.pi, math.pi / 2.0))
+        L = -math.pi**3 / (8.0 * math.sqrt(2.0))
+        design = make_design(problem, basis, [channel], np.array([[L]]), N=1, Q=2.0, sigma_fraction=1.0)
+        assert design.A[0, 0] == pytest.approx(-math.pi**2 / 2.0, rel=1e-12)
+        schedule = make_schedule({"uniform": {"kind": "uniform", "h": 0.1, "horizon": 1.0},
+                                  "random": {"kind": "random", "h_min": 0.05, "h_max": 0.15,
+                                             "horizon": 1.0, "seed": 3}}[kind])
+        v = SpaceTimeSignal(terms=((TimeSignal(offset=mismatch), pf.constant(1.0)),))
+        u0 = pf.sine(1.0, math.pi / 2.0) + 0.3 * pf.sine(1.0, 1.5 * math.pi)
+        sc = Scenario(design=design, variant="predictor", schedule=schedule, nodes=101, dt=0.01,
+                      u0=u0, w0=u0, disturbances=Disturbances(v=v, v_tilde=v))
+        traj = quiet_simulate(sc)
+        counts = traj.metadata["integrator"]
+        assert (counts["steps"] == 0) == (kind == "uniform")
+        assert traj.error_l2.max() <= 1e-14  # the matched run: roundoff of v~ - v only
+        assert np.all(traj.u[:, 0] == 0.0) and np.all(traj.w[:, 0] == 0.0)
+        assert np.abs(traj.u[-1]).max() > 0.01
+
     def test_boundary_compatibility_residual(self, ex31_design):
         # the integration-by-parts boundary term vanishes to O(dx^2)
         sch = make_schedule({"kind": "uniform", "h": 0.25, "horizon": 1.0})
@@ -930,6 +957,48 @@ class TestSimulatePropagation:
         assert len(steppers) == 2
         for stepper in steppers:
             assert (len(stepper._powers), sorted(stepper._kept)) == (8, [78, 200])
+
+    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
+    @pytest.mark.parametrize("cap_bits, steps", [(4, 0), (0, 2 * 8 * 32)], ids=["spacing_fits", "nothing_fits"])
+    def test_interval_past_the_cap_takes_its_record_jumps(self, ex31_design, monkeypatch, variant,
+                                                          cap_bits, steps):
+        # 8 intervals of 32 steps, a record every 4: with room for 4 binary powers
+        # a jump of 4 steps is a product and one of 32 is not, so each interval
+        # takes its record-to-record jumps once, not its step loop and then its
+        # records again; with no room every step of the plan is taken once
+        v_tilde = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
+        dist = Disturbances(v=SINE_INPUT, v_tilde=v_tilde,
+                            xi=(NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),))
+        sc = Scenario(design=ex31_design, variant=variant, nodes=101, dt=0.01, snapshot_every=0.04,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.32, "horizon": 2.56}),
+                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), disturbances=dist)
+        size = 101 + 1 + 3 * 4  # the observer's (w, zeta, z): v~ - v has four terms
+        monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 8 * size**2 * cap_bits)
+        traj = quiet_simulate(sc)
+        assert traj.metadata["integrator"]["steps"] == steps
+        times, flags, u, w, zeta = _step_loop_records(sc)
+        assert traj.times.size == times.size == 8 * 8 + 1
+        np.testing.assert_array_equal(traj.sample_flag, flags)
+        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
+            assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
+
+    def test_plant_and_observer_share_one_inverse(self, ex31_design, monkeypatch):
+        # one dt: the plant's dense inverse of M1 serves the observer too
+        inverses = []
+        inv = np.linalg.inv
+
+        def counting_inv(a):
+            if a.shape == (101, 101):
+                inverses.append(a)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        sc = Scenario(design=ex31_design, variant="predictor", nodes=101, dt=0.01, snapshot_every=0.037,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.3, "horizon": 2.1}),
+                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
+                      disturbances=Disturbances(v=SINE_INPUT))
+        counts = quiet_simulate(sc).metadata["integrator"]
+        assert (counts["steps"], counts["propagators_built"], len(inverses)) == (0, 2, 1)
 
     def test_discrete_observer_checks_the_variant(self, ex31_design):
         with pytest.raises(ValueError, match="unknown observer variant 'Predictor'"):
