@@ -30,7 +30,7 @@ from .config import (
     example32_sampling,
 )
 from .errors import DecayedToFloor, InfeasibleAtZero, InfeasibleReport, TailTooShort
-from .grids import cumulative_trapezoid, end_derivatives, snapshot_norms
+from .grids import _row_blocks, cumulative_trapezoid, end_derivatives, snapshot_norms
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, SmallGainReport, design_to_json, max_diameter
 from .signals import Disturbances
@@ -235,6 +235,12 @@ def lyapunov_oracle(
     unknown variant. Raises TailTooShort when the first N + J_tail modes
     miss more than 5% of the error energy. Every inequality is checked
     within the fixed 2% relative slack ``_SLACK``.
+
+    The error e, its modal coordinates and vbar are built a block of
+    snapshot rows at a time (``grids._row_blocks``), so no (snapshots, n)
+    array is made besides the trajectory's own. The blocks give the bits of
+    whole-array products, except that with J of 2 or 3 modes the modal
+    coordinates (and so V and rhs) can move by roundoff.
     """
     nl = nonlinearity or ZeroTerm()
     dist = disturbances or Disturbances()
@@ -244,13 +250,23 @@ def lyapunov_oracle(
     basis = design.basis.resample(traj.grid.size, J)
     w = traj.weights
     c_rows = discrete.c_rows
-    e = traj.error_fields()
-    r = e @ (basis.functions[:J] * w).T  # (S, J) modal coordinates
-    if discrete.variant == "predictor":
-        injected = traj.u @ c_rows.T - traj.zeta
-    else:
-        injected = traj.zeta - e @ c_rows.T
-    del e  # hold one (S, n) field at a time: vbar is built next
+    project = (basis.functions[:J] * w).T
+    # f(w) - f(u) and the injection are low rank: one product builds both
+    nl_rows, nl_cols = nl.factors(traj.grid.size)
+    lift = np.vstack([nl_cols, discrete.l_cols.T])
+    mismatch = not (dist.v.is_zero and dist.v_tilde.is_zero)
+    size = traj.times.size
+    r, vbar_norms = np.empty((size, J)), np.empty(size)  # r: (S, J) modal coordinates
+    for block in _row_blocks(size):
+        u, w_obs, zeta = traj.u[block], traj.w[block], traj.zeta[block]
+        e = w_obs - u
+        r[block] = e @ project
+        injected = u @ c_rows.T - zeta if discrete.variant == "predictor" else zeta - e @ c_rows.T
+        coef = np.hstack([nl.phi(w_obs @ nl_rows.T) - nl.phi(u @ nl_rows.T), injected])
+        vbar = coef @ lift
+        if mismatch:
+            vbar -= dist.mismatch_field(traj.times[block, None], traj.grid)
+        vbar_norms[block] = np.sqrt(np.maximum(np.square(vbar, out=vbar) @ w, 0.0))  # squared in place
 
     e_sq = traj.error_l2**2
     proj_sq = np.sum(r**2, axis=1)
@@ -266,14 +282,6 @@ def lyapunov_oracle(
     xi_block = r[:, :N]
     V = np.einsum("si,ij,sj->s", xi_block, design.P, xi_block)
     V = V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
-
-    # f(w) - f(u) and the injection are low rank: one product builds both
-    rows, cols = nl.factors(traj.grid.size)
-    coef = np.hstack([nl.phi(traj.w @ rows.T) - nl.phi(traj.u @ rows.T), injected])
-    vbar = coef @ np.vstack([cols, discrete.l_cols.T])
-    if not (dist.v.is_zero and dist.v_tilde.is_zero):
-        vbar -= dist.mismatch_field(traj.times[:, None], traj.grid)
-    vbar_norms = np.sqrt(np.maximum(np.square(vbar, out=vbar) @ w, 0.0))  # squared in place
 
     mu, g = design.mu, design.g_tilde
     times, norms, V0 = traj.times.tolist(), vbar_norms.tolist(), float(V[0])

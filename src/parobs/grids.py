@@ -24,6 +24,8 @@ __all__ = [
 _CSV_CELL = "%.17g"
 # rows rendered per write: bounds the Python copy of the table held at once
 _CSV_BLOCK_ROWS = 256
+# rows per block of a pass over a (snapshots, n) array (see _row_blocks)
+_BLOCK_ROWS = 256
 
 
 def uniform_grid(nodes: int) -> np.ndarray:
@@ -43,6 +45,18 @@ def snapshot_norms(fields: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray,
     """Trapezoid L2 norm and grid sup norm of each row of ``fields``."""
     l2 = np.sqrt(np.maximum((fields**2) @ weights, 0.0))
     return l2, np.max(np.abs(fields), axis=1)
+
+
+def _row_blocks(count: int) -> list[slice]:
+    """Slices of _BLOCK_ROWS consecutive rows that cover ``count`` rows, the
+    remainder joined to the last one. Each block starts at a multiple of
+    _BLOCK_ROWS and none is shorter than min(count, _BLOCK_ROWS): a 1-row
+    block would take another BLAS routine (gemv for gemm, dot for gemv) than
+    the whole array. With one BLAS thread, or below its threading size,
+    these blocks gave every row of a product the bits it has in the product
+    of the whole array, except products with 2 or 3 columns."""
+    edges = list(range(0, count, _BLOCK_ROWS))[: max(count // _BLOCK_ROWS, 1)] + [count]
+    return [slice(start, stop) for start, stop in zip(edges[:-1], edges[1:])]
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:

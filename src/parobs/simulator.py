@@ -36,9 +36,13 @@ stepper that writes the state after every jump into its row. A linear run
 fills its rows in two passes: the samples in order, each propagated
 interval in one jump from its sample to its end, and then the interior
 records of all intervals that share dt and jumps at once, their sample
-states the columns of one block that each jump multiplies. An interval
-whose powers for that one jump would not fit takes its record-to-record
-jumps in the first pass instead.
+states the columns of one block that each jump multiplies. The second pass
+runs for each dt before the first moves on to another, and then each
+stepper drops its matrices, so one dt's matrices are alive at a time. An
+interval whose powers for that one jump would not fit takes its
+record-to-record jumps in the first pass instead. The error norms are taken
+a block of rows at a time, so a run holds its trajectory and no full-size
+copy of it.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 from . import profiles as pf
 from .errors import ConfigError, InvalidSpec, StepRejected
-from .grids import snapshot_norms, trapezoid_weights
+from .grids import _row_blocks, snapshot_norms, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import (ObserverDesign, SmallGainReport, check_variant, injection_kernels,
                               small_gain)
@@ -104,9 +108,12 @@ class IMEXStepper:
     phi is linear: the same algebra applied to the identity gives the
     one-step matrix T of (w, zeta) and the inputs' exosystem, and k steps
     are one product with T^k for the k its caller keeps, popcount(k)
-    products with cached binary powers of T for any other k. ``steps``,
-    ``propagators_built`` and ``propagator_products`` (one per matrix and
-    state) count the work done.
+    products with cached binary powers of T for any other k. Once every
+    kept k has its T^k, the powers above T are dropped, and a jump that is
+    not kept squares them up from T again; ``_release`` drops T, the kept
+    matrices and the dense inverse of M1. ``steps``, ``propagators_built``
+    and ``propagator_products`` (one per matrix and state) count the work
+    done.
 
     The stepper holds one factorization of M1 for its dt (``_factor``):
     ``step`` solves with LAPACK's tridiagonal LU, O(n) per state, and T is
@@ -116,7 +123,7 @@ class IMEXStepper:
     a result never depends on which call came first; a singular M1 raises
     the same ``StepRejected`` in both. Steppers on one operator may share
     ``inverses``, which holds the dense inverse of the last dt any of
-    them asked for.
+    them asked for until one of them releases its matrices.
     """
 
     def __init__(
@@ -202,7 +209,7 @@ class IMEXStepper:
         if not rhs_free.size:  # dgttrs corrupts the heap when given no right-hand side
             return out
         if self._dense:
-            out[self.op.free] = self._m1_inv @ rhs_free
+            np.matmul(self._m1_inv, rhs_free, out=out[self.op.free])
         else:
             out[self.op.free] = self._gttrs(*self._lu, rhs_free)[0]
         return out
@@ -255,17 +262,26 @@ class IMEXStepper:
         s = self.rows @ w
         coef = self._coef(s, zeta)
 
+        if self.coupled:
+            stiff = slice(r + self.m, None)
+            zeta_known = zeta + h * (s[stiff] + self.c_nl @ coef[:r] + self.c_rows @ (v0 + v1))
+
+        # h * (cols' coef + v0 + v1) and a + P coef by the same operations in
+        # place, each temporary dropped once read: building T holds few (n, n)
         sub0, diag0, sup0 = m0
         wf = w[free]
         rhs = diag0 * wf
         rhs[:-1] += sup0 * wf[1:]
         rhs[1:] += sub0 * wf[:-1]
-        rhs += h * (self.cols.T @ coef + v0 + v1)[free]
+        explicit = self.cols.T @ coef
+        explicit += v0
+        explicit += v1
+        explicit *= h
+        rhs += explicit[free]
+        del explicit
         a = self._solve(rhs)
+        del rhs
         s_a = self.rows @ a
-        if self.coupled:
-            stiff = slice(r + self.m, None)
-            zeta_known = zeta + h * (s[stiff] + self.c_nl @ coef[:r] + self.c_rows @ (v0 + v1))
 
         zeta_new = zeta
         for _ in range(_CORRECTOR_MAXITER):
@@ -274,14 +290,18 @@ class IMEXStepper:
                 zeta_new = zeta_known + h * (s[stiff] + self.c_nl @ coef[:r])
             dcoef = self._jinv @ (self._coef(s, zeta_new) - coef)
             coef = coef + dcoef
-            w_new = a + self._p @ coef
-            diff = np.abs(self._p @ dcoef).max()
+            w_new = self._p @ coef
+            w_new += a
+            change = self._p @ dcoef
+            diff = np.abs(change, out=change).max()
+            del change
             if self.coupled:
                 dzeta = h * (self._rp[stiff] @ dcoef + self.c_nl @ dcoef[:r])
                 zeta_new = zeta_new + dzeta
                 diff = max(diff, np.abs(dzeta).max())
             if diff <= _CORRECTOR_RTOL * max(np.abs(w_new).max(), 1.0):
                 return w_new, zeta_new
+            del w_new  # before the next iterate is built
         raise StepRejected(f"corrector failed to converge within {_CORRECTOR_MAXITER} updates "
                            f"at t={t:.6g} (dt={self.dt:.3g}); the explicit part is too stiff")
 
@@ -306,9 +326,9 @@ class IMEXStepper:
         one block X, whose z is set from each column's own jump start time,
         so no rotation error carries over from one jump to the next; a jump
         by k is one product T^k X when T^k is kept, else popcount(k)
-        products with the binary powers T^(2^i), which are kept for the
-        current dt. T^k is kept for the k in ``keep``, the jumps a run
-        makes most (see ``_matrices``). Saturated terms, jumps whose powers
+        products with the binary powers T^(2^i) of the current dt. T^k is
+        kept for the k in ``keep``, the jumps a run makes most (see
+        ``_matrices``). Saturated terms, jumps whose powers
         do not fit (``fits``), and every jump when ``stepwise`` is set call
         ``step`` at t + s dt for each step s from t and each state instead.
         """
@@ -363,18 +383,31 @@ class IMEXStepper:
         per distinct k would cost more matrix products than it saves when a
         run's records fall at many spacings. The powers come first: kept
         matrices are dropped when the powers of a k need their room.
+
+        Once the last k in ``keep`` has its matrix, the binary powers above T
+        are dropped, before that matrix is built when the kept T^s alone
+        builds it: the stepper then holds T and the kept matrices, and a k
+        that is not kept squares the powers up from T again, to the same
+        bits. A new dt drops the last one's matrices before T is built.
         """
         if dt != self._powers_dt:
-            self._powers, self._kept = [self._propagator(dt)], {}
-            self._powers_dt = dt
+            self._powers, self._kept, self._powers_dt = [], {}, None  # gone before T is built
+            self._powers, self._powers_dt = [self._propagator(dt)], dt
         if k > 1 and k in keep and k not in self._kept:
             s = max((s for s in keep if s < k and k % s == 0), default=1)
             base = self._matrices(dt, s, keep, matrix_bytes) if s > 1 else []
             # T^s is one matrix when it is kept or a binary power
             powers = len(self._powers) if len(base) == 1 else max(len(self._powers), k.bit_length())
             if matrix_bytes * (powers + len(self._kept) + 1) <= _PROPAGATOR_BYTES:
-                self._kept[k] = (np.linalg.matrix_power(base[0], k // s) if len(base) == 1 else
-                                 functools.reduce(np.matmul, self._matrices(dt, k, (), matrix_bytes)))
+                last = all(j in self._kept for j in keep if 1 < j != k)
+                if len(base) == 1:
+                    if last:
+                        del self._powers[1:]  # T^s alone builds the last kept matrix
+                    self._kept[k] = np.linalg.matrix_power(base[0], k // s)
+                else:
+                    self._kept[k] = functools.reduce(np.matmul, self._matrices(dt, k, (), matrix_bytes))
+                if last:
+                    del self._powers[1:]
         if k in self._kept:
             return [self._kept[k]]
         if matrix_bytes * (k.bit_length() + len(self._kept)) > _PROPAGATOR_BYTES:
@@ -382,6 +415,15 @@ class IMEXStepper:
         while len(self._powers) < k.bit_length():
             self._powers.append(self._powers[-1] @ self._powers[-1])
         return [power for i, power in enumerate(self._powers) if k >> i & 1]
+
+    def _release(self) -> None:
+        """Drop the one-step matrix, its powers and the dense M1^-1 that built
+        them, here and in the shared ``inverses``; a later jump or step
+        builds what it needs again."""
+        self._powers, self._kept, self._powers_dt = [], {}, None
+        if self._dense:
+            self.dt = self._m1_inv = None
+            self._inverses.clear()
 
     def _exo(self, t: np.ndarray) -> np.ndarray:
         """The exosystem coordinates of the inputs at each of the times t,
@@ -402,9 +444,9 @@ class IMEXStepper:
             self._factor(dt, dense=True)
         n, m, q = self.op.grid.size, self.m, len(self.v_terms)
         size = n + m + 3 * q
-        eye = np.eye(n + m, size)
-        v0, v1 = np.zeros((n, size)), np.zeros((n, size))
-        T = np.zeros((size, size))
+        v0 = np.zeros((n, size))
+        v1 = np.zeros((n, size)) if q else v0  # no input: both are zero
+        rotations = []
         for j, (ts, b) in enumerate(self.v_terms):
             c, s = math.cos(ts.omega * dt), math.sin(ts.omega * dt)
             col = n + m + 3 * j
@@ -412,9 +454,15 @@ class IMEXStepper:
             v0[:, col], v1[:, col] = b, b
             v0[:, col + 1], v1[:, col + 1] = b, c * b
             v1[:, col + 2] = s * b
-            T[col : col + 3, col : col + 3] = [[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]]
+            rotations.append((col, [[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]]))
+        eye = np.eye(n + m, size)
         m0 = [d[:, None] for d in self._m0]
-        T[:n], T[n : n + m] = self._trapezoid(eye[:n], eye[n:], v0, v1, 0.0, m0)
+        rows = self._trapezoid(eye[:n], eye[n:], v0, v1, 0.0, m0)
+        del eye, v0, v1
+        T = np.zeros((size, size))
+        T[:n], T[n : n + m] = rows
+        for col, rotation in rotations:
+            T[col : col + 3, col : col + 3] = rotation
         self.propagators_built += 1
         return T
 
@@ -612,7 +660,11 @@ def simulate(scenario: Scenario) -> Trajectory:
     pass fills the interior rows of those whole-interval jumps afterwards:
     the intervals that share dt and jumps form one group, whose sample
     states are the columns of one block, and each jump is one product of a
-    power of the one-step matrix with that block.
+    power of the one-step matrix with that block. It runs for each dt's
+    groups before the sample pass propagates an interval of another dt,
+    while the steppers hold that dt's matrices, so each stepper builds one
+    one-step matrix per run of intervals of one dt; the plant fills its
+    rows and drops its matrices, then the observer.
 
     One ``DiscreteObserver`` of the scenario's variant builds both steppers
     and resets the observer at every sample; only what it is handed differs
@@ -631,7 +683,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     powers for the plan's most frequent interval step count and interior
     jump (``_kept_jumps``). ``metadata["integrator"]`` counts the steps
     taken, the one-step matrices built and the products with them, one per
-    matrix and state.
+    matrix and state. The error norms are ``snapshot_norms`` of w - u a
+    block of rows at a time, with the bits of the whole array's (see
+    ``grids._row_blocks``).
     """
     design = scenario.design
     sch = scenario.schedule
@@ -674,9 +728,13 @@ def simulate(scenario: Scenario) -> Trajectory:
     events: list[SampleEvent] = []
 
     keep = _kept_jumps(plan)
-    groups: dict[tuple, list[tuple[float, int]]] = {}  # (dt, interior jumps) -> (t_j, row)
+    groups: dict[tuple, list[tuple[float, int]]] = {}  # (dt, interior jumps) -> (t_j, row), one dt
     for j, (t_j, iv) in enumerate(zip(sample_times, plan)):
         t_j = float(t_j)
+        if iv.propagate and groups and iv.dt != next(iter(groups))[0]:
+            # fill the last dt's records while the steppers hold its matrices
+            _record_pass(groups, plant, obs, keep, u_arr, w_arr, z_arr)
+            groups.clear()
         xi_vals = np.array([s.value(t_j, j) for s in dist.xi])
         # the sample reads y = <k, u> + xi; y - <k, u> is the noise alone in
         # error coordinates
@@ -702,14 +760,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         obs.advance(x, t_j, iv.dt, jumps, z, w_arr, z_arr, stepwise, kept, rows)
         u, x = u_arr[end - 1].copy(), w_arr[end - 1].copy()
 
-    # the record pass: every interior record of the intervals that share dt
-    # and jumps, from their sample rows as the columns of one block
-    for (dt, jumps), group in groups.items():
-        t0, starts = (np.array(column) for column in zip(*group))
-        rows = starts + np.arange(1, len(jumps) + 1)[:, None]  # (jumps, intervals)
-        plant.advance(u_arr[starts], t0, dt, jumps, out_w=u_arr, keep=keep[dt], rows=rows)
-        obs.advance(w_arr[starts], t0, dt, jumps, z_arr[starts], w_arr, z_arr, keep=keep[dt],
-                    rows=rows)
+    _record_pass(groups, plant, obs, keep, u_arr, w_arr, z_arr)
 
     # the rows hold the observer in its own coordinates
     u_arr, w_arr, z_arr = u_arr[: len(times)], w_arr[: len(times)], z_arr[: len(times)]
@@ -718,7 +769,10 @@ def simulate(scenario: Scenario) -> Trajectory:
         # c_rows @ u of each row, as a stack of products: the same bits as
         # one product per row, which one (rows, n) @ (n, m) is not
         z_arr += (c_rows @ u_arr[:, :, None])[..., 0]
-    err_l2, err_sup = snapshot_norms(w_arr - u_arr, weights)
+    # the error norms a block of rows at a time, not from one (rows, n) w - u
+    err_l2, err_sup = np.empty(len(times)), np.empty(len(times))
+    for block in _row_blocks(len(times)):
+        err_l2[block], err_sup[block] = snapshot_norms(w_arr[block] - u_arr[block], weights)
     traj = Trajectory(
         times=times,
         u=u_arr,
@@ -745,6 +799,24 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
     traj.validate()
     return traj
+
+
+def _record_pass(groups: dict, plant: IMEXStepper, obs: IMEXStepper, keep: dict, u_arr: np.ndarray,
+                 w_arr: np.ndarray, z_arr: np.ndarray) -> None:
+    """Every interior record of the intervals in ``groups``, which share the
+    dt whose matrices the steppers hold: those with the same jumps take them
+    together, their sample rows the columns of one block. The plant fills
+    its rows and drops its matrices, then the observer does: no later jump
+    reads them, since the next interval the sample pass propagates has
+    another dt."""
+    for stepper, out_w, out_zeta in ((plant, u_arr, None), (obs, w_arr, z_arr)):
+        for (dt, jumps), group in groups.items():
+            t0, starts = (np.array(column) for column in zip(*group))
+            rows = starts + np.arange(1, len(jumps) + 1)[:, None]  # (jumps, intervals)
+            zeta = None if out_zeta is None else out_zeta[starts]
+            stepper.advance(out_w[starts], t0, dt, jumps, zeta, out_w, out_zeta, keep=keep[dt],
+                            rows=rows)
+        stepper._release()
 
 
 @dataclass(frozen=True)

@@ -295,6 +295,57 @@ def test_oracle_matches_event_replay(make_cfg):
     assert trace.violations == ref["violations"]
 
 
+def whole_array_oracle(traj, design, nl, dist, J_tail=20):
+    """``lyapunov_oracle``'s modal coordinates, V, vbar norms and rhs from
+    whole (snapshots, n) arrays, as it computed them before it took its rows
+    in blocks."""
+    N, w = design.N, traj.weights
+    discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
+    J = min(N + J_tail, design.basis.size)
+    basis = design.basis.resample(traj.grid.size, J)
+    e = traj.error_fields()
+    r = e @ (basis.functions[:J] * w).T
+    if discrete.variant == "predictor":
+        injected = traj.u @ discrete.c_rows.T - traj.zeta
+    else:
+        injected = traj.zeta - e @ discrete.c_rows.T
+    V = np.einsum("si,ij,sj->s", r[:, :N], design.P, r[:, :N])
+    V = V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
+    rows, cols = nl.factors(traj.grid.size)
+    coef = np.hstack([nl.phi(traj.w @ rows.T) - nl.phi(traj.u @ rows.T), injected])
+    vbar = coef @ np.vstack([cols, discrete.l_cols.T])
+    if not (dist.v.is_zero and dist.v_tilde.is_zero):
+        vbar -= dist.mismatch_field(traj.times[:, None], traj.grid)
+    vbar_norms = np.sqrt(np.maximum(np.square(vbar) @ w, 0.0))
+    times, norms = traj.times.tolist(), vbar_norms.tolist()
+    rhs, integral = np.zeros(len(times)), 0.0
+    rhs[0] = V[0]
+    for k in range(1, len(times)):
+        dt = times[k] - times[k - 1]
+        decay = math.exp(-2.0 * design.mu * dt)
+        integral = decay * integral + 0.5 * dt * (decay * norms[k - 1] ** 2 + norms[k] ** 2)
+        rhs[k] = math.exp(-2.0 * design.mu * times[k]) * float(V[0]) + design.g_tilde * integral
+    return {"modal": r, "V": V, "vbar_norms": vbar_norms, "rhs": rhs}
+
+
+@pytest.mark.parametrize("preset, rows", [
+    (dict(p=0.1, h=1.0, omega=0.1, horizon=60.0, snapshot_every=0.1), 601),
+    (dict(p=1.0, h=0.05, omega=0.1, variant="zoh", noise=0.01, mismatch=0.1, nodes=101,
+          snapshot_every=0.02), 1016),
+    (dict(p=1.0, h=0.4, omega=0.1, horizon=25.6, nodes=101, snapshot_every=0.05), 513),
+    (dict(p=1.0, h=0.25, omega=0.1, horizon=0.5, nodes=51, snapshot_every=0.05), 11),
+], ids=["predictor", "hold-mismatch-noise", "one-row-past-two-blocks", "under-one-block"])
+def test_blocked_oracle_has_the_bits_of_whole_arrays(preset, rows):
+    scenario = cf.build_scenario(cf.example31_config(**preset))
+    traj = quiet_simulate(scenario)
+    assert traj.times.size == rows
+    trace = lyapunov_oracle(traj, scenario.design, nonlinearity=scenario.nonlinearity,
+                            disturbances=scenario.disturbances)
+    ref = whole_array_oracle(traj, scenario.design, scenario.nonlinearity, scenario.disturbances)
+    for name, expected in ref.items():
+        np.testing.assert_array_equal(getattr(trace, name), expected, err_msg=name)
+
+
 def looped_ios_bound(traj, report, dist, slack=0.02):
     """Reference for ``check_ios_bound``: the running suprema one snapshot
     at a time with explicit weights exp(kappa t), and the sample noise found

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from parobs import profiles as pf
 from parobs.errors import (
     ConfigError, GridMismatch, InvalidSpec, KappaOutOfRange, StepRejected,
 )
-from parobs.grids import end_derivatives, trapezoid_weights, uniform_grid
+from parobs.config import build_scenario, example31_config
+from parobs.grids import end_derivatives, snapshot_norms, trapezoid_weights, uniform_grid
 from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm, ZeroTerm
 from parobs.observer_design import OutputChannel, injection_kernels, make_design, small_gain
 from parobs.schedule import make_schedule
@@ -628,11 +630,12 @@ class TestAdvance:
         assert stepper.steps == reference.steps == (3 * 47 if stepwise else 0)
 
     def test_kept_step_count_is_a_power_of_the_kept_spacing(self, ex31_design):
-        # T^200 is (T^20)^10, and T^20 the product of the binary powers T^4 T^16
+        # T^200 is (T^20)^10, and T^20 the product of the binary powers T^4 T^16,
+        # which are dropped before T^200 is built: only T stays with the two
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
         w0, zeta0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101)), np.array([0.3])
         w_adv, zeta_adv = _advance(stepper, w0, 0.3, 0.002, 200, zeta0, keep=(200, 20))
-        assert (len(stepper._powers), sorted(stepper._kept)) == (5, [20, 200])
+        assert (len(stepper._powers), sorted(stepper._kept)) == (1, [20, 200])
         assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (0, 1, 1)
         w, zeta = w0, zeta0
         for i in range(200):
@@ -942,21 +945,20 @@ class TestSimulatePropagation:
 
     def test_default_spacing_criterion_4_run_keeps_ten_matrices_per_stepper(self, monkeypatch):
         # records every 200/512 time units are 78 or 79 steps of 0.005 apart,
-        # so T^200 and T^78 are kept next to the binary powers T .. T^128 that
-        # every other jump takes
-        steppers = []
-        init = simulator.IMEXStepper.__init__
+        # so T^200 and T^78 are kept; the binary powers go once both are, and
+        # the other jumps, up to 154 steps from a sample to its first record,
+        # rebuild T .. T^128; each stepper drops them all after its record pass
+        caches = []
+        release = simulator.IMEXStepper._release
 
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            steppers.append(self)
+        def recording_release(self):
+            caches.append((len(self._powers), sorted(self._kept)))
+            release(self)
 
-        monkeypatch.setattr(simulator.IMEXStepper, "__init__", recording_init)
+        monkeypatch.setattr(simulator.IMEXStepper, "_release", recording_release)
         run = run_example_31(p=0.1, h=1.0, omega=0.1, horizon=200.0, nodes=201)
         assert run.trajectory.metadata["integrator"]["steps"] == 0
-        assert len(steppers) == 2
-        for stepper in steppers:
-            assert (len(stepper._powers), sorted(stepper._kept)) == (8, [78, 200])
+        assert caches == [(8, [78, 200])] * 2
 
     @pytest.mark.parametrize("variant", ["predictor", "zoh"])
     @pytest.mark.parametrize("cap_bits, steps", [(4, 0), (0, 2 * 8 * 32)], ids=["spacing_fits", "nothing_fits"])
@@ -981,6 +983,78 @@ class TestSimulatePropagation:
         np.testing.assert_array_equal(traj.sample_flag, flags)
         for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
             assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
+
+    def test_record_pass_builds_each_dt_once(self):
+        # two propagated dts: 7 steps of 0.2/7, then 9 steps of 0.25/9; each dt's
+        # interior records are filled before the sample pass moves to the next
+        cfg = example31_config(p=1.0, h=0.25, omega=0.1, horizon=0.9, nodes=101, snapshot_every=0.05)
+        cfg["schedule"] = {"kind": "explicit", "times": [0, 0.2, 0.4, 0.65, 0.9]}
+        cfg["time"]["dt"] = 0.03
+        sc = build_scenario(cfg)
+        traj = quiet_simulate(sc)
+        counts = traj.metadata["integrator"]
+        assert (counts["steps"], counts["propagators_built"]) == (0, 4)
+        times, flags, u, w, zeta = _step_loop_records(sc)
+        assert np.abs(traj.times - times).max() <= 1e-12
+        np.testing.assert_array_equal(traj.sample_flag, flags)
+        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
+            assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
+        assert np.abs(traj.error_l2[traj.sample_flag] - _step_loop_errors(sc)).max() <= 1e-12
+
+    @pytest.mark.parametrize("run", ["propagated", "stepped_tanh", "record_jumps"])
+    def test_error_norms_are_snapshot_norms_of_the_fields(self, ex31_design, monkeypatch, run):
+        # the norms are taken a block of rows at a time: the same bits as
+        # snapshot_norms of the whole w - u
+        if run == "propagated":  # 601 records: two blocks, the second of 345 rows
+            sc = build_scenario(example31_config(p=0.1, h=1.0, omega=0.1, horizon=60.0,
+                                                 snapshot_every=0.1))
+        elif run == "stepped_tanh":
+            grid = uniform_grid(101)
+            nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
+                                   amplitudes=[pf.constant(0.2)])
+            sc = Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R),
+                          variant="zoh", nodes=101, dt=0.01, snapshot_every=0.01, nonlinearity=nl,
+                          schedule=make_schedule({"kind": "uniform", "h": 0.25, "horizon": 6.0}),
+                          u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
+                          disturbances=Disturbances(v=SINE_INPUT))
+        else:  # as in test_interval_past_the_cap_takes_its_record_jumps, with room for 4 powers
+            sc = Scenario(design=ex31_design, variant="predictor", nodes=101, dt=0.01,
+                          snapshot_every=0.01, disturbances=Disturbances(v=SINE_INPUT),
+                          schedule=make_schedule({"kind": "uniform", "h": 0.32, "horizon": 6.4}),
+                          u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0))
+            size = 101 + 1 + 3 * 4
+            monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 8 * size**2 * 4)
+        traj = quiet_simulate(sc)
+        counts = traj.metadata["integrator"]
+        assert (counts["propagators_built"] > 0) == (run != "stepped_tanh")
+        assert traj.times.size > 512
+        l2, sup = snapshot_norms(traj.w - traj.u, traj.weights)
+        np.testing.assert_array_equal(traj.error_l2, l2)
+        np.testing.assert_array_equal(traj.error_sup, sup)
+
+    def test_propagated_run_holds_little_more_than_its_trajectory(self):
+        # the traced peak of simulate over what was live before it: the
+        # returned trajectory, what one stepper keeps (T, T^20 and T^200), and
+        # one power build, counted as a stepper's cache before its kept
+        # matrices let the binary powers go (T .. T^128, T^20 and T^200)
+        sc = build_scenario(example31_config(p=0.1, h=1.0, omega=0.1, horizon=200.0,
+                                             snapshot_every=0.1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = quiet_simulate(sc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert traj.metadata["integrator"] == {"steps": 0, "propagators_built": 2,
+                                               "propagator_products": 4000}
+        arrays = (traj.times, traj.u, traj.w, traj.zeta, traj.sample_flag, traj.grid, traj.error_l2,
+                  traj.error_sup)
+        trajectory = sum(a.nbytes if a.base is None else a.base.nbytes for a in arrays)
+        matrix, keep = 8 * (201 + 1) ** 2, (200, 20)
+        kept = 1 + len(keep)
+        build = max(keep).bit_length() + len(keep)
+        assert peak <= trajectory + matrix * (kept + build)
 
     def test_plant_and_observer_share_one_inverse(self, ex31_design, monkeypatch):
         # one dt: the plant's dense inverse of M1 serves the observer too
