@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -287,6 +288,17 @@ def cmd_example32(args) -> int:
     return _exit_code(args.strict, rep.violated)
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of the float flags: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
 # the flags shared between commands; each command takes only those it reads
 _FLAGS = {
     "--config": dict(required=True, help="path to the JSON run configuration"),
@@ -298,23 +310,23 @@ _FLAGS = {
     "--strict": dict(action="store_true",
                      help="exit 3 on an infeasible certificate or a failed checked bound"),
     "--noise-kind": dict(default="sinusoid", choices=["constant", "sinusoid", "random"]),
-    "--noise-amplitude": dict(type=float, default=0.0),
-    "--noise-omega": dict(type=float, default=2.0),
+    "--noise-amplitude": dict(type=_finite_float, default=0.0),
+    "--noise-omega": dict(type=_finite_float, default=2.0),
     "--lyapunov": dict(action="store_true", help="also run the decay-functional oracle"),
 }
 
 # the preset parameters of the example commands: a flag that is not given is
 # not passed on, so its default is the preset's own
 _PRESET_FLAGS = {
-    "--p": dict(type=float, help="diffusion constant"),
-    "--q": dict(type=float, help="reaction constant"),
-    "--h": dict(type=float, help="sampling diameter"),
-    "--omega": dict(type=float, help="decay fraction kappa/mu in [0,1)"),
+    "--p": dict(type=_finite_float, help="diffusion constant"),
+    "--q": dict(type=_finite_float, help="reaction constant"),
+    "--h": dict(type=_finite_float, help="sampling diameter"),
+    "--omega": dict(type=_finite_float, help="decay fraction kappa/mu in [0,1)"),
     "--variant": dict(choices=["predictor", "zoh"]),
-    "--mismatch": dict(type=float, help="||v - v~|| of a constant input mismatch"),
-    "--horizon": dict(type=float),
+    "--mismatch": dict(type=_finite_float, help="||v - v~|| of a constant input mismatch"),
+    "--horizon": dict(type=_finite_float),
     "--nodes": dict(type=int),
-    "--dt": dict(type=float),
+    "--dt": dict(type=_finite_float),
 }
 
 

@@ -92,12 +92,25 @@ _SECTION_KEYS = {
 _CHANNEL_KEYS = {"label", "kernel", "approximant"}
 
 
+def _finite_json(text: str, where: str):
+    """The JSON ``text`` parsed with every number a finite float: NaN,
+    Infinity, -Infinity and a literal that overflows one raise a ConfigError
+    at ``where``."""
+    def finite(literal: str) -> str:
+        if not math.isfinite(float(literal)):
+            raise ConfigError(where, f"{literal} is not a finite number")
+        return literal
+
+    return json.loads(text, parse_float=lambda s: float(finite(s)), parse_int=lambda s: int(finite(s)),
+                      parse_constant=finite)
+
+
 def load_config(path) -> dict:
     """The config at ``path``, with a relative ``design_ref`` resolved
     against the directory of that file."""
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            cfg = _finite_json(fh.read(), str(path))
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"not valid JSON ({exc})") from exc
     if not isinstance(cfg, dict):
@@ -108,14 +121,15 @@ def load_config(path) -> dict:
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
-    """Apply repeatable ``--set dotted.key=value`` pairs (JSON-parsed values)."""
+    """Apply repeatable ``--set dotted.key=value`` pairs (JSON-parsed values,
+    every number finite)."""
     cfg = copy.deepcopy(cfg)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(item, "override must look like key.path=value")
         path, _, raw = item.partition("=")
         try:
-            value = json.loads(raw)
+            value = _finite_json(raw, path)
         except json.JSONDecodeError:
             value = raw  # bare strings are convenient on the command line
         node = cfg

@@ -31,18 +31,11 @@ of M1, and a propagated run loads no scipy.
 
 A run plans its records before it steps: every record time and sample
 flag, and each sampling interval's jumps from record to record. The
-trajectory arrays are allocated once. A stepped interval is one call per
-stepper that writes the state after every jump into its row. A linear run
-fills its rows in two passes: the samples in order, each propagated
-interval in one jump from its sample to its end, and then the interior
-records of all intervals that share dt and jumps at once, their sample
-states the columns of one block that each jump multiplies. The second pass
-runs for each dt before the first moves on to another, and then each
-stepper drops its matrices, so one dt's matrices are alive at a time. An
-interval whose powers for that one jump would not fit takes its
-record-to-record jumps in the first pass instead. The error norms are taken
-a block of rows at a time, so a run holds its trajectory and no full-size
-copy of it.
+trajectory arrays are allocated once. The plant never reads the observer,
+which reads the plant only through its samples, so the plant runs through
+the whole plan first and the observer after it, one stepper's matrices
+alive at a time (``_fill``). The error norms are taken a block of rows at a
+time, so a run holds its trajectory and no full-size copy of it.
 """
 
 from __future__ import annotations
@@ -108,12 +101,10 @@ class IMEXStepper:
     phi is linear: the same algebra applied to the identity gives the
     one-step matrix T of (w, zeta) and the inputs' exosystem, and k steps
     are one product with T^k for the k its caller keeps, popcount(k)
-    products with cached binary powers of T for any other k. Once every
-    kept k has its T^k, the powers above T are dropped, and a jump that is
-    not kept squares them up from T again; ``_release`` drops T, the kept
-    matrices and the dense inverse of M1. ``steps``, ``propagators_built``
-    and ``propagator_products`` (one per matrix and state) count the work
-    done.
+    products with cached binary powers of T for any other k. The matrices
+    stay until dt changes or ``_release`` drops them. ``steps``,
+    ``propagators_built`` and ``propagator_products`` (one per matrix and
+    state) count the work done.
 
     The stepper holds one factorization of M1 for its dt (``_factor``):
     ``step`` solves with LAPACK's tridiagonal LU, O(n) per state, and T is
@@ -123,7 +114,7 @@ class IMEXStepper:
     a result never depends on which call came first; a singular M1 raises
     the same ``StepRejected`` in both. Steppers on one operator may share
     ``inverses``, which holds the dense inverse of the last dt any of
-    them asked for until one of them releases its matrices.
+    them asked for.
     """
 
     def __init__(
@@ -382,13 +373,9 @@ class IMEXStepper:
         squaring, else the product of k's binary powers. Keeping one matrix
         per distinct k would cost more matrix products than it saves when a
         run's records fall at many spacings. The powers come first: kept
-        matrices are dropped when the powers of a k need their room.
-
-        Once the last k in ``keep`` has its matrix, the binary powers above T
-        are dropped, before that matrix is built when the kept T^s alone
-        builds it: the stepper then holds T and the kept matrices, and a k
-        that is not kept squares the powers up from T again, to the same
-        bits. A new dt drops the last one's matrices before T is built.
+        matrices are dropped when the powers of a k need their room. Every
+        matrix stays until a new dt drops them all, before its T is built,
+        or ``_release`` does.
         """
         if dt != self._powers_dt:
             self._powers, self._kept, self._powers_dt = [], {}, None  # gone before T is built
@@ -399,15 +386,10 @@ class IMEXStepper:
             # T^s is one matrix when it is kept or a binary power
             powers = len(self._powers) if len(base) == 1 else max(len(self._powers), k.bit_length())
             if matrix_bytes * (powers + len(self._kept) + 1) <= _PROPAGATOR_BYTES:
-                last = all(j in self._kept for j in keep if 1 < j != k)
                 if len(base) == 1:
-                    if last:
-                        del self._powers[1:]  # T^s alone builds the last kept matrix
                     self._kept[k] = np.linalg.matrix_power(base[0], k // s)
                 else:
                     self._kept[k] = functools.reduce(np.matmul, self._matrices(dt, k, (), matrix_bytes))
-                if last:
-                    del self._powers[1:]
         if k in self._kept:
             return [self._kept[k]]
         if matrix_bytes * (k.bit_length() + len(self._kept)) > _PROPAGATOR_BYTES:
@@ -417,13 +399,12 @@ class IMEXStepper:
         return [power for i, power in enumerate(self._powers) if k >> i & 1]
 
     def _release(self) -> None:
-        """Drop the one-step matrix, its powers and the dense M1^-1 that built
-        them, here and in the shared ``inverses``; a later jump or step
-        builds what it needs again."""
+        """Drop the one-step matrix, its powers and this stepper's hold on the
+        dense M1^-1; the shared ``inverses`` keep it for the next stepper on
+        the operator. A later jump or step builds what it needs again."""
         self._powers, self._kept, self._powers_dt = [], {}, None
         if self._dense:
             self.dt = self._m1_inv = None
-            self._inverses.clear()
 
     def _exo(self, t: np.ndarray) -> np.ndarray:
         """The exosystem coordinates of the inputs at each of the times t,
@@ -648,23 +629,12 @@ def simulate(scenario: Scenario) -> Trajectory:
     legitimate, but emits a warning; ``analysis.check_run`` then checks no
     bound.
 
-    The record plan (``_record_plan``) fixes before the loop every
+    The record plan (``_record_plan``) fixes before any step every
     interval's step count and dt, the steps at which a record falls, and so
     every record time and sample flag; the trajectory arrays are allocated
-    once from it. The sample pass then takes the samples in order, with one
-    ``IMEXStepper.advance`` call per stepper and interval, which writes
-    straight into the interval's rows: only the last one for a propagated
-    interval whose powers for its whole step count fit in both steppers
-    (``IMEXStepper.fits``), which jumps from its sample to its end at once,
-    and every row from record to record for any other interval. The record
-    pass fills the interior rows of those whole-interval jumps afterwards:
-    the intervals that share dt and jumps form one group, whose sample
-    states are the columns of one block, and each jump is one product of a
-    power of the one-step matrix with that block. It runs for each dt's
-    groups before the sample pass propagates an interval of another dt,
-    while the steppers hold that dt's matrices, so each stepper builds one
-    one-step matrix per run of intervals of one dt; the plant fills its
-    rows and drops its matrices, then the observer.
+    once from it. The plant then runs through the whole plan, and the
+    observer after it, each in one pass (``_fill``); the observer's reset at
+    a sample reads the plant's row there.
 
     One ``DiscreteObserver`` of the scenario's variant builds both steppers
     and resets the observer at every sample; only what it is handed differs
@@ -673,8 +643,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     A linear run (phi the identity) carries the observer in error
     coordinates (w - u, zeta - C u; the held innovation for the hold
     observer), resets it from the noise alone (y - <k, u> = xi), and
-    rebuilds every row's w = u + e and zeta = z + C u once, after the
-    loop, so the error is never the difference of two propagated fields.
+    rebuilds every row's w = u + e and zeta = z + C u once, after both
+    passes, so the error is never the difference of two propagated fields.
     An interval whose dt equals the previous interval's or the next one's
     (up to the rounding of the sample times) is propagated, so a uniform
     schedule of two or more intervals steps at most a shorter last one; a
@@ -727,40 +697,17 @@ def simulate(scenario: Scenario) -> Trajectory:
     z_arr = np.empty((n_rows, design.m))
     events: list[SampleEvent] = []
 
-    keep = _kept_jumps(plan)
-    groups: dict[tuple, list[tuple[float, int]]] = {}  # (dt, interior jumps) -> (t_j, row), one dt
-    for j, (t_j, iv) in enumerate(zip(sample_times, plan)):
-        t_j = float(t_j)
-        if iv.propagate and groups and iv.dt != next(iter(groups))[0]:
-            # fill the last dt's records while the steppers hold its matrices
-            _record_pass(groups, plant, obs, keep, u_arr, w_arr, z_arr)
-            groups.clear()
-        xi_vals = np.array([s.value(t_j, j) for s in dist.xi])
-        # the sample reads y = <k, u> + xi; y - <k, u> is the noise alone in
-        # error coordinates
-        z = discrete.reset(xi_vals if linear else discrete.k_rows @ u + xi_vals, x)
-        events.append(SampleEvent(index=j, t=t_j, xi=xi_vals))
-        if iv.fresh:  # a sample within 1e-14 of the last record only updates its zeta
-            u_arr[iv.row] = u
-            w_arr[iv.row] = x
-        z_arr[iv.row] = z
-        if not iv.jumps:
-            continue
-        # a propagated interval jumps straight to its end when both steppers'
-        # powers for that fit, and its interior records wait for the record pass
-        total = sum(iv.jumps)
-        at_once = iv.propagate and len(iv.jumps) > 1 and plant.fits(total) and obs.fits(total)
-        jumps = (total,) if at_once else iv.jumps
-        if at_once:
-            groups.setdefault((iv.dt, iv.jumps[:-1]), []).append((t_j, iv.row))
-        end = iv.row + len(iv.jumps) + 1
-        rows = range(end - len(jumps), end)
-        stepwise, kept = not iv.propagate, keep.get(iv.dt, ())
-        plant.advance(u, t_j, iv.dt, jumps, out_w=u_arr, stepwise=stepwise, keep=kept, rows=rows)
-        obs.advance(x, t_j, iv.dt, jumps, z, w_arr, z_arr, stepwise, kept, rows)
-        u, x = u_arr[end - 1].copy(), w_arr[end - 1].copy()
+    def reset(j: int, x: np.ndarray) -> np.ndarray:
+        # the sample reads y = <k, u> + xi from the plant's row; y - <k, u> is
+        # the noise alone in error coordinates
+        t = float(sample_times[j])
+        xi = np.array([s.value(t, j) for s in dist.xi])
+        events.append(SampleEvent(j, t, xi))
+        return discrete.reset(xi if linear else discrete.k_rows @ u_arr[plan[j].row] + xi, x)
 
-    _record_pass(groups, plant, obs, keep, u_arr, w_arr, z_arr)
+    keep = _kept_jumps(plan)
+    _fill(plant, sample_times, plan, keep, u, u_arr)
+    _fill(obs, sample_times, plan, keep, x, w_arr, z_arr, reset)
 
     # the rows hold the observer in its own coordinates
     u_arr, w_arr, z_arr = u_arr[: len(times)], w_arr[: len(times)], z_arr[: len(times)]
@@ -801,22 +748,62 @@ def simulate(scenario: Scenario) -> Trajectory:
     return traj
 
 
-def _record_pass(groups: dict, plant: IMEXStepper, obs: IMEXStepper, keep: dict, u_arr: np.ndarray,
-                 w_arr: np.ndarray, z_arr: np.ndarray) -> None:
-    """Every interior record of the intervals in ``groups``, which share the
-    dt whose matrices the steppers hold: those with the same jumps take them
-    together, their sample rows the columns of one block. The plant fills
-    its rows and drops its matrices, then the observer does: no later jump
-    reads them, since the next interval the sample pass propagates has
-    another dt."""
-    for stepper, out_w, out_zeta in ((plant, u_arr, None), (obs, w_arr, z_arr)):
+def _fill(stepper: IMEXStepper, sample_times: np.ndarray, plan: list, keep: dict, x: np.ndarray,
+          out_w: np.ndarray, out_zeta: np.ndarray | None = None, reset=None) -> None:
+    """One stepper's pass through a run's record plan, from the state x at the
+    first sample: writes its rows of ``out_w`` (and ``out_zeta``), and at
+    every sample sets zeta = ``reset(j, x)`` from the state x there.
+
+    The samples come in order, with one ``advance`` call per interval that
+    writes straight into the interval's rows: only the last one for a
+    propagated interval whose powers for its whole step count fit
+    (``IMEXStepper.fits``), which jumps from its sample to its end at once,
+    and every row from record to record for any other interval. The interior
+    rows of those whole-interval jumps wait for the record pass: the
+    intervals that share dt and jumps form one group, whose sample states are
+    the columns of one block, and each jump is one product of a power of the
+    one-step matrix with that block. It runs for each dt's groups before the
+    samples reach an interval propagated at another dt, while the stepper
+    holds that dt's matrices, so it builds one one-step matrix per run of
+    intervals of one dt; the stepper drops its matrices at the end.
+    """
+    groups: dict[tuple, list[tuple[float, int]]] = {}  # (dt, interior jumps) -> (t_j, row), one dt
+
+    def record_pass():
         for (dt, jumps), group in groups.items():
             t0, starts = (np.array(column) for column in zip(*group))
             rows = starts + np.arange(1, len(jumps) + 1)[:, None]  # (jumps, intervals)
+            # evenly spaced sample rows are read through a view, not a copy
+            step = starts[1] - starts[0] if starts.size > 1 else 1
+            if np.all(np.diff(starts) == step):
+                starts = slice(starts[0], starts[-1] + 1, step)
             zeta = None if out_zeta is None else out_zeta[starts]
             stepper.advance(out_w[starts], t0, dt, jumps, zeta, out_w, out_zeta, keep=keep[dt],
                             rows=rows)
-        stepper._release()
+        groups.clear()
+
+    zeta = None
+    for j, (t_j, iv) in enumerate(zip(sample_times, plan)):
+        t_j = float(t_j)
+        if iv.propagate and groups and iv.dt != next(iter(groups))[0]:
+            record_pass()
+        if iv.fresh:  # a sample within 1e-14 of the last record only updates its zeta
+            out_w[iv.row] = x
+        if reset is not None:
+            zeta = out_zeta[iv.row] = reset(j, x)
+        if not iv.jumps:
+            continue
+        total = sum(iv.jumps)
+        at_once = iv.propagate and len(iv.jumps) > 1 and stepper.fits(total)
+        jumps = (total,) if at_once else iv.jumps
+        if at_once:
+            groups.setdefault((iv.dt, iv.jumps[:-1]), []).append((t_j, iv.row))
+        end = iv.row + len(iv.jumps) + 1
+        stepper.advance(x, t_j, iv.dt, jumps, zeta, out_w, out_zeta, not iv.propagate,
+                        keep.get(iv.dt, ()), range(end - len(jumps), end))
+        x = out_w[end - 1]  # advance reads its start state before it writes a row
+    record_pass()
+    stepper._release()
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parobs import analysis
 from parobs import profiles as pf
 from parobs import config as cf
 from parobs.analysis import (
@@ -30,6 +32,7 @@ from parobs.errors import (
     TailTooShort,
 )
 from parobs.grids import (
+    _row_blocks,
     cumulative_trapezoid,
     end_derivatives,
     snapshot_norms,
@@ -423,6 +426,66 @@ def test_ios_bound_does_not_overflow_past_kappa_t_710():
     assert np.all(np.isfinite(chk.rhs)) and np.all(np.isfinite(chk.noise_history))
     assert chk.violations == 0
     assert 0.0 < np.max(chk.noise_history) <= 0.01
+
+
+def _mismatched_example31_run():
+    # 2,001 records on 201 nodes: seven blocks of rows, the last of 465
+    scenario = cf.build_scenario(cf.example31_config(p=1.0, h=0.05, omega=0.1, mismatch=0.1,
+                                                     nodes=201, horizon=5.0, snapshot_every=0.0025))
+    traj = quiet_simulate(scenario)
+    assert traj.times.size == 2001
+    return traj, scenario
+
+
+def test_blocked_bound_checks_have_the_bits_of_whole_arrays():
+    # check_ios_bound's mismatch field and boundary_reconstruction's fields are
+    # taken a block of rows at a time; the whole-array formulas inline
+    traj, scenario = _mismatched_example31_run()
+    dist, kappa = scenario.disturbances, scenario.report.kappa
+    chk = check_ios_bound(traj, scenario.report, dist)
+    mismatch = snapshot_norms(dist.mismatch_field(traj.times[:, None], traj.grid), traj.weights)[0]
+    expected = analysis._running_sup(mismatch[:, None], kappa * traj.times[:, None])[:, 0]
+    assert expected.any()
+    np.testing.assert_array_equal(chk.mismatch_history, expected)
+
+    run = run_example_32(nodes=201, noise=0.01, snapshot_every=0.0025)
+    traj = run.trajectory
+    assert traj.times.size == 601 and run.reconstruction.noise_bound_ok is not None
+    sup_error = np.max(np.abs(cumulative_trapezoid(traj.error_fields(), traj.grid)), axis=1)
+    np.testing.assert_array_equal(run.reconstruction.sup_error, sup_error)
+    f = np.concatenate([traj.u, traj.w])
+    dx = traj.grid[1] - traj.grid[0]
+    d0, _ = end_derivatives(f, dx)
+    scale = np.maximum(np.max(np.abs(f), axis=1), 1e-300)
+    assert run.reconstruction.bc_defect == float(np.max(np.maximum(np.abs(f[:, -1]), np.abs(d0) * dx)
+                                                        / scale))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("check", ["ios_bound", "boundary_reconstruction"])
+def test_bound_checks_hold_blocks_of_rows_not_whole_fields(check):
+    # the traced peak of a check over what was live before it: four arrays
+    # of its largest block of rows and 32 vectors of one value per record
+    if check == "ios_bound":
+        traj, scenario = _mismatched_example31_run()
+        args = (traj, scenario.report, scenario.disturbances)
+        fn = check_ios_bound
+    else:
+        run = run_example_32(nodes=201, noise=0.01, snapshot_every=0.0025)
+        traj, args, fn = run.trajectory, (run,), boundary_reconstruction
+    count, n = traj.u.shape
+    block = max(b.stop - b.start for b in _row_blocks(count))
+    assert block < count
+    assert _traced_peak(fn, *args) <= 4 * block * n * 8 + 32 * count * 8
 
 
 def _looped_ends(traj):

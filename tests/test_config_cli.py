@@ -650,6 +650,37 @@ class TestCli:
         assert exc.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, literal", [
+        ("initial.u0=NaN", "NaN"), ("schedule.horizon=Infinity", "Infinity"),
+        ("schedule.horizon=-Infinity", "-Infinity"), ("schedule.horizon=1e999", "1e999"),
+        ("design.L=[[NaN]]", "NaN"), ("schedule.horizon=1" + "0" * 400, "1" + "0" * 400),
+    ], ids=["nan", "infinity", "minus_infinity", "overflowing_float", "nan_in_a_list",
+            "overflowing_int"])
+    def test_non_finite_override_is_a_config_error(self, config_path, capsys, override, literal):
+        # each used to run to a NaN report or die with an OverflowError or LinAlgError
+        path = override.partition("=")[0]
+        assert main(["simulate", "--config", config_path, "--set", override, "--strict"]) == EXIT_CONFIG
+        assert f"config error: {path}: {literal} is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e999"])
+    def test_non_finite_number_in_a_config_file_is_a_config_error(self, tmp_path, capsys, literal):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(example31_config()).replace('"p": 1.0', f'"p": {literal}', 1))
+        assert main(["check-gain", "--config", str(path)]) == EXIT_CONFIG
+        assert f"config error: {path}: {literal} is not a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("example31", "--p", "inf"), ("example32", "--q", "nan"), ("example31", "--h", "nan"),
+        ("example31", "--omega", "inf"), ("example31", "--mismatch", "nan"),
+        ("example31", "--horizon", "inf"), ("example32", "--dt", "-inf"),
+        ("example31", "--noise-amplitude", "nan"), ("example32", "--noise-omega", "1e999"),
+    ])
+    def test_non_finite_float_flag_is_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}", "--horizon", "1", "--nodes", "51"])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument {flag}: invalid finite float value: '{value}'" in capsys.readouterr().err
+
     def test_sweep_section_must_be_an_object(self, capsys):
         assert main(["sweep", "--config", str(DESIGN_SWEEP), "--set", "sweep=5"]) == EXIT_CONFIG
         assert "config error: sweep: expected an object" in capsys.readouterr().err

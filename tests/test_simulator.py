@@ -631,11 +631,11 @@ class TestAdvance:
 
     def test_kept_step_count_is_a_power_of_the_kept_spacing(self, ex31_design):
         # T^200 is (T^20)^10, and T^20 the product of the binary powers T^4 T^16,
-        # which are dropped before T^200 is built: only T stays with the two
+        # which stay with the two: T .. T^16
         stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
         w0, zeta0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101)), np.array([0.3])
         w_adv, zeta_adv = _advance(stepper, w0, 0.3, 0.002, 200, zeta0, keep=(200, 20))
-        assert (len(stepper._powers), sorted(stepper._kept)) == (1, [20, 200])
+        assert (len(stepper._powers), sorted(stepper._kept)) == (5, [20, 200])
         assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (0, 1, 1)
         w, zeta = w0, zeta0
         for i in range(200):
@@ -1055,6 +1055,50 @@ class TestSimulatePropagation:
         kept = 1 + len(keep)
         build = max(keep).bit_length() + len(keep)
         assert peak <= trajectory + matrix * (kept + build)
+
+    def test_observer_builds_its_matrices_after_the_plant_released_its_own(self, monkeypatch):
+        # the plant runs through the whole plan, then the observer: one
+        # stepper's matrices are alive at a time, for each of the two dts
+        calls = []
+        propagator, release = simulator.IMEXStepper._propagator, simulator.IMEXStepper._release
+
+        def recording_propagator(self, dt):
+            calls.append(("observer" if self.m else "plant", "build"))
+            return propagator(self, dt)
+
+        def recording_release(self):
+            calls.append(("observer" if self.m else "plant", "release"))
+            release(self)
+
+        monkeypatch.setattr(simulator.IMEXStepper, "_propagator", recording_propagator)
+        monkeypatch.setattr(simulator.IMEXStepper, "_release", recording_release)
+        cfg = example31_config(p=1.0, h=0.25, omega=0.1, horizon=0.9, nodes=101, snapshot_every=0.05)
+        cfg["schedule"] = {"kind": "explicit", "times": [0, 0.2, 0.4, 0.65, 0.9]}
+        cfg["time"]["dt"] = 0.03
+        quiet_simulate(build_scenario(cfg))
+        assert calls == [(stepper, event) for stepper in ("plant", "observer")
+                         for event in ("build", "build", "release")]
+
+    def test_default_spacing_criterion_4_run_holds_one_steppers_matrices(self):
+        # the traced peak of simulate over what was live before it: the
+        # returned trajectory, one stepper's matrices (T .. T^128, T^78 and
+        # T^200), the shared dense inverse of M1, the running product of a
+        # kept matrix built from three or more powers, and one matrix's room
+        # for the plan, the sample events and the record-pass blocks
+        sc = build_scenario(example31_config(p=0.1, h=1.0, omega=0.1, horizon=200.0, nodes=201))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = quiet_simulate(sc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert traj.metadata["integrator"]["steps"] == 0
+        arrays = (traj.times, traj.u, traj.w, traj.zeta, traj.sample_flag, traj.grid, traj.error_l2,
+                  traj.error_sup)
+        trajectory = sum(a.nbytes if a.base is None else a.base.nbytes for a in arrays)
+        matrix = 8 * (201 + 1) ** 2
+        assert peak <= trajectory + matrix * (8 + 2 + 1 + 1 + 1)
 
     def test_plant_and_observer_share_one_inverse(self, ex31_design, monkeypatch):
         # one dt: the plant's dense inverse of M1 serves the observer too
