@@ -1034,9 +1034,9 @@ class TestSimulatePropagation:
 
     def test_propagated_run_holds_little_more_than_its_trajectory(self):
         # the traced peak of simulate over what was live before it: the
-        # returned trajectory, what one stepper keeps (T, T^20 and T^200), and
-        # one power build, counted as a stepper's cache before its kept
-        # matrices let the binary powers go (T .. T^128, T^20 and T^200)
+        # returned trajectory, the kept T, T^20 and T^200, and one power
+        # build counted as T .. T^128, T^20 and T^200; one stepper's cache
+        # (T .. T^16, T^20 and T^200) and its record-pass blocks fit in that
         sc = build_scenario(example31_config(p=0.1, h=1.0, omega=0.1, horizon=200.0,
                                              snapshot_every=0.1))
         tracemalloc.start()
