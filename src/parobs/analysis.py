@@ -34,7 +34,7 @@ from .grids import _row_blocks, cumulative_trapezoid, end_derivatives, snapshot_
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, SmallGainReport, design_to_json, max_diameter
 from .signals import Disturbances
-from .simulator import DiscreteObserver, Scenario, Trajectory, simulate
+from .simulator import DiscreteObserver, GridModes, Scenario, Trajectory, simulate
 
 __all__ = [
     "DecayFit",
@@ -44,6 +44,7 @@ __all__ = [
     "check_ios_bound",
     "LyapunovTrace",
     "lyapunov_oracle",
+    "error_map",
     "divergence_verdict",
     "RunResult",
     "check_run",
@@ -314,6 +315,26 @@ def lyapunov_oracle(
         v0_bound_ok=v0_bound_ok,
         slack=_SLACK,
     )
+
+
+def error_map(design: ObserverDesign, variant: str, tau: float,
+              nodes: int = 201) -> tuple[np.ndarray, np.ndarray]:
+    """The exact sample-to-sample map of a linear run's observer error on
+    ``nodes`` grid points: with the error e_j = w - u at a sample and the
+    noise xi_j it reads, the error a gap tau later is M e_j + noise @ xi_j,
+    for the zero term and no input mismatch. Returns M (n, n) and the noise
+    columns (n, m), zero at pinned nodes.
+
+    In the grid's modes (``simulator.GridModes``) M = e^{-lam tau} + Phi(tau)
+    k_hat and the noise columns are -Phi(tau), read from the same
+    ``GridModes.flows`` that ``simulate``'s sample recursion reads, then
+    mapped to the grid. The decay rate of a uniform schedule of gap tau is
+    -ln rho(M(tau)) / tau.
+    """
+    modes = GridModes(DiscreteObserver(design, variant, nodes))
+    decay, phi, _ = modes.flows(np.array([float(tau)]))
+    modal = np.diag(decay[0]) + phi[0].T @ modes.k_hat
+    return modes.rows.T @ modal @ (modes.rows * modes.weights), -(modes.rows.T @ phi[0].T)
 
 
 def divergence_verdict(traj: Trajectory) -> str:

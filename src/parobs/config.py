@@ -332,7 +332,7 @@ def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBas
     if "design_ref" in cfg and "design" not in cfg:
         path = cfg["design_ref"]
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = _finite_json(fh.read(), str(path))
         ref = doc.get("basis", {}).get("ref")
         if ref:  # a relative basis ref names a file beside design.json
             doc["basis"]["ref"] = os.path.join(os.path.dirname(path), ref)

@@ -1,49 +1,39 @@
-"""Method-of-lines co-simulation of plant and sampled-data observers.
+"""Co-simulation of plant and sampled-data observers on a uniform grid.
 
-Time integration is IMEX Crank-Nicolson: diffusion-reaction implicit, the
-nonlinear, non-local, input and injection terms explicit through the
-trapezoidal rule. One stepper class integrates the plant and both
-observers. Every explicit term reads the state through a few inner
-products, so a step takes one tridiagonal solve with the factorization of
-the current dt and r + m coupling equations, solved by chord-Newton with a
-Jacobian inverted once per dt (exact for linear terms). Every sampling time
-lands exactly on a step boundary, and all discrete inner products share the
-trapezoid weights of the grid, so the matched run (same initial state, same
-inputs, no noise) keeps the observer error at roundoff level.
+Space is the central-difference operator B_h of ``DiscreteSLOperator``,
+self-adjoint in the trapezoid weights, which every discrete inner product
+shares. Time is handled in one of two ways.
 
-The inter-sample predictor integrates the coupled (w, zeta) system; the
-rate of zeta uses the discrete operator applied to the approximant, which
-makes the discrete integration-by-parts identity exact. The zero-order-hold
-variant freezes the innovation between samples instead.
+A run with the zero term is linear and time-invariant between samples, and
+``simulate`` solves it exactly in the eigenbasis of B_h (``GridModes``),
+from sample to sample: the plant, and the observer error e = w - u, driven
+by v~ - v and by the injection of the innovation eta, which obeys
+eta' = A eta between samples (A = 0 for the hold observer, A = C L for the
+predictor) and is reset from the noise at each sample. No time step, no
+matrix exponential of the grid and no scipy.
 
-With linear terms a step of fixed dt is one linear map of the state and
-the exosystem of the inputs, built from the same algebra and coupling, so
-a run jumps with one product with a kept k-step power of that map (or a
-few with its binary powers); the observer then runs in error coordinates
-(w - u, zeta - C u), whose dynamics are the observer's own driven by
-v~ - v.
+A run with a non-zero term (``LinearNonlocalTerm`` or ``GainSaturatedTerm``)
+steps with IMEX Crank-Nicolson (``IMEXStepper``): diffusion-reaction
+implicit, the nonlinear, non-local, input and injection terms explicit
+through the trapezoidal rule. One stepper class integrates the plant and
+both observers. Every explicit term reads the state through a few inner
+products, so a step takes one tridiagonal solve and r + m coupling
+equations, solved by chord-Newton with a Jacobian inverted once per dt
+(exact for linear terms). The inter-sample predictor integrates the coupled
+(w, zeta) system; the rate of zeta uses the discrete operator applied to the
+approximant, which makes the discrete integration-by-parts identity exact.
+The zero-order-hold variant freezes the innovation between samples instead.
 
-The two paths solve with M1 = I + dt/2 B_h in two ways. A step solves one
-state in O(n) with LAPACK's tridiagonal LU (scipy's ``dgttrf``/``dgttrs``,
-imported on the first step). The one-step map is dense, so building it
-and its powers costs O(n^3) anyway; its solve takes a dense numpy inverse
-of M1, and a propagated run loads no scipy.
-
-A run plans its records before it steps: every record time and sample
-flag, and each sampling interval's jumps from record to record. The
-trajectory arrays are allocated once. The plant never reads the observer,
-which reads the plant only through its samples, so the plant runs through
-the whole plan first and the observer after it, one stepper's matrices
-alive at a time (``_fill``). The error norms are taken a block of rows at a
-time, so a run holds its trajectory and no full-size copy of it.
+Both record at the same times: every sample, and the first step of the
+run's subdivision at or past each due time (``_record_plan``). The
+trajectory arrays are allocated once, and a run holds them and no
+full-size copy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -55,7 +45,7 @@ from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import (ObserverDesign, SmallGainReport, check_variant, injection_kernels,
                               small_gain)
 from .schedule import SamplingSchedule
-from .signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal, field_signal_from_spec
+from .signals import Disturbances, NoiseSignal, SpaceTimeSignal, field_signal_from_spec
 from .sturm_liouville import DiscreteSLOperator, SLProblem
 
 __all__ = [
@@ -64,6 +54,7 @@ __all__ = [
     "SampleEvent",
     "simulate",
     "DiscreteObserver",
+    "GridModes",
     "step_plant",
     "step_observer_predictor",
     "step_observer_zoh",
@@ -72,7 +63,6 @@ __all__ = [
 _CORRECTOR_RTOL = 1e-13
 _CORRECTOR_MAXITER = 40
 _SINGULAR_RTOL = 1e-12  # smallest singular value of the coupling Jacobian, relative
-_PROPAGATOR_BYTES = 64 * 2**20  # cached powers of one system's one-step matrix
 
 
 class IMEXStepper:
@@ -90,31 +80,13 @@ class IMEXStepper:
       makes (w, zeta) track (u, <c_i, u>) exactly on matched runs.
 
     Every explicit term is low rank (f(w) = phi(R w) @ cols), so a step is
-    w_new = a + P coef: ``a`` takes one solve with M1 and P = dt/2 M1^-1
-    [cols, l] is kept for the current dt. The trapezoidal rule is then the
-    fixed point coef = Phi(coef) of the r + m coefficients [phi(R w_new); e],
-    affine in coef except for phi; its Jacobian with phi' = 1 is inverted
-    alongside P, once per dt.
-
-    ``advance`` takes one state or a block of states with their own start
-    times through a list of jumps of k steps each, and k steps at once when
-    phi is linear: the same algebra applied to the identity gives the
-    one-step matrix T of (w, zeta) and the inputs' exosystem, and k steps
-    are one product with T^k for the k its caller keeps, popcount(k)
-    products with cached binary powers of T for any other k. The matrices
-    stay until dt changes or ``_release`` drops them. ``steps``,
-    ``propagators_built`` and ``propagator_products`` (one per matrix and
-    state) count the work done.
-
-    The stepper holds one factorization of M1 for its dt (``_factor``):
-    ``step`` solves with LAPACK's tridiagonal LU, O(n) per state, and T is
-    built with a dense numpy inverse of M1, since T is a dense matrix
-    anyway and its powers cost O(n^3) each; that keeps scipy out of a
-    propagated run. Asking for the other one at the same dt refactors, so
-    a result never depends on which call came first; a singular M1 raises
-    the same ``StepRejected`` in both. Steppers on one operator may share
-    ``inverses``, which holds the dense inverse of the last dt any of
-    them asked for.
+    w_new = a + P coef: ``a`` takes one solve with M1 = I + dt/2 B_h, by
+    LAPACK's tridiagonal LU (scipy's ``dgttrf``/``dgttrs``, imported on the
+    first step), and P = dt/2 M1^-1 [cols, l] is kept for the current dt. The
+    trapezoidal rule is then the fixed point coef = Phi(coef) of the r + m
+    coefficients [phi(R w_new); e], affine in coef except for phi; its
+    Jacobian with phi' = 1 is inverted alongside P, once per dt. ``steps``
+    counts the steps taken.
     """
 
     def __init__(
@@ -125,7 +97,6 @@ class IMEXStepper:
         l_cols: np.ndarray | None = None,  # (n, m)
         c_rows: np.ndarray | None = None,  # (m, n): weights * c_i
         stiff_rows: np.ndarray | None = None,  # (m, n): weights * (L_h c_i)
-        inverses: dict | None = None,  # dt -> dense M1^-1 on op's free nodes
     ):
         n = op.grid.size
         self.op, self.phi = op, nonlinearity.phi
@@ -140,41 +111,22 @@ class IMEXStepper:
         self.c_nl = c_rows @ nl_cols.T  # <c_i, cols_k>
         self.cols = np.vstack([nl_cols, l_cols.T])  # explicit part = coef @ cols
         self.rows = np.vstack([nl_rows, c_rows, stiff_rows])  # s = rows @ w
-        self.dt = self._powers_dt = None
-        self._dense = False  # which factorization of M1 is held for dt (see _factor)
-        self._inverses = {} if inverses is None else inverses
-        self._powers: list[np.ndarray] = []  # T^(2^i) for dt = _powers_dt
-        self._kept: dict[int, np.ndarray] = {}  # k -> T^k for dt = _powers_dt
-        self.steps = self.propagators_built = self.propagator_products = 0
+        self.dt = None
+        self.steps = 0
 
-    def _factor(self, dt: float, dense: bool) -> None:
-        """Factor M1 = I + dt/2 B_h for ``_solve``, as a dense numpy inverse
-        (``dense``, for ``_propagator``) or as LAPACK's tridiagonal LU (for
-        ``step``), and build what a step of dt reuses: M0, P, R P and the
-        coupling Jacobian's inverse."""
+    def _factor(self, dt: float) -> None:
+        """Factor M1 = I + dt/2 B_h for ``_solve`` and build what a step of dt
+        reuses: M0, P, R P and the coupling Jacobian's inverse."""
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
         self.dt = None  # a factorization that raises leaves none held
         sub, diag, sup = self.op.free_tridiagonals()
         h = 0.5 * dt
         # M1 = I + dt/2 B_h (implicit), M0 = I - dt/2 B_h (explicit)
-        singular = StepRejected(f"Crank-Nicolson matrix is singular at dt={dt:.6g}")
-        if dense:
-            if dt not in self._inverses:
-                m1 = np.diag(1.0 + h * diag) + np.diag(h * sub, -1) + np.diag(h * sup, 1)
-                try:
-                    inverse = np.linalg.inv(m1)
-                except np.linalg.LinAlgError:
-                    raise singular from None
-                self._inverses.clear()  # one dt at a time
-                self._inverses[dt] = inverse
-            self._m1_inv = self._inverses[dt]
-        else:
-            from scipy.linalg.lapack import dgttrf, dgttrs
-
-            *self._lu, info = dgttrf(h * sub, 1.0 + h * diag, h * sup)
-            self._gttrs = dgttrs  # bound here so the per-step _solve imports nothing
-            if info:
-                raise singular
-        self._dense = dense
+        *self._lu, info = dgttrf(h * sub, 1.0 + h * diag, h * sup)
+        self._gttrs = dgttrs  # bound here so the per-step _solve imports nothing
+        if info:
+            raise StepRejected(f"Crank-Nicolson matrix is singular at dt={dt:.6g}")
         self._m0 = (-h * sub, 1.0 - h * diag, -h * sup)
         self._p = self._solve(h * self.cols.T[self.op.free])  # (n, r + m)
         self._rp = self.rows @ self._p
@@ -194,15 +146,11 @@ class IMEXStepper:
         self.dt = dt
 
     def _solve(self, rhs_free: np.ndarray) -> np.ndarray:
-        """M1^-1 on the free nodes, zero at pinned ones, by the factorization
-        held for ``self.dt``."""
+        """M1^-1 on the free nodes, zero at pinned ones, for ``self.dt``."""
         out = np.zeros((self.op.grid.size, *rhs_free.shape[1:]))
         if not rhs_free.size:  # dgttrs corrupts the heap when given no right-hand side
             return out
-        if self._dense:
-            np.matmul(self._m1_inv, rhs_free, out=out[self.op.free])
-        else:
-            out[self.op.free] = self._gttrs(*self._lu, rhs_free)[0]
+        out[self.op.free] = self._gttrs(*self._lu, rhs_free)[0]
         return out
 
     def _input(self, t: float) -> np.ndarray:
@@ -214,17 +162,6 @@ class IMEXStepper:
         e = s[self.r : self.r + self.m] - zeta if self.coupled else zeta
         return np.concatenate([self.phi(s[: self.r]), e])
 
-    @property
-    def linear(self) -> bool:
-        """True when phi is the identity (zero and linear non-local terms)."""
-        return self.phi is NonlinearTerm.phi
-
-    def fits(self, k: int) -> bool:
-        """True when the binary powers of the one-step matrix that take k
-        steps at once fit in _PROPAGATOR_BYTES."""
-        size = self.op.grid.size + self.m + 3 * len(self.v_terms)
-        return 8 * size**2 * k.bit_length() <= _PROPAGATOR_BYTES
-
     def step(self, w: np.ndarray, t: float, dt: float, zeta: np.ndarray | None = None):
         """Advance (w, zeta) from t to t + dt and return the new pair.
 
@@ -234,21 +171,14 @@ class IMEXStepper:
         _CORRECTOR_MAXITER updates. Linear terms stop after the second update,
         which confirms the exact first one.
         """
-        if dt != self.dt or self._dense:
-            self._factor(dt, dense=False)
+        if dt != self.dt:
+            self._factor(dt)
         zeta = np.zeros(self.m) if zeta is None else zeta
         self.steps += 1
-        return self._trapezoid(w, zeta, self._input(t), self._input(t + dt), t, self._m0)
+        return self._trapezoid(w, zeta, self._input(t), self._input(t + dt), t)
 
-    def _trapezoid(self, w, zeta, v0, v1, t: float, m0):
-        """One step of the current dt with the inputs v0 = v(t), v1 = v(t + dt)
-        and m0, the three diagonals of M0.
-
-        The arrays are single states, or blocks whose columns are states
-        (w (n, K), zeta (m, K), v0 and v1 (n, K), the diagonals as columns):
-        the block form is how ``_propagator`` applies this same algebra to the
-        identity.
-        """
+    def _trapezoid(self, w, zeta, v0, v1, t: float):
+        """One step of the current dt with the inputs v0 = v(t), v1 = v(t + dt)."""
         r, free, h = self.r, self.op.free, 0.5 * self.dt
         s = self.rows @ w
         coef = self._coef(s, zeta)
@@ -257,9 +187,8 @@ class IMEXStepper:
             stiff = slice(r + self.m, None)
             zeta_known = zeta + h * (s[stiff] + self.c_nl @ coef[:r] + self.c_rows @ (v0 + v1))
 
-        # h * (cols' coef + v0 + v1) and a + P coef by the same operations in
-        # place, each temporary dropped once read: building T holds few (n, n)
-        sub0, diag0, sup0 = m0
+        # M0 w + h * (cols' coef + v0 + v1) on the free nodes, then a = M1^-1 of it
+        sub0, diag0, sup0 = self._m0
         wf = w[free]
         rhs = diag0 * wf
         rhs[:-1] += sup0 * wf[1:]
@@ -269,9 +198,7 @@ class IMEXStepper:
         explicit += v1
         explicit *= h
         rhs += explicit[free]
-        del explicit
         a = self._solve(rhs)
-        del rhs
         s_a = self.rows @ a
 
         zeta_new = zeta
@@ -285,167 +212,14 @@ class IMEXStepper:
             w_new += a
             change = self._p @ dcoef
             diff = np.abs(change, out=change).max()
-            del change
             if self.coupled:
                 dzeta = h * (self._rp[stiff] @ dcoef + self.c_nl @ dcoef[:r])
                 zeta_new = zeta_new + dzeta
                 diff = max(diff, np.abs(dzeta).max())
             if diff <= _CORRECTOR_RTOL * max(np.abs(w_new).max(), 1.0):
                 return w_new, zeta_new
-            del w_new  # before the next iterate is built
         raise StepRejected(f"corrector failed to converge within {_CORRECTOR_MAXITER} updates "
                            f"at t={t:.6g} (dt={self.dt:.3g}); the explicit part is too stiff")
-
-    def advance(self, w: np.ndarray, t, dt: float, jumps, zeta: np.ndarray | None = None,
-                out_w: np.ndarray | None = None, out_zeta: np.ndarray | None = None,
-                stepwise: bool = False, keep=(), rows=None):
-        """Advance (w, zeta) from t by steps of size dt, ``jumps[i]`` steps at
-        a time, and write the state after jump i into row ``rows[i]`` of
-        ``out_w`` and ``out_zeta`` (row i by default); ``out_w`` is
-        allocated with one row per jump when not given, ``out_zeta`` with
-        out_w's rows, and both are returned. Equal to calls of ``step`` up
-        to roundoff, and bit for bit to one call per jump.
-
-        ``w`` is one state (n,) with ``zeta`` (m,) and a start time t, or a
-        block of K states (K, n) with ``zeta`` (K, m) and K start times, all
-        taking the same jumps; each ``rows[i]`` then holds K row indices.
-
-        With a linear phi a step is one linear map T of the augmented state
-        x = (w, zeta, z), where z holds three exosystem coordinates per input
-        term: (offset, amplitude sin(omega t + phase), amplitude cos(...)),
-        rotated exactly by omega dt per step. The states are the columns of
-        one block X, whose z is set from each column's own jump start time,
-        so no rotation error carries over from one jump to the next; a jump
-        by k is one product T^k X when T^k is kept, else popcount(k)
-        products with the binary powers T^(2^i) of the current dt. T^k is
-        kept for the k in ``keep``, the jumps a run makes most (see
-        ``_matrices``). Saturated terms, jumps whose powers
-        do not fit (``fits``), and every jump when ``stepwise`` is set call
-        ``step`` at t + s dt for each step s from t and each state instead.
-        """
-        n, m = self.op.grid.size, self.m
-        w = np.asarray(w, dtype=float)
-        states = w.reshape(-1, n)
-        count = states.shape[0]
-        t0 = np.asarray(t, dtype=float)  # one start time, or one per state
-        x = np.zeros((n + m + 3 * len(self.v_terms), count))  # (w, zeta, z) in columns
-        x[:n] = states.T
-        if zeta is not None:
-            x[n : n + m] = np.asarray(zeta, dtype=float).reshape(count, m).T
-        zeta_shape = (*w.shape[:-1], m)
-        out_w = np.empty((len(jumps), *w.shape)) if out_w is None else out_w
-        out_zeta = np.empty((*out_w.shape[:-1], m)) if out_zeta is None else out_zeta
-        rows = range(len(jumps)) if rows is None else rows
-        matrix_bytes = 8 * x.shape[0] ** 2
-        stepwise = stepwise or not self.linear
-        done, products, last_k = 0, 0, None
-        for k, row in zip(jumps, rows):
-            if k != last_k:  # the same k asks for the same matrices
-                last_k, matrices = k, None
-                if k and not stepwise and self.fits(k):
-                    matrices = self._matrices(dt, k, keep, matrix_bytes)
-            if matrices is None:
-                for c, start in enumerate(np.broadcast_to(t0, count)):
-                    w_c, zeta_c = x[:n, c].copy(), x[n : n + m, c].copy()
-                    for s in range(done, done + k):
-                        w_c, zeta_c = self.step(w_c, start + s * dt, dt, zeta_c)
-                    x[:n, c], x[n : n + m, c] = w_c, zeta_c
-            else:
-                if self.v_terms:
-                    x[n + m :] = self._exo(t0 + done * dt)
-                for power in matrices:
-                    x = power @ x
-                products += len(matrices) * count
-            out_w[row] = x[:n].T.reshape(w.shape)
-            out_zeta[row] = x[n : n + m].T.reshape(zeta_shape)
-            done += k
-        self.propagator_products += products
-        return out_w, out_zeta
-
-    def _matrices(self, dt: float, k: int, keep, matrix_bytes: int) -> list[np.ndarray]:
-        """The matrices whose product with X takes k steps of dt: [T^k] when
-        T^k is kept, else the binary powers of k's set bits, built when
-        missing and kept for dt.
-
-        T^k is kept for a k > 1 in ``keep`` while the cap leaves room for it
-        next to the powers it needs, and built once: the kept T^s of the
-        largest other s in ``keep`` that divides k, raised to k / s by
-        squaring, else the product of k's binary powers. Keeping one matrix
-        per distinct k would cost more matrix products than it saves when a
-        run's records fall at many spacings. The powers come first: kept
-        matrices are dropped when the powers of a k need their room. Every
-        matrix stays until a new dt drops them all, before its T is built,
-        or ``_release`` does.
-        """
-        if dt != self._powers_dt:
-            self._powers, self._kept, self._powers_dt = [], {}, None  # gone before T is built
-            self._powers, self._powers_dt = [self._propagator(dt)], dt
-        if k > 1 and k in keep and k not in self._kept:
-            s = max((s for s in keep if s < k and k % s == 0), default=1)
-            base = self._matrices(dt, s, keep, matrix_bytes) if s > 1 else []
-            # T^s is one matrix when it is kept or a binary power
-            powers = len(self._powers) if len(base) == 1 else max(len(self._powers), k.bit_length())
-            if matrix_bytes * (powers + len(self._kept) + 1) <= _PROPAGATOR_BYTES:
-                if len(base) == 1:
-                    self._kept[k] = np.linalg.matrix_power(base[0], k // s)
-                else:
-                    self._kept[k] = functools.reduce(np.matmul, self._matrices(dt, k, (), matrix_bytes))
-        if k in self._kept:
-            return [self._kept[k]]
-        if matrix_bytes * (k.bit_length() + len(self._kept)) > _PROPAGATOR_BYTES:
-            self._kept = {}  # the powers come first
-        while len(self._powers) < k.bit_length():
-            self._powers.append(self._powers[-1] @ self._powers[-1])
-        return [power for i, power in enumerate(self._powers) if k >> i & 1]
-
-    def _release(self) -> None:
-        """Drop the one-step matrix, its powers and this stepper's hold on the
-        dense M1^-1; the shared ``inverses`` keep it for the next stepper on
-        the operator. A later jump or step builds what it needs again."""
-        self._powers, self._kept, self._powers_dt = [], {}, None
-        if self._dense:
-            self.dt = self._m1_inv = None
-
-    def _exo(self, t: np.ndarray) -> np.ndarray:
-        """The exosystem coordinates of the inputs at each of the times t,
-        one column per time; value(t) = z[0] + z[1]."""
-        z = np.empty((3 * len(self.v_terms), t.size))
-        for j, (ts, _) in enumerate(self.v_terms):
-            angle = ts.omega * t + ts.phase
-            z[3 * j] = ts.offset
-            z[3 * j + 1] = ts.amplitude * np.sin(angle)
-            z[3 * j + 2] = ts.amplitude * np.cos(angle)
-        return z
-
-    def _propagator(self, dt: float) -> np.ndarray:
-        """The one-step matrix of (w, zeta, z): ``_trapezoid`` of dt on the
-        identity, as one block of right-hand sides, over the exact rotation
-        of the exosystem."""
-        if dt != self.dt or not self._dense:
-            self._factor(dt, dense=True)
-        n, m, q = self.op.grid.size, self.m, len(self.v_terms)
-        size = n + m + 3 * q
-        v0 = np.zeros((n, size))
-        v1 = np.zeros((n, size)) if q else v0  # no input: both are zero
-        rotations = []
-        for j, (ts, b) in enumerate(self.v_terms):
-            c, s = math.cos(ts.omega * dt), math.sin(ts.omega * dt)
-            col = n + m + 3 * j
-            # v(t) = z0 + z1 and v(t + dt) = z0 + c z1 + s z2, times b
-            v0[:, col], v1[:, col] = b, b
-            v0[:, col + 1], v1[:, col + 1] = b, c * b
-            v1[:, col + 2] = s * b
-            rotations.append((col, [[1.0, 0.0, 0.0], [0.0, c, s], [0.0, -s, c]]))
-        eye = np.eye(n + m, size)
-        m0 = [d[:, None] for d in self._m0]
-        rows = self._trapezoid(eye[:n], eye[n:], v0, v1, 0.0, m0)
-        del eye, v0, v1
-        T = np.zeros((size, size))
-        T[:n], T[n : n + m] = rows
-        for col, rotation in rotations:
-            T[col : col + 3, col : col + 3] = rotation
-        self.propagators_built += 1
-        return T
 
 
 # -- spec-level single-step entry points ---------------------------------------
@@ -491,9 +265,9 @@ class DiscreteObserver:
     injection columns ``l_cols`` (n, m), built from the design's first N
     modes resampled on the grid, and rows (m, n) of c_i, k_i, k_i - c_i and
     -L_h c_i times the trapezoid weights. It builds the plant and observer
-    steppers on one ``op``, sharing one dense inverse of M1, and owns the
-    sample law: a sample reads y = <k, u> + xi with ``k_rows``, and
-    ``reset`` turns y into the observer's second state."""
+    steppers on one ``op``, and owns the sample law: a sample reads
+    y = <k, u> + xi with ``k_rows``, and ``reset`` turns y into the
+    observer's second state."""
 
     def __init__(self, design: ObserverDesign, variant: str, nodes: int):
         check_variant(variant)
@@ -504,16 +278,14 @@ class DiscreteObserver:
         self.l_cols = injection_kernels(design.L, design.basis.resample(nodes, design.N))[0].T
         self.c_rows, self.k_rows, self.gap_rows = c * op.weights, k * op.weights, (k - c) * op.weights
         self.stiff_rows = (-np.vstack([op.apply(ci) for ci in c])) * op.weights
-        self._inverses: dict = {}
 
     def plant(self, nonlinearity: NonlinearTerm, v: SpaceTimeSignal) -> IMEXStepper:
-        return IMEXStepper(self.op, nonlinearity, v, inverses=self._inverses)
+        return IMEXStepper(self.op, nonlinearity, v)
 
     def observer(self, nonlinearity: NonlinearTerm, v: SpaceTimeSignal) -> IMEXStepper:
         if self.variant == "predictor":
-            return IMEXStepper(self.op, nonlinearity, v, self.l_cols, self.c_rows, self.stiff_rows,
-                               self._inverses)
-        return IMEXStepper(self.op, nonlinearity, v, self.l_cols, inverses=self._inverses)
+            return IMEXStepper(self.op, nonlinearity, v, self.l_cols, self.c_rows, self.stiff_rows)
+        return IMEXStepper(self.op, nonlinearity, v, self.l_cols)
 
     def reset(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The observer's second state after sampling y with field w: the
@@ -521,6 +293,135 @@ class DiscreteObserver:
         if self.variant == "predictor":
             return y - self.gap_rows @ w
         return self.k_rows @ w - y
+
+
+class GridModes:
+    """B_h's eigenbasis, and the observer's error dynamics in it.
+
+    W^{1/2} B_h W^{-1/2} on the free nodes is a symmetric tridiagonal
+    (``DiscreteSLOperator.symmetric_tridiagonals``), and one
+    ``numpy.linalg.eigh`` of it gives (lam, Q). The modes U = W^{-1/2} Q are
+    orthonormal in the trapezoid weights, so a field's modal coordinates are
+    U^T W x and its norm is their plain norm. ``rows`` holds the modes as
+    rows on the whole grid, zero at pinned nodes.
+
+    In the modes, the observer error e = w - u obeys e' = -lam e + l_hat eta
+    + (v~ - v)^ between samples, and the innovation eta obeys eta' = A eta;
+    a sample resets it to eta = k_hat e - xi. The hold observer holds eta
+    (A = 0). The predictor's eta = C w - zeta has A = c_hat l_hat, because
+    the rate of zeta reads -C B_h w (``stiff_rows``), which makes the
+    (e, eta) generator block triangular. ``flows`` solves this in closed
+    form: no time step, no ``expm`` of the grid, no scipy.
+    """
+
+    def __init__(self, discrete: DiscreteObserver):
+        op = discrete.op
+        diag, off = op.symmetric_tridiagonals()
+        sym = np.diag(diag)
+        i = np.arange(off.size)
+        sym[i, i + 1] = sym[i + 1, i] = off
+        self.lam, q = np.linalg.eigh(sym)
+        del sym
+        self.rows = np.zeros((self.lam.size, op.grid.size))
+        self.rows[:, op.free] = q.T
+        del q
+        self.rows[:, op.free] /= np.sqrt(op.weights[op.free])
+        self.weights = op.weights
+        self.l_hat = self.project(discrete.l_cols.T)  # (m, modes): one row per channel
+        self.k_hat = discrete.k_rows @ self.rows.T  # (m, modes)
+        m = self.l_hat.shape[0]
+        if discrete.variant == "predictor":
+            self.A = (discrete.c_rows @ self.rows.T) @ self.l_hat.T
+        else:
+            self.A = np.zeros((m, m))
+
+    def project(self, fields: np.ndarray) -> np.ndarray:
+        """The modal coordinates U^T W x of each row x of ``fields``."""
+        return (fields * self.weights) @ self.rows.T
+
+    def flows(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """At each offset s (a 1-D array) from a sample: e^{-lam s} (S, modes);
+        the injection integral Phi(s) = int_0^s e^{-lam (s - r)} l_hat e^{A r}
+        dr (S, m, modes), one row per channel; and e^{A s} (S, m, m). So the
+        error s after a sample with state e and innovation eta is
+        e^{-lam s} e + eta Phi(s), plus the input mismatch.
+
+        With A = a I (the hold, a = 0, and every one-channel predictor) Phi
+        is l_hat times the scalar response (e^{a s} - e^{-lam s}) / (a + lam)
+        (``_response``). Otherwise each offset and mode takes the (m + 1)
+        block exponential of Van Loan ("Computing integrals involving the
+        matrix exponential", IEEE Trans. Autom. Control 23, 1978), batched in
+        numpy (``_expm``)."""
+        s = np.asarray(s, dtype=float)
+        decay = np.exp(-np.multiply.outer(s, self.lam))
+        m = self.A.shape[0]
+        a = self.A[0, 0] if m else 0.0
+        if np.array_equal(self.A, a * np.eye(m)):
+            phi = _response(a, self.lam, s, decay)[:, None, :] * self.l_hat
+            return decay, phi, np.exp(a * s)[:, None, None] * np.eye(m)
+        block = np.zeros((s.size, self.lam.size, m + 1, m + 1))
+        block[..., 0, 0] = -np.multiply.outer(s, self.lam)
+        block[..., 0, 1:] = np.multiply.outer(s, self.l_hat.T)
+        block[..., 1:, 1:] = np.multiply.outer(s, self.A)[:, None]
+        flow = _expm(block)
+        return decay, flow[..., 0, 1:].transpose(0, 2, 1), flow[:, 0, 1:, 1:]
+
+    def inputs(self, v: SpaceTimeSignal, grid: np.ndarray) -> list:
+        """The terms of v as (time signal, modal profile) pairs."""
+        return [(ts, self.project(prof.values(grid))) for ts, prof in v.terms]
+
+    def driven(self, terms: list, t0: np.ndarray, s: np.ndarray, decay: np.ndarray) -> np.ndarray:
+        """The modes' response at t0 + s to the input ``terms`` applied from
+        t0, from rest, one row per (t0, s) pair; ``decay`` is e^{-lam s}. An
+        offset o drives o (1 - e^{-lam s}) / lam, and A sin(omega t + phase)
+        drives A Im(e^{i (omega t0 + phase)} (e^{i omega s} - e^{-lam s}) /
+        (i omega + lam))."""
+        out = np.zeros_like(decay)
+        steady = None
+        for ts, b_hat in terms:
+            if ts.offset:
+                if steady is None:
+                    steady = _response(0.0, self.lam, s, decay)
+                out += ts.offset * steady * b_hat
+            if ts.amplitude:
+                wave = _response(1j * ts.omega, self.lam, s, decay)
+                angle = (ts.omega * t0 + ts.phase)[:, None]
+                wave = np.cos(angle) * wave.imag + np.sin(angle) * wave.real
+                out += ts.amplitude * wave * b_hat
+        return out
+
+
+def _response(a, lam: np.ndarray, s: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """(e^{a s} - e^{-lam s}) / (a + lam), the response at each offset s (rows)
+    of each mode lam (columns) to e^{a r} applied from r = 0, for a real or
+    complex a; ``decay`` is e^{-lam s}. It is s e^{a s} phi1(-(a + lam) s)
+    where Re(a + lam) >= 0 and s e^{-lam s} phi1((a + lam) s) elsewhere, with
+    phi1(z) = expm1(z) / z, so it neither cancels nor overflows."""
+    b = a + lam
+    falling = b.real >= 0.0
+    z = np.multiply.outer(s, np.where(falling, -b, b))
+    ratio = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
+    return s[:, None] * np.where(falling, np.exp(a * s)[:, None], decay) * ratio
+
+
+_TAYLOR_DEGREE = 16  # truncation below 1e-18 at norm 1/2
+
+
+def _expm(x: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the stack x (..., k, k): a Taylor polynomial of
+    x / 2^j, squared j times, with j for each matrix the fewest halvings
+    that bring its 1-norm to 1/2."""
+    norm = np.abs(x).sum(axis=-2).max(axis=-1)
+    halvings = np.ceil(np.log2(np.maximum(norm, 0.5) / 0.5)).astype(int)
+    y = x / np.ldexp(1.0, halvings)[..., None, None]
+    eye = np.eye(x.shape[-1])
+    out = eye + y / _TAYLOR_DEGREE
+    for d in range(_TAYLOR_DEGREE - 1, 0, -1):
+        out = eye + (y @ out) / d
+    for level in range(halvings.max(initial=0)):
+        more = halvings > level
+        out[more] = out[more] @ out[more]
+    return out
 
 
 # -- scenario and trajectory ----------------------------------------------------
@@ -622,47 +523,37 @@ def simulate(scenario: Scenario) -> Trajectory:
     """Run the co-simulation from t = 0 to the schedule's horizon, sampling
     at the schedule's times up to it; deterministic given the scenario seeds.
 
-    Sub-steps subdivide each sampling interval exactly, so every sampling
-    time is an integrator step boundary and no interpolation happens at
-    predictor resets. A scenario whose certificate ``scenario.report`` is
-    infeasible (Omega >= 1) still runs, since divergence studies are
-    legitimate, but emits a warning; ``analysis.check_run`` then checks no
-    bound.
+    The record plan (``_record_plan``) fixes every record time and sample
+    flag first, and the trajectory arrays are allocated once from it. Each
+    gap between samples (and the last one, up to the horizon) is cut into
+    the fewest equal steps of at most dt_target (default min(dx, h/20)); a
+    record falls on the first step at or past each due time, one
+    ``snapshot_every`` after the last, and every sample is a record. A
+    scenario whose certificate ``scenario.report`` is infeasible (Omega >= 1)
+    still runs, since divergence studies are legitimate, but emits a
+    warning; ``analysis.check_run`` then checks no bound.
 
-    The record plan (``_record_plan``) fixes before any step every
-    interval's step count and dt, the steps at which a record falls, and so
-    every record time and sample flag; the trajectory arrays are allocated
-    once from it. The plant then runs through the whole plan, and the
-    observer after it, each in one pass (``_fill``); the observer's reset at
-    a sample reads the plant's row there.
+    A run with the zero term is solved exactly in the modes of B_h
+    (``GridModes``), with no time step: the plant and the observer error
+    e = w - u from sample to sample, the innovation reset from the noise
+    alone (y - <k, u> = xi), and each record the closed form at its time.
+    ``error_l2`` is the norm of e's modal coordinates and ``error_sup`` the
+    largest |e| on the grid, so the error is never the difference of two
+    fields; w = u + e, and zeta is C w - eta for the predictor and the held
+    eta for the hold observer. ``metadata["scheme"]`` is "exact-modal" and
+    ``metadata["integrator"]`` {"modes": count, "steps": 0}.
 
-    One ``DiscreteObserver`` of the scenario's variant builds both steppers
-    and resets the observer at every sample; only what it is handed differs
-    between coordinates.
-
-    A linear run (phi the identity) carries the observer in error
-    coordinates (w - u, zeta - C u; the held innovation for the hold
-    observer), resets it from the noise alone (y - <k, u> = xi), and
-    rebuilds every row's w = u + e and zeta = z + C u once, after both
-    passes, so the error is never the difference of two propagated fields.
-    An interval whose dt equals the previous interval's or the next one's
-    (up to the rounding of the sample times) is propagated, so a uniform
-    schedule of two or more intervals steps at most a shorter last one; a
-    one-interval run, an interval whose dt no neighbour shares, and every
-    step of a nonlinear run call ``step``. Each stepper keeps, per dt, the
-    powers for the plan's most frequent interval step count and interior
-    jump (``_kept_jumps``). ``metadata["integrator"]`` counts the steps
-    taken, the one-step matrices built and the products with them, one per
-    matrix and state. The error norms are ``snapshot_norms`` of w - u a
-    block of rows at a time, with the bits of the whole array's (see
-    ``grids._row_blocks``).
+    A run with a non-zero term steps: the plant through every interval,
+    then the observer, whose reset reads the plant's row at each sample,
+    each with ``IMEXStepper.step``; the error norms are ``snapshot_norms``
+    of w - u a block of rows at a time. ``metadata["scheme"]`` is
+    "imex-crank-nicolson" and ``metadata["integrator"]`` {"steps": count}.
     """
     design = scenario.design
     sch = scenario.schedule
 
     discrete = DiscreteObserver(design, scenario.variant, scenario.nodes)
-    grid, weights = discrete.op.grid, discrete.op.weights
-    nl = scenario.nonlinearity
+    grid = discrete.op.grid
     dist = scenario.disturbances
 
     report = scenario.report
@@ -673,15 +564,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     u = _initial_field(scenario.u0, discrete.op)
     w = _initial_field(scenario.w0, discrete.op)
 
-    plant = discrete.plant(nl, dist.v)
-    # a linear run integrates the observer error (w - u, zeta - C u), driven
-    # by v~ - v and measuring only the noise; a nonlinear one (w, zeta) itself
-    linear = plant.linear
-    obs = discrete.observer(nl, _difference(dist.v_tilde, dist.v) if linear else dist.v_tilde)
-    # the held innovation reads the same in both coordinates
-    c_rows = discrete.c_rows if obs.coupled else np.zeros_like(discrete.c_rows)
-    x = w - u if linear else w  # the observer's field in its own coordinates
-
     dx = grid[1] - grid[0]
     dt_target = scenario.dt if scenario.dt is not None else min(dx, sch.diameter / 20.0)
     snap_every = (
@@ -689,246 +571,273 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
     # an explicit schedule may declare a horizon before its last sample
     sample_times = sch.times[sch.times <= sch.horizon + 1e-12]
-    times, flags, plan = _record_plan(sample_times, sch.horizon, dt_target, snap_every, linear)
-    # a jump whose record is a duplicate writes the row after the last one,
-    # which the next record overwrites, or one spare row past the end
-    n_rows = max([len(times)] + [iv.row + len(iv.jumps) + 1 for iv in plan])
-    u_arr, w_arr = np.empty((n_rows, u.size)), np.empty((n_rows, u.size))
-    z_arr = np.empty((n_rows, design.m))
-    events: list[SampleEvent] = []
-
-    def reset(j: int, x: np.ndarray) -> np.ndarray:
-        # the sample reads y = <k, u> + xi from the plant's row; y - <k, u> is
-        # the noise alone in error coordinates
-        t = float(sample_times[j])
-        xi = np.array([s.value(t, j) for s in dist.xi])
-        events.append(SampleEvent(j, t, xi))
-        return discrete.reset(xi if linear else discrete.k_rows @ u_arr[plan[j].row] + xi, x)
-
-    keep = _kept_jumps(plan)
-    _fill(plant, sample_times, plan, keep, u, u_arr)
-    _fill(obs, sample_times, plan, keep, x, w_arr, z_arr, reset)
-
-    # the rows hold the observer in its own coordinates
-    u_arr, w_arr, z_arr = u_arr[: len(times)], w_arr[: len(times)], z_arr[: len(times)]
-    if linear:
-        w_arr += u_arr
-        # c_rows @ u of each row, as a stack of products: the same bits as
-        # one product per row, which one (rows, n) @ (n, m) is not
-        z_arr += (c_rows @ u_arr[:, :, None])[..., 0]
-    # the error norms a block of rows at a time, not from one (rows, n) w - u
-    err_l2, err_sup = np.empty(len(times)), np.empty(len(times))
-    for block in _row_blocks(len(times)):
-        err_l2[block], err_sup[block] = snapshot_norms(w_arr[block] - u_arr[block], weights)
+    plan = _record_plan(sample_times, sch.horizon, dt_target, snap_every)
+    size = plan.times.size
     traj = Trajectory(
-        times=times,
-        u=u_arr,
-        w=w_arr,
-        zeta=z_arr,
-        sample_flag=flags,
-        events=events,
+        times=plan.times,
+        u=np.empty((size, grid.size)),
+        w=np.empty((size, grid.size)),
+        zeta=np.empty((size, design.m)),
+        sample_flag=plan.flags,
+        events=[],
         grid=grid,
-        error_l2=err_l2,
-        error_sup=err_sup,
+        error_l2=np.empty(size),
+        error_sup=np.empty(size),
         metadata={
             "variant": scenario.variant,
             "nodes": scenario.nodes,
             "dt_target": dt_target,
-            "scheme": "imex-crank-nicolson",
             "diameter": sch.diameter,
             "horizon": sch.horizon,
             "label": scenario.label,
-            "integrator": {
-                key: getattr(plant, key) + getattr(obs, key)
-                for key in ("steps", "propagators_built", "propagator_products")
-            },
         },
     )
+    for j, t in enumerate(sample_times.tolist()):
+        traj.events.append(SampleEvent(j, t, np.array([s.value(t, j) for s in dist.xi])))
+    if scenario.nonlinearity.factors(grid.size)[0].shape[0]:
+        scheme, integrator = "imex-crank-nicolson", _stepped(discrete, scenario.nonlinearity, dist,
+                                                             plan, u, w, traj)
+    else:
+        scheme, integrator = "exact-modal", _closed_form(discrete, dist, plan, u, w, traj)
+    traj.metadata.update(scheme=scheme, integrator=integrator)
     traj.validate()
     return traj
 
 
-def _fill(stepper: IMEXStepper, sample_times: np.ndarray, plan: list, keep: dict, x: np.ndarray,
-          out_w: np.ndarray, out_zeta: np.ndarray | None = None, reset=None) -> None:
-    """One stepper's pass through a run's record plan, from the state x at the
-    first sample: writes its rows of ``out_w`` (and ``out_zeta``), and at
-    every sample sets zeta = ``reset(j, x)`` from the state x there.
+def _closed_form(discrete: DiscreteObserver, dist: Disturbances, plan: "_Plan", u: np.ndarray,
+                 w: np.ndarray, traj: Trajectory) -> dict:
+    """Fill ``traj`` with the exact solution in the grid's modes.
 
-    The samples come in order, with one ``advance`` call per interval that
-    writes straight into the interval's rows: only the last one for a
-    propagated interval whose powers for its whole step count fit
-    (``IMEXStepper.fits``), which jumps from its sample to its end at once,
-    and every row from record to record for any other interval. The interior
-    rows of those whole-interval jumps wait for the record pass: the
-    intervals that share dt and jumps form one group, whose sample states are
-    the columns of one block, and each jump is one product of a power of the
-    one-step matrix with that block. It runs for each dt's groups before the
-    samples reach an interval propagated at another dt, while the stepper
-    holds that dt's matrices, so it builds one one-step matrix per run of
-    intervals of one dt; the stepper drops its matrices at the end.
+    The samples come first, in order: the modal plant and error at each,
+    the innovation eta_j = k_hat e_j - xi_j it resets, and the flow over the
+    gap to the next one, one ``GridModes.flows`` per distinct gap. The
+    records then follow a ``grids._row_blocks`` block at a time, each row the
+    flow from its interval's sample (one ``flows`` per distinct offset in
+    the block), and go to the grid by one product with the modes per field.
     """
-    groups: dict[tuple, list[tuple[float, int]]] = {}  # (dt, interior jumps) -> (t_j, row), one dt
+    modes = GridModes(discrete)
+    grid = discrete.op.grid
+    plant_inputs, observer_inputs = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
 
-    def record_pass():
-        for (dt, jumps), group in groups.items():
-            t0, starts = (np.array(column) for column in zip(*group))
-            rows = starts + np.arange(1, len(jumps) + 1)[:, None]  # (jumps, intervals)
-            # evenly spaced sample rows are read through a view, not a copy
-            step = starts[1] - starts[0] if starts.size > 1 else 1
-            if np.all(np.diff(starts) == step):
-                starts = slice(starts[0], starts[-1] + 1, step)
-            zeta = None if out_zeta is None else out_zeta[starts]
-            stepper.advance(out_w[starts], t0, dt, jumps, zeta, out_w, out_zeta, keep=keep[dt],
-                            rows=rows)
-        groups.clear()
+    def driven(t0, s, decay):
+        # the plant's and the error's response to the inputs; v~ - v as the
+        # difference of two responses, so a matched input cancels exactly
+        plant = modes.driven(plant_inputs, t0, s, decay)
+        return plant, modes.driven(observer_inputs, t0, s, decay) - plant
 
+    inputs = bool(plant_inputs or observer_inputs)
+    sample_times = np.array([event.t for event in traj.events])
+    eta_at = -np.array([event.xi for event in traj.events]).reshape(sample_times.size, -1)
+    # an empty interval takes no step, so it keeps the state
+    gaps, gap_index = np.unique(np.where(plan.steps > 0, plan.gap, 0.0), return_inverse=True)
+    decay, phi, _ = modes.flows(gaps)
+    drive = None
+    if inputs:
+        drive = np.stack(driven(sample_times, gaps[gap_index], decay[gap_index]), axis=1)
+    states = np.empty((sample_times.size, 2, modes.lam.size))  # plant and error at each sample
+    x, k_hat = modes.project(np.stack([u, w - u])), modes.k_hat
+    for j, g in enumerate(gap_index.tolist()):
+        states[j] = x
+        eta = eta_at[j]  # -xi_j, plus:
+        eta += k_hat @ x[1]
+        x = decay[g] * x
+        x[1] += eta @ phi[g]
+        if drive is not None:
+            x += drive[j]
+    del decay, phi, drive
+
+    predictor = discrete.variant == "predictor"
+    for block in _row_blocks(plan.times.size):
+        j, s = plan.row_interval[block], plan.row_offset[block]
+        offsets, index = np.unique(s, return_inverse=True)
+        decay, phi, eta_flow = modes.flows(offsets)
+        decay = decay[index]
+        if inputs:
+            plant_drive, error_drive = driven(sample_times[j], s, decay)
+        u_rows, w_rows = traj.u[block], traj.w[block]
+        x = states[j, 0]
+        x *= decay
+        if inputs:
+            x += plant_drive
+        np.matmul(x, modes.rows, out=u_rows)
+        del x
+        x = states[j, 1]
+        x *= decay
+        del decay
+        eta = eta_at[j]
+        for c in range(eta.shape[1]):
+            injected = phi[index, c]
+            injected *= eta[:, c, None]
+            x += injected
+            del injected
+        if inputs:
+            x += error_drive
+        e_rows = x @ modes.rows
+        np.add(u_rows, e_rows, out=w_rows)
+        traj.error_l2[block] = np.sqrt(np.einsum("ij,ij->i", x, x))
+        traj.error_sup[block] = np.abs(e_rows, out=e_rows).max(axis=1)
+        del e_rows, x
+        if predictor:
+            eta = (eta_flow[index] @ eta[:, :, None])[..., 0]
+            traj.zeta[block] = w_rows @ discrete.c_rows.T - eta
+        else:
+            traj.zeta[block] = eta
+    return {"modes": int(modes.lam.size), "steps": 0}
+
+
+def _stepped(discrete: DiscreteObserver, nl: NonlinearTerm, dist: Disturbances, plan: "_Plan",
+             u: np.ndarray, w: np.ndarray, traj: Trajectory) -> dict:
+    """Fill ``traj`` by stepping the plant through the whole plan, then the
+    observer, whose reset at each sample reads the plant's row there."""
+    plant = discrete.plant(nl, dist.v)
+    obs = discrete.observer(nl, dist.v_tilde)
+
+    def reset(j: int, x: np.ndarray) -> np.ndarray:
+        return discrete.reset(discrete.k_rows @ traj.u[plan.rows[j]] + traj.events[j].xi, x)
+
+    _step_through(plant, plan, traj, u, traj.u)
+    _step_through(obs, plan, traj, w, traj.w, traj.zeta, reset)
+    for block in _row_blocks(plan.times.size):
+        traj.error_l2[block], traj.error_sup[block] = snapshot_norms(
+            traj.w[block] - traj.u[block], discrete.op.weights)
+    return {"steps": plant.steps + obs.steps}
+
+
+def _step_through(stepper: IMEXStepper, plan: "_Plan", traj: Trajectory, x: np.ndarray,
+                  out_w: np.ndarray, out_zeta: np.ndarray | None = None, reset=None) -> None:
+    """One stepper through the plan from the state x at the first sample:
+    writes its rows of ``out_w`` (and ``out_zeta``), and at every sample
+    sets zeta = ``reset(j, x)`` from the state x there."""
+    bounds = np.searchsorted(plan.record_intervals, np.arange(plan.rows.size + 1)).tolist()
+    records = list(zip(plan.record_steps.tolist(), plan.record_rows.tolist()))
     zeta = None
-    for j, (t_j, iv) in enumerate(zip(sample_times, plan)):
-        t_j = float(t_j)
-        if iv.propagate and groups and iv.dt != next(iter(groups))[0]:
-            record_pass()
-        if iv.fresh:  # a sample within 1e-14 of the last record only updates its zeta
-            out_w[iv.row] = x
+    for j, event in enumerate(traj.events):
+        if plan.fresh[j]:  # a sample within 1e-14 of the last record only updates its zeta
+            out_w[plan.rows[j]] = x
         if reset is not None:
-            zeta = out_zeta[iv.row] = reset(j, x)
-        if not iv.jumps:
-            continue
-        total = sum(iv.jumps)
-        at_once = iv.propagate and len(iv.jumps) > 1 and stepper.fits(total)
-        jumps = (total,) if at_once else iv.jumps
-        if at_once:
-            groups.setdefault((iv.dt, iv.jumps[:-1]), []).append((t_j, iv.row))
-        end = iv.row + len(iv.jumps) + 1
-        stepper.advance(x, t_j, iv.dt, jumps, zeta, out_w, out_zeta, not iv.propagate,
-                        keep.get(iv.dt, ()), range(end - len(jumps), end))
-        x = out_w[end - 1]  # advance reads its start state before it writes a row
-    record_pass()
-    stepper._release()
+            zeta = out_zeta[plan.rows[j]] = reset(j, x)
+        t_j, dt = event.t, plan.dt[j]
+        due = iter(records[bounds[j] : bounds[j + 1]])
+        step, row = next(due, (None, None))
+        for s in range(plan.steps[j]):
+            x, zeta = stepper.step(x, t_j + s * dt, dt, zeta)
+            if s + 1 == step:
+                out_w[row] = x
+                if out_zeta is not None:
+                    out_zeta[row] = zeta
+                step, row = next(due, (None, None))
 
 
 @dataclass(frozen=True)
-class _Interval:
-    """One sampling interval of a record plan: the sample's record ``row``
-    (``fresh`` False when the sample shares the record before it), and the
-    steps of size ``dt`` from record to record up to the interval's end,
-    ``jumps[i]`` ending in row ``row + 1 + i``; ``propagate`` selects the
-    powers of the one-step matrix over ``step``."""
+class _Plan:
+    """A run's records, in row order: ``times`` and sample ``flags``. Per
+    sample j: its record row ``rows[j]`` (``fresh[j]`` False when it shares
+    the record before it), the ``steps[j]`` steps of size ``dt[j]`` that cut
+    the ``gap[j]`` to the next sample or the horizon (no step for a gap of at
+    most 1e-14), and the rows' interior records, each the state after step
+    ``record_steps[i]`` of interval ``record_intervals[i]`` in row
+    ``record_rows[i]``; the horizon's row counts as the last interval's last
+    step. ``row_interval`` and ``row_offset`` give each row as a time since a
+    sample: 0 for a sample's row (the later sample's, where two share one),
+    the step count times dt for a record, and the gap for the horizon."""
 
-    row: int
-    fresh: bool
-    dt: float = 0.0
-    jumps: tuple[int, ...] = ()
-    propagate: bool = False
+    times: np.ndarray
+    flags: np.ndarray
+    rows: np.ndarray
+    fresh: np.ndarray
+    steps: np.ndarray
+    dt: np.ndarray
+    gap: np.ndarray
+    record_rows: np.ndarray
+    record_intervals: np.ndarray
+    record_steps: np.ndarray
+    row_interval: np.ndarray
+    row_offset: np.ndarray
 
 
-def _record_plan(sample_times: np.ndarray, horizon: float, dt_target: float, snap_every: float,
-                 linear: bool) -> tuple[np.ndarray, np.ndarray, list[_Interval]]:
-    """The record times, sample flags and per-interval plan of a run.
+def _record_plan(sample_times: np.ndarray, horizon: float, dt_target: float,
+                 snap_every: float) -> _Plan:
+    """The record plan of a run.
 
-    Every sample is a record, and so is the horizon after the last one;
-    inside an interval a record falls at the first step at or past the due
-    time (``_next_record``), which starts one ``snap_every`` after the
-    sample and advances by one ``snap_every`` per record. A record within
-    1e-14 of the one before is not added: a sample there flags that record,
-    and a jump ending there is merged into the next one, or, when it ends
-    the interval, writes the row after the last. Each interval's step count
-    and dt come from ``_subdivide``. A linear run propagates an interval
-    that shares its dt with the previous interval, whose dt it takes, or
-    with the next one, which takes this one's; a dt no neighbour shares is
-    stepped.
+    Each interval takes the fewest steps of at most dt_target (up to
+    rounding) that cut it exactly, and none when it is at most 1e-14 long.
+    Every sample is a record, and so is the horizon after the last one.
+    Inside an interval the due time starts one ``snap_every`` after the later
+    of the sample and the last due time (the first one at 0), and a record
+    falls at the first step at or past it (within 1e-12), one step after the
+    last record at least, which moves the due time on by one ``snap_every``.
+    A record within 1e-14 of the one before is not added: a sample there
+    flags that record instead.
     """
-    ends = [float(t) for t in sample_times[1:]] + [horizon]
-    intervals = [_subdivide(t1 - float(t0), dt_target) for t0, t1 in zip(sample_times, ends)]
-    times: list[float] = []
-    flags: list[bool] = []
-    plan: list[_Interval] = []
-    next_snap, prev_dt = 0.0, None
-    for j, t_j in enumerate(sample_times):
-        t_j = float(t_j)
-        fresh = not times or t_j > times[-1] + 1e-14
-        if fresh:
-            times.append(t_j)
-            flags.append(True)
-        else:
-            flags[-1] = True
-        row = len(times) - 1
-        next_snap = max(next_snap, t_j) + snap_every
-        if intervals[j] is None:
-            plan.append(_Interval(row, fresh))
-            continue
-        n_sub, dt = intervals[j]
-        following = intervals[j + 1] if j + 1 < len(intervals) else None
-        if linear and prev_dt is not None and _same_dt(dt, prev_dt, n_sub, ends[j]):
-            dt, propagate = prev_dt, True
-        else:
-            propagate = (linear and following is not None
-                         and _same_dt(following[1], dt, following[0], ends[j + 1]))
-        prev_dt = dt
-        jumps, done, recorded = [], 0, 0
-        while done < n_sub:
-            done = _next_record(t_j, dt, done, n_sub, next_snap - 1e-12)
-            if done < n_sub:
-                t = t_j + done * dt
-                if t > times[-1] + 1e-14:
-                    times.append(t)
-                    flags.append(False)
-                    jumps.append(done - recorded)
-                    recorded = done
-                next_snap += snap_every
-        jumps.append(n_sub - recorded)
-        if j + 1 == len(sample_times) and horizon > times[-1] + 1e-14:
-            times.append(horizon)
-            flags.append(False)
-        plan.append(_Interval(row, fresh, dt, tuple(jumps), propagate))
-    return np.asarray(times), np.asarray(flags, dtype=bool), plan
+    t0 = np.asarray(sample_times, dtype=float)
+    count = t0.size
+    gap = np.append(t0[1:], horizon) - t0
+    live = gap > 1e-14
+    steps = np.where(live, np.maximum(1.0, np.ceil(gap / dt_target - 1e-9)), 0.0).astype(np.int64)
+    dt = np.where(live, gap / np.maximum(steps, 1), 0.0)
+    # the due time is one running sum across the intervals, so the records
+    # are found in order; the rest is numpy over the whole run
+    record_steps, ends = [], []
+    record, ceil = record_steps.append, math.ceil
+    due = 0.0
+    for t_j, n, h in zip(t0.tolist(), steps.tolist(), dt.tolist()):
+        due = max(due, t_j) + snap_every
+        done = 0
+        while done < n:
+            late = due - 1e-12
+            s = max(done + 1, ceil((late - t_j) / h))
+            while s > done + 1 and t_j + (s - 1) * h >= late:
+                s -= 1
+            while s < n and t_j + s * h < late:
+                s += 1
+            if s >= n:
+                break
+            record(s)
+            done = s
+            due += snap_every
+        ends.append(len(record_steps))
+    taken = np.diff(ends, prepend=0)
+    rec_interval = np.repeat(np.arange(count), taken)
+    rec_steps = np.array(record_steps, dtype=np.int64)
+    # the candidate rows in time order: each sample, then its interval's records
+    sample_pos = np.arange(count) + np.cumsum(taken) - taken
+    rec_pos = np.arange(rec_steps.size) + rec_interval + 1
+    horizon_row = bool(count and live[-1])
+    cand = np.empty(count + rec_steps.size + horizon_row)
+    cand[sample_pos] = t0
+    cand[rec_pos] = t0[rec_interval] + rec_steps * dt[rec_interval]
+    if horizon_row:  # the horizon, as the last interval's last step
+        cand[-1] = horizon
+        rec_interval = np.append(rec_interval, count - 1)
+        rec_steps = np.append(rec_steps, steps[-1])
+        rec_pos = np.append(rec_pos, cand.size - 1)
+    keep = np.ones(cand.size, dtype=bool)
+    if not np.all(cand[1:] > cand[:-1] + 1e-14):
+        last = cand[0]
+        for i in range(1, cand.size):
+            if cand[i] > last + 1e-14:
+                last = cand[i]
+            else:
+                keep[i] = False
+    row_of = np.cumsum(keep) - 1  # a candidate not kept shares the last kept row
+    times = cand[keep]
+    rows = row_of[sample_pos]
+    flags = np.zeros(times.size, dtype=bool)
+    flags[rows] = True
+    kept = keep[rec_pos]
+    rec_interval, rec_steps, rec_rows = rec_interval[kept], rec_steps[kept], row_of[rec_pos][kept]
 
-
-def _kept_jumps(plan: list[_Interval]) -> dict[float, tuple[int, ...]]:
-    """For each dt of the propagated intervals, the jumps whose matrices a
-    stepper keeps: the most frequent interval step count and the most
-    frequent interior jump, which is the record spacing in steps."""
-    counts: dict[float, tuple[Counter, Counter]] = {}
-    patterns = Counter((iv.dt, iv.jumps) for iv in plan if iv.propagate)
-    for (dt, jumps), count in patterns.items():
-        totals, inner = counts.setdefault(dt, (Counter(), Counter()))
-        totals[sum(jumps)] += count
-        for k in jumps[:-1]:
-            inner[k] += count
-    return {dt: tuple(c.most_common(1)[0][0] for c in pair if c) for dt, pair in counts.items()}
-
-
-def _subdivide(gap: float, dt_target: float) -> tuple[int, float] | None:
-    """(n_sub, dt): the fewest steps of at most dt_target (up to rounding)
-    that subdivide a sampling interval of length gap exactly; None for an
-    empty interval."""
-    if gap <= 1e-14:
-        return None
-    n_sub = max(1, math.ceil(gap / dt_target - 1e-9))
-    return n_sub, gap / n_sub
-
-
-def _same_dt(dt: float, other: float, n_sub: int, t_end: float) -> bool:
-    """True when an interval of n_sub steps of dt ending at t_end may take
-    other instead: the two differ only by the rounding of the sample times."""
-    return abs(dt - other) * n_sub <= 4.0 * math.ulp(t_end)
-
-
-def _next_record(t0: float, dt: float, done: int, n_sub: int, due: float) -> int:
-    """The first step s in (done, n_sub) with t0 + s dt >= due, else n_sub."""
-    s = max(done + 1, math.ceil((due - t0) / dt))
-    while s > done + 1 and t0 + (s - 1) * dt >= due:
-        s -= 1
-    while s < n_sub and t0 + s * dt < due:
-        s += 1
-    return min(s, n_sub)
-
-
-def _difference(a: SpaceTimeSignal, b: SpaceTimeSignal) -> SpaceTimeSignal:
-    """a - b, as a's terms followed by b's with negated time signals."""
-    negated = tuple(
-        (TimeSignal(-ts.offset, -ts.amplitude, ts.omega, ts.phase), prof) for ts, prof in b.terms
-    )
-    return SpaceTimeSignal(terms=a.terms + negated)
+    row_interval = np.empty(times.size, dtype=np.int64)
+    row_offset = np.empty(times.size)
+    row_interval[rec_rows] = rec_interval
+    row_offset[rec_rows] = rec_steps * dt[rec_interval]
+    if horizon_row and kept[-1]:
+        row_offset[-1] = gap[-1]
+    later = np.append(rows[1:] != rows[:-1], True)  # the later of two samples that share a row
+    row_interval[rows[later]] = np.arange(count)[later]
+    row_offset[rows[later]] = 0.0
+    return _Plan(times, flags, rows, keep[sample_pos], steps, dt, gap, rec_rows, rec_interval,
+                 rec_steps, row_interval, row_offset)
 
 
 def _initial_field(profile_like, op: DiscreteSLOperator) -> np.ndarray:

@@ -196,6 +196,15 @@ class DiscreteSLOperator:
         s = self.free
         return self.sub[s.start : s.stop - 1], self.diag[s], self.sup[s.start : s.stop - 1]
 
+    def symmetric_tridiagonals(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diag, off) of W^{1/2} B_h W^{-1/2} on the non-pinned nodes, W the
+        trapezoid weights there: a symmetric tridiagonal, since B_h is
+        self-adjoint in W, with B_h's eigenvalues and eigenvectors W^{1/2} times
+        B_h's."""
+        _, diag, sup = self.free_tridiagonals()
+        w = self.weights[self.free]
+        return diag, sup * np.sqrt(w[:-1] / w[1:])
+
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -334,9 +343,8 @@ def numeric_eigensystem(problem: SLProblem, J: int, nodes: int) -> SpectralBasis
     from scipy.linalg import eigh_tridiagonal
 
     op = DiscreteSLOperator(problem, nodes)
-    sub, diag, sup = op.free_tridiagonals()
+    diag, e_sym = op.symmetric_tridiagonals()
     w = op.weights[op.free]
-    e_sym = sup * np.sqrt(w[:-1] / w[1:])
     lams, vecs = eigh_tridiagonal(diag, e_sym, select="i", select_range=(0, J - 1))
     funcs = np.zeros((J, nodes))
     funcs[:, op.free] = (vecs / np.sqrt(w)[:, None]).T

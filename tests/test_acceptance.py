@@ -165,12 +165,11 @@ def test_criterion_4_predictor_convergence(crit4_report):
     assert bound_ok
 
 
-def test_criterion_4_run_is_propagated(crit4_report):
-    # each of 200 intervals is 10 jumps of 20 steps, one product with the
-    # kept T^20 of each of the two steppers per jump
-    assert crit4_report.trajectory.metadata["integrator"] == {
-        "steps": 0, "propagators_built": 2, "propagator_products": 4000,
-    }
+def test_criterion_4_run_is_in_closed_form(crit4_report):
+    # the zero term: every record is the exact solution in the 201 grid modes,
+    # with no step taken
+    assert crit4_report.trajectory.metadata["scheme"] == "exact-modal"
+    assert crit4_report.trajectory.metadata["integrator"] == {"modes": 201, "steps": 0}
 
 
 def test_criterion_5_zoh_threshold_bracketing():

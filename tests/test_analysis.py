@@ -661,3 +661,78 @@ def test_default_fit_window_skips_transient(ex31_design):
     t0, t1 = default_fit_window(traj, 0.5)
     assert t0 == pytest.approx(1.5)
     assert t1 > t0
+
+
+@pytest.fixture(scope="module")
+def nonlinear_zoh_design():
+    return cf.build_design(cf.load_config(NONLINEAR_ZOH))
+
+
+def _grid_generator(design, variant, nodes):
+    """The (free nodes + m) generator of the error e and the observer's second
+    state in the Crank-Nicolson stepper's own coordinates, with the reset of
+    a sample: for the predictor (e, z = zeta - C u), z' = S e with S the
+    ``stiff_rows``, reset to (C - K) e + xi; for the hold (e, eta), eta' = 0,
+    reset to K e - xi. Returns the generator, the reset's e and xi columns."""
+    discrete = DiscreteObserver(design, variant, nodes)
+    free = discrete.op.free
+    sub, diag, sup = discrete.op.free_tridiagonals()
+    B = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+    L, C, K = discrete.l_cols[free], discrete.c_rows[:, free], discrete.k_rows[:, free]
+    n, m = B.shape[0], L.shape[1]
+    if variant == "predictor":
+        gen = np.block([[-B + L @ C, -L], [discrete.stiff_rows[:, free], np.zeros((m, m))]])
+        return gen, np.vstack([np.eye(n), C - K]), np.vstack([np.zeros((n, m)), np.eye(m)])
+    gen = np.block([[-B, L], [np.zeros((m, n + m))]])
+    return gen, np.vstack([np.eye(n), K]), np.vstack([np.zeros((n, m)), -np.eye(m)])
+
+
+@pytest.mark.parametrize("tau", [0.025, 0.3])
+@pytest.mark.parametrize("variant", ["predictor", "zoh"])
+@pytest.mark.parametrize("name", ["ex31_design", "ex32_design", "two_channel_design",
+                                  "nonlinear_zoh_design"])
+def test_error_map_is_the_exponential_of_the_generator(request, name, variant, tau):
+    # the closed form against scipy's expm of the grid generator times the
+    # reset; 1e-10 relative was fixed before the first run from the 2e-13 to
+    # 3.5e-11 measured on example 3.1. The two-channel predictor takes the
+    # Van Loan block exponentials, the others the scalar response
+    from scipy.linalg import expm
+
+    design = request.getfixturevalue(name)
+    M, noise = analysis.error_map(design, variant, tau, 101)
+    gen, reset, xi_cols = _grid_generator(design, variant, 101)
+    flow = expm(gen * tau)
+    n = reset.shape[1]
+    free = DiscreteObserver(design, variant, 101).op.free
+    for got, want in ((M[free][:, free], (flow @ reset)[:n]), (noise[free], (flow @ xi_cols)[:n])):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+    pinned = np.ones(101, dtype=bool)
+    pinned[free] = False
+    assert not M[pinned].any() and not M[:, pinned].any() and not noise[pinned].any()
+
+
+@pytest.mark.parametrize("variant, tau, rate", [
+    ("zoh", 0.025, 5.266813), ("zoh", 0.1, 6.801919), ("zoh", 0.4, 0.066063),
+    ("predictor", 0.1, 4.934802), ("predictor", 0.4, 4.934802),
+], ids=["hold-0.025", "hold-0.1", "hold-0.4", "predictor-0.1", "predictor-0.4"])
+def test_error_map_rates_on_example_31(ex31_design, variant, tau, rate):
+    # -ln rho(M(tau)) / tau on 201 nodes: the hold's rate is not monotone in
+    # tau, and the predictor's is mu = pi^2 / 2 at every gap
+    M, _ = analysis.error_map(ex31_design, variant, tau, 201)
+    assert -math.log(np.abs(np.linalg.eigvals(M)).max()) / tau == pytest.approx(rate, abs=5e-7)
+
+
+@pytest.mark.parametrize("name", ["ex31_design", "ex32_design", "nonlinear_zoh_design"])
+def test_stiff_rows_are_minus_c_rows_times_b_h(request, name):
+    # the predictor's rate of zeta reads stiff_rows = -C B_h to roundoff, by
+    # the self-adjointness of B_h in the trapezoid weights: the identity that
+    # makes the (e, eta) generator block triangular. It holds on the free
+    # nodes, where the error lives; each entry is within 16 ulps of the size
+    # of the terms summed into it (example 3.2 reads 8.5 at its last free node)
+    discrete = DiscreteObserver(request.getfixturevalue(name), "predictor", 201)
+    op = discrete.op
+    B = np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
+    stiff, c_rows = discrete.stiff_rows[:, op.free], discrete.c_rows
+    defect = np.abs(stiff + (c_rows @ B)[:, op.free])
+    terms = (np.abs(c_rows) @ np.abs(B))[:, op.free] + np.abs(stiff)
+    assert np.all(defect <= 16 * np.finfo(float).eps * terms)

@@ -534,6 +534,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert "InvalidSpec: " in err and message in err
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_number_in_design_json_is_a_config_error(self, written_design, tmp_path,
+                                                               capsys, literal):
+        # read with a plain json.load, "Q": NaN used to exit 2 with
+        # "kappa must lie in [0, nan)", naming neither the file nor the field
+        design = tmp_path / "design"
+        shutil.copytree(written_design, design)
+        doc = json.loads((design / "design.json").read_text())
+        doc["Q"] = "@"
+        (design / "design.json").write_text(json.dumps(doc).replace('"@"', literal))
+        cfg = json.loads(DESIGN_SWEEP.read_text())
+        del cfg["design"]
+        cfg["design_ref"] = str(design / "design.json")
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check-gain", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {design / 'design.json'}: {literal} is not a finite number" in err
+
     def test_initial_profile_of_wrong_type_is_a_config_error(self, tmp_path, capsys):
         config = Path(__file__).parents[1] / "benchmarks" / "configs" / "nonlinear_zoh.json"
         argv = ["simulate", "--config", str(config), "--set", 'initial.u0="abc"', "--out", str(tmp_path)]

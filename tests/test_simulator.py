@@ -15,7 +15,7 @@ from parobs.errors import (
     ConfigError, GridMismatch, InvalidSpec, KappaOutOfRange, StepRejected,
 )
 from parobs.config import build_scenario, example31_config
-from parobs.grids import end_derivatives, snapshot_norms, trapezoid_weights, uniform_grid
+from parobs.grids import _row_blocks, end_derivatives, snapshot_norms, trapezoid_weights, uniform_grid
 from parobs.nonlinear import GainSaturatedTerm, LinearNonlocalTerm, ZeroTerm
 from parobs.observer_design import OutputChannel, injection_kernels, make_design, small_gain
 from parobs.schedule import make_schedule
@@ -23,6 +23,7 @@ from parobs.signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSigna
 from parobs import simulator
 from parobs.simulator import (
     DiscreteObserver,
+    GridModes,
     IMEXStepper,
     Scenario,
     simulate,
@@ -31,7 +32,7 @@ from parobs.simulator import (
     step_plant,
 )
 from parobs.sturm_liouville import DiscreteSLOperator, SLProblem, analytic_eigensystem
-from parobs.analysis import example31_design, run_example_31
+from parobs.analysis import check_run, example31_design
 
 
 def quiet_simulate(scenario):
@@ -149,14 +150,6 @@ class TestPlantStep:
         growth = SLProblem(p=1.0, q=-2.0, a0=0, b0=1, a1=0, b1=1)
         with pytest.raises(StepRejected, match="dt=1"):
             step_plant(np.ones(11), 0.0, 1.0, growth, None, None)
-
-    def test_singular_crank_nicolson_matrix_rejects_propagated_advance(self):
-        # the dense inverse that builds the one-step matrix rejects the same dt
-        growth = SLProblem(p=1.0, q=-2.0, a0=0, b0=1, a1=0, b1=1)
-        stepper = IMEXStepper(DiscreteSLOperator(growth, 11), ZeroTerm(), SpaceTimeSignal())
-        with pytest.raises(StepRejected, match="dt=1"):
-            stepper.advance(np.ones(11), 0.0, 1.0, [2])
-        assert (stepper.steps, stepper.propagators_built) == (0, 0)
 
     def test_step_rejected_for_stiff_saturated_term(self):
         # a destabilizing tanh with dt * amplitude >> 1: the chord iteration cannot settle
@@ -372,9 +365,8 @@ class TestSimulate:
     @pytest.mark.parametrize("mismatch", [0.0, 1.0], ids=["no_input", "constant_input"])
     def test_plant_pinned_at_zero(self, kind, mismatch):
         # Dirichlet at 0, Neumann at 1: lambda_1 = pi^2/4, phi_1 = sqrt(2) sin(pi x/2);
-        # k = 1 and c = (4/pi) sin(pi x/2) with L placing A at -pi^2/2. A uniform
-        # schedule is propagated, a random one stepped; a constant input would
-        # move x = 0 if the pin missed it
+        # k = 1 and c = (4/pi) sin(pi x/2) with L placing A at -pi^2/2; a
+        # constant input would move x = 0 if the pin missed it
         problem = SLProblem(p=1.0, q=0.0, a0=1.0, b0=0.0, a1=0.0, b1=1.0)
         basis = analytic_eigensystem(problem, 40, 1001)
         channel = OutputChannel(kernel=pf.constant(1.0), approximant=pf.sine(4.0 / math.pi, math.pi / 2.0))
@@ -389,8 +381,7 @@ class TestSimulate:
         sc = Scenario(design=design, variant="predictor", schedule=schedule, nodes=101, dt=0.01,
                       u0=u0, w0=u0, disturbances=Disturbances(v=v, v_tilde=v))
         traj = quiet_simulate(sc)
-        counts = traj.metadata["integrator"]
-        assert (counts["steps"] == 0) == (kind == "uniform")
+        assert traj.metadata["integrator"] == {"modes": 100, "steps": 0}
         assert traj.error_l2.max() <= 1e-14  # the matched run: roundoff of v~ - v only
         assert np.all(traj.u[:, 0] == 0.0) and np.all(traj.w[:, 0] == 0.0)
         assert np.abs(traj.u[-1]).max() > 0.01
@@ -546,132 +537,16 @@ class TestSimulate:
         np.testing.assert_array_equal(runs[0].times, runs[1].times)
 
 
-def _stepper(design, nodes, nl, v, variant):
-    """The plant (variant None) or an observer stepper of ``design``."""
-    if variant is None:
-        return DiscreteObserver(design, "zoh", nodes).plant(nl, v)
-    return DiscreteObserver(design, variant, nodes).observer(nl, v)
-
-
-def _advance(stepper, w, t, dt, k, zeta=None, keep=()):
-    """``stepper.advance`` by one jump of k steps: the state after it."""
-    w_rows, zeta_rows = stepper.advance(w, t, dt, [k], zeta, keep=keep)
-    return w_rows[0], zeta_rows[0]
-
-
 SINE_INPUT = SpaceTimeSignal(terms=(
     (TimeSignal(offset=0.2, amplitude=0.5, omega=3.0, phase=0.4), pf.cosine_series(0.1, [0.4])),
     (TimeSignal(offset=-0.3), pf.polynomial([1.0, -0.5])),
 ))
+OTHER_INPUT = SpaceTimeSignal(terms=(
+    (TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),
+))
 
 
-class TestAdvance:
-    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
-    @pytest.mark.parametrize("nonlocal_term", [False, True], ids=["zero", "nonlocal"])
-    @pytest.mark.parametrize(
-        "v", [SpaceTimeSignal(), SpaceTimeSignal(terms=((TimeSignal(offset=0.7), pf.constant(1.0)),)),
-              SINE_INPUT], ids=["no_input", "constant_input", "sine_input"])
-    def test_advance_equals_steps(self, ex31_design, variant, nonlocal_term, v):
-        nodes, dt, t0, k = 101, 0.01, 0.3, 37
-        grid = uniform_grid(nodes)
-        nl = (LinearNonlocalTerm(grid, a=pf.cosine_series(0.5, [0.3]), b=pf.polynomial([1.0, -0.5]), gain=0.8)
-              if nonlocal_term else ZeroTerm())
-        w0 = 1.0 + 0.5 * np.cos(math.pi * grid) + 0.2 * grid**2
-        zeta0 = np.array([0.3]) if variant else None
-        stepper = _stepper(ex31_design, nodes, nl, v, variant)
-        w, zeta = w0, zeta0
-        for i in range(k):
-            w, zeta = stepper.step(w, t0 + i * dt, dt, zeta)
-        w_adv, zeta_adv = _advance(_stepper(ex31_design, nodes, nl, v, variant), w0, t0, dt, k, zeta0)
-        scale = max(np.abs(w).max(), np.abs(zeta).max(initial=0.0))
-        assert np.abs(w_adv - w).max() <= 1e-12 * scale
-        assert np.abs(zeta_adv - zeta).max(initial=0.0) <= 1e-12 * scale
-
-    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
-    def test_jumps_equal_one_call_per_jump(self, ex31_design, variant):
-        # T^20 is kept; 7, 3 and 37 take the binary powers
-        jumps, t0, dt = [20, 20, 7, 20, 3, 37, 37, 20], 0.3, 0.01
-        w0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101))
-        zeta0 = np.array([0.3]) if variant else None
-        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
-        w_rows, zeta_rows = stepper.advance(w0, t0, dt, jumps, zeta0, keep=(20,))
-        reference = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
-        w, zeta, done = w0, zeta0, 0
-        for i, k in enumerate(jumps):
-            w, zeta = _advance(reference, w, t0 + done * dt, dt, k, zeta, keep=(20,))
-            np.testing.assert_array_equal(w_rows[i], w)
-            np.testing.assert_array_equal(zeta_rows[i], zeta)
-            done += k
-        assert stepper.propagator_products == reference.propagator_products == 4 * 1 + 3 + 2 + 2 * 3
-        assert (stepper.steps, stepper.propagators_built) == (reference.steps, reference.propagators_built) == (0, 1)
-
-    @pytest.mark.parametrize("stepwise", [False, True], ids=["propagated", "stepwise"])
-    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
-    def test_block_of_states_matches_each_state_alone(self, ex31_design, variant, stepwise):
-        # each column takes the inputs from its own start time, and jump i of
-        # column c lands in out row rows[i][c]
-        jumps, dt, m = [20, 7, 20], 0.01, 1 if variant else 0
-        grid = uniform_grid(101)
-        starts = np.array([0.3, 1.1, 2.05])
-        w0 = np.array([1.0 + a * np.cos(math.pi * grid) for a in (0.5, -0.2, 0.9)])
-        zeta0 = np.array([[0.3], [-0.1], [0.7]])[:, :m]
-        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
-        rows = np.array([[0, 3, 6], [1, 4, 7], [2, 5, 8]])
-        out_w, out_zeta = stepper.advance(w0, starts, dt, jumps, zeta0, np.zeros((9, 101)),
-                                          np.zeros((9, m)), stepwise, (20,), rows)
-        reference = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
-        for c, t0 in enumerate(starts):
-            w_ref, zeta_ref = reference.advance(w0[c], t0, dt, jumps, zeta0[c], stepwise=stepwise,
-                                                keep=(20,))
-            scale = np.abs(w_ref).max()
-            assert np.abs(out_w[rows[:, c]] - w_ref).max() <= 1e-13 * scale
-            assert np.abs(out_zeta[rows[:, c]] - zeta_ref).max(initial=0.0) <= 1e-13 * scale
-        assert stepper.propagator_products == reference.propagator_products == (0 if stepwise else 3 * 5)
-        assert stepper.steps == reference.steps == (3 * 47 if stepwise else 0)
-
-    def test_kept_step_count_is_a_power_of_the_kept_spacing(self, ex31_design):
-        # T^200 is (T^20)^10, and T^20 the product of the binary powers T^4 T^16,
-        # which stay with the two: T .. T^16
-        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        w0, zeta0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101)), np.array([0.3])
-        w_adv, zeta_adv = _advance(stepper, w0, 0.3, 0.002, 200, zeta0, keep=(200, 20))
-        assert (len(stepper._powers), sorted(stepper._kept)) == (5, [20, 200])
-        assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (0, 1, 1)
-        w, zeta = w0, zeta0
-        for i in range(200):
-            w, zeta = stepper.step(w, 0.3 + i * 0.002, 0.002, zeta)
-        scale = max(np.abs(w).max(), np.abs(zeta).max())
-        assert np.abs(w_adv - w).max() <= 1e-12 * scale
-        assert np.abs(zeta_adv - zeta).max() <= 1e-12 * scale
-
-    def test_stepwise_jumps_step_from_the_call_time(self, ex31_design):
-        grid = uniform_grid(101)
-        w0, zeta0, t0, dt = np.cos(math.pi * grid), np.array([0.2]), 0.3, 0.01
-        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        w_rows, zeta_rows = stepper.advance(w0, t0, dt, [3, 5], zeta0, stepwise=True)
-        assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (8, 0, 0)
-        reference = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        w, zeta = w0, zeta0
-        for s in range(8):
-            w, zeta = reference.step(w, t0 + s * dt, dt, zeta)
-            if s == 2:
-                np.testing.assert_array_equal(w_rows[0], w)
-                np.testing.assert_array_equal(zeta_rows[0], zeta)
-        np.testing.assert_array_equal(w_rows[1], w)
-        np.testing.assert_array_equal(zeta_rows[1], zeta)
-
-    def test_dirichlet_plant_advance_equals_steps(self, ex32_design):
-        nodes, dt, k = 201, 0.002, 45
-        u0 = pf.cosine(math.sqrt(2.0), math.pi / 2.0).values(uniform_grid(nodes))
-        u0[-1] = 0.0
-        stepper = _stepper(ex32_design, nodes, ZeroTerm(), SINE_INPUT, None)
-        u = u0
-        for i in range(k):
-            u = stepper.step(u, i * dt, dt)[0]
-        u_adv = _advance(_stepper(ex32_design, nodes, ZeroTerm(), SINE_INPUT, None), u0, 0.0, dt, k)[0]
-        assert np.abs(u_adv - u).max() <= 1e-12 * np.abs(u).max()
-        assert u_adv[-1] == 0.0
-
+class TestStepper:
     @pytest.mark.parametrize("design_name", ["ex31_design", "ex32_design"])
     @pytest.mark.parametrize("nonlocal_term", [False, True], ids=["zero", "nonlocal"])
     def test_predictor_matches_plant_on_matched_states(self, request, design_name, nonlocal_term):
@@ -681,107 +556,13 @@ class TestAdvance:
         grid = uniform_grid(nodes)
         nl = (LinearNonlocalTerm(grid, a=pf.cosine_series(0.5, [0.3]), b=1.0, gain=0.8)
               if nonlocal_term else ZeroTerm())
-        plant = _stepper(design, nodes, nl, SpaceTimeSignal(), None)
-        obs = _stepper(design, nodes, nl, SpaceTimeSignal(), "predictor")
+        discrete = DiscreteObserver(design, "predictor", nodes)
+        plant, obs = discrete.plant(nl, SpaceTimeSignal()), discrete.observer(nl, SpaceTimeSignal())
         u = plant.op.pin(np.random.default_rng(3).standard_normal(nodes))
-        t_p = _advance(plant, u, 0.0, dt, 1)[0]
-        w, zeta = _advance(obs, u, 0.0, dt, 1, obs.c_rows @ u)
+        t_p = plant.step(u, 0.0, dt)[0]
+        w, zeta = obs.step(u, 0.0, dt, obs.c_rows @ u)
         assert np.abs(w - t_p).max() <= 1e-14 * np.abs(u).max()
         assert np.abs(zeta - obs.c_rows @ t_p).max() <= 1e-14 * np.abs(u).max()
-
-    def test_saturated_term_steps(self, ex31_design):
-        grid = uniform_grid(101)
-        nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])], amplitudes=[pf.constant(0.3)])
-        stepper = _stepper(ex31_design, 101, nl, SINE_INPUT, "zoh")
-        w, zeta = np.cos(math.pi * grid), np.array([0.2])
-        w_adv, _ = _advance(stepper, w, 0.1, 0.01, 12, zeta)
-        reference = _stepper(ex31_design, 101, nl, SINE_INPUT, "zoh")
-        for i in range(12):
-            w, zeta = reference.step(w, 0.1 + i * 0.01, 0.01, zeta)
-        np.testing.assert_array_equal(w_adv, w)
-        assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (12, 0, 0)
-
-    def test_powers_past_the_memory_cap_step(self, ex31_design, monkeypatch):
-        monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 0)
-        stepper = _stepper(ex31_design, 101, ZeroTerm(), SpaceTimeSignal(), "predictor")
-        _advance(stepper, np.ones(101), 0.0, 0.01, 5, np.zeros(1))
-        assert (stepper.steps, stepper.propagators_built) == (5, 0)
-
-    def test_powers_are_kept_per_dt(self, ex31_design):
-        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, None)
-        u = np.ones(101)
-        for k in (3, 20, 7):
-            _advance(stepper, u, 0.0, 0.01, k)
-        assert stepper.propagators_built == 1
-        assert stepper.propagator_products == 2 + 2 + 3  # none is kept: each k takes popcount(k)
-        _advance(stepper, u, 0.0, 0.02, 1)
-        assert stepper.propagators_built == 2
-
-    def test_repeated_k_takes_one_product_with_the_kept_matrix(self, ex31_design):
-        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        w, zeta = np.cos(math.pi * uniform_grid(101)), np.array([0.2])
-        first = _advance(stepper, w, 0.3, 0.01, 37, zeta, keep=(37,))
-        for calls in (2, 3):
-            again = _advance(stepper, w, 0.3, 0.01, 37, zeta, keep=(37,))
-            np.testing.assert_array_equal(again[0], first[0])
-            np.testing.assert_array_equal(again[1], first[1])
-            assert stepper.propagator_products == calls
-        # the T^37 kept for dt = 0.01 is not reused at dt = 0.02
-        fresh = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        np.testing.assert_array_equal(_advance(stepper, w, 0.3, 0.02, 37, zeta, keep=(37,))[0],
-                                      _advance(fresh, w, 0.3, 0.02, 37, zeta, keep=(37,))[0])
-
-    def test_kept_matrix_past_the_memory_cap_uses_the_powers(self, ex31_design, monkeypatch):
-        # room for the 6 powers of k = 37 = 0b100101, not for a seventh matrix:
-        # the T^7 kept next to 3 powers is dropped, and T^37 is not kept
-        size = 101 + 1 + 3 * len(SINE_INPUT.terms)
-        monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 8 * size**2 * 6)
-        grid = uniform_grid(101)
-        w0, zeta0, k = 1.0 + 0.5 * np.cos(math.pi * grid), np.array([0.3]), 37
-        stepper = _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, "predictor")
-        _advance(stepper, w0, 0.3, 0.01, 7, zeta0, keep=(7,))
-        assert list(stepper._kept) == [7]
-        w_adv, zeta_adv = _advance(stepper, w0, 0.3, 0.01, k, zeta0)
-        assert stepper._kept == {}
-        assert (stepper.steps, stepper.propagators_built, stepper.propagator_products) == (0, 1, 1 + 3)
-        w, zeta = w0, zeta0
-        for i in range(k):
-            w, zeta = stepper.step(w, 0.3 + i * 0.01, 0.01, zeta)
-        scale = max(np.abs(w).max(), np.abs(zeta).max())
-        assert np.abs(w_adv - w).max() <= 1e-12 * scale
-        assert np.abs(zeta_adv - zeta).max() <= 1e-12 * scale
-
-    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
-    def test_switching_factorization_matches_a_fresh_stepper(self, ex31_design, variant):
-        # advance builds T from a dense M1^-1 and step solves with the tridiagonal
-        # LU: each refactors at the same dt when the other one is held
-        w0 = 1.0 + 0.5 * np.cos(math.pi * uniform_grid(101))
-        zeta0, t0, dt, k = (np.array([0.3]) if variant else None), 0.3, 0.01, 20
-
-        def fresh():
-            return _stepper(ex31_design, 101, ZeroTerm(), SINE_INPUT, variant)
-
-        one_step, jump = fresh().step(w0, t0, dt, zeta0), _advance(fresh(), w0, t0, dt, k, zeta0)
-        stepper = fresh()
-        results = [_advance(stepper, w0, t0, dt, k, zeta0), stepper.step(w0, t0, dt, zeta0)]
-        stepper = fresh()
-        results += [stepper.step(w0, t0, dt, zeta0), _advance(stepper, w0, t0, dt, k, zeta0)]
-        for (w, zeta), (w_ref, zeta_ref) in zip(results, [jump, one_step, one_step, jump]):
-            np.testing.assert_array_equal(w, w_ref)
-            np.testing.assert_array_equal(zeta, zeta_ref)
-
-    def test_propagated_run_leaves_scipy_out(self):
-        # every interval of example 3.1 is propagated, so no step solves with LAPACK
-        code = (
-            "import sys\n"
-            "from parobs.analysis import run_example_31\n"
-            "run = run_example_31(horizon=2.0)\n"
-            "assert run.trajectory.metadata['integrator']['steps'] == 0\n"
-            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
-            "assert not loaded, loaded\n"
-        )
-        src = str(Path(simulator.__file__).parents[1])  # the directory holding the parobs package
-        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def _compatibility_residual(traj, design) -> float:
@@ -841,42 +622,156 @@ def _step_loop_errors(scenario) -> np.ndarray:
     return np.sqrt(((w - u)[flags] ** 2) @ trapezoid_weights(uniform_grid(scenario.nodes)))
 
 
-class TestSimulatePropagation:
-    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
-    @pytest.mark.parametrize("h", [0.25, 0.3])
-    def test_error_coordinates_match_step_loop(self, ex31_design, variant, h):
-        # at h = 0.3 the gaps of arange(n) * h differ in their last bits; every
-        # interval is propagated either way, the first one too
-        grid = uniform_grid(101)
-        nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.3, [0.2]), b=pf.constant(1.0), gain=0.3)
-        design = dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R)
-        v_tilde = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
-        dist = Disturbances(v=SINE_INPUT, v_tilde=v_tilde,
-                            xi=(NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),))
-        sc = Scenario(design=design, variant=variant, nodes=101, dt=0.01, snapshot_every=0.05,
-                      schedule=make_schedule({"kind": "uniform", "h": h, "horizon": 4.0}),
-                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), nonlinearity=nl,
-                      disturbances=dist)
-        traj = quiet_simulate(sc)
-        counts = traj.metadata["integrator"]
-        assert counts["propagators_built"] == 2 and counts["propagator_products"] > 0
-        assert counts["steps"] == 0
-        reference = _step_loop_errors(sc)
-        assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
+def _order_two_case(request, case: str) -> Scenario:
+    """The linear scenarios whose step loop must converge to the closed form."""
+    noise = (NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),)
+    if case in ("predictor", "zoh"):  # an input mismatch and noise
+        return Scenario(design=request.getfixturevalue("ex31_design"), variant=case, nodes=101,
+                        dt=0.01, snapshot_every=0.05,
+                        schedule=make_schedule({"kind": "uniform", "h": 0.3, "horizon": 2.1}),
+                        u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
+                        disturbances=Disturbances(v=SINE_INPUT, v_tilde=OTHER_INPUT, xi=noise))
+    if case == "dirichlet":  # example 3.2 pins x = 1
+        return Scenario(design=request.getfixturevalue("ex32_design"), variant="predictor",
+                        nodes=101, dt=0.01, snapshot_every=0.05,
+                        schedule=make_schedule({"kind": "uniform", "h": 0.1, "horizon": 1.0}),
+                        u0=pf.cosine(math.sqrt(2.0), math.pi / 2.0), w0=pf.constant(0.0),
+                        disturbances=Disturbances(v_tilde=OTHER_INPUT, xi=noise))
+    if case == "two_channel":
+        noise = (NoiseSignal("sinusoid", 0.01, omega=2.0), NoiseSignal("constant", -0.02))
+        return Scenario(design=request.getfixturevalue("two_channel_design"),
+                        variant="predictor", nodes=101, dt=0.01, snapshot_every=0.05,
+                        schedule=make_schedule({"kind": "uniform", "h": 0.1, "horizon": 1.0}),
+                        u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
+                        disturbances=Disturbances(xi=noise))
+    # two dts: 7 steps of 0.2/7, then 9 steps of 0.25/9
+    cfg = example31_config(p=1.0, h=0.25, omega=0.1, horizon=0.9, nodes=101, snapshot_every=0.05,
+                           noise={"kind": "sinusoid", "amplitude": 0.01, "omega": 2.0})
+    cfg["schedule"] = {"kind": "explicit", "times": [0, 0.2, 0.4, 0.65, 0.9]}
+    cfg["time"]["dt"] = 0.03
+    return build_scenario(cfg)
+
+
+PREDICTOR_LONG = dict(p=0.1, h=1.0, omega=0.1, horizon=200.0, snapshot_every=0.1)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("case", ["predictor", "zoh", "dirichlet", "two_channel", "two_dt_schedule"])
+    def test_step_loop_converges_to_the_closed_form_at_order_two(self, request, case):
+        # the closed form is Crank-Nicolson's dt -> 0 limit: halving dt divides
+        # the step loop's largest distance from it, over u, w and zeta at every
+        # record, by 3.5 or more (order 2; the bound was fixed before the first run)
+        base = _order_two_case(request, case)
+        distances = []
+        for dt in (base.dt, base.dt / 2.0):
+            sc = dataclasses.replace(base, dt=dt)
+            traj = quiet_simulate(sc)
+            assert traj.metadata["integrator"] == {"modes": 101 - sc.design.problem.dirichlet_right,
+                                                   "steps": 0}
+            times, flags, u, w, zeta = _step_loop_records(sc)
+            assert np.abs(traj.times - times).max() <= 1e-12
+            np.testing.assert_array_equal(traj.sample_flag, flags)
+            distances.append(max(np.abs(getattr(traj, name) - reference).max()
+                                 for name, reference in (("u", u), ("w", w), ("zeta", zeta))))
+        assert distances[0] / distances[1] >= 3.5, distances
 
     @pytest.mark.parametrize("variant", ["predictor", "zoh"])
-    def test_two_channel_saturated_run_matches_step_loop(self, nn_problem, variant):
-        # m = 2: the example 3.1 channel and a weighted average, each kernel
-        # offset from its approximant by a small polynomial; the stepped run
-        # resets in plant coordinates
+    def test_matched_run_keeps_the_error_exactly_zero(self, ex31_design, variant):
+        # the same initial state and input for plant and observer, and no noise
+        u0 = pf.cosine_series(1.0, [0.5, -0.2])
+        sc = Scenario(design=ex31_design, variant=variant, nodes=101, u0=u0, w0=u0,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.3, "horizon": 2.1}),
+                      disturbances=Disturbances(v=SINE_INPUT, v_tilde=SINE_INPUT))
+        traj = quiet_simulate(sc)
+        assert np.all(traj.error_l2 == 0.0) and np.all(traj.error_sup == 0.0)
+        np.testing.assert_array_equal(traj.w, traj.u)
+        assert np.abs(traj.u[-1]).max() > 0.1
+
+    def test_sawtooth_initial_error_decays_at_the_certified_rate(self):
+        # the Crank-Nicolson damping floor: at the default dt = dx a mode with
+        # dt lambda >> 1 shrinks by about 1 per step, and this run read 433 IOS
+        # violations and a fitted rate of 1.01 < kappa; exactly, it decays at mu
+        sc = build_scenario(example31_config(p=1.0, h=0.1, omega=0.5, variant="predictor"))
+        sc = dataclasses.replace(sc, w0=0.05 * (-1.0) ** np.arange(201))
+        assert sc.kappa == pytest.approx(0.25 * math.pi**2, rel=1e-12) and sc.nodes == 201
+        run = check_run(quiet_simulate(sc), sc)
+        assert run.ios.violations == 0
+        assert run.fit.rate >= sc.kappa
+
+    def test_error_norms_are_the_modal_norms_of_the_error(self):
+        # predictor-long's error decays to 1e-43 by t = 200: no row reads 0, and
+        # where w - u keeps its digits its norms are the recorded ones
+        sc = build_scenario(example31_config(**PREDICTOR_LONG))
+        traj = quiet_simulate(sc)
+        assert np.all(traj.error_l2 > 0.0) and np.all(traj.error_sup > 0.0)
+        assert traj.error_l2[-1] < 1e-30
+        l2, sup = snapshot_norms(traj.w - traj.u, traj.weights)
+        kept = traj.error_l2 >= 1e-6 * traj.error_l2[0]
+        assert kept.sum() > 100
+        np.testing.assert_allclose(traj.error_l2[kept], l2[kept], rtol=1e-8)
+        np.testing.assert_allclose(traj.error_sup[kept], sup[kept], rtol=1e-8)
+        modes = GridModes(DiscreteObserver(sc.design, sc.variant, sc.nodes))
+        e_hat = modes.project(traj.w[:5] - traj.u[:5])
+        np.testing.assert_allclose(traj.error_l2[:5], np.linalg.norm(e_hat, axis=1), rtol=1e-12)
+
+    def test_closed_form_holds_its_trajectory_and_few_arrays_more(self):
+        # the traced peak of simulate on predictor-long over what was live
+        # before it, bounded by what the closed form holds: the trajectory;
+        # three n x n arrays (the symmetric tridiagonal, its eigenvectors, the
+        # modes on the grid); three rows per sample (the plant and the error at
+        # each sample, and the flow tables of the gaps); three temporaries of
+        # the largest row block (465 of 2,001 rows); eight vectors of one entry
+        # per record (the plan); 1 KB per sample event
+        sc = build_scenario(example31_config(**PREDICTOR_LONG))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = quiet_simulate(sc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        arrays = (traj.times, traj.u, traj.w, traj.zeta, traj.sample_flag, traj.grid, traj.error_l2,
+                  traj.error_sup)
+        trajectory = sum(a.nbytes if a.base is None else a.base.nbytes for a in arrays)
+        n, records, samples = 201, traj.times.size, len(traj.events)
+        block = max(b.stop - b.start for b in _row_blocks(records))
+        bound = (trajectory + 8 * n * n * 3 + 8 * n * samples * 3 + 8 * n * block * 3
+                 + 8 * records * 8 + 1024 * samples)
+        assert (records, samples, block) == (2001, 201, 465)
+        assert peak <= bound
+
+    def test_reruns_are_bit_identical(self):
+        spec = {"kind": "random", "h_min": 0.04, "h_max": 0.1, "horizon": 2.0, "seed": 3}
+        cfg = example31_config(p=1.0, h=0.1, omega=0.1, noise={"kind": "random", "amplitude": 0.01})
+        cfg["schedule"] = spec
+        runs = [quiet_simulate(build_scenario(cfg)) for _ in range(2)]
+        for name in ("times", "u", "w", "zeta", "error_l2", "error_sup"):
+            np.testing.assert_array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+    def test_zero_term_run_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from parobs.analysis import run_example_31\n"
+            "run = run_example_31(horizon=2.0)\n"
+            "assert run.trajectory.metadata['integrator'] == {'modes': 201, 'steps': 0}\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(simulator.__file__).parents[1])  # the directory holding the parobs package
+        subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+    def test_discrete_observer_checks_the_variant(self, ex31_design):
+        with pytest.raises(ValueError, match="unknown observer variant 'Predictor'"):
+            DiscreteObserver(ex31_design, "Predictor", 101)
+
+
+class TestStepped:
+    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
+    def test_two_channel_saturated_run_matches_step_loop(self, two_channel_design, variant):
+        # the stepped run resets in plant coordinates
         grid = uniform_grid(101)
         nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])], amplitudes=[pf.constant(0.2)])
-        average = pf.cosine_series(0.5, [0.0, 0.1 * math.sqrt(2.0)])
-        channels = [OutputChannel(kernel=pf.polynomial([0.0, 1.0, 0.05]), approximant=pf.constant(0.5)),
-                    OutputChannel(kernel=average + pf.polynomial([0.02, -0.04]), approximant=average)]
-        design = make_design(nn_problem, analytic_eigensystem(nn_problem, 60, 1001), channels,
-                             np.array([[-0.6 * math.pi**2, -0.4 * math.pi**2]]), N=1, Q=2.0,
-                             lipschitz_R=nl.lipschitz_R)
+        design = dataclasses.replace(two_channel_design, lipschitz_R=nl.lipschitz_R)
         noise = (NoiseSignal("sinusoid", 0.01, omega=2.0), NoiseSignal("constant", -0.02))
         sc = Scenario(design=design, variant=variant, nodes=101, dt=0.01, nonlinearity=nl,
                       schedule=make_schedule({"kind": "uniform", "h": 0.05, "horizon": 1.0}),
@@ -884,259 +779,60 @@ class TestSimulatePropagation:
                       disturbances=Disturbances(xi=noise))
         assert design.L.shape == (1, 2) and sc.report.feasible
         traj = quiet_simulate(sc)
-        assert traj.metadata["integrator"]["propagators_built"] == 0
-        reference = _step_loop_errors(sc)
-        assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
-
-    @pytest.mark.parametrize("horizon, counts", [(0.5, (0, 2)), (0.25, (2 * 25, 0))],
-                             ids=["two_intervals", "one_interval"])
-    def test_first_interval_is_propagated_when_the_next_shares_its_dt(self, ex31_design, horizon, counts):
-        noise = NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0)
-        sc = Scenario(design=ex31_design, variant="predictor", nodes=101, dt=0.01,
-                      schedule=make_schedule({"kind": "uniform", "h": 0.25, "horizon": horizon}),
-                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
-                      disturbances=Disturbances(xi=(noise,)))
-        traj = quiet_simulate(sc)
-        integrator = traj.metadata["integrator"]
-        assert (integrator["steps"], integrator["propagators_built"]) == counts
+        assert traj.metadata["integrator"] == {"steps": 2 * 100}
         reference = _step_loop_errors(sc)
         assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
 
     @pytest.mark.parametrize("variant", ["predictor", "zoh"])
-    def test_every_record_matches_step_loop(self, ex31_design, variant):
-        # records 0.037 apart fall between steps of 0.01; every interval is
-        # propagated, so a row left unfilled or shifted by one shows here
-        v_tilde = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
-        dist = Disturbances(v=SINE_INPUT, v_tilde=v_tilde,
+    def test_nonlocal_run_records_the_step_loop_bit_for_bit(self, ex31_design, variant):
+        # records 0.037 apart fall between steps of 0.01; a row left unfilled
+        # or shifted by one shows here
+        grid = uniform_grid(101)
+        nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.3, [0.2]), b=pf.constant(1.0), gain=0.3)
+        dist = Disturbances(v=SINE_INPUT, v_tilde=OTHER_INPUT,
                             xi=(NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),))
-        sc = Scenario(design=ex31_design, variant=variant, nodes=101, dt=0.01, snapshot_every=0.037,
+        sc = Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R),
+                      variant=variant, nodes=101, dt=0.01, snapshot_every=0.037, nonlinearity=nl,
                       schedule=make_schedule({"kind": "uniform", "h": 0.3, "horizon": 2.1}),
                       u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), disturbances=dist)
         traj = quiet_simulate(sc)
-        assert traj.metadata["integrator"]["steps"] == 0
+        assert traj.metadata["integrator"] == {"steps": 2 * 210}
         times, flags, u, w, zeta = _step_loop_records(sc)
         assert traj.times.size == times.size > 7 * 7  # about eight records per interval
-        assert np.abs(traj.times - times).max() <= 1e-12
+        np.testing.assert_array_equal(traj.times, times)
         np.testing.assert_array_equal(traj.sample_flag, flags)
         for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
-            assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
+            np.testing.assert_array_equal(getattr(traj, name), reference, err_msg=name)
 
-    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
-    def test_spacing_that_does_not_divide_the_interval_matches_step_loop(self, ex31_design, variant):
-        # records 0.07 apart in intervals of 0.25 fall at different steps of
-        # each interval: the record pass runs one block per jump pattern
-        v_tilde = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
-        dist = Disturbances(v=SINE_INPUT, v_tilde=v_tilde,
-                            xi=(NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),))
-        sc = Scenario(design=ex31_design, variant=variant, nodes=101, dt=0.01, snapshot_every=0.07,
-                      schedule=make_schedule({"kind": "uniform", "h": 0.25, "horizon": 3.0}),
-                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), disturbances=dist)
-        plan = simulator._record_plan(sc.schedule.times, 3.0, 0.01, 0.07, linear=True)[2]
-        patterns = {iv.jumps[:-1] for iv in plan if iv.propagate and len(iv.jumps) > 1}
-        assert len(patterns) >= 3
-        traj = quiet_simulate(sc)
-        assert traj.metadata["integrator"]["steps"] == 0
-        times, flags, u, w, zeta = _step_loop_records(sc)
-        assert np.abs(traj.times - times).max() <= 1e-12
-        np.testing.assert_array_equal(traj.sample_flag, flags)
-        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
-            assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
-        assert np.abs(traj.error_l2[traj.sample_flag] - _step_loop_errors(sc)).max() <= 1e-12
-
-    def test_default_spacing_criterion_4_run_keeps_ten_matrices_per_stepper(self, monkeypatch):
-        # records every 200/512 time units are 78 or 79 steps of 0.005 apart,
-        # so T^200 and T^78 are kept; the binary powers go once both are, and
-        # the other jumps, up to 154 steps from a sample to its first record,
-        # rebuild T .. T^128; each stepper drops them all after its record pass
-        caches = []
-        release = simulator.IMEXStepper._release
-
-        def recording_release(self):
-            caches.append((len(self._powers), sorted(self._kept)))
-            release(self)
-
-        monkeypatch.setattr(simulator.IMEXStepper, "_release", recording_release)
-        run = run_example_31(p=0.1, h=1.0, omega=0.1, horizon=200.0, nodes=201)
-        assert run.trajectory.metadata["integrator"]["steps"] == 0
-        assert caches == [(8, [78, 200])] * 2
-
-    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
-    @pytest.mark.parametrize("cap_bits, steps", [(4, 0), (0, 2 * 8 * 32)], ids=["spacing_fits", "nothing_fits"])
-    def test_interval_past_the_cap_takes_its_record_jumps(self, ex31_design, monkeypatch, variant,
-                                                          cap_bits, steps):
-        # 8 intervals of 32 steps, a record every 4: with room for 4 binary powers
-        # a jump of 4 steps is a product and one of 32 is not, so each interval
-        # takes its record-to-record jumps once, not its step loop and then its
-        # records again; with no room every step of the plan is taken once
-        v_tilde = SpaceTimeSignal(terms=((TimeSignal(amplitude=0.3, omega=1.5), pf.cosine_series(0.1, [0.4])),))
-        dist = Disturbances(v=SINE_INPUT, v_tilde=v_tilde,
-                            xi=(NoiseSignal(kind="sinusoid", amplitude=0.01, omega=2.0),))
-        sc = Scenario(design=ex31_design, variant=variant, nodes=101, dt=0.01, snapshot_every=0.04,
-                      schedule=make_schedule({"kind": "uniform", "h": 0.32, "horizon": 2.56}),
-                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), disturbances=dist)
-        size = 101 + 1 + 3 * 4  # the observer's (w, zeta, z): v~ - v has four terms
-        monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 8 * size**2 * cap_bits)
-        traj = quiet_simulate(sc)
-        assert traj.metadata["integrator"]["steps"] == steps
-        times, flags, u, w, zeta = _step_loop_records(sc)
-        assert traj.times.size == times.size == 8 * 8 + 1
-        np.testing.assert_array_equal(traj.sample_flag, flags)
-        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
-            assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
-
-    def test_record_pass_builds_each_dt_once(self):
-        # two propagated dts: 7 steps of 0.2/7, then 9 steps of 0.25/9; each dt's
-        # interior records are filled before the sample pass moves to the next
-        cfg = example31_config(p=1.0, h=0.25, omega=0.1, horizon=0.9, nodes=101, snapshot_every=0.05)
-        cfg["schedule"] = {"kind": "explicit", "times": [0, 0.2, 0.4, 0.65, 0.9]}
-        cfg["time"]["dt"] = 0.03
-        sc = build_scenario(cfg)
-        traj = quiet_simulate(sc)
-        counts = traj.metadata["integrator"]
-        assert (counts["steps"], counts["propagators_built"]) == (0, 4)
-        times, flags, u, w, zeta = _step_loop_records(sc)
-        assert np.abs(traj.times - times).max() <= 1e-12
-        np.testing.assert_array_equal(traj.sample_flag, flags)
-        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
-            assert np.abs(getattr(traj, name) - reference).max() <= 1e-12, name
-        assert np.abs(traj.error_l2[traj.sample_flag] - _step_loop_errors(sc)).max() <= 1e-12
-
-    @pytest.mark.parametrize("run", ["propagated", "stepped_tanh", "record_jumps"])
-    def test_error_norms_are_snapshot_norms_of_the_fields(self, ex31_design, monkeypatch, run):
+    def test_error_norms_are_snapshot_norms_of_the_fields(self, ex31_design):
         # the norms are taken a block of rows at a time: the same bits as
         # snapshot_norms of the whole w - u
-        if run == "propagated":  # 601 records: two blocks, the second of 345 rows
-            sc = build_scenario(example31_config(p=0.1, h=1.0, omega=0.1, horizon=60.0,
-                                                 snapshot_every=0.1))
-        elif run == "stepped_tanh":
-            grid = uniform_grid(101)
-            nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
-                                   amplitudes=[pf.constant(0.2)])
-            sc = Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R),
-                          variant="zoh", nodes=101, dt=0.01, snapshot_every=0.01, nonlinearity=nl,
-                          schedule=make_schedule({"kind": "uniform", "h": 0.25, "horizon": 6.0}),
-                          u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
-                          disturbances=Disturbances(v=SINE_INPUT))
-        else:  # as in test_interval_past_the_cap_takes_its_record_jumps, with room for 4 powers
-            sc = Scenario(design=ex31_design, variant="predictor", nodes=101, dt=0.01,
-                          snapshot_every=0.01, disturbances=Disturbances(v=SINE_INPUT),
-                          schedule=make_schedule({"kind": "uniform", "h": 0.32, "horizon": 6.4}),
-                          u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0))
-            size = 101 + 1 + 3 * 4
-            monkeypatch.setattr(simulator, "_PROPAGATOR_BYTES", 8 * size**2 * 4)
+        grid = uniform_grid(101)
+        nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
+                               amplitudes=[pf.constant(0.2)])
+        sc = Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R),
+                      variant="zoh", nodes=101, dt=0.01, snapshot_every=0.01, nonlinearity=nl,
+                      schedule=make_schedule({"kind": "uniform", "h": 0.25, "horizon": 6.0}),
+                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
+                      disturbances=Disturbances(v=SINE_INPUT))
         traj = quiet_simulate(sc)
-        counts = traj.metadata["integrator"]
-        assert (counts["propagators_built"] > 0) == (run != "stepped_tanh")
         assert traj.times.size > 512
         l2, sup = snapshot_norms(traj.w - traj.u, traj.weights)
         np.testing.assert_array_equal(traj.error_l2, l2)
         np.testing.assert_array_equal(traj.error_sup, sup)
 
-    def test_propagated_run_holds_little_more_than_its_trajectory(self):
-        # the traced peak of simulate over what was live before it: the
-        # returned trajectory, the kept T, T^20 and T^200, and one power
-        # build counted as T .. T^128, T^20 and T^200; one stepper's cache
-        # (T .. T^16, T^20 and T^200) and its record-pass blocks fit in that
-        sc = build_scenario(example31_config(p=0.1, h=1.0, omega=0.1, horizon=200.0,
-                                             snapshot_every=0.1))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            traj = quiet_simulate(sc)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert traj.metadata["integrator"] == {"steps": 0, "propagators_built": 2,
-                                               "propagator_products": 4000}
-        arrays = (traj.times, traj.u, traj.w, traj.zeta, traj.sample_flag, traj.grid, traj.error_l2,
-                  traj.error_sup)
-        trajectory = sum(a.nbytes if a.base is None else a.base.nbytes for a in arrays)
-        matrix, keep = 8 * (201 + 1) ** 2, (200, 20)
-        kept = 1 + len(keep)
-        build = max(keep).bit_length() + len(keep)
-        assert peak <= trajectory + matrix * (kept + build)
-
-    def test_observer_builds_its_matrices_after_the_plant_released_its_own(self, monkeypatch):
-        # the plant runs through the whole plan, then the observer: one
-        # stepper's matrices are alive at a time, for each of the two dts
-        calls = []
-        propagator, release = simulator.IMEXStepper._propagator, simulator.IMEXStepper._release
-
-        def recording_propagator(self, dt):
-            calls.append(("observer" if self.m else "plant", "build"))
-            return propagator(self, dt)
-
-        def recording_release(self):
-            calls.append(("observer" if self.m else "plant", "release"))
-            release(self)
-
-        monkeypatch.setattr(simulator.IMEXStepper, "_propagator", recording_propagator)
-        monkeypatch.setattr(simulator.IMEXStepper, "_release", recording_release)
-        cfg = example31_config(p=1.0, h=0.25, omega=0.1, horizon=0.9, nodes=101, snapshot_every=0.05)
-        cfg["schedule"] = {"kind": "explicit", "times": [0, 0.2, 0.4, 0.65, 0.9]}
-        cfg["time"]["dt"] = 0.03
-        quiet_simulate(build_scenario(cfg))
-        assert calls == [(stepper, event) for stepper in ("plant", "observer")
-                         for event in ("build", "build", "release")]
-
-    def test_default_spacing_criterion_4_run_holds_one_steppers_matrices(self):
-        # the traced peak of simulate over what was live before it: the
-        # returned trajectory, one stepper's matrices (T .. T^128, T^78 and
-        # T^200), the shared dense inverse of M1, the running product of a
-        # kept matrix built from three or more powers, and one matrix's room
-        # for the plan, the sample events and the record-pass blocks
-        sc = build_scenario(example31_config(p=0.1, h=1.0, omega=0.1, horizon=200.0, nodes=201))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            traj = quiet_simulate(sc)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert traj.metadata["integrator"]["steps"] == 0
-        arrays = (traj.times, traj.u, traj.w, traj.zeta, traj.sample_flag, traj.grid, traj.error_l2,
-                  traj.error_sup)
-        trajectory = sum(a.nbytes if a.base is None else a.base.nbytes for a in arrays)
-        matrix = 8 * (201 + 1) ** 2
-        assert peak <= trajectory + matrix * (8 + 2 + 1 + 1 + 1)
-
-    def test_plant_and_observer_share_one_inverse(self, ex31_design, monkeypatch):
-        # one dt: the plant's dense inverse of M1 serves the observer too
-        inverses = []
-        inv = np.linalg.inv
-
-        def counting_inv(a):
-            if a.shape == (101, 101):
-                inverses.append(a)
-            return inv(a)
-
-        monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        sc = Scenario(design=ex31_design, variant="predictor", nodes=101, dt=0.01, snapshot_every=0.037,
-                      schedule=make_schedule({"kind": "uniform", "h": 0.3, "horizon": 2.1}),
-                      u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
-                      disturbances=Disturbances(v=SINE_INPUT))
-        counts = quiet_simulate(sc).metadata["integrator"]
-        assert (counts["steps"], counts["propagators_built"], len(inverses)) == (0, 2, 1)
-
-    def test_discrete_observer_checks_the_variant(self, ex31_design):
-        with pytest.raises(ValueError, match="unknown observer variant 'Predictor'"):
-            DiscreteObserver(ex31_design, "Predictor", 101)
-
-    def test_saturated_and_random_runs_build_no_propagator(self, ex31_design):
+    def test_nonzero_terms_step_and_the_zero_term_does_not(self, ex31_design):
         grid = uniform_grid(101)
         nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])], amplitudes=[pf.constant(0.2)])
         uniform = make_schedule({"kind": "uniform", "h": 0.25, "horizon": 1.0})
         random = make_schedule({"kind": "random", "h_min": 0.1, "h_max": 0.3, "horizon": 1.0, "seed": 5})
-        runs = [
-            Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R), variant="zoh",
-                     schedule=uniform, nodes=101, dt=0.01, u0=1.0, w0=0.0, nonlinearity=nl),
-            Scenario(design=ex31_design, variant="predictor", schedule=random, nodes=101, dt=0.01,
-                     u0=1.0, w0=0.0),
-        ]
-        for sc in runs:
-            counts = quiet_simulate(sc).metadata["integrator"]
-            assert counts["propagators_built"] == counts["propagator_products"] == 0
-            assert counts["steps"] >= 2 * 100
+        stepped = Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R),
+                           variant="zoh", schedule=uniform, nodes=101, dt=0.01, u0=1.0, w0=0.0,
+                           nonlinearity=nl)
+        closed = Scenario(design=ex31_design, variant="predictor", schedule=random, nodes=101,
+                          dt=0.01, u0=1.0, w0=0.0)
+        assert quiet_simulate(stepped).metadata["integrator"] == {"steps": 2 * 100}
+        assert quiet_simulate(closed).metadata["integrator"] == {"modes": 101, "steps": 0}
 
 
 def _walk_records(sample_times, horizon, dt_target, every):
@@ -1169,38 +865,41 @@ class TestRecordPlan:
         {"kind": "explicit", "times": [0.0, 0.1, 0.35, 0.6, 0.85, 1.0, 1.25], "horizon": 1.1},
     ], ids=["uniform", "random", "explicit_cut_before_its_last_time"])
     @pytest.mark.parametrize("every", [0.037, 0.1, 0.004])
-    @pytest.mark.parametrize("linear", [False, True], ids=["stepped", "linear"])
-    def test_records_match_a_step_walk(self, spec, every, linear):
+    def test_records_match_a_step_walk(self, spec, every):
         sch = make_schedule(spec)
         sample_times = sch.times[sch.times <= sch.horizon + 1e-12]
-        times, flags, plan = simulator._record_plan(sample_times, sch.horizon, 0.01, every, linear)
+        plan = simulator._record_plan(sample_times, sch.horizon, 0.01, every)
         walk_times, walk_flags = _walk_records([float(t) for t in sample_times], sch.horizon, 0.01, every)
-        # a linear run may take the previous interval's dt, which moves its
-        # step times by the rounding of the sample times
-        assert times.size == walk_times.size
-        assert np.abs(times - walk_times).max() <= (1e-12 if linear else 0.0)
-        np.testing.assert_array_equal(flags, walk_flags)
-        assert len(plan) == sample_times.size and all(iv.fresh for iv in plan)
-        for iv, t0, t1 in zip(plan, sample_times, [*sample_times[1:], sch.horizon]):
-            # the jumps cover the interval and end at its records
-            assert sum(iv.jumps) * iv.dt == pytest.approx(t1 - t0, abs=1e-12)
-            inner = times[iv.row + 1 : iv.row + len(iv.jumps)]
-            np.testing.assert_array_equal(inner, t0 + np.cumsum(iv.jumps[:-1]) * iv.dt)
-        assert times[-1] == sch.horizon
+        np.testing.assert_array_equal(plan.times, walk_times)
+        np.testing.assert_array_equal(plan.flags, walk_flags)
+        assert plan.fresh.all() and np.array_equal(plan.times[plan.rows], sample_times)
+        for j, (t0, t1) in enumerate(zip(sample_times, [*sample_times[1:], sch.horizon])):
+            # the steps cut the interval, and its records fall on them
+            assert plan.steps[j] * plan.dt[j] == pytest.approx(t1 - t0, abs=1e-12)
+            mine = plan.record_intervals == j
+            np.testing.assert_array_equal(plan.times[plan.record_rows[mine]],
+                                          t0 + plan.record_steps[mine] * plan.dt[j])
+        # every row is a time since its interval's sample
+        np.testing.assert_allclose(sample_times[plan.row_interval] + plan.row_offset, plan.times,
+                                   rtol=0, atol=1e-12)
+        assert plan.times[-1] == sch.horizon
 
     def test_a_sample_within_1e14_of_a_record_shares_its_row(self):
         # the horizon is the last sample: one final row, the sample's
         sample_times = np.array([0.0, 0.5, 0.5 + 4e-15, 1.0])
-        times, flags, plan = simulator._record_plan(sample_times, 1.0, 0.1, 0.25, linear=False)
+        plan = simulator._record_plan(sample_times, 1.0, 0.1, 0.25)
+        times, flags = plan.times, plan.flags
         walk_times, _ = _walk_records(list(sample_times), 1.0, 0.1, 0.25)
         np.testing.assert_array_equal(times, walk_times[walk_times != sample_times[2]])
         assert np.count_nonzero(np.abs(times - 0.5) <= 1e-14) == 1
-        assert plan[2].row == plan[1].row and plan[1].fresh and not plan[2].fresh
-        assert flags[plan[1].row] and flags.sum() == 3
+        assert plan.rows[2] == plan.rows[1] and plan.fresh[1] and not plan.fresh[2]
+        assert flags[plan.rows[1]] and flags.sum() == 3
+        # the shared row is the later sample's, and the interval between them is empty
+        assert (plan.row_interval[plan.rows[1]], plan.row_offset[plan.rows[1]]) == (2, 0.0)
+        assert plan.steps[1] == 0 and plan.steps[-1] == 0
         assert (times[-1], flags[-1], np.count_nonzero(times == 1.0)) == (1.0, True, 1)
-        assert plan[-1].jumps == ()
 
-    def test_a_final_jump_onto_a_duplicate_record_keeps_the_sample_row(self, ex31_design):
+    def test_a_final_step_onto_a_duplicate_record_keeps_the_sample_row(self, ex31_design):
         # the horizon is one ulp past the last sample, so the last interval
         # takes one step whose record would duplicate the sample's
         horizon = math.nextafter(100.0, math.inf)
@@ -1210,8 +909,7 @@ class TestRecordPlan:
         traj = quiet_simulate(sc)
         assert traj.times.tolist() == [0.0, 25.0, 50.0, 75.0, 100.0]
         assert traj.sample_flag.tolist() == [True, False, False, False, True]
-        assert traj.metadata["integrator"]["steps"] == 2 * (100 + 1)
-        # the extra step is taken but not recorded: the run ending at 100 reads the same
+        # the extra step is not recorded: the run ending at 100 reads the same
         ends_at_100 = quiet_simulate(dataclasses.replace(
             sc, schedule=make_schedule({"kind": "explicit", "times": [0.0, 100.0]})))
         for name in ("times", "sample_flag", "u", "w", "zeta"):

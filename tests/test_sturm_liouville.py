@@ -282,3 +282,22 @@ def test_resample_closed_form_is_exact(nn_problem):
     fine = basis.resample(801)
     x = fine.grid
     np.testing.assert_allclose(fine.functions[1], math.sqrt(2.0) * np.cos(math.pi * x), atol=1e-14)
+
+
+@pytest.mark.parametrize("problem", [
+    SLProblem(p=1.0, q=0.0, a0=0, b0=1, a1=0, b1=1),
+    SLProblem(p=0.5, q=0.3, a0=-1.0, b0=1.0, a1=2.0, b1=1.0),
+    SLProblem(p=1.0, q=0.0, a0=1.0, b0=0.0, a1=0.0, b1=1.0),
+    SLProblem(p=1.0, q=0.0, a0=0.0, b0=1.0, a1=1.0, b1=0.0),
+], ids=["neumann", "robin", "dirichlet_left", "dirichlet_right"])
+def test_symmetric_tridiagonals_are_the_weighted_similarity(problem):
+    # W^{1/2} B_h W^{-1/2} on the free nodes, built once for the numeric
+    # eigensolver and the simulator's closed form
+    op = DiscreteSLOperator(problem, 41)
+    sub, diag, sup = op.free_tridiagonals()
+    root = np.sqrt(op.weights[op.free])
+    similar = root[:, None] * (np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)) / root
+    sym_diag, off = op.symmetric_tridiagonals()
+    np.testing.assert_array_equal(sym_diag, diag)
+    dense = np.diag(sym_diag) + np.diag(off, -1) + np.diag(off, 1)
+    np.testing.assert_allclose(dense, similar, rtol=1e-14, atol=0)
