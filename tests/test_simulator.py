@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import os
 import subprocess
@@ -835,6 +836,152 @@ class TestStepped:
         assert quiet_simulate(closed).metadata["integrator"] == {"modes": 101, "steps": 0}
 
 
+class TestGridModes:
+    @pytest.mark.parametrize("variant", [None, "predictor", "zoh"], ids=["plant", "predictor", "zoh"])
+    @pytest.mark.parametrize(
+        "v", [SpaceTimeSignal(), SpaceTimeSignal(terms=((TimeSignal(offset=0.7), pf.constant(1.0)),)),
+              SINE_INPUT], ids=["no_input", "constant_input", "sine_input"])
+    def test_step_loop_converges_to_the_modal_flow(self, ex31_design, variant, v):
+        # one interval of 0.37 from t0 = 0.3, of the plant or of an observer
+        # with its own innovation: w = e^{-lam s} w0 + eta0 Phi(s) plus the
+        # driven response, and for the predictor zeta = C w - e^{A s} eta0.
+        # Halving dt divides the step loop's distance from it by 3.5 or more
+        # (order 2; the bound was fixed before the first run)
+        nodes, t0, span = 101, 0.3, 0.37
+        discrete = DiscreteObserver(ex31_design, variant or "zoh", nodes)
+        modes, grid = GridModes(discrete), discrete.op.grid
+        w0 = pf.cosine_series(1.0, [0.5, -0.2]).values(grid)
+        zeta0 = np.array([0.3]) if variant else None
+        decay, phi, eta_flow = modes.flows(np.array([span]))
+        x = decay[0] * modes.project(w0)
+        x += modes.driven(modes.inputs(v, grid), np.array([t0]), np.array([span]), decay)[0]
+        eta0 = np.zeros(1)
+        if variant == "zoh":
+            eta0 = zeta0
+        elif variant == "predictor":
+            eta0 = discrete.c_rows @ w0 - zeta0
+        x += eta0 @ phi[0]
+        w_flow = x @ modes.rows
+        zeta_flow = discrete.c_rows @ w_flow - eta_flow[0] @ eta0 if variant == "predictor" else zeta0
+        distances = []
+        for k in (37, 74):
+            stepper = discrete.observer(ZeroTerm(), v) if variant else discrete.plant(ZeroTerm(), v)
+            w, zeta, dt = w0, zeta0, span / k
+            for i in range(k):
+                w, zeta = stepper.step(w, t0 + i * dt, dt, zeta)
+            distances.append(max(np.abs(w - w_flow).max(),
+                                 np.abs(zeta - zeta_flow).max() if variant else 0.0))
+        assert distances[0] / distances[1] >= 3.5, distances
+
+    @pytest.mark.parametrize("case", ["zoh", "predictor", "two_channel"])
+    def test_flows_are_the_block_exponential(self, request, case):
+        # mode k's (e, eta) generator [[-lam_k, l_hat_k^T], [0, A]] times s has
+        # the exponential [[e^{-lam_k s}, Phi(s)_k^T], [0, e^{A s}]]; each part
+        # within 1e-10 of its own scale (fixed before the first run). Phi's
+        # scale is that of the integrand, |l_hat_k| min(s, 1/lam_k) max(1,
+        # |e^{A s}|): where l_hat_k is roundoff along A's decaying direction,
+        # Phi is what is left of a cancellation (3e-28 from terms of 1e-19 on
+        # the two-channel predictor at s = 4), which scipy's expm and the flow
+        # both miss by a few 1e-6 relative
+        from scipy.linalg import expm
+
+        design = request.getfixturevalue("two_channel_design" if case == "two_channel" else "ex31_design")
+        modes = GridModes(DiscreteObserver(design, "zoh" if case == "zoh" else "predictor", 51))
+        m = modes.A.shape[0]
+        assert (case == "two_channel") == (m == 2)
+        offsets = np.array([0.0, 1e-3, 0.1, 1.0, 4.0])
+        decay, phi, eta_flow = modes.flows(offsets)
+        assert (decay.shape, phi.shape, eta_flow.shape) == ((5, 51), (5, m, 51), (5, m, m))
+        for i, s in enumerate(offsets):
+            for k, lam in enumerate(modes.lam):
+                generator = np.zeros((m + 1, m + 1))
+                generator[0, 0], generator[0, 1:], generator[1:, 1:] = -lam, modes.l_hat[:, k], modes.A
+                ref = expm(s * generator)
+                assert abs(decay[i, k] - ref[0, 0]) <= 1e-10 * abs(ref[0, 0]) + 1e-300
+                scale = (np.abs(modes.l_hat[:, k]).max() * min(s, 1.0 / max(lam, 1e-300))
+                         * max(1.0, np.abs(ref[1:, 1:]).max()))
+                assert np.abs(phi[i, :, k] - ref[0, 1:]).max() <= 1e-10 * scale
+                assert np.abs(eta_flow[i] - ref[1:, 1:]).max() <= 1e-10 * np.abs(ref[1:, 1:]).max()
+
+    @pytest.mark.parametrize("s", [1e-6, 0.05, 1.0, 5.0])
+    def test_block_exponential_matches_scipy(self, s):
+        # a stack of (e, eta) generators times s, with lam = (pi k)^2 from 0 to
+        # 9,000, so each matrix takes its own number of halvings; each part of
+        # the exponential within 1e-10 of its own scale (fixed before the first run)
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(7)
+        lam = (math.pi * np.arange(31)) ** 2
+        g = rng.standard_normal((2, 2))
+        a = -(g @ g.T) - np.eye(2)
+        stack = np.zeros((lam.size, 3, 3))
+        stack[:, 0, 0], stack[:, 0, 1:], stack[:, 1:, 1:] = -lam, rng.standard_normal((lam.size, 2)), a
+        out = simulator._expm(s * stack)
+        for x, got in zip(s * stack, out):
+            ref = expm(x)
+            for part in (np.s_[0, 0], np.s_[0, 1:], np.s_[1:, 1:]):
+                assert np.abs(got[part] - ref[part]).max() <= 1e-10 * np.abs(ref[part]).max() + 1e-300
+
+    @pytest.mark.parametrize("a, lam, s", [
+        (-2.0, 2.0, 0.7),
+        (-2.0, 2.0 + 1e-9, 0.7),
+        (0.0, 4e4, 3.0),
+        (-60.0, 1.0, 0.5),
+        (0.0, 9.87, 0.0),
+    ], ids=["a_plus_lam_zero", "a_plus_lam_1e-9", "decay_underflows", "a_plus_lam_negative", "zero_offset"])
+    def test_response_keeps_its_digits(self, a, lam, s):
+        # (e^{a s} - e^{-lam s}) / (a + lam) against 50 digits; the difference
+        # would lose seven of them at a + lam = 1e-9
+        s_col, lam_row = np.array([s]), np.array([lam])
+        got = simulator._response(a, lam_row, s_col, np.exp(-np.multiply.outer(s_col, lam_row)))[0, 0]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            da, dl, ds = decimal.Decimal(a), decimal.Decimal(lam), decimal.Decimal(s)
+            if da + dl == 0:
+                ref = ds * (da * ds).exp()
+            else:
+                ref = ((da * ds).exp() - (-dl * ds).exp()) / (da + dl)
+        assert abs(got - float(ref)) <= 1e-13 * abs(float(ref))
+
+
+def _check_records_follow_their_samples(design, schedule, every: float, linear: bool) -> None:
+    """Simulate a predictor run on ``schedule`` with dt 0.01 and check that
+    every record between samples carries its interval's sample row: by the
+    modal flow (the zero term), or bit for bit by the plant's steps (a
+    non-local term)."""
+    nodes = 31
+    grid = uniform_grid(nodes)
+    nl = (ZeroTerm() if linear else
+          LinearNonlocalTerm(grid, a=pf.cosine_series(0.3, [0.2]), b=pf.constant(1.0), gain=0.3))
+    if not linear:
+        design = dataclasses.replace(design, lipschitz_R=nl.lipschitz_R)
+    sc = Scenario(design=design, variant="predictor", schedule=schedule, nodes=nodes, dt=0.01,
+                  snapshot_every=every, nonlinearity=nl, u0=pf.cosine_series(1.0, [0.5]), w0=0.0)
+    traj = quiet_simulate(sc)
+    assert ("steps" in traj.metadata["integrator"]) and (traj.metadata["integrator"]["steps"] == 0) == linear
+    discrete = DiscreteObserver(sc.design, "predictor", nodes)
+    samples = np.flatnonzero(traj.sample_flag)
+    ends = [*traj.times[samples[1:]], schedule.horizon]
+    for r0, r1, t1 in zip(samples, [*samples[1:], traj.times.size], ends):
+        t0, rows = traj.times[r0], np.arange(r0 + 1, r1)
+        if linear:
+            modes = GridModes(discrete)
+            decay = modes.flows(traj.times[rows] - t0)[0]
+            flow = (decay * modes.project(traj.u[r0])) @ modes.rows
+            assert np.abs(traj.u[rows] - flow).max(initial=0.0) <= 1e-12 * np.abs(traj.u[r0]).max()
+            continue
+        plant = discrete.plant(nl, SpaceTimeSignal())
+        n_sub = max(1, math.ceil((t1 - t0) / 0.01 - 1e-9))
+        dt, u, due = (t1 - t0) / n_sub, traj.u[r0], iter(rows.tolist())
+        row = next(due, None)
+        for k in range(1, n_sub + 1):
+            u = plant.step(u, t0 + (k - 1) * dt, dt)[0]
+            if row is not None and abs(t0 + k * dt - traj.times[row]) <= 1e-12:
+                np.testing.assert_array_equal(traj.u[row], u)
+                row = next(due, None)
+        assert row is None
+
+
 def _walk_records(sample_times, horizon, dt_target, every):
     """Record times and sample flags found by walking every step of every
     interval, with the step count and dt of ``simulate``'s subdivision."""
@@ -865,7 +1012,8 @@ class TestRecordPlan:
         {"kind": "explicit", "times": [0.0, 0.1, 0.35, 0.6, 0.85, 1.0, 1.25], "horizon": 1.1},
     ], ids=["uniform", "random", "explicit_cut_before_its_last_time"])
     @pytest.mark.parametrize("every", [0.037, 0.1, 0.004])
-    def test_records_match_a_step_walk(self, spec, every):
+    @pytest.mark.parametrize("linear", [False, True], ids=["stepped", "linear"])
+    def test_records_match_a_step_walk(self, ex31_design, spec, every, linear):
         sch = make_schedule(spec)
         sample_times = sch.times[sch.times <= sch.horizon + 1e-12]
         plan = simulator._record_plan(sample_times, sch.horizon, 0.01, every)
@@ -883,6 +1031,8 @@ class TestRecordPlan:
         np.testing.assert_allclose(sample_times[plan.row_interval] + plan.row_offset, plan.times,
                                    rtol=0, atol=1e-12)
         assert plan.times[-1] == sch.horizon
+        # and the integrator of each kind of run fills the rows from their samples
+        _check_records_follow_their_samples(ex31_design, sch, every, linear)
 
     def test_a_sample_within_1e14_of_a_record_shares_its_row(self):
         # the horizon is the last sample: one final row, the sample's
