@@ -34,6 +34,7 @@ from dataclasses import replace
 
 from .analysis import RunResult, _report_to_dict, check_run, run_example_31, run_example_32
 from .config import (
+    _value,
     apply_overrides,
     build_design,
     build_scenario,
@@ -140,11 +141,8 @@ def cmd_simulate(args) -> int:
     design = build_design(cfg)
     scenario = build_scenario(cfg, design=design, seed=args.seed)
     traj = simulate(scenario)
-    analysis = cfg.get("analysis", {})
-    run = check_run(
-        traj, scenario, lyapunov=bool(analysis.get("lyapunov", False)),
-        lyapunov_tail=int(analysis.get("lyapunov_tail", 20)),
-    )
+    run = check_run(traj, scenario, lyapunov=_value(cfg, "analysis.lyapunov"),
+                    lyapunov_tail=_value(cfg, "analysis.lyapunov_tail"))
     print(
         f"simulated {scenario.variant} observer: ||e(0)|| = {_fmt(traj.error_l2[0])}, "
         f"||e(T)|| = {_fmt(traj.error_l2[-1])}"
@@ -153,7 +151,7 @@ def cmd_simulate(args) -> int:
         print(f"ios violations = {run.ios.violations}")
     if args.out:
         _write_run(args.out, run)
-        if cfg.get("output", {}).get("fields", False):
+        if _value(cfg, "output.fields"):
             _write_fields(os.path.join(args.out, "fields"), traj)
     return _exit_code(args.strict, run.violated)
 
@@ -200,13 +198,12 @@ def cmd_sweep(args) -> int:
     """
     # a sweep section that is not an object is left to validate_config
     cfg = _config(args, lambda cfg: isinstance(cfg.get("sweep"), dict)
-                  and cfg["sweep"].get("simulate", False))
-    sweep = cfg.get("sweep")
-    if not sweep:
+                  and _value(cfg, "sweep.simulate"))
+    if "sweep" not in cfg:
         raise ConfigError("sweep", "missing sweep section")
-    param = sweep["parameter"]
-    values = [float(v) for v in sweep["values"]]
-    do_sim = bool(sweep.get("simulate", False))
+    param = _value(cfg, "sweep.parameter")
+    values = [float(v) for v in _value(cfg, "sweep.values")]
+    do_sim = _value(cfg, "sweep.simulate")
     # only Q changes the design, and replace re-derives its certificate
     base = build_design(cfg)
     traj = None

@@ -1,9 +1,13 @@
 """Run configuration: JSON schema validation, overrides, object builders,
 and the two worked examples as presets.
 
-Configs are plain JSON with a versioned schema field. Validation walks the
-expected structure and reports the dotted path of the offending field, so
-`--set` overrides are type-checked before any computation starts.
+Configs are plain JSON with a versioned schema field. ``_SCHEMA`` declares
+every key once: its dotted path, type, default and bound. ``validate_config``
+walks it, derives the keys each section may hold from its paths, and then
+applies the few rules that relate two fields; every failure names the dotted
+path of the offending field, so `--set` overrides are checked before any
+computation starts. The builders and the command line read every value
+through ``_value``, which applies the schema's default.
 
 ``example31_config`` and ``example32_config`` return the paper's worked
 examples as such configs and are the one place their parameters and
@@ -65,44 +69,126 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-_DEFAULT_MODES = 64  # basis.modes when the config leaves it out
-_DEFAULT_NODES = 1001  # basis.nodes when the config leaves it out
 
-# every key a config section may hold; spec-valued entries (profiles, the
-# nonlinearity, disturbances.v / v_tilde / xi) are checked by their parsers
-_SECTION_KEYS = {
-    "": {"schema_version", "label", "seed", "problem", "basis", "design", "design_ref", "gain",
-         "observer", "schedule", "grid", "time", "initial", "disturbances", "nonlinearity",
-         "analysis", "output", "sweep"},
-    "problem": {"p", "q", "bc"},
-    "problem.bc": {"a0", "b0", "a1", "b1"},
-    "basis": {"modes", "nodes", "method"},
-    "design": {"N", "L", "Q", "sigma_fraction", "lipschitz_R", "channels"},
-    "gain": {"h", "kappa", "omega"},
-    "observer": {"variant"},
-    "schedule": {"kind", "h", "horizon", "h_min", "h_max", "seed", "times"},
-    "grid": {"nodes"},
-    "time": {"dt", "snapshot_every"},
-    "initial": {"u0", "w0"},
-    "disturbances": {"v", "v_tilde", "xi"},
-    "analysis": {"lyapunov", "lyapunov_tail"},
-    "output": {"fields"},
-    "sweep": {"parameter", "values", "simulate"},
-}
-_CHANNEL_KEYS = {"label", "kernel", "approximant"}
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the python types of each type name of the schema: a bool, an int in python,
+# passes only where a boolean is asked for; a profile's kinds are checked by
+# _check_profile and a spec is left to its parser
+_TYPES = {"an integer": int, "a number": (int, float), "a boolean": bool, "a string": str,
+          "a list": list, "a profile": (int, float, dict), "a spec": object}
+_REQUIRED = object()  # the default of a key its section must hold
+_SCHEDULE_KEYS = {"uniform": ("h", "horizon"), "random": ("h_min", "h_max", "horizon"),
+                  "explicit": ("times",)}
+
+# (dotted path, type, default, bound, message when the bound fails): every key
+# a config may hold. A default of None leaves the choice to the builder the
+# key feeds (a schedule's seed is the config's, dt follows the grid).
+_SCHEMA = (
+    ("schema_version", "an integer", _REQUIRED, lambda v: v == SCHEMA_VERSION,
+     f"must be {SCHEMA_VERSION}"),
+    ("label", "a string", "", None, None),
+    ("seed", "an integer", 0, lambda v: v >= 0, "seed must be non-negative"),
+    ("design_ref", "a string", None, None, None),
+    ("problem.p", "a number", _REQUIRED, lambda v: v > 0, "diffusion constant must be positive"),
+    ("problem.q", "a profile", 0.0, None, None),
+    ("problem.bc.a0", "a number", _REQUIRED, None, None),
+    ("problem.bc.b0", "a number", _REQUIRED, None, None),
+    ("problem.bc.a1", "a number", _REQUIRED, None, None),
+    ("problem.bc.b1", "a number", _REQUIRED, None, None),
+    ("basis.modes", "an integer", 64, lambda v: v >= 2, "need at least 2 modes (N + 1)"),
+    ("basis.nodes", "an integer", 1001, lambda v: v >= 3, "need at least 3 grid nodes"),
+    ("basis.method", "a string", "auto", lambda v: v in ("auto", "analytic", "numeric"),
+     "must be auto, analytic or numeric"),
+    ("design.N", "an integer", _REQUIRED, lambda v: v >= 1, "mode count must be at least 1"),
+    ("design.L", "a list", _REQUIRED,
+     lambda v: bool(v) and all(isinstance(row, list) and all(map(_is_number, row)) for row in v),
+     "gain matrix must be a non-empty list of rows of numbers"),
+    ("design.channels", "a list", _REQUIRED, bool, "need at least one output channel"),
+    ("design.Q", "a number", None, lambda v: v >= 2, "Q must be at least 2"),
+    ("design.sigma_fraction", "a number", 0.9, lambda v: 0.0 < v <= 1.0,
+     "sigma_fraction must lie in (0, 1]"),
+    ("design.lipschitz_R", "a number", 0.0, lambda v: 0.0 <= v < math.inf,
+     "Lipschitz bound must be finite and non-negative"),
+    ("initial.u0", "a profile", 0.0, None, None),
+    ("initial.w0", "a profile", 0.0, None, None),
+    ("grid.nodes", "an integer", 201, lambda v: v >= 8, "need at least 8 grid nodes"),
+    ("schedule.kind", "a string", None, lambda v: v in _SCHEDULE_KEYS,
+     "must be uniform, random or explicit"),
+    ("schedule.times", "a list", None, lambda v: all(map(_is_number, v)),
+     "every sample time must be a number"),
+    ("schedule.h", "a number", None, None, None),
+    ("schedule.h_min", "a number", None, None, None),
+    ("schedule.h_max", "a number", None, None, None),
+    ("schedule.horizon", "a number", None, None, None),
+    ("schedule.seed", "an integer", None, lambda v: v >= 0, "seed must be non-negative"),
+    ("time.dt", "a number", None, lambda v: v > 0, "dt must be positive"),
+    ("time.snapshot_every", "a number", None, lambda v: v > 0, "snapshot_every must be positive"),
+    ("disturbances.v", "a spec", None, None, None),
+    ("disturbances.v_tilde", "a spec", None, None, None),
+    ("disturbances.xi", "a spec", None, None, None),
+    ("nonlinearity", "a spec", None, None, None),
+    ("gain.h", "a number", _REQUIRED, lambda v: v > 0, "need a positive sampling diameter"),
+    ("gain.kappa", "a number", None, None, None),
+    ("gain.omega", "a number", None, lambda v: 0.0 <= v < 1.0, "omega must lie in [0, 1)"),
+    ("observer.variant", "a string", "predictor", lambda v: v in ("predictor", "zoh"),
+     "must be predictor or zoh"),
+    ("analysis.lyapunov", "a boolean", False, None, None),
+    ("analysis.lyapunov_tail", "an integer", 20, lambda v: v >= 0, "must be non-negative"),
+    ("output.fields", "a boolean", False, None, None),
+    ("sweep.parameter", "a string", _REQUIRED, lambda v: v in ("h", "kappa", "Q", "noise_amplitude"),
+     "must be h, kappa, Q or noise_amplitude"),
+    ("sweep.values", "a list", _REQUIRED, lambda v: bool(v) and all(map(_is_number, v)),
+     "need a non-empty list of numbers"),
+    ("sweep.simulate", "a boolean", False, None, None),
+)
+_DEFAULTS = {path: None if default is _REQUIRED else default for path, _, default, _, _ in _SCHEMA}
+_SECTIONS = {path.rpartition(".")[0] for path in _DEFAULTS}  # '' is the config itself
+
+
+def _value(cfg: dict, path: str):
+    """The value at ``path`` of a validated config, or the schema's default
+    (None for a required key) when it or its section is absent; a null
+    section is an absent one."""
+    *sections, key = path.split(".")
+    node = cfg
+    for section in sections:
+        node = node.get(section) or {}
+    return node.get(key, _DEFAULTS[path])
+
+
+class _NonFinite(str):
+    """A number literal that is not a finite float, held until its field is named."""
+
+
+def _non_finite_field(node, path: str = ""):
+    """(path, literal) of the first non-finite literal in a parsed document, or None."""
+    if isinstance(node, _NonFinite):
+        return path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        found = _non_finite_field(child, f"{path}[{key}]" if isinstance(key, int)
+                                  else f"{path}.{key}" if path else key)
+        if found:
+            return found
 
 
 def _finite_json(text: str, where: str):
     """The JSON ``text`` parsed with every number a finite float: NaN,
     Infinity, -Infinity and a literal that overflows one raise a ConfigError
-    at ``where``."""
-    def finite(literal: str) -> str:
-        if not math.isfinite(float(literal)):
-            raise ConfigError(where, f"{literal} is not a finite number")
-        return literal
+    at ``where`` that names the literal and the field that holds it."""
+    def number(literal: str, parse=float):
+        return parse(literal) if math.isfinite(float(literal)) else _NonFinite(literal)
 
-    return json.loads(text, parse_float=lambda s: float(finite(s)), parse_int=lambda s: int(finite(s)),
-                      parse_constant=finite)
+    doc = json.loads(text, parse_float=number, parse_int=lambda s: number(s, int),
+                     parse_constant=number)
+    if found := _non_finite_field(doc):
+        path, literal = found
+        raise ConfigError(where, f"{literal} is not a finite number" + (f" at {path}" if path else ""))
+    return doc
 
 
 def load_config(path) -> dict:
@@ -132,48 +218,32 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             value = _finite_json(raw, path)
         except json.JSONDecodeError:
             value = raw  # bare strings are convenient on the command line
+        *sections, key = path.split(".")
         node = cfg
-        keys = path.split(".")
-        for key in keys[:-1]:
-            nxt = node.get(key)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[key] = nxt
-            node = nxt
-        node[keys[-1]] = value
+        for section in sections:
+            if not isinstance(node.get(section), dict):
+                node[section] = {}
+            node = node[section]
+        node[key] = value
     return cfg
 
 
-def _expect(cfg: dict, path: str, types, required: bool = False, default=None):
-    node = cfg
-    keys = path.split(".")
-    for key in keys[:-1]:
-        node = node.get(key) if isinstance(node, dict) else None
-        if node is None:
-            if required:
-                raise ConfigError(path, "missing required section")
-            return default
-    if not isinstance(node, dict) or keys[-1] not in node:
-        if required:
-            raise ConfigError(path, "missing required field")
-        return default
-    value = node[keys[-1]]
-    # bools are ints in python: a bool passes only where a flag is asked for
-    if isinstance(value, bool) != (types is bool) or not isinstance(value, types):
-        raise ConfigError(path, f"expected {types}, got {type(value).__name__}")
-    return value
-
-
-def _check_keys(node, path: str, allowed: set) -> None:
+def _flatten(node, path: str, flat: dict) -> dict:
+    """``flat`` with the section ``node`` at dotted ``path`` ('' is the
+    config) and every section and schema key under it, by dotted path. An
+    unknown key or a section that is not an object is a ConfigError."""
     if not isinstance(node, dict):
         raise ConfigError(path, "expected an object")
-    for key in node:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    flat[path] = node
+    for key, child in node.items():
+        full = f"{path}.{key}" if path else key
+        if full in _SECTIONS and child is not None:
+            _flatten(child, full, flat)
+        elif full in _DEFAULTS or full in _SECTIONS:
+            flat[full] = child
+        else:
+            raise ConfigError(full, "unknown key")
+    return flat
 
 
 def _check_profile(spec, path: str):
@@ -190,122 +260,64 @@ def _check_profile(spec, path: str):
 
 
 def validate_config(cfg: dict, *, need_schedule: bool = False) -> None:
-    """Structural validation with dotted-path diagnostics: unknown keys, and
-    the type of every scalar a builder casts, fail before any computation."""
-    for path, allowed in _SECTION_KEYS.items():
-        node = cfg
-        for key in filter(None, path.split(".")):
-            node = node.get(key) if isinstance(node, dict) else None
-        if node is not None:
-            _check_keys(node, path, allowed)
-    version = _expect(cfg, "schema_version", int, required=True)
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version}")
-    for path in ("seed", "schedule.seed"):
-        if _expect(cfg, path, int, default=0) < 0:
-            raise ConfigError(path, "seed must be non-negative")
-    p = _expect(cfg, "problem.p", (int, float), required=True)
-    if p <= 0:
-        raise ConfigError("problem.p", "diffusion constant must be positive")
-    _check_profile(_expect(cfg, "problem.q", (dict, int, float), default=0.0), "problem.q")
-    for a, b in (("a0", "b0"), ("a1", "b1")):
-        pair = [_expect(cfg, f"problem.bc.{c}", (int, float), required=True) for c in (a, b)]
-        if not any(pair):
-            raise ConfigError("problem.bc", f"{a} and {b} must not both be zero")
+    """Structural validation with dotted-path diagnostics, before any
+    computation: unknown keys, then the type and bound of every key in
+    ``_SCHEMA``, then the rules that relate two fields."""
+    flat = _flatten(cfg, "", {})
+    # the keys that must be present: a required one wherever its top-level
+    # section is given (schema_version and problem always are), the
+    # schedule's kind when the command simulates, and the keys that kind reads
+    given = {"schema_version", "problem", *cfg}
+    required = {path for path, _, default, _, _ in _SCHEMA
+                if default is _REQUIRED and path.partition(".")[0] in given}
+    kind = flat.get("schedule.kind")
+    if need_schedule:
+        required.add("schedule.kind")
+    if isinstance(kind, str):
+        required.update(f"schedule.{key}" for key in _SCHEDULE_KEYS.get(kind, ()))
+    for path, type_name, _, bound, message in _SCHEMA:
+        if path not in flat:
+            if path in required:
+                section = flat.get(path.rpartition(".")[0])
+                raise ConfigError(path, "missing required " + ("section" if section is None else "field"))
+            continue
+        value, types = flat[path], _TYPES[type_name]
+        if types is not object and (isinstance(value, bool) != (types is bool)
+                                    or not isinstance(value, types)):
+            raise ConfigError(path, f"expected {type_name}, got {type(value).__name__}")
+        if type_name == "a profile":
+            _check_profile(value, path)
+        if bound is not None and not bound(value):
+            raise ConfigError(path, f"{message}, got {value!r}")
 
-    modes = _expect(cfg, "basis.modes", int, default=_DEFAULT_MODES)
-    if modes < 2:
-        raise ConfigError("basis.modes", "need at least 2 modes (N + 1)")
-    if _expect(cfg, "basis.nodes", int, default=_DEFAULT_NODES) < 3:
-        raise ConfigError("basis.nodes", "need at least 3 grid nodes")
-    method = _expect(cfg, "basis.method", str, default="auto")
-    if method not in ("auto", "analytic", "numeric"):
-        raise ConfigError("basis.method", f"unknown basis method {method!r}")
-    design_ref = _expect(cfg, "design_ref", str)
-    if "design" not in cfg and design_ref is None:
+    bc = cfg["problem"]["bc"]
+    for a, b in (("a0", "b0"), ("a1", "b1")):
+        if not (bc[a] or bc[b]):
+            raise ConfigError("problem.bc", f"{a} and {b} must not both be zero")
+    if "design" not in cfg and "design_ref" not in cfg:
         raise ConfigError("design", "need a 'design' section or a 'design_ref' path")
     if "design" in cfg:
-        N = _expect(cfg, "design.N", int, required=True)
-        if N < 1:
-            raise ConfigError("design.N", "mode count must be at least 1")
+        design, modes = cfg["design"], _value(cfg, "basis.modes")
+        N, L, channels = design["N"], design["L"], design["channels"]
         if N >= modes:
             raise ConfigError("design.N", f"mode count {N} must be below basis.modes = {modes}")
-        L = _expect(cfg, "design.L", list, required=True)
-        if not L or not all(isinstance(r, list) for r in L):
-            raise ConfigError("design.L", "gain matrix must be a list of rows")
-        if not all(_is_number(v) for row in L for v in row):
-            raise ConfigError("design.L", "every gain entry must be a number")
-        channels = _expect(cfg, "design.channels", list, required=True)
-        if not channels:
-            raise ConfigError("design.channels", "need at least one output channel")
         for i, ch in enumerate(channels):
-            _check_keys(ch, f"design.channels[{i}]", _CHANNEL_KEYS)
-            _check_profile(ch.get("kernel"), f"design.channels[{i}].kernel")
-            _check_profile(ch.get("approximant"), f"design.channels[{i}].approximant")
+            where = f"design.channels[{i}]"
+            if not isinstance(ch, dict):
+                raise ConfigError(where, "expected an object")
+            for key in ch:
+                if key not in ("label", "kernel", "approximant"):
+                    raise ConfigError(f"{where}.{key}", "unknown key")
+            for name in ("kernel", "approximant"):
+                _check_profile(ch.get(name), f"{where}.{name}")
         if sum(len(row) for row in L) != N * len(channels):
             raise ConfigError("design.L", f"gain matrix needs N x m = {N} x {len(channels)} entries")
-        q_val = _expect(cfg, "design.Q", (int, float), default=None)
-        if q_val is not None and q_val < 2:
-            raise ConfigError("design.Q", "Q must be at least 2")
-        fraction = _expect(cfg, "design.sigma_fraction", (int, float), default=None)
-        if fraction is not None and not 0.0 < fraction <= 1.0:
-            raise ConfigError("design.sigma_fraction", "sigma_fraction must lie in (0, 1]")
-        if not 0.0 <= _expect(cfg, "design.lipschitz_R", (int, float), default=0.0) < math.inf:
-            raise ConfigError("design.lipschitz_R", "Lipschitz bound must be finite and non-negative")
-
-    for path in ("initial.u0", "initial.w0"):
-        _check_profile(_expect(cfg, path, (dict, int, float)), path)
-
-    nodes = _expect(cfg, "grid.nodes", int, default=201)
-    if nodes < 8:
-        raise ConfigError("grid.nodes", "need at least 8 grid nodes")
-
-    if need_schedule or "schedule" in cfg:
-        kind = _expect(cfg, "schedule.kind", str, required=need_schedule, default=None)
-        if kind is not None and kind not in ("uniform", "random", "explicit"):
-            raise ConfigError("schedule.kind", f"unknown schedule kind {kind!r}")
-        if kind == "explicit":
-            if not all(map(_is_number, _expect(cfg, "schedule.times", list, required=True))):
-                raise ConfigError("schedule.times", "every sample time must be a number")
-        numbers = {"uniform": ("h", "horizon"), "random": ("h_min", "h_max", "horizon")}
-        for key in ("h", "h_min", "h_max", "horizon"):
-            _expect(cfg, f"schedule.{key}", (int, float), required=key in numbers.get(kind, ()))
-    for key in ("dt", "snapshot_every"):
-        if _expect(cfg, f"time.{key}", (int, float), default=1.0) <= 0:
-            raise ConfigError(f"time.{key}", f"{key} must be positive")
-    if "gain" in cfg:
-        if _expect(cfg, "gain.h", (int, float), required=True) <= 0:
-            raise ConfigError("gain.h", "need a positive sampling diameter")
-        _expect(cfg, "gain.kappa", (int, float))
-        has_kappa = isinstance(cfg["gain"], dict) and "kappa" in cfg["gain"]
-        has_omega = isinstance(cfg["gain"], dict) and "omega" in cfg["gain"]
-        if not (has_kappa or has_omega):
-            raise ConfigError("gain", "need 'kappa' or 'omega' (fraction of mu)")
-        if has_omega:
-            om = _expect(cfg, "gain.omega", (int, float))
-            if not 0.0 <= om < 1.0:
-                raise ConfigError("gain.omega", "omega must lie in [0, 1)")
-    if "observer" in cfg:
-        variant = _expect(cfg, "observer.variant", str, default="predictor")
-        if variant not in ("predictor", "zoh"):
-            raise ConfigError("observer.variant", f"unknown variant {variant!r}")
-    _expect(cfg, "analysis.lyapunov", bool)
-    _expect(cfg, "analysis.lyapunov_tail", int)
-    _expect(cfg, "output.fields", bool)
-    if "sweep" in cfg:
-        param = _expect(cfg, "sweep.parameter", str, required=True)
-        if param not in ("h", "kappa", "Q", "noise_amplitude"):
-            raise ConfigError("sweep.parameter", f"unknown sweep parameter {param!r}")
-        values = _expect(cfg, "sweep.values", list, required=True)
-        if not values:
-            raise ConfigError("sweep.values", "need at least one value")
-        if not all(map(_is_number, values)):
-            raise ConfigError("sweep.values", "every value must be a number")
-        simulated = _expect(cfg, "sweep.simulate", bool, default=False)
-        kind = _expect(cfg, "schedule.kind", str)
-        if param == "h" and simulated and kind != "uniform":
-            raise ConfigError("sweep.parameter", f"a simulated sweep over h sets schedule.h, "
-                              f"which a {kind} schedule does not read; use a uniform one")
+    if "gain" in cfg and "kappa" not in cfg["gain"] and "omega" not in cfg["gain"]:
+        raise ConfigError("gain", "need 'kappa' or 'omega' (fraction of mu)")
+    if "sweep" in cfg and cfg["sweep"]["parameter"] == "h" and _value(cfg, "sweep.simulate") \
+            and kind != "uniform":
+        raise ConfigError("sweep.parameter", f"a simulated sweep over h sets schedule.h, "
+                          f"which a {kind} schedule does not read; use a uniform one")
 
 
 def build_problem(cfg: dict) -> SLProblem:
@@ -314,18 +326,15 @@ def build_problem(cfg: dict) -> SLProblem:
 
 
 def build_basis(cfg: dict, problem: SLProblem) -> SpectralBasis:
-    spec = cfg.get("basis", {})
-    modes = int(spec.get("modes", _DEFAULT_MODES))
-    nodes = int(spec.get("nodes", _DEFAULT_NODES))
-    method = spec.get("method", "auto")
-    if method == "analytic":
-        return analytic_eigensystem(problem, modes, nodes)
-    if method == "numeric":
-        return numeric_eigensystem(problem, modes, nodes)
-    try:
-        return analytic_eigensystem(problem, modes, nodes)
-    except UnsupportedAnalyticCase:
-        return numeric_eigensystem(problem, modes, nodes)
+    modes, nodes = int(_value(cfg, "basis.modes")), int(_value(cfg, "basis.nodes"))
+    method = _value(cfg, "basis.method")
+    if method != "numeric":
+        try:
+            return analytic_eigensystem(problem, modes, nodes)
+        except UnsupportedAnalyticCase:
+            if method == "analytic":
+                raise
+    return numeric_eigensystem(problem, modes, nodes)
 
 
 def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBasis | None = None) -> ObserverDesign:
@@ -333,9 +342,9 @@ def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBas
         path = cfg["design_ref"]
         with open(path) as fh:
             doc = _finite_json(fh.read(), str(path))
-        ref = doc.get("basis", {}).get("ref")
-        if ref:  # a relative basis ref names a file beside design.json
-            doc["basis"]["ref"] = os.path.join(os.path.dirname(path), ref)
+        basis = doc.get("basis")
+        if isinstance(basis, dict) and basis.get("ref"):  # a relative ref names a file beside design.json
+            basis["ref"] = os.path.join(os.path.dirname(path), basis["ref"])
         return design_from_json(doc)
     problem = problem or build_problem(cfg)
     basis = basis or build_basis(cfg, problem)
@@ -347,18 +356,18 @@ def build_design(cfg: dict, problem: SLProblem | None = None, basis: SpectralBas
         channels,
         np.asarray(d["L"], dtype=float),
         int(d["N"]),
-        Q=d.get("Q"),
-        sigma_fraction=float(d.get("sigma_fraction", 0.9)),
-        lipschitz_R=float(d.get("lipschitz_R", 0.0)),
+        Q=_value(cfg, "design.Q"),
+        sigma_fraction=float(_value(cfg, "design.sigma_fraction")),
+        lipschitz_R=float(_value(cfg, "design.lipschitz_R")),
     )
 
 
 def resolve_kappa(cfg: dict, design: ObserverDesign) -> float:
-    gain = cfg.get("gain", {})
-    if "kappa" in gain:
-        return float(gain["kappa"])
-    if "omega" in gain:
-        return float(gain["omega"]) * design.mu
+    kappa, omega = _value(cfg, "gain.kappa"), _value(cfg, "gain.omega")
+    if kappa is not None:
+        return float(kappa)
+    if omega is not None:
+        return float(omega) * design.mu
     return 0.0
 
 
@@ -369,14 +378,12 @@ def gain_report(cfg: dict, design: ObserverDesign) -> SmallGainReport:
     the config's schedule, built and seeded as ``build_scenario`` builds it,
     so the Omega is the one a simulated run is certified at (its
     ``Scenario.report``)."""
-    variant = cfg.get("observer", {}).get("variant", "predictor")
-    if "h" in cfg.get("gain", {}):
-        h = float(cfg["gain"]["h"])
-    else:
-        h = _build_schedule(cfg, int(cfg.get("seed", 0))).diameter if "schedule" in cfg else 0.0
+    h = _value(cfg, "gain.h")
+    if h is None:
+        h = _build_schedule(cfg, int(_value(cfg, "seed"))).diameter if "schedule" in cfg else 0.0
     if h <= 0.0:
         raise ConfigError("gain.h", "need a positive sampling diameter")
-    return small_gain(design, h, resolve_kappa(cfg, design), variant)
+    return small_gain(design, float(h), resolve_kappa(cfg, design), _value(cfg, "observer.variant"))
 
 
 def _seeded(spec, seed: int):
@@ -393,35 +400,30 @@ def _build_schedule(cfg: dict, seed: int) -> SamplingSchedule:
 
 def build_scenario(cfg: dict, design: ObserverDesign | None = None, seed: int | None = None) -> Scenario:
     validate_config(cfg, need_schedule=True)
-    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+    seed = int(_value(cfg, "seed") if seed is None else seed)
     design = design or build_design(cfg)
-    nodes = int(cfg.get("grid", {}).get("nodes", 201))
+    nodes = int(_value(cfg, "grid.nodes"))
     grid = uniform_grid(nodes)
 
     schedule = _build_schedule(cfg, seed)
 
-    dist_spec = dict(cfg.get("disturbances", {}) or {})
-    xi = dist_spec.get("xi")
-    dist_spec["xi"] = [_seeded(x, seed) for x in xi] if isinstance(xi, list) else _seeded(xi, seed)
+    xi = _value(cfg, "disturbances.xi")
+    dist_spec = {"v": _value(cfg, "disturbances.v"), "v_tilde": _value(cfg, "disturbances.v_tilde"),
+                 "xi": [_seeded(x, seed) for x in xi] if isinstance(xi, list) else _seeded(xi, seed)}
     disturbances = disturbances_from_spec(dist_spec, design.m, grid)
-
-    nl = nonlinearity_from_spec(cfg.get("nonlinearity"), grid)
-    time_cfg = cfg.get("time", {})
-    initial = cfg.get("initial", {})
-    u0 = pf.as_profile(initial.get("u0", 0.0), grid)
-    w0 = pf.as_profile(initial.get("w0", 0.0), grid)
+    nl = nonlinearity_from_spec(_value(cfg, "nonlinearity"), grid)
     return Scenario(
         design=design,
-        variant=cfg.get("observer", {}).get("variant", "predictor"),
+        variant=_value(cfg, "observer.variant"),
         schedule=schedule,
         nodes=nodes,
-        u0=u0,
-        w0=w0,
+        u0=pf.as_profile(_value(cfg, "initial.u0"), grid),
+        w0=pf.as_profile(_value(cfg, "initial.w0"), grid),
         nonlinearity=nl,
         disturbances=disturbances,
-        dt=time_cfg.get("dt"),
-        snapshot_every=time_cfg.get("snapshot_every"),
-        label=cfg.get("label", ""),
+        dt=_value(cfg, "time.dt"),
+        snapshot_every=_value(cfg, "time.snapshot_every"),
+        label=_value(cfg, "label"),
         kappa=resolve_kappa(cfg, design),
     )
 
@@ -437,8 +439,6 @@ def _spec(obj):
 def _preset(p, q, bc, L, channel, *, h, omega, variant, horizon, nodes, dt,
             snapshot_every, u0, w0, noise, label, modes, basis_nodes) -> dict:
     """An N = 1, Q = 2, sigma = |A11| design on a uniform schedule."""
-    if not 0.0 <= omega < 1.0:
-        raise ConfigError("gain.omega", "omega must lie in [0, 1)")
     cfg = {
         "schema_version": SCHEMA_VERSION,
         "problem": SLProblem(p, q, *bc).spec(),
@@ -448,7 +448,7 @@ def _preset(p, q, bc, L, channel, *, h, omega, variant, horizon, nodes, dt,
         "gain": {"h": h, "omega": omega},
         "observer": {"variant": variant},
         "schedule": {"kind": "uniform", "h": h, "horizon": horizon},
-        "grid": {"nodes": nodes},
+        "grid": {"nodes": _DEFAULTS["grid.nodes"] if nodes is None else nodes},
         "initial": {"u0": _spec(u0), "w0": _spec(pf.constant(0.0) if w0 is None else w0)},
         "label": label,
     }
@@ -459,11 +459,12 @@ def _preset(p, q, bc, L, channel, *, h, omega, variant, horizon, nodes, dt,
         noise = {"kind": "sinusoid", "amplitude": float(noise), "omega": 2.0}
     if noise is not None:
         cfg["disturbances"] = {"xi": _spec(noise)}
+    validate_config(cfg)  # an omega outside [0, 1) is named before a design is built
     return cfg
 
 
-def example31_config(p=1.0, h=0.5, omega=0.0, variant="predictor", noise=None, mismatch=0.0,
-                     *, horizon=None, nodes=201, dt=None, snapshot_every=None, u0=None,
+def example31_config(p=1.0, h=0.5, omega=0.0, variant=None, noise=None, mismatch=0.0,
+                     *, horizon=None, nodes=None, dt=None, snapshot_every=None, u0=None,
                      w0=None, modes=201, basis_nodes=1001) -> dict:
     """Example 3.1: the Neumann heat plant with output kernel x, c = 1/2,
     L = -p pi^2, P = [1], kappa = omega * mu.
@@ -471,7 +472,7 @@ def example31_config(p=1.0, h=0.5, omega=0.0, variant="predictor", noise=None, m
     The horizon defaults to 10 * 20 / (p pi^2), rounded up to whole periods.
     ``noise`` is a noise spec, a NoiseSignal, or a number (the amplitude of
     a sinusoid with omega = 2); ``mismatch`` is a constant plant input the
-    observer does not know.
+    observer does not know. ``variant`` and ``nodes`` default to the config's.
     """
     # checked before the default horizon divides by p, and before the rounding
     # below divides by h and lifts a horizon <= 0 to one period; the same
@@ -487,6 +488,7 @@ def example31_config(p=1.0, h=0.5, omega=0.0, variant="predictor", noise=None, m
     # whole number of periods: the uniform-sampling claims are about t_j = j h,
     # and a clipped trailing gap can act as an accidental deadbeat step
     horizon = max(1, math.ceil(horizon / h - 1e-9)) * h
+    variant = _DEFAULTS["observer.variant"] if variant is None else variant
     channel = OutputChannel(pf.polynomial([0.0, 1.0]), pf.constant(0.5), label="avg")
     cfg = _preset(
         p, 0.0, (0.0, 1.0, 0.0, 1.0), -p * math.pi**2, channel, h=h, omega=omega,
@@ -508,7 +510,7 @@ def example31_design(p: float = 1.0, nodes: int = 1001, modes: int = 201) -> Obs
     return build_design(example31_config(p, modes=modes, basis_nodes=nodes))
 
 
-def example32_config(p=1.0, q=0.0, h=None, omega=0.3, noise=None, *, horizon=None, nodes=201,
+def example32_config(p=1.0, q=0.0, h=None, omega=0.3, noise=None, *, horizon=None, nodes=None,
                      dt=None, snapshot_every=None, u0=None, w0=None, modes=201,
                      basis_nodes=1001) -> dict:
     """Example 3.2: the boundary-measured plant in the derivative variable
@@ -516,7 +518,7 @@ def example32_config(p=1.0, q=0.0, h=None, omega=0.3, noise=None, *, horizon=Non
     7 p pi^2) / (16 sqrt 2), predictor observer.
 
     When h or the horizon is not given, the design is built once to find
-    them (see ``example32_sampling``).
+    them (see ``example32_sampling``). ``nodes`` defaults to the config's.
     """
     if not -9.0 * p * math.pi**2 < 4.0 * q < 7.0 * p * math.pi**2:
         raise ReactionOutOfRange(f"need -9 p pi^2 < 4q < 7 p pi^2, got q = {q} at p = {p}")

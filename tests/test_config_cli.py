@@ -139,6 +139,9 @@ class TestValidation:
         cfg["grid"]["nodes"] = "many"
         with pytest.raises(ConfigError, match="grid.nodes"):
             validate_config(cfg)
+        # the type is named in words, not as a tuple of python classes
+        with pytest.raises(ConfigError, match="^problem.p: expected a number, got str$"):
+            validate_config(apply_overrides(example31_config(), ['problem.p="x"']))
 
     def test_schema_version_checked(self):
         cfg = example31_config()
@@ -193,6 +196,19 @@ SHIPPED_CONFIGS = pytest.mark.parametrize("cfg", [
     json.loads(json.dumps(cf.example32_config(q=2.0, h=0.1, horizon=3.0,
                                               noise={"kind": "random", "amplitude": 0.01}))),
 ], ids=["design_sweep", "nonlinear_zoh", "readme", "example31", "example32"])
+
+
+def test_readme_config_reference_is_the_schema():
+    text = README.read_text()
+    lines = text[text.index("| path | type | default | bound |"):].splitlines()[2:]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in lines[:[line.startswith("|") for line in lines].index(False)]]
+
+    def default(value):
+        return "required" if value is cf._REQUIRED else "—" if value is None else f"`{json.dumps(value)}`"
+
+    assert rows == [[f"`{path}`", type_name, default(value), message or "—"]
+                    for path, type_name, value, _, message in cf._SCHEMA]
 
 
 class TestKeysAndScalars:
@@ -266,7 +282,7 @@ class TestKeysAndScalars:
         "analysis.lyapunov_tail=abc", "analysis.lyapunov=1", "output.fields=yes",
         "sweep.simulate=1", "design_ref=3", "seed=-1", "time.horizon=0", "time.snapshot_every=-1",
         'sweep.values=[0.1,"a"]', "design.lipschitz_R=-1", "design.lipschitz_sup=-Infinity",
-        "basis.nodes=2",
+        "basis.nodes=2", "analysis.lyapunov_tail=-1", "label=3", "label=[1,2]",
     ])
     def test_bad_scalar_fails_before_any_computation(self, tmp_path, capsys, monkeypatch, override):
         def no_simulation(scenario):
@@ -512,12 +528,14 @@ class TestCli:
              "design JSON: L is 1 x 2, need 2 x 2"),
             ("design.json", lambda text: _edit_json(text, lambda doc: doc["basis"].update(modes="64")),
              "design JSON: basis.modes: "),
+            ("design.json", lambda text: _edit_json(text, lambda doc: doc.update(basis=5)),
+             "design JSON: missing key 'basis.modes'"),
         ],
         ids=["basis_cut_bytes", "basis_not_numeric", "basis_vector_line", "basis_counts",
              "basis_first_1000_lines", "design_key", "design_modes", "basis_other_plant",
              "design_p_type", "design_sigma_type", "design_N_type", "design_L_entry",
              "design_p_negative", "design_kernel_kind", "design_q_kind", "design_L_shape",
-             "design_modes_type"],
+             "design_modes_type", "design_basis_not_an_object"],
     )
     def test_corrupt_design_ref_exit_code(self, written_design, tmp_path, capsys, name, edit, message):
         # before basis.csv and design.json were checked, these ended in a bare
@@ -552,6 +570,7 @@ class TestCli:
         assert main(["check-gain", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"config error: {design / 'design.json'}: {literal} is not a finite number" in err
+        assert f"{literal} is not a finite number at Q\n" in err
 
     def test_initial_profile_of_wrong_type_is_a_config_error(self, tmp_path, capsys):
         config = Path(__file__).parents[1] / "benchmarks" / "configs" / "nonlinear_zoh.json"
@@ -686,7 +705,9 @@ class TestCli:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(example31_config()).replace('"p": 1.0', f'"p": {literal}', 1))
         assert main(["check-gain", "--config", str(path)]) == EXIT_CONFIG
-        assert f"config error: {path}: {literal} is not a finite number" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {path}: {literal} is not a finite number" in err
+        assert f"{literal} is not a finite number at problem.p\n" in err
 
     @pytest.mark.parametrize("command, flag, value", [
         ("example31", "--p", "inf"), ("example32", "--q", "nan"), ("example31", "--h", "nan"),
