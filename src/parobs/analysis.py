@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    _DEFAULTS,
     build_design,
     build_scenario,
     example31_config,
@@ -35,6 +36,8 @@ from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, SmallGainReport, design_to_json, max_diameter
 from .signals import Disturbances
 from .simulator import DiscreteObserver, GridModes, Scenario, Trajectory, simulate
+
+_LYAPUNOV_TAIL = _DEFAULTS["analysis.lyapunov_tail"]  # the config schema's default
 
 __all__ = [
     "DecayFit",
@@ -222,7 +225,7 @@ class LyapunovTrace:
 def lyapunov_oracle(
     traj: Trajectory,
     design: ObserverDesign,
-    J_tail: int = 20,
+    J_tail: int = _LYAPUNOV_TAIL,
     nonlinearity: NonlinearTerm | None = None,
     disturbances: Disturbances | None = None,
 ) -> LyapunovTrace:
@@ -475,7 +478,8 @@ class RunResult:
 
 
 def check_run(
-    traj: Trajectory, scenario: Scenario, *, lyapunov: bool = False, lyapunov_tail: int = 20,
+    traj: Trajectory, scenario: Scenario, *, lyapunov: bool = False,
+    lyapunov_tail: int = _LYAPUNOV_TAIL,
 ) -> RunResult:
     """The decay fit, IOS check, Lyapunov oracle, h* and verdict of one
     simulated scenario, as one ``RunResult``.
@@ -547,7 +551,8 @@ def boundary_reconstruction(run: RunResult) -> Reconstruction:
     return Reconstruction(theta, sup_error, sup_fit, noise_bound, noise_bound_ok, bc_defect)
 
 
-def run_example_31(*args, lyapunov: bool = False, lyapunov_tail: int = 20, **preset) -> RunResult:
+def run_example_31(*args, lyapunov: bool = False, lyapunov_tail: int = _LYAPUNOV_TAIL,
+                   **preset) -> RunResult:
     """End-to-end run of ``example31_config(*args, **preset)``, which names
     the parameters and their defaults: the ``check_run`` result of its
     scenario, as ``parobs simulate`` reports it, with the Lyapunov oracle

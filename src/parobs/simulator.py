@@ -2,27 +2,13 @@
 
 Space is the central-difference operator B_h of ``DiscreteSLOperator``,
 self-adjoint in the trapezoid weights, which every discrete inner product
-shares. Time is handled in one of two ways.
-
-A run with the zero term is linear and time-invariant between samples, and
-``simulate`` solves it exactly in the eigenbasis of B_h (``GridModes``),
-from sample to sample: the plant, and the observer error e = w - u, driven
-by v~ - v and by the injection of the innovation eta, which obeys
-eta' = A eta between samples (A = 0 for the hold observer, A = C L for the
-predictor) and is reset from the noise at each sample. No time step, no
-matrix exponential of the grid and no scipy.
-
-A run with a non-zero term (``LinearNonlocalTerm`` or ``GainSaturatedTerm``)
-steps with IMEX Crank-Nicolson (``IMEXStepper``): diffusion-reaction
-implicit, the nonlinear, non-local, input and injection terms explicit
-through the trapezoidal rule. One stepper class integrates the plant and
-both observers. Every explicit term reads the state through a few inner
-products, so a step takes one tridiagonal solve and r + m coupling
-equations, solved by chord-Newton with a Jacobian inverted once per dt
-(exact for linear terms). The inter-sample predictor integrates the coupled
-(w, zeta) system; the rate of zeta uses the discrete operator applied to the
-approximant, which makes the discrete integration-by-parts identity exact.
-The zero-order-hold variant freezes the innovation between samples instead.
+shares. Every run lives in its eigenbasis (``GridModes``), in the plant u,
+the observer error e = w - u and the innovation eta: no matrix exponential
+of the grid, no tridiagonal solve and no scipy. A run with the zero term
+is solved exactly between samples; a run with a non-zero term
+(``LinearNonlocalTerm`` or ``GainSaturatedTerm``) steps with
+Crank-Nicolson's trapezoidal rule, which is elementwise in the modes but
+for the term's r coefficients (``_Trapezoid``).
 
 Both record at the same times: every sample, and the first step of the
 run's subdivision at or past each due time (``_record_plan``). The
@@ -40,7 +26,7 @@ import numpy as np
 
 from . import profiles as pf
 from .errors import ConfigError, InvalidSpec, StepRejected
-from .grids import _row_blocks, snapshot_norms, trapezoid_weights
+from .grids import _row_blocks, trapezoid_weights
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import (ObserverDesign, SmallGainReport, check_variant, injection_kernels,
                               small_gain)
@@ -62,212 +48,59 @@ __all__ = [
 
 _CORRECTOR_RTOL = 1e-13
 _CORRECTOR_MAXITER = 40
-_SINGULAR_RTOL = 1e-12  # smallest singular value of the coupling Jacobian, relative
-
-
-class IMEXStepper:
-    """IMEX Crank-Nicolson steps of w_t = -B_h w + f(w) + v + sum_i l_i e_i.
-
-    One class serves the plant and both observers; they differ only in the
-    m output channels with injection columns ``l_cols`` (n, m):
-
-    - plant: no channels (m = 0);
-    - hold observer: ``zeta`` is the held innovation e, a known forcing that
-      the step leaves unchanged;
-    - predictor observer (``c_rows`` and ``stiff_rows`` given): e = C w - zeta,
-      and zeta is integrated alongside w with rate S w + C (f(w) + v) by the
-      same trapezoidal rule. Using <L_h c_i, w> with the discrete operator
-      makes (w, zeta) track (u, <c_i, u>) exactly on matched runs.
-
-    Every explicit term is low rank (f(w) = phi(R w) @ cols), so a step is
-    w_new = a + P coef: ``a`` takes one solve with M1 = I + dt/2 B_h, by
-    LAPACK's tridiagonal LU (scipy's ``dgttrf``/``dgttrs``, imported on the
-    first step), and P = dt/2 M1^-1 [cols, l] is kept for the current dt. The
-    trapezoidal rule is then the fixed point coef = Phi(coef) of the r + m
-    coefficients [phi(R w_new); e], affine in coef except for phi; its
-    Jacobian with phi' = 1 is inverted alongside P, once per dt. ``steps``
-    counts the steps taken.
-    """
-
-    def __init__(
-        self,
-        op: DiscreteSLOperator,
-        nonlinearity: NonlinearTerm,
-        v: SpaceTimeSignal,
-        l_cols: np.ndarray | None = None,  # (n, m)
-        c_rows: np.ndarray | None = None,  # (m, n): weights * c_i
-        stiff_rows: np.ndarray | None = None,  # (m, n): weights * (L_h c_i)
-    ):
-        n = op.grid.size
-        self.op, self.phi = op, nonlinearity.phi
-        self.v_terms = tuple((ts, prof.values(op.grid)) for ts, prof in v.terms)
-        nl_rows, nl_cols = nonlinearity.factors(n)
-        l_cols = np.zeros((n, 0)) if l_cols is None else l_cols
-        self.r, self.m = nl_rows.shape[0], l_cols.shape[1]
-        self.coupled = c_rows is not None
-        if not self.coupled:
-            c_rows = stiff_rows = np.zeros((0, n))
-        self.c_rows = c_rows
-        self.c_nl = c_rows @ nl_cols.T  # <c_i, cols_k>
-        self.cols = np.vstack([nl_cols, l_cols.T])  # explicit part = coef @ cols
-        self.rows = np.vstack([nl_rows, c_rows, stiff_rows])  # s = rows @ w
-        self.dt = None
-        self.steps = 0
-
-    def _factor(self, dt: float) -> None:
-        """Factor M1 = I + dt/2 B_h for ``_solve`` and build what a step of dt
-        reuses: M0, P, R P and the coupling Jacobian's inverse."""
-        from scipy.linalg.lapack import dgttrf, dgttrs
-
-        self.dt = None  # a factorization that raises leaves none held
-        sub, diag, sup = self.op.free_tridiagonals()
-        h = 0.5 * dt
-        # M1 = I + dt/2 B_h (implicit), M0 = I - dt/2 B_h (explicit)
-        *self._lu, info = dgttrf(h * sub, 1.0 + h * diag, h * sup)
-        self._gttrs = dgttrs  # bound here so the per-step _solve imports nothing
-        if info:
-            raise StepRejected(f"Crank-Nicolson matrix is singular at dt={dt:.6g}")
-        self._m0 = (-h * sub, 1.0 - h * diag, -h * sup)
-        self._p = self._solve(h * self.cols.T[self.op.free])  # (n, r + m)
-        self._rp = self.rows @ self._p
-        # Jacobian of coef - Phi(coef) with phi' = 1; the held innovation is constant
-        r = self.r
-        jac = np.eye(r + self.m)
-        jac[:r] -= self._rp[:r]
-        if self.coupled:
-            jac[r:] -= self._rp[r : r + self.m] - h * self._rp[r + self.m :]
-            jac[r:, :r] += h * self.c_nl
-        # a 1x1 jac of -1e-15 has condition number 1: scale its smallest singular
-        # value by the block subtracted from the identity instead
-        smallest = np.linalg.svd(jac, compute_uv=False).min(initial=np.inf)
-        if smallest <= _SINGULAR_RTOL * max(1.0, np.linalg.norm(np.eye(r + self.m) - jac, 2)):
-            raise StepRejected(f"coupling Jacobian is singular at dt={dt:.6g}")
-        self._jinv = np.linalg.inv(jac)
-        self.dt = dt
-
-    def _solve(self, rhs_free: np.ndarray) -> np.ndarray:
-        """M1^-1 on the free nodes, zero at pinned ones, for ``self.dt``."""
-        out = np.zeros((self.op.grid.size, *rhs_free.shape[1:]))
-        if not rhs_free.size:  # dgttrs corrupts the heap when given no right-hand side
-            return out
-        out[self.op.free] = self._gttrs(*self._lu, rhs_free)[0]
-        return out
-
-    def _input(self, t: float) -> np.ndarray:
-        """v(t) on the grid, summed in SpaceTimeSignal.field's order from the
-        profiles sampled once at construction."""
-        return sum((ts.value(t) * b for ts, b in self.v_terms), np.zeros(self.op.grid.size))
-
-    def _coef(self, s: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-        e = s[self.r : self.r + self.m] - zeta if self.coupled else zeta
-        return np.concatenate([self.phi(s[: self.r]), e])
-
-    def step(self, w: np.ndarray, t: float, dt: float, zeta: np.ndarray | None = None):
-        """Advance (w, zeta) from t to t + dt and return the new pair.
-
-        Chord-Newton on coef = Phi(coef), started from the coefficients at
-        t: stop once the state change P dcoef (and the change of zeta) falls
-        below _CORRECTOR_RTOL of the state, or reject the step after
-        _CORRECTOR_MAXITER updates. Linear terms stop after the second update,
-        which confirms the exact first one.
-        """
-        if dt != self.dt:
-            self._factor(dt)
-        zeta = np.zeros(self.m) if zeta is None else zeta
-        self.steps += 1
-        return self._trapezoid(w, zeta, self._input(t), self._input(t + dt), t)
-
-    def _trapezoid(self, w, zeta, v0, v1, t: float):
-        """One step of the current dt with the inputs v0 = v(t), v1 = v(t + dt)."""
-        r, free, h = self.r, self.op.free, 0.5 * self.dt
-        s = self.rows @ w
-        coef = self._coef(s, zeta)
-
-        if self.coupled:
-            stiff = slice(r + self.m, None)
-            zeta_known = zeta + h * (s[stiff] + self.c_nl @ coef[:r] + self.c_rows @ (v0 + v1))
-
-        # M0 w + h * (cols' coef + v0 + v1) on the free nodes, then a = M1^-1 of it
-        sub0, diag0, sup0 = self._m0
-        wf = w[free]
-        rhs = diag0 * wf
-        rhs[:-1] += sup0 * wf[1:]
-        rhs[1:] += sub0 * wf[:-1]
-        explicit = self.cols.T @ coef
-        explicit += v0
-        explicit += v1
-        explicit *= h
-        rhs += explicit[free]
-        a = self._solve(rhs)
-        s_a = self.rows @ a
-
-        zeta_new = zeta
-        for _ in range(_CORRECTOR_MAXITER):
-            s = s_a + self._rp @ coef
-            if self.coupled:
-                zeta_new = zeta_known + h * (s[stiff] + self.c_nl @ coef[:r])
-            dcoef = self._jinv @ (self._coef(s, zeta_new) - coef)
-            coef = coef + dcoef
-            w_new = self._p @ coef
-            w_new += a
-            change = self._p @ dcoef
-            diff = np.abs(change, out=change).max()
-            if self.coupled:
-                dzeta = h * (self._rp[stiff] @ dcoef + self.c_nl @ dcoef[:r])
-                zeta_new = zeta_new + dzeta
-                diff = max(diff, np.abs(dzeta).max())
-            if diff <= _CORRECTOR_RTOL * max(np.abs(w_new).max(), 1.0):
-                return w_new, zeta_new
-        raise StepRejected(f"corrector failed to converge within {_CORRECTOR_MAXITER} updates "
-                           f"at t={t:.6g} (dt={self.dt:.3g}); the explicit part is too stiff")
+_SINGULAR_RTOL = 1e-12  # smallest pivot or singular value of a step's solve, relative
 
 
 # -- spec-level single-step entry points ---------------------------------------
+# Each call builds the grid's modes (``GridModes``: one ``eigh``) and the
+# step's factors, which cost far more than the step; ``simulate`` builds
+# them once per run.
 
 def step_plant(u, t, dt, problem: SLProblem, nonlinearity: NonlinearTerm | None, v) -> np.ndarray:
-    """Single IMEX plant step on the grid implied by len(u).
-
-    Each call rebuilds the grid operator, the stepper and its factorization,
-    which cost far more than the step; a loop of steps builds one stepper,
-    ``DiscreteObserver(...).plant(...)``, and calls its ``step``.
-    """
-    op = DiscreteSLOperator(problem, len(u))
-    stepper = IMEXStepper(op, nonlinearity or ZeroTerm(), field_signal_from_spec(v))
-    return stepper.step(np.asarray(u, dtype=float), t, dt)[0]
+    """Single Crank-Nicolson plant step on the grid implied by len(u)."""
+    modes = GridModes(DiscreteSLOperator(problem, len(u)))
+    return _step_alone(modes, nonlinearity, v, u, t, dt, np.zeros(0))[0]
 
 
 def step_observer_predictor(w, zeta, t, dt, design: ObserverDesign, nonlinearity, v_tilde):
-    """Single coupled (w, zeta) step for the predictor observer.
-
-    Each call rebuilds the ``DiscreteObserver``, the stepper and its
-    factorization, which cost far more than the step; a loop of steps builds
-    one stepper, ``DiscreteObserver(...).observer(...)``, and calls its ``step``.
-    """
-    return DiscreteObserver(design, "predictor", len(w)).observer(
-        nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde)
-    ).step(np.asarray(w, dtype=float), t, dt, np.asarray(zeta, dtype=float))
+    """Single (w, zeta) step of the predictor observer: the error step of w
+    against u = 0 with the innovation eta = C w - zeta; zeta = C w - eta."""
+    discrete = DiscreteObserver(design, "predictor", len(w))
+    w = np.asarray(w, dtype=float)
+    eta = discrete.c_rows @ w - np.asarray(zeta, dtype=float)
+    w, eta = _step_alone(GridModes(discrete), nonlinearity, v_tilde, w, t, dt, eta)
+    return w, discrete.c_rows @ w - eta
 
 
 def step_observer_zoh(w, held, t, dt, design: ObserverDesign, nonlinearity, v_tilde):
-    """Single observer step with held innovation.
+    """Single observer step with the held innovation: the error step of w
+    against u = 0."""
+    modes = GridModes(DiscreteObserver(design, "zoh", len(w)))
+    return _step_alone(modes, nonlinearity, v_tilde, w, t, dt, np.asarray(held, dtype=float))[0]
 
-    Each call rebuilds the ``DiscreteObserver``, the stepper and its
-    factorization, which cost far more than the step; a loop of steps builds
-    one stepper, ``DiscreteObserver(...).observer(...)``, and calls its ``step``.
-    """
-    return DiscreteObserver(design, "zoh", len(w)).observer(
-        nonlinearity or ZeroTerm(), field_signal_from_spec(v_tilde)
-    ).step(np.asarray(w, dtype=float), t, dt, np.asarray(held, dtype=float))[0]
+
+def _step_alone(modes: "GridModes", nonlinearity, v, x, t, dt, eta):
+    """One step of the field x from t, driven by the input spec v and the
+    innovation eta: the error step against u = 0. Returns the field and
+    eta at t + dt."""
+    step = _Trapezoid(modes, nonlinearity or ZeroTerm())
+    step.factor(dt)
+    grid = modes.op.grid
+    v = field_signal_from_spec(v)
+    drive = modes.project(v.field(t, grid) + v.field(t + dt, grid))
+    eta_next = step.eta @ eta
+    drive += (eta + eta_next) @ modes.l_hat
+    zero = np.zeros(step.r_hat.shape[0])
+    x = step.advance(modes.project(np.asarray(x, dtype=float)), t, zero, zero, drive)
+    return x @ modes.rows, eta_next
 
 
 class DiscreteObserver:
-    """The observer of ``design`` in ``variant`` on ``nodes`` grid points: the
-    injection columns ``l_cols`` (n, m), built from the design's first N
-    modes resampled on the grid, and rows (m, n) of c_i, k_i, k_i - c_i and
-    -L_h c_i times the trapezoid weights. It builds the plant and observer
-    steppers on one ``op``, and owns the sample law: a sample reads
-    y = <k, u> + xi with ``k_rows``, and ``reset`` turns y into the
-    observer's second state."""
+    """The observer of ``design`` in ``variant`` on ``nodes`` grid points:
+    the grid operator ``op``, the injection columns ``l_cols`` (n, m),
+    built from the design's first N modes resampled on the grid, and the
+    rows (m, n) of c_i and k_i times the trapezoid weights. A sample reads
+    y = <k, u> + xi with ``k_rows``."""
 
     def __init__(self, design: ObserverDesign, variant: str, nodes: int):
         check_variant(variant)
@@ -276,23 +109,7 @@ class DiscreteObserver:
         c = np.vstack([ch.approximant.values(op.grid) for ch in design.channels])
         k = np.vstack([ch.kernel.values(op.grid) for ch in design.channels])
         self.l_cols = injection_kernels(design.L, design.basis.resample(nodes, design.N))[0].T
-        self.c_rows, self.k_rows, self.gap_rows = c * op.weights, k * op.weights, (k - c) * op.weights
-        self.stiff_rows = (-np.vstack([op.apply(ci) for ci in c])) * op.weights
-
-    def plant(self, nonlinearity: NonlinearTerm, v: SpaceTimeSignal) -> IMEXStepper:
-        return IMEXStepper(self.op, nonlinearity, v)
-
-    def observer(self, nonlinearity: NonlinearTerm, v: SpaceTimeSignal) -> IMEXStepper:
-        if self.variant == "predictor":
-            return IMEXStepper(self.op, nonlinearity, v, self.l_cols, self.c_rows, self.stiff_rows)
-        return IMEXStepper(self.op, nonlinearity, v, self.l_cols)
-
-    def reset(self, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The observer's second state after sampling y with field w: the
-        predictor state y - <k - c, w>, or the held innovation <k, w> - y."""
-        if self.variant == "predictor":
-            return y - self.gap_rows @ w
-        return self.k_rows @ w - y
+        self.c_rows, self.k_rows = c * op.weights, k * op.weights
 
 
 class GridModes:
@@ -306,16 +123,22 @@ class GridModes:
     rows on the whole grid, zero at pinned nodes.
 
     In the modes, the observer error e = w - u obeys e' = -lam e + l_hat eta
-    + (v~ - v)^ between samples, and the innovation eta obeys eta' = A eta;
-    a sample resets it to eta = k_hat e - xi. The hold observer holds eta
-    (A = 0). The predictor's eta = C w - zeta has A = c_hat l_hat, because
-    the rate of zeta reads -C B_h w (``stiff_rows``), which makes the
-    (e, eta) generator block triangular. ``flows`` solves this in closed
-    form: no time step, no ``expm`` of the grid, no scipy.
+    + (v~ - v)^ + (f(w) - f(u))^ between samples, and the innovation eta
+    obeys eta' = A eta; a sample resets it to eta = k_hat e - xi. The hold
+    observer holds eta (A = 0). The predictor's eta = C w - zeta has A =
+    c_hat l_hat: its zeta moves at -<B_h c_i, w> + <c_i, f(w) + v~>, which
+    is -C B_h w + C (f(w) + v~) because B_h is self-adjoint in the
+    trapezoid weights, so the (e, eta) generator is block triangular.
+    ``flows`` solves the zero term's dynamics in closed form: no time step,
+    no ``expm`` of the grid, no scipy; ``_Trapezoid`` steps the others.
+
+    Built from a bare ``DiscreteSLOperator`` instead of a
+    ``DiscreteObserver``, it has no output channel (m = 0): the plant's.
     """
 
-    def __init__(self, discrete: DiscreteObserver):
-        op = discrete.op
+    def __init__(self, discrete: "DiscreteObserver | DiscreteSLOperator"):
+        observer = discrete if isinstance(discrete, DiscreteObserver) else None
+        op = observer.op if observer else discrete
         diag, off = op.symmetric_tridiagonals()
         sym = np.diag(diag)
         i = np.arange(off.size)
@@ -326,18 +149,37 @@ class GridModes:
         self.rows[:, op.free] = q.T
         del q
         self.rows[:, op.free] /= np.sqrt(op.weights[op.free])
-        self.weights = op.weights
-        self.l_hat = self.project(discrete.l_cols.T)  # (m, modes): one row per channel
-        self.k_hat = discrete.k_rows @ self.rows.T  # (m, modes)
+        self.op, self.weights = op, op.weights
+        if observer is None:
+            self.l_hat = self.k_hat = np.zeros((0, self.lam.size))
+            self.A = np.zeros((0, 0))
+            return
+        self.l_hat = self.project(observer.l_cols.T)  # (m, modes): one row per channel
+        self.k_hat = observer.k_rows @ self.rows.T  # (m, modes)
         m = self.l_hat.shape[0]
-        if discrete.variant == "predictor":
-            self.A = (discrete.c_rows @ self.rows.T) @ self.l_hat.T
+        if observer.variant == "predictor":
+            self.A = (observer.c_rows @ self.rows.T) @ self.l_hat.T
         else:
             self.A = np.zeros((m, m))
 
     def project(self, fields: np.ndarray) -> np.ndarray:
         """The modal coordinates U^T W x of each row x of ``fields``."""
         return (fields * self.weights) @ self.rows.T
+
+    def quotients(self) -> np.ndarray:
+        """Each mode's Rayleigh quotient x^T S x, S = W B_h on the free
+        nodes, as sum_i -S_i,i+1 (x_i+1 - x_i)^2 + sum_i x_i^2 (row sum i of
+        S): lam to relative accuracy, where ``eigh`` leaves an absolute
+        error of eps |B_h| (the Neumann mean mode on 101 nodes: -2.3e-12 by
+        ``eigh``, 1e-26 by this sum)."""
+        sub, diag, sup = self.op.free_tridiagonals()
+        w = self.weights[self.op.free]
+        link = w[:-1] * sup
+        sums = w * diag
+        sums[:-1] += link
+        sums[1:] += w[1:] * sub
+        x = self.rows[:, self.op.free]
+        return (np.diff(x, axis=1) ** 2) @ -link + (x**2) @ sums
 
     def flows(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """At each offset s (a 1-D array) from a sample: e^{-lam s} (S, modes);
@@ -389,6 +231,88 @@ class GridModes:
                 wave = np.cos(angle) * wave.imag + np.sin(angle) * wave.real
                 out += ts.amplitude * wave * b_hat
         return out
+
+
+class _Trapezoid:
+    """Trapezoid (Crank-Nicolson) steps in the grid's modes of
+
+        x' = -lam x + (phi(sigma + R x) - phi(sigma)) C + d(t),
+
+    with the term's rows R and columns C (r, modes): the plant, with
+    sigma = 0, or the observer error e, with sigma the plant's r values
+    R u, so the term is f(u + e) - f(u). M1 = I + dt/2 B_h is diagonal in
+    the modes, so a step is x_new = a + coef P, with ``a`` the known part,
+    elementwise, and P = dt/2 M1^-1 C. The trapezoidal rule is then the
+    fixed point of the r coefficients coef = phi(sigma + R x_new) -
+    phi(sigma), solved by chord-Newton with the Jacobian of phi' = 1
+    inverted once per dt (exact for linear terms). ``eta`` is the
+    trapezoid's own step of the innovation, eta' = A eta:
+    (I - dt/2 A)^-1 (I + dt/2 A). It reads lam as ``GridModes.quotients``,
+    because a step next to the pole 1 - dt/2 (R P) = 0 amplifies an error in
+    lam by 1 / that.
+    """
+
+    def __init__(self, modes: GridModes, nonlinearity: NonlinearTerm):
+        rows, cols = nonlinearity.factors(modes.op.grid.size)
+        self.lam, self.A, self.phi = modes.quotients(), modes.A, nonlinearity.phi
+        self.r_hat = rows @ modes.rows.T  # the term reads R x
+        self.c_hat = modes.project(cols)
+        self.dt = None
+
+    def factor(self, dt: float) -> None:
+        """The factors of a step of dt; a dt whose M1 or coupling is
+        singular raises StepRejected and leaves the previous dt's held."""
+        h = 0.5 * dt
+        m1 = 1.0 + h * self.lam  # M1's diagonal
+        if np.any(np.abs(m1) <= _SINGULAR_RTOL * max(1.0, h * np.abs(self.lam).max())):
+            raise StepRejected(f"Crank-Nicolson matrix is singular at dt={dt:.6g}")
+        gain = h / m1
+        p = gain * self.c_hat
+        rp = self.r_hat @ p.T
+        jinv = _inverse(rp, dt)
+        eta = _inverse(h * self.A, dt) @ (np.eye(self.A.shape[0]) + h * self.A)
+        self.decay, self.gain, self.p, self.rp, self.jinv, self.eta = (
+            (1.0 - h * self.lam) / m1, gain, p, rp, jinv, eta)
+        self.dt = dt
+
+    def advance(self, x: np.ndarray, t: float, sigma0: np.ndarray, sigma1: np.ndarray,
+                drive: np.ndarray) -> np.ndarray:
+        """x at t + dt from x at t, for the current dt, with the plant's r
+        values sigma0 and sigma1 at the two ends and drive = d(t) + d(t + dt).
+
+        Chord-Newton starts from the coefficients at t and stops once the
+        state change P dcoef falls below _CORRECTOR_RTOL of the state (both
+        L2 norms, of the modal coordinates), or rejects the step after
+        _CORRECTOR_MAXITER updates. Linear terms stop after the second
+        update, which confirms the exact first one.
+        """
+        phi, r_hat, p = self.phi, self.r_hat, self.p
+        coef = phi(sigma0 + r_hat @ x) - phi(sigma0)
+        a = self.decay * x
+        a += coef @ p
+        a += self.gain * drive
+        s_a = sigma1 + r_hat @ a
+        base = phi(sigma1)
+        for _ in range(_CORRECTOR_MAXITER):
+            dcoef = self.jinv @ (phi(s_a + self.rp @ coef) - base - coef)
+            coef = coef + dcoef
+            x_new = a + coef @ p
+            change = dcoef @ p
+            if change @ change <= _CORRECTOR_RTOL**2 * max(x_new @ x_new, 1.0):
+                return x_new
+        raise StepRejected(f"corrector failed to converge within {_CORRECTOR_MAXITER} updates "
+                           f"at t={t:.6g} (dt={self.dt:.3g}); the explicit part is too stiff")
+
+
+def _inverse(block: np.ndarray, dt: float) -> np.ndarray:
+    """(I - block)^-1, or StepRejected where its smallest singular value is
+    below _SINGULAR_RTOL of block's norm (a 1x1 I - block of -1e-15 has
+    condition number 1)."""
+    jac = np.eye(block.shape[0]) - block
+    smallest = np.linalg.svd(jac, compute_uv=False).min(initial=np.inf)
+    if smallest <= _SINGULAR_RTOL * max(1.0, np.linalg.norm(block, 2)):
+        raise StepRejected(f"coupling Jacobian is singular at dt={dt:.6g}")
+    return np.linalg.inv(jac)
 
 
 def _response(a, lam: np.ndarray, s: np.ndarray, decay: np.ndarray) -> np.ndarray:
@@ -533,21 +457,22 @@ def simulate(scenario: Scenario) -> Trajectory:
     still runs, since divergence studies are legitimate, but emits a
     warning; ``analysis.check_run`` then checks no bound.
 
-    A run with the zero term is solved exactly in the modes of B_h
-    (``GridModes``), with no time step: the plant and the observer error
-    e = w - u from sample to sample, the innovation reset from the noise
-    alone (y - <k, u> = xi), and each record the closed form at its time.
-    ``error_l2`` is the norm of e's modal coordinates and ``error_sup`` the
-    largest |e| on the grid, so the error is never the difference of two
-    fields; w = u + e, and zeta is C w - eta for the predictor and the held
-    eta for the hold observer. ``metadata["scheme"]`` is "exact-modal" and
-    ``metadata["integrator"]`` {"modes": count, "steps": 0}.
+    Every run lives in the modes of B_h (``GridModes``), in the plant u,
+    the observer error e = w - u and the innovation eta, which each sample
+    resets from the error and the noise: eta = k_hat e - xi (y - <k, u> =
+    xi). Each record maps u and e to the grid a block of rows at a time:
+    w = u + e, ``error_l2`` is the norm of e's modal coordinates and
+    ``error_sup`` the largest |e| on the grid, so the error is never the
+    difference of two fields; zeta is C w - eta for the predictor and the
+    held eta for the hold observer.
 
-    A run with a non-zero term steps: the plant through every interval,
-    then the observer, whose reset reads the plant's row at each sample,
-    each with ``IMEXStepper.step``; the error norms are ``snapshot_norms``
-    of w - u a block of rows at a time. ``metadata["scheme"]`` is
-    "imex-crank-nicolson" and ``metadata["integrator"]`` {"steps": count}.
+    A run with the zero term is solved exactly, with no time step, from
+    sample to sample and at each record; ``metadata["scheme"]`` is
+    "exact-modal" and ``metadata["integrator"]`` {"modes": count, "steps":
+    0}. A run with a non-zero term steps the plant and the error together
+    with the trapezoidal rule (``_Trapezoid``); ``metadata["scheme"]`` is
+    "imex-crank-nicolson" and ``metadata["integrator"]`` {"steps": count},
+    a plant step and an error step per time step.
     """
     design = scenario.design
     sch = scenario.schedule
@@ -594,18 +519,19 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
     for j, t in enumerate(sample_times.tolist()):
         traj.events.append(SampleEvent(j, t, np.array([s.value(t, j) for s in dist.xi])))
+    modes = GridModes(discrete)
     if scenario.nonlinearity.factors(grid.size)[0].shape[0]:
-        scheme, integrator = "imex-crank-nicolson", _stepped(discrete, scenario.nonlinearity, dist,
-                                                             plan, u, w, traj)
+        scheme, integrator = "imex-crank-nicolson", _stepped(discrete, modes, scenario.nonlinearity,
+                                                             dist, plan, u, w, traj)
     else:
-        scheme, integrator = "exact-modal", _closed_form(discrete, dist, plan, u, w, traj)
+        scheme, integrator = "exact-modal", _closed_form(discrete, modes, dist, plan, u, w, traj)
     traj.metadata.update(scheme=scheme, integrator=integrator)
     traj.validate()
     return traj
 
 
-def _closed_form(discrete: DiscreteObserver, dist: Disturbances, plan: "_Plan", u: np.ndarray,
-                 w: np.ndarray, traj: Trajectory) -> dict:
+def _closed_form(discrete: DiscreteObserver, modes: GridModes, dist: Disturbances, plan: "_Plan",
+                 u: np.ndarray, w: np.ndarray, traj: Trajectory) -> dict:
     """Fill ``traj`` with the exact solution in the grid's modes.
 
     The samples come first, in order: the modal plant and error at each,
@@ -613,9 +539,8 @@ def _closed_form(discrete: DiscreteObserver, dist: Disturbances, plan: "_Plan", 
     gap to the next one, one ``GridModes.flows`` per distinct gap. The
     records then follow a ``grids._row_blocks`` block at a time, each row the
     flow from its interval's sample (one ``flows`` per distinct offset in
-    the block), and go to the grid by one product with the modes per field.
+    the block), and go to the grid through ``_write_rows``.
     """
-    modes = GridModes(discrete)
     grid = discrete.op.grid
     plant_inputs, observer_inputs = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
 
@@ -646,7 +571,6 @@ def _closed_form(discrete: DiscreteObserver, dist: Disturbances, plan: "_Plan", 
             x += drive[j]
     del decay, phi, drive
 
-    predictor = discrete.variant == "predictor"
     for block in _row_blocks(plan.times.size):
         j, s = plan.row_interval[block], plan.row_offset[block]
         offsets, index = np.unique(s, return_inverse=True)
@@ -654,78 +578,92 @@ def _closed_form(discrete: DiscreteObserver, dist: Disturbances, plan: "_Plan", 
         decay = decay[index]
         if inputs:
             plant_drive, error_drive = driven(sample_times[j], s, decay)
-        u_rows, w_rows = traj.u[block], traj.w[block]
-        x = states[j, 0]
-        x *= decay
+        x_u = states[j, 0]
+        x_u *= decay
         if inputs:
-            x += plant_drive
-        np.matmul(x, modes.rows, out=u_rows)
-        del x
-        x = states[j, 1]
-        x *= decay
+            x_u += plant_drive
+        np.matmul(x_u, modes.rows, out=traj.u[block])
+        del x_u
+        x_e = states[j, 1]
+        x_e *= decay
         del decay
         eta = eta_at[j]
         for c in range(eta.shape[1]):
             injected = phi[index, c]
             injected *= eta[:, c, None]
-            x += injected
+            x_e += injected
             del injected
         if inputs:
-            x += error_drive
-        e_rows = x @ modes.rows
-        np.add(u_rows, e_rows, out=w_rows)
-        traj.error_l2[block] = np.sqrt(np.einsum("ij,ij->i", x, x))
-        traj.error_sup[block] = np.abs(e_rows, out=e_rows).max(axis=1)
-        del e_rows, x
-        if predictor:
+            x_e += error_drive
+        if discrete.variant == "predictor":
             eta = (eta_flow[index] @ eta[:, :, None])[..., 0]
-            traj.zeta[block] = w_rows @ discrete.c_rows.T - eta
-        else:
-            traj.zeta[block] = eta
+        _write_rows(discrete, modes, traj, block, x_e, eta)
+        del x_e
     return {"modes": int(modes.lam.size), "steps": 0}
 
 
-def _stepped(discrete: DiscreteObserver, nl: NonlinearTerm, dist: Disturbances, plan: "_Plan",
-             u: np.ndarray, w: np.ndarray, traj: Trajectory) -> dict:
-    """Fill ``traj`` by stepping the plant through the whole plan, then the
-    observer, whose reset at each sample reads the plant's row there."""
-    plant = discrete.plant(nl, dist.v)
-    obs = discrete.observer(nl, dist.v_tilde)
-
-    def reset(j: int, x: np.ndarray) -> np.ndarray:
-        return discrete.reset(discrete.k_rows @ traj.u[plan.rows[j]] + traj.events[j].xi, x)
-
-    _step_through(plant, plan, traj, u, traj.u)
-    _step_through(obs, plan, traj, w, traj.w, traj.zeta, reset)
-    for block in _row_blocks(plan.times.size):
-        traj.error_l2[block], traj.error_sup[block] = snapshot_norms(
-            traj.w[block] - traj.u[block], discrete.op.weights)
-    return {"steps": plant.steps + obs.steps}
+def _write_rows(discrete: DiscreteObserver, modes: GridModes, traj: Trajectory, block: slice,
+                x_e: np.ndarray, eta: np.ndarray) -> None:
+    """Complete the rows ``block`` of ``traj``, whose u is written, from the
+    modal error x_e and the innovation eta of each row."""
+    u_rows, w_rows = traj.u[block], traj.w[block]
+    e_rows = x_e @ modes.rows
+    np.add(u_rows, e_rows, out=w_rows)
+    traj.error_l2[block] = np.sqrt(np.einsum("ij,ij->i", x_e, x_e))
+    traj.error_sup[block] = np.abs(e_rows, out=e_rows).max(axis=1)
+    traj.zeta[block] = w_rows @ discrete.c_rows.T - eta if discrete.variant == "predictor" else eta
 
 
-def _step_through(stepper: IMEXStepper, plan: "_Plan", traj: Trajectory, x: np.ndarray,
-                  out_w: np.ndarray, out_zeta: np.ndarray | None = None, reset=None) -> None:
-    """One stepper through the plan from the state x at the first sample:
-    writes its rows of ``out_w`` (and ``out_zeta``), and at every sample
-    sets zeta = ``reset(j, x)`` from the state x there."""
+def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, dist: Disturbances,
+             plan: "_Plan", u: np.ndarray, w: np.ndarray, traj: Trajectory) -> dict:
+    """Fill ``traj`` by stepping the modal plant u, error e and innovation
+    eta through the plan, one time step at a time: the plant first, then
+    the error, which reads the plant's r values at both ends of the step.
+    Each sample resets eta = k_hat e - xi. A record parks its row's modal
+    u and e in its own rows of ``traj.u`` and ``traj.w`` (and eta in
+    ``traj.zeta``), and ``_write_rows`` maps them to the grid at the end."""
+    step = _Trapezoid(modes, nl)
+    grid, size = discrete.op.grid, modes.lam.size
+    plant_terms, observer_terms = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
+    zero = np.zeros(size)
+
+    def inputs(t: float) -> tuple[np.ndarray, np.ndarray]:
+        """v and v~ - v in the modes at t; a matched input cancels exactly."""
+        v = sum((ts.value(t) * b for ts, b in plant_terms), zero)
+        return v, sum((ts.value(t) * b for ts, b in observer_terms), zero) - v
+
+    def park(row: int) -> None:
+        traj.u[row, :size], traj.w[row, :size], traj.zeta[row] = x_u, x_e, eta
+
+    x_u, x_e = modes.project(np.stack([u, w - u]))
+    plant_sigma, sigma = np.zeros(step.r_hat.shape[0]), step.r_hat @ x_u
     bounds = np.searchsorted(plan.record_intervals, np.arange(plan.rows.size + 1)).tolist()
     records = list(zip(plan.record_steps.tolist(), plan.record_rows.tolist()))
-    zeta = None
     for j, event in enumerate(traj.events):
-        if plan.fresh[j]:  # a sample within 1e-14 of the last record only updates its zeta
-            out_w[plan.rows[j]] = x
-        if reset is not None:
-            zeta = out_zeta[plan.rows[j]] = reset(j, x)
+        eta = modes.k_hat @ x_e - event.xi
+        if plan.fresh[j]:  # a sample within 1e-14 of the last record only updates its eta
+            park(plan.rows[j])
+        traj.zeta[plan.rows[j]] = eta
         t_j, dt = event.t, plan.dt[j]
         due = iter(records[bounds[j] : bounds[j + 1]])
-        step, row = next(due, (None, None))
+        record, row = next(due, (None, None))
+        v0 = inputs(t_j)
         for s in range(plan.steps[j]):
-            x, zeta = stepper.step(x, t_j + s * dt, dt, zeta)
-            if s + 1 == step:
-                out_w[row] = x
-                if out_zeta is not None:
-                    out_zeta[row] = zeta
-                step, row = next(due, (None, None))
+            if dt != step.dt:
+                step.factor(dt)
+            t, v1 = t_j + s * dt, inputs(t_j + (s + 1) * dt)
+            x_u = step.advance(x_u, t, plant_sigma, plant_sigma, v0[0] + v1[0])
+            sigma_next, eta_next = step.r_hat @ x_u, step.eta @ eta
+            x_e = step.advance(x_e, t, sigma, sigma_next,
+                               v0[1] + v1[1] + (eta + eta_next) @ modes.l_hat)
+            sigma, eta, v0 = sigma_next, eta_next, v1
+            if s + 1 == record:
+                park(row)
+                record, row = next(due, (None, None))
+    for block in _row_blocks(plan.times.size):
+        np.matmul(traj.u[block, :size].copy(), modes.rows, out=traj.u[block])
+        _write_rows(discrete, modes, traj, block, traj.w[block, :size].copy(), traj.zeta[block])
+    return {"steps": 2 * int(plan.steps.sum())}
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import ast
 import dataclasses
+import inspect
 import json
 import math
+import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -671,9 +674,9 @@ def nonlinear_zoh_design():
 def _grid_generator(design, variant, nodes):
     """The (free nodes + m) generator of the error e and the observer's second
     state in the Crank-Nicolson stepper's own coordinates, with the reset of
-    a sample: for the predictor (e, z = zeta - C u), z' = S e with S the
-    ``stiff_rows``, reset to (C - K) e + xi; for the hold (e, eta), eta' = 0,
-    reset to K e - xi. Returns the generator, the reset's e and xi columns."""
+    a sample: for the predictor (e, z = zeta - C u), z' = -C B_h e, reset to
+    (C - K) e + xi; for the hold (e, eta), eta' = 0, reset to K e - xi.
+    Returns the generator, the reset's e and xi columns."""
     discrete = DiscreteObserver(design, variant, nodes)
     free = discrete.op.free
     sub, diag, sup = discrete.op.free_tridiagonals()
@@ -681,7 +684,7 @@ def _grid_generator(design, variant, nodes):
     L, C, K = discrete.l_cols[free], discrete.c_rows[:, free], discrete.k_rows[:, free]
     n, m = B.shape[0], L.shape[1]
     if variant == "predictor":
-        gen = np.block([[-B + L @ C, -L], [discrete.stiff_rows[:, free], np.zeros((m, m))]])
+        gen = np.block([[-B + L @ C, -L], [-C @ B, np.zeros((m, m))]])
         return gen, np.vstack([np.eye(n), C - K]), np.vstack([np.zeros((n, m)), np.eye(m)])
     gen = np.block([[-B, L], [np.zeros((m, n + m))]])
     return gen, np.vstack([np.eye(n), K]), np.vstack([np.zeros((n, m)), -np.eye(m)])
@@ -723,16 +726,41 @@ def test_error_map_rates_on_example_31(ex31_design, variant, tau, rate):
 
 
 @pytest.mark.parametrize("name", ["ex31_design", "ex32_design", "nonlinear_zoh_design"])
-def test_stiff_rows_are_minus_c_rows_times_b_h(request, name):
-    # the predictor's rate of zeta reads stiff_rows = -C B_h to roundoff, by
-    # the self-adjointness of B_h in the trapezoid weights: the identity that
-    # makes the (e, eta) generator block triangular. It holds on the free
-    # nodes, where the error lives; each entry is within 16 ulps of the size
-    # of the terms summed into it (example 3.2 reads 8.5 at its last free node)
-    discrete = DiscreteObserver(request.getfixturevalue(name), "predictor", 201)
-    op = discrete.op
+def test_zeta_rate_rows_are_minus_c_rows_times_b_h(request, name):
+    # the predictor's zeta moves at -<B_h c_i, w>, and that is -C B_h w to
+    # roundoff, by the self-adjointness of B_h in the trapezoid weights: the
+    # identity that makes the (e, eta) generator block triangular. It holds
+    # on the free nodes, where the error lives; each entry is within 16 ulps
+    # of the size of the terms summed into it (example 3.2 reads 8.5 at its
+    # last free node)
+    design = request.getfixturevalue(name)
+    discrete = DiscreteObserver(design, "predictor", 201)
+    op, c_rows = discrete.op, discrete.c_rows
     B = np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
-    stiff, c_rows = discrete.stiff_rows[:, op.free], discrete.c_rows
-    defect = np.abs(stiff + (c_rows @ B)[:, op.free])
-    terms = (np.abs(c_rows) @ np.abs(B))[:, op.free] + np.abs(stiff)
+    c = [ch.approximant.values(op.grid) for ch in design.channels]
+    rate = (-np.vstack([op.apply(ci) for ci in c]) * op.weights)[:, op.free]
+    defect = np.abs(rate + (c_rows @ B)[:, op.free])
+    terms = (np.abs(c_rows) @ np.abs(B))[:, op.free] + np.abs(rate)
     assert np.all(defect <= 16 * np.finfo(float).eps * terms)
+
+
+def test_lyapunov_tail_default_is_the_config_schema_default():
+    # one declared default: no signature repeats the schema's 20, and a call
+    # that leaves the tail out is the call with lyapunov_tail = 20
+    default = cf._DEFAULTS["analysis.lyapunov_tail"]
+    assert default == 20
+    for fn, name in ((lyapunov_oracle, "J_tail"), (check_run, "lyapunov_tail"),
+                     (run_example_31, "lyapunov_tail")):
+        assert inspect.signature(fn).parameters[name].default == default
+        args = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].args
+        literals = [d.value for d in (*args.defaults, *args.kw_defaults) if isinstance(d, ast.Constant)]
+        assert default not in literals, fn.__name__
+    preset = dict(h=0.3, horizon=3.0, lyapunov=True)
+    given = run_example_31(**preset, lyapunov_tail=20)
+    traj, scenario = given.trajectory, given.scenario
+    assert given.lyapunov.modal.shape[1] == scenario.design.N + 20
+    for trace in (run_example_31(**preset).lyapunov, check_run(traj, scenario, lyapunov=True).lyapunov,
+                  lyapunov_oracle(traj, scenario.design, nonlinearity=scenario.nonlinearity,
+                                  disturbances=scenario.disturbances)):
+        np.testing.assert_array_equal(trace.modal, given.lyapunov.modal)
+        np.testing.assert_array_equal(trace.V, given.lyapunov.V)
