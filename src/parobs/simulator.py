@@ -52,13 +52,13 @@ _SINGULAR_RTOL = 1e-12  # smallest pivot or singular value of a step's solve, re
 
 
 # -- spec-level single-step entry points ---------------------------------------
-# Each call builds the grid's modes (``GridModes``: one ``eigh``) and the
+# Each call builds the grid's modes (``_Eigenbasis``: one ``eigh``) and the
 # step's factors, which cost far more than the step; ``simulate`` builds
 # them once per run.
 
 def step_plant(u, t, dt, problem: SLProblem, nonlinearity: NonlinearTerm | None, v) -> np.ndarray:
     """Single Crank-Nicolson plant step on the grid implied by len(u)."""
-    modes = GridModes(DiscreteSLOperator(problem, len(u)))
+    modes = _Eigenbasis(DiscreteSLOperator(problem, len(u)))
     return _step_alone(modes, nonlinearity, v, u, t, dt, np.zeros(0))[0]
 
 
@@ -79,17 +79,16 @@ def step_observer_zoh(w, held, t, dt, design: ObserverDesign, nonlinearity, v_ti
     return _step_alone(modes, nonlinearity, v_tilde, w, t, dt, np.asarray(held, dtype=float))[0]
 
 
-def _step_alone(modes: "GridModes", nonlinearity, v, x, t, dt, eta):
-    """One step of the field x from t, driven by the input spec v and the
-    innovation eta: the error step against u = 0. Returns the field and
-    eta at t + dt."""
+def _step_alone(modes: _Eigenbasis, nonlinearity, v, x, t, dt, eta):
+    """One step of the field x alone from t, driven by the input spec v and
+    the innovation eta: the error step against u = 0, with the term's value
+    at zero as an input. Returns the field and eta at t + dt."""
     step = _Trapezoid(modes, nonlinearity or ZeroTerm())
     step.factor(dt)
-    grid = modes.op.grid
-    v = field_signal_from_spec(v)
+    v, grid = field_signal_from_spec(v), modes.op.grid
     drive = modes.project(v.field(t, grid) + v.field(t + dt, grid))
     eta_next = step.eta @ eta
-    drive += (eta + eta_next) @ modes.l_hat
+    drive += (eta + eta_next) @ modes.l_hat + 2.0 * step.f_zero
     zero = np.zeros(step.r_hat.shape[0])
     x = step.advance(modes.project(np.asarray(x, dtype=float)), t, zero, zero, drive)
     return x @ modes.rows, eta_next
@@ -112,8 +111,8 @@ class DiscreteObserver:
         self.c_rows, self.k_rows = c * op.weights, k * op.weights
 
 
-class GridModes:
-    """B_h's eigenbasis, and the observer's error dynamics in it.
+class _Eigenbasis:
+    """B_h's eigenbasis, with no output channel (m = 0): a plant step's modes.
 
     W^{1/2} B_h W^{-1/2} on the free nodes is a symmetric tridiagonal
     (``DiscreteSLOperator.symmetric_tridiagonals``), and one
@@ -121,24 +120,9 @@ class GridModes:
     orthonormal in the trapezoid weights, so a field's modal coordinates are
     U^T W x and its norm is their plain norm. ``rows`` holds the modes as
     rows on the whole grid, zero at pinned nodes.
-
-    In the modes, the observer error e = w - u obeys e' = -lam e + l_hat eta
-    + (v~ - v)^ + (f(w) - f(u))^ between samples, and the innovation eta
-    obeys eta' = A eta; a sample resets it to eta = k_hat e - xi. The hold
-    observer holds eta (A = 0). The predictor's eta = C w - zeta has A =
-    c_hat l_hat: its zeta moves at -<B_h c_i, w> + <c_i, f(w) + v~>, which
-    is -C B_h w + C (f(w) + v~) because B_h is self-adjoint in the
-    trapezoid weights, so the (e, eta) generator is block triangular.
-    ``flows`` solves the zero term's dynamics in closed form: no time step,
-    no ``expm`` of the grid, no scipy; ``_Trapezoid`` steps the others.
-
-    Built from a bare ``DiscreteSLOperator`` instead of a
-    ``DiscreteObserver``, it has no output channel (m = 0): the plant's.
     """
 
-    def __init__(self, discrete: "DiscreteObserver | DiscreteSLOperator"):
-        observer = discrete if isinstance(discrete, DiscreteObserver) else None
-        op = observer.op if observer else discrete
+    def __init__(self, op: DiscreteSLOperator):
         diag, off = op.symmetric_tridiagonals()
         sym = np.diag(diag)
         i = np.arange(off.size)
@@ -150,17 +134,8 @@ class GridModes:
         del q
         self.rows[:, op.free] /= np.sqrt(op.weights[op.free])
         self.op, self.weights = op, op.weights
-        if observer is None:
-            self.l_hat = self.k_hat = np.zeros((0, self.lam.size))
-            self.A = np.zeros((0, 0))
-            return
-        self.l_hat = self.project(observer.l_cols.T)  # (m, modes): one row per channel
-        self.k_hat = observer.k_rows @ self.rows.T  # (m, modes)
-        m = self.l_hat.shape[0]
-        if observer.variant == "predictor":
-            self.A = (observer.c_rows @ self.rows.T) @ self.l_hat.T
-        else:
-            self.A = np.zeros((m, m))
+        self.l_hat = self.k_hat = np.zeros((0, self.lam.size))
+        self.A = np.zeros((0, 0))
 
     def project(self, fields: np.ndarray) -> np.ndarray:
         """The modal coordinates U^T W x of each row x of ``fields``."""
@@ -180,6 +155,30 @@ class GridModes:
         sums[1:] += w[1:] * sub
         x = self.rows[:, self.op.free]
         return (np.diff(x, axis=1) ** 2) @ -link + (x**2) @ sums
+
+
+class GridModes(_Eigenbasis):
+    """B_h's eigenbasis (``_Eigenbasis``), and the observer's error dynamics
+    in it.
+
+    In the modes, the observer error e = w - u obeys e' = -lam e + l_hat eta
+    + (v~ - v)^ + (f(w) - f(u))^ between samples, and the innovation eta
+    obeys eta' = A eta; a sample resets it to eta = k_hat e - xi. The hold
+    observer holds eta (A = 0). The predictor's eta = C w - zeta has A =
+    c_hat l_hat: its zeta moves at -<B_h c_i, w> + <c_i, f(w) + v~>, which
+    is -C B_h w + C (f(w) + v~) because B_h is self-adjoint in the
+    trapezoid weights, so the (e, eta) generator is block triangular.
+    ``flows`` solves the zero term's dynamics in closed form: no time step,
+    no ``expm`` of the grid, no scipy; ``_Trapezoid`` steps the others.
+    """
+
+    def __init__(self, discrete: DiscreteObserver):
+        super().__init__(discrete.op)
+        self.l_hat = self.project(discrete.l_cols.T)  # (m, modes): one row per channel
+        self.k_hat = discrete.k_rows @ self.rows.T  # (m, modes)
+        m = self.l_hat.shape[0]
+        self.A = ((discrete.c_rows @ self.rows.T) @ self.l_hat.T if discrete.variant == "predictor"
+                  else np.zeros((m, m)))
 
     def flows(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """At each offset s (a 1-D array) from a sample: e^{-lam s} (S, modes);
@@ -238,25 +237,26 @@ class _Trapezoid:
 
         x' = -lam x + (phi(sigma + R x) - phi(sigma)) C + d(t),
 
-    with the term's rows R and columns C (r, modes): the plant, with
-    sigma = 0, or the observer error e, with sigma the plant's r values
-    R u, so the term is f(u + e) - f(u). M1 = I + dt/2 B_h is diagonal in
-    the modes, so a step is x_new = a + coef P, with ``a`` the known part,
-    elementwise, and P = dt/2 M1^-1 C. The trapezoidal rule is then the
-    fixed point of the r coefficients coef = phi(sigma + R x_new) -
-    phi(sigma), solved by chord-Newton with the Jacobian of phi' = 1
-    inverted once per dt (exact for linear terms). ``eta`` is the
-    trapezoid's own step of the innovation, eta' = A eta:
-    (I - dt/2 A)^-1 (I + dt/2 A). It reads lam as ``GridModes.quotients``,
-    because a step next to the pole 1 - dt/2 (R P) = 0 amplifies an error in
-    lam by 1 / that.
+    with the term's rows R and columns C (r, modes): the observer error e,
+    with sigma the plant's r values R u, so the term is f(u + e) - f(u), or
+    a field alone, with sigma = 0 and the term's value at zero, ``f_zero`` =
+    phi(0) C, in d. M1 = I + dt/2 B_h is diagonal in the modes, so a step is
+    x_new = a + coef P, with ``a`` the known part, elementwise, and P = dt/2
+    M1^-1 C. The trapezoidal rule is then the fixed point of the r
+    coefficients coef = phi(sigma + R x_new) - phi(sigma), solved by
+    chord-Newton with the Jacobian of phi' = 1 inverted once per dt (exact
+    for linear terms). ``eta`` is the trapezoid's own step of the
+    innovation, eta' = A eta: (I - dt/2 A)^-1 (I + dt/2 A). It reads lam as
+    ``_Eigenbasis.quotients``, because a step next to the pole 1 - dt/2 (R P)
+    = 0 amplifies an error in lam by 1 / that.
     """
 
-    def __init__(self, modes: GridModes, nonlinearity: NonlinearTerm):
+    def __init__(self, modes: _Eigenbasis, nonlinearity: NonlinearTerm):
         rows, cols = nonlinearity.factors(modes.op.grid.size)
         self.lam, self.A, self.phi = modes.quotients(), modes.A, nonlinearity.phi
         self.r_hat = rows @ modes.rows.T  # the term reads R x
         self.c_hat = modes.project(cols)
+        self.f_zero = self.phi(np.zeros(rows.shape[0])) @ self.c_hat
         self.dt = None
 
     def factor(self, dt: float) -> None:
@@ -460,19 +460,21 @@ def simulate(scenario: Scenario) -> Trajectory:
     Every run lives in the modes of B_h (``GridModes``), in the plant u,
     the observer error e = w - u and the innovation eta, which each sample
     resets from the error and the noise: eta = k_hat e - xi (y - <k, u> =
-    xi). Each record maps u and e to the grid a block of rows at a time:
-    w = u + e, ``error_l2`` is the norm of e's modal coordinates and
-    ``error_sup`` the largest |e| on the grid, so the error is never the
-    difference of two fields; zeta is C w - eta for the predictor and the
-    held eta for the hold observer.
+    xi). Each record maps u and e to the grid (``_write_rows``): w = u + e,
+    ``error_l2`` is the norm of e's modal coordinates and ``error_sup`` the
+    largest |e| on the grid, so the error is never the difference of two
+    fields; zeta is C w - eta for the predictor and the held eta for the
+    hold observer.
 
     A run with the zero term is solved exactly, with no time step, from
     sample to sample and at each record; ``metadata["scheme"]`` is
     "exact-modal" and ``metadata["integrator"]`` {"modes": count, "steps":
     0}. A run with a non-zero term steps the plant and the error together
-    with the trapezoidal rule (``_Trapezoid``); ``metadata["scheme"]`` is
-    "imex-crank-nicolson" and ``metadata["integrator"]`` {"steps": count},
-    a plant step and an error step per time step.
+    with the trapezoidal rule (``_Trapezoid``), and its predictor records
+    each sample's reset zeta = y - <k - c, w> from the fields (``_stepped``);
+    ``metadata["scheme"]`` is "imex-crank-nicolson" and
+    ``metadata["integrator"]`` {"steps": count}, a plant step and an error
+    step per time step.
     """
     design = scenario.design
     sch = scenario.schedule
@@ -619,50 +621,49 @@ def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, di
     """Fill ``traj`` by stepping the modal plant u, error e and innovation
     eta through the plan, one time step at a time: the plant first, then
     the error, which reads the plant's r values at both ends of the step.
-    Each sample resets eta = k_hat e - xi. A record parks its row's modal
-    u and e in its own rows of ``traj.u`` and ``traj.w`` (and eta in
-    ``traj.zeta``), and ``_write_rows`` maps them to the grid at the end."""
-    step = _Trapezoid(modes, nl)
-    grid, size = discrete.op.grid, modes.lam.size
+    Each sample resets eta = k_hat e - xi. Each record goes to the grid
+    when the loop reaches it (``_write_rows``); a predictor's sample row
+    takes the reset zeta = y - <k - c, w> of the grid's fields, y = <k, u>
+    + xi, so with k = c it reads y exactly."""
+    step, grid, zero = _Trapezoid(modes, nl), discrete.op.grid, np.zeros(modes.lam.size)
     plant_terms, observer_terms = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
-    zero = np.zeros(size)
+    predictor, gap_rows = discrete.variant == "predictor", discrete.k_rows - discrete.c_rows
 
     def inputs(t: float) -> tuple[np.ndarray, np.ndarray]:
         """v and v~ - v in the modes at t; a matched input cancels exactly."""
         v = sum((ts.value(t) * b for ts, b in plant_terms), zero)
         return v, sum((ts.value(t) * b for ts, b in observer_terms), zero) - v
 
-    def park(row: int) -> None:
-        traj.u[row, :size], traj.w[row, :size], traj.zeta[row] = x_u, x_e, eta
+    def record(row: int) -> None:
+        np.matmul(x_u, modes.rows, out=traj.u[row])
+        _write_rows(discrete, modes, traj, slice(row, row + 1), x_e[None], eta[None])
 
     x_u, x_e = modes.project(np.stack([u, w - u]))
     plant_sigma, sigma = np.zeros(step.r_hat.shape[0]), step.r_hat @ x_u
     bounds = np.searchsorted(plan.record_intervals, np.arange(plan.rows.size + 1)).tolist()
     records = list(zip(plan.record_steps.tolist(), plan.record_rows.tolist()))
     for j, event in enumerate(traj.events):
-        eta = modes.k_hat @ x_e - event.xi
-        if plan.fresh[j]:  # a sample within 1e-14 of the last record only updates its eta
-            park(plan.rows[j])
-        traj.zeta[plan.rows[j]] = eta
+        eta, row = modes.k_hat @ x_e - event.xi, plan.rows[j]
+        if plan.fresh[j]:  # a sample within 1e-14 of the last record keeps its fields
+            record(row)
+        traj.zeta[row] = (discrete.k_rows @ traj.u[row] + event.xi - gap_rows @ traj.w[row]
+                          if predictor else eta)
         t_j, dt = event.t, plan.dt[j]
         due = iter(records[bounds[j] : bounds[j + 1]])
-        record, row = next(due, (None, None))
+        record_step, row = next(due, (None, None))
         v0 = inputs(t_j)
         for s in range(plan.steps[j]):
             if dt != step.dt:
                 step.factor(dt)
             t, v1 = t_j + s * dt, inputs(t_j + (s + 1) * dt)
-            x_u = step.advance(x_u, t, plant_sigma, plant_sigma, v0[0] + v1[0])
+            x_u = step.advance(x_u, t, plant_sigma, plant_sigma, v0[0] + v1[0] + 2.0 * step.f_zero)
             sigma_next, eta_next = step.r_hat @ x_u, step.eta @ eta
             x_e = step.advance(x_e, t, sigma, sigma_next,
                                v0[1] + v1[1] + (eta + eta_next) @ modes.l_hat)
             sigma, eta, v0 = sigma_next, eta_next, v1
-            if s + 1 == record:
-                park(row)
-                record, row = next(due, (None, None))
-    for block in _row_blocks(plan.times.size):
-        np.matmul(traj.u[block, :size].copy(), modes.rows, out=traj.u[block])
-        _write_rows(discrete, modes, traj, block, traj.w[block, :size].copy(), traj.zeta[block])
+            if s + 1 == record_step:
+                record(row)
+                record_step, row = next(due, (None, None))
     return {"steps": 2 * int(plan.steps.sum())}
 
 

@@ -134,14 +134,54 @@ class TestPlantStep:
         with pytest.raises(StepRejected, match="dt=0.05"):
             step_plant(np.ones(101), 0.0, 0.05, NN, stiff, None)
 
-    def test_rejected_dt_leaves_no_state_behind(self):
-        # the rejected dt = 0.05 passes M1 before its Jacobian fails; a step at
-        # the earlier dt after it must read what it read before it
+    def test_rejected_dt_leaves_the_previous_factors_held(self):
+        # the rejected dt = 0.05 passes M1 before its Jacobian fails; the
+        # stepper must still hold dt = 0.01's factors, not a half-built set
         stiff = LinearNonlocalTerm(uniform_grid(101), a=1.0, b=1.0, gain=40.0)
-        before = step_plant(np.ones(101), 0.0, 0.01, NN, stiff, None)
+        modes = simulator._Eigenbasis(DiscreteSLOperator(NN, 101))
+        stepper, fresh = (simulator._Trapezoid(modes, stiff) for _ in range(2))
+        stepper.factor(0.01)
+        fresh.factor(0.01)
         with pytest.raises(StepRejected, match="dt=0.05"):
-            step_plant(np.ones(101), 0.0, 0.05, NN, stiff, None)
-        np.testing.assert_array_equal(step_plant(np.ones(101), 0.0, 0.01, NN, stiff, None), before)
+            stepper.factor(0.05)
+        assert stepper.dt == 0.01
+        x, zero = modes.project(np.ones(101)), np.zeros(1)
+        np.testing.assert_array_equal(stepper.advance(x, 0.0, zero, zero, np.zeros_like(x)),
+                                      fresh.advance(x, 0.0, zero, zero, np.zeros_like(x)))
+
+    @pytest.mark.parametrize("wrapper", ["plant", "predictor", "zoh"])
+    def test_term_with_a_value_at_zero_is_stepped_whole(self, ex31_design, wrapper):
+        # phi(0) != 0 makes f(0) = phi(0) C a constant forcing, which a field
+        # stepped alone must feel: each wrapper is the dense trapezoidal step
+        # of w' = -B w + f(w) + L d with d = C w - zeta, the held d or none,
+        # to 1e-12 of the step (fixed before the first run)
+        grid = uniform_grid(101)
+        shifted = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
+                                    amplitudes=[pf.cosine_series(0.3, [0.2])])
+        shifted.phi = lambda z: np.tanh(z) + 0.5
+        assert np.abs(shifted.apply(np.zeros(101))).max() > 0.1
+        discrete = DiscreteObserver(ex31_design, "zoh" if wrapper == "zoh" else "predictor", 101)
+        op, dt, h, d = discrete.op, 0.05, 0.025, np.array([0.2])
+        B = np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
+        w0 = 1.0 + 0.5 * np.cos(math.pi * grid)
+        if wrapper == "plant":
+            got = step_plant(w0, 0.0, dt, ex31_design.problem, shifted, None)
+            injected = np.zeros(101)
+        else:
+            # d = C w - zeta for the predictor, whose d follows d' = (C L) d
+            a = (discrete.c_rows @ discrete.l_cols)[0, 0] if wrapper == "predictor" else 0.0
+            injected = discrete.l_cols @ (d + d * (1 + h * a) / (1 - h * a))
+            got = (step_observer_zoh(w0, d, 0.0, dt, ex31_design, shifted, None) if wrapper == "zoh"
+                   else step_observer_predictor(w0, discrete.c_rows @ w0 - d, 0.0, dt, ex31_design,
+                                                shifted, None)[0])
+        want = w0
+        for _ in range(100):
+            nxt = np.linalg.solve(np.eye(101) + h * B, w0 - h * (B @ w0) + h * (
+                shifted.apply(w0) + shifted.apply(want) + injected))
+            want, moved = nxt, np.abs(nxt - want).max()
+            if moved <= 1e-15:
+                break
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_step_next_to_the_pole_is_taken(self):
         # a Jacobian of 2.5e-8 is ill conditioned but not singular: the step is
@@ -166,12 +206,15 @@ class TestPlantStep:
 
 
 def _reset_zeta(design, nodes: int, w0, y: float) -> float:
-    """The predictor state that a run's first sample records, with u = 0 and
-    the noise y, so that the sample reads y."""
-    sc = Scenario(design=design, variant="predictor", nodes=nodes, u0=0.0, w0=w0,
+    """The predictor state that a stepped run's first sample records, with
+    u = 0 and the noise y, so that the sample reads y."""
+    nl = LinearNonlocalTerm(uniform_grid(nodes), a=1.0, b=1.0, gain=0.01)
+    sc = Scenario(design=dataclasses.replace(design, lipschitz_R=nl.lipschitz_R), variant="predictor",
+                  nodes=nodes, u0=0.0, w0=w0, nonlinearity=nl,
                   schedule=make_schedule({"kind": "explicit", "times": [0.0, 0.1]}),
                   disturbances=Disturbances(xi=(NoiseSignal("constant", y),)))
     traj = quiet_simulate(sc)
+    assert traj.metadata["scheme"] == "imex-crank-nicolson"
     assert traj.sample_flag[0] and traj.times[0] == 0.0
     return float(traj.zeta[0, 0])
 
@@ -186,14 +229,10 @@ class TestPredictorPieces:
         assert _reset_zeta(ex31_design, 101, field, 0.7) == pytest.approx(expected, rel=1e-14)
 
     def test_reset_with_matching_kernels_returns_measurement(self, ex31_design):
-        # the reset is C w - (k_hat e - xi), and k_hat e reads e through its
-        # modes: with k = c the two inner products cancel to the roundoff of
-        # that round trip, a few ulps of the field, not exactly
         channel = OutputChannel(pf.constant(0.5), pf.constant(0.5))  # k = c
         design = dataclasses.replace(ex31_design, channels=(channel,))
         field = np.random.default_rng(0).standard_normal(11)
-        assert _reset_zeta(design, 11, field, 1.23) == pytest.approx(
-            1.23, abs=8 * np.finfo(float).eps * np.abs(field).max())
+        assert _reset_zeta(design, 11, field, 1.23) == 1.23
 
     def test_predictor_rate_reduces_to_input_average(self, ex31_design):
         # constant approximant and zero reaction: zeta follows the mean of v~
@@ -682,6 +721,72 @@ def _dense_trapezoid_records(scenario):
     return tuple(np.array(column) for column in zip(*records))
 
 
+def _modal_step_loop_records(scenario):
+    """(times, sample flags, u, w, zeta) at every record of a plain step
+    loop in the grid's modes with ``simulate``'s stepper,
+    ``simulator._Trapezoid``: the plant u, the error e and the innovation
+    eta, reset to k_hat e - xi at each sample. The records are found by
+    walking every step as ``_walk_records`` does, and each takes its fields
+    with the run's own arithmetic (u and e to the grid, w = u + e, zeta =
+    C w - eta, or the reset y - <k - c, w> at a predictor's sample, or the
+    held eta), so a run must match it bit for bit."""
+    discrete = DiscreteObserver(scenario.design, scenario.variant, scenario.nodes)
+    modes, grid, dist = GridModes(discrete), discrete.op.grid, scenario.disturbances
+    stepper = simulator._Trapezoid(modes, scenario.nonlinearity)
+    predictor, zero = scenario.variant == "predictor", np.zeros(modes.lam.size)
+    plant_terms, observer_terms = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
+
+    def inputs(t):  # v and v~ - v in the modes
+        v = sum((ts.value(t) * b for ts, b in plant_terms), zero)
+        return v, sum((ts.value(t) * b for ts, b in observer_terms), zero) - v
+
+    u, w = (discrete.op.pin(pf.as_profile(f, grid).values(grid)) for f in (scenario.u0, scenario.w0))
+    x_u, x_e = modes.project(np.stack([u, w - u]))
+    sigma, no_sigma = stepper.r_hat @ x_u, np.zeros(stepper.r_hat.shape[0])
+    horizon = scenario.schedule.horizon
+    times = scenario.schedule.times[scenario.schedule.times <= horizon + 1e-12]
+    every = scenario.snapshot_every or horizon / 512.0
+    records, due = [], 0.0
+
+    def record(t, xi=None):
+        u_row = x_u @ modes.rows
+        w_row = u_row + (x_e[None] @ modes.rows)[0]
+        if not predictor:
+            zeta = eta
+        elif xi is None:
+            zeta = (w_row[None] @ discrete.c_rows.T)[0] - eta
+        else:
+            zeta = discrete.k_rows @ u_row + xi - (discrete.k_rows - discrete.c_rows) @ w_row
+        records.append((t, xi is not None, u_row, w_row, zeta))
+
+    for j, t_j in enumerate(times.tolist()):
+        xi = np.array([s.value(t_j, j) for s in dist.xi])
+        eta = modes.k_hat @ x_e - xi
+        record(t_j, xi)
+        due = max(due, t_j) + every
+        gap = (times[j + 1] if j + 1 < times.size else horizon) - t_j
+        if gap <= 1e-14:
+            continue
+        n_sub = max(1, math.ceil(gap / scenario.dt - 1e-9))
+        dt = gap / n_sub
+        if dt != stepper.dt:
+            stepper.factor(dt)
+        v0 = inputs(t_j)
+        for s in range(n_sub):
+            t, v1 = t_j + s * dt, inputs(t_j + (s + 1) * dt)
+            x_u = stepper.advance(x_u, t, no_sigma, no_sigma, v0[0] + v1[0] + 2.0 * stepper.f_zero)
+            sigma_next, eta_next = stepper.r_hat @ x_u, stepper.eta @ eta
+            x_e = stepper.advance(x_e, t, sigma, sigma_next,
+                                  v0[1] + v1[1] + (eta + eta_next) @ modes.l_hat)
+            sigma, eta, v0 = sigma_next, eta_next, v1
+            if s + 1 < n_sub and t_j + (s + 1) * dt >= due - 1e-12:
+                record(t_j + (s + 1) * dt)
+                due += every
+    if horizon - times[-1] > 1e-14:
+        record(horizon)
+    return tuple(np.array(column) for column in zip(*records))
+
+
 def _dense_trapezoid_errors(scenario) -> np.ndarray:
     """||w - u|| at every sample, from ``_dense_trapezoid_records``."""
     _, flags, u, w, _ = _dense_trapezoid_records(scenario)
@@ -850,11 +955,9 @@ class TestStepped:
         assert np.abs(traj.error_l2[traj.sample_flag] - reference).max() <= 1e-12
 
     @pytest.mark.parametrize("variant", ["predictor", "zoh"])
-    def test_nonlocal_run_records_the_step_loop(self, ex31_design, variant):
+    def test_nonlocal_run_records_the_step_loop_bit_for_bit(self, ex31_design, variant):
         # records 0.037 apart fall between steps of 0.01; a row left unfilled
-        # or shifted by one moves it by a step's change, ~1e-3, and shows here.
-        # The fields agree with the dense loop to 1e-10 of the largest |u|
-        # (fixed before the first run)
+        # or shifted by one shows here
         grid = uniform_grid(101)
         nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.3, [0.2]), b=pf.constant(1.0), gain=0.3)
         dist = Disturbances(v=SINE_INPUT, v_tilde=OTHER_INPUT,
@@ -865,23 +968,28 @@ class TestStepped:
                       u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), disturbances=dist)
         traj = quiet_simulate(sc)
         assert traj.metadata["integrator"] == {"steps": 2 * 210}
-        times, flags, u, w, zeta = _dense_trapezoid_records(sc)
+        times, flags, u, w, zeta = _modal_step_loop_records(sc)
         assert traj.times.size == times.size > 7 * 7  # about eight records per interval
         np.testing.assert_array_equal(traj.times, times)
         np.testing.assert_array_equal(traj.sample_flag, flags)
         for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
-            assert np.abs(getattr(traj, name) - reference).max() <= 1e-10 * np.abs(u).max(), name
+            np.testing.assert_array_equal(getattr(traj, name), reference, err_msg=name)
 
+    @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["tanh", "tanh_plus_half"])
     @pytest.mark.parametrize("variant", ["predictor", "zoh"])
-    def test_saturated_two_channel_run_is_the_dense_trapezoid(self, two_channel_design, variant):
+    def test_saturated_two_channel_run_is_the_dense_trapezoid(self, two_channel_design, variant,
+                                                              shift):
         # the whole run on 31 nodes against the trapezoidal rule on the full
         # (u, w, zeta) system with dense matrices: a tanh term, two channels,
         # an input mismatch with a sinusoid, noise and records between the
         # steps. Every record within 1e-10 of the largest |u| (fixed before
-        # the first run)
+        # the first run). tanh + 1/2 has phi(0) != 0, a constant forcing of
+        # the plant and the observer that their difference cancels
         grid = uniform_grid(31)
         nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
                                amplitudes=[pf.cosine_series(0.3, [0.2])])
+        if shift:
+            nl.phi = lambda z: np.tanh(z) + shift
         noise = (NoiseSignal("sinusoid", 0.01, omega=2.0), NoiseSignal("constant", -0.02))
         sc = Scenario(design=dataclasses.replace(two_channel_design, lipschitz_R=nl.lipschitz_R),
                       variant=variant, nodes=31, dt=0.01, snapshot_every=0.037, nonlinearity=nl,
@@ -1072,8 +1180,8 @@ class TestGridModes:
 def _check_records_follow_their_samples(design, schedule, every: float, linear: bool) -> None:
     """Simulate a predictor run on ``schedule`` with dt 0.01 and check that
     every record between samples carries its interval's sample row: by the
-    modal flow (the zero term), or by the plant's steps, ``step_plant`` (a
-    non-local term), each to 1e-12 of the sample row."""
+    modal flow (the zero term), to 1e-12 of the sample row, or bit for bit
+    by the steps of the modal step loop (a non-local term)."""
     nodes = 31
     grid = uniform_grid(nodes)
     nl = (ZeroTerm() if linear else
@@ -1084,26 +1192,20 @@ def _check_records_follow_their_samples(design, schedule, every: float, linear: 
                   snapshot_every=every, nonlinearity=nl, u0=pf.cosine_series(1.0, [0.5]), w0=0.0)
     traj = quiet_simulate(sc)
     assert ("steps" in traj.metadata["integrator"]) and (traj.metadata["integrator"]["steps"] == 0) == linear
-    discrete = DiscreteObserver(sc.design, "predictor", nodes)
+    if not linear:
+        times, flags, u, w, zeta = _modal_step_loop_records(sc)
+        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_array_equal(traj.sample_flag, flags)
+        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
+            np.testing.assert_array_equal(getattr(traj, name), reference, err_msg=name)
+        return
+    modes = GridModes(DiscreteObserver(sc.design, "predictor", nodes))
     samples = np.flatnonzero(traj.sample_flag)
-    ends = [*traj.times[samples[1:]], schedule.horizon]
-    for r0, r1, t1 in zip(samples, [*samples[1:], traj.times.size], ends):
-        t0, rows = traj.times[r0], np.arange(r0 + 1, r1)
-        if linear:
-            modes = GridModes(discrete)
-            decay = modes.flows(traj.times[rows] - t0)[0]
-            flow = (decay * modes.project(traj.u[r0])) @ modes.rows
-            assert np.abs(traj.u[rows] - flow).max(initial=0.0) <= 1e-12 * np.abs(traj.u[r0]).max()
-            continue
-        n_sub = max(1, math.ceil((t1 - t0) / 0.01 - 1e-9))
-        dt, u, due = (t1 - t0) / n_sub, traj.u[r0], iter(rows.tolist())
-        row = next(due, None)
-        for k in range(1, n_sub + 1):
-            u = step_plant(u, t0 + (k - 1) * dt, dt, sc.design.problem, nl, None)
-            if row is not None and abs(t0 + k * dt - traj.times[row]) <= 1e-12:
-                assert np.abs(traj.u[row] - u).max() <= 1e-12 * np.abs(traj.u[r0]).max()
-                row = next(due, None)
-        assert row is None
+    for r0, r1 in zip(samples, [*samples[1:], traj.times.size]):
+        rows = np.arange(r0 + 1, r1)
+        decay = modes.flows(traj.times[rows] - traj.times[r0])[0]
+        flow = (decay * modes.project(traj.u[r0])) @ modes.rows
+        assert np.abs(traj.u[rows] - flow).max(initial=0.0) <= 1e-12 * np.abs(traj.u[r0]).max()
 
 
 def _walk_records(sample_times, horizon, dt_target, every):
