@@ -17,6 +17,7 @@ import dataclasses
 import inspect
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -35,7 +36,8 @@ from .grids import _row_blocks, cumulative_trapezoid, end_derivatives, snapshot_
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, SmallGainReport, design_to_json, max_diameter
 from .signals import Disturbances
-from .simulator import DiscreteObserver, GridModes, Scenario, Trajectory, simulate
+from .simulator import DiscreteObserver, GridModes, Scenario, Trajectory, _initial_field, simulate
+from .sturm_liouville import DiscreteSLOperator
 
 _LYAPUNOV_TAIL = _DEFAULTS["analysis.lyapunov_tail"]  # the config schema's default
 
@@ -239,66 +241,57 @@ def lyapunov_oracle(
     columns l_i are those of the ``simulator.DiscreteObserver`` of the
     variant in ``traj.metadata``, which raises ValueError for a missing or
     unknown variant. Raises TailTooShort when the first N + J_tail modes
-    miss more than 5% of the error energy. Every inequality is checked
-    within the fixed 2% relative slack ``_SLACK``.
+    miss more than 5% of the error energy (``_parseval_deficit``). Every
+    inequality is checked within the fixed 2% relative slack ``_SLACK``.
 
-    The error e, its modal coordinates and vbar are built a block of
-    snapshot rows at a time (``grids._row_blocks``), so no (snapshots, n)
-    array is made besides the trajectory's own. The blocks give the bits of
-    whole-array products, except that with J of 2 or 3 modes the modal
-    coordinates (and so V and rhs) can move by roundoff.
+    vbar is low rank: coefficients times the term's columns, the injection
+    columns and the profiles of v's and v~'s terms. Their small Gram matrix
+    in the trapezoid weights is R' R, R the triangular factor of the QR of
+    the weighted profiles, so ||vbar|| is the norm of R times each row's
+    coefficients, and no vbar field is built. R rather than the Gram matrix
+    itself keeps a vbar that cancels between its terms to the accuracy of
+    its field's norm (the Gram form squares the cancellation). The error e
+    and its modal coordinates are built a block of snapshot rows at a time
+    (``grids._row_blocks``), so no (snapshots, n) array is made besides the
+    trajectory's own. The blocks give the bits of whole-array products,
+    except that with J of 2 or 3 modes the modal coordinates (and so V and
+    rhs) can move by roundoff. The rhs recurrence is ``_decay_bound``.
     """
     nl = nonlinearity or ZeroTerm()
     dist = disturbances or Disturbances()
     N = design.N
     discrete = DiscreteObserver(design, traj.metadata.get("variant"), traj.grid.size)
-    J = min(N + J_tail, design.basis.size)
-    basis = design.basis.resample(traj.grid.size, J)
-    w = traj.weights
-    c_rows = discrete.c_rows
-    project = (basis.functions[:J] * w).T
-    # f(w) - f(u) and the injection are low rank: one product builds both
+    project = _oracle_projection(design, traj.grid.size, J_tail)
     nl_rows, nl_cols = nl.factors(traj.grid.size)
-    lift = np.vstack([nl_cols, discrete.l_cols.T])
-    mismatch = not (dist.v.is_zero and dist.v_tilde.is_zero)
-    size = traj.times.size
-    r, vbar_norms = np.empty((size, J)), np.empty(size)  # r: (S, J) modal coordinates
+    lift, signs = [nl_cols, discrete.l_cols.T], []
+    for sign, signal in ((-1.0, dist.v), (1.0, dist.v_tilde)):
+        for ts, prof in signal.terms:
+            lift.append(prof.values(traj.grid)[None])
+            signs.append(sign * ts.value(traj.times))
+    lift = np.vstack(lift)
+    size, r_count, m = traj.times.size, nl_rows.shape[0], discrete.l_cols.shape[1]
+    r = np.empty((size, project.shape[1]))  # modal coordinates
+    coef = np.empty((size, lift.shape[0]))  # vbar = coef @ lift, one row per snapshot
+    coef[:, r_count + m :] = np.array(signs).reshape(-1, size).T
     for block in _row_blocks(size):
         u, w_obs, zeta = traj.u[block], traj.w[block], traj.zeta[block]
         e = w_obs - u
         r[block] = e @ project
-        injected = u @ c_rows.T - zeta if discrete.variant == "predictor" else zeta - e @ c_rows.T
-        coef = np.hstack([nl.phi(w_obs @ nl_rows.T) - nl.phi(u @ nl_rows.T), injected])
-        vbar = coef @ lift
-        if mismatch:
-            vbar -= dist.mismatch_field(traj.times[block, None], traj.grid)
-        vbar_norms[block] = np.sqrt(np.maximum(np.square(vbar, out=vbar) @ w, 0.0))  # squared in place
+        coef[block, :r_count] = nl.phi(w_obs @ nl_rows.T) - nl.phi(u @ nl_rows.T)
+        coef[block, r_count : r_count + m] = (
+            u @ discrete.c_rows.T - zeta if discrete.variant == "predictor"
+            else zeta - e @ discrete.c_rows.T)
+    # W^{1/2} lift' = Q R, so ||vbar|| = |R coef| row by row
+    factor = np.linalg.qr((lift * np.sqrt(traj.weights)).T, mode="r")
+    vbar_norms = np.linalg.norm(coef @ factor.T, axis=1)
 
     e_sq = traj.error_l2**2
-    proj_sq = np.sum(r**2, axis=1)
-    scale = np.max(e_sq)
-    if scale > 0.0:
-        mask = e_sq > 1e-8 * scale
-        deficit = float(np.max((e_sq[mask] - proj_sq[mask]) / e_sq[mask])) if mask.any() else 0.0
-    else:
-        deficit = 0.0
-    if deficit > 0.05:
-        raise TailTooShort(f"modal truncation misses {100 * deficit:.1f}% of the error energy")
+    deficit = _parseval_deficit(e_sq, np.sum(r**2, axis=1))
 
     xi_block = r[:, :N]
     V = np.einsum("si,ij,sj->s", xi_block, design.P, xi_block)
     V = V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
-
-    mu, g = design.mu, design.g_tilde
-    times, norms, V0 = traj.times.tolist(), vbar_norms.tolist(), float(V[0])
-    rhs = np.zeros(len(times))
-    rhs[0] = V0
-    integral = 0.0
-    for k in range(1, len(times)):
-        dt = times[k] - times[k - 1]
-        decay = math.exp(-2.0 * mu * dt)
-        integral = decay * integral + 0.5 * dt * (decay * norms[k - 1] ** 2 + norms[k] ** 2)
-        rhs[k] = math.exp(-2.0 * mu * times[k]) * V0 + g * integral
+    rhs = _decay_bound(traj.times, vbar_norms, float(V[0]), design.mu, design.g_tilde)
 
     atol = 1e-12 * max(V[0], 1.0)
     violations = int(np.sum(V > rhs * (1.0 + _SLACK) + atol))
@@ -318,6 +311,64 @@ def lyapunov_oracle(
         v0_bound_ok=v0_bound_ok,
         slack=_SLACK,
     )
+
+
+def _oracle_projection(design: ObserverDesign, nodes: int, J_tail: int) -> np.ndarray:
+    """(n, J): the trapezoid projection on the oracle's first J = N + J_tail
+    modes of the design's basis (all of them if it has fewer) on ``nodes``
+    points."""
+    J = min(design.N + J_tail, design.basis.size)
+    basis = design.basis.resample(nodes, J)
+    return (basis.functions[:J] * basis.weights).T
+
+
+def _parseval_deficit(e_sq: np.ndarray, proj_sq: np.ndarray) -> float:
+    """The largest share of the error energy e_sq that the oracle's modes
+    miss (proj_sq is the energy they hold), over the first row and every
+    row above 1e-8 of the largest energy; TailTooShort above 5%."""
+    scale = np.max(e_sq)
+    if not scale > 0.0:
+        return 0.0
+    mask = e_sq > 1e-8 * scale
+    mask[0] = e_sq[0] > 0.0
+    deficit = float(np.max((e_sq[mask] - proj_sq[mask]) / e_sq[mask]))
+    if deficit > 0.05:
+        raise TailTooShort(f"modal truncation misses {100 * deficit:.1f}% of the error energy")
+    return deficit
+
+
+def _check_initial_tail(scenario: Scenario, lyapunov: bool, J_tail: int) -> None:
+    """Before a run is simulated: where ``check_run`` will run the oracle
+    (``lyapunov`` and a feasible certificate), raise TailTooShort when its
+    modes already miss more than 5% of the initial error's energy, as the
+    oracle would after the run."""
+    if not (lyapunov and scenario.report.feasible):
+        return
+    op = DiscreteSLOperator(scenario.design.problem, scenario.nodes)
+    e = (_initial_field(scenario.w0, op) - _initial_field(scenario.u0, op))[None]
+    r = e @ _oracle_projection(scenario.design, scenario.nodes, J_tail)
+    _parseval_deficit((e * e) @ op.weights, np.sum(r**2, axis=1))
+
+
+def _decay_bound(times: np.ndarray, norms: np.ndarray, V0: float, mu: float, g: float):
+    """rhs(t) = e^{-2 mu t} V0 + g int_0^t e^{-2 mu (t - s)} ||vbar(s)||^2 ds
+    at each snapshot, the integral by the trapezoid rule on the snapshot
+    times. The exponentials (``math.exp``) and each row's increment are
+    taken over all rows at once; only the running integral's multiply-add
+    goes row by row."""
+    dt = np.diff(times)
+    decay = np.fromiter(map(math.exp, (-2.0 * mu * dt).tolist()), float, dt.size)
+    fall = np.fromiter(map(math.exp, (-2.0 * mu * times[1:]).tolist()), float, dt.size)
+    sq = np.fromiter(map(pow, norms.tolist(), repeat(2.0)), float, norms.size)  # each norm ** 2
+    step = 0.5 * dt * (decay * sq[:-1] + sq[1:])
+    integral, running = 0.0, []
+    for d, a in zip(decay.tolist(), step.tolist()):
+        integral = d * integral + a
+        running.append(integral)
+    rhs = np.empty(times.size)
+    rhs[0] = V0
+    rhs[1:] = fall * V0 + g * np.array(running)
+    return rhs
 
 
 def error_map(design: ObserverDesign, variant: str, tau: float,
@@ -556,8 +607,10 @@ def run_example_31(*args, lyapunov: bool = False, lyapunov_tail: int = _LYAPUNOV
     """End-to-end run of ``example31_config(*args, **preset)``, which names
     the parameters and their defaults: the ``check_run`` result of its
     scenario, as ``parobs simulate`` reports it, with the Lyapunov oracle
-    when ``lyapunov`` asks for it."""
+    when ``lyapunov`` asks for it, whose initial error is checked against
+    its modes before the run (``_check_initial_tail``)."""
     scenario = build_scenario(example31_config(*args, **preset))
+    _check_initial_tail(scenario, lyapunov, lyapunov_tail)
     return check_run(simulate(scenario), scenario, lyapunov=lyapunov, lyapunov_tail=lyapunov_tail)
 
 

@@ -166,9 +166,13 @@ def lyapunov_certificate(A: np.ndarray, sigma_fraction: float = 0.9) -> tuple[np
     """Certificate pair (P, sigma) with P >= I and P A + A' P <= -2 sigma P.
 
     sigma is sigma_fraction times the spectral abscissa magnitude; P solves
-    the shifted Lyapunov equation and is rescaled so its smallest eigenvalue
-    is one. The scalar case returns P = [1] exactly, so sigma_fraction -> 1
-    reproduces the worked designs where sigma equals |A11|.
+    the shifted Lyapunov equation (A + sigma I)' P + P (A + sigma I) = -I,
+    as one ``numpy.linalg.solve`` of its N^2 unknowns, and is rescaled so
+    its smallest eigenvalue is one; a singular equation (a pair of
+    eigenvalues of A + sigma I summing to zero, as at sigma_fraction = 1)
+    raises NearSingular. The scalar case returns P = [1] exactly, so
+    sigma_fraction -> 1 reproduces the worked designs where sigma equals
+    |A11|.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if not 0.0 < sigma_fraction <= 1.0:
@@ -180,10 +184,17 @@ def lyapunov_certificate(A: np.ndarray, sigma_fraction: float = 0.9) -> tuple[np
     N = A.shape[0]
     if N == 1:
         return np.array([[1.0]]), sigma
-    from scipy.linalg import solve_continuous_lyapunov
-
-    shifted = A + sigma * np.eye(N)
-    P0 = solve_continuous_lyapunov(shifted.T, -np.eye(N))
+    # S' P + P S = -I with S = A + sigma I, in its Kronecker form on the
+    # row-major entries of P: (S' (x) I + I (x) S') vec(P) = -vec(I)
+    shifted_t = (A + sigma * np.eye(N)).T
+    system = np.kron(shifted_t, np.eye(N)) + np.kron(np.eye(N), shifted_t)
+    singular = np.linalg.svd(system, compute_uv=False)
+    if not singular[-1] > 1e-12 * singular[0]:
+        raise NearSingular(
+            f"shifted Lyapunov equation is singular (smallest singular value "
+            f"{singular[-1] / singular[0]:.3g} of the largest); lower sigma_fraction"
+        )
+    P0 = np.linalg.solve(system, -np.eye(N).ravel()).reshape(N, N)
     P0 = 0.5 * (P0 + P0.T)
     pmin = float(np.min(np.linalg.eigvalsh(P0)))
     if pmin < 1e-12:

@@ -4,11 +4,14 @@ Space is the central-difference operator B_h of ``DiscreteSLOperator``,
 self-adjoint in the trapezoid weights, which every discrete inner product
 shares. Every run lives in its eigenbasis (``GridModes``), in the plant u,
 the observer error e = w - u and the innovation eta: no matrix exponential
-of the grid, no tridiagonal solve and no scipy. A run with the zero term
-is solved exactly between samples; a run with a non-zero term
-(``LinearNonlocalTerm`` or ``GainSaturatedTerm``) steps with
-Crank-Nicolson's trapezoidal rule, which is elementwise in the modes but
-for the term's r coefficients (``_Trapezoid``).
+of the grid, no tridiagonal solve and no scipy. The eigenbasis is the
+discrete cosines or sines of ``DiscreteSLOperator.exact_eigenpairs`` for
+constant q with Neumann or Dirichlet ends, and one ``numpy.linalg.eigh``
+otherwise (``_Eigenbasis``). A run with the zero term is solved exactly
+between samples; a run with a non-zero term (``LinearNonlocalTerm`` or
+``GainSaturatedTerm``) steps with Crank-Nicolson's trapezoidal rule, which
+is elementwise in the modes but for the term's r coefficients
+(``_Trapezoid``).
 
 Both record at the same times: every sample, and the first step of the
 run's subdivision at or past each due time (``_record_plan``). The
@@ -18,9 +21,11 @@ full-size copy.
 
 from __future__ import annotations
 
-import math
 import warnings
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -52,9 +57,9 @@ _SINGULAR_RTOL = 1e-12  # smallest pivot or singular value of a step's solve, re
 
 
 # -- spec-level single-step entry points ---------------------------------------
-# Each call builds the grid's modes (``_Eigenbasis``: one ``eigh``) and the
-# step's factors, which cost far more than the step; ``simulate`` builds
-# them once per run.
+# Each call builds the grid's modes (``_Eigenbasis``: closed forms, or one
+# ``eigh`` for a Robin end or a variable q) and the step's factors, which
+# cost far more than the step; ``simulate`` builds them once per run.
 
 def step_plant(u, t, dt, problem: SLProblem, nonlinearity: NonlinearTerm | None, v) -> np.ndarray:
     """Single Crank-Nicolson plant step on the grid implied by len(u)."""
@@ -114,25 +119,33 @@ class DiscreteObserver:
 class _Eigenbasis:
     """B_h's eigenbasis, with no output channel (m = 0): a plant step's modes.
 
+    For constant q and pure Neumann or Dirichlet ends the modes and lam are
+    the closed forms of ``DiscreteSLOperator.exact_eigenpairs``. Otherwise
     W^{1/2} B_h W^{-1/2} on the free nodes is a symmetric tridiagonal
-    (``DiscreteSLOperator.symmetric_tridiagonals``), and one
-    ``numpy.linalg.eigh`` of it gives (lam, Q). The modes U = W^{-1/2} Q are
-    orthonormal in the trapezoid weights, so a field's modal coordinates are
-    U^T W x and its norm is their plain norm. ``rows`` holds the modes as
-    rows on the whole grid, zero at pinned nodes.
+    (``DiscreteSLOperator.symmetric_tridiagonals``), one ``numpy.linalg.eigh``
+    of it gives the modes, and lam is each mode's Rayleigh quotient
+    (``_rayleigh_quotients``). The modes U are orthonormal in the trapezoid
+    weights, so a field's modal coordinates are U^T W x and its norm is
+    their plain norm. ``rows`` holds the modes as rows on the whole grid,
+    zero at pinned nodes.
     """
 
     def __init__(self, op: DiscreteSLOperator):
-        diag, off = op.symmetric_tridiagonals()
-        sym = np.diag(diag)
-        i = np.arange(off.size)
-        sym[i, i + 1] = sym[i + 1, i] = off
-        self.lam, q = np.linalg.eigh(sym)
-        del sym
-        self.rows = np.zeros((self.lam.size, op.grid.size))
-        self.rows[:, op.free] = q.T
-        del q
-        self.rows[:, op.free] /= np.sqrt(op.weights[op.free])
+        exact = op.exact_eigenpairs()
+        if exact is not None:
+            self.lam, self.rows = exact
+        else:
+            diag, off = op.symmetric_tridiagonals()
+            sym = np.diag(diag)
+            i = np.arange(off.size)
+            sym[i, i + 1] = sym[i + 1, i] = off
+            q = np.linalg.eigh(sym)[1]
+            del sym
+            self.rows = np.zeros((q.shape[1], op.grid.size))
+            self.rows[:, op.free] = q.T
+            del q
+            self.rows[:, op.free] /= np.sqrt(op.weights[op.free])
+            self.lam = _rayleigh_quotients(op, self.rows)
         self.op, self.weights = op, op.weights
         self.l_hat = self.k_hat = np.zeros((0, self.lam.size))
         self.A = np.zeros((0, 0))
@@ -141,20 +154,21 @@ class _Eigenbasis:
         """The modal coordinates U^T W x of each row x of ``fields``."""
         return (fields * self.weights) @ self.rows.T
 
-    def quotients(self) -> np.ndarray:
-        """Each mode's Rayleigh quotient x^T S x, S = W B_h on the free
-        nodes, as sum_i -S_i,i+1 (x_i+1 - x_i)^2 + sum_i x_i^2 (row sum i of
-        S): lam to relative accuracy, where ``eigh`` leaves an absolute
-        error of eps |B_h| (the Neumann mean mode on 101 nodes: -2.3e-12 by
-        ``eigh``, 1e-26 by this sum)."""
-        sub, diag, sup = self.op.free_tridiagonals()
-        w = self.weights[self.op.free]
-        link = w[:-1] * sup
-        sums = w * diag
-        sums[:-1] += link
-        sums[1:] += w[1:] * sub
-        x = self.rows[:, self.op.free]
-        return (np.diff(x, axis=1) ** 2) @ -link + (x**2) @ sums
+
+def _rayleigh_quotients(op: DiscreteSLOperator, rows: np.ndarray) -> np.ndarray:
+    """Each mode's Rayleigh quotient x^T S x, S = W B_h on the free nodes,
+    as sum_i -S_i,i+1 (x_i+1 - x_i)^2 + sum_i x_i^2 (row sum i of S): lam to
+    relative accuracy, where ``eigh``'s own eigenvalues carry an absolute
+    error of eps |B_h| (the Neumann mean mode on 101 nodes: -2.3e-12 by
+    ``eigh``, 1e-26 by this sum)."""
+    sub, diag, sup = op.free_tridiagonals()
+    w = op.weights[op.free]
+    link = w[:-1] * sup
+    sums = w * diag
+    sums[:-1] += link
+    sums[1:] += w[1:] * sub
+    x = rows[:, op.free]
+    return (np.diff(x, axis=1) ** 2) @ -link + (x**2) @ sums
 
 
 class GridModes(_Eigenbasis):
@@ -246,14 +260,14 @@ class _Trapezoid:
     coefficients coef = phi(sigma + R x_new) - phi(sigma), solved by
     chord-Newton with the Jacobian of phi' = 1 inverted once per dt (exact
     for linear terms). ``eta`` is the trapezoid's own step of the
-    innovation, eta' = A eta: (I - dt/2 A)^-1 (I + dt/2 A). It reads lam as
-    ``_Eigenbasis.quotients``, because a step next to the pole 1 - dt/2 (R P)
-    = 0 amplifies an error in lam by 1 / that.
+    innovation, eta' = A eta: (I - dt/2 A)^-1 (I + dt/2 A). It reads the
+    modes' lam, accurate to relative roundoff, because a step next to the
+    pole 1 - dt/2 (R P) = 0 amplifies an error in lam by 1 / that.
     """
 
     def __init__(self, modes: _Eigenbasis, nonlinearity: NonlinearTerm):
         rows, cols = nonlinearity.factors(modes.op.grid.size)
-        self.lam, self.A, self.phi = modes.quotients(), modes.A, nonlinearity.phi
+        self.lam, self.A, self.phi = modes.lam, modes.A, nonlinearity.phi
         self.r_hat = rows @ modes.rows.T  # the term reads R x
         self.c_hat = modes.project(cols)
         self.f_zero = self.phi(np.zeros(rows.shape[0])) @ self.c_hat
@@ -457,14 +471,15 @@ def simulate(scenario: Scenario) -> Trajectory:
     still runs, since divergence studies are legitimate, but emits a
     warning; ``analysis.check_run`` then checks no bound.
 
-    Every run lives in the modes of B_h (``GridModes``), in the plant u,
-    the observer error e = w - u and the innovation eta, which each sample
-    resets from the error and the noise: eta = k_hat e - xi (y - <k, u> =
-    xi). Each record maps u and e to the grid (``_write_rows``): w = u + e,
-    ``error_l2`` is the norm of e's modal coordinates and ``error_sup`` the
-    largest |e| on the grid, so the error is never the difference of two
-    fields; zeta is C w - eta for the predictor and the held eta for the
-    hold observer.
+    Every run lives in the modes of B_h (``GridModes``: closed forms for
+    constant q with Neumann or Dirichlet ends, one ``eigh`` otherwise), in
+    the plant u, the observer error e = w - u and the innovation eta, which
+    each sample resets from the error and the noise: eta = k_hat e - xi
+    (y - <k, u> = xi). Each record maps u and e to the grid
+    (``_write_rows``): w = u + e, ``error_l2`` is the norm of e's modal
+    coordinates and ``error_sup`` the largest |e| on the grid, so the error
+    is never the difference of two fields; zeta is C w - eta for the
+    predictor and the held eta for the hold observer.
 
     A run with the zero term is solved exactly, with no time step, from
     sample to sample and at each record; ``metadata["scheme"]`` is
@@ -707,6 +722,10 @@ def _record_plan(sample_times: np.ndarray, horizon: float, dt_target: float,
     last record at least, which moves the due time on by one ``snap_every``.
     A record within 1e-14 of the one before is not added: a sample there
     flags that record instead.
+
+    No Python step is taken per record: ``_interval_records`` counts each
+    interval's records and keeps their due times, and their steps follow
+    over whole arrays, with the bits of a step-by-step walk.
     """
     t0 = np.asarray(sample_times, dtype=float)
     count = t0.size
@@ -714,30 +733,17 @@ def _record_plan(sample_times: np.ndarray, horizon: float, dt_target: float,
     live = gap > 1e-14
     steps = np.where(live, np.maximum(1.0, np.ceil(gap / dt_target - 1e-9)), 0.0).astype(np.int64)
     dt = np.where(live, gap / np.maximum(steps, 1), 0.0)
-    # the due time is one running sum across the intervals, so the records
-    # are found in order; the rest is numpy over the whole run
-    record_steps, ends = [], []
-    record, ceil = record_steps.append, math.ceil
-    due = 0.0
-    for t_j, n, h in zip(t0.tolist(), steps.tolist(), dt.tolist()):
-        due = max(due, t_j) + snap_every
-        done = 0
-        while done < n:
-            late = due - 1e-12
-            s = max(done + 1, ceil((late - t_j) / h))
-            while s > done + 1 and t_j + (s - 1) * h >= late:
-                s -= 1
-            while s < n and t_j + s * h < late:
-                s += 1
-            if s >= n:
-                break
-            record(s)
-            done = s
-            due += snap_every
-        ends.append(len(record_steps))
-    taken = np.diff(ends, prepend=0)
+    taken, firsts, dues = _interval_records(t0, steps, dt, gap, snap_every)
+    # the records in order: interval j's take dues[firsts[j]:][:taken[j]]
     rec_interval = np.repeat(np.arange(count), taken)
-    rec_steps = np.array(record_steps, dtype=np.int64)
+    order = np.arange(rec_interval.size) - np.repeat(np.cumsum(taken) - taken, taken)
+    late = _late(np.frombuffer(dues)[np.repeat(firsts, taken) + order])
+    first = _first_steps(late, t0[rec_interval], dt[rec_interval])
+    # step k of an interval is max(k + 1, F_i + k - i over i <= k): a running
+    # maximum of F - k, which the offsets keep inside each interval
+    offset = rec_interval * (2 * int(steps.max(initial=0)) + 2)
+    reach = np.maximum.accumulate(first - order + offset) - offset
+    rec_steps = order + np.maximum(reach, 1)
     # the candidate rows in time order: each sample, then its interval's records
     sample_pos = np.arange(count) + np.cumsum(taken) - taken
     rec_pos = np.arange(rec_steps.size) + rec_interval + 1
@@ -777,6 +783,63 @@ def _record_plan(sample_times: np.ndarray, horizon: float, dt_target: float,
     row_offset[rows[later]] = 0.0
     return _Plan(times, flags, rows, keep[sample_pos], steps, dt, gap, rec_rows, rec_interval,
                  rec_steps, row_interval, row_offset)
+
+
+def _interval_records(t0, steps, dt, gap, snap_every) -> tuple[np.ndarray, np.ndarray, array]:
+    """Per interval, its count of interior records and the index in
+    ``dues`` of its first due time; ``dues`` holds each interval's due
+    times in order, with one more after its last record.
+
+    The due time is one running sum across the intervals: a sample moves it
+    to the later of itself and the sample, plus ``snap_every``, and each
+    record adds ``snap_every``. ``itertools.accumulate`` takes these sums
+    one by one, so every due time has the bits of a walk record by record,
+    and the loop takes one step per interval. In an interval of n steps the
+    k-th record is at step s_k = max(s_(k-1) + 1, F_k), F_k the first step
+    at or past the k-th due time (``_first_steps``), until s_k >= n: so the
+    count is min(n - 1, min_k (k + max(0, n - F_k))). Where ``snap_every``
+    exceeds the step by more than roundoff, F rises by one or more a
+    record, s_k = F_k, and the count is that of the due times that step
+    n - 1 reaches, found by bisection.
+    """
+    dues, firsts, taken, due = array("d"), [], [], 0.0
+    for t_j, n, h, g in zip(t0.tolist(), steps.tolist(), dt.tolist(), gap.tolist()):
+        due = max(due, t_j) + snap_every
+        start = len(dues)
+        # the due times before the last step, at most, and the one after them
+        size = min(n - 1, max(0, int((t_j + g - due) / snap_every) + 2))
+        dues.extend(accumulate(repeat(snap_every, size), initial=due))
+        if size <= 0:
+            found = 0
+        elif snap_every - h > 1e-9 * (abs(t_j) + g + snap_every) + 1e-11:
+            last = t_j + (n - 1) * h
+            found = bisect_right(dues, last, start, len(dues), key=_late) - start
+        else:
+            late = _late(np.frombuffer(dues[start:]))
+            first = _first_steps(late, t_j, h)
+            found = min(n - 1, int(np.min(np.arange(late.size) + np.maximum(0, n - first))))
+        due = dues[start + found]
+        firsts.append(start)
+        taken.append(found)
+    return np.array(taken, dtype=np.int64), np.array(firsts, dtype=np.int64), dues
+
+
+def _late(due):
+    """The time from which a step records the due time ``due`` (a float or
+    an array)."""
+    return due - 1e-12
+
+
+def _first_steps(late: np.ndarray, t0, h) -> np.ndarray:
+    """The first step s >= 0 with t0 + s h >= late, elementwise, in the
+    floating-point sums that ``_record_plan`` compares."""
+    s = np.maximum(np.ceil((late - t0) / h), 0.0)
+    while True:
+        down = (s > 0) & (t0 + (s - 1) * h >= late)
+        up = t0 + s * h < late
+        if not (down.any() or up.any()):
+            return s.astype(np.int64)
+        s = s - down + up
 
 
 def _initial_field(profile_like, op: DiscreteSLOperator) -> np.ndarray:

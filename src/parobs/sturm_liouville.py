@@ -80,6 +80,14 @@ class SLProblem:
             return q.poly[0] if q.poly else 0.0
         return None
 
+    def standard_q(self) -> float | None:
+        """The constant q when q is constant and each end is pure Neumann
+        (a = 0) or Dirichlet (b = 0), the four cases whose eigenpairs have a
+        closed form, both of B and of its grid operator B_h; else None."""
+        if (self.a0 != 0.0 and self.b0 != 0.0) or (self.a1 != 0.0 and self.b1 != 0.0):
+            return None
+        return self.constant_q()
+
     def boundary_residual(self, u: np.ndarray, du0: float, du1: float) -> float:
         scale = max(np.max(np.abs(u)), abs(du0), abs(du1), 1e-300)
         r0 = abs(self.a0 * u[0] + self.b0 * du0) / (abs(self.a0) + abs(self.b0)) / scale
@@ -205,6 +213,36 @@ class DiscreteSLOperator:
         w = self.weights[self.free]
         return diag, sup * np.sqrt(w[:-1] / w[1:])
 
+    def exact_eigenpairs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """B_h's eigenvalues, ascending, and its eigenvectors as rows on the
+        whole grid, zero at pinned nodes and of unit norm in the trapezoid
+        weights, in closed form; None unless ``problem.standard_q()`` holds.
+
+        On M = n - 1 intervals, mode k is cos(theta_k i) from a Neumann left
+        end and sin(theta_k i) from a Dirichlet one, with theta_k = k pi / M
+        when the two ends are alike and (k + 1/2) pi / M when they differ,
+        and lam_k = q + (4 p / dx^2) sin^2(theta_k / 2): the discrete cosine
+        and sine bases (Strang, "The discrete cosine transform", SIAM Review
+        41, 1999). Each angle is an integer multiple of pi / (2M), reduced
+        to one period in integers before the cos or sin.
+        """
+        q = self.problem.standard_q()
+        if q is None:
+            return None
+        left, right = self.problem.dirichlet_left, self.problem.dirichlet_right
+        period = 4 * (self.grid.size - 1)  # 2 pi in units of pi / (2M)
+        count = self.i1 - self.i0
+        # theta_k in units of pi / (2M): 2k, shifted by 2 for a Dirichlet
+        # pair (k from 1) and by 1 for mixed ends
+        theta = 2 * np.arange(count) + (2 if left and right else int(left != right))
+        angles = np.multiply.outer(theta, np.arange(self.i0, self.i1)) % period
+        wave = np.sin if left else np.cos
+        rows = np.zeros((count, self.grid.size))
+        rows[:, self.free] = wave(angles * (2.0 * math.pi / period))
+        rows /= np.sqrt((rows * rows) @ self.weights)[:, None]
+        lam = q + (4.0 * self.problem.p / self.dx**2) * np.sin(theta * (math.pi / period)) ** 2
+        return lam, rows
+
 
 @dataclass(frozen=True)
 class SpectralBasis:
@@ -303,12 +341,10 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
     """
     if J < 1:
         raise ValueError("need at least one mode")
-    qc = problem.constant_q()
+    qc = problem.standard_q()
     if qc is None:
-        raise UnsupportedAnalyticCase("closed-form eigenpairs need constant q")
-    for a, b in ((problem.a0, problem.b0), (problem.a1, problem.b1)):
-        if a != 0.0 and b != 0.0:
-            raise UnsupportedAnalyticCase("genuinely Robin ends have no standard closed form")
+        raise UnsupportedAnalyticCase(
+            "closed-form eigenpairs need constant q and pure Neumann or Dirichlet ends")
     grid = uniform_grid(nodes)
     lams, profiles = zip(*_standard_modes(problem, qc, J))
     # every mode is one term amp cos(k x + phase), the constant one cos(0 x)

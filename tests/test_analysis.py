@@ -51,7 +51,8 @@ from parobs.observer_design import (
     small_gain_zoh,
 )
 from parobs.schedule import make_schedule
-from parobs.signals import Disturbances, NoiseSignal
+from parobs.nonlinear import GainSaturatedTerm
+from parobs.signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal
 from parobs.simulator import DiscreteObserver, Scenario, Trajectory, simulate
 from parobs.sturm_liouville import SLProblem, analytic_eigensystem
 
@@ -301,37 +302,112 @@ def test_oracle_matches_event_replay(make_cfg):
     assert trace.violations == ref["violations"]
 
 
-def whole_array_oracle(traj, design, nl, dist, J_tail=20):
-    """``lyapunov_oracle``'s modal coordinates, V, vbar norms and rhs from
-    whole (snapshots, n) arrays, as it computed them before it took its rows
-    in blocks."""
+def _parent_rhs(times, norms, V0, mu, g):
+    """The decay bound's recurrence one row at a time, two ``math.exp`` a row."""
+    times, norms = times.tolist(), norms.tolist()
+    rhs, integral = np.zeros(len(times)), 0.0
+    rhs[0] = V0
+    for k in range(1, len(times)):
+        dt = times[k] - times[k - 1]
+        decay = math.exp(-2.0 * mu * dt)
+        integral = decay * integral + 0.5 * dt * (decay * norms[k - 1] ** 2 + norms[k] ** 2)
+        rhs[k] = math.exp(-2.0 * mu * times[k]) * V0 + g * integral
+    return rhs
+
+
+def _modal_V(traj, design, J_tail):
     N, w = design.N, traj.weights
-    discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
     J = min(N + J_tail, design.basis.size)
     basis = design.basis.resample(traj.grid.size, J)
+    r = traj.error_fields() @ (basis.functions[:J] * w).T
+    V = np.einsum("si,ij,sj->s", r[:, :N], design.P, r[:, :N])
+    return r, V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
+
+
+def whole_array_oracle(traj, design, nl, dist, J_tail=20):
+    """``lyapunov_oracle``'s modal coordinates, V, vbar norms and rhs from
+    whole (snapshots, n) arrays, with its arithmetic: each row's ||vbar||
+    as the norm of its coefficients on the term's columns, the injection
+    columns and v's and v~'s profiles times the triangular factor of those
+    weighted profiles, and the rhs recurrence row by row."""
+    discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
+    r, V = _modal_V(traj, design, J_tail)
     e = traj.error_fields()
-    r = e @ (basis.functions[:J] * w).T
     if discrete.variant == "predictor":
         injected = traj.u @ discrete.c_rows.T - traj.zeta
     else:
         injected = traj.zeta - e @ discrete.c_rows.T
-    V = np.einsum("si,ij,sj->s", r[:, :N], design.P, r[:, :N])
-    V = V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
+    rows, cols = nl.factors(traj.grid.size)
+    terms = [(-1.0, ts, prof) for ts, prof in dist.v.terms]
+    terms += [(1.0, ts, prof) for ts, prof in dist.v_tilde.terms]
+    lift = np.vstack([cols, discrete.l_cols.T] + [prof.values(traj.grid)[None] for _, _, prof in terms])
+    coef = np.hstack([nl.phi(traj.w @ rows.T) - nl.phi(traj.u @ rows.T), injected]
+                     + [sign * ts.value(traj.times)[:, None] for sign, ts, _ in terms])
+    factor = np.linalg.qr((lift * np.sqrt(traj.weights)).T, mode="r")
+    vbar_norms = np.linalg.norm(coef @ factor.T, axis=1)
+    rhs = _parent_rhs(traj.times, vbar_norms, float(V[0]), design.mu, design.g_tilde)
+    return {"modal": r, "V": V, "vbar_norms": vbar_norms, "rhs": rhs}
+
+
+def field_oracle(traj, design, nl, dist, J_tail=20):
+    """V, the vbar norms and rhs by the oracle's earlier formulas: the vbar
+    field of every snapshot, f(w) - f(u) + (v~ - v) + sum_i l_i d_i, and
+    its trapezoid norm."""
+    discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
+    _, V = _modal_V(traj, design, J_tail)
+    e = traj.error_fields()
+    if discrete.variant == "predictor":
+        injected = traj.u @ discrete.c_rows.T - traj.zeta
+    else:
+        injected = traj.zeta - e @ discrete.c_rows.T
     rows, cols = nl.factors(traj.grid.size)
     coef = np.hstack([nl.phi(traj.w @ rows.T) - nl.phi(traj.u @ rows.T), injected])
     vbar = coef @ np.vstack([cols, discrete.l_cols.T])
     if not (dist.v.is_zero and dist.v_tilde.is_zero):
         vbar -= dist.mismatch_field(traj.times[:, None], traj.grid)
-    vbar_norms = np.sqrt(np.maximum(np.square(vbar) @ w, 0.0))
-    times, norms = traj.times.tolist(), vbar_norms.tolist()
-    rhs, integral = np.zeros(len(times)), 0.0
-    rhs[0] = V[0]
-    for k in range(1, len(times)):
-        dt = times[k] - times[k - 1]
-        decay = math.exp(-2.0 * design.mu * dt)
-        integral = decay * integral + 0.5 * dt * (decay * norms[k - 1] ** 2 + norms[k] ** 2)
-        rhs[k] = math.exp(-2.0 * design.mu * times[k]) * float(V[0]) + design.g_tilde * integral
-    return {"modal": r, "V": V, "vbar_norms": vbar_norms, "rhs": rhs}
+    vbar_norms = np.sqrt(np.maximum(np.square(vbar) @ traj.weights, 0.0))
+    rhs = _parent_rhs(traj.times, vbar_norms, float(V[0]), design.mu, design.g_tilde)
+    return {"V": V, "vbar_norms": vbar_norms, "rhs": rhs}
+
+
+def _saturated_two_channel_scenario(design, variant):
+    """Two channels, a tanh term, an input mismatch with a sinusoid, noise."""
+    grid = uniform_grid(101)
+    nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
+                           amplitudes=[pf.cosine_series(0.3, [0.2])])
+    shape = pf.cosine_series(0.5, [0.3])
+    dist = Disturbances(v=SpaceTimeSignal(((TimeSignal(0.1, 0.5, 2.0), shape),)),
+                        v_tilde=SpaceTimeSignal(((TimeSignal(0.1, 0.45, 2.0), shape),)),
+                        xi=(NoiseSignal("sinusoid", 0.01, omega=2.0), NoiseSignal("constant", -0.02)))
+    return Scenario(design=dataclasses.replace(design, lipschitz_R=nl.lipschitz_R), variant=variant,
+                    nodes=101, dt=0.01, snapshot_every=0.037, nonlinearity=nl, disturbances=dist,
+                    schedule=make_schedule({"kind": "uniform", "h": 0.1, "horizon": 2.0}),
+                    u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0))
+
+
+@pytest.mark.parametrize("case", ["predictor", "hold-mismatch-noise", "saturated-two-channel"])
+def test_oracle_norms_are_the_field_norms_to_roundoff(request, case):
+    # ||vbar|| from the profiles' triangular factor against the norm of the
+    # vbar field: V, the norms and rhs within 1e-12 relative, row by row
+    # (fixed before the first run; the Gram form itself missed it by 2e-8 on
+    # hold rows where vbar cancels to 1e-5 of its terms)
+    if case == "saturated-two-channel":
+        scenario = _saturated_two_channel_scenario(request.getfixturevalue("two_channel_design"),
+                                                   "predictor")
+    else:
+        preset = (dict(p=0.1, h=1.0, omega=0.1, horizon=60.0, snapshot_every=0.1)
+                  if case == "predictor" else
+                  dict(p=1.0, h=0.05, omega=0.1, variant="zoh", noise=0.01, mismatch=0.1, nodes=101,
+                       snapshot_every=0.02))
+        scenario = cf.build_scenario(cf.example31_config(**preset))
+    traj = quiet_simulate(scenario)
+    trace = lyapunov_oracle(traj, scenario.design, nonlinearity=scenario.nonlinearity,
+                            disturbances=scenario.disturbances)
+    ref = field_oracle(traj, scenario.design, scenario.nonlinearity, scenario.disturbances)
+    assert np.count_nonzero(ref["vbar_norms"]) > traj.times.size // 2
+    for name, expected in ref.items():
+        np.testing.assert_allclose(getattr(trace, name), expected, rtol=1e-12, atol=0.0,
+                                   err_msg=name)
 
 
 @pytest.mark.parametrize("preset, rows", [

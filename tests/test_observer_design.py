@@ -26,6 +26,7 @@ from parobs.errors import (
     InvalidLipschitzBound,
     InvalidSpec,
     KappaOutOfRange,
+    NearSingular,
     NoFeasibleQ,
     NotHurwitz,
     ParobsError,
@@ -131,6 +132,34 @@ class TestLyapunovCertificate:
     def test_rejects_unstable(self):
         with pytest.raises(NotHurwitz):
             lyapunov_certificate(np.array([[0.2]]), 0.9)
+
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_P_is_scipys_lyapunov_solution(self, N):
+        # the Kronecker solve against scipy's Bartels-Stewart solver, rescaled
+        # the same way: within 1e-12 of P's largest entry (fixed before the
+        # first run), and the certificate inequalities P >= I and
+        # P A + A' P <= -2 sigma P
+        from scipy.linalg import solve_continuous_lyapunov
+
+        rng = np.random.default_rng(N)
+        for _ in range(5):
+            A = rng.normal(size=(N, N))
+            A -= (np.max(np.linalg.eigvals(A).real) + rng.uniform(0.2, 2.0)) * np.eye(N)
+            P, sigma = lyapunov_certificate(A, 0.9)
+            shifted = A + sigma * np.eye(N)
+            ref = solve_continuous_lyapunov(shifted.T, -np.eye(N))
+            ref = 0.5 * (ref + ref.T)
+            ref /= np.min(np.linalg.eigvalsh(ref))
+            assert np.abs(P - ref).max() <= 1e-12 * np.abs(ref).max()
+            d = certificate_defects(A, P, sigma)
+            assert d["p_min"] >= 1.0 - 1e-12
+            assert d["decay_slack"] <= 1e-12 * d["p_norm"]
+
+    def test_singular_shifted_equation_is_near_singular(self):
+        # sigma_fraction = 1 shifts A's slowest eigenvalue to 0, so its
+        # Kronecker sum has the eigenvalue 0 + 0: a typed error, not LinAlgError
+        with pytest.raises(NearSingular, match="singular"):
+            lyapunov_certificate(np.diag([-1.0, -2.0]), 1.0)
 
 
 class TestSmallGain:

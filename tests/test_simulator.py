@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parobs import profiles as pf
 from parobs.errors import (
@@ -1290,3 +1292,146 @@ class TestRecordPlan:
             sc, schedule=make_schedule({"kind": "explicit", "times": [0.0, 100.0]})))
         for name in ("times", "sample_flag", "u", "w", "zeta"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ends_at_100, name))
+
+
+def _parent_record_plan(sample_times, horizon, dt_target, snap_every):
+    """The record plan found by walking every record of every interval in
+    Python, as ``_record_plan`` did before it took its records over whole
+    arrays: the reference for its arrays, bit for bit."""
+    t0 = np.asarray(sample_times, dtype=float)
+    count = t0.size
+    gap = np.append(t0[1:], horizon) - t0
+    live = gap > 1e-14
+    steps = np.where(live, np.maximum(1.0, np.ceil(gap / dt_target - 1e-9)), 0.0).astype(np.int64)
+    dt = np.where(live, gap / np.maximum(steps, 1), 0.0)
+    record_steps, ends, due = [], [], 0.0
+    for t_j, n, h in zip(t0.tolist(), steps.tolist(), dt.tolist()):
+        due = max(due, t_j) + snap_every
+        done = 0
+        while done < n:
+            late = due - 1e-12
+            s = max(done + 1, math.ceil((late - t_j) / h))
+            while s > done + 1 and t_j + (s - 1) * h >= late:
+                s -= 1
+            while s < n and t_j + s * h < late:
+                s += 1
+            if s >= n:
+                break
+            record_steps.append(s)
+            done = s
+            due += snap_every
+        ends.append(len(record_steps))
+    taken = np.diff(ends, prepend=0)
+    rec_interval = np.repeat(np.arange(count), taken)
+    rec_steps = np.array(record_steps, dtype=np.int64)
+    sample_pos = np.arange(count) + np.cumsum(taken) - taken
+    rec_pos = np.arange(rec_steps.size) + rec_interval + 1
+    horizon_row = bool(count and live[-1])
+    cand = np.empty(count + rec_steps.size + horizon_row)
+    cand[sample_pos] = t0
+    cand[rec_pos] = t0[rec_interval] + rec_steps * dt[rec_interval]
+    if horizon_row:
+        cand[-1] = horizon
+        rec_interval = np.append(rec_interval, count - 1)
+        rec_steps = np.append(rec_steps, steps[-1])
+        rec_pos = np.append(rec_pos, cand.size - 1)
+    keep = np.ones(cand.size, dtype=bool)
+    last = cand[0]
+    for i in range(1, cand.size):
+        if cand[i] > last + 1e-14:
+            last = cand[i]
+        else:
+            keep[i] = False
+    row_of = np.cumsum(keep) - 1
+    times = cand[keep]
+    rows = row_of[sample_pos]
+    flags = np.zeros(times.size, dtype=bool)
+    flags[rows] = True
+    kept = keep[rec_pos]
+    rec_interval, rec_steps, rec_rows = rec_interval[kept], rec_steps[kept], row_of[rec_pos][kept]
+    row_interval = np.empty(times.size, dtype=np.int64)
+    row_offset = np.empty(times.size)
+    row_interval[rec_rows] = rec_interval
+    row_offset[rec_rows] = rec_steps * dt[rec_interval]
+    if horizon_row and kept[-1]:
+        row_offset[-1] = gap[-1]
+    later = np.append(rows[1:] != rows[:-1], True)
+    row_interval[rows[later]] = np.arange(count)[later]
+    row_offset[rows[later]] = 0.0
+    return simulator._Plan(times, flags, rows, keep[sample_pos], steps, dt, gap, rec_rows,
+                           rec_interval, rec_steps, row_interval, row_offset)
+
+
+def _assert_plans_equal(sample_times, horizon, dt_target, every):
+    plan = simulator._record_plan(sample_times, horizon, dt_target, every)
+    ref = _parent_record_plan(sample_times, horizon, dt_target, every)
+    for name in (f.name for f in dataclasses.fields(simulator._Plan)):
+        got, expected = getattr(plan, name), getattr(ref, name)
+        assert got.dtype == expected.dtype, name
+        np.testing.assert_array_equal(got, expected, err_msg=name)
+
+
+class TestRecordPlanArrays:
+    @pytest.mark.parametrize("spec", [
+        {"kind": "uniform", "h": 0.3, "horizon": 4.0},
+        {"kind": "random", "h_min": 0.05, "h_max": 0.3, "horizon": 3.0, "seed": 5},
+        {"kind": "explicit", "times": [0.0, 0.1, 0.35, 0.6, 0.85, 1.0, 1.25], "horizon": 1.1},
+        {"kind": "uniform", "h": 1.0, "horizon": 200.0},
+        None,
+    ], ids=["uniform", "random", "explicit_cut_before_its_last_time", "predictor_long",
+            "two_samples_in_1e14"])
+    @pytest.mark.parametrize("every, dt_target", [(0.037, 0.01), (0.1, 0.01), (0.004, 0.01),
+                                                  (0.01, 0.01), (0.1, 0.005)])
+    def test_plan_is_the_record_walk(self, spec, every, dt_target):
+        if spec is None:  # as TestRecordPlan passes it: no schedule takes such samples
+            sample_times, horizon = np.array([0.0, 0.5, 0.5 + 4e-15, 1.0]), 1.0
+        else:
+            sch = make_schedule(spec)
+            sample_times, horizon = sch.times[sch.times <= sch.horizon + 1e-12], sch.horizon
+        _assert_plans_equal(sample_times, horizon, dt_target, every)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(gaps=st.lists(st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.1, 0.25, 1.0, 3e-15])),
+                         min_size=0, max_size=30),
+           tail=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+           dt_target=st.one_of(st.floats(1e-3, 0.3), st.sampled_from([0.01, 0.1])),
+           ratio=st.one_of(st.floats(0.05, 40.0), st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12])))
+    def test_plan_is_the_record_walk_on_random_schedules(self, gaps, tail, dt_target, ratio):
+        # a record spacing at, just above or just below dt_target, or anywhere
+        # from 1/20 to 40 times it, over gaps that include empty intervals
+        sample_times = np.concatenate([[0.0], np.cumsum(gaps)])
+        _assert_plans_equal(sample_times, float(sample_times[-1] + tail), dt_target, ratio * dt_target)
+
+
+class TestEigenbasis:
+    @pytest.mark.parametrize("ends", ["neumann", "neumann_dirichlet", "dirichlet_neumann", "dirichlet"])
+    def test_standard_ends_take_no_eigh(self, monkeypatch, ends):
+        a0, b0, a1, b1 = {"neumann": (0, 1, 0, 1), "neumann_dirichlet": (0, 1, 1, 0),
+                          "dirichlet_neumann": (1, 0, 0, 1), "dirichlet": (1, 0, 1, 0)}[ends]
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        op = DiscreteSLOperator(SLProblem(p=1.0, q=0.7, a0=a0, b0=b0, a1=a1, b1=b1), 51)
+        modes = simulator._Eigenbasis(op)
+        lam, rows = op.exact_eigenpairs()
+        np.testing.assert_array_equal(modes.lam, lam)
+        np.testing.assert_array_equal(modes.rows, rows)
+
+    @pytest.mark.parametrize("problem", [
+        SLProblem(p=0.5, q=0.3, a0=-1.0, b0=1.0, a1=2.0, b1=1.0),
+        SLProblem(p=1.0, q=pf.polynomial([0.5, 1.0]), a0=0.0, b0=1.0, a1=0.0, b1=1.0),
+    ], ids=["robin", "variable_q"])
+    def test_other_operators_take_eigh_and_their_rayleigh_quotients(self, monkeypatch, problem):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        op = DiscreteSLOperator(problem, 51)
+        modes = simulator._Eigenbasis(op)
+        assert calls == [(51, 51)]
+        # lam is each mode's Rayleigh quotient u' W B_h u, the eigenvalue to roundoff
+        quotients = np.array([u @ (op.weights * op.apply(u)) for u in modes.rows])
+        np.testing.assert_allclose(modes.lam, quotients, rtol=1e-12, atol=0)
+        diag, off = op.symmetric_tridiagonals()
+        eigenvalues = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.abs(modes.lam - eigenvalues).max() <= 1e-13 * np.abs(eigenvalues).max()

@@ -301,3 +301,51 @@ def test_symmetric_tridiagonals_are_the_weighted_similarity(problem):
     np.testing.assert_array_equal(sym_diag, diag)
     dense = np.diag(sym_diag) + np.diag(off, -1) + np.diag(off, 1)
     np.testing.assert_allclose(dense, similar, rtol=1e-14, atol=0)
+
+
+ENDS = {"neumann_neumann": (0.0, 1.0, 0.0, 1.0), "neumann_dirichlet": (0.0, 1.0, 1.0, 0.0),
+        "dirichlet_neumann": (1.0, 0.0, 0.0, 1.0), "dirichlet_dirichlet": (1.0, 0.0, 1.0, 0.0)}
+
+
+@pytest.mark.parametrize("q", [0.0, 0.7])
+@pytest.mark.parametrize("nodes", [11, 51, 201])
+@pytest.mark.parametrize("ends", list(ENDS))
+def test_exact_eigenpairs_are_eighs(ends, nodes, q):
+    # the closed-form eigenpairs of B_h against numpy's eigh of W^{1/2} B_h
+    # W^{-1/2}: eigenvalues within 1e-13 |B_h|, each mode the eigh mode up
+    # to sign (|<u, v>_W| = 1 within 1e-10), and B_h u - lam u at roundoff,
+    # 1e-13 |B_h| max|u| (all fixed before the first run)
+    a0, b0, a1, b1 = ENDS[ends]
+    op = DiscreteSLOperator(SLProblem(p=0.8, q=q, a0=a0, b0=b0, a1=a1, b1=b1), nodes)
+    lam, rows = op.exact_eigenpairs()
+    diag, off = op.symmetric_tridiagonals()
+    ref_lam, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
+    scale = np.abs(ref_lam).max()  # |B_h| in the trapezoid weights
+    assert lam.shape == ref_lam.shape and rows.shape == (lam.size, nodes)
+    assert np.abs(lam - ref_lam).max() <= 1e-13 * scale
+    ref = np.zeros_like(rows)
+    ref[:, op.free] = vecs.T / np.sqrt(op.weights[op.free])
+    overlap = np.abs(np.sum(rows * ref * op.weights, axis=1))
+    assert np.abs(overlap - 1.0).max() <= 1e-10
+    residual = np.array([op.apply(u) for u in rows]) - lam[:, None] * rows
+    assert np.abs(residual).max() <= 1e-13 * scale * np.abs(rows).max()
+    assert np.all(rows[:, :op.i0] == 0.0) and np.all(rows[:, op.i1:] == 0.0)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.7])
+def test_neumann_mean_mode_is_exactly_q(q):
+    # eigh left it at -8.2e-12 on 201 nodes for q = 0, a growing mode
+    lam, rows = DiscreteSLOperator(SLProblem(p=1.0, q=q, a0=0, b0=1, a1=0, b1=1), 201).exact_eigenpairs()
+    assert lam[0] == q
+    np.testing.assert_allclose(rows[0], 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("problem", [
+    SLProblem(p=0.5, q=0.3, a0=-1.0, b0=1.0, a1=2.0, b1=1.0),
+    SLProblem(p=1.0, q=pf.polynomial([0.5, 1.0]), a0=0.0, b0=1.0, a1=0.0, b1=1.0),
+], ids=["robin", "variable_q"])
+def test_no_exact_eigenpairs_without_standard_ends_and_constant_q(problem):
+    assert problem.standard_q() is None
+    assert DiscreteSLOperator(problem, 21).exact_eigenpairs() is None
+    with pytest.raises(UnsupportedAnalyticCase):
+        analytic_eigensystem(problem, 3, 21)
