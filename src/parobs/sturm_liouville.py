@@ -224,7 +224,8 @@ class DiscreteSLOperator:
         and lam_k = q + (4 p / dx^2) sin^2(theta_k / 2): the discrete cosine
         and sine bases (Strang, "The discrete cosine transform", SIAM Review
         41, 1999). Each angle is an integer multiple of pi / (2M), reduced
-        to one period in integers before the cos or sin.
+        to one period in integers, so the modes read one table of the 4M
+        values of cos or sin over a period.
         """
         q = self.problem.standard_q()
         if q is None:
@@ -236,9 +237,9 @@ class DiscreteSLOperator:
         # pair (k from 1) and by 1 for mixed ends
         theta = 2 * np.arange(count) + (2 if left and right else int(left != right))
         angles = np.multiply.outer(theta, np.arange(self.i0, self.i1)) % period
-        wave = np.sin if left else np.cos
+        wave = (np.sin if left else np.cos)(np.arange(period) * (2.0 * math.pi / period))
         rows = np.zeros((count, self.grid.size))
-        rows[:, self.free] = wave(angles * (2.0 * math.pi / period))
+        rows[:, self.free] = wave[angles]
         rows /= np.sqrt((rows * rows) @ self.weights)[:, None]
         lam = q + (4.0 * self.problem.p / self.dx**2) * np.sin(theta * (math.pi / period)) ** 2
         return lam, rows
