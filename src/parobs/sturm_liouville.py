@@ -233,10 +233,12 @@ class DiscreteSLOperator:
         left, right = self.problem.dirichlet_left, self.problem.dirichlet_right
         period = 4 * (self.grid.size - 1)  # 2 pi in units of pi / (2M)
         count = self.i1 - self.i0
+        # int32 where the products fit: its % takes a third of int64's time
+        index = np.int32 if period * self.grid.size < 2**31 else np.int64
         # theta_k in units of pi / (2M): 2k, shifted by 2 for a Dirichlet
         # pair (k from 1) and by 1 for mixed ends
-        theta = 2 * np.arange(count) + (2 if left and right else int(left != right))
-        angles = np.multiply.outer(theta, np.arange(self.i0, self.i1)) % period
+        theta = 2 * np.arange(count, dtype=index) + (2 if left and right else int(left != right))
+        angles = np.multiply.outer(theta, np.arange(self.i0, self.i1, dtype=index)) % period
         wave = (np.sin if left else np.cos)(np.arange(period) * (2.0 * math.pi / period))
         rows = np.zeros((count, self.grid.size))
         rows[:, self.free] = wave[angles]

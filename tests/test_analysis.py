@@ -42,6 +42,7 @@ from parobs.grids import (
     trapezoid_weights,
     uniform_grid,
 )
+from parobs.nonlinear import GainSaturatedTerm
 from parobs.observer_design import (
     OutputChannel,
     design_to_json,
@@ -51,7 +52,6 @@ from parobs.observer_design import (
     small_gain_zoh,
 )
 from parobs.schedule import make_schedule
-from parobs.nonlinear import GainSaturatedTerm
 from parobs.signals import Disturbances, NoiseSignal, SpaceTimeSignal, TimeSignal
 from parobs.simulator import DiscreteObserver, Scenario, Trajectory, simulate
 from parobs.sturm_liouville import SLProblem, analytic_eigensystem
@@ -370,7 +370,7 @@ def field_oracle(traj, design, nl, dist, J_tail=20):
     return {"V": V, "vbar_norms": vbar_norms, "rhs": rhs}
 
 
-def _saturated_two_channel_scenario(design, variant):
+def _saturated_two_channel_predictor(design):
     """Two channels, a tanh term, an input mismatch with a sinusoid, noise."""
     grid = uniform_grid(101)
     nl = GainSaturatedTerm(grid, weights=[pf.cosine_series(0.0, [1.0])],
@@ -379,7 +379,7 @@ def _saturated_two_channel_scenario(design, variant):
     dist = Disturbances(v=SpaceTimeSignal(((TimeSignal(0.1, 0.5, 2.0), shape),)),
                         v_tilde=SpaceTimeSignal(((TimeSignal(0.1, 0.45, 2.0), shape),)),
                         xi=(NoiseSignal("sinusoid", 0.01, omega=2.0), NoiseSignal("constant", -0.02)))
-    return Scenario(design=dataclasses.replace(design, lipschitz_R=nl.lipschitz_R), variant=variant,
+    return Scenario(design=dataclasses.replace(design, lipschitz_R=nl.lipschitz_R), variant="predictor",
                     nodes=101, dt=0.01, snapshot_every=0.037, nonlinearity=nl, disturbances=dist,
                     schedule=make_schedule({"kind": "uniform", "h": 0.1, "horizon": 2.0}),
                     u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0))
@@ -392,8 +392,7 @@ def test_oracle_norms_are_the_field_norms_to_roundoff(request, case):
     # (fixed before the first run; the Gram form itself missed it by 2e-8 on
     # hold rows where vbar cancels to 1e-5 of its terms)
     if case == "saturated-two-channel":
-        scenario = _saturated_two_channel_scenario(request.getfixturevalue("two_channel_design"),
-                                                   "predictor")
+        scenario = _saturated_two_channel_predictor(request.getfixturevalue("two_channel_design"))
     else:
         preset = (dict(p=0.1, h=1.0, omega=0.1, horizon=60.0, snapshot_every=0.1)
                   if case == "predictor" else
