@@ -442,7 +442,9 @@ def _preset(p, q, bc, L, channel, *, h, omega, variant, horizon, nodes, dt,
     cfg = {
         "schema_version": SCHEMA_VERSION,
         "problem": SLProblem(p, q, *bc).spec(),
-        "basis": {"modes": modes, "nodes": basis_nodes, "method": "analytic"},
+        "basis": {"modes": modes,
+                  "nodes": _DEFAULTS["basis.nodes"] if basis_nodes is None else basis_nodes,
+                  "method": "analytic"},
         "design": {"N": 1, "L": [[L]], "Q": 2.0, "sigma_fraction": 1.0,
                    "channels": [channel.spec()]},
         "gain": {"h": h, "omega": omega},
@@ -465,14 +467,15 @@ def _preset(p, q, bc, L, channel, *, h, omega, variant, horizon, nodes, dt,
 
 def example31_config(p=1.0, h=0.5, omega=0.0, variant=None, noise=None, mismatch=0.0,
                      *, horizon=None, nodes=None, dt=None, snapshot_every=None, u0=None,
-                     w0=None, modes=201, basis_nodes=1001) -> dict:
+                     w0=None, modes=201, basis_nodes=None) -> dict:
     """Example 3.1: the Neumann heat plant with output kernel x, c = 1/2,
     L = -p pi^2, P = [1], kappa = omega * mu.
 
     The horizon defaults to 10 * 20 / (p pi^2), rounded up to whole periods.
     ``noise`` is a noise spec, a NoiseSignal, or a number (the amplitude of
     a sinusoid with omega = 2); ``mismatch`` is a constant plant input the
-    observer does not know. ``variant`` and ``nodes`` default to the config's.
+    observer does not know. ``variant``, ``nodes`` and ``basis_nodes`` default to
+    the config's.
     """
     # checked before the default horizon divides by p, and before the rounding
     # below divides by h and lifts a horizon <= 0 to one period; the same
@@ -505,20 +508,21 @@ def example31_config(p=1.0, h=0.5, omega=0.0, variant=None, noise=None, mismatch
     return cfg
 
 
-def example31_design(p: float = 1.0, nodes: int = 1001, modes: int = 201) -> ObserverDesign:
+def example31_design(p: float = 1.0, nodes: int | None = None, modes: int = 201) -> ObserverDesign:
     """The design of ``example31_config(p)``: c = 1/2, L = -p pi^2, P = [1]."""
     return build_design(example31_config(p, modes=modes, basis_nodes=nodes))
 
 
 def example32_config(p=1.0, q=0.0, h=None, omega=0.3, noise=None, *, horizon=None, nodes=None,
                      dt=None, snapshot_every=None, u0=None, w0=None, modes=201,
-                     basis_nodes=1001) -> dict:
+                     basis_nodes=None) -> dict:
     """Example 3.2: the boundary-measured plant in the derivative variable
     (Neumann at 0, Dirichlet at 1), c = (4/pi) cos(pi x / 2), L = pi (4q -
     7 p pi^2) / (16 sqrt 2), predictor observer.
 
     When h or the horizon is not given, the design is built once to find
-    them (see ``example32_sampling``). ``nodes`` defaults to the config's.
+    them (see ``example32_sampling``). ``nodes`` and ``basis_nodes`` default to
+    the config's.
     """
     if not -9.0 * p * math.pi**2 < 4.0 * q < 7.0 * p * math.pi**2:
         raise ReactionOutOfRange(f"need -9 p pi^2 < 4q < 7 p pi^2, got q = {q} at p = {p}")
@@ -543,7 +547,7 @@ def example32_config(p=1.0, q=0.0, h=None, omega=0.3, noise=None, *, horizon=Non
 
 
 def example32_design(
-    p: float = 1.0, q: float = 0.0, nodes: int = 1001, modes: int = 201
+    p: float = 1.0, q: float = 0.0, nodes: int | None = None, modes: int = 201
 ) -> ObserverDesign:
     """The design of ``example32_config(p, q)``; h and the horizon only fill
     the schedule, which ``build_design`` does not read."""

@@ -117,12 +117,14 @@ class NoiseSignal:
     seed: int = 0
     channel: int = 0
 
-    def value(self, t, sample_index: int | None = None):
+    def value(self, t, sample_index: int | np.ndarray | None = None):
         """xi(t) at a time t, or elementwise at an array of times. Random
-        noise is drawn per sample index and reads 0 without one."""
+        noise is one seeded draw per sample index, elementwise at an array
+        of them, and reads 0 without one."""
         if self.kind == "random" and sample_index is not None:
-            rng = np.random.default_rng([self.seed, self.channel, int(sample_index)])
-            return float(rng.uniform(-self.amplitude, self.amplitude))
+            draws = [np.random.default_rng([self.seed, self.channel, int(j)])
+                     .uniform(-self.amplitude, self.amplitude) for j in np.ravel(sample_index)]
+            return np.array(draws) if np.ndim(sample_index) else float(draws[0])
         if self.kind == "sinusoid":
             out = self.amplitude * np.sin(self.omega * np.asarray(t, dtype=float) + self.phase)
         elif self.kind in ("zero", "constant", "random"):

@@ -515,13 +515,15 @@ def simulate(scenario: Scenario) -> Trajectory:
     sample_times = sch.times[sch.times <= sch.horizon + 1e-12]
     plan = _record_plan(sample_times, sch.horizon, dt_target, snap_every)
     size = plan.times.size
+    # each channel's noise at every sample at once, one row per sample
+    xi = np.column_stack([s.value(sample_times, np.arange(sample_times.size)) for s in dist.xi])
     traj = Trajectory(
         times=plan.times,
         u=np.empty((size, grid.size)),
         w=np.empty((size, grid.size)),
         zeta=np.empty((size, design.m)),
         sample_flag=plan.flags,
-        events=[],
+        events=[SampleEvent(j, t, row) for j, (t, row) in enumerate(zip(sample_times.tolist(), xi))],
         grid=grid,
         error_l2=np.empty(size),
         error_sup=np.empty(size),
@@ -534,8 +536,6 @@ def simulate(scenario: Scenario) -> Trajectory:
             "label": scenario.label,
         },
     )
-    for j, t in enumerate(sample_times.tolist()):
-        traj.events.append(SampleEvent(j, t, np.array([s.value(t, j) for s in dist.xi])))
     modes = GridModes(discrete)
     if scenario.nonlinearity.factors(grid.size)[0].shape[0]:
         scheme, integrator = "imex-crank-nicolson", _stepped(discrete, modes, scenario.nonlinearity,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -218,33 +218,49 @@ class DiscreteSLOperator:
         whole grid, zero at pinned nodes and of unit norm in the trapezoid
         weights, in closed form; None unless ``problem.standard_q()`` holds.
 
-        On M = n - 1 intervals, mode k is cos(theta_k i) from a Neumann left
-        end and sin(theta_k i) from a Dirichlet one, with theta_k = k pi / M
-        when the two ends are alike and (k + 1/2) pi / M when they differ,
-        and lam_k = q + (4 p / dx^2) sin^2(theta_k / 2): the discrete cosine
-        and sine bases (Strang, "The discrete cosine transform", SIAM Review
-        41, 1999). Each angle is an integer multiple of pi / (2M), reduced
-        to one period in integers, so the modes read one table of the 4M
-        values of cos or sin over a period.
+        The eigenvectors are the plant's modes sampled at the free nodes
+        (``_standard_waves``), and with theta_k = w_k pi / (2M) on M = n - 1
+        intervals lam_k = q + (4 p / dx^2) sin^2(theta_k / 2): the discrete
+        cosine and sine bases (Strang, "The discrete cosine transform", SIAM
+        Review 41, 1999).
         """
         q = self.problem.standard_q()
         if q is None:
             return None
-        left, right = self.problem.dirichlet_left, self.problem.dirichlet_right
-        period = 4 * (self.grid.size - 1)  # 2 pi in units of pi / (2M)
         count = self.i1 - self.i0
-        # int32 where the products fit: its % takes a third of int64's time
-        index = np.int32 if period * self.grid.size < 2**31 else np.int64
-        # theta_k in units of pi / (2M): 2k, shifted by 2 for a Dirichlet
-        # pair (k from 1) and by 1 for mixed ends
-        theta = 2 * np.arange(count, dtype=index) + (2 if left and right else int(left != right))
-        angles = np.multiply.outer(theta, np.arange(self.i0, self.i1, dtype=index)) % period
-        wave = (np.sin if left else np.cos)(np.arange(period) * (2.0 * math.pi / period))
+        waves, values = _standard_waves(self.problem, count, self.grid.size,
+                                        np.arange(self.i0, self.i1))
         rows = np.zeros((count, self.grid.size))
-        rows[:, self.free] = wave[angles]
+        rows[:, self.free] = values
         rows /= np.sqrt((rows * rows) @ self.weights)[:, None]
-        lam = q + (4.0 * self.problem.p / self.dx**2) * np.sin(theta * (math.pi / period)) ** 2
-        return lam, rows
+        theta = waves * (math.pi / (4 * (self.grid.size - 1)))
+        return q + (4.0 * self.problem.p / self.dx**2) * np.sin(theta) ** 2, rows
+
+
+def _standard_waves(problem: SLProblem, count: int, nodes: int, index, shift: int = 0):
+    """The first ``count`` modes of a plant whose ``standard_q()`` holds:
+    their wavenumbers w_k = 2k + s in units of pi / 2, and their values at
+    the node indices ``index`` of the uniform grid of ``nodes`` nodes, a
+    (count, len(index)) block.
+
+    Mode k is cos(w_k pi x / 2) from a Neumann left end and sin(w_k pi x / 2)
+    from a Dirichlet one, with s = 0 for two Neumann ends, 1 for mixed ends
+    and 2 for two Dirichlet ends. On M = nodes - 1 intervals the angle at
+    node i is w_k i + ``shift`` in units of pi / (2M), an integer reduced to
+    one period 4M in integers, so every value reads one table of the 4M
+    values of cos or sin over a period; a ``shift`` of M, a quarter period,
+    reads the derivative's wave.
+    """
+    left, right = problem.dirichlet_left, problem.dirichlet_right
+    waves = 2 * np.arange(count) + (2 if left and right else int(left != right))
+    period = 4 * (nodes - 1)
+    # int32 where the products fit: its % takes a third of int64's time
+    dtype = np.int32 if (waves[-1] + 1) * (nodes - 1) < 2**31 else np.int64
+    angles = np.multiply.outer(waves.astype(dtype), np.asarray(index, dtype=dtype))
+    angles += shift
+    angles %= period
+    table = (np.sin if left else np.cos)(np.arange(period) * (2.0 * math.pi / period))
+    return waves, table[angles]
 
 
 @dataclass(frozen=True)
@@ -257,7 +273,7 @@ class SpectralBasis:
     functions: np.ndarray  # shape (J, nodes)
     end_derivs: np.ndarray  # shape (J, 2)
     problem: SLProblem | None = None
-    mode_profiles: tuple | None = field(default=None, repr=False)
+    closed_form: bool = False  # analytic_eigensystem's modes of ``problem``
 
     @property
     def size(self) -> int:
@@ -287,60 +303,36 @@ class SpectralBasis:
 
     def resample(self, nodes: int, modes: int | None = None) -> "SpectralBasis":
         """Same modes on a different uniform grid, only the first ``modes``
-        of them when given; closed forms re-evaluate exactly, numeric modes
-        interpolate, one mode at a time, so a mode's samples do not depend
-        on ``modes``. A basis already on ``nodes`` points is returned whole."""
+        of them when given; a closed-form basis is ``analytic_eigensystem``
+        on the new grid, and numeric modes interpolate, one mode at a time,
+        so a mode's samples do not depend on ``modes``. A basis already on
+        ``nodes`` points is returned whole."""
         if nodes == self.grid.size:
             return self
         J = slice(modes)
+        if self.closed_form:
+            return analytic_eigensystem(self.problem, self.eigenvalues[J].size, nodes)
         grid = uniform_grid(nodes)
-        if self.mode_profiles is not None:
-            funcs = np.array([p.values(grid) for p in self.mode_profiles[J]])
-        else:
-            funcs = np.array([np.interp(grid, self.grid, f) for f in self.functions[J]])
-            w = trapezoid_weights(grid)
-            funcs /= np.sqrt(np.sum(w * funcs**2, axis=1))[:, None]
+        funcs = np.array([np.interp(grid, self.grid, f) for f in self.functions[J]])
+        w = trapezoid_weights(grid)
+        funcs /= np.sqrt(np.sum(w * funcs**2, axis=1))[:, None]
         return SpectralBasis(
             grid=grid,
             eigenvalues=self.eigenvalues[J].copy(),
             functions=funcs,
             end_derivs=self.end_derivs[J].copy(),
             problem=self.problem,
-            mode_profiles=None if self.mode_profiles is None else self.mode_profiles[J],
         )
-
-
-def _standard_modes(problem: SLProblem, qc: float, J: int):
-    """Closed-form (eigenvalue, profile) for the four Neumann/Dirichlet
-    corner cases."""
-    p = problem.p
-    left_n, right_n = not problem.dirichlet_left, not problem.dirichlet_right
-    modes = []
-    for n in range(1, J + 1):
-        if left_n and right_n:  # Neumann-Neumann
-            k = (n - 1) * math.pi
-            prof = pf.constant(1.0) if n == 1 else pf.cosine(math.sqrt(2.0), k)
-        elif left_n and not right_n:  # Neumann-Dirichlet
-            k = (2 * n - 1) * math.pi / 2.0
-            prof = pf.cosine(math.sqrt(2.0), k)
-        elif not left_n and right_n:  # Dirichlet-Neumann
-            k = (2 * n - 1) * math.pi / 2.0
-            prof = pf.sine(math.sqrt(2.0), k)
-        else:  # Dirichlet-Dirichlet
-            k = n * math.pi
-            prof = pf.sine(math.sqrt(2.0), k)
-        modes.append((p * k**2 + qc, prof))
-    return modes
 
 
 def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> SpectralBasis:
     """Exact eigenpairs for constant q and pure Neumann/Dirichlet ends.
 
-    The sampled modes and their end derivatives are each one ``cos`` over
-    the (J, points) block, with the formulas of ``Profile.values`` and
-    ``Profile.derivative``, so they equal the per-mode profiles' values bit
-    for bit. Raises UnsupportedAnalyticCase when q is non-constant or an end
-    is genuinely Robin; callers fall back to :func:`numeric_eigensystem`.
+    Mode k is sqrt(2) times the wave of ``_standard_waves`` (the Neumann
+    mean mode 1), with wavenumber kappa_k = w_k pi / 2 and eigenvalue
+    p kappa_k^2 + q; its end derivatives read the same table a quarter
+    period on. Raises UnsupportedAnalyticCase when q is non-constant or an
+    end is genuinely Robin; callers fall back to :func:`numeric_eigensystem`.
     """
     if J < 1:
         raise ValueError("need at least one mode")
@@ -348,21 +340,18 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
     if qc is None:
         raise UnsupportedAnalyticCase(
             "closed-form eigenpairs need constant q and pure Neumann or Dirichlet ends")
-    grid = uniform_grid(nodes)
-    lams, profiles = zip(*_standard_modes(problem, qc, J))
-    # every mode is one term amp cos(k x + phase), the constant one cos(0 x)
-    trig = [prof.trig[0] if prof.trig else (1.0, 0.0, 0.0) for prof in profiles]
-    amp, k, phase = np.array(trig).T[:, :, None]
-    funcs = amp * np.cos(k * grid + phase)
-    # d/dx (a cos(k x + phase)) = a k cos(k x + phase + pi/2)
-    ders = amp * k * np.cos(k * np.array([0.0, 1.0]) + (phase + math.pi / 2.0))
+    waves, funcs = _standard_waves(problem, J, nodes, np.arange(nodes))
+    _, ends = _standard_waves(problem, J, nodes, [0, nodes - 1], shift=nodes - 1)
+    kappa = waves * (math.pi / 2.0)
+    amp = np.where(waves == 0, 1.0, math.sqrt(2.0))
+    funcs *= amp[:, None]
     return SpectralBasis(
-        grid=grid,
-        eigenvalues=np.array(lams),
+        grid=uniform_grid(nodes),
+        eigenvalues=np.array([problem.p * k**2 + qc for k in kappa.tolist()]),
         functions=funcs,
-        end_derivs=ders,
+        end_derivs=(amp * kappa)[:, None] * ends,
         problem=problem,
-        mode_profiles=profiles,
+        closed_form=True,
     )
 
 
@@ -389,16 +378,13 @@ def numeric_eigensystem(problem: SLProblem, J: int, nodes: int) -> SpectralBasis
     funcs[:, op.free] = (vecs / np.sqrt(w)[:, None]).T
 
     dx = op.dx
-    ders = np.zeros((J, 2))
-    for k in range(J):
-        f = funcs[k]
-        d0, d1 = end_derivatives(f, dx)
-        scale = np.max(np.abs(f))
-        anchor = f[0] if abs(f[0]) > 1e-8 * scale else d0
-        if anchor < 0:
-            f *= -1.0
-            d0, d1 = -d0, -d1
-        ders[k] = (d0, d1)
+    # sign convention: the first nonzero of the value or derivative at x = 0
+    d0, d1 = end_derivatives(funcs, dx)
+    scale = np.max(np.abs(funcs), axis=1)
+    anchor = np.where(np.abs(funcs[:, 0]) > 1e-8 * scale, funcs[:, 0], d0)
+    sign = np.where(anchor < 0, -1.0, 1.0)
+    funcs *= sign[:, None]
+    ders = np.column_stack([d0, d1]) * sign[:, None]
 
     qmin = float(np.min(pf.as_profile(problem.q).values(op.grid)))
     est_err = (np.maximum(lams - qmin, 0.0) ** 2) * dx**2 / (12.0 * problem.p)

@@ -188,7 +188,7 @@ class TestLyapunovOracle:
     def test_initial_tail_mode_value(self):
         d = self._exact_reset_design()
         sch = make_schedule({"kind": "uniform", "h": 0.2, "horizon": 0.4})
-        u0 = d.basis.mode_profiles[1]  # first tail mode
+        u0 = pf.cosine(math.sqrt(2.0), math.pi)  # first tail mode
         sc = Scenario(design=d, variant="predictor", schedule=sch, nodes=201,
                       u0=u0, w0=pf.constant(0.0))
         traj = quiet_simulate(sc)
@@ -198,7 +198,7 @@ class TestLyapunovOracle:
     def test_tail_too_short(self):
         d = self._exact_reset_design()
         sch = make_schedule({"kind": "uniform", "h": 0.2, "horizon": 0.2})
-        u0 = d.basis.mode_profiles[10]
+        u0 = pf.cosine(math.sqrt(2.0), 10 * math.pi)  # the eleventh mode
         sc = Scenario(design=d, variant="predictor", schedule=sch, nodes=401, u0=u0,
                       w0=pf.constant(0.0))
         traj = quiet_simulate(sc)

@@ -556,7 +556,7 @@ class TestReplaceRederives:
         # a stale certificate gave Omega = 0.408 here: feasible where the
         # design with Q = 50 is not
         d = dataclasses.replace(ex31_design, Q=50.0)
-        assert small_gain_predictor(d, 0.3, 0.0).omega == 1.4433756729740645
+        assert small_gain_predictor(d, 0.3, 0.0).omega == 1.4433756729740643
 
     def test_replace_below_two_raises(self, ex31_design):
         with pytest.raises(QInfeasible):

@@ -102,6 +102,19 @@ class TestNoise:
         assert len(set(vals)) > 1
         assert s.value(1.0, None) == 0.0  # defined only at sample instants
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "zero"},
+        {"kind": "constant", "amplitude": 0.2},
+        {"kind": "sinusoid", "amplitude": 0.1, "omega": 2.0, "phase": 0.3},
+        {"kind": "random", "amplitude": 0.5, "seed": 3},
+    ], ids=["zero", "constant", "sinusoid", "random"])
+    def test_all_samples_at_once_equal_each_sample_bit_for_bit(self, spec):
+        # simulate reads a channel's noise at every sample time in one call
+        s = noise_from_spec(spec, channel=1)
+        times = np.cumsum(np.random.default_rng(5).uniform(0.01, 0.3, 500))
+        each = np.array([s.value(t, j) for j, t in enumerate(times.tolist())])
+        assert s.value(times, np.arange(times.size)).tobytes() == each.tobytes()
+
     def test_xi_channel_count_enforced(self):
         with pytest.raises(InvalidSpec):
             disturbances_from_spec({"xi": [{"kind": "zero"}]}, m=2)

@@ -364,6 +364,17 @@ class TestSimulate:
             assert ev.t in snap_times
         assert np.all(np.diff(traj.times) > 0)
 
+    @pytest.mark.parametrize("xi", [NoiseSignal("sinusoid", 0.01, omega=2.0, phase=0.3),
+                                    NoiseSignal("random", 0.01, seed=7)], ids=["sinusoid", "random"])
+    def test_each_event_reads_its_samples_noise(self, ex31_design, xi):
+        sch = make_schedule({"kind": "random", "h_min": 0.1, "h_max": 0.3, "horizon": 2.0, "seed": 5})
+        sc = Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
+                      u0=pf.constant(1.0), w0=pf.constant(0.0), disturbances=Disturbances(xi=(xi,)))
+        events = quiet_simulate(sc).events
+        assert [e.index for e in events] == list(range(len(events))) and len(events) > 5
+        for ev in events:
+            assert ev.xi.tobytes() == np.array([xi.value(ev.t, ev.index)]).tobytes()
+
     def test_predictor_zeta_is_right_continuous_at_samples(self, ex31_design):
         # the sample row records zeta after the reset y - <k - c, w>, y = <k, u> + xi
         sch = make_schedule({"kind": "uniform", "h": 0.5, "horizon": 1.0})

@@ -85,16 +85,53 @@ class TestAnalyticEigensystem:
         with pytest.raises(UnsupportedAnalyticCase):
             analytic_eigensystem(varying, 2, 101)
 
-    @pytest.mark.parametrize("ends", [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 1, 0)],
-                             ids=["NN", "ND", "DN", "DD"])
-    def test_block_matches_each_mode_profile_bit_for_bit(self, ends):
-        basis = analytic_eigensystem(SLProblem(0.7, 0.3, *ends), 201, 1001)
-        assert len(basis.mode_profiles) == 201
-        for i, prof in enumerate(basis.mode_profiles):
-            assert basis.functions[i].tobytes() == prof.values(basis.grid).tobytes()
-            dprof = prof.derivative()
-            ends_ref = np.array([float(dprof.values(0.0)), float(dprof.values(1.0))])
-            assert basis.end_derivs[i].tobytes() == ends_ref.tobytes()
+    # each pair of ends: (s, the wave), the wavenumbers (2k + s) pi / 2
+    WAVES = {"NN": ((0, 1, 0, 1), 0, np.cos), "ND": ((0, 1, 1, 0), 1, np.cos),
+             "DN": ((1, 0, 0, 1), 1, np.sin), "DD": ((1, 0, 1, 0), 2, np.sin)}
+
+    @pytest.mark.parametrize("nodes", [11, 101, 1001, 2001])
+    @pytest.mark.parametrize("ends", list(WAVES))
+    def test_table_matches_numpy_closed_form(self, ends, nodes):
+        # the integer-angle table against numpy's cos or sin of kappa x, within
+        # 8 eps (kappa_max + 1) sqrt(2) absolute for the modes and kappa_max
+        # times that for their end derivatives (fixed before the first run):
+        # numpy's argument kappa x carries a rounding of eps kappa
+        bc, s, wave = self.WAVES[ends]
+        basis = analytic_eigensystem(SLProblem(0.7, 0.3, *bc), 240, nodes)
+        kappa = (2 * np.arange(240) + s) * (math.pi / 2.0)
+        amp = np.where(kappa == 0.0, 1.0, math.sqrt(2.0))[:, None]
+        x = np.linspace(0.0, 1.0, nodes)
+        # d/dx cos = -sin and d/dx sin = cos
+        slope = (lambda t: -np.sin(t)) if wave is np.cos else np.cos
+        bound = 8.0 * np.finfo(float).eps * (kappa[-1] + 1.0) * math.sqrt(2.0)
+        assert np.abs(basis.functions - amp * wave(np.outer(kappa, x))).max() <= bound
+        ref = amp * kappa[:, None] * slope(np.outer(kappa, [0.0, 1.0]))
+        assert np.abs(basis.end_derivs - ref).max() <= bound * kappa[-1]
+
+    @pytest.mark.parametrize("ends", list(WAVES))
+    def test_eigenvalues_are_p_kappa_squared_plus_q_on_python_floats(self, ends):
+        # p k**2 + q with the wavenumbers written per pair of ends, bit for
+        # bit; Python's k**2 is pow, which rounds apart from k * k on one of
+        # the Neumann-Dirichlet modes
+        bc, _, _ = self.WAVES[ends]
+        kappa = {"NN": lambda n: (n - 1) * math.pi, "ND": lambda n: (2 * n - 1) * math.pi / 2.0,
+                 "DN": lambda n: (2 * n - 1) * math.pi / 2.0, "DD": lambda n: n * math.pi}[ends]
+        ks = [kappa(n) for n in range(1, 202)]
+        lams = analytic_eigensystem(SLProblem(0.7, 0.3, *bc), 201, 1001).eigenvalues
+        assert lams.tobytes() == np.array([0.7 * k**2 + 0.3 for k in ks]).tobytes()
+        if ends == "ND":
+            assert any(0.7 * k**2 != 0.7 * (k * k) for k in ks)
+
+    @pytest.mark.parametrize("ends", list(WAVES))
+    def test_resample_is_the_closed_form_on_the_new_grid(self, ends):
+        problem = SLProblem(0.7, 0.3, *self.WAVES[ends][0])
+        basis = analytic_eigensystem(problem, 201, 1001)
+        for nodes, modes in ((201, 21), (2001, None), (101, 500)):
+            fine = basis.resample(nodes, modes)
+            ref = analytic_eigensystem(problem, min(modes or 201, 201), nodes)
+            assert fine.closed_form
+            for name in ("grid", "eigenvalues", "functions", "end_derivs"):
+                assert getattr(fine, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_orthonormal_within_quadrature_tolerance(self, nn_basis):
         assert nn_basis.orthonormality_defect() < 1e-6
