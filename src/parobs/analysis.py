@@ -250,12 +250,15 @@ def lyapunov_oracle(
     the weighted profiles, so ||vbar|| is the norm of R times each row's
     coefficients, and no vbar field is built. R rather than the Gram matrix
     itself keeps a vbar that cancels between its terms to the accuracy of
-    its field's norm (the Gram form squares the cancellation). The error e
-    and its modal coordinates are built a block of snapshot rows at a time
-    (``grids._row_blocks``), so no (snapshots, n) array is made besides the
-    trajectory's own. The blocks give the bits of whole-array products,
-    except that with J of 2 or 3 modes the modal coordinates (and so V and
-    rhs) can move by roundoff. The rhs recurrence is ``_decay_bound``.
+    its field's norm (the Gram form squares the cancellation). Everything
+    is read from the trajectory's modal records (``Trajectory.modal_u``,
+    ``modal_e`` and ``mode_rows``), one whole-array product each, with no
+    grid field: the modal coordinates are e's modal record against the
+    grid modes' projection on the oracle's modes, so the error is not lost
+    where it falls below the plant's roundoff, and the term's and the
+    injection's coefficients read the plant's and the error's records
+    against the modes' term rows and c rows. The rhs recurrence is
+    ``_decay_bound``.
     """
     nl = nonlinearity or ZeroTerm()
     dist = disturbances or Disturbances()
@@ -270,17 +273,16 @@ def lyapunov_oracle(
             signs.append(sign * ts.value(traj.times))
     lift = np.vstack(lift)
     size, r_count, m = traj.times.size, nl_rows.shape[0], discrete.l_cols.shape[1]
-    r = np.empty((size, project.shape[1]))  # modal coordinates
+    x_u, x_e, rows = traj.modal_u, traj.modal_e, traj.mode_rows
+    r = x_e @ (rows @ project)  # the oracle's modal coordinates
     coef = np.empty((size, lift.shape[0]))  # vbar = coef @ lift, one row per snapshot
+    if r_count:
+        r_hat = rows @ nl_rows.T
+        coef[:, :r_count] = nl.phi((x_u + x_e) @ r_hat) - nl.phi(x_u @ r_hat)
+    c_hat = rows @ discrete.c_rows.T
+    coef[:, r_count : r_count + m] = (x_u @ c_hat - traj.zeta if discrete.variant == "predictor"
+                                      else traj.zeta - x_e @ c_hat)
     coef[:, r_count + m :] = np.array(signs).reshape(-1, size).T
-    for block in _row_blocks(size):
-        u, w_obs, zeta = traj.u[block], traj.w[block], traj.zeta[block]
-        e = w_obs - u
-        r[block] = e @ project
-        coef[block, :r_count] = nl.phi(w_obs @ nl_rows.T) - nl.phi(u @ nl_rows.T)
-        coef[block, r_count : r_count + m] = (
-            u @ discrete.c_rows.T - zeta if discrete.variant == "predictor"
-            else zeta - e @ discrete.c_rows.T)
     # W^{1/2} lift' = Q R, so ||vbar|| = |R coef| row by row
     factor = np.linalg.qr((lift * np.sqrt(traj.weights)).T, mode="r")
     vbar_norms = np.linalg.norm(coef @ factor.T, axis=1)
@@ -566,19 +568,24 @@ def boundary_reconstruction(run: RunResult) -> Reconstruction:
     """Example 3.2's sup-norm reconstruction of a run of ``example32_config``:
     u_hat - u = int_0^x (w - u~) ds, its sup over x fitted from 3h on, and,
     under a bounded noise, the bound theta (e^{-kappa t} ||e(0)|| + sup |xi|)
-    checked at every snapshot with the fixed 2% slack. The fields are read a
-    block of snapshot rows at a time (``grids._row_blocks``)."""
+    checked at every snapshot with the fixed 2% slack. w - u~ is the modal
+    error mapped to the grid (``Trajectory.error_fields``). The fields are
+    mapped from the modal records a block of snapshot rows at a time
+    (``grids._row_blocks``), with the bits of ``Trajectory.u`` and ``w``,
+    and none is kept."""
     traj, coeff = run.trajectory, run.report.coefficients
     dx = traj.grid[1] - traj.grid[0]
     sup_error, defects = np.empty(traj.times.size), []
     for block in _row_blocks(traj.times.size):
-        error = cumulative_trapezoid(traj.w[block] - traj.u[block], traj.grid)
+        e = traj.modal_e[block] @ traj.mode_rows
+        error = cumulative_trapezoid(e, traj.grid)
         sup_error[block] = np.max(np.abs(error), axis=1)
-        del error  # before the defects' temporaries
-        for f in (traj.u[block], traj.w[block]):  # every plant and observer snapshot
-            d0, _ = end_derivatives(f, dx)
-            scale = np.maximum(np.max(np.abs(f), axis=1), 1e-300)
-            defects.append(np.max(np.maximum(np.abs(f[:, -1]), np.abs(d0) * dx) / scale))
+        del error  # before the fields
+        f = traj.modal_u[block] @ traj.mode_rows  # the plant's snapshots
+        defects.append(_bc_defect(f, dx))
+        f += e  # the observer's, w = u + e
+        del e
+        defects.append(_bc_defect(f, dx))
     bc_defect = float(max(defects))
     theta = max(coeff.initial, float(np.max(coeff.noise)), coeff.mismatch)
 
@@ -600,6 +607,14 @@ def boundary_reconstruction(run: RunResult) -> Reconstruction:
         noise_bound_ok = bool(np.all(sup_error <= allowed * (1.0 + _SLACK) + 1e-12))
 
     return Reconstruction(theta, sup_error, sup_fit, noise_bound, noise_bound_ok, bc_defect)
+
+
+def _bc_defect(f: np.ndarray, dx: float) -> float:
+    """The worst relative residual over the rows of ``f`` of the transformed
+    state's ends: f'(0) = 0 (times dx) and f(1) = 0."""
+    d0, _ = end_derivatives(f, dx)
+    scale = np.maximum(np.max(np.abs(f), axis=1), 1e-300)
+    return float(np.max(np.maximum(np.abs(f[:, -1]), np.abs(d0) * dx) / scale))
 
 
 def run_example_31(*args, lyapunov: bool = False, lyapunov_tail: int = _LYAPUNOV_TAIL,

@@ -14,9 +14,10 @@ is elementwise in the modes but for the term's r coefficients
 (``_Trapezoid``).
 
 Both record at the same times: every sample, and the first step of the
-run's subdivision at or past each due time (``_record_plan``). The
-trajectory arrays are allocated once, and a run holds them and no
-full-size copy.
+run's subdivision at or past each due time (``_record_plan``). A record
+keeps the plant's and the error's modal coordinates, and ``Trajectory``
+maps them to the grid only when its grid values are read. The trajectory
+arrays are allocated once, and a run holds them and no full-size copy.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ class GridModes(_Eigenbasis):
         super().__init__(discrete.op)
         self.l_hat = self.project(discrete.l_cols.T)  # (m, modes): one row per channel
         self.k_hat = discrete.k_rows @ self.rows.T  # (m, modes)
+        self.c_hat = discrete.c_rows @ self.rows.T  # (m, modes)
         m = self.l_hat.shape[0]
-        self.A = ((discrete.c_rows @ self.rows.T) @ self.l_hat.T if discrete.variant == "predictor"
+        self.A = (self.c_hat @ self.l_hat.T if discrete.variant == "predictor"
                   else np.zeros((m, m)))
 
     def flows(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -424,29 +426,103 @@ class Scenario:
 
 @dataclass
 class Trajectory:
-    """Snapshots of plant and observer fields plus per-sample events.
+    """A run's records and per-sample events, kept in the grid's modes.
 
-    For the predictor variant ``zeta`` holds the predictor states; for the
-    zero-order-hold variant it holds the held innovation values.
+    Each record holds its time, sample flag, ``zeta`` and ``error_l2``, and
+    the modal coordinates of the plant, ``modal_u``, and of the observer
+    error e = w - u, ``modal_e`` (records, modes), in the modes
+    ``mode_rows`` (modes, n), orthonormal in the trapezoid weights; so
+    ``error_l2`` is the norm of a row of ``modal_e``. For the predictor
+    variant ``zeta`` holds the predictor states; for the zero-order-hold
+    variant it holds the held innovation values.
+
+    The grid values ``u``, ``w`` = u + e and ``error_sup`` (the largest |e|
+    on the grid) are mapped from the modal records on first read, a
+    ``grids._row_blocks`` block of records at a time, and then kept,
+    read-only; a run that reads none of them holds no (records, n) array.
+    The error is always the modal error mapped to the grid
+    (``error_fields``), never w - u, so it keeps the digits that fall below
+    the plant's roundoff. ``from_fields`` builds a trajectory from grid
+    fields.
     """
 
     times: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
     zeta: np.ndarray
     sample_flag: np.ndarray
     events: list[SampleEvent]
     grid: np.ndarray
     error_l2: np.ndarray
-    error_sup: np.ndarray
     metadata: dict
+    modal_u: np.ndarray
+    modal_e: np.ndarray
+    mode_rows: np.ndarray
+    _mapped: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_fields(cls, times, u, w, zeta, sample_flag, events, grid, metadata) -> Trajectory:
+        """The trajectory of the grid fields u and w (records, n) in the
+        grid's scaled unit vectors W^{-1/2} as modes: the modal coordinates
+        are W^{1/2} u and W^{1/2} (w - u). ``u`` and ``w`` read back as
+        given; the error, ``error_l2`` and ``error_sup`` are read from the
+        modal error, so they match w - u to roundoff."""
+        grid = np.asarray(grid, dtype=float)
+        root = np.sqrt(trapezoid_weights(grid))
+        u, w = (np.array(f, dtype=float, ndmin=2) for f in (u, w))
+        modal_e = (w - u) * root
+        traj = cls(times=np.asarray(times, dtype=float), zeta=np.asarray(zeta, dtype=float),
+                   sample_flag=np.asarray(sample_flag, dtype=bool), events=list(events), grid=grid,
+                   error_l2=_row_norms(modal_e), metadata=dict(metadata), modal_u=u * root,
+                   modal_e=modal_e, mode_rows=np.diag(1.0 / root))
+        traj._mapped.update(u=_read_only(u), w=_read_only(w))
+        return traj
 
     @property
     def weights(self) -> np.ndarray:
         return trapezoid_weights(self.grid)
 
+    @property
+    def u(self) -> np.ndarray:
+        """The plant on the grid, one row per record."""
+        if "u" not in self._mapped:
+            self._mapped["u"] = _read_only(self._on_grid(self.modal_u))
+        return self._mapped["u"]
+
+    @property
+    def w(self) -> np.ndarray:
+        """The observer on the grid, u + e, one row per record."""
+        if "w" not in self._mapped:
+            u = self.u
+            w = np.empty_like(u)
+            for block, e in self._error_blocks():
+                np.add(u[block], e, out=w[block])
+            self._mapped["w"] = _read_only(w)
+        return self._mapped["w"]
+
+    @property
+    def error_sup(self) -> np.ndarray:
+        """The largest |e| on the grid of each record."""
+        if "error_sup" not in self._mapped:
+            sup = [np.abs(e, out=e).max(axis=1) for _, e in self._error_blocks()]
+            self._mapped["error_sup"] = _read_only(np.concatenate(sup))
+        return self._mapped["error_sup"]
+
     def error_fields(self) -> np.ndarray:
-        return self.w - self.u
+        """The observer error e on the grid, one row per record: the modal
+        error mapped to the grid, not w - u."""
+        return self._on_grid(self.modal_e)
+
+    def _on_grid(self, coords: np.ndarray) -> np.ndarray:
+        """The modal records ``coords`` mapped to the grid, a new array."""
+        out = np.empty((self.times.size, self.grid.size))
+        for block in _row_blocks(self.times.size):
+            np.matmul(coords[block], self.mode_rows, out=out[block])
+        return out
+
+    def _error_blocks(self):
+        """(block, e on the grid) for each ``grids._row_blocks`` block of
+        records, e a new array."""
+        for block in _row_blocks(self.times.size):
+            yield block, self.modal_e[block] @ self.mode_rows
 
     def validate(self) -> None:
         if np.any(np.diff(self.times) <= 0.0):
@@ -455,6 +531,16 @@ class Trajectory:
         recorded = set(self.times[self.sample_flag].tolist())
         if not sample_times <= recorded:
             raise ValueError("sample events must be a subset of snapshot times")
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The plain L2 norm of each row of x."""
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -475,18 +561,19 @@ def simulate(scenario: Scenario) -> Trajectory:
     constant q with Neumann or Dirichlet ends, one ``eigh`` otherwise), in
     the plant u, the observer error e = w - u and the innovation eta, which
     each sample resets from the error and the noise: eta = k_hat e - xi
-    (y - <k, u> = xi). Each record maps u and e to the grid
-    (``_write_rows``): w = u + e, ``error_l2`` is the norm of e's modal
-    coordinates and ``error_sup`` the largest |e| on the grid, so the error
-    is never the difference of two fields; zeta is C w - eta for the
-    predictor and the held eta for the hold observer.
+    (y - <k, u> = xi). Each record keeps u's and e's modal coordinates
+    (``Trajectory.modal_u`` and ``modal_e``), and maps nothing to the grid:
+    ``error_l2`` is the norm of e's modal coordinates, and zeta is c_hat (u
+    + e) - eta for the predictor, c_hat the modes' c rows, and the held eta
+    for the hold observer. ``Trajectory`` maps u, w and ``error_sup`` to the
+    grid when they are read.
 
     A run with the zero term is solved exactly, with no time step, from
     sample to sample and at each record; ``metadata["scheme"]`` is
     "exact-modal" and ``metadata["integrator"]`` {"modes": count, "steps":
     0}. A run with a non-zero term steps the plant and the error together
     with the trapezoidal rule (``_Trapezoid``), and its predictor records
-    each sample's reset zeta = y - <k - c, w> from the fields (``_stepped``);
+    each sample's reset zeta = y - <k - c, w> in the modes (``_stepped``);
     ``metadata["scheme"]`` is "imex-crank-nicolson" and
     ``metadata["integrator"]`` {"steps": count}, a plant step and an error
     step per time step.
@@ -517,16 +604,14 @@ def simulate(scenario: Scenario) -> Trajectory:
     size = plan.times.size
     # each channel's noise at every sample at once, one row per sample
     xi = np.column_stack([s.value(sample_times, np.arange(sample_times.size)) for s in dist.xi])
+    modes = GridModes(discrete)
     traj = Trajectory(
         times=plan.times,
-        u=np.empty((size, grid.size)),
-        w=np.empty((size, grid.size)),
         zeta=np.empty((size, design.m)),
         sample_flag=plan.flags,
         events=[SampleEvent(j, t, row) for j, (t, row) in enumerate(zip(sample_times.tolist(), xi))],
         grid=grid,
         error_l2=np.empty(size),
-        error_sup=np.empty(size),
         metadata={
             "variant": scenario.variant,
             "nodes": scenario.nodes,
@@ -535,13 +620,16 @@ def simulate(scenario: Scenario) -> Trajectory:
             "horizon": sch.horizon,
             "label": scenario.label,
         },
+        modal_u=np.empty((size, modes.lam.size)),
+        modal_e=np.empty((size, modes.lam.size)),
+        mode_rows=modes.rows,
     )
-    modes = GridModes(discrete)
     if scenario.nonlinearity.factors(grid.size)[0].shape[0]:
         scheme, integrator = "imex-crank-nicolson", _stepped(discrete, modes, scenario.nonlinearity,
                                                              dist, plan, u, w, traj)
     else:
         scheme, integrator = "exact-modal", _closed_form(discrete, modes, dist, plan, u, w, traj)
+    traj.error_l2[:] = _row_norms(traj.modal_e)
     traj.metadata.update(scheme=scheme, integrator=integrator)
     traj.validate()
     return traj
@@ -556,7 +644,7 @@ def _closed_form(discrete: DiscreteObserver, modes: GridModes, dist: Disturbance
     gap to the next one, one ``GridModes.flows`` per distinct gap. The
     records then follow a ``grids._row_blocks`` block at a time, each row the
     flow from its interval's sample (one ``flows`` per distinct offset in
-    the block), and go to the grid through ``_write_rows``.
+    the block), written to ``traj.modal_u``, ``modal_e`` and ``zeta``.
     """
     grid = discrete.op.grid
     plant_inputs, observer_inputs = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
@@ -595,14 +683,11 @@ def _closed_form(discrete: DiscreteObserver, modes: GridModes, dist: Disturbance
         decay = decay[index]
         if inputs:
             plant_drive, error_drive = driven(sample_times[j], s, decay)
-        x_u = states[j, 0]
-        x_u *= decay
+        x_u, x_e = traj.modal_u[block], traj.modal_e[block]
+        np.multiply(states[j, 0], decay, out=x_u)
         if inputs:
             x_u += plant_drive
-        np.matmul(x_u, modes.rows, out=traj.u[block])
-        del x_u
-        x_e = states[j, 1]
-        x_e *= decay
+        np.multiply(states[j, 1], decay, out=x_e)
         del decay
         eta = eta_at[j]
         for c in range(eta.shape[1]):
@@ -613,22 +698,9 @@ def _closed_form(discrete: DiscreteObserver, modes: GridModes, dist: Disturbance
         if inputs:
             x_e += error_drive
         if discrete.variant == "predictor":
-            eta = (eta_flow[index] @ eta[:, :, None])[..., 0]
-        _write_rows(discrete, modes, traj, block, x_e, eta)
-        del x_e
+            eta = (x_u + x_e) @ modes.c_hat.T - (eta_flow[index] @ eta[:, :, None])[..., 0]
+        traj.zeta[block] = eta
     return {"modes": int(modes.lam.size), "steps": 0}
-
-
-def _write_rows(discrete: DiscreteObserver, modes: GridModes, traj: Trajectory, block: slice,
-                x_e: np.ndarray, eta: np.ndarray) -> None:
-    """Complete the rows ``block`` of ``traj``, whose u is written, from the
-    modal error x_e and the innovation eta of each row."""
-    u_rows, w_rows = traj.u[block], traj.w[block]
-    e_rows = x_e @ modes.rows
-    np.add(u_rows, e_rows, out=w_rows)
-    traj.error_l2[block] = np.sqrt(np.einsum("ij,ij->i", x_e, x_e))
-    traj.error_sup[block] = np.abs(e_rows, out=e_rows).max(axis=1)
-    traj.zeta[block] = w_rows @ discrete.c_rows.T - eta if discrete.variant == "predictor" else eta
 
 
 def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, dist: Disturbances,
@@ -636,13 +708,14 @@ def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, di
     """Fill ``traj`` by stepping the modal plant u, error e and innovation
     eta through the plan, one time step at a time: the plant first, then
     the error, which reads the plant's r values at both ends of the step.
-    Each sample resets eta = k_hat e - xi. Each record goes to the grid
-    when the loop reaches it (``_write_rows``); a predictor's sample row
-    takes the reset zeta = y - <k - c, w> of the grid's fields, y = <k, u>
-    + xi, so with k = c it reads y exactly."""
+    Each sample resets eta = k_hat e - xi. Each record is written to
+    ``traj.modal_u``, ``modal_e`` and ``zeta`` when the loop reaches it; a
+    predictor's sample row takes the reset zeta = y - <k - c, w>, y = <k,
+    u> + xi, read through k_hat and c_hat, so with k = c (k_hat - c_hat = 0
+    exactly) it reads y exactly."""
     step, grid, zero = _Trapezoid(modes, nl), discrete.op.grid, np.zeros(modes.lam.size)
     plant_terms, observer_terms = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
-    predictor, gap_rows = discrete.variant == "predictor", discrete.k_rows - discrete.c_rows
+    predictor, gap_hat = discrete.variant == "predictor", modes.k_hat - modes.c_hat
 
     def inputs(t: float) -> tuple[np.ndarray, np.ndarray]:
         """v and v~ - v in the modes at t; a matched input cancels exactly."""
@@ -650,8 +723,8 @@ def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, di
         return v, sum((ts.value(t) * b for ts, b in observer_terms), zero) - v
 
     def record(row: int) -> None:
-        np.matmul(x_u, modes.rows, out=traj.u[row])
-        _write_rows(discrete, modes, traj, slice(row, row + 1), x_e[None], eta[None])
+        traj.modal_u[row], traj.modal_e[row] = x_u, x_e
+        traj.zeta[row] = modes.c_hat @ (x_u + x_e) - eta if predictor else eta
 
     x_u, x_e = modes.project(np.stack([u, w - u]))
     plant_sigma, sigma = np.zeros(step.r_hat.shape[0]), step.r_hat @ x_u
@@ -659,9 +732,9 @@ def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, di
     records = list(zip(plan.record_steps.tolist(), plan.record_rows.tolist()))
     for j, event in enumerate(traj.events):
         eta, row = modes.k_hat @ x_e - event.xi, plan.rows[j]
-        if plan.fresh[j]:  # a sample within 1e-14 of the last record keeps its fields
+        if plan.fresh[j]:  # a sample within 1e-14 of the last record keeps its state
             record(row)
-        traj.zeta[row] = (discrete.k_rows @ traj.u[row] + event.xi - gap_rows @ traj.w[row]
+        traj.zeta[row] = (modes.k_hat @ x_u + event.xi - gap_hat @ (x_u + x_e)
                           if predictor else eta)
         t_j, dt = event.t, plan.dt[j]
         due = iter(records[bounds[j] : bounds[j + 1]])

@@ -66,19 +66,15 @@ def quiet_simulate(sc):
 
 
 def synthetic_trajectory(grid, times, e_fields, variant="predictor"):
-    w = trapezoid_weights(grid)
     e = np.asarray(e_fields)
-    u = np.zeros_like(e)
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        u=u,
+    return Trajectory.from_fields(
+        times=times,
+        u=np.zeros_like(e),
         w=e,
         zeta=np.zeros((len(times), 1)),
         sample_flag=np.zeros(len(times), dtype=bool),
         events=[],
         grid=grid,
-        error_l2=np.sqrt(np.maximum((e**2) @ w, 0.0)),
-        error_sup=np.max(np.abs(e), axis=1),
         metadata={"variant": variant},
     )
 
@@ -228,7 +224,7 @@ def replayed_oracle(traj, design, nl, dist, J_tail=20, slack=0.02):
     J = min(design.N + J_tail, design.basis.size)
     modes = design.basis.resample(traj.grid.size).functions[:J] * w
     e = traj.error_fields()
-    r = e @ modes.T
+    r = traj.modal_e @ (traj.mode_rows @ modes.T)
     e_sq = traj.error_l2**2
     mask = e_sq > 1e-8 * np.max(e_sq)
     deficit = float(np.max((e_sq[mask] - np.sum(r[mask] ** 2, axis=1)) / e_sq[mask]))
@@ -315,33 +311,48 @@ def _parent_rhs(times, norms, V0, mu, g):
     return rhs
 
 
-def _modal_V(traj, design, J_tail):
+def _modal_V(traj, design, J_tail, fields=False):
+    """The oracle's modal coordinates and V: from the modal error record
+    against the grid modes' projection, or with ``fields`` from the error
+    fields on the grid."""
     N, w = design.N, traj.weights
     J = min(N + J_tail, design.basis.size)
     basis = design.basis.resample(traj.grid.size, J)
-    r = traj.error_fields() @ (basis.functions[:J] * w).T
+    project = (basis.functions[:J] * w).T
+    r = traj.error_fields() @ project if fields else traj.modal_e @ (traj.mode_rows @ project)
     V = np.einsum("si,ij,sj->s", r[:, :N], design.P, r[:, :N])
     return r, V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
 
 
-def whole_array_oracle(traj, design, nl, dist, J_tail=20):
+def _injected(traj, discrete):
+    """The injection coefficients d_i of every record, read from the modal
+    records against the grid modes' c rows: <c, u> - zeta for the
+    predictor, zeta - <c, e> for the hold observer. The predictor's d
+    cancels to roundoff of <c, u> late in a run, so it is read from the
+    record the oracle reads."""
+    c_hat = traj.mode_rows @ discrete.c_rows.T
+    if discrete.variant == "predictor":
+        return traj.modal_u @ c_hat - traj.zeta
+    return traj.zeta - traj.modal_e @ c_hat
+
+
+def modal_oracle(traj, design, nl, dist, J_tail=20):
     """``lyapunov_oracle``'s modal coordinates, V, vbar norms and rhs from
-    whole (snapshots, n) arrays, with its arithmetic: each row's ||vbar||
+    the whole modal records, with its arithmetic: the modal u and e against
+    the grid modes' projection, c rows and term rows; each row's ||vbar||
     as the norm of its coefficients on the term's columns, the injection
     columns and v's and v~'s profiles times the triangular factor of those
-    weighted profiles, and the rhs recurrence row by row."""
+    weighted profiles; and the rhs recurrence row by row."""
     discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
     r, V = _modal_V(traj, design, J_tail)
-    e = traj.error_fields()
-    if discrete.variant == "predictor":
-        injected = traj.u @ discrete.c_rows.T - traj.zeta
-    else:
-        injected = traj.zeta - e @ discrete.c_rows.T
+    x_u, x_e, modes = traj.modal_u, traj.modal_e, traj.mode_rows
+    injected = _injected(traj, discrete)
     rows, cols = nl.factors(traj.grid.size)
     terms = [(-1.0, ts, prof) for ts, prof in dist.v.terms]
     terms += [(1.0, ts, prof) for ts, prof in dist.v_tilde.terms]
     lift = np.vstack([cols, discrete.l_cols.T] + [prof.values(traj.grid)[None] for _, _, prof in terms])
-    coef = np.hstack([nl.phi(traj.w @ rows.T) - nl.phi(traj.u @ rows.T), injected]
+    r_hat = modes @ rows.T
+    coef = np.hstack([nl.phi((x_u + x_e) @ r_hat) - nl.phi(x_u @ r_hat), injected]
                      + [sign * ts.value(traj.times)[:, None] for sign, ts, _ in terms])
     factor = np.linalg.qr((lift * np.sqrt(traj.weights)).T, mode="r")
     vbar_norms = np.linalg.norm(coef @ factor.T, axis=1)
@@ -354,12 +365,8 @@ def field_oracle(traj, design, nl, dist, J_tail=20):
     field of every snapshot, f(w) - f(u) + (v~ - v) + sum_i l_i d_i, and
     its trapezoid norm."""
     discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
-    _, V = _modal_V(traj, design, J_tail)
-    e = traj.error_fields()
-    if discrete.variant == "predictor":
-        injected = traj.u @ discrete.c_rows.T - traj.zeta
-    else:
-        injected = traj.zeta - e @ discrete.c_rows.T
+    _, V = _modal_V(traj, design, J_tail, fields=True)
+    injected = _injected(traj, discrete)
     rows, cols = nl.factors(traj.grid.size)
     coef = np.hstack([nl.phi(traj.w @ rows.T) - nl.phi(traj.u @ rows.T), injected])
     vbar = coef @ np.vstack([cols, discrete.l_cols.T])
@@ -416,15 +423,34 @@ def test_oracle_norms_are_the_field_norms_to_roundoff(request, case):
     (dict(p=1.0, h=0.4, omega=0.1, horizon=25.6, nodes=101, snapshot_every=0.05), 513),
     (dict(p=1.0, h=0.25, omega=0.1, horizon=0.5, nodes=51, snapshot_every=0.05), 11),
 ], ids=["predictor", "hold-mismatch-noise", "one-row-past-two-blocks", "under-one-block"])
-def test_blocked_oracle_has_the_bits_of_whole_arrays(preset, rows):
+def test_oracle_has_the_bits_of_whole_modal_arrays(preset, rows):
     scenario = cf.build_scenario(cf.example31_config(**preset))
     traj = quiet_simulate(scenario)
     assert traj.times.size == rows
     trace = lyapunov_oracle(traj, scenario.design, nonlinearity=scenario.nonlinearity,
                             disturbances=scenario.disturbances)
-    ref = whole_array_oracle(traj, scenario.design, scenario.nonlinearity, scenario.disturbances)
+    ref = modal_oracle(traj, scenario.design, scenario.nonlinearity, scenario.disturbances)
     for name, expected in ref.items():
         np.testing.assert_array_equal(getattr(trace, name), expected, err_msg=name)
+
+
+def test_oracle_keeps_the_error_below_the_plants_roundoff():
+    # example 3.1's predictor run: from t ~ 69 on the error falls below the
+    # plant's roundoff, so w - u is exactly 0 on some rows, and V read from
+    # w - u was exactly 0 on 236 of these 1,001 rows. Read from the modal
+    # error, V > 0 and ||e||^2 <= V within the 2% slack, with no absolute
+    # floor, on every row whose error is not 0
+    run = run_example_31(p=0.1, h=1.0, omega=0.1, variant="predictor", horizon=100.0,
+                         snapshot_every=0.1, lyapunov=True)
+    traj, V = run.trajectory, run.lyapunov.V
+    e_sq = traj.error_l2**2
+    live = e_sq > 0.0
+    assert traj.times.size == 1001 and np.count_nonzero(live) > 900
+    assert np.any(~np.any(traj.w - traj.u, axis=1) & live)
+    assert np.all(V[live] > 0.0)
+    assert np.all(e_sq[live] <= V[live] * (1.0 + analysis._SLACK))
+    # the error on the grid is the modal error's, not w - u
+    assert np.all(np.any(traj.error_fields(), axis=1)[live])
 
 
 def looped_ios_bound(traj, report, dist, slack=0.02):

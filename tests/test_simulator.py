@@ -735,14 +735,15 @@ def _dense_trapezoid_records(scenario):
 
 
 def _modal_step_loop_records(scenario):
-    """(times, sample flags, u, w, zeta) at every record of a plain step
-    loop in the grid's modes with ``simulate``'s stepper,
+    """(times, sample flags, modal u, modal e, zeta) at every record of a
+    plain step loop in the grid's modes with ``simulate``'s stepper,
     ``simulator._Trapezoid``: the plant u, the error e and the innovation
     eta, reset to k_hat e - xi at each sample. The records are found by
-    walking every step as ``_walk_records`` does, and each takes its fields
-    with the run's own arithmetic (u and e to the grid, w = u + e, zeta =
-    C w - eta, or the reset y - <k - c, w> at a predictor's sample, or the
-    held eta), so a run must match it bit for bit."""
+    walking every step as ``_walk_records`` does, and each takes its values
+    with the run's own arithmetic (the modal u and e, zeta = c_hat (u + e)
+    - eta, or the reset y - <k - c, w> through k_hat and c_hat at a
+    predictor's sample, or the held eta), so a run must match it bit for
+    bit."""
     discrete = DiscreteObserver(scenario.design, scenario.variant, scenario.nodes)
     modes, grid, dist = GridModes(discrete), discrete.op.grid, scenario.disturbances
     stepper = simulator._Trapezoid(modes, scenario.nonlinearity)
@@ -762,15 +763,13 @@ def _modal_step_loop_records(scenario):
     records, due = [], 0.0
 
     def record(t, xi=None):
-        u_row = x_u @ modes.rows
-        w_row = u_row + (x_e[None] @ modes.rows)[0]
         if not predictor:
             zeta = eta
         elif xi is None:
-            zeta = (w_row[None] @ discrete.c_rows.T)[0] - eta
+            zeta = modes.c_hat @ (x_u + x_e) - eta
         else:
-            zeta = discrete.k_rows @ u_row + xi - (discrete.k_rows - discrete.c_rows) @ w_row
-        records.append((t, xi is not None, u_row, w_row, zeta))
+            zeta = modes.k_hat @ x_u + xi - (modes.k_hat - modes.c_hat) @ (x_u + x_e)
+        records.append((t, xi is not None, x_u, x_e, zeta))
 
     for j, t_j in enumerate(times.tolist()):
         xi = np.array([s.value(t_j, j) for s in dist.xi])
@@ -900,8 +899,8 @@ class TestClosedForm:
 
     def test_closed_form_holds_its_trajectory_and_few_arrays_more(self):
         # the traced peak of simulate on predictor-long over what was live
-        # before it, bounded by what the closed form holds: the trajectory;
-        # three n x n arrays (the symmetric tridiagonal, its eigenvectors, the
+        # before it, bounded by what the closed form holds: the trajectory
+        # (its modal records, no grid field); three n x n arrays (the symmetric tridiagonal, its eigenvectors, the
         # modes on the grid); three rows per sample (the plant and the error at
         # each sample, and the flow tables of the gaps); three temporaries of
         # the largest row block (465 of 2,001 rows); eight vectors of one entry
@@ -914,8 +913,9 @@ class TestClosedForm:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        arrays = (traj.times, traj.u, traj.w, traj.zeta, traj.sample_flag, traj.grid, traj.error_l2,
-                  traj.error_sup)
+        assert traj._mapped == {}
+        arrays = (traj.times, traj.modal_u, traj.modal_e, traj.zeta, traj.sample_flag, traj.grid,
+                  traj.error_l2)
         trajectory = sum(a.nbytes if a.base is None else a.base.nbytes for a in arrays)
         n, records, samples = 201, traj.times.size, len(traj.events)
         block = max(b.stop - b.start for b in _row_blocks(records))
@@ -981,11 +981,11 @@ class TestStepped:
                       u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0), disturbances=dist)
         traj = quiet_simulate(sc)
         assert traj.metadata["integrator"] == {"steps": 2 * 210}
-        times, flags, u, w, zeta = _modal_step_loop_records(sc)
+        times, flags, x_u, x_e, zeta = _modal_step_loop_records(sc)
         assert traj.times.size == times.size > 7 * 7  # about eight records per interval
         np.testing.assert_array_equal(traj.times, times)
         np.testing.assert_array_equal(traj.sample_flag, flags)
-        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
+        for name, reference in (("modal_u", x_u), ("modal_e", x_e), ("zeta", zeta)):
             np.testing.assert_array_equal(getattr(traj, name), reference, err_msg=name)
 
     @pytest.mark.parametrize("shift", [0.0, 0.5], ids=["tanh", "tanh_plus_half"])
@@ -1206,10 +1206,10 @@ def _check_records_follow_their_samples(design, schedule, every: float, linear: 
     traj = quiet_simulate(sc)
     assert ("steps" in traj.metadata["integrator"]) and (traj.metadata["integrator"]["steps"] == 0) == linear
     if not linear:
-        times, flags, u, w, zeta = _modal_step_loop_records(sc)
+        times, flags, x_u, x_e, zeta = _modal_step_loop_records(sc)
         np.testing.assert_array_equal(traj.times, times)
         np.testing.assert_array_equal(traj.sample_flag, flags)
-        for name, reference in (("u", u), ("w", w), ("zeta", zeta)):
+        for name, reference in (("modal_u", x_u), ("modal_e", x_e), ("zeta", zeta)):
             np.testing.assert_array_equal(getattr(traj, name), reference, err_msg=name)
         return
     modes = GridModes(DiscreteObserver(sc.design, "predictor", nodes))
@@ -1446,3 +1446,87 @@ class TestEigenbasis:
         diag, off = op.symmetric_tridiagonals()
         eigenvalues = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         assert np.abs(modes.lam - eigenvalues).max() <= 1e-13 * np.abs(eigenvalues).max()
+
+
+def _closed_form_modal_run(ex31_design):
+    # 601 records on 201 nodes: two blocks of rows, the last of 345
+    return build_scenario(example31_config(p=0.1, h=1.0, omega=0.1, horizon=60.0,
+                                           snapshot_every=0.1))
+
+
+def _stepped_modal_run(ex31_design):
+    # a record every step of 0.01: 601 records on 101 nodes, two blocks of rows
+    grid = uniform_grid(101)
+    nl = LinearNonlocalTerm(grid, a=pf.cosine_series(0.3, [0.2]), b=pf.constant(1.0), gain=0.3)
+    return Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R),
+                    variant="predictor", nodes=101, dt=0.01, snapshot_every=0.01, nonlinearity=nl,
+                    schedule=make_schedule({"kind": "uniform", "h": 0.3, "horizon": 6.0}),
+                    u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
+                    disturbances=Disturbances(v=SINE_INPUT, v_tilde=OTHER_INPUT))
+
+
+def _blockwise_map(traj, coords):
+    """The modal records ``coords`` on the grid, mapped a ``_row_blocks``
+    block at a time."""
+    out = np.empty((traj.times.size, traj.grid.size))
+    for block in _row_blocks(traj.times.size):
+        out[block] = coords[block] @ traj.mode_rows
+    return out
+
+
+class TestModalRecords:
+    @pytest.mark.parametrize("make", [_closed_form_modal_run, _stepped_modal_run],
+                             ids=["closed-form", "stepped"])
+    def test_grid_values_are_the_blockwise_map_of_the_modal_records(self, ex31_design, make):
+        traj = quiet_simulate(make(ex31_design))
+        assert traj.times.size == 601 and len(_row_blocks(traj.times.size)) == 2
+        error_l2, zeta = traj.error_l2.copy(), traj.zeta.copy()
+        u, e = _blockwise_map(traj, traj.modal_u), _blockwise_map(traj, traj.modal_e)
+        # in either order of reading
+        np.testing.assert_array_equal(traj.error_sup, np.abs(e).max(axis=1))
+        np.testing.assert_array_equal(traj.u, u)
+        np.testing.assert_array_equal(traj.w, u + e)
+        np.testing.assert_array_equal(traj.error_fields(), e)
+        other = dataclasses.replace(traj)
+        np.testing.assert_array_equal(other.w, u + e)
+        np.testing.assert_array_equal(other.error_sup, np.abs(e).max(axis=1))
+        # w - u is the error to the roundoff of w = u + e and of the
+        # difference, half an ulp of the larger of |u| and |w| each
+        bound = np.spacing(np.maximum(np.abs(traj.u), np.abs(traj.w)))
+        assert np.all(np.abs((traj.w - traj.u) - e) <= bound)
+        # reading the grid values moves no eager record
+        np.testing.assert_array_equal(traj.error_l2, error_l2)
+        np.testing.assert_array_equal(traj.zeta, zeta)
+        # and the mapped values are read-only
+        for name in ("u", "w", "error_sup"):
+            with pytest.raises(ValueError):
+                getattr(traj, name)[0] = 0.0
+            with pytest.raises(AttributeError):
+                setattr(traj, name, None)
+
+    def test_check_run_maps_no_record_to_the_grid(self, ex31_design):
+        # the closed form, the decay fit, the IOS check and the oracle read
+        # the modal records and the eager arrays only: no (records, n) array
+        scenario = _closed_form_modal_run(ex31_design)
+        traj = quiet_simulate(scenario)
+        run = check_run(traj, scenario, lyapunov=True)
+        assert run.ios is not None and run.lyapunov is not None and run.fit is not None
+        assert traj._mapped == {}
+        assert traj.modal_u.shape == traj.modal_e.shape == (601, 201)
+
+    def test_from_fields_reads_its_fields_back(self):
+        grid = uniform_grid(51)
+        u = np.outer([1.0, 0.5], np.cos(math.pi * grid))
+        w = u + np.outer([0.1, 0.01], grid**2)
+        traj = simulator.Trajectory.from_fields(times=[0.0, 1.0], u=u, w=w, zeta=np.zeros((2, 1)),
+                                                sample_flag=[True, False], events=[], grid=grid,
+                                                metadata={"variant": "zoh"})
+        np.testing.assert_array_equal(traj.u, u)
+        np.testing.assert_array_equal(traj.w, w)
+        # the error, its sup and its norm come from the modal record W^{1/2}
+        # (w - u): w - u to the two roundings of W^{1/2} and W^{-1/2}
+        rtol = 4 * np.finfo(float).eps
+        np.testing.assert_allclose(traj.error_fields(), w - u, rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(traj.error_sup, np.abs(w - u).max(axis=1), rtol=rtol, atol=0.0)
+        l2 = np.sqrt(((w - u) ** 2) @ trapezoid_weights(grid))
+        np.testing.assert_allclose(traj.error_l2, l2, rtol=rtol, atol=0.0)
