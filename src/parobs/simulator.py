@@ -698,8 +698,10 @@ def _closed_form(discrete: DiscreteObserver, modes: GridModes, dist: Disturbance
         if inputs:
             x_e += error_drive
         if discrete.variant == "predictor":
-            eta = (x_u + x_e) @ modes.c_hat.T - (eta_flow[index] @ eta[:, :, None])[..., 0]
-        traj.zeta[block] = eta
+            eta = (eta_flow[index] @ eta[:, :, None])[..., 0]
+            traj.zeta[block] = (x_u + x_e) @ modes.c_hat.T - eta
+        else:
+            traj.zeta[block] = eta
     return {"modes": int(modes.lam.size), "steps": 0}
 
 

@@ -39,7 +39,6 @@ from parobs.grids import (
     cumulative_trapezoid,
     end_derivatives,
     snapshot_norms,
-    trapezoid_weights,
     uniform_grid,
 )
 from parobs.nonlinear import GainSaturatedTerm
@@ -437,9 +436,9 @@ def test_oracle_has_the_bits_of_whole_modal_arrays(preset, rows):
 def test_oracle_keeps_the_error_below_the_plants_roundoff():
     # example 3.1's predictor run: from t ~ 69 on the error falls below the
     # plant's roundoff, so w - u is exactly 0 on some rows, and V read from
-    # w - u was exactly 0 on 236 of these 1,001 rows. Read from the modal
-    # error, V > 0 and ||e||^2 <= V within the 2% slack, with no absolute
-    # floor, on every row whose error is not 0
+    # w - u was exactly 0 on 236 of these 1,001 rows (from t = 76.5). Read
+    # from the modal error, V > 0 and ||e||^2 <= V within the 2% slack, with
+    # no absolute floor, on every row whose error is not 0
     run = run_example_31(p=0.1, h=1.0, omega=0.1, variant="predictor", horizon=100.0,
                          snapshot_every=0.1, lyapunov=True)
     traj, V = run.trajectory, run.lyapunov.V

@@ -900,11 +900,12 @@ class TestClosedForm:
     def test_closed_form_holds_its_trajectory_and_few_arrays_more(self):
         # the traced peak of simulate on predictor-long over what was live
         # before it, bounded by what the closed form holds: the trajectory
-        # (its modal records, no grid field); three n x n arrays (the symmetric tridiagonal, its eigenvectors, the
-        # modes on the grid); three rows per sample (the plant and the error at
-        # each sample, and the flow tables of the gaps); three temporaries of
-        # the largest row block (465 of 2,001 rows); eight vectors of one entry
-        # per record (the plan); 1 KB per sample event
+        # (its modal records, no grid field); three n x n arrays (the
+        # symmetric tridiagonal, its eigenvectors, the modes on the grid);
+        # three rows per sample (the plant and the error at each sample, and
+        # the flow tables of the gaps); three temporaries of the largest row
+        # block (465 of 2,001 rows); eight vectors of one entry per record
+        # (the plan); 1 KB per sample event
         sc = build_scenario(example31_config(**PREDICTOR_LONG))
         tracemalloc.start()
         try:
