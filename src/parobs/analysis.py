@@ -327,13 +327,14 @@ def _oracle_projection(design: ObserverDesign, nodes: int, J_tail: int) -> np.nd
 def _parseval_deficit(e_sq: np.ndarray, proj_sq: np.ndarray) -> float:
     """The largest share of the error energy e_sq that the oracle's modes
     miss (proj_sq is the energy they hold), over the first row and every
-    row above 1e-8 of the largest energy; TailTooShort above 5%."""
+    row above 1e-8 of the largest energy, and 0 where the modes hold it all
+    to roundoff; TailTooShort above 5%."""
     scale = np.max(e_sq)
     if not scale > 0.0:
         return 0.0
     mask = e_sq > 1e-8 * scale
     mask[0] = e_sq[0] > 0.0
-    deficit = float(np.max((e_sq[mask] - proj_sq[mask]) / e_sq[mask]))
+    deficit = max(float(np.max((e_sq[mask] - proj_sq[mask]) / e_sq[mask])), 0.0)
     if deficit > 0.05:
         raise TailTooShort(f"modal truncation misses {100 * deficit:.1f}% of the error energy")
     return deficit

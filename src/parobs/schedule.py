@@ -31,8 +31,8 @@ class SamplingSchedule:
         t = self.times
         if t[0] != 0.0:
             raise InvalidSpec("schedules must start at t = 0")
-        # simulate records a sample within 1e-14 of the one before in that
-        # sample's row, so such a sample would have no time of its own
+        # simulate gives each sample a record row of its own, which needs a
+        # time of its own
         if t.size < 2 or np.any(t[1:] <= t[:-1] + _MIN_GAP):
             raise InvalidSpec(f"sampling times must increase by more than {_MIN_GAP:g}")
         gaps = np.diff(t)

@@ -13,9 +13,10 @@ between samples; a run with a non-zero term (``LinearNonlocalTerm`` or
 is elementwise in the modes but for the term's r coefficients
 (``_Trapezoid``).
 
-Both record at the same times: every sample, and the first step of the
-run's subdivision at or past each due time (``_record_plan``). A record
-keeps the plant's and the error's modal coordinates, and ``Trajectory``
+Both record at the same times (``_record_plan``): every sample, the
+horizon, and the first step of the run's subdivision at or past each
+multiple of the record spacing, one record per step. A record keeps the
+plant's and the error's modal coordinates, and ``Trajectory``
 maps them to the grid only when its grid values are read. The trajectory
 arrays are allocated once, and a run holds them and no full-size copy.
 """
@@ -23,10 +24,7 @@ arrays are allocated once, and a run holds them and no full-size copy.
 from __future__ import annotations
 
 import warnings
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -550,9 +548,11 @@ def simulate(scenario: Scenario) -> Trajectory:
     The record plan (``_record_plan``) fixes every record time and sample
     flag first, and the trajectory arrays are allocated once from it. Each
     gap between samples (and the last one, up to the horizon) is cut into
-    the fewest equal steps of at most dt_target (default min(dx, h/20)); a
-    record falls on the first step at or past each due time, one
-    ``snapshot_every`` after the last, and every sample is a record. A
+    the fewest equal steps of at most dt_target (default min(dx, h/20)).
+    The records are every sample, the horizon, and the first step at or
+    past each due time k ``snapshot_every``, k >= 1 (default spacing
+    horizon / 512), one per step: no two are more than ``snapshot_every``
+    and a step apart, and no record changes where a run steps. A
     scenario whose certificate ``scenario.report`` is infeasible (Omega >= 1)
     still runs, since divergence studies are legitimate, but emits a
     warning; ``analysis.check_run`` then checks no bound.
@@ -608,7 +608,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     traj = Trajectory(
         times=plan.times,
         zeta=np.empty((size, design.m)),
-        sample_flag=plan.flags,
+        sample_flag=plan.row_step == 0,
         events=[SampleEvent(j, t, row) for j, (t, row) in enumerate(zip(sample_times.tolist(), xi))],
         grid=grid,
         error_l2=np.empty(size),
@@ -643,8 +643,9 @@ def _closed_form(discrete: DiscreteObserver, modes: GridModes, dist: Disturbance
     the innovation eta_j = k_hat e_j - xi_j it resets, and the flow over the
     gap to the next one, one ``GridModes.flows`` per distinct gap. The
     records then follow a ``grids._row_blocks`` block at a time, each row the
-    flow from its interval's sample (one ``flows`` per distinct offset in
-    the block), written to ``traj.modal_u``, ``modal_e`` and ``zeta``.
+    flow from its interval's sample over the row's offset, the time of its
+    step (one ``flows`` per distinct offset in the block), written to
+    ``traj.modal_u``, ``modal_e`` and ``zeta``.
     """
     grid = discrete.op.grid
     plant_inputs, observer_inputs = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
@@ -658,8 +659,7 @@ def _closed_form(discrete: DiscreteObserver, modes: GridModes, dist: Disturbance
     inputs = bool(plant_inputs or observer_inputs)
     sample_times = np.array([event.t for event in traj.events])
     eta_at = -np.array([event.xi for event in traj.events]).reshape(sample_times.size, -1)
-    # an empty interval takes no step, so it keeps the state
-    gaps, gap_index = np.unique(np.where(plan.steps > 0, plan.gap, 0.0), return_inverse=True)
+    gaps, gap_index = np.unique(plan.gap, return_inverse=True)
     decay, phi, _ = modes.flows(gaps)
     drive = None
     if inputs:
@@ -710,7 +710,8 @@ def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, di
     """Fill ``traj`` by stepping the modal plant u, error e and innovation
     eta through the plan, one time step at a time: the plant first, then
     the error, which reads the plant's r values at both ends of the step.
-    Each sample resets eta = k_hat e - xi. Each record is written to
+    Each sample resets eta = k_hat e - xi. Each sample's row, and each
+    other row after the step it is planned on, is written to
     ``traj.modal_u``, ``modal_e`` and ``zeta`` when the loop reaches it; a
     predictor's sample row takes the reset zeta = y - <k - c, w>, y = <k,
     u> + xi, read through k_hat and c_hat, so with k = c (k_hat - c_hat = 0
@@ -730,17 +731,14 @@ def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, di
 
     x_u, x_e = modes.project(np.stack([u, w - u]))
     plant_sigma, sigma = np.zeros(step.r_hat.shape[0]), step.r_hat @ x_u
-    bounds = np.searchsorted(plan.record_intervals, np.arange(plan.rows.size + 1)).tolist()
-    records = list(zip(plan.record_steps.tolist(), plan.record_rows.tolist()))
+    row, row_step = 0, plan.row_step.tolist() + [0]  # a last entry no step count reaches
     for j, event in enumerate(traj.events):
-        eta, row = modes.k_hat @ x_e - event.xi, plan.rows[j]
-        if plan.fresh[j]:  # a sample within 1e-14 of the last record keeps its state
-            record(row)
+        eta = modes.k_hat @ x_e - event.xi
+        record(row)
         traj.zeta[row] = (modes.k_hat @ x_u + event.xi - gap_hat @ (x_u + x_e)
                           if predictor else eta)
+        row += 1
         t_j, dt = event.t, plan.dt[j]
-        due = iter(records[bounds[j] : bounds[j + 1]])
-        record_step, row = next(due, (None, None))
         v0 = inputs(t_j)
         for s in range(plan.steps[j]):
             if dt != step.dt:
@@ -751,36 +749,28 @@ def _stepped(discrete: DiscreteObserver, modes: GridModes, nl: NonlinearTerm, di
             x_e = step.advance(x_e, t, sigma, sigma_next,
                                v0[1] + v1[1] + (eta + eta_next) @ modes.l_hat)
             sigma, eta, v0 = sigma_next, eta_next, v1
-            if s + 1 == record_step:
+            if s + 1 == row_step[row]:
                 record(row)
-                record_step, row = next(due, (None, None))
+                row += 1
     return {"steps": 2 * int(plan.steps.sum())}
 
 
 @dataclass(frozen=True)
 class _Plan:
-    """A run's records, in row order: ``times`` and sample ``flags``. Per
-    sample j: its record row ``rows[j]`` (``fresh[j]`` False when it shares
-    the record before it), the ``steps[j]`` steps of size ``dt[j]`` that cut
-    the ``gap[j]`` to the next sample or the horizon (no step for a gap of at
-    most 1e-14), and the rows' interior records, each the state after step
-    ``record_steps[i]`` of interval ``record_intervals[i]`` in row
-    ``record_rows[i]``; the horizon's row counts as the last interval's last
-    step. ``row_interval`` and ``row_offset`` give each row as a time since a
-    sample: 0 for a sample's row (the later sample's, where two share one),
-    the step count times dt for a record, and the gap for the horizon."""
+    """A run's steps and records. Sample j's ``gap[j]`` to the next sample or
+    the horizon is cut into ``steps[j]`` steps of size ``dt[j]`` (none, and a
+    gap of 0, for a horizon within 1e-14 of the last sample). Record row r,
+    at ``times[r]``, is the state after step ``row_step[r]`` of interval
+    ``row_interval[r]``, ``row_offset[r]`` after its sample: step 0 is the
+    sample's row, and the horizon's row is the last interval's last step,
+    at its gap."""
 
     times: np.ndarray
-    flags: np.ndarray
-    rows: np.ndarray
-    fresh: np.ndarray
     steps: np.ndarray
     dt: np.ndarray
     gap: np.ndarray
-    record_rows: np.ndarray
-    record_intervals: np.ndarray
-    record_steps: np.ndarray
     row_interval: np.ndarray
+    row_step: np.ndarray
     row_offset: np.ndarray
 
 
@@ -789,132 +779,39 @@ def _record_plan(sample_times: np.ndarray, horizon: float, dt_target: float,
     """The record plan of a run.
 
     Each interval takes the fewest steps of at most dt_target (up to
-    rounding) that cut it exactly, and none when it is at most 1e-14 long.
-    Every sample is a record, and so is the horizon after the last one.
-    Inside an interval the due time starts one ``snap_every`` after the later
-    of the sample and the last due time (the first one at 0), and a record
-    falls at the first step at or past it (within 1e-12), one step after the
-    last record at least, which moves the due time on by one ``snap_every``.
-    A record within 1e-14 of the one before is not added: a sample there
-    flags that record instead.
-
-    No Python step is taken per record: ``_interval_records`` counts each
-    interval's records and keeps their due times, and their steps follow
-    over whole arrays, with the bits of a step-by-step walk.
+    rounding) that cut it exactly. The records are every sample, the
+    horizon, and the first step at or past (within 1e-12) each due time k
+    ``snap_every``, k >= 1, one row per step; a due time past an interval's
+    last step falls on the next sample. A step is counted from the run's
+    start, so an interval's last step is the next interval's sample.
     """
     t0 = np.asarray(sample_times, dtype=float)
-    count = t0.size
-    gap = np.append(t0[1:], horizon) - t0
-    live = gap > 1e-14
+    ends = np.append(t0[1:], horizon)
+    # as a schedule's samples, a horizon is more than 1e-14 past the last
+    live = ends > t0 + 1e-14
+    gap = np.where(live, ends - t0, 0.0)
     steps = np.where(live, np.maximum(1.0, np.ceil(gap / dt_target - 1e-9)), 0.0).astype(np.int64)
-    dt = np.where(live, gap / np.maximum(steps, 1), 0.0)
-    taken, firsts, dues = _interval_records(t0, steps, dt, gap, snap_every)
-    # the records in order: interval j's take dues[firsts[j]:][:taken[j]]
-    rec_interval = np.repeat(np.arange(count), taken)
-    order = np.arange(rec_interval.size) - np.repeat(np.cumsum(taken) - taken, taken)
-    late = _late(np.frombuffer(dues)[np.repeat(firsts, taken) + order])
-    first = _first_steps(late, t0[rec_interval], dt[rec_interval])
-    # step k of an interval is max(k + 1, F_i + k - i over i <= k): a running
-    # maximum of F - k, which the offsets keep inside each interval
-    offset = rec_interval * (2 * int(steps.max(initial=0)) + 2)
-    reach = np.maximum.accumulate(first - order + offset) - offset
-    rec_steps = order + np.maximum(reach, 1)
-    # the candidate rows in time order: each sample, then its interval's records
-    sample_pos = np.arange(count) + np.cumsum(taken) - taken
-    rec_pos = np.arange(rec_steps.size) + rec_interval + 1
-    horizon_row = bool(count and live[-1])
-    cand = np.empty(count + rec_steps.size + horizon_row)
-    cand[sample_pos] = t0
-    cand[rec_pos] = t0[rec_interval] + rec_steps * dt[rec_interval]
-    if horizon_row:  # the horizon, as the last interval's last step
-        cand[-1] = horizon
-        rec_interval = np.append(rec_interval, count - 1)
-        rec_steps = np.append(rec_steps, steps[-1])
-        rec_pos = np.append(rec_pos, cand.size - 1)
-    keep = np.ones(cand.size, dtype=bool)
-    if not np.all(cand[1:] > cand[:-1] + 1e-14):
-        last = cand[0]
-        for i in range(1, cand.size):
-            if cand[i] > last + 1e-14:
-                last = cand[i]
-            else:
-                keep[i] = False
-    row_of = np.cumsum(keep) - 1  # a candidate not kept shares the last kept row
-    times = cand[keep]
-    rows = row_of[sample_pos]
-    flags = np.zeros(times.size, dtype=bool)
-    flags[rows] = True
-    kept = keep[rec_pos]
-    rec_interval, rec_steps, rec_rows = rec_interval[kept], rec_steps[kept], row_of[rec_pos][kept]
-
-    row_interval = np.empty(times.size, dtype=np.int64)
-    row_offset = np.empty(times.size)
-    row_interval[rec_rows] = rec_interval
-    row_offset[rec_rows] = rec_steps * dt[rec_interval]
-    if horizon_row and kept[-1]:
-        row_offset[-1] = gap[-1]
-    later = np.append(rows[1:] != rows[:-1], True)  # the later of two samples that share a row
-    row_interval[rows[later]] = np.arange(count)[later]
-    row_offset[rows[later]] = 0.0
-    return _Plan(times, flags, rows, keep[sample_pos], steps, dt, gap, rec_rows, rec_interval,
-                 rec_steps, row_interval, row_offset)
-
-
-def _interval_records(t0, steps, dt, gap, snap_every) -> tuple[np.ndarray, np.ndarray, array]:
-    """Per interval, its count of interior records and the index in
-    ``dues`` of its first due time; ``dues`` holds each interval's due
-    times in order, with one more after its last record.
-
-    The due time is one running sum across the intervals: a sample moves it
-    to the later of itself and the sample, plus ``snap_every``, and each
-    record adds ``snap_every``. ``itertools.accumulate`` takes these sums
-    one by one, so every due time has the bits of a walk record by record,
-    and the loop takes one step per interval. In an interval of n steps the
-    k-th record is at step s_k = max(s_(k-1) + 1, F_k), F_k the first step
-    at or past the k-th due time (``_first_steps``), until s_k >= n: so the
-    count is min(n - 1, min_k (k + max(0, n - F_k))). Where ``snap_every``
-    exceeds the step by more than roundoff, F rises by one or more a
-    record, s_k = F_k, and the count is that of the due times that step
-    n - 1 reaches, found by bisection.
-    """
-    dues, firsts, taken, due = array("d"), [], [], 0.0
-    for t_j, n, h, g in zip(t0.tolist(), steps.tolist(), dt.tolist(), gap.tolist()):
-        due = max(due, t_j) + snap_every
-        start = len(dues)
-        # the due times before the last step, at most, and the one after them
-        size = min(n - 1, max(0, int((t_j + g - due) / snap_every) + 2))
-        dues.extend(accumulate(repeat(snap_every, size), initial=due))
-        if size <= 0:
-            found = 0
-        elif snap_every - h > 1e-9 * (abs(t_j) + g + snap_every) + 1e-11:
-            last = t_j + (n - 1) * h
-            found = bisect_right(dues, last, start, len(dues), key=_late) - start
-        else:
-            late = _late(np.frombuffer(dues[start:]))
-            first = _first_steps(late, t_j, h)
-            found = min(n - 1, int(np.min(np.arange(late.size) + np.maximum(0, n - first))))
-        due = dues[start + found]
-        firsts.append(start)
-        taken.append(found)
-    return np.array(taken, dtype=np.int64), np.array(firsts, dtype=np.int64), dues
-
-
-def _late(due):
-    """The time from which a step records the due time ``due`` (a float or
-    an array)."""
-    return due - 1e-12
-
-
-def _first_steps(late: np.ndarray, t0, h) -> np.ndarray:
-    """The first step s >= 0 with t0 + s h >= late, elementwise, in the
-    floating-point sums that ``_record_plan`` compares."""
-    s = np.maximum(np.ceil((late - t0) / h), 0.0)
-    while True:
-        down = (s > 0) & (t0 + (s - 1) * h >= late)
-        up = t0 + s * h < late
-        if not (down.any() or up.any()):
-            return s.astype(np.int64)
-        s = s - down + up
+    dt = gap / np.maximum(steps, 1)
+    first = np.cumsum(steps) - steps
+    # an interval with a step inside it takes steps longer than dt_target / 2,
+    # so at any finer spacing each such step records: due times are laid out
+    # 4 a step at most
+    spacing = max(snap_every, dt_target / 4.0)
+    due = np.arange(1, int(horizon / spacing) + 2) * spacing - 1e-12
+    due = due[due <= horizon]
+    j = np.searchsorted(t0, due, side="right") - 1
+    j -= ~live[j]  # at a horizon within 1e-14 of the last sample: that sample
+    s = np.minimum(np.ceil((due - t0[j]) / dt[j]), steps[j]).astype(np.int64)
+    # the rows' steps from the run's start: the samples', the horizon's and the due times'
+    at = np.sort(np.concatenate([first, [first[-1] + steps[-1]], first[j] + s]))
+    at = at[np.diff(at, prepend=-1) > 0]
+    row_interval = np.searchsorted(first, at, side="right") - 1
+    row_step = at - first[row_interval]
+    row_offset = row_step * dt[row_interval]
+    times = t0[row_interval] + row_offset
+    if live[-1]:
+        row_offset[-1], times[-1] = gap[-1], horizon
+    return _Plan(times, steps, dt, gap, row_interval, row_step, row_offset)
 
 
 def _initial_field(profile_like, op: DiscreteSLOperator) -> np.ndarray:

@@ -651,6 +651,34 @@ def _compatibility_residual(traj, design) -> float:
     return worst
 
 
+def _record_walk(sample_times, horizon, dt_target, every):
+    """Each sample's interval as (t_j, step count, dt, the steps after which
+    a record falls), walking every step: the fewest equal steps of at most
+    dt_target cut the gap to the next sample or the horizon (none for a
+    horizon within 1e-14 of the last sample), and a step records when a due
+    time k * every (k >= 1), less 1e-12, is at or before it and no earlier
+    step or sample reached that due time. A due time past an interval's
+    last step falls on the next sample. The horizon's record is left to the
+    caller."""
+    k = 1
+    sample_times = [float(t) for t in sample_times]
+    for t0, t1 in zip(sample_times, [*sample_times[1:], horizon]):
+        while k * every - 1e-12 <= t0:
+            k += 1
+        if not t1 > t0 + 1e-14:
+            yield t0, 0, 0.0, []
+            continue
+        n_sub = max(1, math.ceil((t1 - t0) / dt_target - 1e-9))
+        dt = (t1 - t0) / n_sub
+        recorded = []
+        for s in range(1, n_sub):
+            if k * every - 1e-12 <= t0 + s * dt:
+                recorded.append(s)
+            while k * every - 1e-12 <= t0 + s * dt:
+                k += 1
+        yield t0, n_sub, dt, recorded
+
+
 def _dense_trapezoid_records(scenario):
     """(times, sample flags, u, w, zeta) at every record of the trapezoidal
     rule on the whole (u, w, zeta) system, with dense matrices on the free
@@ -659,10 +687,8 @@ def _dense_trapezoid_records(scenario):
     + v~>, and a sample resets zeta = y - <k - c, w>; the hold observer
     injects its held d, reset to <k, w> - y; y = <k, u> + xi. Each step's
     nonlinear part is solved by fixed-point sweeps until they move the state
-    by under 1e-15 of it. Each sample is a record, and so is the first step
-    at or past each due time, which starts one snapshot spacing after the
-    sample and moves on by one spacing per record. The schedule must end at
-    its horizon."""
+    by under 1e-15 of it. The records are those of ``_record_walk``. The
+    schedule must end at its horizon."""
     design, nodes, dist, nl = scenario.design, scenario.nodes, scenario.disturbances, scenario.nonlinearity
     discrete = DiscreteObserver(design, scenario.variant, nodes)
     op, free, wts = discrete.op, discrete.op.free, discrete.op.weights
@@ -694,25 +720,23 @@ def _dense_trapezoid_records(scenario):
 
     u = pf.as_profile(scenario.u0, op.grid).values(op.grid)[free]
     w = pf.as_profile(scenario.w0, op.grid).values(op.grid)[free]
-    times = scenario.schedule.times
-    every = scenario.snapshot_every or scenario.schedule.horizon / 512.0
-    records, due = [], 0.0
+    sch = scenario.schedule
+    every = scenario.snapshot_every or sch.horizon / 512.0
+    records = []
 
     def record(t, flag, state):
         u, w = full(state[:n]), full(state[n : 2 * n])
         records.append((t, flag, u, w, state[2 * n :].copy()))
 
-    for j, t_j in enumerate(times):
+    for j, (t_j, n_sub, dt, recorded) in enumerate(_record_walk(sch.times, sch.horizon,
+                                                                  scenario.dt, every)):
         xi = np.array([s.value(t_j, j) for s in dist.xi])
         y = K @ u + xi
         z = y - (K - C) @ w if predictor else K @ w - y
         state = np.concatenate([u, w, z])
         record(t_j, True, state)
-        due = max(due, t_j) + every
-        if j + 1 == len(times):
+        if n_sub == 0:
             break
-        n_sub = math.ceil((times[j + 1] - t_j) / scenario.dt - 1e-9)
-        dt = (times[j + 1] - t_j) / n_sub
         eye = np.eye(G.shape[0])
         solve = np.linalg.inv(eye - 0.5 * dt * G)
         explicit_part = eye + 0.5 * dt * G
@@ -727,9 +751,8 @@ def _dense_trapezoid_records(scenario):
                 if moved <= 1e-15 * max(np.abs(new).max(), 1.0):
                     break
             state = new
-            if s < n_sub and t1 >= due - 1e-12:
+            if s in recorded:
                 record(t1, False, state)
-                due += every
         u, w = state[:n], state[n : 2 * n]
     return tuple(np.array(column) for column in zip(*records))
 
@@ -738,8 +761,8 @@ def _modal_step_loop_records(scenario):
     """(times, sample flags, modal u, modal e, zeta) at every record of a
     plain step loop in the grid's modes with ``simulate``'s stepper,
     ``simulator._Trapezoid``: the plant u, the error e and the innovation
-    eta, reset to k_hat e - xi at each sample. The records are found by
-    walking every step as ``_walk_records`` does, and each takes its values
+    eta, reset to k_hat e - xi at each sample. The records are those of
+    ``_record_walk``, and each takes its values
     with the run's own arithmetic (the modal u and e, zeta = c_hat (u + e)
     - eta, or the reset y - <k - c, w> through k_hat and c_hat at a
     predictor's sample, or the held eta), so a run must match it bit for
@@ -760,7 +783,7 @@ def _modal_step_loop_records(scenario):
     horizon = scenario.schedule.horizon
     times = scenario.schedule.times[scenario.schedule.times <= horizon + 1e-12]
     every = scenario.snapshot_every or horizon / 512.0
-    records, due = [], 0.0
+    records = []
 
     def record(t, xi=None):
         if not predictor:
@@ -771,16 +794,13 @@ def _modal_step_loop_records(scenario):
             zeta = modes.k_hat @ x_u + xi - (modes.k_hat - modes.c_hat) @ (x_u + x_e)
         records.append((t, xi is not None, x_u, x_e, zeta))
 
-    for j, t_j in enumerate(times.tolist()):
+    for j, (t_j, n_sub, dt, recorded) in enumerate(_record_walk(times, horizon, scenario.dt,
+                                                                  every)):
         xi = np.array([s.value(t_j, j) for s in dist.xi])
         eta = modes.k_hat @ x_e - xi
         record(t_j, xi)
-        due = max(due, t_j) + every
-        gap = (times[j + 1] if j + 1 < times.size else horizon) - t_j
-        if gap <= 1e-14:
+        if n_sub == 0:
             continue
-        n_sub = max(1, math.ceil(gap / scenario.dt - 1e-9))
-        dt = gap / n_sub
         if dt != stepper.dt:
             stepper.factor(dt)
         v0 = inputs(t_j)
@@ -791,10 +811,9 @@ def _modal_step_loop_records(scenario):
             x_e = stepper.advance(x_e, t, sigma, sigma_next,
                                   v0[1] + v1[1] + (eta + eta_next) @ modes.l_hat)
             sigma, eta, v0 = sigma_next, eta_next, v1
-            if s + 1 < n_sub and t_j + (s + 1) * dt >= due - 1e-12:
+            if s + 1 in recorded:
                 record(t_j + (s + 1) * dt)
-                due += every
-    if horizon - times[-1] > 1e-14:
+    if horizon > times[-1] + 1e-14:
         record(horizon)
     return tuple(np.array(column) for column in zip(*records))
 
@@ -1223,75 +1242,143 @@ def _check_records_follow_their_samples(design, schedule, every: float, linear: 
 
 
 def _walk_records(sample_times, horizon, dt_target, every):
-    """Record times and sample flags found by walking every step of every
-    interval, with the step count and dt of ``simulate``'s subdivision."""
-    times, flags, due = [], [], 0.0
-    for t0, t1 in zip(sample_times, [*sample_times[1:], horizon]):
-        times.append(t0)
-        flags.append(True)
-        due = max(due, t0) + every
-        if t1 - t0 <= 1e-14:
-            continue
-        n_sub = max(1, math.ceil((t1 - t0) / dt_target - 1e-9))
-        dt = (t1 - t0) / n_sub
-        for s in range(1, n_sub):
-            if t0 + s * dt >= due - 1e-12:
-                times.append(t0 + s * dt)
-                flags.append(False)
-                due += every
-    if horizon - sample_times[-1] > 1e-14:
+    """The record times and sample flags of ``_record_walk``, with the
+    horizon's record after the last sample."""
+    times, flags = [], []
+    for t0, _, dt, recorded in _record_walk(sample_times, horizon, dt_target, every):
+        times += [t0, *(t0 + s * dt for s in recorded)]
+        flags += [True] + [False] * len(recorded)
+    if horizon > sample_times[-1] + 1e-14:
         times.append(horizon)
         flags.append(False)
     return np.array(times), np.array(flags)
 
 
+def _assert_plan_is_the_walk(sample_times, horizon, dt_target, every):
+    """``_record_plan``'s rows are ``_walk_records``', each on a step of its
+    interval, and no two records are more than ``every`` and a step apart."""
+    sample_times = np.asarray(sample_times, dtype=float)
+    plan = simulator._record_plan(sample_times, horizon, dt_target, every)
+    walk_times, walk_flags = _walk_records(sample_times.tolist(), horizon, dt_target, every)
+    np.testing.assert_array_equal(plan.times, walk_times)
+    np.testing.assert_array_equal(plan.row_step == 0, walk_flags)
+    np.testing.assert_array_equal(plan.times[plan.row_step == 0], sample_times)
+    for j, (t0, t1) in enumerate(zip(sample_times, [*sample_times[1:], horizon])):
+        # the steps cut the interval, and its records fall on them
+        assert plan.steps[j] * plan.dt[j] == pytest.approx(plan.gap[j], abs=1e-12)
+        assert plan.gap[j] == (t1 - t0 if t1 > t0 + 1e-14 else 0.0)
+        mine = (plan.row_interval == j) & (plan.row_step < plan.steps[j])
+        np.testing.assert_array_equal(plan.times[mine], t0 + plan.row_step[mine] * plan.dt[j])
+    # every row is a time since its interval's sample, and one step at most
+    np.testing.assert_allclose(sample_times[plan.row_interval] + plan.row_offset, plan.times,
+                               rtol=0, atol=1e-12)
+    assert np.all(plan.row_step <= plan.steps[plan.row_interval])
+    assert np.all(np.diff(plan.times) > 0.0)
+    assert np.all(np.diff(plan.times) <= every + plan.dt.max() + 1e-12)
+    assert plan.times[-1] == (horizon if horizon > sample_times[-1] + 1e-14 else sample_times[-1])
+    return plan
+
+
+SCHEDULES = {
+    "uniform": {"kind": "uniform", "h": 0.3, "horizon": 4.0},
+    "random": {"kind": "random", "h_min": 0.05, "h_max": 0.3, "horizon": 3.0, "seed": 5},
+    "explicit_cut_before_its_last_time": {"kind": "explicit",
+                                          "times": [0.0, 0.1, 0.35, 0.6, 0.85, 1.0, 1.25],
+                                          "horizon": 1.1},
+    "predictor_long": {"kind": "uniform", "h": 1.0, "horizon": 200.0},
+}
+
+
+def _samples(sch):
+    """A schedule's sample times up to its horizon, as ``simulate`` takes
+    them, and the horizon."""
+    return sch.times[sch.times <= sch.horizon + 1e-12], sch.horizon
+
+
 class TestRecordPlan:
-    @pytest.mark.parametrize("spec", [
-        {"kind": "uniform", "h": 0.3, "horizon": 4.0},
-        {"kind": "random", "h_min": 0.05, "h_max": 0.3, "horizon": 3.0, "seed": 5},
-        {"kind": "explicit", "times": [0.0, 0.1, 0.35, 0.6, 0.85, 1.0, 1.25], "horizon": 1.1},
-    ], ids=["uniform", "random", "explicit_cut_before_its_last_time"])
+    @pytest.mark.parametrize("name", ["uniform", "random", "explicit_cut_before_its_last_time"])
     @pytest.mark.parametrize("every", [0.037, 0.1, 0.004])
     @pytest.mark.parametrize("linear", [False, True], ids=["stepped", "linear"])
-    def test_records_match_a_step_walk(self, ex31_design, spec, every, linear):
-        sch = make_schedule(spec)
-        sample_times = sch.times[sch.times <= sch.horizon + 1e-12]
-        plan = simulator._record_plan(sample_times, sch.horizon, 0.01, every)
-        walk_times, walk_flags = _walk_records([float(t) for t in sample_times], sch.horizon, 0.01, every)
-        np.testing.assert_array_equal(plan.times, walk_times)
-        np.testing.assert_array_equal(plan.flags, walk_flags)
-        assert plan.fresh.all() and np.array_equal(plan.times[plan.rows], sample_times)
-        for j, (t0, t1) in enumerate(zip(sample_times, [*sample_times[1:], sch.horizon])):
-            # the steps cut the interval, and its records fall on them
-            assert plan.steps[j] * plan.dt[j] == pytest.approx(t1 - t0, abs=1e-12)
-            mine = plan.record_intervals == j
-            np.testing.assert_array_equal(plan.times[plan.record_rows[mine]],
-                                          t0 + plan.record_steps[mine] * plan.dt[j])
-        # every row is a time since its interval's sample
-        np.testing.assert_allclose(sample_times[plan.row_interval] + plan.row_offset, plan.times,
-                                   rtol=0, atol=1e-12)
-        assert plan.times[-1] == sch.horizon
+    def test_records_match_a_step_walk(self, ex31_design, name, every, linear):
+        sch = make_schedule(SCHEDULES[name])
+        _assert_plan_is_the_walk(*_samples(sch), 0.01, every)
         # and the integrator of each kind of run fills the rows from their samples
         _check_records_follow_their_samples(ex31_design, sch, every, linear)
 
-    def test_a_sample_within_1e14_of_a_record_shares_its_row(self):
-        # the horizon is the last sample: one final row, the sample's
-        sample_times = np.array([0.0, 0.5, 0.5 + 4e-15, 1.0])
-        plan = simulator._record_plan(sample_times, 1.0, 0.1, 0.25)
-        times, flags = plan.times, plan.flags
-        walk_times, _ = _walk_records(list(sample_times), 1.0, 0.1, 0.25)
-        np.testing.assert_array_equal(times, walk_times[walk_times != sample_times[2]])
-        assert np.count_nonzero(np.abs(times - 0.5) <= 1e-14) == 1
-        assert plan.rows[2] == plan.rows[1] and plan.fresh[1] and not plan.fresh[2]
-        assert flags[plan.rows[1]] and flags.sum() == 3
-        # the shared row is the later sample's, and the interval between them is empty
-        assert (plan.row_interval[plan.rows[1]], plan.row_offset[plan.rows[1]]) == (2, 0.0)
-        assert plan.steps[1] == 0 and plan.steps[-1] == 0
-        assert (times[-1], flags[-1], np.count_nonzero(times == 1.0)) == (1.0, True, 1)
+    @pytest.mark.parametrize("name", list(SCHEDULES))
+    @pytest.mark.parametrize("every, dt_target", [(0.037, 0.01), (0.1, 0.01), (0.004, 0.01),
+                                                  (0.01, 0.01), (0.1, 0.005), (0.0007, 0.01)])
+    def test_plan_is_the_record_walk(self, name, every, dt_target):
+        _assert_plan_is_the_walk(*_samples(make_schedule(SCHEDULES[name])), dt_target, every)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(gaps=st.lists(st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.1, 0.25, 1.0])),
+                         min_size=1, max_size=30),
+           cut=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+           dt_target=st.one_of(st.floats(1e-3, 0.3), st.sampled_from([0.01, 0.1])),
+           ratio=st.one_of(st.floats(0.05, 40.0), st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12])))
+    def test_plan_is_the_record_walk_on_random_schedules(self, gaps, cut, dt_target, ratio):
+        # a record spacing at, just above or just below dt_target, or anywhere
+        # from 1/20 to 40 times it, on a schedule whose horizon may fall
+        # before its last sample
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        sch = make_schedule({"kind": "explicit", "times": times.tolist(),
+                             "horizon": float(times[-1] * (1.0 - cut))})
+        _assert_plan_is_the_walk(*_samples(sch), dt_target, ratio * dt_target)
+
+    def test_a_due_time_a_sample_reaches_is_the_samples_row(self):
+        # the due time 0.25 falls past the first interval's last step, and
+        # 0.5 within 1e-12 of the sample 0.5 + 5e-13: both are sample rows
+        sample_times = np.array([0.0, 0.3, 0.5 + 5e-13, 1.0])
+        plan = _assert_plan_is_the_walk(sample_times, 1.0, 0.1, 0.25)
+        assert (plan.row_step == 0).tolist() == [True, True, True, False, True]
+        np.testing.assert_array_equal(plan.times[plan.row_step == 0], sample_times)
+        assert plan.times[3] == pytest.approx(0.8, abs=1e-12)
+        assert (plan.row_interval[3], plan.row_step[3]) == (2, 3)
+        assert plan.steps.tolist() == [3, 2, 5, 0] and plan.gap[-1] == 0.0
+        # a due time at the last sample, with the horizon within 1e-14 past
+        # it: the sample's row, and no step of the empty interval is read
+        with np.errstate(all="raise"):
+            plan = _assert_plan_is_the_walk(np.array([0.0, 1.0]), 1.0 + 4e-15, 0.1, 1.0 + 1e-12)
+        assert plan.times.tolist() == [0.0, 1.0] and plan.steps.tolist() == [10, 0]
+
+    @pytest.mark.parametrize("case", ["uniform", "example31"])
+    def test_no_due_time_is_skipped(self, ex31_design, case):
+        # a due time that ran on from the later of the last record and the
+        # sample skipped the first due time after a sample that fell within
+        # one spacing of the last record: gaps of 0.5 here, and 0.78 on
+        # example 3.1 at its default spacing horizon / 512 = 0.3965
+        if case == "uniform":
+            sc = Scenario(design=ex31_design, variant="predictor", nodes=31, dt=0.01,
+                          snapshot_every=0.3, u0=pf.cosine_series(1.0, [0.5]), w0=0.0,
+                          schedule=make_schedule({"kind": "uniform", "h": 0.5, "horizon": 6.0}))
+        else:
+            sc = build_scenario(example31_config(p=0.1, h=1.0))
+        traj = quiet_simulate(sc)
+        every = sc.snapshot_every or sc.schedule.horizon / 512.0
+        assert np.diff(traj.times).max() <= every + traj.metadata["dt_target"] + 1e-12
+
+    @pytest.mark.parametrize("variant", ["predictor", "zoh"])
+    def test_records_never_cut_steps(self, ex31_design, variant):
+        # a stepped run takes the same steps at any record spacing
+        nl = GainSaturatedTerm(uniform_grid(31), weights=[pf.cosine_series(0.0, [1.0])],
+                               amplitudes=[pf.cosine_series(0.3, [0.2])])
+        sc = Scenario(design=dataclasses.replace(ex31_design, lipschitz_R=nl.lipschitz_R),
+                      variant=variant, nodes=31, dt=0.01, nonlinearity=nl,
+                      u0=pf.cosine_series(1.0, [0.5]), w0=0.0,
+                      schedule=make_schedule({"kind": "random", "h_min": 0.05, "h_max": 0.3,
+                                              "horizon": 3.0, "seed": 5}))
+        runs = [quiet_simulate(dataclasses.replace(sc, snapshot_every=every))
+                for every in (0.01, 0.037, 1.0)]
+        assert runs[0].times.size > runs[1].times.size > runs[2].times.size
+        for run in runs[1:]:
+            assert run.metadata["integrator"] == runs[0].metadata["integrator"]
+            for name in ("modal_u", "modal_e"):
+                np.testing.assert_array_equal(getattr(run, name)[-1], getattr(runs[0], name)[-1])
 
     def test_a_final_step_onto_a_duplicate_record_keeps_the_sample_row(self, ex31_design):
-        # the horizon is one ulp past the last sample, so the last interval
-        # takes one step whose record would duplicate the sample's
+        # the horizon is one ulp past the last sample, within 1e-14 of it, so
+        # the last interval takes no step and the sample's row is the horizon's
         horizon = math.nextafter(100.0, math.inf)
         sch = make_schedule({"kind": "explicit", "times": [0.0, 100.0, 101.0], "horizon": horizon})
         sc = Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=51, dt=1.0,
@@ -1299,120 +1386,11 @@ class TestRecordPlan:
         traj = quiet_simulate(sc)
         assert traj.times.tolist() == [0.0, 25.0, 50.0, 75.0, 100.0]
         assert traj.sample_flag.tolist() == [True, False, False, False, True]
-        # the extra step is not recorded: the run ending at 100 reads the same
+        # the run ending at 100 reads the same
         ends_at_100 = quiet_simulate(dataclasses.replace(
             sc, schedule=make_schedule({"kind": "explicit", "times": [0.0, 100.0]})))
         for name in ("times", "sample_flag", "u", "w", "zeta"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ends_at_100, name))
-
-
-def _parent_record_plan(sample_times, horizon, dt_target, snap_every):
-    """The record plan found by walking every record of every interval in
-    Python, as ``_record_plan`` did before it took its records over whole
-    arrays: the reference for its arrays, bit for bit."""
-    t0 = np.asarray(sample_times, dtype=float)
-    count = t0.size
-    gap = np.append(t0[1:], horizon) - t0
-    live = gap > 1e-14
-    steps = np.where(live, np.maximum(1.0, np.ceil(gap / dt_target - 1e-9)), 0.0).astype(np.int64)
-    dt = np.where(live, gap / np.maximum(steps, 1), 0.0)
-    record_steps, ends, due = [], [], 0.0
-    for t_j, n, h in zip(t0.tolist(), steps.tolist(), dt.tolist()):
-        due = max(due, t_j) + snap_every
-        done = 0
-        while done < n:
-            late = due - 1e-12
-            s = max(done + 1, math.ceil((late - t_j) / h))
-            while s > done + 1 and t_j + (s - 1) * h >= late:
-                s -= 1
-            while s < n and t_j + s * h < late:
-                s += 1
-            if s >= n:
-                break
-            record_steps.append(s)
-            done = s
-            due += snap_every
-        ends.append(len(record_steps))
-    taken = np.diff(ends, prepend=0)
-    rec_interval = np.repeat(np.arange(count), taken)
-    rec_steps = np.array(record_steps, dtype=np.int64)
-    sample_pos = np.arange(count) + np.cumsum(taken) - taken
-    rec_pos = np.arange(rec_steps.size) + rec_interval + 1
-    horizon_row = bool(count and live[-1])
-    cand = np.empty(count + rec_steps.size + horizon_row)
-    cand[sample_pos] = t0
-    cand[rec_pos] = t0[rec_interval] + rec_steps * dt[rec_interval]
-    if horizon_row:
-        cand[-1] = horizon
-        rec_interval = np.append(rec_interval, count - 1)
-        rec_steps = np.append(rec_steps, steps[-1])
-        rec_pos = np.append(rec_pos, cand.size - 1)
-    keep = np.ones(cand.size, dtype=bool)
-    last = cand[0]
-    for i in range(1, cand.size):
-        if cand[i] > last + 1e-14:
-            last = cand[i]
-        else:
-            keep[i] = False
-    row_of = np.cumsum(keep) - 1
-    times = cand[keep]
-    rows = row_of[sample_pos]
-    flags = np.zeros(times.size, dtype=bool)
-    flags[rows] = True
-    kept = keep[rec_pos]
-    rec_interval, rec_steps, rec_rows = rec_interval[kept], rec_steps[kept], row_of[rec_pos][kept]
-    row_interval = np.empty(times.size, dtype=np.int64)
-    row_offset = np.empty(times.size)
-    row_interval[rec_rows] = rec_interval
-    row_offset[rec_rows] = rec_steps * dt[rec_interval]
-    if horizon_row and kept[-1]:
-        row_offset[-1] = gap[-1]
-    later = np.append(rows[1:] != rows[:-1], True)
-    row_interval[rows[later]] = np.arange(count)[later]
-    row_offset[rows[later]] = 0.0
-    return simulator._Plan(times, flags, rows, keep[sample_pos], steps, dt, gap, rec_rows,
-                           rec_interval, rec_steps, row_interval, row_offset)
-
-
-def _assert_plans_equal(sample_times, horizon, dt_target, every):
-    plan = simulator._record_plan(sample_times, horizon, dt_target, every)
-    ref = _parent_record_plan(sample_times, horizon, dt_target, every)
-    for name in (f.name for f in dataclasses.fields(simulator._Plan)):
-        got, expected = getattr(plan, name), getattr(ref, name)
-        assert got.dtype == expected.dtype, name
-        np.testing.assert_array_equal(got, expected, err_msg=name)
-
-
-class TestRecordPlanArrays:
-    @pytest.mark.parametrize("spec", [
-        {"kind": "uniform", "h": 0.3, "horizon": 4.0},
-        {"kind": "random", "h_min": 0.05, "h_max": 0.3, "horizon": 3.0, "seed": 5},
-        {"kind": "explicit", "times": [0.0, 0.1, 0.35, 0.6, 0.85, 1.0, 1.25], "horizon": 1.1},
-        {"kind": "uniform", "h": 1.0, "horizon": 200.0},
-        None,
-    ], ids=["uniform", "random", "explicit_cut_before_its_last_time", "predictor_long",
-            "two_samples_in_1e14"])
-    @pytest.mark.parametrize("every, dt_target", [(0.037, 0.01), (0.1, 0.01), (0.004, 0.01),
-                                                  (0.01, 0.01), (0.1, 0.005)])
-    def test_plan_is_the_record_walk(self, spec, every, dt_target):
-        if spec is None:  # as TestRecordPlan passes it: no schedule takes such samples
-            sample_times, horizon = np.array([0.0, 0.5, 0.5 + 4e-15, 1.0]), 1.0
-        else:
-            sch = make_schedule(spec)
-            sample_times, horizon = sch.times[sch.times <= sch.horizon + 1e-12], sch.horizon
-        _assert_plans_equal(sample_times, horizon, dt_target, every)
-
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(gaps=st.lists(st.one_of(st.floats(1e-3, 2.0), st.sampled_from([0.1, 0.25, 1.0, 3e-15])),
-                         min_size=0, max_size=30),
-           tail=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
-           dt_target=st.one_of(st.floats(1e-3, 0.3), st.sampled_from([0.01, 0.1])),
-           ratio=st.one_of(st.floats(0.05, 40.0), st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-12])))
-    def test_plan_is_the_record_walk_on_random_schedules(self, gaps, tail, dt_target, ratio):
-        # a record spacing at, just above or just below dt_target, or anywhere
-        # from 1/20 to 40 times it, over gaps that include empty intervals
-        sample_times = np.concatenate([[0.0], np.cumsum(gaps)])
-        _assert_plans_equal(sample_times, float(sample_times[-1] + tail), dt_target, ratio * dt_target)
 
 
 class TestEigenbasis:
