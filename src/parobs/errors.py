@@ -17,6 +17,12 @@ class ResolutionTooCoarse(ParobsError, ValueError):
     ValueError, for callers that catch that."""
 
 
+class UnverifiedEigenpair(ParobsError):
+    """The numeric eigensolver could not verify a mode: its Rayleigh-quotient
+    iteration did not settle within its cap, its residual exceeds the bound,
+    or Sturm counts do not place it as the k-th eigenvalue."""
+
+
 class InvalidM(ParobsError, ValueError):
     """Tail index M must satisfy lambda_M > 0. Also a ValueError, for callers
     that catch that."""

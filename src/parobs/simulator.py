@@ -123,10 +123,10 @@ class _Eigenbasis:
     W^{1/2} B_h W^{-1/2} on the free nodes is a symmetric tridiagonal
     (``DiscreteSLOperator.symmetric_tridiagonals``), one ``numpy.linalg.eigh``
     of it gives the modes, and lam is each mode's Rayleigh quotient
-    (``_rayleigh_quotients``). The modes U are orthonormal in the trapezoid
-    weights, so a field's modal coordinates are U^T W x and its norm is
-    their plain norm. ``rows`` holds the modes as rows on the whole grid,
-    zero at pinned nodes.
+    (``DiscreteSLOperator.rayleigh_quotients``). The modes U are orthonormal
+    in the trapezoid weights, so a field's modal coordinates are U^T W x and
+    its norm is their plain norm. ``rows`` holds the modes as rows on the
+    whole grid, zero at pinned nodes.
     """
 
     def __init__(self, op: DiscreteSLOperator):
@@ -144,7 +144,7 @@ class _Eigenbasis:
             self.rows[:, op.free] = q.T
             del q
             self.rows[:, op.free] /= np.sqrt(op.weights[op.free])
-            self.lam = _rayleigh_quotients(op, self.rows)
+            self.lam = op.rayleigh_quotients(self.rows)
         self.op, self.weights = op, op.weights
         self.l_hat = self.k_hat = np.zeros((0, self.lam.size))
         self.A = np.zeros((0, 0))
@@ -152,22 +152,6 @@ class _Eigenbasis:
     def project(self, fields: np.ndarray) -> np.ndarray:
         """The modal coordinates U^T W x of each row x of ``fields``."""
         return (fields * self.weights) @ self.rows.T
-
-
-def _rayleigh_quotients(op: DiscreteSLOperator, rows: np.ndarray) -> np.ndarray:
-    """Each mode's Rayleigh quotient x^T S x, S = W B_h on the free nodes,
-    as sum_i -S_i,i+1 (x_i+1 - x_i)^2 + sum_i x_i^2 (row sum i of S): lam to
-    relative accuracy, where ``eigh``'s own eigenvalues carry an absolute
-    error of eps |B_h| (the Neumann mean mode on 101 nodes: -2.3e-12 by
-    ``eigh``, 1e-26 by this sum)."""
-    sub, diag, sup = op.free_tridiagonals()
-    w = op.weights[op.free]
-    link = w[:-1] * sup
-    sums = w * diag
-    sums[:-1] += link
-    sums[1:] += w[1:] * sub
-    x = rows[:, op.free]
-    return (np.diff(x, axis=1) ** 2) @ -link + (x**2) @ sums
 
 
 class GridModes(_Eigenbasis):

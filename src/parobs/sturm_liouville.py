@@ -1,10 +1,15 @@
 """Sturm-Liouville operators -p u'' + q(x) u with separated Robin ends.
 
 Provides the spectral machinery the observer designs rest on: closed-form
-eigenpairs for the four standard constant-reaction cases, a second-order
-finite-difference eigensolver acting as oracle and generalization, the
-reduction of variable-coefficient operators to constant-diffusion normal
-form, the tail-summability diagnostic, and modal projections.
+eigenpairs for the four standard constant-reaction cases, the lowest
+eigenpairs of the second-order finite-difference operator for any other
+plant, the reduction of variable-coefficient operators to constant-diffusion
+normal form, the tail-summability diagnostic, and modal projections.
+
+The finite-difference eigenpairs come from numpy alone: Sturm counts with
+IEEE arithmetic (Demmel, Dhillon & Ren, ETNA 3, 1995) bracket each
+eigenvalue, and Rayleigh-quotient iteration on a twisted factorization finds
+its mode; each mode returned is verified by its residual and by Sturm counts.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .errors import (
     NonPositiveCoefficient,
     ResolutionTooCoarse,
     UnsupportedAnalyticCase,
+    UnverifiedEigenpair,
 )
 from .grids import cumulative_trapezoid, end_derivatives, format_row, trapezoid_weights
 from .grids import uniform_grid, write_csv
@@ -213,6 +219,23 @@ class DiscreteSLOperator:
         w = self.weights[self.free]
         return diag, sup * np.sqrt(w[:-1] / w[1:])
 
+    def rayleigh_quotients(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's Rayleigh quotient x^T S x, S = W B_h on the free nodes,
+        for rows on the whole grid of unit norm in the trapezoid weights, as
+        sum_i -S_i,i+1 (x_i+1 - x_i)^2 + sum_i x_i^2 (row sum i of S): an
+        eigenvalue to relative accuracy, where a tridiagonal eigensolver's
+        own eigenvalues carry an absolute error of eps |B_h| (the Neumann
+        mean mode on 101 nodes: -2.3e-12 by ``numpy.linalg.eigh``, 1e-26 by
+        this sum)."""
+        sub, diag, sup = self.free_tridiagonals()
+        w = self.weights[self.free]
+        link = w[:-1] * sup
+        sums = w * diag
+        sums[:-1] += link
+        sums[1:] += w[1:] * sub
+        x = rows[:, self.free]
+        return (np.diff(x, axis=1) ** 2) @ -link + (x**2) @ sums
+
     def exact_eigenpairs(self) -> tuple[np.ndarray, np.ndarray] | None:
         """B_h's eigenvalues, ascending, and its eigenvectors as rows on the
         whole grid, zero at pinned nodes and of unit norm in the trapezoid
@@ -355,27 +378,211 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
     )
 
 
+# -- the numeric eigensolver --------------------------------------------------
+
+_GRID_PER_MODE = 4  # shifts per mode in the first multisection
+_NARROW = 8  # a bracket this many times narrower than the gaps to its neighbours' is isolated
+_REFINE_CAP = 40  # multisection passes, each quartering every bracket that is not isolated
+_RQI_CAP = 8  # Rayleigh-quotient iterations before an unsettled mode is an error
+
+
+class _Twisted:
+    """A symmetric tridiagonal T (diagonal ``diag``, off-diagonal ``off``)
+    factored from both ends towards its middle row: row j is eliminated
+    together with row n-1-j, so one Python loop over m = (n - 1) / 2 pairs
+    of rows factors T - s for every shift s at once, and the middle row's
+    pivot closes the twisted factorization (Parlett & Dhillon, "Fernando's
+    solution to Wilkinson's problem", Linear Algebra Appl. 267, 1997). An
+    even n gets a decoupled last row at 2 |T|_1, above every shift."""
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        rims = np.abs(off)
+        self.norm = float(np.max(np.abs(diag) + np.r_[0.0, rims] + np.r_[rims, 0.0]))  # |T|_1
+        self.size = n = diag.size
+        if n % 2 == 0:
+            diag, off, n = np.r_[diag, 2.0 * self.norm], np.r_[off, 0.0], n + 1
+        self.m = m = (n - 1) // 2
+        self.middle = diag[m]
+        self.ends = np.column_stack([diag[:m], diag[:m:-1]])
+        # each paired row's off-diagonal towards the middle
+        self.links = np.column_stack([off[:m], off[n - 2 : m - 1 : -1]])
+
+    def pivots(self, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pivots of T - s for the S ``shifts``: an (m, 2S) array whose
+        row j holds rows j and n-1-j, and the middle row's (S,). A zero pivot
+        makes the next one -inf and the one after it finite again, so the
+        count of negative pivots needs no test (Demmel, Dhillon & Ren, "On
+        the correctness of some bisection-like parallel eigenvalue
+        algorithms in floating point arithmetic", ETNA 3, 1995)."""
+        S = shifts.size
+        piv = (self.ends[:, :, None] - shifts).reshape(self.m, 2 * S)
+        squares = np.repeat(self.links**2, S, axis=1)
+        ratio = np.empty(2 * S)
+        rows = list(piv)
+        with np.errstate(divide="ignore"):
+            for square, prev, row in zip(squares, rows, rows[1:]):
+                np.divide(square, prev, ratio)
+                np.subtract(row, ratio, row)
+            inner = squares[-1] / piv[-1]
+        return piv, self.middle - shifts - inner[:S] - inner[S:]
+
+    def counts(self, shifts: np.ndarray) -> np.ndarray:
+        """The number of eigenvalues of T below each shift (Sylvester's law
+        of inertia: the negative pivots)."""
+        piv, centre = self.pivots(shifts)
+        neg = np.signbit(piv).sum(axis=0, dtype=np.int32)
+        return neg[: shifts.size] + neg[shifts.size :] + np.signbit(centre)
+
+    def solve(self, shifts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """x_k = (T - s_k)^{-1} b_k for each row b_k of ``rhs`` (k, n) and
+        shift s_k, as rows. A shift at which a pivot vanishes, an eigenvalue
+        of T or of a block at either end (the Neumann mean mode's 0), moves
+        up by eps |T|_1: the solve is then as good a step of inverse
+        iteration."""
+        m, k = self.m, shifts.size
+        piv, centre = self.pivots(shifts)
+        finite = np.isfinite(piv).all(axis=0).reshape(2, k).all(axis=0)
+        broken = ~(finite & (centre != 0) & np.isfinite(centre))
+        if broken.any():
+            piv, centre = self.pivots(shifts + broken * (np.finfo(float).eps * self.norm))
+        mult = np.repeat(self.links, k, axis=1) / piv
+        b = rhs if self.size % 2 else np.column_stack([rhs, np.zeros(k)])
+        x = np.concatenate([b[:, :m].T, b[:, :m:-1].T], axis=1)
+        step = np.empty(2 * k)
+        rows, mults = list(x), list(mult)
+        for mu, prev, row in zip(mults, rows, rows[1:]):  # elimination, inwards
+            np.multiply(mu, prev, step)
+            np.subtract(row, step, row)
+        middle = (b[:, m] - mult[-1, :k] * x[-1, :k] - mult[-1, k:] * x[-1, k:]) / centre
+        x /= piv
+        inner = np.concatenate([middle, middle])
+        for mu, row in zip(mults[::-1], rows[::-1]):  # back substitution, outwards
+            np.multiply(mu, inner, step)
+            np.subtract(row, step, row)
+            inner = row
+        out = np.empty((k, 2 * m + 1))
+        out[:, :m], out[:, m], out[:, :m:-1] = x[:, :k].T, middle, x[:, k:].T
+        return out[:, : self.size]
+
+
+def _brackets(shifts: list, counts: list, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each k < ``modes`` the highest shift with at most k eigenvalues
+    below it and the lowest with more: the k-th eigenvalue lies between."""
+    shifts, counts = np.concatenate(shifts), np.concatenate(counts)
+    below = counts[:, None] <= np.arange(modes)
+    lo = np.where(below, shifts[:, None], -np.inf).max(axis=0)
+    hi = np.where(below, np.inf, shifts[:, None]).min(axis=0)
+    return lo, hi
+
+
+def _lowest_eigenpairs(op: DiscreteSLOperator, J: int) -> tuple[np.ndarray, np.ndarray]:
+    """B_h's J lowest eigenvalues, ascending, and its eigenvectors as rows on
+    the whole grid, zero at pinned nodes and of unit norm in the trapezoid
+    weights, from the symmetric tridiagonal T of ``symmetric_tridiagonals``.
+
+    Sturm counts bracket each eigenvalue: a log grid on both sides of 0 out
+    to |T|_1, which bounds the spectrum, a multisection whose shifts thin
+    out like the eigenvalues k^2, then quartering until each bracket is
+    isolated from its neighbours'. From its bracket's midpoint and the
+    discrete cosine or sine of the standard plant with the same pinned ends,
+    each mode takes Rayleigh-quotient iterations, restarting from the
+    midpoint when its quotient leaves the bracket, until the quotient
+    (``rayleigh_quotients``) changes by at most 8 eps |T|_1. Each eigenvalue
+    returned is verified against the bound n eps |T|_1: its residual
+    |T y - lam y| is within the bound, so an eigenvalue of T lies that close,
+    and the Sturm counts at lam -/+ the bound are k and k + 1, so that
+    eigenvalue is the k-th. A mode that does not settle within the iteration
+    cap or fails either check raises UnverifiedEigenpair.
+    """
+    T = _Twisted(*op.symmetric_tridiagonals())
+    n, K = T.size, J + 1  # mode J bounds the last mode's gap from above
+    scales = T.norm * 0.5 ** np.arange(53)
+    shifts = [np.r_[-scales, 0.0, scales[::-1]]]
+    counts = [T.counts(shifts[-1])]
+    lo, hi = _brackets(shifts, counts, K)
+    points = _GRID_PER_MODE * K
+    shifts.append(lo[0] + (hi[-1] - lo[0]) * (np.arange(1, points) / points) ** 2)
+    counts.append(T.counts(shifts[-1]))
+    for _ in range(_REFINE_CAP):
+        lo, hi = _brackets(shifts, counts, K)
+        gaps = lo[1:] - hi[:-1]
+        wide = (hi - lo) * _NARROW > np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        if not wide.any():
+            break
+        shifts.append(np.unique(lo[wide, None] + (hi - lo)[wide, None] * [0.25, 0.5, 0.75]))
+        counts.append(T.counts(shifts[-1]))
+    else:
+        k = int(np.argmax(wide))
+        raise UnverifiedEigenpair(f"eigenvalue {k + 1} is not isolated in [{lo[k]!r}, {hi[k]!r}]")
+    lo, hi = lo[:J], hi[:J]
+
+    bound = n * np.finfo(float).eps * T.norm
+    root = np.sqrt(op.weights[op.free])
+
+    def rows_of(y):
+        rows = np.zeros((y.shape[0], op.grid.size))
+        rows[:, op.free] = y / root
+        return rows
+
+    vecs = np.empty((J, n))
+    active, shift, last = np.arange(J), (lo + hi) / 2, np.full(J, np.nan)
+    y = _standard_waves(op.problem, J, op.grid.size, np.arange(op.i0, op.i1))[1]
+    for _ in range(_RQI_CAP):
+        x = T.solve(shift, y)
+        y = x / np.linalg.norm(x, axis=1)[:, None]
+        quotients = op.rayleigh_quotients(rows_of(y))
+        settled = np.abs(quotients - last) <= 8.0 * np.finfo(float).eps * T.norm
+        vecs[active[settled]] = y[settled]
+        keep = ~settled
+        active, y, lo, hi, last = active[keep], y[keep], lo[keep], hi[keep], quotients[keep]
+        if not active.size:
+            break
+        # a quotient outside its bracket (by more than roundoff) restarts from the midpoint
+        shift = np.where((lo - bound <= last) & (last <= hi + bound), last, (lo + hi) / 2)
+    else:
+        raise UnverifiedEigenpair(
+            f"eigenvalue {active[0] + 1} did not settle in {_RQI_CAP} Rayleigh-quotient iterations")
+
+    # independent solves leave the modes orthogonal only to about 1e-12; one
+    # symmetric (Lowdin) step, I - (G - I) / 2 for their Gram matrix G, takes
+    # that to roundoff and moves each mode by no more
+    vecs -= 0.5 * (vecs @ vecs.T - np.eye(J)) @ vecs
+    rows = rows_of(vecs)
+    lams = op.rayleigh_quotients(rows)
+    # |T y - lam y| is the norm of B_h x - lam x in the trapezoid weights
+    misfit = np.array([op.apply(x) for x in rows]) - lams[:, None] * rows
+    residual = np.sqrt(misfit**2 @ op.weights)
+    below = T.counts(np.r_[lams - bound, lams + bound])
+    order = np.arange(J)
+    ok = (residual <= bound) & (below[:J] == order) & (below[J:] == order + 1)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise UnverifiedEigenpair(
+            f"eigenvalue {k + 1} ({lams[k]!r}) is not verified: residual {residual[k]:.3g} "
+            f"against the bound {bound:.3g}, or Sturm counts place it elsewhere")
+    return lams, rows
+
+
 def numeric_eigensystem(problem: SLProblem, J: int, nodes: int) -> SpectralBasis:
     """First J eigenpairs of the central-difference discretization.
 
-    Eigenfunctions are orthonormal in the trapezoid inner product and carry
-    the deterministic sign convention (first nonzero value or derivative at
-    x = 0 is positive). Raises ResolutionTooCoarse when the grid has fewer
-    than 8 nodes per mode, or when the estimated discretization error is too
-    large to separate adjacent modes.
+    The eigenpairs of its symmetric tridiagonal form come from bisection by
+    Sturm counts, with the IEEE-robust count of Demmel, Dhillon & Ren (ETNA
+    3, 1995), then Rayleigh-quotient iteration (``_lowest_eigenpairs``); each
+    eigenvalue is its mode's Rayleigh quotient, accurate relative to its own
+    size. Eigenfunctions are orthonormal in the trapezoid inner product and
+    carry the deterministic sign convention (first nonzero value or
+    derivative at x = 0 is positive). Raises ResolutionTooCoarse when the
+    grid has fewer than 8 nodes per mode, or when the estimated
+    discretization error is too large to separate adjacent modes, and
+    UnverifiedEigenpair when a mode fails its residual or Sturm-count check.
     """
     if J < 1:
         raise ValueError("need at least one mode")
     if nodes < 8 * J:
         raise ResolutionTooCoarse(f"need nodes >= 8*J = {8 * J}, got {nodes}")
-    from scipy.linalg import eigh_tridiagonal
-
     op = DiscreteSLOperator(problem, nodes)
-    diag, e_sym = op.symmetric_tridiagonals()
-    w = op.weights[op.free]
-    lams, vecs = eigh_tridiagonal(diag, e_sym, select="i", select_range=(0, J - 1))
-    funcs = np.zeros((J, nodes))
-    funcs[:, op.free] = (vecs / np.sqrt(w)[:, None]).T
+    lams, funcs = _lowest_eigenpairs(op, J)
 
     dx = op.dx
     # sign convention: the first nonzero of the value or derivative at x = 0
@@ -550,7 +757,9 @@ def basis_from_csv(path, problem: SLProblem | None = None) -> SpectralBasis:
     naming the file when a ``#`` vector line or the ``x,phi_*`` header is
     missing, a row is ragged or not numeric, the eigenvalue, end-derivative
     and mode-column counts disagree, or the x column is not the uniform grid
-    of its row count within 1e-12 (as in a truncated file)."""
+    of its row count within 1e-12 (as in a truncated file). The modes come
+    back as contiguous rows, the layout of the eigensystems, so a design
+    made from the file is the one made from the basis written, bit for bit."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     meta: dict[str, str] = {}
@@ -583,7 +792,7 @@ def basis_from_csv(path, problem: SLProblem | None = None) -> SpectralBasis:
     return SpectralBasis(
         grid=data[:, 0],
         eigenvalues=lams,
-        functions=data[:, 1:].T,
+        functions=np.ascontiguousarray(data[:, 1:].T),
         end_derivs=np.column_stack([left, right]),
         problem=problem,
     )

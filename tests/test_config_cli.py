@@ -508,7 +508,7 @@ class TestCli:
             ("design.json", lambda text: _edit_json(text, lambda doc: doc["basis"].update(modes=63)),
              "basis.csv: 64 modes on 2001 nodes, the design JSON says 63 on 2001"),
             ("basis.csv", _other_plant_basis,
-             "basis.csv: lambda_1 = 1.7693653452212259, the design JSON records 1.669365345459068"),
+             "basis.csv: lambda_1 = 1.7693653466558037, the design JSON records 1.6693653466571909"),
             ("design.json", lambda text: _edit_json(text, lambda doc: doc["problem"].update(p="abc")),
              "problem.p: expected a number, got 'abc'"),
             ("design.json", lambda text: _edit_json(text, lambda doc: doc.update(sigma="abc")),
@@ -1126,6 +1126,26 @@ class TestRunCertificate:
         # without the oracle the same run goes on to simulate
         with pytest.raises(AssertionError, match="simulated a run"):
             parobs.analysis.run_example_31(h=0.3, horizon=3.0, lyapunov=False, lyapunov_tail=0)
+
+    def test_numeric_design_and_run_load_no_scipy(self, tmp_path):
+        # numeric bases come from numpy alone: building the design of
+        # design_sweep.json and a short run of nonlinear_zoh.json import no
+        # scipy module
+        code = (
+            "import json, sys\n"
+            "import parobs\n"
+            "from parobs.cli import main\n"
+            "from parobs.config import build_design\n"
+            f"build_design(json.loads(open({str(DESIGN_SWEEP)!r}).read()))\n"
+            f"argv = ['simulate', '--config', {str(NONLINEAR_ZOH)!r}, '--set', 'schedule.horizon=2',"
+            f" '--out', {str(tmp_path / 'zoh')!r}]\n"
+            "assert main(argv) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(parobs.cli.__file__).parents[1])  # the directory holding the parobs package
+        subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     def test_kappa_out_of_range_exit_code(self, capsys):
         argv = ["simulate", "--config", str(NONLINEAR_ZOH), "--set", "schedule.horizon=2",

@@ -4,8 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parobs import profiles as pf
+from parobs import sturm_liouville as sl
+from parobs.cli import EXIT_CONFIG, main
 from parobs.config import build_problem
 from parobs.errors import (
     GridMismatch,
@@ -13,7 +17,9 @@ from parobs.errors import (
     NonPositiveCoefficient,
     ResolutionTooCoarse,
     UnsupportedAnalyticCase,
+    UnverifiedEigenpair,
 )
+from parobs.grids import end_derivatives
 from parobs.sturm_liouville import (
     DiscreteSLOperator,
     GeneralSLProblem,
@@ -386,3 +392,93 @@ def test_no_exact_eigenpairs_without_standard_ends_and_constant_q(problem):
     assert DiscreteSLOperator(problem, 21).exact_eigenpairs() is None
     with pytest.raises(UnsupportedAnalyticCase):
         analytic_eigensystem(problem, 3, 21)
+
+
+# -- the numeric eigensolver against LAPACK's ------------------------------------
+
+def _sign_convention(rows: np.ndarray, dx: float) -> np.ndarray:
+    """``numeric_eigensystem``'s rule: the first nonzero of the value or the
+    derivative at x = 0 is positive."""
+    d0, _ = end_derivatives(rows, dx)
+    anchor = np.where(np.abs(rows[:, 0]) > 1e-8 * np.max(np.abs(rows), axis=1), rows[:, 0], d0)
+    return rows * np.where(anchor < 0, -1.0, 1.0)[:, None]
+
+
+def _assert_matches_lapack(problem: SLProblem, J: int, nodes: int):
+    """numeric_eigensystem against scipy's eigh_tridiagonal (LAPACK's
+    bisection and inverse iteration, stebz and stein), whose eigenvalues
+    carry an error of eps |T|. The gates were fixed before the first run:
+    eigenvalues within 10 eps |T|_1, modes within 1e-9 after the sign
+    convention, and orthonormal in the trapezoid weights to 1e-12."""
+    from scipy.linalg import eigh_tridiagonal
+
+    basis = numeric_eigensystem(problem, J, nodes)
+    op = DiscreteSLOperator(problem, nodes)
+    diag, off = op.symmetric_tridiagonals()
+    lam, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, J - 1))
+    norm = np.max(np.abs(diag) + np.r_[0.0, np.abs(off)] + np.r_[np.abs(off), 0.0])
+    assert np.abs(basis.eigenvalues - lam).max() <= 10 * np.finfo(float).eps * norm
+    ref = np.zeros((J, nodes))
+    ref[:, op.free] = (vecs / np.sqrt(op.weights[op.free])[:, None]).T
+    assert np.abs(basis.functions - _sign_convention(ref, op.dx)).max() <= 1e-9
+    assert basis.orthonormality_defect() < 1e-12
+    return basis
+
+
+ORACLE_PLANTS = {
+    # the benchmark's plant: Neumann left end, Robin right end, q = 0.5 + x
+    "design_sweep": (build_problem(json.loads(DESIGN_SWEEP.read_text())), 64, 2001),
+    # 798 free nodes, an even count
+    "dirichlet": (SLProblem(p=1.0, q=pf.polynomial([0.5, 1.0]), a0=1.0, b0=0.0, a1=1.0, b1=0.0),
+                  32, 800),
+    "robin_a0_negative": (SLProblem(p=1.0, q=0.0, a0=-2.0, b0=1.0, a1=1.0, b1=1.0), 40, 1001),
+    "p_0.01": (SLProblem(p=0.01, q=pf.polynomial([0.5, 1.0]), a0=0.0, b0=1.0, a1=1.0, b1=1.0),
+               40, 1001),
+    "negative_q": (SLProblem(p=1.0, q=pf.polynomial([-60.0, 5.0]), a0=0.0, b0=1.0, a1=1.0, b1=1.0),
+                   32, 1000),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_PLANTS))
+def test_numeric_eigensystem_matches_lapack(name):
+    basis = _assert_matches_lapack(*ORACLE_PLANTS[name])
+    if name == "negative_q":
+        assert basis.eigenvalues[0] < 0.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(p=st.floats(0.05, 3.0), q0=st.floats(-20.0, 20.0), q1=st.floats(-20.0, 20.0),
+       left=st.sampled_from([None, -2.0, 0.0, 1.5]), right=st.sampled_from([None, -0.5, 0.0, 2.0]),
+       nodes=st.integers(101, 1500), per_mode=st.integers(40, 100))
+def test_numeric_eigensystem_matches_lapack_on_drawn_plants(p, q0, q1, left, right, nodes, per_mode):
+    # an end drawn as None is Dirichlet, a number is the Robin a over b = 1
+    a0, b0 = (1.0, 0.0) if left is None else (left, 1.0)
+    a1, b1 = (1.0, 0.0) if right is None else (right, 1.0)
+    problem = SLProblem(p=p, q=pf.polynomial([q0, q1]), a0=a0, b0=b0, a1=a1, b1=b1)
+    _assert_matches_lapack(problem, max(2, nodes // per_mode), nodes)
+
+
+def test_neumann_mean_mode_has_relative_accuracy():
+    # the eigenvalue is the mode's Rayleigh quotient, a sum of squares here:
+    # eigh_tridiagonal left it at ~1e-12, eps |T| on 101 nodes
+    basis = numeric_eigensystem(SLProblem(p=1.0, q=0.0, a0=0, b0=1, a1=0, b1=1), 4, 101)
+    assert abs(basis.eigenvalues[0]) < 1e-20
+
+
+def test_unsettled_modes_are_an_error(monkeypatch, capsys):
+    # with no Rayleigh-quotient iteration no mode settles: a typed error,
+    # which the CLI turns into exit 2
+    monkeypatch.setattr(sl, "_RQI_CAP", 0)
+    with pytest.raises(UnverifiedEigenpair, match="did not settle"):
+        numeric_eigensystem(*ORACLE_PLANTS["design_sweep"])
+    assert main(["design", "--config", str(DESIGN_SWEEP)]) == EXIT_CONFIG
+    assert "UnverifiedEigenpair: eigenvalue 1 did not settle" in capsys.readouterr().err
+
+
+def test_wrong_eigenvalues_fail_the_residual_check(monkeypatch):
+    # quotients off by 1 still settle, but no eigenvalue lies within the
+    # bound of them
+    quotients = DiscreteSLOperator.rayleigh_quotients
+    monkeypatch.setattr(DiscreteSLOperator, "rayleigh_quotients", lambda op, rows: quotients(op, rows) + 1.0)
+    with pytest.raises(UnverifiedEigenpair, match="is not verified"):
+        numeric_eigensystem(*ORACLE_PLANTS["robin_a0_negative"])
