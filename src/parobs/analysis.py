@@ -388,7 +388,8 @@ def error_map(design: ObserverDesign, variant: str, tau: float,
     mapped to the grid. The decay rate of a uniform schedule of gap tau is
     -ln rho(M(tau)) / tau.
     """
-    modes = GridModes(DiscreteObserver(design, variant, nodes))
+    discrete = DiscreteObserver(design, variant, nodes)
+    modes = GridModes(discrete.op, discrete)
     decay, phi, _ = modes.flows(np.array([float(tau)]))
     modal = np.diag(decay[0]) + phi[0].T @ modes.k_hat
     return modes.rows.T @ modal @ (modes.rows * modes.weights), -(modes.rows.T @ phi[0].T)

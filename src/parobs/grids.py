@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidSpec
+
 __all__ = [
     "uniform_grid",
     "trapezoid_weights",
@@ -30,7 +32,7 @@ _BLOCK_ROWS = 256
 
 def uniform_grid(nodes: int) -> np.ndarray:
     if nodes < 3:
-        raise ValueError("need at least 3 grid nodes")
+        raise InvalidSpec(f"need at least 3 grid nodes, got {nodes}")
     return np.linspace(0.0, 1.0, int(nodes))
 
 

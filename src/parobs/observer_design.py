@@ -231,7 +231,7 @@ def _channel_coefficients(problem: SLProblem, basis: SpectralBasis, channels) ->
     """Check each approximant against the Robin conditions and project it on
     the basis; row i holds <c_i, phi_j> for every basis mode j."""
     if not channels:
-        raise ValueError("need at least one output channel")
+        raise InvalidSpec("need at least one output channel")
     for ch in channels:
         res = ch.boundary_residual(problem)
         if res > _BC_TOL:
@@ -297,7 +297,7 @@ class ObserverDesign:
         channels = tuple(self.channels)
         c_coeffs = _channel_coefficients(problem, basis, channels)
         if not 1 <= N < basis.size:
-            raise ValueError(f"need 1 <= N < basis.size = {basis.size}, got N = {N}")
+            raise InvalidSpec(f"need 1 <= N < basis.size = {basis.size}, got N = {N}")
         lam_next = float(basis.eigenvalues[N])
         if lam_next <= 0.0:
             raise InvalidM(f"lambda_(N+1) must be positive, got {lam_next}")

@@ -4,10 +4,10 @@ Space is the central-difference operator B_h of ``DiscreteSLOperator``,
 self-adjoint in the trapezoid weights, which every discrete inner product
 shares. Every run lives in its eigenbasis (``GridModes``), in the plant u,
 the observer error e = w - u and the innovation eta: no matrix exponential
-of the grid, no tridiagonal solve and no scipy. The eigenbasis is the
-discrete cosines or sines of ``DiscreteSLOperator.exact_eigenpairs`` for
+of the grid, no tridiagonal solve and no scipy. The eigenbasis is
+``DiscreteSLOperator.eigenpairs``: the discrete cosines or sines for
 constant q with Neumann or Dirichlet ends, and one ``numpy.linalg.eigh``
-otherwise (``_Eigenbasis``). A run with the zero term is solved exactly
+otherwise. A run with the zero term is solved exactly
 between samples; a run with a non-zero term (``LinearNonlocalTerm`` or
 ``GainSaturatedTerm``) steps with Crank-Nicolson's trapezoidal rule, which
 is elementwise in the modes but for the term's r coefficients
@@ -56,13 +56,13 @@ _SINGULAR_RTOL = 1e-12  # smallest pivot or singular value of a step's solve, re
 
 
 # -- spec-level single-step entry points ---------------------------------------
-# Each call builds the grid's modes (``_Eigenbasis``: closed forms, or one
+# Each call builds the grid's modes (``GridModes``: closed forms, or one
 # ``eigh`` for a Robin end or a variable q) and the step's factors, which
 # cost far more than the step; ``simulate`` builds them once per run.
 
 def step_plant(u, t, dt, problem: SLProblem, nonlinearity: NonlinearTerm | None, v) -> np.ndarray:
     """Single Crank-Nicolson plant step on the grid implied by len(u)."""
-    modes = _Eigenbasis(DiscreteSLOperator(problem, len(u)))
+    modes = GridModes(DiscreteSLOperator(problem, len(u)))
     return _step_alone(modes, nonlinearity, v, u, t, dt, np.zeros(0))[0]
 
 
@@ -72,18 +72,19 @@ def step_observer_predictor(w, zeta, t, dt, design: ObserverDesign, nonlinearity
     discrete = DiscreteObserver(design, "predictor", len(w))
     w = np.asarray(w, dtype=float)
     eta = discrete.c_rows @ w - np.asarray(zeta, dtype=float)
-    w, eta = _step_alone(GridModes(discrete), nonlinearity, v_tilde, w, t, dt, eta)
+    w, eta = _step_alone(GridModes(discrete.op, discrete), nonlinearity, v_tilde, w, t, dt, eta)
     return w, discrete.c_rows @ w - eta
 
 
 def step_observer_zoh(w, held, t, dt, design: ObserverDesign, nonlinearity, v_tilde):
     """Single observer step with the held innovation: the error step of w
     against u = 0."""
-    modes = GridModes(DiscreteObserver(design, "zoh", len(w)))
-    return _step_alone(modes, nonlinearity, v_tilde, w, t, dt, np.asarray(held, dtype=float))[0]
+    discrete = DiscreteObserver(design, "zoh", len(w))
+    return _step_alone(GridModes(discrete.op, discrete), nonlinearity, v_tilde, w, t, dt,
+                       np.asarray(held, dtype=float))[0]
 
 
-def _step_alone(modes: _Eigenbasis, nonlinearity, v, x, t, dt, eta):
+def _step_alone(modes: GridModes, nonlinearity, v, x, t, dt, eta):
     """One step of the field x alone from t, driven by the input spec v and
     the innovation eta: the error step against u = 0, with the term's value
     at zero as an input. Returns the field and eta at t + dt."""
@@ -115,68 +116,43 @@ class DiscreteObserver:
         self.c_rows, self.k_rows = c * op.weights, k * op.weights
 
 
-class _Eigenbasis:
-    """B_h's eigenbasis, with no output channel (m = 0): a plant step's modes.
+class GridModes:
+    """B_h's eigenbasis, ``DiscreteSLOperator.eigenpairs``, and the error
+    dynamics in it of the observer ``discrete``, a ``DiscreteObserver`` on
+    the grid of ``op``; with no observer there is no output channel (m = 0),
+    the modes of a plant step.
 
-    For constant q and pure Neumann or Dirichlet ends the modes and lam are
-    the closed forms of ``DiscreteSLOperator.exact_eigenpairs``. Otherwise
-    W^{1/2} B_h W^{-1/2} on the free nodes is a symmetric tridiagonal
-    (``DiscreteSLOperator.symmetric_tridiagonals``), one ``numpy.linalg.eigh``
-    of it gives the modes, and lam is each mode's Rayleigh quotient
-    (``DiscreteSLOperator.rayleigh_quotients``). The modes U are orthonormal
-    in the trapezoid weights, so a field's modal coordinates are U^T W x and
-    its norm is their plain norm. ``rows`` holds the modes as rows on the
-    whole grid, zero at pinned nodes.
+    The modes are orthonormal in the trapezoid weights, so a field's modal
+    coordinates are U^T W x (``project``) and its norm is their plain norm;
+    ``rows`` holds them as rows on the whole grid, zero at pinned nodes, and
+    ``lam`` their eigenvalues. In the modes, the observer error e = w - u
+    obeys e' = -lam e + l_hat eta + (v~ - v)^ + (f(w) - f(u))^ between
+    samples, and the innovation eta obeys eta' = A eta; a sample resets it
+    to eta = k_hat e - xi. The hold observer holds eta (A = 0). The
+    predictor's eta = C w - zeta has A = c_hat l_hat: its zeta moves at
+    -<B_h c_i, w> + <c_i, f(w) + v~>, which is -C B_h w + C (f(w) + v~)
+    because B_h is self-adjoint in the trapezoid weights, so the (e, eta)
+    generator is block triangular. ``flows`` solves the zero term's dynamics
+    in closed form: no time step, no ``expm`` of the grid, no scipy;
+    ``_Trapezoid`` steps the others.
     """
 
-    def __init__(self, op: DiscreteSLOperator):
-        exact = op.exact_eigenpairs()
-        if exact is not None:
-            self.lam, self.rows = exact
-        else:
-            diag, off = op.symmetric_tridiagonals()
-            sym = np.diag(diag)
-            i = np.arange(off.size)
-            sym[i, i + 1] = sym[i + 1, i] = off
-            q = np.linalg.eigh(sym)[1]
-            del sym
-            self.rows = np.zeros((q.shape[1], op.grid.size))
-            self.rows[:, op.free] = q.T
-            del q
-            self.rows[:, op.free] /= np.sqrt(op.weights[op.free])
-            self.lam = op.rayleigh_quotients(self.rows)
+    def __init__(self, op: DiscreteSLOperator, discrete: DiscreteObserver | None = None):
+        self.lam, self.rows = op.eigenpairs()
         self.op, self.weights = op, op.weights
-        self.l_hat = self.k_hat = np.zeros((0, self.lam.size))
-        self.A = np.zeros((0, 0))
+        if discrete is None:
+            self.l_hat = self.k_hat = self.c_hat = np.zeros((0, self.lam.size))
+        else:
+            self.l_hat = self.project(discrete.l_cols.T)  # (m, modes): one row per channel
+            self.k_hat = discrete.k_rows @ self.rows.T  # (m, modes)
+            self.c_hat = discrete.c_rows @ self.rows.T  # (m, modes)
+        predictor = discrete is not None and discrete.variant == "predictor"
+        m = self.l_hat.shape[0]
+        self.A = self.c_hat @ self.l_hat.T if predictor else np.zeros((m, m))
 
     def project(self, fields: np.ndarray) -> np.ndarray:
         """The modal coordinates U^T W x of each row x of ``fields``."""
         return (fields * self.weights) @ self.rows.T
-
-
-class GridModes(_Eigenbasis):
-    """B_h's eigenbasis (``_Eigenbasis``), and the observer's error dynamics
-    in it.
-
-    In the modes, the observer error e = w - u obeys e' = -lam e + l_hat eta
-    + (v~ - v)^ + (f(w) - f(u))^ between samples, and the innovation eta
-    obeys eta' = A eta; a sample resets it to eta = k_hat e - xi. The hold
-    observer holds eta (A = 0). The predictor's eta = C w - zeta has A =
-    c_hat l_hat: its zeta moves at -<B_h c_i, w> + <c_i, f(w) + v~>, which
-    is -C B_h w + C (f(w) + v~) because B_h is self-adjoint in the
-    trapezoid weights, so the (e, eta) generator is block triangular.
-    ``flows`` solves the zero term's dynamics in closed form: no time step,
-    no ``expm`` of the grid, no scipy; ``_Trapezoid`` steps the others.
-    """
-
-    def __init__(self, discrete: DiscreteObserver):
-        super().__init__(discrete.op)
-        self.l_hat = self.project(discrete.l_cols.T)  # (m, modes): one row per channel
-        self.k_hat = discrete.k_rows @ self.rows.T  # (m, modes)
-        self.c_hat = discrete.c_rows @ self.rows.T  # (m, modes)
-        m = self.l_hat.shape[0]
-        self.A = (self.c_hat @ self.l_hat.T if discrete.variant == "predictor"
-                  else np.zeros((m, m)))
 
     def flows(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """At each offset s (a 1-D array) from a sample: e^{-lam s} (S, modes);
@@ -249,7 +225,7 @@ class _Trapezoid:
     pole 1 - dt/2 (R P) = 0 amplifies an error in lam by 1 / that.
     """
 
-    def __init__(self, modes: _Eigenbasis, nonlinearity: NonlinearTerm):
+    def __init__(self, modes: GridModes, nonlinearity: NonlinearTerm):
         rows, cols = nonlinearity.factors(modes.op.grid.size)
         self.lam, self.A, self.phi = modes.lam, modes.A, nonlinearity.phi
         self.r_hat = rows @ modes.rows.T  # the term reads R x
@@ -541,8 +517,9 @@ def simulate(scenario: Scenario) -> Trajectory:
     still runs, since divergence studies are legitimate, but emits a
     warning; ``analysis.check_run`` then checks no bound.
 
-    Every run lives in the modes of B_h (``GridModes``: closed forms for
-    constant q with Neumann or Dirichlet ends, one ``eigh`` otherwise), in
+    Every run lives in the modes of B_h (``GridModes`` of the run's
+    ``DiscreteObserver``, on ``DiscreteSLOperator.eigenpairs``: closed forms
+    for constant q with Neumann or Dirichlet ends, one ``eigh`` otherwise), in
     the plant u, the observer error e = w - u and the innovation eta, which
     each sample resets from the error and the noise: eta = k_hat e - xi
     (y - <k, u> = xi). Each record keeps u's and e's modal coordinates
@@ -588,7 +565,7 @@ def simulate(scenario: Scenario) -> Trajectory:
     size = plan.times.size
     # each channel's noise at every sample at once, one row per sample
     xi = np.column_stack([s.value(sample_times, np.arange(sample_times.size)) for s in dist.xi])
-    modes = GridModes(discrete)
+    modes = GridModes(discrete.op, discrete)
     traj = Trajectory(
         times=plan.times,
         zeta=np.empty((size, design.m)),

@@ -3,8 +3,10 @@
 Provides the spectral machinery the observer designs rest on: closed-form
 eigenpairs for the four standard constant-reaction cases, the lowest
 eigenpairs of the second-order finite-difference operator for any other
-plant, the reduction of variable-coefficient operators to constant-diffusion
-normal form, the tail-summability diagnostic, and modal projections.
+plant, all of that operator's eigenpairs (``DiscreteSLOperator.eigenpairs``,
+the modes the simulator runs in), the reduction of variable-coefficient
+operators to constant-diffusion normal form, the tail-summability
+diagnostic, and modal projections.
 
 The finite-difference eigenpairs come from numpy alone: Sturm counts with
 IEEE arithmetic (Demmel, Dhillon & Ren, ETNA 3, 1995) bracket each
@@ -188,14 +190,15 @@ class DiscreteSLOperator:
         return slice(self.i0, self.i1)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """B_h u with pinned entries mapped to zero."""
+        """B_h u along the last axis, so u may be a stack of fields, with
+        pinned entries mapped to zero."""
         out = self.diag * u
-        out[:-1] += self.sup * u[1:]
-        out[1:] += self.sub * u[:-1]
+        out[..., :-1] += self.sup * u[..., 1:]
+        out[..., 1:] += self.sub * u[..., :-1]
         if self.problem.dirichlet_left:
-            out[0] = 0.0
+            out[..., 0] = 0.0
         if self.problem.dirichlet_right:
-            out[-1] = 0.0
+            out[..., -1] = 0.0
         return out
 
     def pin(self, u: np.ndarray) -> np.ndarray:
@@ -236,28 +239,49 @@ class DiscreteSLOperator:
         x = rows[:, self.free]
         return (np.diff(x, axis=1) ** 2) @ -link + (x**2) @ sums
 
-    def exact_eigenpairs(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """B_h's eigenvalues, ascending, and its eigenvectors as rows on the
-        whole grid, zero at pinned nodes and of unit norm in the trapezoid
-        weights, in closed form; None unless ``problem.standard_q()`` holds.
+    def _grid_rows(self, vectors: np.ndarray) -> np.ndarray:
+        """B_h's eigenvectors from those of ``symmetric_tridiagonals``: each
+        row of ``vectors`` (its free-node values) times W^{-1/2}, as a row on
+        the whole grid, zero at pinned nodes."""
+        rows = np.zeros((vectors.shape[0], self.grid.size))
+        rows[:, self.free] = vectors
+        rows[:, self.free] /= np.sqrt(self.weights[self.free])
+        return rows
 
-        The eigenvectors are the plant's modes sampled at the free nodes
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """All of B_h's eigenvalues, ascending, and its eigenvectors as rows
+        on the whole grid, zero at pinned nodes and of unit norm in the
+        trapezoid weights.
+
+        When ``problem.standard_q()`` holds they are closed forms: the
+        eigenvectors are the plant's modes sampled at the free nodes
         (``_standard_waves``), and with theta_k = w_k pi / (2M) on M = n - 1
         intervals lam_k = q + (4 p / dx^2) sin^2(theta_k / 2): the discrete
         cosine and sine bases (Strang, "The discrete cosine transform", SIAM
-        Review 41, 1999).
+        Review 41, 1999). For any other plant one ``numpy.linalg.eigh`` of
+        ``symmetric_tridiagonals`` gives the modes, and each eigenvalue is
+        its mode's Rayleigh quotient (``rayleigh_quotients``). For the J
+        lowest modes alone, ``numeric_eigensystem`` is the cheaper solver.
         """
         q = self.problem.standard_q()
-        if q is None:
-            return None
-        count = self.i1 - self.i0
-        waves, values = _standard_waves(self.problem, count, self.grid.size,
-                                        np.arange(self.i0, self.i1))
-        rows = np.zeros((count, self.grid.size))
-        rows[:, self.free] = values
-        rows /= np.sqrt((rows * rows) @ self.weights)[:, None]
-        theta = waves * (math.pi / (4 * (self.grid.size - 1)))
-        return q + (4.0 * self.problem.p / self.dx**2) * np.sin(theta) ** 2, rows
+        if q is not None:
+            count = self.i1 - self.i0
+            waves, values = _standard_waves(self.problem, count, self.grid.size,
+                                            np.arange(self.i0, self.i1))
+            rows = np.zeros((count, self.grid.size))
+            rows[:, self.free] = values
+            rows /= np.sqrt((rows * rows) @ self.weights)[:, None]
+            theta = waves * (math.pi / (4 * (self.grid.size - 1)))
+            return q + (4.0 * self.problem.p / self.dx**2) * np.sin(theta) ** 2, rows
+        diag, off = self.symmetric_tridiagonals()
+        sym = np.diag(diag)
+        i = np.arange(off.size)
+        sym[i, i + 1] = sym[i + 1, i] = off
+        vectors = np.linalg.eigh(sym)[1]
+        del sym
+        rows = self._grid_rows(vectors.T)
+        del vectors
+        return self.rayleigh_quotients(rows), rows
 
 
 def _standard_waves(problem: SLProblem, count: int, nodes: int, index, shift: int = 0):
@@ -354,11 +378,12 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
     Mode k is sqrt(2) times the wave of ``_standard_waves`` (the Neumann
     mean mode 1), with wavenumber kappa_k = w_k pi / 2 and eigenvalue
     p kappa_k^2 + q; its end derivatives read the same table a quarter
-    period on. Raises UnsupportedAnalyticCase when q is non-constant or an
-    end is genuinely Robin; callers fall back to :func:`numeric_eigensystem`.
+    period on. Raises InvalidSpec when J < 1, and UnsupportedAnalyticCase
+    when q is non-constant or an end is genuinely Robin; callers fall back
+    to :func:`numeric_eigensystem`.
     """
     if J < 1:
-        raise ValueError("need at least one mode")
+        raise InvalidSpec(f"need at least one mode, got J = {J}")
     qc = problem.standard_q()
     if qc is None:
         raise UnsupportedAnalyticCase(
@@ -517,20 +542,13 @@ def _lowest_eigenpairs(op: DiscreteSLOperator, J: int) -> tuple[np.ndarray, np.n
     lo, hi = lo[:J], hi[:J]
 
     bound = n * np.finfo(float).eps * T.norm
-    root = np.sqrt(op.weights[op.free])
-
-    def rows_of(y):
-        rows = np.zeros((y.shape[0], op.grid.size))
-        rows[:, op.free] = y / root
-        return rows
-
     vecs = np.empty((J, n))
     active, shift, last = np.arange(J), (lo + hi) / 2, np.full(J, np.nan)
     y = _standard_waves(op.problem, J, op.grid.size, np.arange(op.i0, op.i1))[1]
     for _ in range(_RQI_CAP):
         x = T.solve(shift, y)
         y = x / np.linalg.norm(x, axis=1)[:, None]
-        quotients = op.rayleigh_quotients(rows_of(y))
+        quotients = op.rayleigh_quotients(op._grid_rows(y))
         settled = np.abs(quotients - last) <= 8.0 * np.finfo(float).eps * T.norm
         vecs[active[settled]] = y[settled]
         keep = ~settled
@@ -547,10 +565,10 @@ def _lowest_eigenpairs(op: DiscreteSLOperator, J: int) -> tuple[np.ndarray, np.n
     # symmetric (Lowdin) step, I - (G - I) / 2 for their Gram matrix G, takes
     # that to roundoff and moves each mode by no more
     vecs -= 0.5 * (vecs @ vecs.T - np.eye(J)) @ vecs
-    rows = rows_of(vecs)
+    rows = op._grid_rows(vecs)
     lams = op.rayleigh_quotients(rows)
     # |T y - lam y| is the norm of B_h x - lam x in the trapezoid weights
-    misfit = np.array([op.apply(x) for x in rows]) - lams[:, None] * rows
+    misfit = op.apply(rows) - lams[:, None] * rows
     residual = np.sqrt(misfit**2 @ op.weights)
     below = T.counts(np.r_[lams - bound, lams + bound])
     order = np.arange(J)
@@ -572,13 +590,14 @@ def numeric_eigensystem(problem: SLProblem, J: int, nodes: int) -> SpectralBasis
     eigenvalue is its mode's Rayleigh quotient, accurate relative to its own
     size. Eigenfunctions are orthonormal in the trapezoid inner product and
     carry the deterministic sign convention (first nonzero value or
-    derivative at x = 0 is positive). Raises ResolutionTooCoarse when the
-    grid has fewer than 8 nodes per mode, or when the estimated
-    discretization error is too large to separate adjacent modes, and
-    UnverifiedEigenpair when a mode fails its residual or Sturm-count check.
+    derivative at x = 0 is positive). Raises InvalidSpec when J < 1,
+    ResolutionTooCoarse when the grid has fewer than 8 nodes per mode, or
+    when the estimated discretization error is too large to separate
+    adjacent modes, and UnverifiedEigenpair when a mode fails its residual
+    or Sturm-count check.
     """
     if J < 1:
-        raise ValueError("need at least one mode")
+        raise InvalidSpec(f"need at least one mode, got J = {J}")
     if nodes < 8 * J:
         raise ResolutionTooCoarse(f"need nodes >= 8*J = {8 * J}, got {nodes}")
     op = DiscreteSLOperator(problem, nodes)

@@ -553,6 +553,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "InvalidSpec: " in err and message in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: (doc["basis"].update(modes=1, ref=None),
+                          doc.update(eigenvalues=doc["eigenvalues"][:1])),
+             "need 1 <= N < basis.size = 1, got N = 1"),
+            (lambda doc: doc.update(channels=[], L=[[]]), "need at least one output channel"),
+            (lambda doc: doc["basis"].update(modes=0, ref=None), "need at least one mode, got J = 0"),
+            (lambda doc: doc["basis"].update(nodes=2, ref=None), "need at least 3 grid nodes, got 2"),
+        ],
+        ids=["N_equals_modes", "no_channels", "no_modes", "two_nodes"],
+    )
+    def test_design_json_counts_are_typed_errors(self, tmp_path, capsys, edit, message):
+        # each of these ended in a bare ValueError traceback (exit 1)
+        cfg = cf.example31_config(h=0.3, horizon=3.0)
+        preset = tmp_path / "preset.json"
+        preset.write_text(json.dumps(cfg))
+        design = tmp_path / "design"
+        assert main(["design", "--config", str(preset), "--out", str(design)]) == 0
+        (design / "design.json").write_text(
+            _edit_json((design / "design.json").read_text(), edit))
+        del cfg["design"]
+        cfg["design_ref"] = str(design / "design.json")
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main(["check-gain", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "InvalidSpec: " in err and message in err
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
     def test_non_finite_number_in_design_json_is_a_config_error(self, written_design, tmp_path,
                                                                capsys, literal):

@@ -140,7 +140,7 @@ class TestPlantStep:
         # the rejected dt = 0.05 passes M1 before its Jacobian fails; the
         # stepper must still hold dt = 0.01's factors, not a half-built set
         stiff = LinearNonlocalTerm(uniform_grid(101), a=1.0, b=1.0, gain=40.0)
-        modes = simulator._Eigenbasis(DiscreteSLOperator(NN, 101))
+        modes = GridModes(DiscreteSLOperator(NN, 101))
         stepper, fresh = (simulator._Trapezoid(modes, stiff) for _ in range(2))
         stepper.factor(0.01)
         fresh.factor(0.01)
@@ -768,7 +768,7 @@ def _modal_step_loop_records(scenario):
     predictor's sample, or the held eta), so a run must match it bit for
     bit."""
     discrete = DiscreteObserver(scenario.design, scenario.variant, scenario.nodes)
-    modes, grid, dist = GridModes(discrete), discrete.op.grid, scenario.disturbances
+    modes, grid, dist = GridModes(discrete.op, discrete), discrete.op.grid, scenario.disturbances
     stepper = simulator._Trapezoid(modes, scenario.nonlinearity)
     predictor, zero = scenario.variant == "predictor", np.zeros(modes.lam.size)
     plant_terms, observer_terms = modes.inputs(dist.v, grid), modes.inputs(dist.v_tilde, grid)
@@ -912,7 +912,8 @@ class TestClosedForm:
         assert kept.sum() > 100
         np.testing.assert_allclose(traj.error_l2[kept], l2[kept], rtol=1e-8)
         np.testing.assert_allclose(traj.error_sup[kept], sup[kept], rtol=1e-8)
-        modes = GridModes(DiscreteObserver(sc.design, sc.variant, sc.nodes))
+        discrete = DiscreteObserver(sc.design, sc.variant, sc.nodes)
+        modes = GridModes(discrete.op, discrete)
         e_hat = modes.project(traj.w[:5] - traj.u[:5])
         np.testing.assert_allclose(traj.error_l2[:5], np.linalg.norm(e_hat, axis=1), rtol=1e-12)
 
@@ -1109,7 +1110,7 @@ class TestGridModes:
         # (order 2; the bound was fixed before the first run)
         nodes, t0, span = 101, 0.3, 0.37
         discrete = DiscreteObserver(ex31_design, variant or "zoh", nodes)
-        modes, grid = GridModes(discrete), discrete.op.grid
+        modes, grid = GridModes(discrete.op, discrete), discrete.op.grid
         w0 = pf.cosine_series(1.0, [0.5, -0.2]).values(grid)
         zeta0 = np.array([0.3]) if variant else None
         decay, phi, eta_flow = modes.flows(np.array([span]))
@@ -1152,7 +1153,8 @@ class TestGridModes:
         from scipy.linalg import expm
 
         design = request.getfixturevalue("two_channel_design" if case == "two_channel" else "ex31_design")
-        modes = GridModes(DiscreteObserver(design, "zoh" if case == "zoh" else "predictor", 51))
+        discrete = DiscreteObserver(design, "zoh" if case == "zoh" else "predictor", 51)
+        modes = GridModes(discrete.op, discrete)
         m = modes.A.shape[0]
         assert (case == "two_channel") == (m == 2)
         offsets = np.array([0.0, 1e-3, 0.1, 1.0, 4.0])
@@ -1232,7 +1234,8 @@ def _check_records_follow_their_samples(design, schedule, every: float, linear: 
         for name, reference in (("modal_u", x_u), ("modal_e", x_e), ("zeta", zeta)):
             np.testing.assert_array_equal(getattr(traj, name), reference, err_msg=name)
         return
-    modes = GridModes(DiscreteObserver(sc.design, "predictor", nodes))
+    discrete = DiscreteObserver(sc.design, "predictor", nodes)
+    modes = GridModes(discrete.op, discrete)
     samples = np.flatnonzero(traj.sample_flag)
     for r0, r1 in zip(samples, [*samples[1:], traj.times.size]):
         rows = np.arange(r0 + 1, r1)
@@ -1403,10 +1406,12 @@ class TestEigenbasis:
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         op = DiscreteSLOperator(SLProblem(p=1.0, q=0.7, a0=a0, b0=b0, a1=a1, b1=b1), 51)
-        modes = simulator._Eigenbasis(op)
-        lam, rows = op.exact_eigenpairs()
+        modes = GridModes(op)
+        lam, rows = op.eigenpairs()
         np.testing.assert_array_equal(modes.lam, lam)
         np.testing.assert_array_equal(modes.rows, rows)
+        # a bare operator: no output channel (m = 0), the modes of a plant step
+        assert modes.l_hat.shape == modes.k_hat.shape == (0, lam.size) and modes.A.shape == (0, 0)
 
     @pytest.mark.parametrize("problem", [
         SLProblem(p=0.5, q=0.3, a0=-1.0, b0=1.0, a1=2.0, b1=1.0),
@@ -1417,7 +1422,7 @@ class TestEigenbasis:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         op = DiscreteSLOperator(problem, 51)
-        modes = simulator._Eigenbasis(op)
+        modes = GridModes(op)
         assert calls == [(51, 51)]
         # lam is each mode's Rayleigh quotient u' W B_h u, the eigenvalue to roundoff
         quotients = np.array([u @ (op.weights * op.apply(u)) for u in modes.rows])

@@ -353,14 +353,14 @@ ENDS = {"neumann_neumann": (0.0, 1.0, 0.0, 1.0), "neumann_dirichlet": (0.0, 1.0,
 @pytest.mark.parametrize("q", [0.0, 0.7])
 @pytest.mark.parametrize("nodes", [11, 51, 201])
 @pytest.mark.parametrize("ends", list(ENDS))
-def test_exact_eigenpairs_are_eighs(ends, nodes, q):
+def test_closed_form_eigenpairs_are_eighs(ends, nodes, q):
     # the closed-form eigenpairs of B_h against numpy's eigh of W^{1/2} B_h
     # W^{-1/2}: eigenvalues within 1e-13 |B_h|, each mode the eigh mode up
     # to sign (|<u, v>_W| = 1 within 1e-10), and B_h u - lam u at roundoff,
     # 1e-13 |B_h| max|u| (all fixed before the first run)
     a0, b0, a1, b1 = ENDS[ends]
     op = DiscreteSLOperator(SLProblem(p=0.8, q=q, a0=a0, b0=b0, a1=a1, b1=b1), nodes)
-    lam, rows = op.exact_eigenpairs()
+    lam, rows = op.eigenpairs()
     diag, off = op.symmetric_tridiagonals()
     ref_lam, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
     scale = np.abs(ref_lam).max()  # |B_h| in the trapezoid weights
@@ -370,7 +370,7 @@ def test_exact_eigenpairs_are_eighs(ends, nodes, q):
     ref[:, op.free] = vecs.T / np.sqrt(op.weights[op.free])
     overlap = np.abs(np.sum(rows * ref * op.weights, axis=1))
     assert np.abs(overlap - 1.0).max() <= 1e-10
-    residual = np.array([op.apply(u) for u in rows]) - lam[:, None] * rows
+    residual = op.apply(rows) - lam[:, None] * rows
     assert np.abs(residual).max() <= 1e-13 * scale * np.abs(rows).max()
     assert np.all(rows[:, :op.i0] == 0.0) and np.all(rows[:, op.i1:] == 0.0)
 
@@ -378,7 +378,7 @@ def test_exact_eigenpairs_are_eighs(ends, nodes, q):
 @pytest.mark.parametrize("q", [0.0, 0.7])
 def test_neumann_mean_mode_is_exactly_q(q):
     # eigh left it at -8.2e-12 on 201 nodes for q = 0, a growing mode
-    lam, rows = DiscreteSLOperator(SLProblem(p=1.0, q=q, a0=0, b0=1, a1=0, b1=1), 201).exact_eigenpairs()
+    lam, rows = DiscreteSLOperator(SLProblem(p=1.0, q=q, a0=0, b0=1, a1=0, b1=1), 201).eigenpairs()
     assert lam[0] == q
     np.testing.assert_allclose(rows[0], 1.0, rtol=1e-15)
 
@@ -386,12 +386,37 @@ def test_neumann_mean_mode_is_exactly_q(q):
 @pytest.mark.parametrize("problem", [
     SLProblem(p=0.5, q=0.3, a0=-1.0, b0=1.0, a1=2.0, b1=1.0),
     SLProblem(p=1.0, q=pf.polynomial([0.5, 1.0]), a0=0.0, b0=1.0, a1=0.0, b1=1.0),
-], ids=["robin", "variable_q"])
-def test_no_exact_eigenpairs_without_standard_ends_and_constant_q(problem):
+    SLProblem(p=1.0, q=pf.polynomial([0.5, 1.0]), a0=1.0, b0=0.0, a1=2.0, b1=1.0),
+], ids=["robin", "variable_q", "dirichlet_robin"])
+def test_other_plants_take_one_eigh_of_the_free_nodes(monkeypatch, problem):
+    # no closed form: one eigh of the free-node size, whose modes are
+    # W^{-1/2} times eigh's, orthonormal in the trapezoid weights and zero
+    # at a pinned node, and whose eigenvalues are their Rayleigh quotients
     assert problem.standard_q() is None
-    assert DiscreteSLOperator(problem, 21).exact_eigenpairs() is None
     with pytest.raises(UnsupportedAnalyticCase):
         analytic_eigensystem(problem, 3, 21)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    op = DiscreteSLOperator(problem, 21)
+    lam, rows = op.eigenpairs()
+    free = op.i1 - op.i0
+    assert calls == [(free, free)] and rows.shape == (free, 21)
+    np.testing.assert_array_equal(lam, op.rayleigh_quotients(rows))
+    assert np.all(rows[:, :op.i0] == 0.0) and np.all(rows[:, op.i1:] == 0.0)
+    gram = (rows * op.weights) @ rows.T
+    assert np.abs(gram - np.eye(free)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("ends", list(ENDS))
+def test_apply_takes_a_stack_of_fields(ends):
+    # along the last axis, each field as it is alone, bit for bit
+    a0, b0, a1, b1 = ENDS[ends]
+    op = DiscreteSLOperator(SLProblem(p=0.8, q=pf.polynomial([0.5, 1.0]), a0=a0, b0=b0, a1=a1,
+                                      b1=b1), 21)
+    stack = np.random.default_rng(0).standard_normal((2, 3, 21))
+    alone = np.array([op.apply(u) for u in stack.reshape(6, 21)]).reshape(stack.shape)
+    np.testing.assert_array_equal(op.apply(stack), alone)
 
 
 # -- the numeric eigensolver against LAPACK's ------------------------------------
