@@ -8,10 +8,12 @@ the modes the simulator runs in), the reduction of variable-coefficient
 operators to constant-diffusion normal form, the tail-summability
 diagnostic, and modal projections.
 
-The finite-difference eigenpairs come from numpy alone: Sturm counts with
-IEEE arithmetic (Demmel, Dhillon & Ren, ETNA 3, 1995) bracket each
-eigenvalue, and Rayleigh-quotient iteration on a twisted factorization finds
-its mode; each mode returned is verified by its residual and by Sturm counts.
+The finite-difference eigenpairs come from numpy alone: Rayleigh-Ritz on the
+standard plant's discrete cosines or sines seeds each mode, and
+Rayleigh-quotient iteration on a twisted factorization finds it; each mode
+returned is verified by its residual and by Sturm counts with IEEE
+arithmetic (Demmel, Dhillon & Ren, ETNA 3, 1995), which also bracket any
+mode whose seed fails.
 """
 
 from __future__ import annotations
@@ -248,6 +250,13 @@ class DiscreteSLOperator:
         rows[:, self.free] /= np.sqrt(self.weights[self.free])
         return rows
 
+    def _wave_values(self, waves: np.ndarray) -> np.ndarray:
+        """(4 p / dx^2) sin^2(theta_k / 2), theta_k = w_k pi / (2M) on M
+        intervals: B_h's eigenvalues for q = 0 at the standard waves w_k
+        (``_standard_waves``) of its pinned ends."""
+        theta = waves * (math.pi / (4 * (self.grid.size - 1)))
+        return (4.0 * self.problem.p / self.dx**2) * np.sin(theta) ** 2
+
     def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All of B_h's eigenvalues, ascending, and its eigenvectors as rows
         on the whole grid, zero at pinned nodes and of unit norm in the
@@ -271,8 +280,7 @@ class DiscreteSLOperator:
             rows = np.zeros((count, self.grid.size))
             rows[:, self.free] = values
             rows /= np.sqrt((rows * rows) @ self.weights)[:, None]
-            theta = waves * (math.pi / (4 * (self.grid.size - 1)))
-            return q + (4.0 * self.problem.p / self.dx**2) * np.sin(theta) ** 2, rows
+            return q + self._wave_values(waves), rows
         diag, off = self.symmetric_tridiagonals()
         sym = np.diag(diag)
         i = np.arange(off.size)
@@ -296,7 +304,8 @@ def _standard_waves(problem: SLProblem, count: int, nodes: int, index, shift: in
     node i is w_k i + ``shift`` in units of pi / (2M), an integer reduced to
     one period 4M in integers, so every value reads one table of the 4M
     values of cos or sin over a period; a ``shift`` of M, a quarter period,
-    reads the derivative's wave.
+    reads the derivative's wave. A wave at or past the grid's Nyquist
+    limit, w_k >= 2M, aliases a lower one.
     """
     left, right = problem.dirichlet_left, problem.dirichlet_right
     waves = 2 * np.arange(count) + (2 if left and right else int(left != right))
@@ -358,7 +367,7 @@ class SpectralBasis:
             return self
         J = slice(modes)
         if self.closed_form:
-            return analytic_eigensystem(self.problem, self.eigenvalues[J].size, nodes)
+            return _closed_form(self.problem, self.eigenvalues[J].size, nodes)[1]
         grid = uniform_grid(nodes)
         funcs = np.array([np.interp(grid, self.grid, f) for f in self.functions[J]])
         w = trapezoid_weights(grid)
@@ -378,10 +387,24 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
     Mode k is sqrt(2) times the wave of ``_standard_waves`` (the Neumann
     mean mode 1), with wavenumber kappa_k = w_k pi / 2 and eigenvalue
     p kappa_k^2 + q; its end derivatives read the same table a quarter
-    period on. Raises InvalidSpec when J < 1, and UnsupportedAnalyticCase
-    when q is non-constant or an end is genuinely Robin; callers fall back
-    to :func:`numeric_eigensystem`.
+    period on. Raises InvalidSpec when J < 1, ResolutionTooCoarse when mode
+    J reaches the grid's Nyquist limit (w_{J-1} >= 2M on M = nodes - 1
+    intervals), where the sampled modes alias lower ones and are no longer
+    orthonormal, and UnsupportedAnalyticCase when q is non-constant or an
+    end is genuinely Robin; callers fall back to :func:`numeric_eigensystem`.
     """
+    waves, basis = _closed_form(problem, J, nodes)
+    if waves[-1] >= 2 * (nodes - 1):
+        raise ResolutionTooCoarse(
+            f"closed-form mode {J} has wavenumber {waves[-1]} pi / 2, at or past the Nyquist "
+            f"limit {nodes - 1} pi of the grid of {nodes} nodes")
+    return basis
+
+
+def _closed_form(problem: SLProblem, J: int, nodes: int) -> tuple[np.ndarray, SpectralBasis]:
+    """The waves w_k and the basis of ``analytic_eigensystem``, on any grid
+    of at least 3 nodes, however coarse: ``SpectralBasis.resample`` samples
+    a closed-form basis's modes on the grid it is asked for."""
     if J < 1:
         raise InvalidSpec(f"need at least one mode, got J = {J}")
     qc = problem.standard_q()
@@ -393,7 +416,7 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
     kappa = waves * (math.pi / 2.0)
     amp = np.where(waves == 0, 1.0, math.sqrt(2.0))
     funcs *= amp[:, None]
-    return SpectralBasis(
+    return waves, SpectralBasis(
         grid=uniform_grid(nodes),
         eigenvalues=np.array([problem.p * k**2 + qc for k in kappa.tolist()]),
         functions=funcs,
@@ -405,10 +428,10 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
 
 # -- the numeric eigensolver --------------------------------------------------
 
-_GRID_PER_MODE = 4  # shifts per mode in the first multisection
+_SEED_EXTRA = 16  # standard waves beyond the J modes in the Rayleigh-Ritz seed
 _NARROW = 8  # a bracket this many times narrower than the gaps to its neighbours' is isolated
-_REFINE_CAP = 40  # multisection passes, each quartering every bracket that is not isolated
-_RQI_CAP = 8  # Rayleigh-quotient iterations before an unsettled mode is an error
+_REFINE_CAP = 40  # repair passes, each quartering every bracket that is not isolated
+_RQI_CAP = 8  # Rayleigh-quotient iterations per try; unsettled after a bracketed try is an error
 
 
 class _Twisted:
@@ -451,25 +474,31 @@ class _Twisted:
             inner = squares[-1] / piv[-1]
         return piv, self.middle - shifts - inner[:S] - inner[S:]
 
-    def counts(self, shifts: np.ndarray) -> np.ndarray:
-        """The number of eigenvalues of T below each shift (Sylvester's law
-        of inertia: the negative pivots)."""
-        piv, centre = self.pivots(shifts)
+    @staticmethod
+    def _below(piv: np.ndarray, centre: np.ndarray) -> np.ndarray:
+        """The number of eigenvalues of T below each shift of ``pivots``
+        (Sylvester's law of inertia: the negative pivots)."""
         neg = np.signbit(piv).sum(axis=0, dtype=np.int32)
-        return neg[: shifts.size] + neg[shifts.size :] + np.signbit(centre)
+        return neg[: centre.size] + neg[centre.size :] + np.signbit(centre)
 
-    def solve(self, shifts: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def counts(self, shifts: np.ndarray) -> np.ndarray:
+        """The number of eigenvalues of T below each shift."""
+        return self._below(*self.pivots(shifts))
+
+    def solve(self, shifts: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, ...]:
         """x_k = (T - s_k)^{-1} b_k for each row b_k of ``rhs`` (k, n) and
-        shift s_k, as rows. A shift at which a pivot vanishes, an eigenvalue
-        of T or of a block at either end (the Neumann mean mode's 0), moves
-        up by eps |T|_1: the solve is then as good a step of inverse
-        iteration."""
+        shift s_k, as rows, with the shifts used and the Sturm count
+        (``counts``) at each, which the factorization's pivots give for
+        free. A shift at which a pivot vanishes, an eigenvalue of T or of a
+        block at either end (the Neumann mean mode's 0), moves up by
+        eps |T|_1: the solve is then as good a step of inverse iteration."""
         m, k = self.m, shifts.size
         piv, centre = self.pivots(shifts)
         finite = np.isfinite(piv).all(axis=0).reshape(2, k).all(axis=0)
         broken = ~(finite & (centre != 0) & np.isfinite(centre))
         if broken.any():
-            piv, centre = self.pivots(shifts + broken * (np.finfo(float).eps * self.norm))
+            shifts = shifts + broken * (np.finfo(float).eps * self.norm)
+            piv, centre = self.pivots(shifts)
         mult = np.repeat(self.links, k, axis=1) / piv
         b = rhs if self.size % 2 else np.column_stack([rhs, np.zeros(k)])
         x = np.concatenate([b[:, :m].T, b[:, :m:-1].T], axis=1)
@@ -487,7 +516,7 @@ class _Twisted:
             inner = row
         out = np.empty((k, 2 * m + 1))
         out[:, :m], out[:, m], out[:, :m:-1] = x[:, :k].T, middle, x[:, k:].T
-        return out[:, : self.size]
+        return out[:, : self.size], shifts, self._below(piv, centre)
 
 
 def _brackets(shifts: list, counts: list, modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -500,97 +529,149 @@ def _brackets(shifts: list, counts: list, modes: int) -> tuple[np.ndarray, np.nd
     return lo, hi
 
 
+def _isolate(T: _Twisted, modes: np.ndarray, K: int, shifts: list, counts: list):
+    """Brackets of the eigenvalues ``modes`` (of the K lowest), each
+    isolated from its neighbours', from the Sturm ``counts`` at ``shifts``
+    so far: quartering every bracket that is not isolated, of ``modes`` and
+    of their neighbours, whose brackets bound the gaps."""
+    near = np.zeros(K, dtype=bool)
+    near[np.r_[modes - 1, modes, modes + 1].clip(0, K - 1)] = True
+    for _ in range(_REFINE_CAP):
+        lo, hi = _brackets(shifts, counts, K)
+        gaps = lo[1:] - hi[:-1]
+        wide = (hi - lo) * _NARROW > np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        if not wide[modes].any():
+            return lo[modes], hi[modes]
+        split = wide & near
+        shifts.append(np.unique(lo[split, None] + (hi - lo)[split, None] * [0.25, 0.5, 0.75]))
+        counts.append(T.counts(shifts[-1]))
+    k = modes[np.argmax(wide[modes])]
+    raise UnverifiedEigenpair(f"eigenvalue {k + 1} is not isolated in [{lo[k]!r}, {hi[k]!r}]")
+
+
+def _ritz_seeds(op: DiscreteSLOperator, diag: np.ndarray, J: int):
+    """Rayleigh-Ritz on the first J + _SEED_EXTRA discrete cosines or sines
+    of the standard plant with the same pinned ends (``_standard_waves``):
+    the J lowest Ritz values of T (``symmetric_tridiagonals``, of diagonal
+    ``diag``) and their Ritz vectors as rows. Scaled by W^{1/2} and
+    normalised, the waves Y are eigenvectors of T0, T for q = 0 with each
+    Robin end made Neumann, and orthonormal to roundoff, so they take no
+    orthonormalisation; T - T0 is diagonal, so Y T Y^T is T0's closed-form
+    eigenvalues plus Y (T - T0) Y^T."""
+    count = min(J + _SEED_EXTRA, diag.size)
+    waves, y = _standard_waves(op.problem, count, op.grid.size, np.arange(op.i0, op.i1))
+    y *= np.sqrt(op.weights[op.free])
+    y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
+    ritz = (y * (diag - 2.0 * op.problem.p / op.dx**2)) @ y.T  # T0's diagonal is 2 p / dx^2
+    ritz[np.diag_indices(count)] += op._wave_values(waves)
+    values, c = np.linalg.eigh(ritz)
+    return values[:J], c[:, :J].T @ y
+
+
+def _rayleigh_iterations(op, T, modes, shift, y, lo, hi, vecs, shifts, counts) -> np.ndarray:
+    """Rayleigh-quotient iteration for the eigenvalues ``modes`` from the
+    rows ``y`` at ``shift``, each mode until its quotient
+    (``rayleigh_quotients``) changes by at most 8 eps |T|_1, when its row
+    goes into ``vecs``; a quotient outside its bracket [lo, hi] (by more
+    than roundoff) restarts from the bracket's midpoint. Each solve's shifts
+    and Sturm counts join ``shifts`` and ``counts``. Returns the modes left
+    over: those still moving after _RQI_CAP solves, and those with a shift
+    that the counts place outside (lam_{k-1}, lam_{k+1}], where the
+    iteration may be drawn to a neighbour."""
+    eps = np.finfo(float).eps
+    bound = T.size * eps * T.norm
+    active, last, left = modes, shift, []
+    for _ in range(_RQI_CAP):
+        x, used, below = T.solve(shift, y)
+        shifts.append(used)
+        counts.append(below)
+        y = x / np.linalg.norm(x, axis=1)[:, None]
+        quotients = op.rayleigh_quotients(op._grid_rows(y))
+        clear = (below == active) | (below == active + 1)
+        settled = clear & (np.abs(quotients - last) <= 8.0 * eps * T.norm)
+        vecs[active[settled]] = y[settled]
+        left.append(active[~clear])
+        keep = clear & ~settled
+        active, y, lo, hi, last = active[keep], y[keep], lo[keep], hi[keep], quotients[keep]
+        if not active.size:
+            break
+        shift = np.where((lo - bound <= last) & (last <= hi + bound), last, (lo + hi) / 2)
+    return np.sort(np.concatenate([active, *left]))
+
+
 def _lowest_eigenpairs(op: DiscreteSLOperator, J: int) -> tuple[np.ndarray, np.ndarray]:
     """B_h's J lowest eigenvalues, ascending, and its eigenvectors as rows on
     the whole grid, zero at pinned nodes and of unit norm in the trapezoid
     weights, from the symmetric tridiagonal T of ``symmetric_tridiagonals``.
 
-    Sturm counts bracket each eigenvalue: a log grid on both sides of 0 out
-    to |T|_1, which bounds the spectrum, a multisection whose shifts thin
-    out like the eigenvalues k^2, then quartering until each bracket is
-    isolated from its neighbours'. From its bracket's midpoint and the
-    discrete cosine or sine of the standard plant with the same pinned ends,
-    each mode takes Rayleigh-quotient iterations, restarting from the
-    midpoint when its quotient leaves the bracket, until the quotient
-    (``rayleigh_quotients``) changes by at most 8 eps |T|_1. Each eigenvalue
-    returned is verified against the bound n eps |T|_1: its residual
-    |T y - lam y| is within the bound, so an eigenvalue of T lies that close,
-    and the Sturm counts at lam -/+ the bound are k and k + 1, so that
-    eigenvalue is the k-th. A mode that does not settle within the iteration
-    cap or fails either check raises UnverifiedEigenpair.
+    Rayleigh-Ritz on the standard plant's waves (``_ritz_seeds``) seeds
+    every mode, and Rayleigh-quotient iteration on a twisted factorization
+    (``_rayleigh_iterations``) refines it; no eigenvalue is bracketed first
+    (Parlett, "The Symmetric Eigenvalue Problem", ch. 4 and 11). Each
+    eigenvalue returned is verified against the bound n eps |T|_1: its
+    residual |T y - lam y| is within the bound, so an eigenvalue of T lies
+    that close, and the Sturm counts at lam -/+ the bound are k and k + 1,
+    so that eigenvalue is the k-th. Brackets are the repair: a mode whose
+    seed the Sturm counts of its solves call ambiguous, that does not
+    settle, or that fails verification is bracketed from the counts so far
+    and by quartering until isolated from its neighbours, and iterated
+    again from its Ritz vector at its bracket's midpoint. A mode that then
+    does not settle within the iteration cap or fails either check raises
+    UnverifiedEigenpair.
     """
-    T = _Twisted(*op.symmetric_tridiagonals())
+    diag, off = op.symmetric_tridiagonals()
+    T = _Twisted(diag, off)
     n, K = T.size, J + 1  # mode J bounds the last mode's gap from above
-    scales = T.norm * 0.5 ** np.arange(53)
-    shifts = [np.r_[-scales, 0.0, scales[::-1]]]
-    counts = [T.counts(shifts[-1])]
-    lo, hi = _brackets(shifts, counts, K)
-    points = _GRID_PER_MODE * K
-    shifts.append(lo[0] + (hi[-1] - lo[0]) * (np.arange(1, points) / points) ** 2)
-    counts.append(T.counts(shifts[-1]))
-    for _ in range(_REFINE_CAP):
-        lo, hi = _brackets(shifts, counts, K)
-        gaps = lo[1:] - hi[:-1]
-        wide = (hi - lo) * _NARROW > np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
-        if not wide.any():
-            break
-        shifts.append(np.unique(lo[wide, None] + (hi - lo)[wide, None] * [0.25, 0.5, 0.75]))
-        counts.append(T.counts(shifts[-1]))
-    else:
-        k = int(np.argmax(wide))
-        raise UnverifiedEigenpair(f"eigenvalue {k + 1} is not isolated in [{lo[k]!r}, {hi[k]!r}]")
-    lo, hi = lo[:J], hi[:J]
-
     bound = n * np.finfo(float).eps * T.norm
+    # Gershgorin: no eigenvalue lies beyond |T|_1 either side of 0
+    shifts, counts = [np.r_[-2.0, 2.0] * T.norm], [np.array([0, n])]
+    theta, seeds = _ritz_seeds(op, diag, J)
     vecs = np.empty((J, n))
-    active, shift, last = np.arange(J), (lo + hi) / 2, np.full(J, np.nan)
-    y = _standard_waves(op.problem, J, op.grid.size, np.arange(op.i0, op.i1))[1]
-    for _ in range(_RQI_CAP):
-        x = T.solve(shift, y)
-        y = x / np.linalg.norm(x, axis=1)[:, None]
-        quotients = op.rayleigh_quotients(op._grid_rows(y))
-        settled = np.abs(quotients - last) <= 8.0 * np.finfo(float).eps * T.norm
-        vecs[active[settled]] = y[settled]
-        keep = ~settled
-        active, y, lo, hi, last = active[keep], y[keep], lo[keep], hi[keep], quotients[keep]
-        if not active.size:
-            break
-        # a quotient outside its bracket (by more than roundoff) restarts from the midpoint
-        shift = np.where((lo - bound <= last) & (last <= hi + bound), last, (lo + hi) / 2)
-    else:
-        raise UnverifiedEigenpair(
-            f"eigenvalue {active[0] + 1} did not settle in {_RQI_CAP} Rayleigh-quotient iterations")
-
-    # independent solves leave the modes orthogonal only to about 1e-12; one
-    # symmetric (Lowdin) step, I - (G - I) / 2 for their Gram matrix G, takes
-    # that to roundoff and moves each mode by no more
-    vecs -= 0.5 * (vecs @ vecs.T - np.eye(J)) @ vecs
-    rows = op._grid_rows(vecs)
-    lams = op.rayleigh_quotients(rows)
-    # |T y - lam y| is the norm of B_h x - lam x in the trapezoid weights
-    misfit = op.apply(rows) - lams[:, None] * rows
-    residual = np.sqrt(misfit**2 @ op.weights)
-    below = T.counts(np.r_[lams - bound, lams + bound])
+    reach = np.full(J, 2.0 * T.norm)
+    retry = _rayleigh_iterations(op, T, np.arange(J), theta, seeds, -reach, reach, vecs,
+                                 shifts, counts)
     order = np.arange(J)
-    ok = (residual <= bound) & (below[:J] == order) & (below[J:] == order + 1)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise UnverifiedEigenpair(
-            f"eigenvalue {k + 1} ({lams[k]!r}) is not verified: residual {residual[k]:.3g} "
-            f"against the bound {bound:.3g}, or Sturm counts place it elsewhere")
-    return lams, rows
+    for _ in range(2):  # the modes the seeds left, then those that failed verification
+        if retry.size:
+            lo, hi = _isolate(T, retry, K, shifts, counts)
+            unsettled = _rayleigh_iterations(op, T, retry, (lo + hi) / 2, seeds[retry], lo, hi,
+                                             vecs, shifts, counts)
+            if unsettled.size:
+                raise UnverifiedEigenpair(f"eigenvalue {unsettled[0] + 1} did not settle in "
+                                          f"{_RQI_CAP} Rayleigh-quotient iterations")
+        # independent solves leave the modes orthogonal only to about 1e-12; one
+        # symmetric (Lowdin) step, I - (G - I) / 2 for their Gram matrix G, takes
+        # that to roundoff and moves each mode by no more
+        rows = op._grid_rows(vecs - 0.5 * (vecs @ vecs.T - np.eye(J)) @ vecs)
+        lams = op.rayleigh_quotients(rows)
+        # |T y - lam y| is the norm of B_h x - lam x in the trapezoid weights
+        misfit = op.apply(rows) - lams[:, None] * rows
+        residual = np.sqrt(misfit**2 @ op.weights)
+        shifts.append(np.r_[lams - bound, lams + bound])
+        counts.append(T.counts(shifts[-1]))
+        below = counts[-1]
+        ok = (residual <= bound) & (below[:J] == order) & (below[J:] == order + 1)
+        if ok.all():
+            return lams, rows
+        retry = order[~ok]
+    k = int(np.argmin(ok))
+    raise UnverifiedEigenpair(
+        f"eigenvalue {k + 1} ({lams[k]!r}) is not verified: residual {residual[k]:.3g} "
+        f"against the bound {bound:.3g}, or Sturm counts place it elsewhere")
 
 
 def numeric_eigensystem(problem: SLProblem, J: int, nodes: int) -> SpectralBasis:
     """First J eigenpairs of the central-difference discretization.
 
-    The eigenpairs of its symmetric tridiagonal form come from bisection by
-    Sturm counts, with the IEEE-robust count of Demmel, Dhillon & Ren (ETNA
-    3, 1995), then Rayleigh-quotient iteration (``_lowest_eigenpairs``); each
-    eigenvalue is its mode's Rayleigh quotient, accurate relative to its own
-    size. Eigenfunctions are orthonormal in the trapezoid inner product and
-    carry the deterministic sign convention (first nonzero value or
-    derivative at x = 0 is positive). Raises InvalidSpec when J < 1,
+    The eigenpairs of its symmetric tridiagonal form come from
+    Rayleigh-quotient iteration seeded by Rayleigh-Ritz on the standard
+    plant's waves, and are verified by Sturm counts, with the IEEE-robust
+    count of Demmel, Dhillon & Ren (ETNA 3, 1995), which bracket a mode only
+    when its seed fails (``_lowest_eigenpairs``); each eigenvalue is its
+    mode's Rayleigh quotient, accurate relative to its own size.
+    Eigenfunctions are orthonormal in the trapezoid inner product and carry
+    the deterministic sign convention (first nonzero value or derivative at
+    x = 0 is positive). Raises InvalidSpec when J < 1,
     ResolutionTooCoarse when the grid has fewer than 8 nodes per mode, or
     when the estimated discretization error is too large to separate
     adjacent modes, and UnverifiedEigenpair when a mode fails its residual

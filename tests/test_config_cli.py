@@ -558,15 +558,22 @@ class TestCli:
         [
             (lambda doc: (doc["basis"].update(modes=1, ref=None),
                           doc.update(eigenvalues=doc["eigenvalues"][:1])),
-             "need 1 <= N < basis.size = 1, got N = 1"),
-            (lambda doc: doc.update(channels=[], L=[[]]), "need at least one output channel"),
-            (lambda doc: doc["basis"].update(modes=0, ref=None), "need at least one mode, got J = 0"),
-            (lambda doc: doc["basis"].update(nodes=2, ref=None), "need at least 3 grid nodes, got 2"),
+             "InvalidSpec: need 1 <= N < basis.size = 1, got N = 1"),
+            (lambda doc: doc.update(channels=[], L=[[]]), "InvalidSpec: need at least one output channel"),
+            (lambda doc: doc["basis"].update(modes=0, ref=None),
+             "InvalidSpec: need at least one mode, got J = 0"),
+            (lambda doc: doc["basis"].update(nodes=2, ref=None),
+             "InvalidSpec: need at least 3 grid nodes, got 2"),
+            (lambda doc: doc["basis"].update(nodes=8, ref=None),
+             "ResolutionTooCoarse: closed-form mode 201 has wavenumber 400 pi / 2, at or past the "
+             "Nyquist limit 7 pi of the grid of 8 nodes"),
         ],
-        ids=["N_equals_modes", "no_channels", "no_modes", "two_nodes"],
+        ids=["N_equals_modes", "no_channels", "no_modes", "two_nodes", "eight_nodes"],
     )
     def test_design_json_counts_are_typed_errors(self, tmp_path, capsys, edit, message):
-        # each of these ended in a bare ValueError traceback (exit 1)
+        # the first four ended in a bare ValueError traceback (exit 1); 201
+        # closed-form modes on 8 nodes alias, and loaded with an orthonormality
+        # defect of 2.0 to end in a misleading QInfeasible
         cfg = cf.example31_config(h=0.3, horizon=3.0)
         preset = tmp_path / "preset.json"
         preset.write_text(json.dumps(cfg))
@@ -580,8 +587,7 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         capsys.readouterr()
         assert main(["check-gain", "--config", str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "InvalidSpec: " in err and message in err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
     def test_non_finite_number_in_design_json_is_a_config_error(self, written_design, tmp_path,

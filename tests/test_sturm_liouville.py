@@ -101,9 +101,11 @@ class TestAnalyticEigensystem:
         # the integer-angle table against numpy's cos or sin of kappa x, within
         # 8 eps (kappa_max + 1) sqrt(2) absolute for the modes and kappa_max
         # times that for their end derivatives (fixed before the first run):
-        # numpy's argument kappa x carries a rounding of eps kappa
+        # numpy's argument kappa x carries a rounding of eps kappa; 240 modes
+        # alias on 11 and 101 nodes, which analytic_eigensystem refuses, so
+        # the table is read without that check
         bc, s, wave = self.WAVES[ends]
-        basis = analytic_eigensystem(SLProblem(0.7, 0.3, *bc), 240, nodes)
+        basis = sl._closed_form(SLProblem(0.7, 0.3, *bc), 240, nodes)[1]
         kappa = (2 * np.arange(240) + s) * (math.pi / 2.0)
         amp = np.where(kappa == 0.0, 1.0, math.sqrt(2.0))[:, None]
         x = np.linspace(0.0, 1.0, nodes)
@@ -132,12 +134,30 @@ class TestAnalyticEigensystem:
     def test_resample_is_the_closed_form_on_the_new_grid(self, ends):
         problem = SLProblem(0.7, 0.3, *self.WAVES[ends][0])
         basis = analytic_eigensystem(problem, 201, 1001)
+        # 201 modes alias on 101 nodes, which analytic_eigensystem refuses;
+        # resample samples them all the same
         for nodes, modes in ((201, 21), (2001, None), (101, 500)):
             fine = basis.resample(nodes, modes)
-            ref = analytic_eigensystem(problem, min(modes or 201, 201), nodes)
+            ref = sl._closed_form(problem, min(modes or 201, 201), nodes)[1]
             assert fine.closed_form
             for name in ("grid", "eigenvalues", "functions", "end_derivs"):
                 assert getattr(fine, name).tobytes() == getattr(ref, name).tobytes()
+
+    @pytest.mark.parametrize("ends, top", [("NN", 10), ("ND", 10), ("DN", 10), ("DD", 9)])
+    def test_modes_stop_below_the_nyquist_limit(self, ends, top):
+        # on M = 10 intervals mode J's wavenumber 2 (J - 1) + s, in units of
+        # pi / 2, stays below the Nyquist limit 2M up to J = top; one mode more
+        # aliases a lower one, and the basis is no longer orthonormal
+        problem = SLProblem(0.7, 0.3, *self.WAVES[ends][0])
+        assert analytic_eigensystem(problem, top, 11).orthonormality_defect() <= 1e-13
+        with pytest.raises(ResolutionTooCoarse, match="the grid of 11 nodes"):
+            analytic_eigensystem(problem, top + 1, 11)
+        assert sl._closed_form(problem, top + 1, 11)[1].orthonormality_defect() >= 0.5
+
+    def test_aliased_neumann_modes_are_refused(self):
+        # 201 modes on 8 nodes had an orthonormality defect of 2.0
+        with pytest.raises(ResolutionTooCoarse, match="the grid of 8 nodes"):
+            analytic_eigensystem(SLProblem(1.0, 0.0, 0, 1, 0, 1), 201, 8)
 
     def test_orthonormal_within_quadrature_tolerance(self, nn_basis):
         assert nn_basis.orthonormality_defect() < 1e-6
@@ -507,3 +527,57 @@ def test_wrong_eigenvalues_fail_the_residual_check(monkeypatch):
     monkeypatch.setattr(DiscreteSLOperator, "rayleigh_quotients", lambda op, rows: quotients(op, rows) + 1.0)
     with pytest.raises(UnverifiedEigenpair, match="is not verified"):
         numeric_eigensystem(*ORACLE_PLANTS["robin_a0_negative"])
+
+
+def test_design_sweep_basis_takes_at_most_four_factorization_passes(monkeypatch):
+    # the Ritz seeds need two Rayleigh-quotient solves and one verification;
+    # bracketing every eigenvalue first took eight passes over the rows of T
+    calls = []
+    pivots = sl._Twisted.pivots
+    monkeypatch.setattr(sl._Twisted, "pivots",
+                        lambda T, shifts: calls.append(shifts.size) or pivots(T, shifts))
+    numeric_eigensystem(*ORACLE_PLANTS["design_sweep"])
+    assert 1 <= len(calls) <= 4
+
+
+HARD_PLANTS = {
+    # a well q = 5000 x^2 with p = 0.01 holds the 64 modes in x < 0.45, where
+    # the standard waves seed them poorly: brackets repair the seeds
+    "well_robin": (SLProblem(p=0.01, q=pf.polynomial([0.0, 0.0, 5000.0]), a0=0.0, b0=1.0,
+                             a1=1.0, b1=1.0), 801, 64),
+    "strong_robin": (SLProblem(p=1.0, q=0.0, a0=-5.0, b0=1.0, a1=20.0, b1=1.0), 801, 64),
+    "cos_3pi": (SLProblem(p=1.0, q=pf.cosine_series(0.0, [0.0, 0.0, 400.0]), a0=0.0, b0=1.0,
+                          a1=1.0, b1=1.0), 801, 64),
+    # the repair reaches the last mode, whose bracket is isolated only once
+    # its upper neighbour's, which no solve informs, is refined too
+    "deep_well_last_mode": (SLProblem(p=0.007, q=pf.polynomial([-1400.0, 0.0, 400.0]), a0=25.0,
+                                      b0=1.0, a1=20.0, b1=1.0), 943, 10),
+}
+
+
+@pytest.mark.parametrize("name", list(HARD_PLANTS))
+def test_lowest_eigenpairs_on_hard_plants_are_eighs(monkeypatch, name):
+    # the lowest eigenpairs, each verified (else the solver raises), against
+    # numpy's eigh of symmetric_tridiagonals(): eigenvalues within 1e-13
+    # |B_h|, each mode the eigh mode up to sign (|<u, v>_W| = 1 within
+    # 1e-10), and B_h u - lam u at roundoff, 1e-13 |B_h| max|u| (all fixed
+    # before the first run)
+    repaired = []
+    isolate = sl._isolate
+    monkeypatch.setattr(sl, "_isolate",
+                        lambda T, modes, *rest: repaired.append(modes) or isolate(T, modes, *rest))
+    problem, nodes, J = HARD_PLANTS[name]
+    op = DiscreteSLOperator(problem, nodes)
+    lam, rows = sl._lowest_eigenpairs(op, J)
+    diag, off = op.symmetric_tridiagonals()
+    ref_lam, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
+    scale = np.abs(ref_lam).max()
+    assert np.abs(lam - ref_lam[:J]).max() <= 1e-13 * scale
+    ref = np.zeros_like(rows)
+    ref[:, op.free] = vecs[:, :J].T / np.sqrt(op.weights[op.free])
+    overlap = np.abs(np.sum(rows * ref * op.weights, axis=1))
+    assert np.abs(overlap - 1.0).max() <= 1e-10
+    residual = op.apply(rows) - lam[:, None] * rows
+    assert np.abs(residual).max() <= 1e-13 * scale * np.abs(rows).max()
+    if "well" in name:
+        assert repaired  # the seeds alone do not verify here
