@@ -47,7 +47,6 @@ from .errors import ConfigError, ParobsError
 from .grids import write_csv
 from .observer_design import certificate_summary, design_to_json
 from .simulator import Trajectory, simulate
-from .sturm_liouville import basis_to_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,9 +115,8 @@ def cmd_design(args) -> int:
     print(summary)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        # the ref is relative to design.json, so the directory can move
-        basis_to_csv(design.basis, os.path.join(args.out, "basis.csv"))
-        _write_json(os.path.join(args.out, "design.json"), design_to_json(design, "basis.csv"))
+        # design.json records how to rebuild the basis, so no basis.csv is written
+        _write_json(os.path.join(args.out, "design.json"), design_to_json(design))
         with open(os.path.join(args.out, "certificate.txt"), "w") as fh:
             fh.write(summary + "\n")
     return EXIT_OK

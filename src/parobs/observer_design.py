@@ -33,6 +33,8 @@ from .errors import (
     NotHurwitz,
     PlacementImpossible,
     QInfeasible,
+    ResolutionTooCoarse,
+    UnsupportedAnalyticCase,
 )
 from .grids import trapezoid_weights
 from .sturm_liouville import SLProblem, SpectralBasis, problem_from_spec, project
@@ -672,11 +674,13 @@ def select_Q(
 
 # -- interchange ---------------------------------------------------------------
 
-def design_to_json(design: ObserverDesign, basis_ref: str | None = None) -> dict:
+def design_to_json(design: ObserverDesign) -> dict:
     """JSON document with all scalars and row-major matrices; grid functions
-    are carried by profile specs plus an optional basis CSV reference, which
-    ``config.build_design`` resolves against the directory of design.json
-    when it is relative."""
+    are carried by profile specs. The basis is recorded by its counts and
+    ``basis.method``, the eigensolver that rebuilds it: ``"analytic"`` for a
+    closed-form basis (``SpectralBasis.closed_form``), else ``"numeric"``.
+    Its ``basis.ref`` is null; ``design_from_json`` still reads the basis CSV
+    that older documents name there."""
     d = design
     return {
         "schema_version": 1,
@@ -708,7 +712,8 @@ def design_to_json(design: ObserverDesign, basis_ref: str | None = None) -> dict
         "basis": {
             "modes": d.basis.size,
             "nodes": int(d.basis.grid.size),
-            "ref": basis_ref,
+            "method": "analytic" if d.basis.closed_form else "numeric",
+            "ref": None,
         },
     }
 
@@ -756,16 +761,27 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
     """Rebuild a design from its JSON document.
 
     The basis is taken from the caller, loaded from the CSV reference
-    (``sturm_liouville.basis_from_csv``), or re-created analytically. Raises
-    ``InvalidSpec`` when the document lacks a required key, naming the first
-    one; when a value is not of its type (N and the basis counts integers;
-    L and P lists of rows of numbers, N x m and N x N; sigma, Q and the
-    Lipschitz bound numbers; the plant and channels valid specs), naming
-    its key; or when a basis loaded or re-created here differs from the one
-    the document records: another mode or node count than ``doc["basis"]``, or
-    eigenvalues more than 1e-12 relative from ``doc["eigenvalues"]``.
+    ``basis.ref`` (``sturm_liouville.basis_from_csv``), or, when the ref is
+    null, rebuilt by ``basis.method``: ``analytic_eigensystem`` or
+    ``numeric_eigensystem`` on the plant and counts the document records. A
+    document without a method (written before it was recorded) rebuilds the
+    closed form. A loaded basis is marked ``closed_form``, as the rebuilt one
+    is, when it is the closed form of its plant (``_loaded_closed_form``), so
+    a design written again from it records the method that rebuilds it.
+    Rebuilt bases equal the written ones bit for bit at the same BLAS thread
+    count; across thread counts they differ by roundoff.
+
+    Raises ``InvalidSpec`` when the document lacks a required key, naming the
+    first one; when a value is not of its type (N and the basis counts
+    integers; the method ``"analytic"`` or ``"numeric"``; L and P lists of
+    rows of numbers, N x m and N x N; sigma, Q and the Lipschitz bound
+    numbers; the plant and channels valid specs), naming its key; or when a
+    basis loaded or rebuilt here differs from the one the document records:
+    another mode or node count than ``doc["basis"]``, eigenvalues more than
+    1e-12 relative from ``doc["eigenvalues"]``, or, with method
+    ``"analytic"``, a loaded basis that is not the closed form.
     """
-    from .sturm_liouville import analytic_eigensystem, basis_from_csv
+    from .sturm_liouville import analytic_eigensystem, basis_from_csv, numeric_eigensystem
 
     paths = list(_DESIGN_KEYS)
     if basis is None:
@@ -790,9 +806,12 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
     scalars = {key: read(key, pf.as_number, doc.get(key, 0.0))
                for key in ("Q", "sigma", "lipschitz_R")}
     if basis is None:
-        ref = doc["basis"].get("ref")
+        ref, method = doc["basis"].get("ref"), doc["basis"].get("method")
         counts = tuple(read(f"basis.{key}", operator.index, doc["basis"][key])
                        for key in ("modes", "nodes"))
+        if method not in (None, "analytic", "numeric"):
+            raise InvalidSpec(f"design JSON: basis.method: expected 'analytic' or 'numeric', "
+                              f"got {method!r}")
         if ref:
             basis = basis_from_csv(ref, problem)
             if (basis.size, basis.grid.size) != counts:
@@ -800,12 +819,43 @@ def design_from_json(doc: dict, basis: SpectralBasis | None = None) -> ObserverD
                     f"{ref}: {basis.size} modes on {basis.grid.size} nodes, the design "
                     f"JSON says {counts[0]} on {counts[1]}"
                 )
+            _check_eigenvalues(basis.eigenvalues, doc["eigenvalues"], ref)
+            if method != "numeric":
+                basis = replace(basis, closed_form=_loaded_closed_form(basis, ref, method))
         else:
-            basis = analytic_eigensystem(problem, *counts)
-        _check_eigenvalues(basis.eigenvalues, doc["eigenvalues"], ref or "analytic basis")
+            method = method or "analytic"
+            build = analytic_eigensystem if method == "analytic" else numeric_eigensystem
+            basis = build(problem, *counts)
+            _check_eigenvalues(basis.eigenvalues, doc["eigenvalues"], f"rebuilt {method} basis")
     channels = [read(f"channels.{i}", lambda c: channel_from_spec(c, basis.grid, i), c)
                 for i, c in enumerate(doc["channels"])]
     return make_design(problem, basis, channels, L, N, P=P, **scalars)
+
+
+def _loaded_closed_form(basis: SpectralBasis, ref: str, method: str | None) -> bool:
+    """Whether a basis loaded from ``ref`` is the closed form of its plant:
+    the plant has one (``analytic_eigensystem`` builds it on these counts)
+    and the loaded eigenvalues match it to 1e-12 relative, as a CSV of the
+    closed form does and one of the numeric eigensolver, O(h^2) off, does
+    not. A document whose method is ``"analytic"`` must name the closed
+    form, else InvalidSpec naming ``basis.method``; one without a method
+    (older than it) loads either."""
+    from .sturm_liouville import analytic_eigensystem
+
+    try:
+        closed = analytic_eigensystem(basis.problem, basis.size, basis.grid.size).eigenvalues
+    except (UnsupportedAnalyticCase, ResolutionTooCoarse) as exc:
+        why = str(exc)
+    else:
+        off = np.flatnonzero(np.abs(basis.eigenvalues - closed) > 1e-12 * np.abs(closed))
+        if not off.size:
+            return True
+        j = off[0]
+        why = f"lambda_{j + 1} = {basis.eigenvalues[j]:.17g}, the closed form has {closed[j]:.17g}"
+    if method == "analytic":
+        raise InvalidSpec(f"design JSON: basis.method: 'analytic', but {ref} is not the "
+                          f"closed-form basis: {why}")
+    return False
 
 
 def _matrix(rows) -> np.ndarray:

@@ -360,14 +360,15 @@ class SpectralBasis:
     def resample(self, nodes: int, modes: int | None = None) -> "SpectralBasis":
         """Same modes on a different uniform grid, only the first ``modes``
         of them when given; a closed-form basis is ``analytic_eigensystem``
-        on the new grid, and numeric modes interpolate, one mode at a time,
-        so a mode's samples do not depend on ``modes``. A basis already on
+        on the new grid, which raises ResolutionTooCoarse where its modes
+        would alias, and numeric modes interpolate, one mode at a time, so a
+        mode's samples do not depend on ``modes``. A basis already on
         ``nodes`` points is returned whole."""
         if nodes == self.grid.size:
             return self
         J = slice(modes)
         if self.closed_form:
-            return _closed_form(self.problem, self.eigenvalues[J].size, nodes)[1]
+            return analytic_eigensystem(self.problem, self.eigenvalues[J].size, nodes)
         grid = uniform_grid(nodes)
         funcs = np.array([np.interp(grid, self.grid, f) for f in self.functions[J]])
         w = trapezoid_weights(grid)
@@ -403,8 +404,8 @@ def analytic_eigensystem(problem: SLProblem, J: int, nodes: int = 1001) -> Spect
 
 def _closed_form(problem: SLProblem, J: int, nodes: int) -> tuple[np.ndarray, SpectralBasis]:
     """The waves w_k and the basis of ``analytic_eigensystem``, on any grid
-    of at least 3 nodes, however coarse: ``SpectralBasis.resample`` samples
-    a closed-form basis's modes on the grid it is asked for."""
+    of at least 3 nodes, however coarse; ``analytic_eigensystem`` refuses
+    the grids where the modes alias."""
     if J < 1:
         raise InvalidSpec(f"need at least one mode, got J = {J}")
     qc = problem.standard_q()

@@ -29,6 +29,7 @@ from parobs.grids import uniform_grid
 from parobs.observer_design import (
     OutputChannel,
     channel_from_spec,
+    design_from_json,
     make_design,
     max_diameter,
     small_gain_predictor,
@@ -103,12 +104,39 @@ def _edit_json(text: str, edit) -> str:
     return json.dumps(doc)
 
 
+def write_basis_csv(directory: Path) -> None:
+    """Write the basis of ``directory``/design.json to basis.csv beside it
+    and point the document's ``basis.ref`` there, relative to it, as design
+    directories that carried their basis did."""
+    path = directory / "design.json"
+    doc = json.loads(path.read_text())
+    basis_to_csv(design_from_json(doc).basis, directory / "basis.csv")
+    doc["basis"]["ref"] = "basis.csv"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
 @pytest.fixture(scope="module")
 def written_design(tmp_path_factory):
-    """The directory ``parobs design --out`` writes for design_sweep.json."""
+    """The directory ``parobs design --out`` writes for design_sweep.json,
+    with its basis in the basis.csv that design.json's ``ref`` names."""
     out = tmp_path_factory.mktemp("written") / "design"
     assert main(["design", "--config", str(DESIGN_SWEEP), "--out", str(out)]) == 0
+    write_basis_csv(out)
     return out
+
+
+PRESETS = {"design_sweep": lambda: json.loads(DESIGN_SWEEP.read_text()),
+           "example31": lambda: cf.example31_config(h=0.3, horizon=3.0)}
+
+
+def ref_config(cfg: dict, design_json, directory) -> Path:
+    """``directory``/ref.json: ``cfg`` with a ``design_ref`` to ``design_json``
+    in place of its design section."""
+    cfg = dict(cfg, design_ref=str(design_json))
+    del cfg["design"]
+    path = Path(directory) / "ref.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 def printed_omega(capsys, config) -> float:
@@ -531,12 +559,23 @@ class TestCli:
              "design JSON: basis.modes: "),
             ("design.json", lambda text: _edit_json(text, lambda doc: doc.update(basis=5)),
              "design JSON: missing key 'basis.modes'"),
+            ("design.json", lambda text: _edit_json(
+                text, lambda doc: doc["basis"].update(method="lanczos", ref=None)),
+             "design JSON: basis.method: expected 'analytic' or 'numeric', got 'lanczos'"),
+            ("design.json", lambda text: _edit_json(text, lambda doc: (
+                doc["basis"].update(ref=None),
+                doc["eigenvalues"].__setitem__(5, doc["eigenvalues"][5] * (1 + 1e-9)))),
+             "rebuilt numeric basis: lambda_6 = "),
+            ("design.json", lambda text: _edit_json(
+                text, lambda doc: doc["basis"].update(method="analytic")),
+             "design JSON: basis.method: 'analytic', but "),
         ],
         ids=["basis_cut_bytes", "basis_not_numeric", "basis_vector_line", "basis_counts",
              "basis_first_1000_lines", "design_key", "design_modes", "basis_other_plant",
              "design_p_type", "design_sigma_type", "design_N_type", "design_L_entry",
              "design_p_negative", "design_kernel_kind", "design_q_kind", "design_L_shape",
-             "design_modes_type", "design_basis_not_an_object"],
+             "design_modes_type", "design_basis_not_an_object", "design_method_unknown",
+             "design_eigenvalue_off_by_1e-9", "design_method_analytic_of_a_numeric_csv"],
     )
     def test_corrupt_design_ref_exit_code(self, written_design, tmp_path, capsys, name, edit, message):
         # before basis.csv and design.json were checked, these ended in a bare
@@ -636,9 +675,80 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert printed_omega(capsys, path) == pytest.approx(printed_omega(capsys, DESIGN_SWEEP),
                                                             rel=1e-12, abs=0.0)
-        # the basis comes back from basis.csv, written with 17 significant digits
+        # the basis is rebuilt by the numeric eigensolver that design.json records
         loaded = build_design(cfg)
         assert np.max(np.abs(loaded.c_coeffs - direct.c_coeffs)) <= 8e-16
+
+    @pytest.mark.parametrize("preset, method", [("design_sweep", "numeric"), ("example31", "analytic")])
+    def test_design_json_rebuilds_its_basis_bit_for_bit(self, tmp_path, preset, method):
+        # design.json records the eigensolver of its basis: no basis.csv is written or read
+        cfg = PRESETS[preset]()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "design"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["certificate.txt", "design.json"]
+        doc = json.loads((out / "design.json").read_text())
+        assert doc["basis"] == dict(cfg["basis"], method=method, ref=None)
+        direct = build_design(cfg)
+        rebuilt = build_design(cf.load_config(ref_config(cfg, out / "design.json", tmp_path)))
+        assert rebuilt.basis.closed_form == (method == "analytic")
+        for name in ("grid", "eigenvalues", "functions", "end_derivs"):
+            assert getattr(rebuilt.basis, name).tobytes() == getattr(direct.basis, name).tobytes()
+        for name in ("A", "P", "c_coeffs", "norm_l", "norm_c", "norm_k", "norm_gap", "norm_stiff",
+                     "cl", "sigma", "K", "mu", "g_tilde", "H_Q"):
+            assert (np.asarray(getattr(rebuilt, name)).tobytes()
+                    == np.asarray(getattr(direct, name)).tobytes()), name
+
+    @pytest.mark.parametrize(
+        "preset, with_csv, legacy",
+        [("design_sweep", False, False), ("example31", True, False), ("example31", False, True),
+         ("design_sweep", True, True), ("example31", True, True)],
+        ids=["rebuilt", "closed_form_csv", "legacy_null_ref", "legacy_numeric_csv",
+             "legacy_closed_form_csv"])
+    def test_design_of_a_design_ref_config_loads_again(self, tmp_path, capsys, preset, with_csv,
+                                                        legacy):
+        # the design a design.json gives, with or without its basis.csv, is
+        # written again with the method that rebuilds its basis. A legacy
+        # design.json, written before basis.method was recorded, still loads:
+        # a null ref is the closed form, a basis.csv is the closed form when
+        # its eigenvalues are the plant's closed-form ones, else numeric
+        cfg = PRESETS[preset]()
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["design", "--config", str(path), "--out", str(first)]) == 0
+        if with_csv:
+            write_basis_csv(first)
+        if legacy:
+            (first / "design.json").write_text(_edit_json(
+                (first / "design.json").read_text(), lambda doc: doc["basis"].pop("method")))
+        ref = ref_config(cfg, first / "design.json", first)
+        assert printed_omega(capsys, ref) == printed_omega(capsys, path)
+        assert main(["design", "--config", str(ref), "--out", str(second)]) == 0
+        doc = json.loads((second / "design.json").read_text())
+        assert doc["basis"] == dict(cfg["basis"], ref=None)
+        again = ref_config(cfg, second / "design.json", second)
+        assert printed_omega(capsys, again) == printed_omega(capsys, path)
+
+    def test_analytic_method_of_a_numeric_basis_csv_exit_code(self, tmp_path, capsys):
+        # example 3.1's plant has a closed form, which the numeric modes are
+        # not: marked closed-form, resample would swap them for other modes
+        cfg = example31_config()
+        cfg["basis"]["method"] = "numeric"
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "design"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        write_basis_csv(out)
+        (out / "design.json").write_text(_edit_json(
+            (out / "design.json").read_text(), lambda doc: doc["basis"].update(method="analytic")))
+        capsys.readouterr()
+        assert main(["check-gain", "--config", str(ref_config(cfg, out / "design.json", out))]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "InvalidSpec: design JSON: basis.method: 'analytic', but " in err
+        assert "the closed form has" in err
 
     def test_sampled_kernel_round_trips_through_design_json(self, tmp_path, capsys):
         # the kernel x as samples on the basis grid: design.json writes them back as a samples spec
@@ -676,8 +786,7 @@ class TestCli:
     def test_relocated_design_gives_the_same_omega(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["design", "--config", str(DESIGN_SWEEP), "--out", "ds/design"]) == 0
-        doc = json.loads((tmp_path / "ds" / "design" / "design.json").read_text())
-        assert doc["basis"]["ref"] == "basis.csv"
+        write_basis_csv(tmp_path / "ds" / "design")  # design.json's ref is "basis.csv"
         cfg = json.loads(DESIGN_SWEEP.read_text())
         del cfg["design"]
         cfg["design_ref"] = "design/design.json"  # relative to the config file
@@ -851,7 +960,7 @@ class TestCli:
         assert doc["N"] == 1
         assert doc["K"] <= 1e-12
         assert (out / "certificate.txt").exists()
-        assert (out / "basis.csv").exists()
+        assert not (out / "basis.csv").exists()
 
     def test_sweep_feasibility_flips_at_closed_form_root(self, tmp_path, capsys):
         cfg = example31_config()
