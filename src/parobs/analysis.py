@@ -16,13 +16,13 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+import warnings
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .config import (
-    _DEFAULTS,
     build_design,
     build_scenario,
     example31_config,
@@ -31,15 +31,12 @@ from .config import (
     example32_design,
     example32_sampling,
 )
-from .errors import DecayedToFloor, InfeasibleAtZero, InfeasibleReport, TailTooShort
+from .errors import DecayedToFloor, InfeasibleAtZero, InfeasibleReport
 from .grids import _row_blocks, cumulative_trapezoid, end_derivatives, snapshot_norms
 from .nonlinear import NonlinearTerm, ZeroTerm
 from .observer_design import ObserverDesign, SmallGainReport, design_to_json, max_diameter
 from .signals import Disturbances
-from .simulator import DiscreteObserver, GridModes, Scenario, Trajectory, _initial_field, simulate
-from .sturm_liouville import DiscreteSLOperator
-
-_LYAPUNOV_TAIL = _DEFAULTS["analysis.lyapunov_tail"]  # the config schema's default
+from .simulator import DiscreteObserver, GridModes, Scenario, Trajectory, simulate
 
 __all__ = [
     "DecayFit",
@@ -209,16 +206,16 @@ def _running_sup(x: np.ndarray, kt: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class LyapunovTrace:
     """Runtime verification data for the decay functional
-    V = xi' P xi + (Q/2) sum_{n>N} r_n^2."""
+    V = xi' P xi + (Q/2) sum_{n>N} r_n^2, whose tail is the energy of the
+    error beyond its head, ||e - sum_{n<=N} xi_n phi_n||^2."""
 
     times: np.ndarray
     V: np.ndarray
-    modal: np.ndarray  # (snapshots, J) modal coordinates of the error
+    modal: np.ndarray  # (snapshots, N): xi, the error's coordinates on the design's head modes
     vbar_norms: np.ndarray
     rhs: np.ndarray  # exp(-2 mu t) V(0) + g~ int exp(-2 mu (t-s)) ||vbar||^2
     violations: int
     worst_relative_margin: float
-    parseval_deficit: float
     e_le_V_ok: bool
     v0_bound_ok: bool
     slack: float
@@ -227,7 +224,7 @@ class LyapunovTrace:
 def lyapunov_oracle(
     traj: Trajectory,
     design: ObserverDesign,
-    J_tail: int = _LYAPUNOV_TAIL,
+    J_tail: int | None = None,
     nonlinearity: NonlinearTerm | None = None,
     disturbances: Disturbances | None = None,
 ) -> LyapunovTrace:
@@ -240,9 +237,9 @@ def lyapunov_oracle(
     <k_i, e(t_j)> - xi_i frozen at the last sample. The rows c_i and the
     columns l_i are those of the ``simulator.DiscreteObserver`` of the
     variant in ``traj.metadata``, which raises ValueError for a missing or
-    unknown variant. Raises TailTooShort when the first N + J_tail modes
-    miss more than 5% of the error energy (``_parseval_deficit``). Every
-    inequality is checked within the fixed 2% relative slack ``_SLACK``.
+    unknown variant. Every inequality is checked within the fixed 2%
+    relative slack ``_SLACK``. ``J_tail`` is deprecated and ignored: the
+    tail is exact with no tail modes.
 
     vbar is low rank: coefficients times the term's columns, the injection
     columns and the profiles of v's and v~'s terms. Their small Gram matrix
@@ -253,18 +250,19 @@ def lyapunov_oracle(
     its field's norm (the Gram form squares the cancellation). Everything
     is read from the trajectory's modal records (``Trajectory.modal_u``,
     ``modal_e`` and ``mode_rows``), one whole-array product each, with no
-    grid field: the modal coordinates are e's modal record against the
-    grid modes' projection on the oracle's modes, so the error is not lost
+    grid field: xi is e's modal record against G, the grid modes'
+    projection on the design's N head modes, so the error is not lost
     where it falls below the plant's roundoff, and the term's and the
     injection's coefficients read the plant's and the error's records
-    against the modes' term rows and c rows. The rhs recurrence is
-    ``_decay_bound``.
+    against the modes' term rows and c rows. The tail is the residual of
+    e's head in the trapezoid weights, ||e||^2 - 2 |xi|^2 + xi G'G xi',
+    exact by Parseval with ||e|| = ``traj.error_l2`` and clipped at 0 only
+    for roundoff. The rhs recurrence is ``_decay_bound``.
     """
+    _ignored_tail("J_tail", J_tail)
     nl = nonlinearity or ZeroTerm()
     dist = disturbances or Disturbances()
-    N = design.N
     discrete = DiscreteObserver(design, traj.metadata.get("variant"), traj.grid.size)
-    project = _oracle_projection(design, traj.grid.size, J_tail)
     nl_rows, nl_cols = nl.factors(traj.grid.size)
     lift, signs = [nl_cols, discrete.l_cols.T], []
     for sign, signal in ((-1.0, dist.v), (1.0, dist.v_tilde)):
@@ -274,7 +272,6 @@ def lyapunov_oracle(
     lift = np.vstack(lift)
     size, r_count, m = traj.times.size, nl_rows.shape[0], discrete.l_cols.shape[1]
     x_u, x_e, rows = traj.modal_u, traj.modal_e, traj.mode_rows
-    r = x_e @ (rows @ project)  # the oracle's modal coordinates
     coef = np.empty((size, lift.shape[0]))  # vbar = coef @ lift, one row per snapshot
     if r_count:
         r_hat = rows @ nl_rows.T
@@ -287,12 +284,11 @@ def lyapunov_oracle(
     factor = np.linalg.qr((lift * np.sqrt(traj.weights)).T, mode="r")
     vbar_norms = np.linalg.norm(coef @ factor.T, axis=1)
 
+    g_hat = rows @ _oracle_projection(design, traj.grid.size)
+    xi = x_e @ g_hat  # the oracle's head coordinates
     e_sq = traj.error_l2**2
-    deficit = _parseval_deficit(e_sq, np.sum(r**2, axis=1))
-
-    xi_block = r[:, :N]
-    V = np.einsum("si,ij,sj->s", xi_block, design.P, xi_block)
-    V = V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
+    tail = e_sq - 2.0 * np.sum(xi**2, axis=1) + np.einsum("si,ij,sj->s", xi, g_hat.T @ g_hat, xi)
+    V = np.einsum("si,ij,sj->s", xi, design.P, xi) + 0.5 * design.Q * np.maximum(tail, 0.0)
     rhs = _decay_bound(traj.times, vbar_norms, float(V[0]), design.mu, design.g_tilde)
 
     atol = 1e-12 * max(V[0], 1.0)
@@ -303,54 +299,30 @@ def lyapunov_oracle(
     return LyapunovTrace(
         times=traj.times,
         V=V,
-        modal=r,
+        modal=xi,
         vbar_norms=vbar_norms,
         rhs=rhs,
         violations=violations,
         worst_relative_margin=float(np.min(rel)),
-        parseval_deficit=deficit,
         e_le_V_ok=e_le_V_ok,
         v0_bound_ok=v0_bound_ok,
         slack=_SLACK,
     )
 
 
-def _oracle_projection(design: ObserverDesign, nodes: int, J_tail: int) -> np.ndarray:
-    """(n, J): the trapezoid projection on the oracle's first J = N + J_tail
-    modes of the design's basis (all of them if it has fewer) on ``nodes``
-    points."""
-    J = min(design.N + J_tail, design.basis.size)
-    basis = design.basis.resample(nodes, J)
-    return (basis.functions[:J] * basis.weights).T
+def _oracle_projection(design: ObserverDesign, nodes: int) -> np.ndarray:
+    """(n, N): the trapezoid projection on the design's N head modes on
+    ``nodes`` points."""
+    basis = design.basis.resample(nodes, design.N)
+    return (basis.functions[:design.N] * basis.weights).T
 
 
-def _parseval_deficit(e_sq: np.ndarray, proj_sq: np.ndarray) -> float:
-    """The largest share of the error energy e_sq that the oracle's modes
-    miss (proj_sq is the energy they hold), over the first row and every
-    row above 1e-8 of the largest energy, and 0 where the modes hold it all
-    to roundoff; TailTooShort above 5%."""
-    scale = np.max(e_sq)
-    if not scale > 0.0:
-        return 0.0
-    mask = e_sq > 1e-8 * scale
-    mask[0] = e_sq[0] > 0.0
-    deficit = max(float(np.max((e_sq[mask] - proj_sq[mask]) / e_sq[mask])), 0.0)
-    if deficit > 0.05:
-        raise TailTooShort(f"modal truncation misses {100 * deficit:.1f}% of the error energy")
-    return deficit
-
-
-def _check_initial_tail(scenario: Scenario, lyapunov: bool, J_tail: int) -> None:
-    """Before a run is simulated: where ``check_run`` will run the oracle
-    (``lyapunov`` and a feasible certificate), raise TailTooShort when its
-    modes already miss more than 5% of the initial error's energy, as the
-    oracle would after the run."""
-    if not (lyapunov and scenario.report.feasible):
-        return
-    op = DiscreteSLOperator(scenario.design.problem, scenario.nodes)
-    e = (_initial_field(scenario.w0, op) - _initial_field(scenario.u0, op))[None]
-    r = e @ _oracle_projection(scenario.design, scenario.nodes, J_tail)
-    _parseval_deficit((e * e) @ op.weights, np.sum(r**2, axis=1))
+def _ignored_tail(name: str, value) -> None:
+    """Warn that the deprecated tail length ``name`` was given: the tail is
+    exact by Parseval, so the value is ignored."""
+    if value is not None:
+        warnings.warn(f"{name} is deprecated and ignored: the decay functional's tail is exact",
+                      DeprecationWarning, stacklevel=3)
 
 
 def _decay_bound(times: np.ndarray, norms: np.ndarray, V0: float, mu: float, g: float):
@@ -523,7 +495,7 @@ class RunResult:
                           "worst_relative_margin": ios.worst_relative_margin}
         if ly is not None:
             doc["lyapunov"] = {"violations": ly.violations, "error_le_V": ly.e_le_V_ok,
-                               "v0_bound": ly.v0_bound_ok, "parseval_deficit": ly.parseval_deficit}
+                               "v0_bound": ly.v0_bound_ok}
         if self.fit is not None:
             doc["fitted_rate"] = self.fit.rate
             doc["fitted_rate_ci"] = self.fit.ci_halfwidth
@@ -532,10 +504,7 @@ class RunResult:
         return doc
 
 
-def check_run(
-    traj: Trajectory, scenario: Scenario, *, lyapunov: bool = False,
-    lyapunov_tail: int = _LYAPUNOV_TAIL,
-) -> RunResult:
+def check_run(traj: Trajectory, scenario: Scenario, *, lyapunov: bool = False) -> RunResult:
     """The decay fit, IOS check, Lyapunov oracle, h* and verdict of one
     simulated scenario, as one ``RunResult``.
 
@@ -556,7 +525,7 @@ def check_run(
     bound = check_ios_bound(traj, report, scenario.disturbances) if feasible else None
     oracle = None
     if lyapunov and feasible:
-        oracle = lyapunov_oracle(traj, scenario.design, lyapunov_tail,
+        oracle = lyapunov_oracle(traj, scenario.design,
                                  nonlinearity=scenario.nonlinearity,
                                  disturbances=scenario.disturbances)
     try:
@@ -619,16 +588,16 @@ def _bc_defect(f: np.ndarray, dx: float) -> float:
     return float(np.max(np.maximum(np.abs(f[:, -1]), np.abs(d0) * dx) / scale))
 
 
-def run_example_31(*args, lyapunov: bool = False, lyapunov_tail: int = _LYAPUNOV_TAIL,
+def run_example_31(*args, lyapunov: bool = False, lyapunov_tail: int | None = None,
                    **preset) -> RunResult:
     """End-to-end run of ``example31_config(*args, **preset)``, which names
     the parameters and their defaults: the ``check_run`` result of its
     scenario, as ``parobs simulate`` reports it, with the Lyapunov oracle
-    when ``lyapunov`` asks for it, whose initial error is checked against
-    its modes before the run (``_check_initial_tail``)."""
+    when ``lyapunov`` asks for it. ``lyapunov_tail`` is deprecated and
+    ignored."""
+    _ignored_tail("lyapunov_tail", lyapunov_tail)
     scenario = build_scenario(example31_config(*args, **preset))
-    _check_initial_tail(scenario, lyapunov, lyapunov_tail)
-    return check_run(simulate(scenario), scenario, lyapunov=lyapunov, lyapunov_tail=lyapunov_tail)
+    return check_run(simulate(scenario), scenario, lyapunov=lyapunov)
 
 
 def run_example_32(*args, **preset) -> RunResult:

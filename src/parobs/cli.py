@@ -32,8 +32,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .analysis import (RunResult, _check_initial_tail, _report_to_dict, check_run, run_example_31,
-                       run_example_32)
+from .analysis import RunResult, _report_to_dict, check_run, run_example_31, run_example_32
 from .config import (
     _value,
     apply_overrides,
@@ -139,10 +138,8 @@ def cmd_simulate(args) -> int:
     cfg = _config(args, lambda cfg: True)
     design = build_design(cfg)
     scenario = build_scenario(cfg, design=design, seed=args.seed)
-    lyapunov, tail = _value(cfg, "analysis.lyapunov"), _value(cfg, "analysis.lyapunov_tail")
-    _check_initial_tail(scenario, lyapunov, tail)
     traj = simulate(scenario)
-    run = check_run(traj, scenario, lyapunov=lyapunov, lyapunov_tail=tail)
+    run = check_run(traj, scenario, lyapunov=_value(cfg, "analysis.lyapunov"))
     print(
         f"simulated {scenario.variant} observer: ||e(0)|| = {_fmt(traj.error_l2[0])}, "
         f"||e(T)|| = {_fmt(traj.error_l2[-1])}"

@@ -137,7 +137,6 @@ _SCHEMA = (
     ("observer.variant", "a string", "predictor", lambda v: v in ("predictor", "zoh"),
      "must be predictor or zoh"),
     ("analysis.lyapunov", "a boolean", False, None, None),
-    ("analysis.lyapunov_tail", "an integer", 20, lambda v: v >= 0, "must be non-negative"),
     ("output.fields", "a boolean", False, None, None),
     ("sweep.parameter", "a string", _REQUIRED, lambda v: v in ("h", "kappa", "Q", "noise_amplitude"),
      "must be h, kappa, Q or noise_amplitude"),

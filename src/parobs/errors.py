@@ -110,10 +110,6 @@ class InfeasibleReport(ParobsError):
     """Bound checking requires a feasible small-gain report (Omega < 1)."""
 
 
-class TailTooShort(ParobsError):
-    """Modal truncation misses too much of the error energy."""
-
-
 class ReactionOutOfRange(ParobsError):
     """Reaction coefficient outside the admissible design range."""
 

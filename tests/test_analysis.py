@@ -1,9 +1,6 @@
-import ast
 import dataclasses
-import inspect
 import json
 import math
-import textwrap
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -32,7 +29,6 @@ from parobs.errors import (
     DecayedToFloor,
     InfeasibleReport,
     ReactionOutOfRange,
-    TailTooShort,
 )
 from parobs.grids import (
     _row_blocks,
@@ -164,7 +160,7 @@ class TestLyapunovOracle:
         sc = Scenario(design=ex31_design, variant="predictor", schedule=sch, nodes=101,
                       u0=pf.constant(0.0), w0=pf.constant(0.0))
         traj = quiet_simulate(sc)
-        trace = lyapunov_oracle(traj, ex31_design, J_tail=10)
+        trace = lyapunov_oracle(traj, ex31_design)
         np.testing.assert_allclose(trace.V, 0.0, atol=1e-28)
         assert trace.violations == 0
 
@@ -175,7 +171,7 @@ class TestLyapunovOracle:
                       u0=pf.cosine_series(1.0, [0.5, 0.0, 0.2]), w0=pf.constant(0.0),
                       snapshot_every=0.02)
         traj = quiet_simulate(sc)
-        trace = lyapunov_oracle(traj, d, J_tail=25)
+        trace = lyapunov_oracle(traj, d)
         assert np.max(trace.vbar_norms) < 1e-10  # matched kernels: no effective input
         assert trace.violations == 0
         assert trace.e_le_V_ok and trace.v0_bound_ok
@@ -187,18 +183,20 @@ class TestLyapunovOracle:
         sc = Scenario(design=d, variant="predictor", schedule=sch, nodes=201,
                       u0=u0, w0=pf.constant(0.0))
         traj = quiet_simulate(sc)
-        trace = lyapunov_oracle(traj, d, J_tail=25)
+        trace = lyapunov_oracle(traj, d)
         assert trace.V[0] == pytest.approx(d.Q / 2.0, rel=1e-10)
 
-    def test_tail_too_short(self):
+    def test_tail_past_the_last_design_mode(self):
+        # the error is the basis's 30th and last mode, past any tail of
+        # N + 20 design modes: the whole of it is the tail
         d = self._exact_reset_design()
         sch = make_schedule({"kind": "uniform", "h": 0.2, "horizon": 0.2})
-        u0 = pf.cosine(math.sqrt(2.0), 10 * math.pi)  # the eleventh mode
+        u0 = pf.cosine(math.sqrt(2.0), 29 * math.pi)
         sc = Scenario(design=d, variant="predictor", schedule=sch, nodes=401, u0=u0,
                       w0=pf.constant(0.0))
         traj = quiet_simulate(sc)
-        with pytest.raises(TailTooShort):
-            lyapunov_oracle(traj, d, J_tail=3)
+        trace = lyapunov_oracle(traj, d)
+        assert trace.V[0] == pytest.approx(d.Q / 2.0 * traj.error_l2[0] ** 2, rel=1e-12, abs=0.0)
 
     def test_zoh_reconstruction_consistency(self):
         # hold variant: the reconstructed input must make the bound behave
@@ -209,26 +207,19 @@ class TestLyapunovOracle:
                       u0=pf.cosine_series(1.0, [0.5]), w0=pf.constant(0.0),
                       snapshot_every=0.02)
         traj = quiet_simulate(sc)
-        trace = lyapunov_oracle(traj, d, J_tail=25)
+        trace = lyapunov_oracle(traj, d)
         # y = <c, u> here, so the held innovation is <c, e(t_j)>, and vbar
         # tracks the sampling-induced mismatch; it must vanish at sample times
         sample_idx = np.nonzero(traj.sample_flag)[0]
         assert np.all(trace.vbar_norms[sample_idx] < 1e-8)
 
 
-def replayed_oracle(traj, design, nl, dist, J_tail=20, slack=0.02):
+def replayed_oracle(traj, design, nl, dist, slack=0.02):
     """Reference for ``lyapunov_oracle``: one snapshot at a time, with the
     hold observer's innovation rebuilt by replaying the sample events."""
     w = traj.weights
-    J = min(design.N + J_tail, design.basis.size)
-    modes = design.basis.resample(traj.grid.size).functions[:J] * w
     e = traj.error_fields()
-    r = traj.modal_e @ (traj.mode_rows @ modes.T)
-    e_sq = traj.error_l2**2
-    mask = e_sq > 1e-8 * np.max(e_sq)
-    deficit = max(float(np.max((e_sq[mask] - np.sum(r[mask] ** 2, axis=1)) / e_sq[mask])), 0.0)
-    V = np.einsum("si,ij,sj->s", r[:, :design.N], design.P, r[:, :design.N])
-    V = V + 0.5 * design.Q * np.sum(r[:, design.N:] ** 2, axis=1)
+    r, V = _modal_V(traj, design)
 
     discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
     c_rows, l_cols = discrete.c_rows, discrete.l_cols
@@ -255,8 +246,7 @@ def replayed_oracle(traj, design, nl, dist, J_tail=20, slack=0.02):
         integral = decay * integral + 0.5 * dt * (decay * vbar_norms[k - 1] ** 2 + vbar_norms[k] ** 2)
         rhs[k] = math.exp(-2.0 * design.mu * traj.times[k]) * V[0] + design.g_tilde * integral
     violations = int(np.sum(V > rhs * (1.0 + slack) + 1e-12 * max(V[0], 1.0)))
-    return {"V": V, "modal": r, "parseval_deficit": deficit, "vbar_norms": vbar_norms,
-            "violations": violations}
+    return {"V": V, "modal": r, "vbar_norms": vbar_norms, "violations": violations}
 
 
 def _hold_run():
@@ -287,13 +277,12 @@ def test_oracle_matches_event_replay(make_cfg):
     scenario = cf.build_scenario(cfg, seed=0)
     assert scenario.disturbances.v != scenario.disturbances.v_tilde
     traj = quiet_simulate(scenario)
-    trace = lyapunov_oracle(traj, scenario.design, 20, nonlinearity=scenario.nonlinearity,
+    trace = lyapunov_oracle(traj, scenario.design, nonlinearity=scenario.nonlinearity,
                             disturbances=scenario.disturbances)
     ref = replayed_oracle(traj, scenario.design, scenario.nonlinearity, scenario.disturbances)
     assert np.max(np.abs(trace.vbar_norms - ref["vbar_norms"])) <= 1e-13 * np.max(ref["vbar_norms"])
     np.testing.assert_array_equal(trace.V, ref["V"])
     np.testing.assert_array_equal(trace.modal, ref["modal"])
-    assert trace.parseval_deficit == ref["parseval_deficit"]
     assert trace.violations == ref["violations"]
 
 
@@ -310,17 +299,29 @@ def _parent_rhs(times, norms, V0, mu, g):
     return rhs
 
 
-def _modal_V(traj, design, J_tail, fields=False):
-    """The oracle's modal coordinates and V: from the modal error record
-    against the grid modes' projection, or with ``fields`` from the error
-    fields on the grid."""
+def _head_tail(traj, design, fields=False):
+    """The oracle's head coordinates xi and its tail ||e - sum xi_n phi_n||^2
+    in the trapezoid weights: from the modal error record against the grid
+    modes' projection on the head, by the oracle's Gram identity, or with
+    ``fields`` from the residual of the error fields on the grid."""
     N, w = design.N, traj.weights
-    J = min(N + J_tail, design.basis.size)
-    basis = design.basis.resample(traj.grid.size, J)
-    project = (basis.functions[:J] * w).T
-    r = traj.error_fields() @ project if fields else traj.modal_e @ (traj.mode_rows @ project)
-    V = np.einsum("si,ij,sj->s", r[:, :N], design.P, r[:, :N])
-    return r, V + 0.5 * design.Q * np.sum(r[:, N:] ** 2, axis=1)
+    head = design.basis.resample(traj.grid.size, N).functions[:N]
+    project = (head * w).T
+    if fields:
+        e = traj.error_fields()
+        xi = e @ project
+        return xi, np.square(e - xi @ head) @ w
+    g_hat = traj.mode_rows @ project
+    xi = traj.modal_e @ g_hat
+    gram = np.einsum("si,ij,sj->s", xi, g_hat.T @ g_hat, xi)
+    return xi, traj.error_l2**2 - 2.0 * np.sum(xi**2, axis=1) + gram
+
+
+def _modal_V(traj, design, fields=False):
+    """The oracle's head coordinates and V from ``_head_tail``."""
+    xi, tail = _head_tail(traj, design, fields)
+    V = np.einsum("si,ij,sj->s", xi, design.P, xi)
+    return xi, V + 0.5 * design.Q * np.maximum(tail, 0.0)
 
 
 def _injected(traj, discrete):
@@ -335,15 +336,16 @@ def _injected(traj, discrete):
     return traj.zeta - traj.modal_e @ c_hat
 
 
-def modal_oracle(traj, design, nl, dist, J_tail=20):
+def modal_oracle(traj, design, nl, dist):
     """``lyapunov_oracle``'s modal coordinates, V, vbar norms and rhs from
     the whole modal records, with its arithmetic: the modal u and e against
-    the grid modes' projection, c rows and term rows; each row's ||vbar||
+    the grid modes' projection, c rows and term rows; the tail by the Gram
+    identity; each row's ||vbar||
     as the norm of its coefficients on the term's columns, the injection
     columns and v's and v~'s profiles times the triangular factor of those
     weighted profiles; and the rhs recurrence row by row."""
     discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
-    r, V = _modal_V(traj, design, J_tail)
+    r, V = _modal_V(traj, design)
     x_u, x_e, modes = traj.modal_u, traj.modal_e, traj.mode_rows
     injected = _injected(traj, discrete)
     rows, cols = nl.factors(traj.grid.size)
@@ -359,12 +361,13 @@ def modal_oracle(traj, design, nl, dist, J_tail=20):
     return {"modal": r, "V": V, "vbar_norms": vbar_norms, "rhs": rhs}
 
 
-def field_oracle(traj, design, nl, dist, J_tail=20):
-    """V, the vbar norms and rhs by the oracle's earlier formulas: the vbar
-    field of every snapshot, f(w) - f(u) + (v~ - v) + sum_i l_i d_i, and
-    its trapezoid norm."""
+def field_oracle(traj, design, nl, dist):
+    """V, the vbar norms and rhs by the oracle's earlier formulas: V's tail
+    the residual of the error field's head, and the vbar field of every
+    snapshot, f(w) - f(u) + (v~ - v) + sum_i l_i d_i, and its trapezoid
+    norm."""
     discrete = DiscreteObserver(design, traj.metadata["variant"], traj.grid.size)
-    _, V = _modal_V(traj, design, J_tail, fields=True)
+    _, V = _modal_V(traj, design, fields=True)
     injected = _injected(traj, discrete)
     rows, cols = nl.factors(traj.grid.size)
     coef = np.hstack([nl.phi(traj.w @ rows.T) - nl.phi(traj.u @ rows.T), injected])
@@ -433,12 +436,47 @@ def test_oracle_has_the_bits_of_whole_modal_arrays(preset, rows):
         np.testing.assert_array_equal(getattr(trace, name), expected, err_msg=name)
 
 
-def test_parseval_deficit_is_never_below_zero():
-    # the oracle's 21 modes hold ||e||^2 of this run to within 1e-15 above
-    # it, a missed share of -8.4e-16 before it was clamped at 0
-    run = analysis.run_example_31(p=0.1, h=1.0, omega=0.1, horizon=200, snapshot_every=0.1,
-                                  lyapunov=True)
-    assert 0.0 <= run.lyapunov.parseval_deficit <= 1e-14
+@pytest.mark.parametrize("make_cfg", [
+    lambda: cf.example31_config(p=0.1, h=1.0, omega=0.1, horizon=200.0, snapshot_every=0.1),
+    _nonlinear_zoh_run,
+], ids=["predictor-long", "nonlinear-zoh"])
+def test_tail_is_never_below_zero_and_is_the_field_residual(make_cfg):
+    # the tail read back from V is >= 0 on every row and is the residual of
+    # the error field's head within 1e-12 ||e||^2 (fixed before the first
+    # run), on a closed-form and a numeric basis
+    scenario = cf.build_scenario(make_cfg(), seed=0)
+    traj = quiet_simulate(scenario)
+    design = scenario.design
+    trace = lyapunov_oracle(traj, design, nonlinearity=scenario.nonlinearity,
+                            disturbances=scenario.disturbances)
+    head = np.einsum("si,ij,sj->s", trace.modal, design.P, trace.modal)
+    tail = (trace.V - head) / (0.5 * design.Q)
+    _, field_tail = _head_tail(traj, design, fields=True)
+    assert np.all(tail >= 0.0)
+    assert np.all(np.abs(tail - field_tail) <= 1e-12 * traj.error_l2**2)
+
+
+@pytest.mark.parametrize("make_cfg", [
+    lambda: cf.example31_config(p=0.1, h=1.0, omega=0.1, horizon=60.0, snapshot_every=0.1),
+    _nonlinear_zoh_run,
+], ids=["closed-form", "numeric"])
+def test_exact_tail_is_never_below_a_truncated_tail(make_cfg):
+    # V with the exact tail against V summed over N + 20 resampled modes,
+    # row by row: never below it, within bounds fixed before the first run,
+    # roundoff on a closed-form basis and the O(dx^2) non-orthonormality of
+    # resampled numeric modes
+    scenario = cf.build_scenario(make_cfg(), seed=0)
+    traj = quiet_simulate(scenario)
+    design = scenario.design
+    V = lyapunov_oracle(traj, design, nonlinearity=scenario.nonlinearity,
+                        disturbances=scenario.disturbances).V
+    J = min(design.N + 20, design.basis.size)
+    modes = design.basis.resample(traj.grid.size, J).functions[:J]
+    r = traj.modal_e @ (traj.mode_rows @ (modes * traj.weights).T)
+    truncated = np.einsum("si,ij,sj->s", r[:, :design.N], design.P, r[:, :design.N])
+    truncated += 0.5 * design.Q * np.sum(r[:, design.N:] ** 2, axis=1)
+    bound = 1e-14 if design.basis.closed_form else 1e-6
+    assert np.all(V >= truncated * (1.0 - bound))
 
 
 def test_oracle_keeps_the_error_below_the_plants_roundoff():
@@ -852,23 +890,15 @@ def test_zeta_rate_rows_are_minus_c_rows_times_b_h(request, name):
     assert np.all(defect <= 16 * np.finfo(float).eps * terms)
 
 
-def test_lyapunov_tail_default_is_the_config_schema_default():
-    # one declared default: no signature repeats the schema's 20, and a call
-    # that leaves the tail out is the call with lyapunov_tail = 20
-    default = cf._DEFAULTS["analysis.lyapunov_tail"]
-    assert default == 20
-    for fn, name in ((lyapunov_oracle, "J_tail"), (check_run, "lyapunov_tail"),
-                     (run_example_31, "lyapunov_tail")):
-        assert inspect.signature(fn).parameters[name].default == default
-        args = ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0].args
-        literals = [d.value for d in (*args.defaults, *args.kw_defaults) if isinstance(d, ast.Constant)]
-        assert default not in literals, fn.__name__
+def test_tail_lengths_are_deprecated_and_ignored():
+    # the oracle reads the design's N head modes whatever tail is given
     preset = dict(h=0.3, horizon=3.0, lyapunov=True)
-    given = run_example_31(**preset, lyapunov_tail=20)
-    traj, scenario = given.trajectory, given.scenario
-    assert given.lyapunov.modal.shape[1] == scenario.design.N + 20
-    for trace in (run_example_31(**preset).lyapunov, check_run(traj, scenario, lyapunov=True).lyapunov,
-                  lyapunov_oracle(traj, scenario.design, nonlinearity=scenario.nonlinearity,
-                                  disturbances=scenario.disturbances)):
-        np.testing.assert_array_equal(trace.modal, given.lyapunov.modal)
-        np.testing.assert_array_equal(trace.V, given.lyapunov.V)
+    plain = run_example_31(**preset)
+    with pytest.warns(DeprecationWarning, match="lyapunov_tail is deprecated and ignored"):
+        given = run_example_31(**preset, lyapunov_tail=0)
+    np.testing.assert_array_equal(given.lyapunov.V, plain.lyapunov.V)
+    traj, design = plain.trajectory, plain.design
+    assert plain.lyapunov.modal.shape == (traj.times.size, design.N)
+    with pytest.warns(DeprecationWarning, match="J_tail is deprecated and ignored"):
+        trace = lyapunov_oracle(traj, design, 20)
+    np.testing.assert_array_equal(trace.V, lyapunov_oracle(traj, design).V)

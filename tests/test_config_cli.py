@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import parobs.analysis
 import parobs.cli
 from parobs import config as cf
 from parobs import profiles as pf
@@ -24,7 +23,7 @@ from parobs.config import (
     build_scenario,
     validate_config,
 )
-from parobs.errors import ConfigError, InvalidSpec, TailTooShort
+from parobs.errors import ConfigError, InvalidSpec
 from parobs.grids import uniform_grid
 from parobs.observer_design import (
     OutputChannel,
@@ -1248,29 +1247,18 @@ class TestRunCertificate:
         assert report["gain"]["h"] == 0.6 and report["gain"]["feasible"] is False
         assert "ios" not in report and "lyapunov" not in report
 
-    @pytest.mark.parametrize("entry", ["simulate", "example31"])
-    def test_short_lyapunov_tail_fails_before_simulating(self, tmp_path, capsys, monkeypatch, entry):
-        # lyapunov_tail = 0 leaves the oracle example 3.1's one mode, which
-        # already misses 11.1% of the initial error's energy
+    def test_lyapunov_tail_is_an_unknown_key(self, tmp_path, capsys, monkeypatch):
+        # the oracle's tail is exact, so no config sets its length
         def no_simulation(scenario):
-            raise AssertionError("simulated a run whose oracle cannot pass")
+            raise AssertionError("simulated a config that should have been rejected")
 
         monkeypatch.setattr(parobs.cli, "simulate", no_simulation)
-        monkeypatch.setattr(parobs.analysis, "simulate", no_simulation)
-        cfg = cf.example31_config(h=0.3, horizon=3.0)
-        if entry == "simulate":
-            path = tmp_path / "e31.json"
-            path.write_text(json.dumps(cfg))
-            argv = ["simulate", "--config", str(path), "--set", "analysis.lyapunov=true",
-                    "--set", "analysis.lyapunov_tail=0"]
-            assert main(argv) == EXIT_CONFIG
-            assert "TailTooShort: modal truncation misses 11.1%" in capsys.readouterr().err
-        else:
-            with pytest.raises(TailTooShort, match="11.1%"):
-                parobs.analysis.run_example_31(h=0.3, horizon=3.0, lyapunov=True, lyapunov_tail=0)
-        # without the oracle the same run goes on to simulate
-        with pytest.raises(AssertionError, match="simulated a run"):
-            parobs.analysis.run_example_31(h=0.3, horizon=3.0, lyapunov=False, lyapunov_tail=0)
+        path = tmp_path / "e31.json"
+        path.write_text(json.dumps(cf.example31_config(h=0.3, horizon=3.0)))
+        argv = ["simulate", "--config", str(path), "--set", "analysis.lyapunov=true",
+                "--set", "analysis.lyapunov_tail=0"]
+        assert main(argv) == EXIT_CONFIG
+        assert "analysis.lyapunov_tail: unknown key" in capsys.readouterr().err
 
     def test_numeric_design_and_run_load_no_scipy(self, tmp_path):
         # numeric bases come from numpy alone: building the design of
